@@ -1,18 +1,23 @@
 """Small exact linear-algebra helpers shared by the diagram and polyhedral code.
 
 Everything works over Python integers and `fractions.Fraction`; no floats.
+`echelon` is the one elimination: determinant, rank, independent rows,
+nullspace, solve and inverse are read off its result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "content",
     "primitive",
+    "echelon",
     "det_int",
     "rank_int",
+    "independent_rows",
+    "nullspace_vector",
     "solve_fraction",
     "invert_fraction",
     "mat_vec",
@@ -37,53 +42,71 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
+def echelon(rows):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of a rational matrix.
+
+    Each row is first scaled to integers.  Every pivot step eliminates above
+    and below the pivot and divides exactly by the previous pivot, so all
+    entries stay integer minors of the scaled matrix.  Returns
+    ``(matrix, pivots, d, sign)``: the integer rows of ``d`` times the reduced
+    row echelon form, the pivot columns in order, the last pivot ``d`` (1 when
+    there is none) and the sign of the row permutation.
+    """
+    a = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        a.append([int(x * scale) for x in row])
+    m = len(a)
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for c in range(len(a[0]) if m else 0):
+        r = len(pivots)
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if a[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            sign = -sign
+        prow = a[r]
+        p = prow[c]
+        for i in range(m):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
+        pivots.append(c)
+        prev = p
+    return a, pivots, prev, sign
+
+
 def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row = a[i]
-            krow = a[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - aik * krow[j]) // prev
-            row[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    """Determinant of a square integer matrix."""
+    _, pivots, d, sign = echelon(rows)
+    return sign * d if len(pivots) == len(rows) else 0
 
 
 def rank_int(rows) -> int:
-    """Rank of an integer (or Fraction) matrix, by incremental elimination."""
-    basis: list[list] = []
-    ncols = None
-    for row in rows:
-        v = list(row)
-        if ncols is None:
-            ncols = len(v)
-        for b in basis:
-            p = next(i for i, x in enumerate(b) if x != 0)
-            if v[p] != 0:
-                f = Fraction(v[p], 1) / b[p] if not isinstance(v[p], Fraction) else v[p] / b[p]
-                v = [x - f * y for x, y in zip(v, b)]
-        if any(x != 0 for x in v):
-            basis.append(v)
-            if len(basis) == ncols:
-                break
-    return len(basis)
+    """Rank of an integer (or Fraction) matrix."""
+    return len(echelon(rows)[1])
+
+
+def independent_rows(rows) -> list[int]:
+    """Indices of the greedy first basis among the rows (pivot columns of the transpose)."""
+    return echelon(list(zip(*rows)))[1]
+
+
+def nullspace_vector(rows):
+    """A nonzero integer ``v`` with ``A v = 0`` (A has rows), or None at full column rank."""
+    a, pivots, d, _ = echelon(rows)
+    free = next((c for c in range(len(rows[0])) if c not in pivots), None)
+    if free is None:
+        return None
+    v = [0] * len(rows[0])
+    v[free] = d
+    for row, c in zip(a, pivots):
+        v[c] = -row[free]
+    return tuple(v)
 
 
 def solve_fraction(a_rows, rhs):
@@ -91,54 +114,25 @@ def solve_fraction(a_rows, rhs):
 
     For underdetermined systems returns one solution (free variables at 0).
     """
-    m = len(a_rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(a_rows, rhs)]
-    n = len(a_rows[0]) if m else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    n = len(a_rows[0]) if a_rows else 0
+    a, pivots, d, _ = echelon([list(row) + [b] for row, b in zip(a_rows, rhs)])
+    if pivots and pivots[-1] == n:
+        return None
     x = [Fraction(0)] * n
-    for pr, pc in pivots:
-        x[pc] = aug[pr][n]
+    for row, c in zip(a, pivots):
+        x[c] = Fraction(row[n], d)
     return tuple(x)
 
 
 def invert_fraction(a_rows):
     """Exact inverse of a square matrix; returns None when singular."""
     n = len(a_rows)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(a_rows)
-    ]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pr is None:
-            return None
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+    a, pivots, d, _ = echelon(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a_rows)]
+    )
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in a)
 
 
 def mat_vec(rows, v):

@@ -16,7 +16,7 @@ Words are comma-separated letters; weights are comma-separated fundamental
 coefficients or the literal ``rho`` / ``0``.  ``--json`` switches any
 subcommand to a machine-readable payload on stdout.  Exit status: 0 on
 success (all checks green for verify-paper), 1 on a failed check, 2 on
-usage errors.
+usage errors and on unreadable or malformed input files.
 """
 
 from __future__ import annotations
@@ -61,15 +61,32 @@ def _frac_json(x):
 
 
 def _load_polytope(source: str) -> polyhedra.HRep:
-    text = sys.stdin.read() if source == "-" else open(source).read()
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source) as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {source}: {exc.strerror or exc}") from exc
     data = json.loads(text)
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("dim"), int)
+        and data["dim"] >= 0
+        and isinstance(data.get("rows"), list)
+    ):
+        raise ValueError(f"{source}: expected an object with a 'dim' >= 0 and a list 'rows'")
     rows = []
-    for row in data["rows"]:
-        *coeffs, rhs = row
-        if isinstance(rhs, list):
-            rhs = Fraction(rhs[0], rhs[1])
-        rows.append((tuple(coeffs), Fraction(rhs)))
-    return polyhedra.HRep(data["dim"], tuple(rows))
+    try:
+        for row in data["rows"]:
+            *coeffs, rhs = row
+            if isinstance(rhs, list):
+                rhs = Fraction(rhs[0], rhs[1])
+            rows.append((tuple(coeffs), Fraction(rhs)))
+        return polyhedra.HRep(data["dim"], tuple(rows))
+    except (TypeError, IndexError, ZeroDivisionError) as exc:
+        raise ValueError(f"{source}: malformed row: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

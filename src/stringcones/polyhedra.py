@@ -26,7 +26,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ._linalg import det_int, invert_fraction, mat_vec, primitive, rank_int, solve_fraction
+from ._linalg import (
+    det_int,
+    echelon,
+    independent_rows,
+    invert_fraction,
+    mat_vec,
+    nullspace_vector,
+    primitive,
+    rank_int,
+)
 
 __all__ = [
     "HRep",
@@ -211,7 +220,8 @@ def simplex_max(objective, rows_le, dim):
         worst = min(range(m), key=lambda i: rows[i][0])
         _pivot(rows, obj1, basic, nonbasic, worst, n)
         status, _ = _run_simplex(rows, obj1, basic, nonbasic)
-        assert status == "optimal"
+        if status != "optimal":
+            raise PolyhedralError("phase-1 objective is bounded by 0 but reported unbounded")
         if obj1[0] < 0:
             return "infeasible", None, None
         if aux in basic:
@@ -309,15 +319,13 @@ def _implied(target, others, dim) -> bool:
     the other normals whose combined right-hand side does not exceed b.
     """
     c_t, b_t = target
-    nvars = len(others) + 1  # lambda per row plus the constant slack
-    eq_rows = []
+    eq_rows = []  # columns: one lambda per row plus the constant slack
     rhs = []
     for k in range(dim):
         eq_rows.append([Fraction(c[k]) for c, _ in others] + [Fraction(0)])
         rhs.append(Fraction(c_t[k]))
     eq_rows.append([Fraction(b) for _, b in others] + [Fraction(1)])
     rhs.append(Fraction(b_t))
-    assert all(len(r) == nvars for r in eq_rows)
     return _nonneg_feasible(eq_rows, rhs)
 
 
@@ -359,46 +367,14 @@ def remove_redundant(h: HRep) -> HRep:
 def irredundant_cone_rows(rows, dim) -> list[int]:
     """Minimal-subsystem indices for cone rows ``c . x <= 0`` (deduplicated input)."""
     kept = _irredundant_indices(tuple((tuple(c), Fraction(0)) for c in rows), dim)
-    assert kept is not None
+    if kept is None:
+        raise PolyhedralError("a cone system contains 0, yet was reported infeasible")
     return kept
 
 
 # ---------------------------------------------------------------------------
 # Double description
 # ---------------------------------------------------------------------------
-
-
-def _independent_row_subset(rows, dim):
-    basis: list[list[Fraction]] = []
-    chosen: list[int] = []
-    for i, row in enumerate(rows):
-        v = [Fraction(x) for x in row]
-        for b in basis:
-            p = next(k for k, x in enumerate(b) if x != 0)
-            if v[p] != 0:
-                f = v[p] / b[p]
-                v = [x - f * y for x, y in zip(v, b)]
-        if any(x != 0 for x in v):
-            basis.append(v)
-            chosen.append(i)
-            if len(chosen) == dim:
-                return chosen
-    return None
-
-
-def _nullspace_vector(rows, dim):
-    """A nonzero rational vector orthogonal to all rows (rows rank-deficient)."""
-    for k in range(dim):
-        sub = [[Fraction(r[i]) for i in range(dim) if i != k] for r in rows]
-        rhs = [-Fraction(r[k]) for r in rows]
-        sol = solve_fraction(sub, rhs) if rows else tuple()
-        if rows and sol is None:
-            continue
-        vec = list(sol) if rows else [Fraction(0)] * (dim - 1)
-        vec.insert(k, Fraction(1))
-        if all(sum(Fraction(c) * x for c, x in zip(r, vec)) == 0 for r in rows):
-            return tuple(vec)
-    raise AssertionError("no nullspace vector found despite rank deficiency")
 
 
 def _dd_rays(rows, dim):
@@ -408,21 +384,19 @@ def _dd_rays(rows, dim):
     is lexicographic for determinism.
     """
     rows = [primitive(r) for r in rows]
-    init_idx = _independent_row_subset(rows, dim)
-    assert init_idx is not None
+    init_idx = independent_rows(rows)
+    if len(init_idx) != dim:
+        raise PolyhedralError("double description needs rows spanning the dual space")
     init = [rows[i] for i in init_idx]
     rest = sorted(
         (rows[i] for i in range(len(rows)) if i not in set(init_idx)),
     )
-    inv = invert_fraction([[Fraction(x) for x in r] for r in init])
-    dens = 1
-    for col in zip(*inv):
-        for x in col:
-            dens = dens * x.denominator // gcd(dens, x.denominator)
-    rays = []
-    for k in range(dim):
-        ray = primitive([int(-inv[i][k] * dens) for i in range(dim)])
-        rays.append(ray)
+    # the initial rays are the columns of -init^{-1}; echelon gives d * init^{-1}
+    inv, _, d, _ = echelon(
+        [list(r) + [int(i == j) for j in range(dim)] for i, r in enumerate(init)]
+    )
+    sign = 1 if d > 0 else -1
+    rays = [primitive([-sign * row[dim + k] for row in inv]) for k in range(dim)]
 
     processed = list(init)
 
@@ -487,8 +461,8 @@ def to_vrep(h: HRep, bounded_expected: bool = False) -> VRep:
     hom_rows = [tuple(list(c) + [-b]) for c, b in ((c, b) for c, b in h.rows)]
     hom_rows.append(tuple([0] * h.dim + [-1]))  # homogenizing coordinate >= 0
     hom_rows = [_normalize_row(r, 0)[0] for r in hom_rows]
-    if rank_int(hom_rows) < h.dim + 1:
-        witness = _nullspace_vector(hom_rows, h.dim + 1)
+    witness = nullspace_vector(hom_rows)
+    if witness is not None:
         raise Unbounded(
             "system has a lineality direction; not a bounded polytope",
             ray=tuple(witness[: h.dim]),
@@ -553,29 +527,14 @@ class FaceLattice:
 
 
 def _affine_reduce(vertices):
-    """Exact coordinates of the vertices inside their own affine hull."""
+    """Exact coordinates of the vertices inside their own affine hull.
+
+    The differences ``v - v0`` are projected onto the pivot columns of their
+    echelon form; that projection is injective on the affine hull.
+    """
     v0 = vertices[0]
-    diffs = [tuple(a - b for a, b in zip(v, v0)) for v in vertices[1:]]
-    basis: list[tuple[Fraction, ...]] = []
-    for dvec in diffs:
-        v = [Fraction(x) for x in dvec]
-        for b in basis:
-            p = next(k for k, x in enumerate(b) if x != 0)
-            if v[p] != 0:
-                f = v[p] / b[p]
-                v = [x - f * y for x, y in zip(v, b)]
-        if any(x != 0 for x in v):
-            basis.append(tuple(v))
-    if not basis:
-        return [tuple()] * len(vertices), 0
-    mat = [list(b) for b in zip(*basis)]  # columns are basis vectors
-    reduced = []
-    for v in vertices:
-        rhs = [a - b for a, b in zip(v, v0)]
-        sol = solve_fraction(mat, rhs)
-        assert sol is not None
-        reduced.append(tuple(sol))
-    return reduced, len(basis)
+    pivots = echelon([[a - b for a, b in zip(v, v0)] for v in vertices[1:]])[1]
+    return [tuple(v[c] - v0[c] for c in pivots) for v in vertices], len(pivots)
 
 
 def face_lattice(h: HRep) -> FaceLattice:

@@ -104,6 +104,21 @@ def test_usage_errors():
     assert run(["nosuchcommand"]).status == 2
 
 
+def test_fvector_bad_input_files(tmp_path):
+    cases = {
+        "no_rows.json": {"dim": 2},
+        "rows_not_list.json": {"dim": 2, "rows": 5},
+        "row_not_list.json": {"dim": 2, "rows": [5]},
+        "negative_dim.json": {"dim": -1, "rows": []},
+    }
+    for name, data in cases.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    for source in [*(str(tmp_path / n) for n in cases), str(tmp_path / "missing.json")]:
+        res = run(["fvector", source])
+        assert res.status == 2, source
+        assert "error" in res.payload, source
+
+
 def test_verify_paper_quick():
     res = run(["verify-paper", "--n", "2"])
     assert res.status == 0

@@ -141,6 +141,14 @@ def test_to_vrep_unbounded_witness():
 def test_to_vrep_rejects_lineality():
     with pytest.raises(PolyhedralError):
         to_vrep(HRep(2, (((1, 0), 0), ((-1, 0), 0))))
+    strip = HRep(2, (((1, 0), 1), ((-1, 0), 0)))  # 0 <= x <= 1, not a cone
+    with pytest.raises(Unbounded) as err:
+        to_vrep(strip)
+    ray = err.value.ray
+    assert any(ray)
+    p = (F(1, 2), F(3))
+    for t in (10, -10):
+        assert strip.contains(tuple(a + t * b for a, b in zip(p, ray)))
 
 
 def test_vrep_roundtrip_random():
@@ -175,6 +183,18 @@ def test_f_vector_lower_dimensional():
     # a segment embedded in the plane
     h = HRep(2, (((1, 0), 2), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)))
     assert f_vector(h) == (1, 2, 1)
+    # the half-integral triangle x + y + z = 3/2, x, y, z >= 0 in 3-space
+    tri = HRep(
+        3,
+        (
+            ((1, 1, 1), F(3, 2)),
+            ((-1, -1, -1), F(-3, 2)),
+            ((-1, 0, 0), 0),
+            ((0, -1, 0), 0),
+            ((0, 0, -1), 0),
+        ),
+    )
+    assert f_vector(tri) == (1, 3, 3, 1)
 
 
 def test_face_lattice_dims():
