@@ -2,12 +2,11 @@
 
 Everything works over Python integers and `fractions.Fraction`; no floats.
 `echelon` is the one elimination: determinant, rank, independent rows,
-nullspace, solve and inverse are read off its result.
+nullspace and inverse are read off its result.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = [
@@ -18,8 +17,7 @@ __all__ = [
     "rank_int",
     "independent_rows",
     "nullspace_vector",
-    "solve_fraction",
-    "invert_fraction",
+    "inverse_int",
     "mat_vec",
     "mat_mul",
 ]
@@ -109,30 +107,15 @@ def nullspace_vector(rows):
     return tuple(v)
 
 
-def solve_fraction(a_rows, rhs):
-    """Solve ``A x = rhs`` exactly; returns None if inconsistent.
-
-    For underdetermined systems returns one solution (free variables at 0).
-    """
-    n = len(a_rows[0]) if a_rows else 0
-    a, pivots, d, _ = echelon([list(row) + [b] for row, b in zip(a_rows, rhs)])
-    if pivots and pivots[-1] == n:
-        return None
-    x = [Fraction(0)] * n
-    for row, c in zip(a, pivots):
-        x[c] = Fraction(row[n], d)
-    return tuple(x)
-
-
-def invert_fraction(a_rows):
-    """Exact inverse of a square matrix; returns None when singular."""
-    n = len(a_rows)
+def inverse_int(rows):
+    """``(B, d)`` with ``B = d * A^-1`` an integer matrix, or None when A is singular."""
+    n = len(rows)
     a, pivots, d, _ = echelon(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a_rows)]
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     )
     if pivots[:n] != list(range(n)):
         return None
-    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in a)
+    return tuple(tuple(row[n:]) for row in a), d
 
 
 def mat_vec(rows, v):

@@ -16,21 +16,23 @@ The pieces:
 * the face lattice via closure of vertex-facet incidences, f-vectors,
   exact volumes by recursive triangulation;
 * lattice-point counting by bounded coordinate recursion;
-* unimodular equivalence: an invariant battery plus an anchored search for
-  an explicit integer map.
+* unimodular equivalence decided from the face lattices: dimension,
+  f-vector and integrality, then a complete anchored search for an explicit
+  integer map, whose exhaustion certifies inequivalence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from ._linalg import (
+    content,
     det_int,
     echelon,
     independent_rows,
-    invert_fraction,
+    inverse_int,
     mat_vec,
     nullspace_vector,
     primitive,
@@ -380,23 +382,25 @@ def irredundant_cone_rows(rows, dim) -> list[int]:
 def _dd_rays(rows, dim):
     """Extreme rays of the pointed cone ``{x : c . x <= 0 for all rows}``.
 
-    Rows must span the dual space (checked by the caller).  Insertion order
-    is lexicographic for determinism.
+    Rows that do not span the dual space raise `PolyhedralError`: the cone
+    contains a line (or, for the dual cone of a V-representation, the points
+    are not full-dimensional).  Insertion order is lexicographic for
+    determinism.
     """
     rows = [primitive(r) for r in rows]
     init_idx = independent_rows(rows)
     if len(init_idx) != dim:
-        raise PolyhedralError("double description needs rows spanning the dual space")
+        raise PolyhedralError(
+            "rows do not span: the cone contains a line, or the points are not full-dimensional"
+        )
     init = [rows[i] for i in init_idx]
     rest = sorted(
         (rows[i] for i in range(len(rows)) if i not in set(init_idx)),
     )
-    # the initial rays are the columns of -init^{-1}; echelon gives d * init^{-1}
-    inv, _, d, _ = echelon(
-        [list(r) + [int(i == j) for j in range(dim)] for i, r in enumerate(init)]
-    )
+    # the initial rays are the columns of -init^{-1}, read from d * init^{-1}
+    inv, d = inverse_int(init)
     sign = 1 if d > 0 else -1
-    rays = [primitive([-sign * row[dim + k] for row in inv]) for k in range(dim)]
+    rays = [primitive([-sign * row[k] for row in inv]) for k in range(dim)]
 
     processed = list(init)
 
@@ -448,14 +452,14 @@ def to_vrep(h: HRep, bounded_expected: bool = False) -> VRep:
     """Exact vertex/ray representation.
 
     Cones (all right-hand sides zero) yield their apex and extreme rays;
-    other inputs are homogenized.  With ``bounded_expected`` a leftover
-    recession ray raises `Unbounded` carrying a witness ray.
+    other inputs are homogenized.  With ``bounded_expected`` a recession ray
+    (of a cone or of the homogenized system) raises `Unbounded` carrying it
+    as a witness.
     """
     if h.is_cone:
-        rows = [c for c, _ in h.rows]
-        if rank_int(rows) < h.dim:
-            raise PolyhedralError("cone is not pointed; it contains a line")
-        rays = _dd_rays(rows, h.dim)
+        rays = _dd_rays([c for c, _ in h.rows], h.dim)
+        if rays and bounded_expected:
+            raise Unbounded("input is an unbounded cone", ray=rays[0])
         return VRep(((Fraction(0),) * h.dim,), tuple(rays))
 
     hom_rows = [tuple(list(c) + [-b]) for c, b in ((c, b) for c, b in h.rows)]
@@ -489,8 +493,6 @@ def vrep_to_hrep(v: VRep) -> HRep:
     gens = [tuple([-x for x in vert] + [Fraction(-1)]) for vert in v.vertices]
     gens += [tuple([-x for x in ray] + [Fraction(0)]) for ray in v.rays]
     gens = [_normalize_row(g, 0)[0] for g in gens]
-    if rank_int(gens) < dim + 1:
-        raise PolyhedralError("v-representation is not full-dimensional")
     facets = _dd_rays(gens, dim + 1)
     # a dual ray (y, y0) certifies y.x + y0 >= 0 on the hull
     rows = [(tuple(-c for c in f[:dim]), Fraction(f[dim])) for f in facets]
@@ -765,17 +767,13 @@ def _edge_data(lat: FaceLattice, vertex_index: int):
             other = bits & ~vbit
             w = other.bit_length() - 1
             diff = [b - a for a, b in zip(lat.vertices[vertex_index], lat.vertices[w])]
-            denom = 1
-            for x in diff:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
+            denom = lcm(*(x.denominator for x in diff))
             ints = [int(x * denom) for x in diff]
-            g = 0
-            for x in ints:
-                g = gcd(g, abs(x))
+            g = content(ints)
             direction = tuple(x // g for x in ints)
             length = Fraction(g, denom)
             degree = len(lat.tight_facets(1 << w))
-            edges.append((direction, length, degree, w))
+            edges.append((direction, length, degree))
     edges.sort()
     return edges
 
@@ -789,15 +787,21 @@ def _simple_vertices(lat: FaceLattice):
 
 
 def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> EquivalenceResult:
-    """Decide unimodular equivalence where possible.
+    """Decide unimodular equivalence, reading everything from the face lattices.
 
-    Stage 1 compares invariants (dimension, f-vector, integrality, lattice
-    point counts of the first two dilates, normalized volume); a mismatch
-    certifies inequivalence.  Stage 2 anchors at a simple vertex of ``p``
-    and tries to match its edge star with each simple vertex of ``q``,
-    pruning edge bijections by lattice length and opposite-vertex facet
-    degree; a verified hit certifies equivalence with an explicit map.
-    Exhausting the budget yields "unknown", never a false negative.
+    The decision order is dimension, f-vector, integrality, then the anchored
+    search; a mismatch at any stage certifies inequivalence.  The search
+    anchors at a simple vertex ``a`` of ``p`` and tries every simple vertex of
+    ``q`` and every bijection of edge stars that preserves each edge's
+    lattice length and opposite-vertex facet degree.  The search is complete:
+    a lattice map ``x -> Ux + s`` of ``p`` onto ``q`` sends ``a`` to a simple
+    vertex of ``q`` and its edges, with their primitive directions, lengths
+    and degrees, to the edges there, so it is one of the candidates, and the
+    ``d`` independent edge directions at ``a`` determine ``U``.  A verified
+    hit certifies equivalence with an explicit map; running out of
+    candidates certifies inequivalence.  "unknown" is left only for an
+    exhausted budget, a ``p`` without simple vertex, and lower-dimensional
+    input (whose edges do not determine ``U``).
     """
     lat_p = face_lattice(p)
     lat_q = face_lattice(q)
@@ -806,22 +810,15 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
     fp, fq = lat_p.f_vector(), lat_q.f_vector()
     if fp != fq:
         return EquivalenceResult("inequivalent", witness=f"f-vector {fp} != {fq}")
-    ip, _ = integrality(p)
-    iq, _ = integrality(q)
+    ip, iq = (all(x.denominator == 1 for v in lat.vertices for x in v) for lat in (lat_p, lat_q))
     if ip != iq:
         return EquivalenceResult(
             "inequivalent", witness=f"integrality {ip} != {iq}"
         )
-    for t in (1, 2):
-        np_, nq_ = lattice_points(dilate(p, t)), lattice_points(dilate(q, t))
-        if np_ != nq_:
-            return EquivalenceResult(
-                "inequivalent", witness=f"lattice points of dilate {t}: {np_} != {nq_}"
-            )
-    vol_p, vol_q = normalized_volume(p), normalized_volume(q)
-    if vol_p != vol_q:
+    d = lat_p.dim
+    if d != p.dim or d != q.dim:
         return EquivalenceResult(
-            "inequivalent", witness=f"normalized volume {vol_p} != {vol_q}"
+            "unknown", witness=f"lower-dimensional input: {d}-polytopes in {p.dim}- and {q.dim}-space"
         )
 
     simples_p = _simple_vertices(lat_p)
@@ -829,30 +826,31 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
         return EquivalenceResult("unknown", witness="no simple vertex to anchor the search")
     anchor = simples_p[0]
     edges_p = _edge_data(lat_p, anchor)
-    d = lat_p.dim
-    if len(edges_p) != d:
-        return EquivalenceResult("unknown", witness="anchor vertex is not simple")
-    sig_p = sorted((length, degree) for _, length, degree, _ in edges_p)
-    mat_p = [list(e[0]) for e in edges_p]
-    inv_p = invert_fraction([[Fraction(x) for x in row] for row in zip(*mat_p)])
+    sig_p = sorted((length, degree) for _, length, degree in edges_p)
+    # U = M_q (den_p M_p^-1) / den_p, where M_p has the anchor's edge directions as columns
+    inv_p, den_p = inverse_int(list(zip(*(e[0] for e in edges_p))))
+    # every vertex scaled by one common denominator, so images are integer tuples
+    den = lcm(*(x.denominator for v in lat_p.vertices + lat_q.vertices for x in v))
+    verts_p = [[int(x * den) for x in v] for v in lat_p.vertices]
+    verts_q = {tuple(int(x * den) for x in v) for v in lat_q.vertices}
 
-    tried = 0
-    for cand in _simple_vertices(lat_q):
+    simples_q = _simple_vertices(lat_q)
+    matched = tried = 0
+    for cand in simples_q:
         edges_q = _edge_data(lat_q, cand)
-        if len(edges_q) != d:
+        if sorted((length, degree) for _, length, degree in edges_q) != sig_p:
             continue
-        if sorted((length, degree) for _, length, degree, _ in edges_q) != sig_p:
-            continue
+        matched += 1
         # assign each anchor edge a target edge with the same signature
         groups: dict[tuple, list[int]] = {}
-        for idx, (_, length, degree, _) in enumerate(edges_q):
+        for idx, (_, length, degree) in enumerate(edges_q):
             groups.setdefault((length, degree), []).append(idx)
 
         def assignments(i: int, used: set[int]):
             if i == d:
                 yield []
                 return
-            _, length, degree, _ = edges_p[i]
+            _, length, degree = edges_p[i]
             for idx in groups.get((length, degree), []):
                 if idx in used:
                     continue
@@ -861,42 +859,36 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
                     yield [idx] + rest
                 used.remove(idx)
 
+        cand_q = [int(x * den) for x in lat_q.vertices[cand]]
         for assign in assignments(0, set()):
             tried += 1
             if tried > budget:
                 return EquivalenceResult("unknown", witness="search budget exhausted")
-            mat_q_cols = [edges_q[idx][0] for idx in assign]
-            # solve U * edge_p = edge_q for all columns
+            cols_q = [edges_q[idx][0] for idx in assign]
             u_rows = []
-            ok = True
             for r in range(d):
-                target_row = [Fraction(mat_q_cols[c][r]) for c in range(d)]
-                row = [
-                    sum(target_row[c] * inv_p[c][j] for c in range(d)) for j in range(d)
-                ]
-                if any(x.denominator != 1 for x in row):
-                    ok = False
+                row = [sum(cols_q[c][r] * inv_p[c][j] for c in range(d)) for j in range(d)]
+                if any(x % den_p for x in row):
                     break
-                u_rows.append([int(x) for x in row])
-            if not ok:
+                u_rows.append([x // den_p for x in row])
+            if len(u_rows) < d or det_int(u_rows) not in (1, -1):
                 continue
-            if det_int([list(r) for r in u_rows]) not in (1, -1):
+            # den times the shift; the shift itself must be integral
+            shift = [b - a for b, a in zip(cand_q, mat_vec(u_rows, verts_p[anchor]))]
+            if any(x % den for x in shift):
                 continue
-            shift = tuple(
-                b - s
-                for b, s in zip(
-                    lat_q.vertices[cand], mat_vec(u_rows, lat_p.vertices[anchor])
-                )
-            )
-            if any(x.denominator != 1 for x in shift):
-                continue
-            shift = tuple(int(x) for x in shift)
-            image = {
-                tuple(a + s for a, s in zip(mat_vec(u_rows, v), shift))
-                for v in lat_p.vertices
-            }
-            if image == set(lat_q.vertices):
+            # f_0 agrees and U is injective, so images inside q's vertex set cover it
+            if all(
+                tuple(a + s for a, s in zip(mat_vec(u_rows, v), shift)) in verts_q
+                for v in verts_p
+            ):
                 return EquivalenceResult(
-                    "equivalent", matrix=tuple(tuple(r) for r in u_rows), shift=shift
+                    "equivalent",
+                    matrix=tuple(tuple(r) for r in u_rows),
+                    shift=tuple(x // den for x in shift),
                 )
-    return EquivalenceResult("unknown", witness="no anchored match found")
+    return EquivalenceResult(
+        "inequivalent",
+        witness=f"no lattice map: the anchored search tried {len(simples_q)} simple vertices"
+        f" ({matched} matching the anchor's edge signature) and {tried} edge bijections",
+    )

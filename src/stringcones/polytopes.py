@@ -187,8 +187,13 @@ def verify_gt_theorem(n: int, budget: int = 100_000) -> GTReport:
     """Compare every rank-n string polytope at rho with the Gelfand-Tsetlin
     polytope; exactly the nested word should survive.
 
-    Words whose polytopes have the wrong facet count are refuted outright;
-    the rest go through the invariant battery and the anchored map search.
+    Words whose polytopes have the wrong facet count are refuted outright.
+    The rest go to `search_unimodular_equivalence`, which compares dimension,
+    f-vector and integrality of the two face lattices and then runs its
+    anchored map search.  The search is complete (any lattice map sends the
+    anchor's edge star to one of the edge stars it tries), so its exhaustion
+    refutes the word; only a spent budget or a polytope without simple
+    vertex leaves it unresolved.
     """
     t = LieType("C", n)
     rho = Weight.rho(t)

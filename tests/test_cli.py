@@ -110,6 +110,7 @@ def test_fvector_bad_input_files(tmp_path):
         "rows_not_list.json": {"dim": 2, "rows": 5},
         "row_not_list.json": {"dim": 2, "rows": [5]},
         "negative_dim.json": {"dim": -1, "rows": []},
+        "unbounded_cone.json": {"dim": 2, "rows": [[-1, 0, 0], [0, -1, 0]]},
     }
     for name, data in cases.items():
         (tmp_path / name).write_text(json.dumps(data))

@@ -14,12 +14,11 @@ from stringcones._linalg import (
     det_int,
     echelon,
     independent_rows,
-    invert_fraction,
+    inverse_int,
     mat_mul,
     mat_vec,
     nullspace_vector,
     rank_int,
-    solve_fraction,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -120,23 +119,6 @@ def test_det_matches_leibniz(a):
     assert det_int(a) == _leibniz(a)
 
 
-@SETTINGS
-@given(ANY_MATRIX, st.data())
-def test_solve(a, data):
-    n = len(a[0]) if a else 0
-    if data.draw(st.booleans()):  # consistent by construction
-        y = data.draw(st.lists(RATIONAL, min_size=n, max_size=n))
-        rhs = list(mat_vec(a, y))
-    else:
-        rhs = data.draw(st.lists(RATIONAL, min_size=len(a), max_size=len(a)))
-    x = solve_fraction(a, rhs)
-    _, aug_pivots = _rref([list(row) + [b] for row, b in zip(a, rhs)])
-    inconsistent = bool(aug_pivots) and aug_pivots[-1] == n
-    assert (x is None) == inconsistent
-    if x is not None:
-        assert list(mat_vec(a, x)) == rhs
-
-
 def _square(n):
     return st.one_of(matrices(rows=n, cols=n), matrices(rows=n, cols=n, entries=RATIONAL))
 
@@ -145,10 +127,14 @@ def _square(n):
 @given(st.integers(1, 4).flatmap(_square))
 def test_inverse(a):
     n = len(a)
-    inv = invert_fraction(a)
-    assert (inv is None) == (len(_rref(a)[1]) < n)
-    if inv is not None:
-        assert mat_mul(a, inv) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    res = inverse_int(a)
+    ref, pivots = _rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    assert (res is None) == (pivots[:n] != list(range(n)))
+    if res is not None:
+        b, d = res
+        assert d != 0 and all(isinstance(x, int) for row in b for x in row)
+        assert mat_mul(a, b) == tuple(tuple(d * int(i == j) for j in range(n)) for i in range(n))
+        assert [[F(x, d) for x in row] for row in b] == [row[n:] for row in ref]
 
 
 @SETTINGS
@@ -166,7 +152,5 @@ def test_zero_row_and_degenerate_shapes():
     assert echelon([]) == ([], [], 1, 1)
     assert rank_int([[0, 0, 0]]) == 0
     assert nullspace_vector([[0, 0]]) == (1, 0)
-    assert solve_fraction([[0, 0]], [1]) is None
-    assert solve_fraction([[0, 0]], [0]) == (0, 0)
-    assert invert_fraction([[1, 2], [2, 4]]) is None
+    assert inverse_int([[1, 2], [2, 4]]) is None
     assert det_int([[0, 1], [1, 0]]) == -1

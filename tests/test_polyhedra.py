@@ -131,11 +131,14 @@ def test_to_vrep_square_and_cone():
 
 
 def test_to_vrep_unbounded_witness():
-    h = HRep(2, (((-1, 0), 0), ((0, -1), 0), ((0, 1), 1)))
-    with pytest.raises(Unbounded) as err:
-        to_vrep(h, bounded_expected=True)
-    ray = err.value.ray
-    assert ray is not None and h.contains(tuple(10 * x for x in ray))
+    half_strip = HRep(2, (((-1, 0), 0), ((0, -1), 0), ((0, 1), 1)))
+    quadrant = HRep(2, (((-1, 0), 0), ((0, -1), 0)))  # a cone, not its apex
+    for h in (half_strip, quadrant):
+        for call in (lambda h: to_vrep(h, bounded_expected=True), f_vector, integrality):
+            with pytest.raises(Unbounded) as err:
+                call(h)
+            ray = err.value.ray
+            assert ray is not None and any(ray) and h.contains(tuple(10 * x for x in ray))
 
 
 def test_to_vrep_rejects_lineality():
@@ -149,6 +152,8 @@ def test_to_vrep_rejects_lineality():
     p = (F(1, 2), F(3))
     for t in (10, -10):
         assert strip.contains(tuple(a + t * b for a, b in zip(p, ray)))
+    with pytest.raises(PolyhedralError):  # collinear points span no 2-polytope
+        vrep_to_hrep(VRep(((F(0), F(0)), (F(1), F(1)), (F(2), F(2))), ()))
 
 
 def test_vrep_roundtrip_random():
@@ -283,12 +288,32 @@ def test_search_equivalence_refutes():
     assert res.status == "inequivalent" and "f-vector" in res.witness
     wide = HRep(2, (((1, 0), 2), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)))
     res2 = search_unimodular_equivalence(SQUARE, wide)
-    assert res2.status == "inequivalent"
+    assert res2.status == "inequivalent" and "anchored search" in res2.witness
+    # C2 at lambda = (2, 1): the word 1,2,1,2 agrees with the Gelfand-Tsetlin
+    # polytope on f-vector, integrality, lattice points of P and 2P and
+    # normalized volume, yet the search refutes it
+    from stringcones.polytopes import gt_polytope_C, string_polytope
+    from stringcones.weyl import LieType, ReducedWord, Weight
+
+    lam = Weight(LieType("C", 2), (2, 1))
+    p = string_polytope(ReducedWord.parse("C2", "1,2,1,2"), lam)
+    q = gt_polytope_C(lam, 2)
+    assert f_vector(p) == f_vector(q) == (1, 12, 26, 22, 8, 1)
+    assert integrality(p)[0] and integrality(q)[0]
+    assert [lattice_points(dilate(p, t)) for t in (1, 2)] == [35, 220]
+    assert [lattice_points(dilate(q, t)) for t in (1, 2)] == [35, 220]
+    assert normalized_volume(p) == normalized_volume(q) == 96
+    res3 = search_unimodular_equivalence(p, q)
+    assert res3.status == "inequivalent" and "anchored search" in res3.witness
 
 
 def test_search_equivalence_budget_exhaustion_is_unknown():
     res = search_unimodular_equivalence(SQUARE, SQUARE, budget=0)
     assert res.status == "unknown"
+    # a segment in the plane: edges do not determine a map of the plane
+    seg = HRep(2, (((1, 0), 2), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)))
+    res2 = search_unimodular_equivalence(seg, seg)
+    assert res2.status == "unknown" and "lower-dimensional" in res2.witness
 
 
 try:
@@ -324,6 +349,42 @@ if _HAVE_HYPOTHESIS:
         assert normalized_volume(h) == expect_nvol
         fv = f_vector(h)
         assert sum((-1) ** i * c for i, c in enumerate(fv)) == 0
+
+    @st.composite
+    def lattice_images(draw):
+        """A polytope ``P`` (hull of 3-7 integer or half-integral points in
+        dimension 2 or 3) and its image under a random ``x -> Ux + s`` with
+        ``U`` in ``GL_n(Z)`` (a product of elementary moves and a sign flip)."""
+        d = draw(st.integers(2, 3))
+        den = draw(st.sampled_from((1, 2)))
+        coords = st.builds(lambda k: F(k, den), st.integers(-2 * den, 2 * den))
+        pts = draw(st.lists(st.tuples(*[coords] * d), min_size=d + 1, max_size=7, unique=True))
+        u = [[int(i == j) for j in range(d)] for i in range(d)]
+        moves = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-2, 2))
+        for i, j, k in draw(st.lists(moves, max_size=4)):
+            if i != j:
+                u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+        flip = draw(st.integers(0, d - 1))
+        u[flip] = [-a for a in u[flip]]
+        s = draw(st.tuples(*[st.integers(-3, 3)] * d))
+        image = [tuple(sum(a * x for a, x in zip(row, v)) + t for row, t in zip(u, s)) for v in pts]
+        return pts, image
+
+    @given(lattice_images())
+    @settings(max_examples=60, deadline=None)
+    def test_search_finds_every_lattice_image(data):
+        pts, image = data
+        try:
+            p = vrep_to_hrep(VRep(tuple(pts), ()))
+        except PolyhedralError:  # the points are not full-dimensional
+            return
+        q = vrep_to_hrep(VRep(tuple(image), ()))
+        res = search_unimodular_equivalence(p, q)
+        if res.status == "unknown":
+            assert res.witness == "no simple vertex to anchor the search"
+        else:
+            assert res.status == "equivalent", res.witness
+            assert verify_unimodular_map(p, q, res.matrix, res.shift)
 
     @given(
         st.lists(
