@@ -23,14 +23,7 @@ from . import polyhedra
 from ._linalg import primitive as polyhedra_primitive
 from .diagram import OrientedDiagram, SympWiringDiagram, build_diagram, build_symp_diagram, orient
 from .paths import RigorousPath, all_symp_paths, enumerate_paths, is_symmetric
-from .weyl import (
-    LieType,
-    ReducedWord,
-    braid_variant_word,
-    enumerate_reduced_words,
-    gt_adapted_word,
-    longest_length,
-)
+from .weyl import LieType, ReducedWord, longest_length
 
 __all__ = [
     "LinForm",
@@ -46,7 +39,6 @@ __all__ = [
     "irredundant_facets",
     "facet_count",
     "is_simplicial",
-    "classify_simplicial",
 ]
 
 
@@ -348,12 +340,3 @@ def is_simplicial(w: ReducedWord, family: str = "C") -> bool:
     t = LieType(family, w.rank)
     return facet_count(t, w) == longest_length(w.lie_type)
 
-
-def classify_simplicial(n: int, family: str = "C", cap: int = 10_000_000) -> list[ReducedWord]:
-    """All rank-n words with simplicial folded string cone, by exhaustion."""
-    t = LieType(family, n)
-    return [w for w in enumerate_reduced_words(t, cap=cap) if is_simplicial(w, family)]
-
-
-def expected_simplicial(n: int) -> tuple[ReducedWord, ReducedWord]:
-    return gt_adapted_word(n), braid_variant_word(n)

@@ -70,7 +70,8 @@ class Node:
 class WiringDiagram:
     """The wiring diagram of a type-A reduced word.
 
-    Hashable by identity; all contents are immutable after construction.
+    Hashable by identity; all contents are immutable after construction,
+    except the ``regions`` memo that `paths.enclosed_region` fills.
     """
 
     def __init__(self, word: ReducedWord):
@@ -95,6 +96,8 @@ class WiringDiagram:
             per_wire[nd.left_above].append(nd.index)
             per_wire[nd.right_above].append(nd.index)
         self.wire_nodes = {w: tuple(v) for w, v in per_wire.items()}
+        # enclosed chambers of the paths on this diagram, by (start wire, events)
+        self.regions: dict[tuple, frozenset[int]] = {}
 
     # -- basic lookups ----------------------------------------------------
 

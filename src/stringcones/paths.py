@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .diagram import OrientedDiagram, SympWiringDiagram, WiringDiagram, orient
 from .weyl import ReducedWord
@@ -292,17 +291,20 @@ def _inside(px: Fraction, py: Fraction, poly) -> bool:
     return crossings % 2 == 1
 
 
-@lru_cache(maxsize=None)
 def enclosed_region(p: RigorousPath) -> frozenset[int]:
-    """Indices of the chambers between the path and the diagram bottom."""
+    """Indices of the chambers between the path and the diagram bottom.
+
+    Kept in the base diagram's ``regions`` memo, keyed by start wire and
+    events, so it is freed with the diagram.
+    """
     base = p.base
-    poly = _closed_polygon(p)
-    inside = []
-    for j in range(1, base.length + 1):
-        px, py = base.chamber_rep_point(j)
-        if _inside(px, py, poly):
-            inside.append(j)
-    return frozenset(inside)
+    key = (p.k, p.events)
+    if key not in base.regions:
+        poly = _closed_polygon(p)
+        base.regions[key] = frozenset(
+            j for j in range(1, base.length + 1) if _inside(*base.chamber_rep_point(j), poly)
+        )
+    return base.regions[key]
 
 
 def _fragment_in_closure(p: RigorousPath, wire: int, frm, to) -> bool:

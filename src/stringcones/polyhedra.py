@@ -19,13 +19,18 @@ The pieces:
 * unimodular equivalence decided from the face lattices: dimension,
   f-vector and integrality, then a complete anchored search for an explicit
   integer map, whose exhaustion certifies inequivalence.
+
+`HRep` is the one polytope object: `remove_redundant`, `to_vrep` and
+`face_lattice` compute their result once per instance and keep it in the
+instance's private memo, which `==`, `hash` and `repr` ignore.  Errors are
+not kept, and nothing else holds a kept value, so it is freed with its `HRep`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 from ._linalg import (
     content,
@@ -102,6 +107,7 @@ class HRep:
 
     dim: int
     rows: tuple[tuple[tuple[int, ...], Fraction], ...]
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = tuple(_normalize_row(c, b) for c, b in self.rows)
@@ -131,6 +137,13 @@ class VRep:
 
     vertices: tuple[tuple[Fraction, ...], ...]
     rays: tuple[tuple[int, ...], ...]
+
+
+def _memoized(h: HRep, key: str, compute):
+    """``compute(h)``, computed on the first call and kept in ``h``'s memo."""
+    if key not in h._memo:
+        h._memo[key] = compute(h)
+    return h._memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +373,10 @@ def remove_redundant(h: HRep) -> HRep:
     An infeasible system collapses to the canonical empty representation
     ``0 <= -1`` rather than raising.
     """
+    return _memoized(h, "minimal", _minimal)
+
+
+def _minimal(h: HRep) -> HRep:
     kept = _irredundant_indices(h.rows, h.dim)
     if kept is None:
         return HRep(h.dim, (((0,) * h.dim, Fraction(-1)),))
@@ -452,36 +469,35 @@ def to_vrep(h: HRep, bounded_expected: bool = False) -> VRep:
     """Exact vertex/ray representation.
 
     Cones (all right-hand sides zero) yield their apex and extreme rays;
-    other inputs are homogenized.  With ``bounded_expected`` a recession ray
-    (of a cone or of the homogenized system) raises `Unbounded` carrying it
-    as a witness.
+    other inputs are homogenized.  A system containing a line raises
+    `Unbounded` carrying the line's direction.  With ``bounded_expected`` a
+    recession ray (of a cone or of the homogenized system) raises
+    `Unbounded` carrying it as a witness.
     """
-    if h.is_cone:
-        rays = _dd_rays([c for c, _ in h.rows], h.dim)
-        if rays and bounded_expected:
-            raise Unbounded("input is an unbounded cone", ray=rays[0])
-        return VRep(((Fraction(0),) * h.dim,), tuple(rays))
+    vrep = _memoized(h, "vrep", _vrep)
+    if vrep.rays and bounded_expected:
+        message = "input is an unbounded cone" if h.is_cone else "input is unbounded"
+        raise Unbounded(message, ray=vrep.rays[0])
+    return vrep
 
-    hom_rows = [tuple(list(c) + [-b]) for c, b in ((c, b) for c, b in h.rows)]
-    hom_rows.append(tuple([0] * h.dim + [-1]))  # homogenizing coordinate >= 0
-    hom_rows = [_normalize_row(r, 0)[0] for r in hom_rows]
-    witness = nullspace_vector(hom_rows)
+
+def _vrep(h: HRep) -> VRep:
+    cone = h.is_cone
+    if cone:
+        rows = [c for c, _ in h.rows]
+    else:  # the homogenized system, with homogenizing coordinate >= 0
+        rows = [_normalize_row((*c, -b), 0)[0] for c, b in h.rows] + [(0,) * h.dim + (-1,)]
+    witness = nullspace_vector(rows) if rows else None
     if witness is not None:
         raise Unbounded(
             "system has a lineality direction; not a bounded polytope",
             ray=tuple(witness[: h.dim]),
         )
-    rays = _dd_rays(hom_rows, h.dim + 1)
-    vertices = []
-    rec_rays = []
-    for r in rays:
-        t = r[h.dim]
-        if t > 0:
-            vertices.append(tuple(Fraction(x, t) for x in r[: h.dim]))
-        else:
-            rec_rays.append(tuple(r[: h.dim]))
-    if rec_rays and bounded_expected:
-        raise Unbounded("input is unbounded", ray=rec_rays[0])
+    rays = _dd_rays(rows, h.dim if cone else h.dim + 1)
+    if cone:
+        return VRep(((Fraction(0),) * h.dim,), tuple(rays))
+    vertices = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1] > 0]
+    rec_rays = [r[:-1] for r in rays if r[-1] == 0]
     return VRep(tuple(sorted(vertices)), tuple(sorted(rec_rays)))
 
 
@@ -510,7 +526,6 @@ class FaceLattice:
 
     dim: int
     vertices: tuple[tuple[Fraction, ...], ...]
-    hrep: HRep
     incidences: tuple[int, ...]  # per facet, bitset over vertex indices
     faces: tuple[tuple[int, int], ...]  # (vertex bitset, dimension), sorted
 
@@ -540,13 +555,17 @@ def _affine_reduce(vertices):
 
 
 def face_lattice(h: HRep) -> FaceLattice:
-    vrep = to_vrep(h, bounded_expected=True)
-    verts = vrep.vertices
+    """All faces of the bounded polytope ``h``."""
+    return _memoized(h, "lattice", _face_lattice)
+
+
+def _face_lattice(h: HRep) -> FaceLattice:
+    verts = to_vrep(h, bounded_expected=True).vertices
     if not verts:
         raise PolyhedralError("empty polytope has no face lattice")
     reduced, dim = _affine_reduce(verts)
     if dim == 0:
-        return FaceLattice(0, verts, h, tuple(), (((1 << len(verts)) - 1, 0),))
+        return FaceLattice(0, verts, tuple(), (((1 << len(verts)) - 1, 0),))
     minimal = (
         remove_redundant(h)
         if dim == h.dim
@@ -575,7 +594,7 @@ def face_lattice(h: HRep) -> FaceLattice:
             seen[nb] = dim - rank_int(tight)
             queue.append(nb)
     faces = tuple(sorted(seen.items()))
-    return FaceLattice(dim, verts, minimal, tuple(incidences), faces)
+    return FaceLattice(dim, verts, tuple(incidences), faces)
 
 
 def f_vector(h: HRep) -> tuple[int, ...]:
@@ -599,34 +618,19 @@ def dilate(h: HRep, factor: int) -> HRep:
 def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
     """Exact number of integer points, by recursion over the coordinates.
 
-    Coordinates are fixed from the last to the first, with interval pruning
-    against the outstanding rows; visiting more than ``cap`` partial
-    assignments raises `ResourceLimit`.
+    Coordinates are fixed from the last to the first, inside the vertices'
+    integer box, with interval pruning against the outstanding rows;
+    visiting more than ``cap`` partial assignments raises `ResourceLimit`.
+    An infeasible system counts 0, even one with a lineality direction.
     """
     d = h.dim
     if d == 0:
         return 1
-    lo = []
-    hi = []
-    for k in range(d):
-        unit = [0] * d
-        unit[k] = 1
-        status, val, _ = simplex_max(unit, h.rows, d)
-        if status == "infeasible":
-            return 0
-        if status == "unbounded":
-            raise Unbounded("lattice point counting needs a bounded polytope")
-        hi.append(val)
-        unit[k] = -1
-        status, val, _ = simplex_max(unit, h.rows, d)
-        if status == "unbounded":
-            raise Unbounded("lattice point counting needs a bounded polytope")
-        lo.append(-val)
-    floor = lambda f: f.numerator // f.denominator
-    ceil = lambda f: -((-f).numerator // (-f).denominator)
-    box_lo = [ceil(x) for x in lo]
-    box_hi = [floor(x) for x in hi]
-    rows = [(c, b) for c, b in h.rows]
+    if feasible(h.rows, d) is None:
+        return 0
+    verts = to_vrep(h, bounded_expected=True).vertices
+    box_lo = [ceil(min(v[k] for v in verts)) for k in range(d)]
+    box_hi = [floor(max(v[k] for v in verts)) for k in range(d)]
     visits = 0
 
     def count(k: int, partial) -> int:
@@ -636,14 +640,13 @@ def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
         if visits > cap:
             raise ResourceLimit(f"lattice point enumeration exceeded {cap} nodes")
         lo_k, hi_k = Fraction(box_lo[k]), Fraction(box_hi[k])
-        for c, b in rows:
+        for c, b in h.rows:
             ck = c[k]
             if ck == 0:
                 continue
-            residual = Fraction(b)
+            slack = Fraction(b)
             for idx in range(k + 1, d):
-                residual -= c[idx] * partial[idx]
-            slack = residual
+                slack -= c[idx] * partial[idx]
             for idx in range(k):
                 contrib = c[idx]
                 if contrib > 0:
@@ -661,7 +664,7 @@ def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
             partial[k] = Fraction(val)
             if k == 0:
                 ok = all(
-                    sum(c[i] * partial[i] for i in range(d)) <= b for c, b in rows
+                    sum(c[i] * partial[i] for i in range(d)) <= b for c, b in h.rows
                 )
                 total += 1 if ok else 0
             else:
@@ -810,7 +813,7 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
     fp, fq = lat_p.f_vector(), lat_q.f_vector()
     if fp != fq:
         return EquivalenceResult("inequivalent", witness=f"f-vector {fp} != {fq}")
-    ip, iq = (all(x.denominator == 1 for v in lat.vertices for x in v) for lat in (lat_p, lat_q))
+    ip, iq = integrality(p)[0], integrality(q)[0]
     if ip != iq:
         return EquivalenceResult(
             "inequivalent", witness=f"integrality {ip} != {iq}"

@@ -150,14 +150,7 @@ def gt_polytope_C(lam: Weight, n: int) -> HRep:
         for k in range(1, length):
             ge(("a", i, k), ("b", i, k + 1))
         ge(("a", i, length), Fraction(0))
-    deduped = []
-    seen = set()
-    for row in rows:
-        key = HRep(N, (row,)).rows[0]
-        if key not in seen:
-            seen.add(key)
-            deduped.append(row)
-    return HRep(N, tuple(deduped))
+    return HRep(N, tuple(dict.fromkeys(HRep(N, tuple(rows)).rows)))
 
 
 @dataclass(frozen=True)

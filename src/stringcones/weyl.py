@@ -30,7 +30,6 @@ __all__ = [
     "lift",
     "contract",
     "cartan_pairing",
-    "cartan_matrix",
     "gt_adapted_word",
     "braid_variant_word",
     "EnumerationCapExceeded",
@@ -311,11 +310,6 @@ def cartan_pairing(t: LieType, i: int, j: int) -> int:
     if t.family == "B" and j == n:
         return -2
     return -1
-
-
-def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
-    n = t.rank
-    return tuple(tuple(cartan_pairing(t, i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,19 @@ def test_polytope_fvector_equiv_pipeline(tmp_path):
     assert eq.payload["matrix"] is not None
 
 
+def test_full_polytope_payloads():
+    nested = run(["polytope", "C", "2,1,2,1", "--lambda", "rho", "--full"])
+    gt = run(["gt", "--n", "2", "--lambda", "rho", "--full"])
+    braid = run(["polytope", "C", "1,2,1,2", "--lambda", "rho", "--full"])
+    for res in (nested, gt, braid):
+        assert res.status == 0
+        assert len(res.payload["vrep"]["vertices"]) == res.payload["fvector"][1]
+        assert res.payload["vrep"]["rays"] == []
+    assert nested.payload["fvector"] == gt.payload["fvector"] == [1, 12, 26, 22, 8, 1]
+    assert nested.payload["integral"] is True and gt.payload["integral"] is True
+    assert braid.payload["integral"] is False
+
+
 def test_gt_command():
     res = run(["gt", "--n", "3", "--lambda", "rho"])
     assert res.status == 0

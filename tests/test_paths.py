@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from stringcones.diagram import (
@@ -114,6 +117,16 @@ def test_enclosed_region_examples():
     d = build_diagram(W("A3", "1,2,1,3,2,1"))
     low = enumerate_paths(orient(d, 3))[0]
     assert sorted(enclosed_region(low)) == [6]
+
+
+def test_enclosed_regions_are_freed_with_their_diagram():
+    sd = build_symp_diagram(W("C2", "2,1,2,1"))
+    regions = [enclosed_region(p) | enclosed_region(mirror(p)) for p in all_symp_paths(sd)]
+    assert len(regions) == 6
+    diagram = weakref.ref(sd.base)
+    del sd
+    gc.collect()
+    assert diagram() is None
 
 
 def test_functional_is_chamber_sum():

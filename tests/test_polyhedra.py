@@ -1,8 +1,13 @@
+import gc
+import itertools
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from stringcones import polyhedra
 from stringcones._linalg import rank_int
 from stringcones.polyhedra import (
     HRep,
@@ -220,8 +225,55 @@ def test_lattice_points():
     assert lattice_points(dilate(SQUARE, 2)) == 9
     assert lattice_points(HRep(1, (((1,), 3), ((-1,), 0)))) == 4
     assert lattice_points(HRep(1, (((1,), 0), ((-1,), -1)))) == 0
+    # infeasible, with the lineality direction y: it has no vertices, yet counts 0
+    assert lattice_points(HRep(2, (((1, 0), 0), ((-1, 0), -1)))) == 0
+    half_strip = HRep(2, (((-1, 0), 0), ((0, -1), 0), ((0, 1), 1)))
+    for unbounded in (half_strip, HRep(2, (((1, 0), 1), ((-1, 0), 0))), HRep(2, (((1, 0), 0),))):
+        with pytest.raises(Unbounded):
+            lattice_points(unbounded)
     with pytest.raises(ResourceLimit):
         lattice_points(dilate(SQUARE, 1000), cap=10)
+
+
+def test_derived_representations_computed_once_per_instance(monkeypatch):
+    calls = Counter()
+    for name in ("_minimal", "_vrep", "_face_lattice"):
+        def counted(h, _worker=getattr(polyhedra, name), _name=name):
+            calls[_name, id(h)] += 1
+            return _worker(h)
+
+        monkeypatch.setattr(polyhedra, name, counted)
+    p = HRep(2, SQUARE.rows)  # fresh instances: SQUARE's memo is warm
+    shear = ((1, 1), (0, 1))
+    q = HRep(2, (((0, 1), 1), ((0, -1), 0), ((1, -1), 1), ((-1, 1), 0)))
+    for h in (p, q):
+        assert remove_redundant(h) == remove_redundant(h)
+        assert f_vector(h) == (1, 4, 4, 1)
+        assert integrality(h) == (True, None)
+        assert lattice_points(h) == 4
+        assert normalized_volume(h) == 2
+        assert to_vrep(h) is to_vrep(h, bounded_expected=True)
+        assert face_lattice(h) is face_lattice(h)
+    assert search_unimodular_equivalence(p, q).status == "equivalent"
+    assert verify_unimodular_map(p, q, shear, (0, 0))
+    assert calls == {(name, id(h)): 1 for name in ("_minimal", "_vrep", "_face_lattice") for h in (p, q)}
+
+
+def test_memo_is_invisible_and_freed_with_its_hrep():
+    cold, warm = HRep(2, SQUARE.rows), HRep(2, SQUARE.rows)
+    before = (hash(warm), repr(warm))
+    lattice = weakref.ref(face_lattice(warm))
+    minimal = weakref.ref(remove_redundant(warm))
+    assert warm == cold and len({warm, cold}) == 1
+    assert (hash(warm), repr(warm)) == (hash(cold), repr(cold)) == before
+    # errors are not kept: the same call raises again
+    cone = HRep(2, (((-1, 0), 0), ((0, -1), 0)))
+    for _ in range(2):
+        with pytest.raises(Unbounded):
+            face_lattice(cone)
+    del warm
+    gc.collect()
+    assert lattice() is None and minimal() is None
 
 
 def test_normalized_volume():
@@ -385,6 +437,20 @@ if _HAVE_HYPOTHESIS:
         else:
             assert res.status == "equivalent", res.witness
             assert verify_unimodular_map(p, q, res.matrix, res.shift)
+
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                           st.fractions(-3, 6, max_denominator=2)), max_size=4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_lattice_points_against_brute_force(d, side, extra):
+        """Inside the box ``|x_k| <= side`` plus up to four random rows,
+        feasible or not, full-dimensional or not."""
+        h = HRep(d, tuple(box(d, side)) + tuple((tuple(c[:d]), b) for c, b in extra))
+        grid = itertools.product(range(-side, side + 1), repeat=d)
+        assert lattice_points(h) == sum(h.contains(x) for x in grid)
 
     @given(
         st.lists(
