@@ -6,11 +6,13 @@ special case ``b = 0``.  Everything runs over Python integers and
 
 The pieces:
 
-* a dictionary-form simplex with Bland's rule (`simplex_max`), plus a
-  phase-1-only solver for nonnegative systems used by the redundancy tests;
+* one LP, a phase-1 tableau deciding whether ``A y = b`` has a solution
+  ``y >= 0``; both questions below are asked of it;
 * redundancy removal: an inequality is redundant exactly when it is a
   nonnegative combination of the remaining ones (plus a constant slack),
   which is the LP dual of maximizing its violation over the rest;
+* emptiness by Farkas' lemma: a system is empty exactly when ``0 <= -1`` is
+  such a combination of its rows, so `feasible` is the same test;
 * double description with lexicographic insertion for vertex/ray
   enumeration, both directions;
 * the face lattice via closure of vertex-facet incidences, f-vectors,
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, lcm
 
 from ._linalg import (
     content,
@@ -50,7 +52,6 @@ __all__ = [
     "PolyhedralError",
     "Unbounded",
     "ResourceLimit",
-    "simplex_max",
     "feasible",
     "remove_redundant",
     "irredundant_cone_rows",
@@ -84,21 +85,17 @@ class ResourceLimit(RuntimeError):
 
 
 def _normalize_row(coeffs, rhs) -> tuple[tuple[int, ...], Fraction]:
-    """Scale a row to integer coefficients with content 1 (rhs may stay rational)."""
+    """Scale a row to integer coefficients and right-hand side with content 1."""
+    coeffs = [Fraction(c) for c in coeffs]
     rhs = Fraction(rhs)
-    denom = rhs.denominator
-    for c in coeffs:
-        denom = denom * Fraction(c).denominator // gcd(denom, Fraction(c).denominator)
-    ints = [int(Fraction(c) * denom) for c in coeffs]
-    b = rhs * denom
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    g = gcd(g, abs(b.numerator)) if b.denominator == 1 else g
+    denom = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    ints = [int(c * denom) for c in coeffs]
+    b = int(rhs * denom)
+    g = content(ints + [b])
     if g > 1:
         ints = [x // g for x in ints]
-        b = b / g
-    return tuple(ints), b
+        b //= g
+    return tuple(ints), Fraction(b)
 
 
 @dataclass(frozen=True)
@@ -151,139 +148,6 @@ def _memoized(h: HRep, key: str, compute):
 # ---------------------------------------------------------------------------
 
 
-def _pivot(rows, obj, basic, nonbasic, r, j):
-    """Exchange the basic variable of row r with nonbasic j.
-
-    Rows are dictionaries ``basic_i = row[0] + sum row[k+1] * nonbasic_k``.
-    Solving row r for its j-th nonbasic negates and rescales that row; every
-    other row substitutes the solved expression.
-    """
-    piv_row = rows[r]
-    neg_inv = Fraction(-1) / piv_row[j + 1]
-    new_row = [x * neg_inv for x in piv_row]
-    new_row[j + 1] = -neg_inv
-    for i, row in enumerate(rows):
-        if i == r:
-            continue
-        f = row[j + 1]
-        if f:
-            nr = [x + f * y for x, y in zip(row, new_row)]
-            nr[j + 1] = f * new_row[j + 1]
-            rows[i] = nr
-    f = obj[j + 1]
-    if f:
-        no = [x + f * y for x, y in zip(obj, new_row)]
-        no[j + 1] = f * new_row[j + 1]
-        obj[:] = no
-    rows[r] = new_row
-    basic[r], nonbasic[j] = nonbasic[j], basic[r]
-
-
-def _run_simplex(rows, obj, basic, nonbasic):
-    """Maximize obj over the dictionary; Bland's rule.  Returns 'optimal' or
-    ('unbounded', entering column)."""
-    while True:
-        enter = None
-        for j in range(len(nonbasic)):
-            if obj[j + 1] > 0:
-                if enter is None or nonbasic[j] < nonbasic[enter]:
-                    enter = j
-        if enter is None:
-            return "optimal", None
-        leave = None
-        best = None
-        for i, row in enumerate(rows):
-            coef = row[enter + 1]
-            if coef < 0:
-                ratio = -row[0] / coef
-                if best is None or ratio < best or (ratio == best and basic[i] < basic[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            return "unbounded", enter
-        _pivot(rows, obj, basic, nonbasic, leave, enter)
-
-
-def simplex_max(objective, rows_le, dim):
-    """Maximize ``objective . x`` over ``{x : c . x <= b}`` with x free.
-
-    Returns ``(status, value, point)`` with status one of ``"optimal"``,
-    ``"unbounded"`` (value/point None) or ``"infeasible"``.
-    """
-    m = len(rows_le)
-    n = 2 * dim  # free variables split into positive and negative parts
-    # dictionary rows: slack_i = b_i - sum a_ij xsplit_j; stored [const, coefs...]
-    # with basic = const + sum coefs * nonbasic (coefs carry the minus signs).
-    def split_coeffs(c):
-        out = []
-        for x in c:
-            out.extend((Fraction(-x), Fraction(x)))
-        return out
-
-    rows = []
-    for c, b in rows_le:
-        rows.append([Fraction(b)] + split_coeffs(c))
-    basic = [n + i for i in range(m)]
-    nonbasic = list(range(n))
-
-    if any(row[0] < 0 for row in rows):
-        aux = n + m
-        for row in rows:
-            row.append(Fraction(1))
-        nonbasic.append(aux)
-        obj1 = [Fraction(0)] * (n + 1) + [Fraction(-1)]
-        worst = min(range(m), key=lambda i: rows[i][0])
-        _pivot(rows, obj1, basic, nonbasic, worst, n)
-        status, _ = _run_simplex(rows, obj1, basic, nonbasic)
-        if status != "optimal":
-            raise PolyhedralError("phase-1 objective is bounded by 0 but reported unbounded")
-        if obj1[0] < 0:
-            return "infeasible", None, None
-        if aux in basic:
-            r = basic.index(aux)
-            j = next((jj for jj in range(len(nonbasic)) if rows[r][jj + 1] != 0), None)
-            if j is None:  # the row reads aux = 0; discard it
-                del rows[r], basic[r]
-            else:
-                _pivot(rows, obj1, basic, nonbasic, r, j)
-        col = nonbasic.index(aux)
-        del nonbasic[col]
-        for row in rows:
-            del row[col + 1]
-
-    obj = [Fraction(0)] * (len(nonbasic) + 1)
-    coef = []
-    for x in objective:  # z = sum c x+ - c x-, opposite split to slack rows
-        coef.extend((Fraction(x), Fraction(-x)))
-    for var, c in enumerate(coef):
-        if c == 0:
-            continue
-        if var in nonbasic:
-            obj[nonbasic.index(var) + 1] += c
-        else:
-            r = basic.index(var)
-            obj[0] += c * rows[r][0]
-            for j in range(len(nonbasic)):
-                obj[j + 1] += c * rows[r][j + 1]
-
-    status, _ = _run_simplex(rows, obj, basic, nonbasic)
-    if status == "unbounded":
-        return "unbounded", None, None
-    values = {var: Fraction(0) for var in range(n)}
-    for var, row in zip(basic, rows):
-        if var < n:
-            values[var] = row[0]
-    point = tuple(values[2 * k] - values[2 * k + 1] for k in range(dim))
-    value = sum(Fraction(c) * x for c, x in zip(objective, point))
-    return "optimal", value, point
-
-
-def feasible(rows_le, dim):
-    """A feasible point of ``{x : c . x <= b}``, or None."""
-    status, _, point = simplex_max([0] * dim, rows_le, dim)
-    return point if status == "optimal" else None
-
-
 def _nonneg_feasible(eq_rows, rhs) -> bool:
     """Whether ``A x = b`` has a solution with ``x >= 0`` (phase-1 tableau)."""
     m = len(eq_rows)
@@ -328,10 +192,12 @@ def _nonneg_feasible(eq_rows, rhs) -> bool:
 
 
 def _implied(target, others, dim) -> bool:
-    """Whether ``target`` (c, b) is a consequence of the feasible rows ``others``.
+    """Whether ``target`` (c, b) is a consequence of the rows ``others``.
 
-    By LP duality this holds exactly when c is a nonnegative combination of
-    the other normals whose combined right-hand side does not exceed b.
+    This holds when c is a nonnegative combination of the other normals whose
+    combined right-hand side does not exceed b; by LP duality the test is
+    exact for feasible ``others``.  With the target ``0 <= -1`` it is Farkas'
+    lemma, so it decides emptiness for any rows (see `feasible`).
     """
     c_t, b_t = target
     eq_rows = []  # columns: one lambda per row plus the constant slack
@@ -344,22 +210,25 @@ def _implied(target, others, dim) -> bool:
     return _nonneg_feasible(eq_rows, rhs)
 
 
-def _irredundant_indices(rows, dim) -> list[int] | None:
-    """Indices of a minimal subsystem; None when the system is infeasible."""
+def feasible(rows_le, dim) -> bool:
+    """Whether ``{x : c . x <= b}`` is non-empty.
+
+    By Farkas' lemma the system is empty exactly when ``0 . x <= -1`` is a
+    nonnegative combination of its rows.
+    """
+    return not _implied(((0,) * dim, -1), rows_le, dim)
+
+
+def _irredundant_indices(rows, dim) -> list[int]:
+    """Indices of a minimal subsystem of the feasible system ``rows``."""
     live = list(range(len(rows)))
     seen: dict[tuple, int] = {}
     for i, (c, b) in enumerate(rows):
         key = (c, b)
-        if key in seen:
-            live.remove(i)
-        elif all(x == 0 for x in c):
-            if b < 0:
-                return None
+        if key in seen or all(x == 0 for x in c):
             live.remove(i)
         else:
             seen[key] = i
-    if feasible([rows[i] for i in live], dim) is None:
-        return None
     for i in list(live):
         others = [rows[j] for j in live if j != i]
         if _implied(rows[i], others, dim):
@@ -377,18 +246,17 @@ def remove_redundant(h: HRep) -> HRep:
 
 
 def _minimal(h: HRep) -> HRep:
-    kept = _irredundant_indices(h.rows, h.dim)
-    if kept is None:
+    if not feasible(h.rows, h.dim):
         return HRep(h.dim, (((0,) * h.dim, Fraction(-1)),))
-    return HRep(h.dim, tuple(h.rows[i] for i in kept))
+    return HRep(h.dim, tuple(h.rows[i] for i in _irredundant_indices(h.rows, h.dim)))
 
 
 def irredundant_cone_rows(rows, dim) -> list[int]:
-    """Minimal-subsystem indices for cone rows ``c . x <= 0`` (deduplicated input)."""
-    kept = _irredundant_indices(tuple((tuple(c), Fraction(0)) for c in rows), dim)
-    if kept is None:
-        raise PolyhedralError("a cone system contains 0, yet was reported infeasible")
-    return kept
+    """Minimal-subsystem indices for cone rows ``c . x <= 0`` (deduplicated input).
+
+    A cone contains 0, so no feasibility test is needed.
+    """
+    return _irredundant_indices(tuple((tuple(c), Fraction(0)) for c in rows), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +487,17 @@ def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
     """Exact number of integer points, by recursion over the coordinates.
 
     Coordinates are fixed from the last to the first, inside the vertices'
-    integer box, with interval pruning against the outstanding rows;
-    visiting more than ``cap`` partial assignments raises `ResourceLimit`.
+    integer box, with interval pruning against the outstanding rows.  At its
+    lowest nonzero coordinate a row's bound is exact, so every leaf reached
+    satisfies every row (all-zero rows are settled by `feasible`).  Visiting
+    more than ``cap`` partial assignments raises `ResourceLimit`.
     An infeasible system counts 0, even one with a lineality direction.
     """
     d = h.dim
+    if not feasible(h.rows, d):
+        return 0
     if d == 0:
         return 1
-    if feasible(h.rows, d) is None:
-        return 0
     verts = to_vrep(h, bounded_expected=True).vertices
     box_lo = [ceil(min(v[k] for v in verts)) for k in range(d)]
     box_hi = [floor(max(v[k] for v in verts)) for k in range(d)]
@@ -659,16 +529,12 @@ def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
                 lo_k = max(lo_k, slack / ck)
         if lo_k > hi_k:
             return 0
+        if k == 0:
+            return floor(hi_k) - ceil(lo_k) + 1
         total = 0
         for val in range(ceil(lo_k), floor(hi_k) + 1):
             partial[k] = Fraction(val)
-            if k == 0:
-                ok = all(
-                    sum(c[i] * partial[i] for i in range(d)) <= b for c, b in h.rows
-                )
-                total += 1 if ok else 0
-            else:
-                total += count(k - 1, partial)
+            total += count(k - 1, partial)
         partial[k] = None
         return total
 
@@ -723,10 +589,7 @@ def normalized_volume(h: HRep) -> Fraction:
     for simplex in _triangulate(lat):
         base = verts[simplex[0]]
         mat = [[v - b for v, b in zip(verts[i], base)] for i in simplex[1:]]
-        denom = 1
-        for row in mat:
-            for x in row:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
+        denom = lcm(*(x.denominator for row in mat for x in row))
         int_mat = [[int(x * denom) for x in row] for row in mat]
         total += Fraction(abs(det_int(int_mat)), denom**h.dim)
     return total

@@ -166,6 +166,7 @@ class GTComparison:
 class GTReport:
     n: int
     comparisons: tuple[GTComparison, ...]
+    gt: HRep  # the pattern polytope at rho every word was compared with
 
     @property
     def equivalent_words(self) -> tuple[ReducedWord, ...]:
@@ -208,4 +209,4 @@ def verify_gt_theorem(n: int, budget: int = 100_000) -> GTReport:
             out.append(GTComparison(w, "refuted", verdict.witness))
         else:
             out.append(GTComparison(w, "refuted", f"unresolved: {verdict.witness}"))
-    return GTReport(n, tuple(out))
+    return GTReport(n, tuple(out), gt)

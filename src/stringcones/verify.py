@@ -398,7 +398,8 @@ def _polytope_checks(n: int) -> list[Check]:
     v0 = polyhedra.to_vrep(h0, bounded_expected=True)
     out.append(_eq("zero-weight polytope is the origin",
                    v0.vertices, ((Fraction(0),) * 4,)))
-    gt2 = polytopes.gt_polytope_C(rho2, 2)
+    res2 = polytopes.verify_gt_theorem(2)
+    gt2 = res2.gt
     out.append(_eq("rank-2 pattern polytope facet count",
                    len(polyhedra.remove_redundant(gt2).rows), 8))
     d_i2 = polytopes.string_polytope(gt_adapted_word(2), rho2)
@@ -417,13 +418,13 @@ def _polytope_checks(n: int) -> list[Check]:
               and rank_int([dj.rows[i][0] for i in tight]) == m * m
               and not polyhedra.integrality(dj)[0])
         out.append(_true(f"half-integral vertex of the rank-{m} braid variant", ok))
-    res2 = polytopes.verify_gt_theorem(2)
     out.append(_true("rank-2 pattern equivalence exactly at the nested word",
                      res2.ok(), str([(str(c.word), c.status) for c in res2.comparisons])))
     if n >= 3:
         c3 = LieType("C", 3)
         rho3 = Weight.rho(c3)
-        gt3 = polytopes.gt_polytope_C(rho3, 3)
+        res3 = polytopes.verify_gt_theorem(3)
+        gt3 = res3.gt
         out.append(_eq("rank-3 pattern polytope facet count",
                        len(polyhedra.remove_redundant(gt3).rows), 18))
         out.append(_eq("pattern polytope f-vector",
@@ -440,7 +441,6 @@ def _polytope_checks(n: int) -> list[Check]:
             if polytopes.polytope_facet_count(w, rho3) != facet_count(c3, w) + 9:
                 facet_ok = False
         out.append(_true("facets of every rank-3 polytope = cone facets + 9", facet_ok))
-        res3 = polytopes.verify_gt_theorem(3)
         out.append(_true("rank-3 pattern equivalence exactly at the nested word",
                          res3.ok(),
                          str([(str(c.word), c.status) for c in res3.comparisons
@@ -505,8 +505,7 @@ def _folding_checks(n: int) -> list[Check]:
                     om[tj] = 1
                 rows.append((tuple(om), Fraction(r[k])))
                 rows.append((tuple(-x for x in om), -Fraction(r[k])))
-            st, _, _ = polyhedra.simplex_max([0] * dimA, rows, dimA)
-            if st != "optimal":
+            if not polyhedra.feasible(rows, dimA):
                 quot_ok = False
         sd = build_symp_diagram(w)
         for p in all_symp_paths(sd):

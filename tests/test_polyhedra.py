@@ -25,7 +25,6 @@ from stringcones.polyhedra import (
     normalized_volume,
     remove_redundant,
     search_unimodular_equivalence,
-    simplex_max,
     to_vrep,
     verify_unimodular_map,
     vrep_to_hrep,
@@ -53,43 +52,44 @@ def random_polytope(rng, d, extra):
 
 
 def test_simplex_known_values():
-    st, v, x = simplex_max([1, 1], SQUARE.rows, 2)
-    assert (st, v, x) == ("optimal", 2, (1, 1))
-    st, _, _ = simplex_max([1, 0], (((1, 0), 1), ((-1, 0), -2)), 2)
-    assert st == "infeasible"
-    st, _, _ = simplex_max([1], (((-1,), 0),), 1)
-    assert st == "unbounded"
-    st, v, _ = simplex_max([1], (((-1,), -2), ((1,), 5)), 1)
-    assert (st, v) == ("optimal", 5)
+    """The one LP answers both questions asked of it: redundancy and emptiness."""
+    assert polyhedra._implied(((1, 1), 2), SQUARE.rows, 2)
+    assert not polyhedra._implied(((1, 1), 1), SQUARE.rows, 2)
+    assert feasible((((1, 0), 1), ((-1, 0), -2)), 2) is False
+    assert feasible((((-1,), 0),), 1) is True  # unbounded, not empty
+    assert feasible((((-1,), -2), ((1,), 5)), 1) is True
 
 
 def test_simplex_against_float_solver():
+    """`feasible` agrees with HiGHS on random systems; both verdicts occur."""
     scipy = pytest.importorskip("scipy.optimize")
     rng = random.Random(5)
-    for _ in range(60):
+    verdicts = Counter()
+    for _ in range(80):
         d = rng.randint(1, 4)
         rows = [
-            (tuple(rng.randint(-4, 4) for _ in range(d)), rng.randint(0, 6))
+            (tuple(rng.randint(-4, 4) for _ in range(d)), rng.randint(-6, 6))
             for _ in range(rng.randint(d + 1, d + 6))
-        ] + box(d, 5)
-        c = [rng.randint(-3, 3) for _ in range(d)]
-        st, v, _ = simplex_max(c, rows, d)
+        ]
         res = scipy.linprog(
-            [-ci for ci in c],
+            [0] * d,
             A_ub=[list(r) for r, _ in rows],
             b_ub=[float(b) for _, b in rows],
             bounds=[(None, None)] * d,
             method="highs",
         )
-        assert (st == "optimal") == (res.status == 0)
-        if st == "optimal":
-            assert abs(float(v) + res.fun) < 1e-7
+        assert res.status in (0, 2)
+        assert feasible(rows, d) == (res.status == 0)
+        verdicts[res.status] += 1
+    assert verdicts[0] and verdicts[2]
 
 
 def test_feasible_point():
-    pt = feasible(SQUARE.rows, 2)
-    assert pt is not None and SQUARE.contains(pt)
-    assert feasible((((1,), 0), ((-1,), -1)), 1) is None
+    assert feasible(SQUARE.rows, 2) is True
+    assert feasible((((1,), 0), ((-1,), -1)), 1) is False
+    assert feasible((((0, 0), -1),), 2) is False  # an all-zero row with b < 0
+    assert feasible((), 0) is True
+    assert feasible((((), -1),), 0) is False
 
 
 def test_remove_redundant_worked():
@@ -125,6 +125,17 @@ def test_redundancy_against_vertex_incidence_oracle():
 def test_cone_redundancy():
     rows = [(-1, 0), (0, -1), (-1, -1)]
     assert irredundant_cone_rows(rows, 2) == [0, 1]
+
+
+def test_cone_redundancy_runs_no_feasibility_lp(monkeypatch):
+    """A cone contains 0, so its redundancy removal never asks `feasible`."""
+
+    def refuse(rows_le, dim):
+        raise AssertionError("feasible called on a cone system")
+
+    monkeypatch.setattr(polyhedra, "feasible", refuse)
+    assert irredundant_cone_rows([(-1, 0), (0, -1), (-1, -1)], 2) == [0, 1]
+    assert irredundant_cone_rows([(0, 0), (-1, -1), (-1, 0), (0, -1)], 2) == [2, 3]
 
 
 def test_to_vrep_square_and_cone():
@@ -225,6 +236,8 @@ def test_lattice_points():
     assert lattice_points(dilate(SQUARE, 2)) == 9
     assert lattice_points(HRep(1, (((1,), 3), ((-1,), 0)))) == 4
     assert lattice_points(HRep(1, (((1,), 0), ((-1,), -1)))) == 0
+    assert lattice_points(HRep(0, ())) == 1
+    assert lattice_points(HRep(0, (((), -1),))) == 0
     # infeasible, with the lineality direction y: it has no vertices, yet counts 0
     assert lattice_points(HRep(2, (((1, 0), 0), ((-1, 0), -1)))) == 0
     half_strip = HRep(2, (((-1, 0), 0), ((0, -1), 0), ((0, 1), 1)))
@@ -451,6 +464,20 @@ if _HAVE_HYPOTHESIS:
         h = HRep(d, tuple(box(d, side)) + tuple((tuple(c[:d]), b) for c, b in extra))
         grid = itertools.product(range(-side, side + 1), repeat=d)
         assert lattice_points(h) == sum(h.contains(x) for x in grid)
+
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                           st.fractions(-6, 6, max_denominator=2)), max_size=4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_feasible_against_double_description(d, side, extra):
+        """Inside the box ``|x_k| <= side`` plus up to four random rows, the
+        system is non-empty exactly when double description, which runs no
+        LP, finds a vertex."""
+        h = HRep(d, tuple(box(d, side)) + tuple((tuple(c[:d]), b) for c, b in extra))
+        assert feasible(h.rows, d) == bool(to_vrep(h, bounded_expected=True).vertices)
 
     @given(
         st.lists(

@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from stringcones import polyhedra, verify
 from stringcones._linalg import rank_int
 from stringcones.polyhedra import (
     f_vector,
@@ -161,9 +163,25 @@ def test_gt_string_polytope_shared_invariants():
 def test_verify_gt_theorem_rank2():
     report = verify_gt_theorem(2)
     assert report.ok()
+    assert report.gt == gt_polytope_C(Weight.rho(LieType("C", 2)), 2)
     assert [str(w) for w in report.equivalent_words] == ["2,1,2,1"]
     refuted = {str(c.word): c.witness for c in report.comparisons if c.status == "refuted"}
     assert "1,2,1,2" in refuted
+
+
+def test_polytope_checks_build_the_pattern_polytope_once(monkeypatch):
+    """The rank-2 checks read the pattern polytope from the theorem's report,
+    so its V-rep is computed once."""
+    calls = Counter()
+    worker = polyhedra._vrep
+
+    def counted(h):
+        calls[h.rows] += 1
+        return worker(h)
+
+    monkeypatch.setattr(polyhedra, "_vrep", counted)
+    assert all(ok for _, ok, _ in verify._polytope_checks(2))
+    assert calls[gt_polytope_C(Weight.rho(LieType("C", 2)), 2).rows] == 1
 
 
 def test_string_polytope_full_dimensional():
