@@ -16,7 +16,8 @@ Words are comma-separated letters; weights are comma-separated fundamental
 coefficients or the literal ``rho`` / ``0``.  ``--json`` switches any
 subcommand to a machine-readable payload on stdout.  Exit status: 0 on
 success (all checks green for verify-paper), 1 on a failed check, 2 on
-usage errors and on unreadable or malformed input files.
+usage errors, on unreadable or malformed input files, and on a word list
+over its ``--cap`` (refused before any word is built).
 """
 
 from __future__ import annotations
@@ -38,7 +39,14 @@ from .diagram import (
 )
 from .paths import RigorousPath, enumerate_paths, path_json, symp_paths
 from .verify import paper_checks
-from .weyl import LieType, ReducedWord, Weight, enumerate_reduced_words
+from .weyl import (
+    EnumerationCapExceeded,
+    LieType,
+    ReducedWord,
+    Weight,
+    count_reduced_words,
+    enumerate_reduced_words,
+)
 
 __all__ = ["CommandResult", "run", "render_svg", "main"]
 
@@ -189,6 +197,7 @@ def _parse_word(type_text: str, word_text: str) -> ReducedWord:
 
 def _cmd_words(args) -> CommandResult:
     t = LieType.parse(args.type)
+    count_reduced_words(t, cap=args.cap)  # refuses before any word is built
     words = [str(w) for w in enumerate_reduced_words(t, cap=args.cap)]
     table = "\n".join(words)
     return CommandResult("words", {"type": str(t), "count": len(words), "words": words}, table, 0)
@@ -429,7 +438,7 @@ def run(argv) -> CommandResult:
         return CommandResult("usage", {}, "", 2 if exc.code not in (0, None) else 0)
     try:
         return args.func(args)
-    except (ValueError, polyhedra.PolyhedralError) as exc:
+    except (ValueError, polyhedra.PolyhedralError, EnumerationCapExceeded) as exc:
         return CommandResult(args.command, {"error": str(exc)}, f"error: {exc}", 2)
 
 

@@ -178,6 +178,7 @@ def enumerate_paths(d: OrientedDiagram) -> tuple[RigorousPath, ...]:
         visited.remove(at)
 
     run(d.up_count, base.first_node_on_wire(d.up_count, downward=False))
+    del run  # the closure refers to itself; the cycle would keep `out` until a GC pass
     out.sort(key=lambda p: p.node_expression)
     return tuple(out)
 

@@ -7,7 +7,10 @@ special case ``b = 0``.  Everything runs over Python integers and
 The pieces:
 
 * one LP, a phase-1 tableau deciding whether ``A y = b`` has a solution
-  ``y >= 0``; both questions below are asked of it;
+  ``y >= 0``; both questions below are asked of it.  The tableau holds only
+  integers (Edmonds–Bareiss): every entry is ``det(B)`` times the rational
+  tableau's entry for the basis ``B``, each update divides exactly by the
+  previous pivot, and pivots are positive;
 * redundancy removal: an inequality is redundant exactly when it is a
   nonnegative combination of the remaining ones (plus a constant slack),
   which is the LP dual of maximizing its violation over the rest;
@@ -86,16 +89,11 @@ class ResourceLimit(RuntimeError):
 
 def _normalize_row(coeffs, rhs) -> tuple[tuple[int, ...], Fraction]:
     """Scale a row to integer coefficients and right-hand side with content 1."""
-    coeffs = [Fraction(c) for c in coeffs]
-    rhs = Fraction(rhs)
-    denom = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    b = int(rhs * denom)
-    g = content(ints + [b])
+    ints = _integral([Fraction(x) for x in (*coeffs, rhs)])
+    g = content(ints)
     if g > 1:
         ints = [x // g for x in ints]
-        b //= g
-    return tuple(ints), Fraction(b)
+    return tuple(ints[:-1]), Fraction(ints[-1])
 
 
 @dataclass(frozen=True)
@@ -148,47 +146,73 @@ def _memoized(h: HRep, key: str, compute):
 # ---------------------------------------------------------------------------
 
 
+def _integral(row) -> list[int]:
+    """``row`` (rationals) times the least positive integer making it integral."""
+    scale = 1
+    for x in row:
+        if x.denominator != 1:
+            scale = lcm(scale, x.denominator)
+    if scale == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
 def _nonneg_feasible(eq_rows, rhs) -> bool:
-    """Whether ``A x = b`` has a solution with ``x >= 0`` (phase-1 tableau)."""
+    """Whether ``A x = b`` (rational entries) has a solution with ``x >= 0``.
+
+    A phase-1 tableau kept in integers (Edmonds–Bareiss): each row is scaled
+    once to integers, and a pivot updates every other row, the objective row
+    included, as ``(piv * x - f * y) // den`` with ``den`` the previous pivot.
+    Every entry is then ``det(B)`` times the entry of the rational tableau
+    with basis ``B``, so each division is exact; pivots are positive, so
+    ``det(B)`` is too and no sign changes.  The pivot rule is Bland's: the
+    first column with a positive reduced cost enters, and the row of least
+    ``(ratio, basic variable)`` leaves, the artificial of row ``i`` counting
+    as variable ``n + i``.  On integer rows the pivots are those of the
+    rational tableau; on rational rows the scaling reweights the phase-1
+    objective, which may change the pivots but not the verdict.
+    """
     m = len(eq_rows)
     if m == 0:
         return True
     n = len(eq_rows[0])
     tab = []
     for row, b in zip(eq_rows, rhs):
-        row = [Fraction(x) for x in row]
-        b = Fraction(b)
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        tab.append(row + [b])
-    basis = [None] * m  # None marks the artificial variable of the row
-    obj = [sum(tab[i][j] for i in range(m) if basis[i] is None) for j in range(n + 1)]
+        ints = _integral([*row, b])
+        tab.append(ints if ints[n] >= 0 else [-x for x in ints])
+    obj = [sum(col) for col in zip(*tab)]
+    basis = list(range(n, n + m))  # n + i is the artificial variable of row i
+    den = 1  # the previous pivot
     while True:
         enter = next((j for j in range(n) if obj[j] > 0), None)
         if enter is None:
             return obj[n] == 0
         leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][n] / tab[i][enter]
-                key = (ratio, basis[i] if basis[i] is not None else n + i)
-                if best is None or key < best:
-                    best = key
-                    leave = i
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave, a_best, b_best = i, a, row[n]
+                    continue
+                # the ratios row[n] / a and b_best / a_best, cross-multiplied
+                here, best = row[n] * a_best, b_best * a
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave, a_best, b_best = i, a, row[n]
         if leave is None:
             return obj[n] == 0  # unbounded cannot happen for phase 1
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        prow = tab[leave]
+        piv = prow[enter]
+        for i, row in enumerate(tab):
+            if i != leave:
+                f = row[enter]
+                if f:
+                    tab[i] = [(piv * x - f * y) // den for x, y in zip(row, prow)]
+                elif piv != den:
+                    tab[i] = [piv * x // den for x in row]
         f = obj[enter]
-        if f:
-            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+        obj = [(piv * x - f * y) // den for x, y in zip(obj, prow)]
         basis[leave] = enter
+        den = piv
 
 
 def _implied(target, others, dim) -> bool:
@@ -197,26 +221,29 @@ def _implied(target, others, dim) -> bool:
     This holds when c is a nonnegative combination of the other normals whose
     combined right-hand side does not exceed b; by LP duality the test is
     exact for feasible ``others``.  With the target ``0 <= -1`` it is Farkas'
-    lemma, so it decides emptiness for any rows (see `feasible`).
+    lemma, so it decides emptiness for any rows (see `feasible`).  Every row
+    has integer coefficients and an integral right-hand side, as `HRep` rows
+    do, so the LP's columns are built as integers.
     """
     c_t, b_t = target
-    eq_rows = []  # columns: one lambda per row plus the constant slack
-    rhs = []
-    for k in range(dim):
-        eq_rows.append([Fraction(c[k]) for c, _ in others] + [Fraction(0)])
-        rhs.append(Fraction(c_t[k]))
-    eq_rows.append([Fraction(b) for _, b in others] + [Fraction(1)])
-    rhs.append(Fraction(b_t))
-    return _nonneg_feasible(eq_rows, rhs)
+    eq_rows = [[c[k] for c, _ in others] + [0] for k in range(dim)]
+    eq_rows.append([b.numerator for _, b in others] + [1])
+    return _nonneg_feasible(eq_rows, [*c_t, b_t.numerator])
 
 
 def feasible(rows_le, dim) -> bool:
-    """Whether ``{x : c . x <= b}`` is non-empty.
+    """Whether ``{x : c . x <= b}`` (rational rows) is non-empty.
 
     By Farkas' lemma the system is empty exactly when ``0 . x <= -1`` is a
-    nonnegative combination of its rows.
+    nonnegative combination of its rows.  Each row is first scaled by a
+    positive integer to an integral one, as `_implied` expects; that scales
+    a column of the LP, which changes none of its pivots.
     """
-    return not _implied(((0,) * dim, -1), rows_le, dim)
+    rows = []
+    for c, b in rows_le:
+        ints = _integral([*c, b])
+        rows.append((ints[:dim], ints[dim]))
+    return not _implied(((0,) * dim, -1), rows, dim)
 
 
 def _irredundant_indices(rows, dim) -> list[int]:
@@ -256,7 +283,7 @@ def irredundant_cone_rows(rows, dim) -> list[int]:
 
     A cone contains 0, so no feasibility test is needed.
     """
-    return _irredundant_indices(tuple((tuple(c), Fraction(0)) for c in rows), dim)
+    return _irredundant_indices(tuple((tuple(c), 0) for c in rows), dim)
 
 
 # ---------------------------------------------------------------------------

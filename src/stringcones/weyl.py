@@ -16,6 +16,7 @@ integers, Lie types as strings like ``"A3"`` or ``"C2"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -206,8 +207,26 @@ def enumerate_reduced_words(t: LieType, cap: int = DEFAULT_WORD_CAP) -> Iterator
 
 
 def count_reduced_words(t: LieType, cap: int = DEFAULT_WORD_CAP) -> int:
-    """Number of reduced words of the longest element (subject to ``cap``)."""
-    return sum(1 for _ in enumerate_reduced_words(t, cap=cap))
+    """Number of reduced words of the longest element, without enumerating them.
+
+    They are as many as the standard Young tableaux of the staircase
+    ``(r, r-1, ..., 1)`` in type A_r (Stanley 1984, *Europ. J. Combin.* 5) and
+    of the n×n square in types B_n/C_n (Haiman 1992, *Discrete Math.* 99),
+    counted by the hook-length formula.  Raises `EnumerationCapExceeded` when
+    the count is over ``cap``, as enumerating them would.
+    """
+    shape = list(range(t.rank, 0, -1)) if t.family == "A" else [t.rank] * t.rank
+    columns = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    hooks = 1
+    for i, r in enumerate(shape):
+        for j in range(r):
+            hooks *= (r - j) + (columns[j] - i) - 1
+    count = factorial(sum(shape)) // hooks
+    if count > cap:
+        raise EnumerationCapExceeded(
+            f"{count} reduced words for {t}, more than the cap {cap}; raise the cap to enumerate"
+        )
+    return count
 
 
 def commutation_class(w: ReducedWord) -> frozenset[ReducedWord]:

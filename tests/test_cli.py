@@ -1,5 +1,6 @@
 import json
 
+from stringcones import cli
 from stringcones.cli import render_svg, run
 from stringcones.diagram import build_symp_diagram
 from stringcones.weyl import ReducedWord
@@ -115,6 +116,22 @@ def test_render_rejects_unknown_highlight(tmp_path):
 def test_usage_errors():
     assert run(["cone", "C", "1,1,2,2"]).status == 2
     assert run(["nosuchcommand"]).status == 2
+
+
+def test_words_over_the_cap_exit_2(monkeypatch):
+    res = run(["words", "C3", "--cap", "5"])
+    assert res.status == 2
+    assert "more than the cap 5" in res.payload["error"]
+    assert run(["words", "C3", "--cap", "42"]).payload["count"] == 42
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("words enumerated although the count is over the cap")
+
+    # the closed-form count refuses C9 (about 2.2e47 words) before any is built
+    monkeypatch.setattr(cli, "enumerate_reduced_words", refuse)
+    res = run(["words", "C9"])
+    assert res.status == 2
+    assert "more than the cap 10000000" in res.payload["error"]
 
 
 def test_fvector_bad_input_files(tmp_path):

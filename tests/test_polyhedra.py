@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from stringcones import polyhedra
+from stringcones.cones import string_cone
 from stringcones._linalg import rank_int
 from stringcones.polyhedra import (
     HRep,
@@ -29,6 +30,7 @@ from stringcones.polyhedra import (
     verify_unimodular_map,
     vrep_to_hrep,
 )
+from stringcones.weyl import LieType, enumerate_reduced_words
 
 SQUARE = HRep(2, (((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)))
 
@@ -49,6 +51,50 @@ def random_polytope(rng, d, extra):
         for _ in range(extra)
     ]
     return HRep(d, tuple(rows + box(d, 4)))
+
+
+def fraction_nonneg_feasible(eq_rows, rhs) -> bool:
+    """Reference for `polyhedra._nonneg_feasible`: the same phase-1 tableau
+    and pivot rule, in `Fraction` arithmetic."""
+    m = len(eq_rows)
+    if m == 0:
+        return True
+    n = len(eq_rows[0])
+    tab = []
+    for row, b in zip(eq_rows, rhs):
+        row = [F(x) for x in row]
+        b = F(b)
+        if b < 0:
+            row = [-x for x in row]
+            b = -b
+        tab.append(row + [b])
+    basis = [None] * m  # None marks the artificial variable of the row
+    obj = [sum(tab[i][j] for i in range(m) if basis[i] is None) for j in range(n + 1)]
+    while True:
+        enter = next((j for j in range(n) if obj[j] > 0), None)
+        if enter is None:
+            return obj[n] == 0
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][n] / tab[i][enter]
+                key = (ratio, basis[i] if basis[i] is not None else n + i)
+                if best is None or key < best:
+                    best = key
+                    leave = i
+        if leave is None:
+            return obj[n] == 0  # unbounded cannot happen for phase 1
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        f = obj[enter]
+        if f:
+            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+        basis[leave] = enter
 
 
 def test_simplex_known_values():
@@ -87,6 +133,9 @@ def test_simplex_against_float_solver():
 def test_feasible_point():
     assert feasible(SQUARE.rows, 2) is True
     assert feasible((((1,), 0), ((-1,), -1)), 1) is False
+    # rational rows are scaled to integral ones: 3/5 <= x <= 2/3, then 7/10 <= x
+    assert feasible((((F(1, 2),), F(1, 3)), ((F(-1, 3),), F(-1, 5))), 1) is True
+    assert feasible((((F(1, 2),), F(1, 3)), ((F(-1, 3),), F(-7, 30))), 1) is False
     assert feasible((((0, 0), -1),), 2) is False  # an all-zero row with b < 0
     assert feasible((), 0) is True
     assert feasible((((), -1),), 0) is False
@@ -125,6 +174,20 @@ def test_redundancy_against_vertex_incidence_oracle():
 def test_cone_redundancy():
     rows = [(-1, 0), (0, -1), (-1, -1)]
     assert irredundant_cone_rows(rows, 2) == [0, 1]
+
+
+@pytest.mark.parametrize("t", [LieType("A", 3), LieType("B", 3), LieType("C", 3)])
+def test_cone_redundancy_against_fraction_tableau(t, monkeypatch):
+    """On every rank-3 word, the integer tableau keeps the rows that the
+    `Fraction` reference keeps."""
+    systems = []
+    for w in enumerate_reduced_words(t):
+        cone = string_cone(t, w, deduplicate=True)
+        rows = [tuple(-c for c in f.coeffs) for f in cone.forms]
+        systems.append((rows, cone.dim, irredundant_cone_rows(rows, cone.dim)))
+    monkeypatch.setattr(polyhedra, "_nonneg_feasible", fraction_nonneg_feasible)
+    for rows, dim, kept in systems:
+        assert irredundant_cone_rows(rows, dim) == kept
 
 
 def test_cone_redundancy_runs_no_feasibility_lp(monkeypatch):
@@ -478,6 +541,26 @@ if _HAVE_HYPOTHESIS:
         LP, finds a vertex."""
         h = HRep(d, tuple(box(d, side)) + tuple((tuple(c[:d]), b) for c, b in extra))
         assert feasible(h.rows, d) == bool(to_vrep(h, bounded_expected=True).vertices)
+
+    @st.composite
+    def nonneg_systems(draw):
+        """``A x = b`` with 1-5 rows and 1-5 random columns, integer or
+        rational entries, right-hand sides of any sign, some all-zero rows,
+        and up to three repeated columns to force ties in the ratio test."""
+        m = draw(st.integers(1, 5))
+        entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+        cols = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=5))
+        cols += draw(st.lists(st.sampled_from(cols), max_size=3))
+        cols = draw(st.permutations(cols))
+        zero = draw(st.sets(st.integers(0, m - 1), max_size=2))
+        rows = [[0 if i in zero else col[i] for col in cols] for i in range(m)]
+        return rows, draw(st.lists(entry, min_size=m, max_size=m))
+
+    @given(nonneg_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_tableau_against_fraction_tableau(system):
+        rows, rhs = system
+        assert polyhedra._nonneg_feasible(rows, rhs) == fraction_nonneg_feasible(rows, rhs)
 
     @given(
         st.lists(

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -82,6 +83,27 @@ def test_enumerate_rank3_against_brute_force():
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
         count_reduced_words(LieType("C", 3), cap=10)
+
+
+@pytest.mark.parametrize(
+    "t,want",
+    [(LieType("A", r), c) for r, c in zip((1, 2, 3, 4), (1, 2, 16, 768))]
+    + [(LieType(f, n), c) for f in "BC" for n, c in zip((2, 3, 4), (2, 42, 24024))],
+)
+def test_count_reduced_words_closed_form_against_enumeration(t, want):
+    assert count_reduced_words(t) == want
+    assert sum(1 for _ in enumerate_reduced_words(t)) == want
+
+
+def test_count_reduced_words_refuses_without_enumerating():
+    with pytest.raises(EnumerationCapExceeded):
+        count_reduced_words(LieType("C", 9))
+    # square shape n×n: (n²)! · Π_{i<n} i! / (n+i)!
+    num, den = math.factorial(81), 1
+    for i in range(9):
+        num, den = num * math.factorial(i), den * math.factorial(9 + i)
+    want = num // den
+    assert count_reduced_words(LieType("C", 9), cap=want) == want
 
 
 @pytest.mark.parametrize(
