@@ -317,6 +317,7 @@ def _cmd_equiv(args) -> CommandResult:
     payload = {
         "status": res.status,
         "witness": res.witness,
+        "decided_by": res.decided_by,
         "matrix": [list(r) for r in res.matrix] if res.matrix else None,
         "shift": list(res.shift) if res.shift else None,
     }

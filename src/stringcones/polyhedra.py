@@ -18,8 +18,12 @@ The pieces:
   such a combination of its rows, so `feasible` is the same test;
 * double description with lexicographic insertion for vertex/ray
   enumeration, both directions;
-* the face lattice via closure of vertex-facet incidences, f-vectors,
-  exact volumes by recursive triangulation;
+* the face lattice from the integer vertex-facet incidences alone: the
+  facets of a face F are the maximal proper non-empty ``F & inc`` (each
+  proper face of F lies in one whose facet inc does not contain F), and
+  the lattice is graded, so the closure down from the polytope dates each
+  face by this covering relation, with no linear algebra; f-vectors; exact
+  volumes by recursive triangulation over the same covering relation;
 * lattice-point counting by bounded coordinate recursion;
 * unimodular equivalence decided from the face lattices: dimension,
   f-vector and integrality, then a complete anchored search for an explicit
@@ -46,7 +50,6 @@ from ._linalg import (
     mat_vec,
     nullspace_vector,
     primitive,
-    rank_int,
 )
 
 __all__ = [
@@ -455,41 +458,61 @@ def face_lattice(h: HRep) -> FaceLattice:
 
 
 def _face_lattice(h: HRep) -> FaceLattice:
+    """Faces from the integer vertex-facet incidences, dated by covering.
+
+    Level by level down from the polytope, a face's facets come from
+    `_facets_of`.  The lattice is graded and a (k - 1)-face is a facet only
+    of k-faces, so each face is first met from a face one dimension higher
+    and gets that dimension minus one: no rank is computed per face.
+    """
     verts = to_vrep(h, bounded_expected=True).vertices
     if not verts:
         raise PolyhedralError("empty polytope has no face lattice")
     reduced, dim = _affine_reduce(verts)
     if dim == 0:
         return FaceLattice(0, verts, tuple(), (((1 << len(verts)) - 1, 0),))
-    minimal = (
-        remove_redundant(h)
-        if dim == h.dim
-        else vrep_to_hrep(VRep(tuple(reduced), ()))
-    )
-    points = verts if dim == h.dim else tuple(reduced)
+    if dim == h.dim:
+        points, minimal = verts, remove_redundant(h)
+    else:
+        points, minimal = reduced, vrep_to_hrep(VRep(tuple(reduced), ()))
+    den = lcm(*(x.denominator for v in points for x in v))
+    scaled = [[x.numerator * (den // x.denominator) for x in v] for v in points]
     incidences = []
     for row, b in minimal.rows:
+        target = b.numerator * den
         bits = 0
-        for vi, v in enumerate(points):
-            if sum(c * x for c, x in zip(row, v)) == b:
+        for vi, v in enumerate(scaled):
+            if sum(c * x for c, x in zip(row, v)) == target:
                 bits |= 1 << vi
         incidences.append(bits)
 
-    normals = [row for row, _ in minimal.rows]
-    all_bits = (1 << len(verts)) - 1
-    seen = {all_bits: dim}
-    queue = [all_bits]
-    while queue:
-        bits = queue.pop()
-        for inc in incidences:
-            nb = bits & inc
-            if nb == 0 or nb == bits or nb in seen:
-                continue
-            tight = [normals[i] for i, inc2 in enumerate(incidences) if nb & ~inc2 == 0]
-            seen[nb] = dim - rank_int(tight)
-            queue.append(nb)
-    faces = tuple(sorted(seen.items()))
-    return FaceLattice(dim, verts, tuple(incidences), faces)
+    top = (1 << len(verts)) - 1
+    dims = {top: dim}
+    level = [top]
+    while level:
+        below = []
+        for bits in level:
+            for sub in _facets_of(bits, incidences):
+                if sub not in dims:
+                    dims[sub] = dims[bits] - 1
+                    below.append(sub)
+        level = below
+    return FaceLattice(dim, verts, tuple(incidences), tuple(sorted(dims.items())))
+
+
+def _facets_of(bits: int, incidences) -> list[int]:
+    """The facets of the face ``bits``: the maximal proper non-empty ``bits & inc``.
+
+    Each proper face of F lies in ``F & inc`` for some facet inc not
+    containing F, so the maximal such sets are F's facets.  Taken largest
+    first, a set is maximal when no set kept before contains it.
+    """
+    cands = {bits & inc for inc in incidences} - {bits, 0}
+    out: list[int] = []
+    for c in sorted(cands, key=int.bit_count, reverse=True):
+        if all(c & ~o for o in out):
+            out.append(c)
+    return out
 
 
 def f_vector(h: HRep) -> tuple[int, ...]:
@@ -569,41 +592,25 @@ def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
 
 
 def _triangulate(lat: FaceLattice):
-    """A triangulation of the polytope as tuples of vertex indices."""
-    verts = lat.vertices
-    n = len(verts)
-    face_dim = dict(lat.faces)
-
-    def subfaces(bits):
-        cands = {bits & inc for inc in lat.incidences}
-        cands = {c for c in cands if c and c != bits}
-        out = []
-        for c in cands:
-            if not any(c != o and c & ~o == 0 for o in cands):
-                out.append(c)
-        return out
-
+    """A triangulation of the polytope as tuples of vertex indices: each face
+    is coned from its lowest vertex over its facets that miss that vertex."""
     memo: dict[int, list[tuple[int, ...]]] = {}
 
     def tri(bits) -> list[tuple[int, ...]]:
-        if bits in memo:
-            return memo[bits]
-        if face_dim[bits] == 0:
-            v = bits.bit_length() - 1
-            memo[bits] = [(v,)]
-            return memo[bits]
-        anchor = (bits & -bits).bit_length() - 1
-        simplices = []
-        for sub in subfaces(bits):
-            if sub >> anchor & 1:
-                continue
-            for s in tri(sub):
-                simplices.append(s + (anchor,))
-        memo[bits] = simplices
-        return simplices
+        if bits not in memo:
+            anchor = (bits & -bits).bit_length() - 1
+            if bits == 1 << anchor:  # a vertex
+                memo[bits] = [(anchor,)]
+            else:
+                memo[bits] = [
+                    s + (anchor,)
+                    for sub in _facets_of(bits, lat.incidences)
+                    if not sub >> anchor & 1
+                    for s in tri(sub)
+                ]
+        return memo[bits]
 
-    top = (1 << n) - 1
-    return tri(top)
+    return tri((1 << len(lat.vertices)) - 1)
 
 
 def normalized_volume(h: HRep) -> Fraction:
@@ -648,6 +655,9 @@ class EquivalenceResult:
     matrix: tuple[tuple[int, ...], ...] | None = None
     shift: tuple[int, ...] | None = None
     witness: str | None = None
+    # the stage that settled the verdict: "dimension", "f-vector",
+    # "integrality", "search", "budget", "no-simple-vertex" or "lower-dimensional"
+    decided_by: str = field(kw_only=True)
 
 
 def _edge_data(lat: FaceLattice, vertex_index: int):
@@ -694,29 +704,32 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
     hit certifies equivalence with an explicit map; running out of
     candidates certifies inequivalence.  "unknown" is left only for an
     exhausted budget, a ``p`` without simple vertex, and lower-dimensional
-    input (whose edges do not determine ``U``).
+    input (whose edges do not determine ``U``).  Every result names the stage
+    that settled it in ``decided_by``; an exhausted search is "search".
     """
-    lat_p = face_lattice(p)
-    lat_q = face_lattice(q)
-    if lat_p.dim != lat_q.dim:
-        return EquivalenceResult("inequivalent", witness=f"dimension {lat_p.dim} != {lat_q.dim}")
-    fp, fq = lat_p.f_vector(), lat_q.f_vector()
-    if fp != fq:
-        return EquivalenceResult("inequivalent", witness=f"f-vector {fp} != {fq}")
-    ip, iq = integrality(p)[0], integrality(q)[0]
-    if ip != iq:
-        return EquivalenceResult(
-            "inequivalent", witness=f"integrality {ip} != {iq}"
-        )
+    lat_p, lat_q = face_lattice(p), face_lattice(q)
+
+    def invariants():  # in decision order, each computed only if the ones before agree
+        yield "dimension", lat_p.dim, lat_q.dim
+        yield "f-vector", lat_p.f_vector(), lat_q.f_vector()
+        yield "integrality", integrality(p)[0], integrality(q)[0]
+
+    for stage, a, b in invariants():
+        if a != b:
+            witness = f"{stage} {a} != {b}"
+            return EquivalenceResult("inequivalent", witness=witness, decided_by=stage)
     d = lat_p.dim
     if d != p.dim or d != q.dim:
         return EquivalenceResult(
-            "unknown", witness=f"lower-dimensional input: {d}-polytopes in {p.dim}- and {q.dim}-space"
+            "unknown",
+            witness=f"lower-dimensional input: {d}-polytopes in {p.dim}- and {q.dim}-space",
+            decided_by="lower-dimensional",
         )
 
     simples_p = _simple_vertices(lat_p)
     if not simples_p:
-        return EquivalenceResult("unknown", witness="no simple vertex to anchor the search")
+        witness = "no simple vertex to anchor the search"
+        return EquivalenceResult("unknown", witness=witness, decided_by="no-simple-vertex")
     anchor = simples_p[0]
     edges_p = _edge_data(lat_p, anchor)
     sig_p = sorted((length, degree) for _, length, degree in edges_p)
@@ -756,7 +769,9 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
         for assign in assignments(0, set()):
             tried += 1
             if tried > budget:
-                return EquivalenceResult("unknown", witness="search budget exhausted")
+                return EquivalenceResult(
+                    "unknown", witness="search budget exhausted", decided_by="budget"
+                )
             cols_q = [edges_q[idx][0] for idx in assign]
             u_rows = []
             for r in range(d):
@@ -779,9 +794,11 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
                     "equivalent",
                     matrix=tuple(tuple(r) for r in u_rows),
                     shift=tuple(x // den for x in shift),
+                    decided_by="search",
                 )
     return EquivalenceResult(
         "inequivalent",
         witness=f"no lattice map: the anchored search tried {len(simples_q)} simple vertices"
         f" ({matched} matching the anchor's edge signature) and {tried} edge bijections",
+        decided_by="search",
     )

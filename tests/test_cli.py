@@ -47,6 +47,7 @@ def test_polytope_fvector_equiv_pipeline(tmp_path):
     assert fv.payload["fvector"] == [1, 12, 26, 22, 8, 1]
     eq = run(["equiv", str(p1), str(p2)])
     assert eq.payload["status"] == "equivalent"
+    assert eq.payload["decided_by"] == "search"
     assert eq.payload["matrix"] is not None
 
 

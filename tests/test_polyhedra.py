@@ -97,6 +97,59 @@ def fraction_nonneg_feasible(eq_rows, rhs) -> bool:
         basis[leave] = enter
 
 
+def rank_face_lattice(h):
+    """Reference for `polyhedra.face_lattice`: the closure of the vertex-facet
+    incidences with one `rank_int` per face for its dimension."""
+    verts = to_vrep(h, bounded_expected=True).vertices
+    if not verts:
+        raise PolyhedralError("empty polytope has no face lattice")
+    reduced, dim = polyhedra._affine_reduce(verts)
+    if dim == 0:
+        return polyhedra.FaceLattice(0, verts, tuple(), (((1 << len(verts)) - 1, 0),))
+    minimal = (
+        remove_redundant(h)
+        if dim == h.dim
+        else vrep_to_hrep(VRep(tuple(reduced), ()))
+    )
+    points = verts if dim == h.dim else tuple(reduced)
+    incidences = []
+    for row, b in minimal.rows:
+        bits = 0
+        for vi, v in enumerate(points):
+            if sum(c * x for c, x in zip(row, v)) == b:
+                bits |= 1 << vi
+        incidences.append(bits)
+
+    normals = [row for row, _ in minimal.rows]
+    all_bits = (1 << len(verts)) - 1
+    seen = {all_bits: dim}
+    queue = [all_bits]
+    while queue:
+        bits = queue.pop()
+        for inc in incidences:
+            nb = bits & inc
+            if nb == 0 or nb == bits or nb in seen:
+                continue
+            tight = [normals[i] for i, inc2 in enumerate(incidences) if nb & ~inc2 == 0]
+            seen[nb] = dim - rank_int(tight)
+            queue.append(nb)
+    faces = tuple(sorted(seen.items()))
+    return polyhedra.FaceLattice(dim, verts, tuple(incidences), faces)
+
+
+def assert_lattice_matches_rank_oracle(h):
+    """`face_lattice` on a fresh copy of ``h`` equals the oracle's, or both raise alike."""
+    try:
+        expected = rank_face_lattice(HRep(h.dim, h.rows))
+    except PolyhedralError as exc:
+        with pytest.raises(type(exc)):
+            face_lattice(HRep(h.dim, h.rows))
+        return None
+    lat = face_lattice(HRep(h.dim, h.rows))
+    assert lat == expected
+    return lat
+
+
 def test_simplex_known_values():
     """The one LP answers both questions asked of it: redundancy and emptiness."""
     assert polyhedra._implied(((1, 1), 2), SQUARE.rows, 2)
@@ -287,6 +340,69 @@ def test_face_lattice_dims():
     assert sorted(d for _, d in lat.faces) == [0, 0, 0, 0, 1, 1, 1, 1, 2]
 
 
+def test_face_lattice_matches_rank_oracle_on_small_and_lower_dimensional_input():
+    tri = ((1, 1, 1), F(3, 2)), ((-1, -1, -1), F(-3, 2))
+    inputs = [
+        SQUARE,
+        HRep(1, (((2,), 3), ((-1,), 0))),
+        HRep(2, (((1, 0), 2), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0))),  # a segment
+        HRep(2, (((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0))),  # a point
+        HRep(3, tri + (((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0))),
+        HRep(3, tuple(((a, b, c), 1) for a in (1, -1) for b in (1, -1) for c in (1, -1))),
+    ]
+    rng = random.Random(11)
+    for _ in range(6):
+        d = rng.randint(2, 4)
+        c = tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (1,)
+        b = F(rng.randint(-2, 2), rng.choice((1, 2)))
+        extra = [(tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(1, 5)) for _ in range(3)]
+        inputs.append(HRep(d, tuple(box(d, 3) + extra + [(c, b), (tuple(-x for x in c), -b)])))
+    dims = {assert_lattice_matches_rank_oracle(h).dim for h in inputs}
+    assert dims == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("t", ["B2", "C2"])
+def test_face_lattice_matches_rank_oracle_on_rank2_string_polytopes(t):
+    from stringcones.polytopes import string_polytope
+    from stringcones.weyl import Weight
+
+    lie = LieType(t[0], 2)
+    for coeffs in ((1, 1), (2, 1), (1, 2), (3, 2)):
+        for w in enumerate_reduced_words(lie):
+            assert_lattice_matches_rank_oracle(string_polytope(w, Weight(lie, coeffs)))
+
+
+def test_face_lattice_matches_rank_oracle_on_rank3_gt_and_braid_variant():
+    from stringcones.polytopes import gt_polytope_C, string_polytope
+    from stringcones.weyl import Weight, braid_variant_word
+
+    rho = Weight.rho(LieType("C", 3))
+    gt = assert_lattice_matches_rank_oracle(gt_polytope_C(rho, 3))
+    braid = assert_lattice_matches_rank_oracle(string_polytope(braid_variant_word(3), rho))
+    assert gt.f_vector()[:4] == (1, 176, 936, 2244)
+    assert braid.f_vector()[:3] == (1, 175, 933)
+
+
+def test_face_lattice_runs_no_elimination_per_face(monkeypatch):
+    """A cold GT3 lattice (11,583 faces) runs `echelon` only for its V-rep and
+    affine hull, a constant number of times (it ran once per face before)."""
+    from stringcones import _linalg
+    from stringcones.polytopes import gt_polytope_C
+    from stringcones.weyl import Weight
+
+    calls = []
+
+    def counted(rows, _echelon=_linalg.echelon):
+        calls.append(1)
+        return _echelon(rows)
+
+    monkeypatch.setattr(_linalg, "echelon", counted)
+    monkeypatch.setattr(polyhedra, "echelon", counted)
+    lat = face_lattice(gt_polytope_C(Weight.rho(LieType("C", 3)), 3))
+    assert len(lat.faces) == 11583
+    assert 0 < len(calls) <= 4
+
+
 def test_integrality():
     assert integrality(SQUARE) == (True, None)
     seg = HRep(1, (((2,), 3), ((-1,), 0)))
@@ -444,6 +560,44 @@ def test_search_equivalence_budget_exhaustion_is_unknown():
     assert res2.status == "unknown" and "lower-dimensional" in res2.witness
 
 
+SEGMENT_IN_PLANE = HRep(2, (((1, 0), 2), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)))
+OCTAHEDRON = HRep(3, tuple(((a, b, c), 1) for a in (1, -1) for b in (1, -1) for c in (1, -1)))
+
+
+DECIDING_STAGE_CASES = [
+    ("dimension", SQUARE, SEGMENT_IN_PLANE, 100, "inequivalent"),
+    ("f-vector", SQUARE, HRep(2, (((1, 1), 1), ((-1, 0), 0), ((0, -1), 0))), 100, "inequivalent"),
+    ("integrality", HRep(1, (((1,), 1), ((-1,), 0))), HRep(1, (((2,), 1), ((-1,), 0))), 100,
+     "inequivalent"),
+    ("search", SQUARE, HRep(2, (((0, 1), 1), ((0, -1), 0), ((1, -1), 1), ((-1, 1), 0))), 100,
+     "equivalent"),
+    ("search", SQUARE, HRep(2, (((1, 0), 2), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0))), 100,
+     "inequivalent"),
+    ("budget", SQUARE, SQUARE, 0, "unknown"),
+    ("no-simple-vertex", OCTAHEDRON, OCTAHEDRON, 100, "unknown"),
+    ("lower-dimensional", SEGMENT_IN_PLANE, SEGMENT_IN_PLANE, 100, "unknown"),
+]
+
+
+@pytest.mark.parametrize(
+    "stage, p, q, budget, status",
+    DECIDING_STAGE_CASES,
+    ids=[f"{case[0]}-{case[4]}" for case in DECIDING_STAGE_CASES],
+)
+def test_equivalence_names_the_deciding_stage(stage, p, q, budget, status, monkeypatch):
+    checked = []
+
+    def counted(h, _integrality=polyhedra.integrality):
+        checked.append(h)
+        return _integrality(h)
+
+    monkeypatch.setattr(polyhedra, "integrality", counted)
+    res = search_unimodular_equivalence(p, q, budget=budget)
+    assert (res.status, res.decided_by) == (status, stage)
+    # a stage runs only when every stage before it agrees
+    assert len(checked) == (0 if stage in ("dimension", "f-vector") else 2)
+
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -561,6 +715,42 @@ if _HAVE_HYPOTHESIS:
     def test_integer_tableau_against_fraction_tableau(system):
         rows, rhs = system
         assert polyhedra._nonneg_feasible(rows, rhs) == fraction_nonneg_feasible(rows, rhs)
+
+    @st.composite
+    def hulls(draw):
+        """The convex hull of 3-9 integer or half-integral points in dimension 1-4."""
+        d = draw(st.integers(1, 4))
+        den = draw(st.sampled_from((1, 2)))
+        coords = st.builds(lambda k: F(k, den), st.integers(-2 * den, 2 * den))
+        pts = draw(st.lists(st.tuples(*[coords] * d), min_size=3, max_size=9, unique=True))
+        return VRep(tuple(sorted(pts)), ())
+
+    @given(hulls())
+    @settings(max_examples=80, deadline=None)
+    def test_face_lattice_against_rank_oracle(v):
+        try:
+            h = vrep_to_hrep(v)
+        except PolyhedralError:  # the points are not full-dimensional
+            return
+        lat = assert_lattice_matches_rank_oracle(h)
+        assert set(lat.vertices) <= set(v.vertices)
+
+    @given(
+        st.integers(2, 4),
+        st.tuples(st.integers(1, 2), *[st.integers(-2, 2)] * 3),
+        st.fractions(-1, 1, max_denominator=2),
+        st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                           st.integers(-1, 5)), max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_face_lattice_against_rank_oracle_with_an_equality(d, c, b, extra):
+        """The box ``|x_k| <= 2`` cut by the hyperplane ``c . x = b`` (which
+        meets it), given as the pair ``c . x <= b`` and ``-c . x <= -b``, plus
+        up to three rows: a (d - 1)-polytope, a smaller one, or empty."""
+        c = tuple(c[:d])
+        rows = box(d, 2) + [(c, b), (tuple(-x for x in c), -b)]
+        rows += [(tuple(a[:d]), r) for a, r in extra]
+        assert_lattice_matches_rank_oracle(HRep(d, tuple(rows)))
 
     @given(
         st.lists(
