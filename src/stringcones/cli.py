@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,6 +69,14 @@ def _frac_json(x):
     return f.numerator if f.denominator == 1 else [f.numerator, f.denominator]
 
 
+def _finite(text: str) -> float:
+    """JSON hook for non-integer numbers: ``Infinity``, ``NaN`` and ``1e999`` are refused."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {text} in polytope JSON")
+    return x
+
+
 def _load_polytope(source: str) -> polyhedra.HRep:
     try:
         if source == "-":
@@ -77,10 +86,11 @@ def _load_polytope(source: str) -> polyhedra.HRep:
                 text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {source}: {exc.strerror or exc}") from exc
-    data = json.loads(text)
+    data = json.loads(text, parse_float=_finite, parse_constant=_finite)
     if not (
         isinstance(data, dict)
         and isinstance(data.get("dim"), int)
+        and not isinstance(data["dim"], bool)
         and data["dim"] >= 0
         and isinstance(data.get("rows"), list)
     ):
@@ -88,6 +98,8 @@ def _load_polytope(source: str) -> polyhedra.HRep:
     rows = []
     try:
         for row in data["rows"]:
+            if not isinstance(row, list):  # a string would unpack character by character
+                raise TypeError(f"row {row!r} is not a list")
             *coeffs, rhs = row
             if isinstance(rhs, list):
                 rhs = Fraction(rhs[0], rhs[1])

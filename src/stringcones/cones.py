@@ -11,19 +11,27 @@ on the lifted diagram and is pushed down to the N = n^2 folded coordinates:
   halved when the path is its own mirror (all its coefficients are even).
 
 `string_cone` collects one inequality per rigorous path; `irredundant_facets`
-prunes that list down to the facets with an exact LP.
+prunes that list down to the facets with an exact LP, run once per cone.
+
+Words of one commutation class share a wiring diagram, and their string
+cones differ only by a permutation of the coordinates: the transition map of
+a commutation move is a swap.  `weyl.heap_coordinates` names each coordinate
+by its letter occurrence ``(i_j, earlier occurrences of i_j)``, a label the
+whole class agrees on, so the words of a class give the same set of rows in
+heap coordinates.  `irredundant_facets` keys its facet cache on that row set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from . import polyhedra
 from ._linalg import primitive as polyhedra_primitive
 from .diagram import OrientedDiagram, SympWiringDiagram, build_diagram, build_symp_diagram, orient
 from .paths import RigorousPath, all_symp_paths, enumerate_paths, is_symmetric
-from .weyl import LieType, ReducedWord, longest_length
+from .weyl import LieType, ReducedWord, heap_coordinates, longest_length
 
 __all__ = [
     "LinForm",
@@ -314,15 +322,46 @@ def string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) -> HRepCo
     return _collect(t, w, dim, pairs)
 
 
+# C4 and B4 have 330 commutation classes each, so one entry per class fits.
+FACET_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=FACET_CACHE_SIZE)
+def _facet_entry(t: LieType, dim: int, rows: tuple[tuple[int, ...], ...]) -> dict:
+    """The cache entry of the cone with these rows (sorted, in heap coordinates).
+
+    Empty until `irredundant_facets` stores the cone's facet rows under "facets".
+    """
+    return {}
+
+
 def irredundant_facets(t: LieType, w: ReducedWord) -> tuple[HRepCone, int]:
     """Minimal facet system of the string cone and the facet count.
 
     Coefficientwise duplicates (mirror pairs and the like) merge first, then
-    each surviving inequality is tested for redundancy by exact LP.
+    each surviving inequality is tested for redundancy by exact LP.  The LP
+    runs once per cone: the rows are rewritten in `heap_coordinates` and
+    looked up by ``(t, dim, sorted rows)``, so the other words of a
+    commutation class hit the entry of the first.  A hit is sound whatever
+    the words: the key is the row set itself, and a full-dimensional cone
+    (every string cone is one) has one facet set whatever the row order.
+    On a miss the LP runs on the word's own rows in their own order, as
+    without the cache: its pivots, and so its time, depend on that order.
     """
     cone = string_cone(t, w, deduplicate=True)
     rows = [tuple(-c for c in f.coeffs) for f in cone.forms]
-    kept = polyhedra.irredundant_cone_rows(rows, cone.dim)
+    heap = heap_coordinates(w)
+    heap_rows = []
+    for row in rows:
+        heap_row = [0] * cone.dim
+        for j, c in zip(heap, row):
+            heap_row[j] = c
+        heap_rows.append(tuple(heap_row))
+    entry = _facet_entry(t, cone.dim, tuple(sorted(heap_rows)))
+    if "facets" not in entry:
+        kept = polyhedra.irredundant_cone_rows(rows, cone.dim)
+        entry["facets"] = frozenset(heap_rows[i] for i in kept)
+    kept = [i for i, row in enumerate(heap_rows) if row in entry["facets"]]
     forms = tuple(cone.forms[i] for i in kept)
     paths = tuple(cone.paths[i] for i in kept)
     pruned = HRepCone(cone.lie_type, cone.word, cone.dim, forms, paths)

@@ -28,9 +28,11 @@ __all__ = [
     "enumerate_reduced_words",
     "count_reduced_words",
     "commutation_class",
+    "heap_coordinates",
     "lift",
     "contract",
     "cartan_pairing",
+    "weyl_dimension",
     "gt_adapted_word",
     "braid_variant_word",
     "EnumerationCapExceeded",
@@ -250,6 +252,23 @@ def commutation_class(w: ReducedWord) -> frozenset[ReducedWord]:
     return frozenset(ReducedWord(w.lie_type, letters) for letters in seen)
 
 
+def heap_coordinates(w: ReducedWord) -> tuple[int, ...]:
+    """Each position's coordinate in the heap of ``w``, shared by its commutation class.
+
+    Position j is labelled ``(i_j, number of earlier occurrences of i_j)``; a
+    commutation move never reorders two occurrences of one letter, so every
+    word of a class gives a letter occurrence the same label.  Returns each
+    position's index in the sorted list of labels.
+    """
+    seen: dict[int, int] = {}
+    labels = []
+    for x in w.letters:
+        labels.append((x, seen.get(x, 0)))
+        seen[x] = labels[-1][1] + 1
+    index = {label: k for k, label in enumerate(sorted(labels))}
+    return tuple(index[label] for label in labels)
+
+
 def lift(w: ReducedWord) -> ReducedWord:
     """Unfold a type-B/C word of rank n into a type-A word of rank 2n-1.
 
@@ -329,6 +348,35 @@ def cartan_pairing(t: LieType, i: int, j: int) -> int:
     if t.family == "B" and j == n:
         return -2
     return -1
+
+
+def weyl_dimension(lam: Weight) -> int:
+    """Dimension of the irreducible representation V(lam), by Weyl's formula.
+
+    The positive coroots are the closure of the simple coroots under the
+    simple reflections, written in the simple-coroot basis, where
+    ``s_i(b) = b - <alpha_i, b> alpha_i^vee``; the dimension is the product
+    of ``<lam + rho, b> / <rho, b>`` over them.
+    """
+    t = lam.lie_type
+    n = t.rank
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    coroots = set(simple)
+    todo = list(simple)
+    while todo:
+        b = todo.pop()
+        for i in range(n):
+            pairing = sum(c * cartan_pairing(t, i + 1, j + 1) for j, c in enumerate(b))
+            image = tuple(c - pairing * (j == i) for j, c in enumerate(b))
+            if image not in coroots:
+                coroots.add(image)
+                todo.append(image)
+    top = bottom = 1
+    for b in coroots:
+        if min(b) >= 0:
+            top *= sum(c * (x + 1) for c, x in zip(b, lam.coeffs))
+            bottom *= sum(b)
+    return top // bottom
 
 
 @dataclass(frozen=True)

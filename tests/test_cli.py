@@ -1,6 +1,10 @@
+import io
 import json
+from unittest import mock
 
-from stringcones import cli
+import pytest
+
+from stringcones import cli, polyhedra
 from stringcones.cli import render_svg, run
 from stringcones.diagram import build_symp_diagram
 from stringcones.weyl import ReducedWord
@@ -140,6 +144,9 @@ def test_fvector_bad_input_files(tmp_path):
         "no_rows.json": {"dim": 2},
         "rows_not_list.json": {"dim": 2, "rows": 5},
         "row_not_list.json": {"dim": 2, "rows": [5]},
+        "row_a_string.json": {"dim": 1, "rows": ["12", [-1, 0]]},
+        "row_an_object.json": {"dim": 1, "rows": [{"1": 0, "2": 0}, [-1, 0]]},
+        "dim_a_boolean.json": {"dim": True, "rows": [[1, 2], [-1, 0]]},
         "negative_dim.json": {"dim": -1, "rows": []},
         "unbounded_cone.json": {"dim": 2, "rows": [[-1, 0, 0], [0, -1, 0]]},
     }
@@ -149,6 +156,53 @@ def test_fvector_bad_input_files(tmp_path):
         res = run(["fvector", source])
         assert res.status == 2, source
         assert "error" in res.payload, source
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999", "-1e999"])
+@pytest.mark.parametrize("place", ["coefficient", "rhs"])
+def test_fvector_non_finite_numbers_exit_2(tmp_path, literal, place):
+    row = f"[{literal}, 1]" if place == "coefficient" else f"[1, {literal}]"
+    source = tmp_path / "p.json"
+    source.write_text(f'{{"dim": 1, "rows": [[-1, 0], {row}]}}')
+    res = run(["fvector", str(source)])
+    assert res.status == 2
+    assert literal in res.payload["error"]
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    _HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover
+    _HAVE_HYPOTHESIS = False
+
+
+if _HAVE_HYPOTHESIS:
+    # a JSON string the test rewrites into the overflowing literal 1e999
+    _OVERFLOW = "@1e999@"
+    _ENTRIES = st.one_of(
+        st.integers(-4, 4),
+        st.lists(st.integers(-3, 3), max_size=3),  # fraction pairs, good and bad
+        st.text(max_size=3),
+        st.none(),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.just(_OVERFLOW),
+    )
+    # rows, and single entries standing where a row belongs
+    _ROWS = st.lists(st.one_of(st.lists(_ENTRIES, max_size=5), _ENTRIES), max_size=4)
+
+    @given(st.integers(0, 3), _ROWS)
+    @settings(max_examples=300, deadline=None)
+    def test_load_polytope_fuzz(dim, rows):
+        text = json.dumps({"dim": dim, "rows": rows}).replace(f'"{_OVERFLOW}"', "1e999")
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            try:
+                h = cli._load_polytope("-")
+            except ValueError:  # PolyhedralError included
+                return
+        assert isinstance(h, polyhedra.HRep)
+        assert all(len(c) == dim for c, _ in h.rows)
 
 
 def test_verify_paper_quick():

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from stringcones import cones, polyhedra
 from stringcones._linalg import mat_vec, primitive
 from stringcones.cones import (
+    HRepCone,
     LinForm,
     facet_count,
     fold_maps,
@@ -23,8 +25,10 @@ from stringcones.weyl import (
     LieType,
     ReducedWord,
     braid_variant_word,
+    commutation_class,
     enumerate_reduced_words,
     gt_adapted_word,
+    heap_coordinates,
     lift,
 )
 
@@ -221,6 +225,147 @@ def test_b_cone_facets_match_c_via_scaling():
         assert facet_count(LieType("B", 2), w) == facet_count(LieType("C", 2), w)
     w3 = gt_adapted_word(3)
     assert facet_count(LieType("B", 3), w3) == facet_count(LieType("C", 3), w3)
+
+
+def commutation_classes(t):
+    """The commutation classes of type ``t``, each found once."""
+    classes, seen = [], set()
+    for w in enumerate_reduced_words(t):
+        if w not in seen:
+            cls = commutation_class(w)
+            classes.append(cls)
+            seen |= cls
+    return classes
+
+
+def heap_cone(t, w):
+    """The deduplicated string cone of ``w`` as a set of forms in heap coordinates."""
+    cone = string_cone(t, w, deduplicate=True)
+    heap = heap_coordinates(w)
+    forms = set()
+    for f in cone.forms:
+        form = [0] * cone.dim
+        for j, c in zip(heap, f.coeffs):
+            form[j] = c
+        forms.add(tuple(form))
+    return frozenset(forms)
+
+
+@pytest.mark.parametrize("type_text,classes", [("A3", 8), ("A4", 62), ("B3", 14), ("C3", 14)])
+def test_heap_cone_is_a_commutation_class_invariant(type_text, classes):
+    t = LieType.parse(type_text)
+    found = commutation_classes(t)
+    cones_per_class = [{heap_cone(t, w) for w in cls} for cls in found]
+    assert all(len(c) == 1 for c in cones_per_class)
+    assert len(set().union(*cones_per_class)) == len(found) == classes
+
+
+def uncached_irredundant_facets(t, w):
+    """Kept indices and forms by one redundancy LP for this very word (the oracle)."""
+    cone = string_cone(t, w, deduplicate=True)
+    rows = [tuple(-c for c in f.coeffs) for f in cone.forms]
+    kept = polyhedra.irredundant_cone_rows(rows, cone.dim)
+    return kept, tuple(cone.forms[i] for i in kept)
+
+
+def assert_facets_match_oracle(t, w):
+    pruned, count = irredundant_facets(t, w)
+    forms = string_cone(t, w, deduplicate=True).forms
+    kept, want = uncached_irredundant_facets(t, w)
+    assert [forms.index(f) for f in pruned.forms] == kept
+    assert pruned.forms == want
+    assert count == len(want) == len(pruned.paths)
+
+
+@pytest.mark.parametrize("type_text", ["A3", "A4", "B2", "B3", "C2", "C3"])
+def test_cached_facets_match_uncached_lp(type_text):
+    t = LieType.parse(type_text)
+    for w in enumerate_reduced_words(t):
+        assert_facets_match_oracle(t, w)
+
+
+def commutation_walk(w, steps, rng):
+    """A word reached from ``w`` by ``steps`` random commutation moves."""
+    letters = list(w.letters)
+    for _ in range(steps):
+        moves = [j for j in range(len(letters) - 1) if abs(letters[j] - letters[j + 1]) >= 2]
+        j = rng.choice(moves)
+        letters[j], letters[j + 1] = letters[j + 1], letters[j]
+    return ReducedWord(w.lie_type, tuple(letters))
+
+
+def test_cached_facets_match_uncached_lp_on_c4_walks():
+    rng = random.Random(4)
+    c4 = LieType("C", 4)
+    starts = [
+        braid_variant_word(4),
+        W("C4", "1,2,3,4,1,2,3,4,1,2,3,4,1,2,3,4"),
+        W("C4", "3,2,1,2,4,3,4,2,3,2,4,3,1,2,3,4"),
+        W("C4", "3,4,3,2,1,3,4,3,2,3,4,3,1,4,2,1"),
+    ]
+    cones._facet_entry.cache_clear()
+    for start in starts:
+        walked = {commutation_walk(start, steps, rng) for steps in (0, 5, 11, 17)}
+        assert len(walked) >= min(3, len(commutation_class(start)))
+        for w in walked:
+            assert_facets_match_oracle(c4, w)
+    assert cones._facet_entry.cache_info().misses == len(starts)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts redundancy LP sets, starting from an empty facet cache."""
+    calls = []
+    lp = polyhedra.irredundant_cone_rows
+
+    def counting(rows, dim):
+        calls.append(dim)
+        return lp(rows, dim)
+
+    monkeypatch.setattr(polyhedra, "irredundant_cone_rows", counting)
+    cones._facet_entry.cache_clear()
+    yield calls
+    cones._facet_entry.cache_clear()
+
+
+@pytest.mark.parametrize("type_text", ["A4", "B3", "C3"])
+def test_one_lp_set_per_commutation_class(lp_calls, type_text):
+    t = LieType.parse(type_text)
+    for cls in commutation_classes(t):
+        before = len(lp_calls)
+        for w in sorted(cls, key=str):
+            irredundant_facets(t, w)
+        assert len(lp_calls) == before + 1, cls
+
+
+def test_facet_cache_keeps_types_apart(lp_calls):
+    w = W("C3", "1,3,2,1,3,2,1,3,2")
+    for t in (LieType("B", 3), LieType("C", 3), LieType("B", 3)):
+        irredundant_facets(t, w)
+    assert len(lp_calls) == 2
+    rows = ((-1, 0), (0, -1))
+    entries = [cones._facet_entry(LieType(family, 2), 2, rows) for family in "BC"]
+    assert entries[0] is not entries[1]
+    assert cones._facet_entry.cache_info().currsize == 4
+    assert cones._facet_entry.cache_info().maxsize == cones.FACET_CACHE_SIZE < 10**6
+
+
+def test_facet_cache_keys_on_the_row_set(lp_calls, monkeypatch):
+    t = LieType("C", 3)
+    w = W("C3", "1,3,2,1,3,2,1,3,2")
+    first, count = irredundant_facets(t, w)
+    plain = cones.string_cone
+
+    def reversed_cone(t, w, deduplicate=False):
+        cone = plain(t, w, deduplicate)
+        return HRepCone(cone.lie_type, cone.word, cone.dim, cone.forms[::-1], cone.paths[::-1])
+
+    # the same cone with its rows in another order is a hit
+    monkeypatch.setattr(cones, "string_cone", reversed_cone)
+    again, count_again = irredundant_facets(t, w)
+    assert len(lp_calls) == 1
+    assert again.forms == first.forms[::-1]
+    assert count_again == count == len(first.forms)
 
 
 @pytest.mark.slow

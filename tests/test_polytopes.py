@@ -28,6 +28,7 @@ from stringcones.weyl import (
     braid_variant_word,
     enumerate_reduced_words,
     gt_adapted_word,
+    weyl_dimension,
 )
 
 W = ReducedWord.parse
@@ -158,6 +159,19 @@ def test_gt_string_polytope_shared_invariants():
     assert f_vector(d) == f_vector(gt)
     assert lattice_points(d) == lattice_points(gt) == 512
     assert normalized_volume(d) == normalized_volume(gt)
+    assert weyl_dimension(rho) == 512
+
+
+@pytest.mark.parametrize("coeffs,points", [((1, 1), 16), ((2, 1), 35), ((1, 2), 40), ((3, 2), 140)])
+def test_rank2_lattice_points_equal_the_weyl_dimension(coeffs, points):
+    # the crystal basis of V(lam) has dim V(lam) elements, one per lattice point
+    lam = Weight(LieType("C", 2), coeffs)
+    assert weyl_dimension(lam) == points
+    assert lattice_points(gt_polytope_C(lam, 2)) == points
+    for family in "BC":
+        lam = Weight(LieType(family, 2), coeffs)
+        for w in enumerate_reduced_words(lam.lie_type):
+            assert lattice_points(string_polytope(w, lam)) == weyl_dimension(lam)
 
 
 def test_verify_gt_theorem_rank2():

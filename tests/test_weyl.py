@@ -15,9 +15,11 @@ from stringcones.weyl import (
     count_reduced_words,
     enumerate_reduced_words,
     gt_adapted_word,
+    heap_coordinates,
     is_reduced,
     lift,
     longest_length,
+    weyl_dimension,
 )
 
 
@@ -199,3 +201,25 @@ def test_commutation_classes_partition_the_words(type_text, words, classes):
     for cls in found:
         for w in cls:
             assert commutation_class(w) == cls
+
+
+@pytest.mark.parametrize(
+    "type_text,coeffs,dim",
+    [
+        ("A2", (1, 0), 3), ("A3", (1, 1, 1), 64), ("C2", (0, 0), 1),
+        ("C2", (2, 1), 35), ("B2", (2, 1), 40), ("B2", (1, 2), 35),
+        ("C3", (1, 1, 1), 512), ("B3", (1, 1, 1), 512), ("C3", (2, 1, 1), 1386),
+        ("C3", (1, 0, 2), 378), ("C3", (1, 0, 0), 6), ("B3", (1, 0, 0), 7),
+    ],
+)
+def test_weyl_dimension(type_text, coeffs, dim):
+    assert weyl_dimension(Weight(LieType.parse(type_text), coeffs)) == dim
+
+
+def test_heap_coordinates_follow_letter_occurrences():
+    w = ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2")
+    assert heap_coordinates(w) == (0, 6, 3, 1, 7, 4, 2, 8, 5)
+    moved = ReducedWord.parse("C3", "3,1,2,1,3,2,1,3,2")
+    assert heap_coordinates(moved) == (6, 0, 3, 1, 7, 4, 2, 8, 5)
+    for v in commutation_class(gt_adapted_word(3)) | commutation_class(braid_variant_word(3)):
+        assert sorted(heap_coordinates(v)) == list(range(9))
