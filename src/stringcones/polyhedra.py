@@ -29,10 +29,14 @@ The pieces:
   f-vector and integrality, then a complete anchored search for an explicit
   integer map, whose exhaustion certifies inequivalence.
 
-`HRep` is the one polytope object: `remove_redundant`, `to_vrep` and
-`face_lattice` compute their result once per instance and keep it in the
-instance's private memo, which `==`, `hash` and `repr` ignore.  Errors are
-not kept, and nothing else holds a kept value, so it is freed with its `HRep`.
+`HRep` is the one polytope object: `remove_redundant`, `to_vrep`,
+`face_lattice` and `f_vector` compute their result once per instance and keep
+it in the instance's private memo, which `==`, `hash` and `repr` ignore.
+Errors are not kept.  A V-rep or face lattice is held by its `HRep` alone and
+freed with it.  The minimal rows and the f-vector may also be shared (see
+`HRep.share`): systems that are one polytope up to a renaming of coordinates
+read them from one entry, which keeps the facet rows in the shared
+coordinates and the f-vector, and outlives the instances.
 """
 
 from __future__ import annotations
@@ -128,6 +132,17 @@ class HRep:
             if sum(c * x for c, x in zip(row, point)) == b
         )
 
+    def share(self, entry: dict, shared_rows) -> None:
+        """Read the minimal rows and the f-vector from ``entry``, and keep them there.
+
+        ``shared_rows`` are this system's rows, in its order, rewritten in
+        coordinates common to every system given ``entry``.  Those systems
+        must give one set of shared rows and be full-dimensional: then the
+        minimal system is the facet set whatever the row order, and each
+        instance reads it back as its own rows in its own order.
+        """
+        self._memo["share"] = _Share(entry, tuple(shared_rows))
+
 
 @dataclass(frozen=True)
 class VRep:
@@ -137,11 +152,45 @@ class VRep:
     rays: tuple[tuple[int, ...], ...]
 
 
+@dataclass(frozen=True)
+class _Share:
+    """The entry an `HRep` shares (see `HRep.share`) and its rows in shared coordinates."""
+
+    entry: dict
+    rows: tuple
+
+    def load(self, h: HRep, key: str):
+        """The value of ``key`` kept in the entry, as ``h``'s own; None if none is kept."""
+        value = self.entry.get(key)
+        if key == "minimal" and value is not None:  # first copies, as `_irredundant_indices`
+            own = (row for row, shared in zip(h.rows, self.rows) if shared in value)
+            return HRep(h.dim, tuple(dict.fromkeys(own)))
+        return value
+
+    def keep(self, h: HRep, key: str, value) -> None:
+        if key == "minimal":
+            shared = dict(zip(h.rows, self.rows))
+            value = frozenset(shared[row] for row in value.rows)
+        if key in ("minimal", "fvector"):
+            self.entry[key] = value
+
+
 def _memoized(h: HRep, key: str, compute):
-    """``compute(h)``, computed on the first call and kept in ``h``'s memo."""
-    if key not in h._memo:
-        h._memo[key] = compute(h)
-    return h._memo[key]
+    """``compute(h)``, computed on the first call and kept in ``h``'s memo.
+
+    A value ``h`` shares (see `HRep.share`) is read from its entry if kept
+    there, and kept there once computed.
+    """
+    memo = h._memo
+    if key not in memo:
+        share = memo.get("share")
+        value = share.load(h, key) if share else None
+        if value is None:
+            value = compute(h)
+            if share:
+                share.keep(h, key, value)
+        memo[key] = value
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +566,7 @@ def _facets_of(bits: int, incidences) -> list[int]:
 
 def f_vector(h: HRep) -> tuple[int, ...]:
     """Face counts ``(f_-1, f_0, ..., f_dim)``, empty face and polytope included."""
-    return face_lattice(h).f_vector()
+    return _memoized(h, "fvector", lambda h: face_lattice(h).f_vector())
 
 
 def integrality(h: HRep):
@@ -693,10 +742,13 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
     """Decide unimodular equivalence, reading everything from the face lattices.
 
     The decision order is dimension, f-vector, integrality, then the anchored
-    search; a mismatch at any stage certifies inequivalence.  The search
-    anchors at a simple vertex ``a`` of ``p`` and tries every simple vertex of
-    ``q`` and every bijection of edge stars that preserves each edge's
-    lattice length and opposite-vertex facet degree.  The search is complete:
+    search; a mismatch at any stage certifies inequivalence.  The first two
+    stages read `f_vector` (the dimension is its length less two), so a
+    shared f-vector decides them without a face lattice; the lattices are
+    built only once both agree.  The search anchors at a simple vertex ``a``
+    of ``p`` and tries every simple vertex of ``q`` and every bijection of
+    edge stars that preserves each edge's lattice length and opposite-vertex
+    facet degree.  The search is complete:
     a lattice map ``x -> Ux + s`` of ``p`` onto ``q`` sends ``a`` to a simple
     vertex of ``q`` and its edges, with their primitive directions, lengths
     and degrees, to the edges there, so it is one of the candidates, and the
@@ -707,17 +759,18 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
     input (whose edges do not determine ``U``).  Every result names the stage
     that settled it in ``decided_by``; an exhausted search is "search".
     """
-    lat_p, lat_q = face_lattice(p), face_lattice(q)
+    fv_p, fv_q = f_vector(p), f_vector(q)
 
     def invariants():  # in decision order, each computed only if the ones before agree
-        yield "dimension", lat_p.dim, lat_q.dim
-        yield "f-vector", lat_p.f_vector(), lat_q.f_vector()
+        yield "dimension", len(fv_p) - 2, len(fv_q) - 2
+        yield "f-vector", fv_p, fv_q
         yield "integrality", integrality(p)[0], integrality(q)[0]
 
     for stage, a, b in invariants():
         if a != b:
             witness = f"{stage} {a} != {b}"
             return EquivalenceResult("inequivalent", witness=witness, decided_by=stage)
+    lat_p, lat_q = face_lattice(p), face_lattice(q)
     d = lat_p.dim
     if d != p.dim or d != q.dim:
         return EquivalenceResult(

@@ -15,14 +15,29 @@ coordinates printed in interleaved row order
 
 and is cut out by the interlacing chains between consecutive rows, with the
 partial sums lambda_{>=k} on top and trailing zeros closing each row pair.
+
+The words of one commutation class have string polytopes that differ only
+by a renaming of coordinates: a commutation move swaps two coordinates of
+the string cone, and two commuting letters pair to zero, so it swaps two
+rows of the weight cone as well.  `string_polytope` rewrites the rows in
+`heap_coordinates` and keys a class entry on ``(type, dim, sorted rows)``,
+right-hand sides included; the polytope shares its minimal rows and its
+f-vector through that entry (`HRep.share`), so the redundancy LP and the
+face lattice run once per class.  A hit is sound for any words, since the
+key is the row set, but only for a full-dimensional polytope is the minimal
+system the facet set whatever the row order.  So a polytope shares only at
+a regular weight, where it is full-dimensional: ``k P_lambda`` holds
+``dim V(k lambda)`` lattice points, a polynomial of degree N in k.  A word
+with no adjacent commuting pair is alone in its class, so it builds no key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .cones import string_cone
+from .cones import FACET_CACHE_SIZE, string_cone
 from .polyhedra import HRep, remove_redundant, search_unimodular_equivalence
 from .weyl import (
     LieType,
@@ -31,6 +46,7 @@ from .weyl import (
     cartan_pairing,
     enumerate_reduced_words,
     gt_adapted_word,
+    heap_coordinates,
 )
 
 __all__ = [
@@ -63,11 +79,30 @@ def lambda_cone(w: ReducedWord, lam: Weight) -> HRep:
     return HRep(L, tuple(rows))
 
 
+@lru_cache(maxsize=FACET_CACHE_SIZE)
+def _polytope_entry(t: LieType, dim: int, rows: tuple) -> dict:
+    """The class entry of the polytope with these rows (sorted, in heap coordinates).
+
+    Filled by the polytopes that share it (`HRep.share`).
+    """
+    return {}
+
+
 def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
-    """String cone plus weight cone of ``w`` at ``lam`` (possibly redundant rows)."""
+    """String cone plus weight cone of ``w`` at ``lam`` (possibly redundant rows).
+
+    At a regular weight the polytope shares its minimal rows and f-vector
+    with the other words of its commutation class (see the module docstring).
+    """
     cone = string_cone(w.lie_type, w, deduplicate=True)
     cone_rows = tuple((tuple(-c for c in f.coeffs), Fraction(0)) for f in cone.forms)
-    return HRep(cone.dim, cone_rows + lambda_cone(w, lam).rows)
+    h = HRep(cone.dim, cone_rows + lambda_cone(w, lam).rows)
+    if lam.is_regular and any(abs(a - b) >= 2 for a, b in zip(w.letters, w.letters[1:])):
+        heap = heap_coordinates(w)
+        at = sorted(range(h.dim), key=heap.__getitem__)  # the position of each heap coordinate
+        heap_rows = [(tuple(c[k] for k in at), b) for c, b in h.rows]
+        h.share(_polytope_entry(w.lie_type, h.dim, tuple(sorted(heap_rows))), heap_rows)
+    return h
 
 
 def polytope_facet_count(w: ReducedWord, lam: Weight) -> int:

@@ -32,6 +32,7 @@ __all__ = [
     "lift",
     "contract",
     "cartan_pairing",
+    "positive_coroots",
     "weyl_dimension",
     "gt_adapted_word",
     "braid_variant_word",
@@ -350,15 +351,14 @@ def cartan_pairing(t: LieType, i: int, j: int) -> int:
     return -1
 
 
-def weyl_dimension(lam: Weight) -> int:
-    """Dimension of the irreducible representation V(lam), by Weyl's formula.
+def positive_coroots(t: LieType) -> tuple[tuple[int, ...], ...]:
+    """The positive coroots of ``t`` in the simple-coroot basis, sorted.
 
-    The positive coroots are the closure of the simple coroots under the
-    simple reflections, written in the simple-coroot basis, where
-    ``s_i(b) = b - <alpha_i, b> alpha_i^vee``; the dimension is the product
-    of ``<lam + rho, b> / <rho, b>`` over them.
+    They are the coroots with no negative coefficient in the closure of the
+    simple coroots under the simple reflections
+    ``s_i(b) = b - <alpha_i, b> alpha_i^vee``.  A weight's pairing with one
+    is the dot product of the two coefficient vectors.
     """
-    t = lam.lie_type
     n = t.rank
     simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     coroots = set(simple)
@@ -371,11 +371,16 @@ def weyl_dimension(lam: Weight) -> int:
             if image not in coroots:
                 coroots.add(image)
                 todo.append(image)
+    return tuple(sorted(b for b in coroots if min(b) >= 0))
+
+
+def weyl_dimension(lam: Weight) -> int:
+    """Dimension of the irreducible representation V(lam), by Weyl's formula:
+    the product of ``<lam + rho, b> / <rho, b>`` over the positive coroots b."""
     top = bottom = 1
-    for b in coroots:
-        if min(b) >= 0:
-            top *= sum(c * (x + 1) for c, x in zip(b, lam.coeffs))
-            bottom *= sum(b)
+    for b in positive_coroots(lam.lie_type):
+        top *= sum(c * (x + 1) for c, x in zip(b, lam.coeffs))
+        bottom *= sum(b)
     return top // bottom
 
 

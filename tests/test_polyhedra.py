@@ -203,6 +203,14 @@ def test_remove_redundant_worked():
     assert set(rev.rows) == set(mini.rows)
 
 
+def test_minimal_system_of_a_lower_dimensional_set_depends_on_row_order():
+    # the origin of the plane: which rows stay depends on their order, so only a
+    # full-dimensional string polytope shares its minimal system (`polytopes`)
+    rows = (((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0), ((-1, -1), 0))
+    assert len(remove_redundant(HRep(2, rows)).rows) == 3
+    assert len(remove_redundant(HRep(2, rows[::-1])).rows) == 4
+
+
 def test_remove_redundant_infeasible():
     h = HRep(1, (((1,), 0), ((-1,), -1)))
     assert remove_redundant(h).rows == (((0,), F(-1)),)
@@ -466,6 +474,33 @@ def test_memo_is_invisible_and_freed_with_its_hrep():
     del warm
     gc.collect()
     assert lattice() is None and minimal() is None
+
+
+def test_shared_minimal_rows_and_f_vector(monkeypatch):
+    # SQUARE, and SQUARE with its coordinates swapped, its rows reordered and one doubled
+    p = HRep(2, SQUARE.rows + (((1, 1), 2),))
+    q = HRep(2, (((-1, 0), 0), ((0, 1), 1), ((1, 1), 2), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1)))
+    calls = Counter()
+    for name in ("_minimal", "_face_lattice"):
+        def counted(h, _worker=getattr(polyhedra, name), _name=name):
+            calls[_name] += 1
+            return _worker(h)
+
+        monkeypatch.setattr(polyhedra, name, counted)
+    entry = {}
+    for h in (p, q):
+        h.share(entry, [(c[::-1] if h is q else c, b) for c, b in h.rows])
+    lattice = weakref.ref(face_lattice(p))
+    assert f_vector(p) == f_vector(q) == (1, 4, 4, 1)
+    # q's own rows in q's order, the first copy of its doubled row kept
+    assert remove_redundant(q).rows == (((-1, 0), 0), ((0, 1), 1), ((0, -1), 0), ((1, 0), 1))
+    assert remove_redundant(q).rows == remove_redundant(HRep(2, q.rows)).rows
+    assert calls == {"_minimal": 2, "_face_lattice": 1}  # the second for the oracle
+    # the entry keeps shared rows and the f-vector, not the face lattice
+    assert set(entry) == {"minimal", "fvector"}
+    del p
+    gc.collect()
+    assert lattice() is None
 
 
 def test_normalized_volume():

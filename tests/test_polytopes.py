@@ -1,16 +1,19 @@
 from collections import Counter
 from fractions import Fraction as F
+from math import factorial, prod
 
 import pytest
 
-from stringcones import polyhedra, verify
+from stringcones import polyhedra, polytopes, verify
 from stringcones._linalg import rank_int
 from stringcones.polyhedra import (
+    HRep,
     f_vector,
     integrality,
     lattice_points,
     normalized_volume,
     remove_redundant,
+    search_unimodular_equivalence,
     to_vrep,
 )
 from stringcones.polytopes import (
@@ -26,8 +29,10 @@ from stringcones.weyl import (
     ReducedWord,
     Weight,
     braid_variant_word,
+    commutation_class,
     enumerate_reduced_words,
     gt_adapted_word,
+    positive_coroots,
     weyl_dimension,
 )
 
@@ -209,3 +214,107 @@ def test_string_polytope_full_dimensional():
             verts = to_vrep(h, bounded_expected=True).vertices
             diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts[1:]]
             assert rank_int(diffs) == n * n
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1), (1, 2), (3, 2)])
+def test_rank2_normalized_volume_equals_the_closed_form(coeffs):
+    # string polytopes are Newton-Okounkov bodies: at a regular weight the
+    # normalized volume is N! prod <lam, b> / <rho, b> over the positive coroots b
+    volumes = {}
+    for family in "BC":
+        lam = Weight(LieType(family, 2), coeffs)
+        coroots = positive_coroots(lam.lie_type)
+        pairings = [sum(c * x for c, x in zip(b, lam.coeffs)) for b in coroots]
+        want = factorial(len(coroots)) * prod(pairings) // prod(sum(b) for b in coroots)
+        for w in enumerate_reduced_words(lam.lie_type):
+            assert normalized_volume(string_polytope(w, lam)) == want
+        volumes[family] = want
+    assert volumes["C"] == {(1, 1): 24, (2, 1): 96, (1, 2): 120, (3, 2): 840}[coeffs]
+    assert (volumes["B"] == volumes["C"]) == (coeffs == (1, 1))  # (2, 1) tells B from C
+
+
+def fresh(h):
+    """The same rows in a new `HRep`, which shares nothing: the oracle."""
+    return HRep(h.dim, h.rows)
+
+
+@pytest.fixture
+def empty_entries():
+    """An empty polytope cache before and after the test."""
+    polytopes._polytope_entry.cache_clear()
+    yield polytopes._polytope_entry
+    polytopes._polytope_entry.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "type_text,coeffs",
+    [
+        ("B2", (1, 1)), ("B2", (2, 1)), ("C2", (1, 1)), ("C2", (2, 1)),
+        ("B3", (1, 1, 1)), ("B3", (2, 1, 1)), ("C3", (1, 1, 1)), ("C3", (2, 1, 1)),
+    ],
+)
+def test_shared_minimal_rows_match_a_fresh_lp(empty_entries, type_text, coeffs):
+    lam = Weight(LieType.parse(type_text), coeffs)
+    for w in enumerate_reduced_words(lam.lie_type):
+        h = string_polytope(w, lam)
+        assert remove_redundant(h).rows == remove_redundant(fresh(h)).rows
+
+
+@pytest.mark.parametrize("word", ["2,3,2,1,3,2,3,2,1", "1,2,3,2,1,3,2,3,2", "3,2,1,3,2,1,3,2,1"])
+def test_shared_f_vector_matches_a_fresh_face_lattice(empty_entries, word):
+    # the first word is the braid variant's class, whose f-vector refutes it
+    rho = Weight.rho(LieType("C", 3))
+    for w in sorted(commutation_class(W("C3", word)), key=str):
+        h = string_polytope(w, rho)
+        assert f_vector(h) == f_vector(fresh(h))
+    assert empty_entries.cache_info().currsize == 1
+
+
+def test_one_redundancy_lp_per_commutation_class(empty_entries, monkeypatch):
+    calls = []
+    lp = polyhedra._irredundant_indices
+
+    def counted(rows, dim):
+        calls.append(dim)
+        return lp(rows, dim)
+
+    monkeypatch.setattr(polyhedra, "_irredundant_indices", counted)
+    rho = Weight.rho(LieType("C", 3))
+    for w in enumerate_reduced_words(rho.lie_type):
+        remove_redundant(string_polytope(w, rho))
+    assert len(calls) == 14  # 42 words, 14 classes, two of them words alone
+
+
+def test_braid_class_is_refuted_from_one_face_lattice(empty_entries, monkeypatch):
+    rho = Weight.rho(LieType("C", 3))
+    gt = gt_polytope_C(rho, 3)
+    f_vector(gt)
+    built = []
+    worker = polyhedra._face_lattice
+
+    def counted(h):
+        built.append(h)
+        return worker(h)
+
+    monkeypatch.setattr(polyhedra, "_face_lattice", counted)
+    for w in sorted(commutation_class(braid_variant_word(3)), key=str):
+        verdict = search_unimodular_equivalence(string_polytope(w, rho), gt)
+        assert (verdict.status, verdict.decided_by) == ("inequivalent", "f-vector")
+    assert len(built) == 1
+
+
+def test_no_share_off_the_gate(empty_entries):
+    # a non-regular weight or a word alone in its class builds no entry
+    c3 = LieType("C", 3)
+    weights = (Weight(c3, (1, 0, 2)), Weight.zero(c3))
+    cases = [(w, lam) for lam in weights for w in enumerate_reduced_words(c3)]
+    for coeffs in ((1, 1), (2, 1)):
+        lam = Weight(LieType("C", 2), coeffs)
+        cases += [(w, lam) for w in enumerate_reduced_words(lam.lie_type)]
+    for w, lam in cases:
+        h = string_polytope(w, lam)
+        assert remove_redundant(h).rows == remove_redundant(fresh(h)).rows
+        if w.rank == 2:
+            assert f_vector(h) == f_vector(fresh(h))
+    assert empty_entries.cache_info().currsize == 0
+    assert empty_entries.cache_info().maxsize == polytopes.FACET_CACHE_SIZE

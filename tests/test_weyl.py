@@ -19,6 +19,7 @@ from stringcones.weyl import (
     is_reduced,
     lift,
     longest_length,
+    positive_coroots,
     weyl_dimension,
 )
 
@@ -223,3 +224,15 @@ def test_heap_coordinates_follow_letter_occurrences():
     assert heap_coordinates(moved) == (6, 0, 3, 1, 7, 4, 2, 8, 5)
     for v in commutation_class(gt_adapted_word(3)) | commutation_class(braid_variant_word(3)):
         assert sorted(heap_coordinates(v)) == list(range(9))
+
+
+@pytest.mark.parametrize("type_text", ["A1", "A3", "B2", "C2", "B3", "C3", "C4"])
+def test_positive_coroots(type_text):
+    t = LieType.parse(type_text)
+    coroots = positive_coroots(t)
+    assert len(coroots) == longest_length(t)
+    assert all(min(b) >= 0 and sum(b) >= 1 for b in coroots)
+    # the Cartan matrices of B2 and C2 are transposes, so their coroots differ
+    if type_text == "C2":
+        assert coroots == ((0, 1), (1, 0), (1, 1), (1, 2))
+        assert positive_coroots(LieType("B", 2)) == ((0, 1), (1, 0), (1, 1), (2, 1))
