@@ -38,7 +38,7 @@ from .diagram import (
     build_symp_diagram,
     orient,
 )
-from .paths import RigorousPath, enumerate_paths, path_json, symp_paths
+from .paths import RigorousPath, all_symp_paths, enumerate_paths, path_json, symp_paths
 from .verify import paper_checks
 from .weyl import (
     EnumerationCapExceeded,
@@ -176,20 +176,19 @@ def render_svg(d: WiringDiagram | SympWiringDiagram, highlights=()) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _find_path(d, names: list[str]) -> RigorousPath:
+def _rigorous_paths(d, k: int | None = None) -> list[RigorousPath]:
+    """The rigorous paths of orientation ``k`` of a plain or symplectic
+    diagram, or of every orientation when ``k`` is not given."""
     if isinstance(d, SympWiringDiagram):
-        ks = range(1, d.n + 1)
-        wanted = tuple(names)
-        for k in ks:
-            for p in symp_paths(d, k):
-                if p.wires_by_name() == wanted:
-                    return p
-    else:
-        wanted = tuple(names)
-        for k in range(1, d.m):
-            for p in enumerate_paths(orient(d, k)):
-                if p.wires_by_name() == wanted:
-                    return p
+        return list(symp_paths(d, k) if k else all_symp_paths(d))
+    return [p for j in ([k] if k else range(1, d.m)) for p in enumerate_paths(orient(d, j))]
+
+
+def _find_path(d, names: list[str]) -> RigorousPath:
+    wanted = tuple(names)
+    for p in _rigorous_paths(d):
+        if p.wires_by_name() == wanted:
+            return p
     raise ValueError(f"no rigorous path with wire expression {' -> '.join(names)}")
 
 
@@ -217,14 +216,8 @@ def _cmd_words(args) -> CommandResult:
 
 def _cmd_paths(args) -> CommandResult:
     w = _parse_word(args.type, args.word)
-    if w.lie_type.is_doubled:
-        d = build_symp_diagram(w)
-        ks = [args.k] if args.k else list(range(1, d.n + 1))
-        paths = [p for k in ks for p in symp_paths(d, k)]
-    else:
-        d = build_diagram(w)
-        ks = [args.k] if args.k else list(range(1, d.m))
-        paths = [p for k in ks for p in enumerate_paths(orient(d, k))]
+    d = build_symp_diagram(w) if w.lie_type.is_doubled else build_diagram(w)
+    paths = _rigorous_paths(d, args.k)
     payload = {"type": str(w.lie_type), "word": str(w), "paths": [path_json(p) for p in paths]}
     lines = [
         f"k={p.oriented.k_display}:  {str(p)}   nodes {list(p.node_expression)}"

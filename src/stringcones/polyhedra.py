@@ -667,15 +667,13 @@ def normalized_volume(h: HRep) -> Fraction:
     lat = face_lattice(h)
     if lat.dim != h.dim:
         raise PolyhedralError("normalized volume needs a full-dimensional polytope")
-    verts = lat.vertices
-    total = Fraction(0)
+    den = lcm(*(x.denominator for v in lat.vertices for x in v))
+    verts = [[x.numerator * (den // x.denominator) for x in v] for v in lat.vertices]
+    total = 0
     for simplex in _triangulate(lat):
         base = verts[simplex[0]]
-        mat = [[v - b for v, b in zip(verts[i], base)] for i in simplex[1:]]
-        denom = lcm(*(x.denominator for row in mat for x in row))
-        int_mat = [[int(x * denom) for x in row] for row in mat]
-        total += Fraction(abs(det_int(int_mat)), denom**h.dim)
-    return total
+        total += abs(det_int([[v - b for v, b in zip(verts[i], base)] for i in simplex[1:]]))
+    return Fraction(total, den**h.dim)
 
 
 # ---------------------------------------------------------------------------

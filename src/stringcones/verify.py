@@ -1,10 +1,18 @@
-"""The verification battery behind ``verify-paper``.
+"""The verification battery behind ``verify-paper``, and the one source of the paper's criteria.
 
 Every check compares a computation against a frozen expected value: the
 worked low-rank examples, the facet counts, the f-vectors, the
 classification results, the folding identities, and the enumeration
 oracles.  Checks come back as ``(name, ok, detail)`` rows; the battery is
 sized by ``n`` (2 is quick, 3 runs the full rank-3 sweeps).
+
+Each acceptance criterion has one function here that computes it and holds
+its expected values (criteria 1-3 and 5-10, and the by-diagram statement
+of criterion 4); ``paper_checks`` joins them with the worked-example
+sections.  The acceptance tests in ``tests/test_acceptance.py`` read this
+battery: each one times its criterion's function, at ``n = 3`` where it
+takes one, and asserts that every row passes.  Only criterion 4's
+word-level statement is written a second time, in its test, on purpose.
 
 The simpliciality classification is checked by commutation class: the
 rank-3 simplicial words are exactly the words reached from the nested word
@@ -20,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import polyhedra, polytopes
+from ._linalg import rank_int
 from .cones import (
     facet_count,
     fold_maps,
@@ -77,13 +86,6 @@ def _true(name: str, flag: bool, detail: str = "") -> Check:
     return (name, bool(flag), detail)
 
 
-def _word(text: str, family: str = "C", rank: int | None = None) -> ReducedWord:
-    letters = tuple(int(x) for x in text.split(","))
-    if rank is None:
-        rank = max(letters)
-    return ReducedWord(LieType(family, rank), letters)
-
-
 def _forms_set(cone) -> set:
     return {f.coeffs for f in cone.forms}
 
@@ -93,6 +95,34 @@ def _vec(dim: int, **entries) -> tuple[int, ...]:
     for key, val in entries.items():
         out[int(key[1:]) - 1] = val
     return tuple(out)
+
+
+# Criterion 1: the string cones of the two worked A3 words, as coefficient vectors.
+A3_WORKED_CONES = {
+    "1,2,1,3,2,1": {
+        _vec(6, a1=1), _vec(6, a2=1, a3=-1), _vec(6, a4=1, a5=-1),
+        _vec(6, a3=1), _vec(6, a5=1, a6=-1), _vec(6, a6=1),
+    },
+    "1,3,2,1,3,2": {
+        _vec(6, a1=1), _vec(6, a3=1, a4=-1), _vec(6, a5=1, a6=-1), _vec(6, a6=1),
+        _vec(6, a2=1), _vec(6, a3=1, a5=-1), _vec(6, a4=1, a6=-1),
+    },
+}
+
+# Criterion 3: each wall-orientation path of (2,1,2,1) by its wires, with its
+# type-A functional on the lifted word and its unhalved and halved type-C functionals.
+FUNCTIONAL_TABLE_2121 = {
+    ("2", "2b"): (_vec(6, a1=1), (2, 0, 0, 0), (1, 0, 0, 0)),
+    ("2", "1b", "1", "2b"): (_vec(6, a2=1, a3=1, a4=-1), (0, 2, -2, 0), (0, 1, -1, 0)),
+    ("2", "1", "1b", "2b"): (_vec(6, a4=1, a5=-1, a6=-1), (0, 0, 2, -2), (0, 0, 1, -1)),
+    ("2", "1", "2b"): (_vec(6, a2=1, a6=-1), (0, 1, 0, -1), (0, 1, 0, -1)),
+    ("2", "1b", "2b"): (_vec(6, a3=1, a5=-1), (0, 1, 0, -1), (0, 1, 0, -1)),
+}
+
+# Criterion 6: the f-vectors at rho of the rank-3 pattern polytope and of
+# the braid variant's string polytope.
+F_VECTOR_GT3 = (1, 176, 936, 2244, 3126, 2760, 1590, 594, 138, 18, 1)
+F_VECTOR_BRAID3 = (1, 175, 933, 2241, 3125, 2760, 1590, 594, 138, 18, 1)
 
 
 def _weyl_checks() -> list[Check]:
@@ -110,10 +140,11 @@ def _weyl_checks() -> list[Check]:
         _eq("all rank-2 words",
             [str(w) for w in enumerate_reduced_words(c2)], ["1,2,1,2", "2,1,2,1"]),
         _eq("rank-3 word count", sum(1 for _ in enumerate_reduced_words(c3)), 42),
-        _eq("lift of (1,3,2)x3", str(lift(_word("1,3,2,1,3,2,1,3,2"))),
+        _eq("lift of (1,3,2)x3", str(lift(ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2"))),
             "1,5,3,2,4,1,5,3,2,4,1,5,3,2,4"),
-        _eq("lift of (2,1,2,1)", str(lift(_word("2,1,2,1"))), "2,1,3,2,1,3"),
-        _eq("contraction of (1,3,2)x3", str(contract(_word("1,3,2,1,3,2,1,3,2"))), "2,1,2,1"),
+        _eq("lift of (2,1,2,1)", str(lift(ReducedWord.parse("C2", "2,1,2,1"))), "2,1,3,2,1,3"),
+        _eq("contraction of (1,3,2)x3",
+            str(contract(ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2"))), "2,1,2,1"),
         _true("contraction of nested words",
               contract(gt_adapted_word(3)).letters == gt_adapted_word(2).letters
               and contract(gt_adapted_word(4)).letters == gt_adapted_word(3).letters),
@@ -133,12 +164,12 @@ def _weyl_checks() -> list[Check]:
 
 def _diagram_checks() -> list[Check]:
     out = []
-    d = build_diagram(_word("1,2,1,3,2,1", "A", 3))
+    d = build_diagram(ReducedWord.parse("A3", "1,2,1,3,2,1"))
     out.append(_eq("crossing columns of (1,2,1,3,2,1)",
                    tuple(nd.column for nd in d.nodes), (1, 2, 1, 3, 2, 1)))
     out.append(_eq("first crossing wires", d.node(1).wires, (1, 2)))
     out.append(_eq("bottom arrangement reversed", d.arrangements[-1], (4, 3, 2, 1)))
-    d2 = build_diagram(_word("1,3,2,1,3,2", "A", 3))
+    d2 = build_diagram(ReducedWord.parse("A3", "1,3,2,1,3,2"))
     out.append(_true("second crossing of the second example",
                      d2.node(2).wires == (3, 4) and d2.node(2).column == 3))
     ch = chamber_structure(d2)
@@ -155,10 +186,10 @@ def _diagram_checks() -> list[Check]:
     )
     out.append(_true("chamber change of basis unimodular, +1 on the diagonal",
                      det_ok and diag_ok))
-    sd = build_symp_diagram(_word("1,2,3,1,2,3,1,2,3"))
+    sd = build_symp_diagram(ReducedWord.parse("C3", "1,2,3,1,2,3,1,2,3"))
     out.append(_eq("wall nodes of (1,2,3)x3",
                    sorted(sd.label_str(a) for a in sd.wall_nodes), ["t3", "t6", "t9"]))
-    sd2 = build_symp_diagram(_word("2,1,2,1"))
+    sd2 = build_symp_diagram(ReducedWord.parse("C2", "2,1,2,1"))
     out.append(_eq("node labels of (2,1,2,1)",
                    [sd2.label_str(a) for a in range(1, 7)],
                    ["t1", "tbar2", "t2", "t3", "tbar4", "t4"]))
@@ -178,13 +209,13 @@ def _diagram_checks() -> list[Check]:
 
 def _path_checks() -> list[Check]:
     out = []
-    d = build_diagram(_word("1,2,1,3,2,1", "A", 3))
-    d2 = build_diagram(_word("1,3,2,1,3,2", "A", 3))
+    d = build_diagram(ReducedWord.parse("A3", "1,2,1,3,2,1"))
+    d2 = build_diagram(ReducedWord.parse("A3", "1,3,2,1,3,2"))
     out.append(_eq("path counts of (1,2,1,3,2,1)",
                    tuple(len(enumerate_paths(orient(d, k))) for k in (1, 2, 3)), (3, 2, 1)))
     out.append(_eq("path counts of (1,3,2,1,3,2)",
                    tuple(len(enumerate_paths(orient(d2, k))) for k in (1, 2, 3)), (3, 1, 3)))
-    sd = build_symp_diagram(_word("2,1,2,1"))
+    sd = build_symp_diagram(ReducedWord.parse("C2", "2,1,2,1"))
     got = [p.wires_by_name() for p in symp_paths(sd, 2)]
     want = [
         ("2", "2b"),
@@ -204,7 +235,7 @@ def _path_checks() -> list[Check]:
     p4 = next(p for p in symp_paths(sd, 2) if p.wires_by_name() == ("2", "1", "2b"))
     out.append(_eq("mirror of the fourth path", mirror(p4).wires_by_name(), ("2", "1b", "2b")))
     out.append(_true("mirror is an involution", mirror(mirror(p4)) == p4))
-    sd3 = build_symp_diagram(_word("1,3,2,1,3,2,1,3,2"))
+    sd3 = build_symp_diagram(ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2"))
     P = next(p for p in symp_paths(sd3, 3) if p.wires_by_name() == ("3", "1b", "2", "3b"))
     out.append(_eq("rank-3 mirror example", mirror(P).wires_by_name(), ("3", "2b", "1", "3b")))
     p_region = next(q for q in enumerate_paths(orient(d2, 3)) if q.wire_seq == (3, 1, 4))
@@ -225,7 +256,7 @@ def _path_checks() -> list[Check]:
                 if tuple(total) != functional_A(p).coeffs:
                     ident_ok = False
     out.append(_true("path functional is the enclosed chamber sum", ident_ok))
-    sd4 = build_symp_diagram(_word("2,1,3,2,1,3,2,1,3"))
+    sd4 = build_symp_diagram(ReducedWord.parse("C3", "2,1,3,2,1,3,2,1,3"))
     P2 = next(p for p in symp_paths(sd4, 2) if p.wires_by_name() == ("2", "1b", "3"))
     out.append(_eq("worked extension", extension(P2).wires_by_name(),
                    ("2", "1b", "1", "2b", "3")))
@@ -235,7 +266,7 @@ def _path_checks() -> list[Check]:
                      and is_symmetric(Pex)))
     ext_ok = True
     for wtxt in ("2,1,2,1", "1,2,1,2"):
-        sdd = build_symp_diagram(_word(wtxt))
+        sdd = build_symp_diagram(ReducedWord.parse("C2", wtxt))
         for p in all_symp_paths(sdd):
             e = extension(p)
             if extension(e) != e or extension_by_search(p) != e:
@@ -247,7 +278,7 @@ def _path_checks() -> list[Check]:
             if p.k == sdd.n and not is_symmetric(e):
                 ext_ok = False
     out.append(_true("extension invariants at rank 2", ext_ok))
-    sd5 = build_symp_diagram(_word("3,2,1,3,2,3,2,1,2"))
+    sd5 = build_symp_diagram(ReducedWord.parse("C3", "3,2,1,3,2,3,2,1,2"))
     names = [p.wires_by_name() for p in canonical_paths(sd5)]
     out.append(_true("canonical path table rows",
                      ("3", "2", "1b", "1", "2b", "3b") in names
@@ -261,68 +292,61 @@ def _path_checks() -> list[Check]:
     return out
 
 
-def _cone_checks(n: int) -> list[Check]:
-    out = []
+def type_a_worked_examples() -> list[Check]:
+    """Criterion 1: the cones of the two worked A3 words, one facet per path."""
     a3 = LieType("A", 3)
-    wa = _word("1,2,1,3,2,1", "A", 3)
-    wa2 = _word("1,3,2,1,3,2", "A", 3)
-    cone_a = string_cone(a3, wa)
-    want_a = {
-        _vec(6, a1=1), _vec(6, a2=1, a3=-1), _vec(6, a4=1, a5=-1),
-        _vec(6, a3=1), _vec(6, a5=1, a6=-1), _vec(6, a6=1),
-    }
-    out.append(_eq("six inequalities of (1,2,1,3,2,1)", _forms_set(cone_a), want_a))
-    cone_a2 = string_cone(a3, wa2)
-    want_a2 = {
-        _vec(6, a1=1), _vec(6, a3=1, a4=-1), _vec(6, a5=1, a6=-1),
-        _vec(6, a6=1), _vec(6, a2=1), _vec(6, a3=1, a5=-1), _vec(6, a4=1, a6=-1),
-    }
-    out.append(_eq("seven inequalities of (1,3,2,1,3,2)", _forms_set(cone_a2), want_a2))
-    out.append(_eq("facet counts match path counts (worked pair)",
-                   (facet_count(a3, wa), facet_count(a3, wa2)), (6, 7)))
+    w1, w2 = (ReducedWord.parse("A3", text) for text in A3_WORKED_CONES)
+    return [
+        _eq("six inequalities of (1,2,1,3,2,1)",
+            _forms_set(string_cone(a3, w1)), A3_WORKED_CONES[str(w1)]),
+        _eq("seven inequalities of (1,3,2,1,3,2)",
+            _forms_set(string_cone(a3, w2)), A3_WORKED_CONES[str(w2)]),
+        _eq("facet counts match path counts (worked pair)",
+            (facet_count(a3, w1), facet_count(a3, w2)), (6, 7)),
+    ]
+
+
+def path_count_equals_facet_count() -> list[Check]:
+    """Criterion 2: in type A every path form is a facet, over all 847 words of A1-A4."""
+    mismatches = []
+    for rank in (1, 2, 3, 4):
+        t = LieType("A", rank)
+        for w in enumerate_reduced_words(t):
+            paths, facets = len(string_cone(t, w).forms), facet_count(t, w)
+            if paths != facets:
+                mismatches.append((str(w), paths, facets))
+    return [_eq("type-A path count equals certified facet count (up to 5 wires)",
+                mismatches, [])]
+
+
+def functional_table_and_rank2_facets() -> list[Check]:
+    """Criterion 3: the functional table of (2,1,2,1) and the rank-2 facet counts."""
     c2 = LieType("C", 2)
-    w21 = _word("2,1,2,1")
-    sd = build_symp_diagram(w21)
-    table = {}
-    for p in symp_paths(sd, 2):
-        table[p.wires_by_name()] = (
+    w21 = ReducedWord.parse("C2", "2,1,2,1")
+    table = {
+        p.wires_by_name(): (
             functional_t(p).coeffs,
             functional_C_unhalved(p).coeffs,
             functional_C(p).coeffs,
         )
-    want_table = {
-        ("2", "2b"): (_vec(6, a1=1), (2, 0, 0, 0), (2, 0, 0, 0)),
-        ("2", "1b", "1", "2b"): (_vec(6, a2=1, a3=1, a4=-1), (0, 2, -2, 0), (0, 2, -2, 0)),
-        ("2", "1", "1b", "2b"): (_vec(6, a4=1, a5=-1, a6=-1), (0, 0, 2, -2), (0, 0, 2, -2)),
-        ("2", "1", "2b"): (_vec(6, a2=1, a6=-1), (0, 1, 0, -1), (0, 1, 0, -1)),
-        ("2", "1b", "2b"): (_vec(6, a3=1, a5=-1), (0, 1, 0, -1), (0, 1, 0, -1)),
+        for p in symp_paths(build_symp_diagram(w21), 2)
     }
-    halved = {
-        ("2", "2b"): (1, 0, 0, 0),
-        ("2", "1b", "1", "2b"): (0, 1, -1, 0),
-        ("2", "1", "1b", "2b"): (0, 0, 1, -1),
-    }
-    tbl_ok = True
-    for key, (tf, hat, fc) in table.items():
-        wt, wh, _ = want_table[key]
-        if tf != wt or hat != wh:
-            tbl_ok = False
-        if fc != halved.get(key, wh):
-            tbl_ok = False
-    out.append(_true("worked functional table for (2,1,2,1)", tbl_ok,
-                     str(table)))
-    cone_c = string_cone(c2, w21)
-    forms = sorted(f.coeffs for f in cone_c.forms)
-    out.append(_eq("raw rank-2 inequality multiset (one duplicate pair)",
-                   forms,
-                   sorted([(0, 0, 0, 1), (1, 0, 0, 0), (0, 1, -1, 0),
-                           (0, 1, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1)])))
     mini, cnt = irredundant_facets(c2, w21)
-    out.append(_eq("facet count of (2,1,2,1)", cnt, 4))
-    out.append(_true("duplicate pair removed as redundant",
-                     (0, 1, 0, -1) not in _forms_set(mini)))
-    out.append(_eq("facet count of (1,2,1,2)", facet_count(c2, _word("1,2,1,2")), 4))
-    fm = fold_maps(w21)
+    return [
+        _eq("worked functional table for (2,1,2,1)", table, FUNCTIONAL_TABLE_2121),
+        _eq("raw rank-2 inequality multiset (one duplicate pair)",
+            sorted(f.coeffs for f in string_cone(c2, w21).forms),
+            sorted([(0, 0, 0, 1), (1, 0, 0, 0), (0, 1, -1, 0),
+                    (0, 1, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1)])),
+        _eq("facet count of (2,1,2,1)", cnt, 4),
+        _true("duplicate pair removed as redundant", (0, 1, 0, -1) not in _forms_set(mini)),
+        _eq("facet count of (1,2,1,2)", facet_count(c2, ReducedWord.parse("C2", "1,2,1,2")), 4),
+    ]
+
+
+def _cone_checks() -> list[Check]:
+    sd = build_symp_diagram(ReducedWord.parse("C2", "2,1,2,1"))
+    fm = fold_maps(sd.word)
     gamma_ok = all(
         functional_C_unhalved(p).coeffs
         == fm.double_cb(functional_B(p).coeffs) == tuple(
@@ -331,17 +355,16 @@ def _cone_checks(n: int) -> list[Check]:
         )
         for p in symp_paths(sd, 2)
     )
-    out.append(_true("rescaled fold equals the type-B fold composed with doubling",
-                     gamma_ok))
-    c3 = LieType("C", 3)
-    minij, cntj = irredundant_facets(c3, braid_variant_word(3))
+    out = [_true("rescaled fold equals the type-B fold composed with doubling", gamma_ok)]
+    minij, _ = irredundant_facets(LieType("C", 3), braid_variant_word(3))
     want_j = {
         _vec(9, a1=1), _vec(9, a2=2, a3=-1), _vec(9, a3=1, a4=-2), _vec(9, a4=1),
         _vec(9, a5=1, a6=-1), _vec(9, a6=1, a7=-1), _vec(9, a7=1, a8=-1),
         _vec(9, a8=1, a9=-1), _vec(9, a9=1),
     }
     out.append(_eq("block facets of the rank-3 braid variant", _forms_set(minij), want_j))
-    q2 = next(p for p in symp_paths(build_symp_diagram(_word("1,3,2,1,3,2,1,3,2")), 3)
+    sd3 = build_symp_diagram(ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2"))
+    q2 = next(p for p in symp_paths(sd3, 3)
               if p.wires_by_name() == ("3", "2b", "1", "1b", "2", "3b"))
     out.append(_true("worked rank-3 symmetric-piece functional",
                      functional_C_unhalved(q2).coeffs == _vec(9, a4=2, a5=2, a6=-2)
@@ -350,6 +373,7 @@ def _cone_checks(n: int) -> list[Check]:
 
 
 def _classification_checks(n: int) -> list[Check]:
+    """Criterion 4 at word level (its acceptance test states it on its own)."""
     out = []
     c2 = LieType("C", 2)
     simp2 = [str(w) for w in enumerate_reduced_words(c2)
@@ -367,18 +391,10 @@ def _classification_checks(n: int) -> list[Check]:
         out.append(_eq("rank-3 simplicial words exactly the commutation classes "
                        "of the two named words",
                        sorted(str(w) for w in simplicial), expected_words))
-        # diagram-level classification: compare wiring diagrams, not letter strings
-        def diagram_key(w):
-            sd = build_symp_diagram(w)
-            return tuple(sorted((nd.wires, nd.column) for nd in sd.base.nodes))
-        keys = {diagram_key(w) for w in simplicial}
-        expected_keys = {diagram_key(gt_adapted_word(3)), diagram_key(braid_variant_word(3))}
-        out.append(_true("rank-3 simplicial diagrams exactly the two named diagrams",
-                         keys == expected_keys))
         out.append(_true("named words simplicial, generic word not",
                          facet_count(c3, gt_adapted_word(3)) == 9
                          and facet_count(c3, braid_variant_word(3)) == 9
-                         and facet_count(c3, _word("1,3,2,1,3,2,1,3,2")) != 9))
+                         and facet_count(c3, ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2")) != 9))
         mono_ok = all(
             facet_count(c3, w) >= facet_count(c2, contract(w)) + 5
             for w in enumerate_reduced_words(c3)
@@ -387,73 +403,141 @@ def _classification_checks(n: int) -> list[Check]:
     return out
 
 
-def _polytope_checks(n: int) -> list[Check]:
+def _diagram_key(w: ReducedWord) -> tuple:
+    """The symplectic wiring diagram of ``w``, compared as a set of crossings."""
+    return tuple(sorted((nd.wires, nd.column) for nd in build_symp_diagram(w).base.nodes))
+
+
+def simplicial_classification_up_to_diagram(n: int) -> list[Check]:
+    """Criterion 4 by wiring diagram, at ranks 2 to ``n``: a word is simplicial
+    exactly when its diagram is the nested word's or the braid variant's."""
     out = []
-    c2 = LieType("C", 2)
-    rho2 = Weight.rho(c2)
-    out.append(_eq("rank-2 nested polytope facet count",
-                   polytopes.polytope_facet_count(gt_adapted_word(2), rho2), 8))
-    zero = Weight.zero(c2)
-    h0 = polytopes.string_polytope(gt_adapted_word(2), zero)
-    v0 = polyhedra.to_vrep(h0, bounded_expected=True)
-    out.append(_eq("zero-weight polytope is the origin",
-                   v0.vertices, ((Fraction(0),) * 4,)))
-    res2 = polytopes.verify_gt_theorem(2)
-    gt2 = res2.gt
-    out.append(_eq("rank-2 pattern polytope facet count",
-                   len(polyhedra.remove_redundant(gt2).rows), 8))
-    d_i2 = polytopes.string_polytope(gt_adapted_word(2), rho2)
-    out.append(_eq("rank-2 lattice point counts agree",
-                   (polyhedra.lattice_points(d_i2), polyhedra.lattice_points(gt2)),
-                   (16, 16)))
-    for m in (2, 3):
-        if m > n:
-            continue
+    for m in range(2, n + 1):
         t = LieType("C", m)
-        dj = polytopes.string_polytope(braid_variant_word(m), Weight.rho(t))
+        named = {_diagram_key(gt_adapted_word(m)), _diagram_key(braid_variant_word(m))}
+        simplicial = {w: facet_count(t, w) == m * m for w in enumerate_reduced_words(t)}
+        out.append(_true(f"rank-{m} simplicial diagrams exactly the two named diagrams",
+                         {_diagram_key(w) for w, simp in simplicial.items() if simp} == named))
+        out.append(_eq(f"rank-{m} words simplicial exactly when their diagram is named",
+                       [str(w) for w, simp in simplicial.items()
+                        if simp != (_diagram_key(w) in named)], []))
+    return out
+
+
+def polytope_facet_identity(n: int) -> list[Check]:
+    """Criterion 5, at ranks 2 to ``n``: at rho a string polytope has N = n^2
+    more facets than its cone, so the two simplicial words' polytopes have 2N."""
+    out = []
+    for m in range(2, n + 1):
+        t, N = LieType("C", m), m * m
+        rho = Weight.rho(t)
+        bad = [str(w) for w in enumerate_reduced_words(t)
+               if polytopes.polytope_facet_count(w, rho) != facet_count(t, w) + N]
+        out.append(_eq(f"facets of every rank-{m} polytope = cone facets + {N}", bad, []))
+        out.append(_eq(f"named rank-{m} polytopes have 2N facets",
+                       [polytopes.polytope_facet_count(w, rho)
+                        for w in (gt_adapted_word(m), braid_variant_word(m))],
+                       [2 * N, 2 * N]))
+    return out
+
+
+def f_vectors(gt3: polyhedra.HRep | None = None) -> list[Check]:
+    """Criterion 6: the rank-3 f-vectors at rho.  The battery passes in the
+    pattern polytope its rank-3 report built, whose face lattice it keeps."""
+    rho = Weight.rho(LieType("C", 3))
+    if gt3 is None:
+        gt3 = polytopes.gt_polytope_C(rho, 3)
+    dj3 = polytopes.string_polytope(braid_variant_word(3), rho)
+    return [
+        _eq("pattern polytope f-vector", polyhedra.f_vector(gt3), F_VECTOR_GT3),
+        _eq("braid-variant polytope f-vector", polyhedra.f_vector(dj3), F_VECTOR_BRAID3),
+    ]
+
+
+def half_integral_vertex(n: int) -> list[Check]:
+    """Criterion 7, at ranks 2 to ``n``: (0, 3/2, 3, 1, 0, ...) is a vertex of
+    the braid variant's string polytope at rho, which is not integral."""
+    out = []
+    for m in range(2, n + 1):
+        dj = polytopes.string_polytope(braid_variant_word(m), Weight.rho(LieType("C", m)))
         pt = [Fraction(0), Fraction(3, 2), Fraction(3), Fraction(1)] + [Fraction(0)] * (m * m - 4)
         tight = dj.tight_at(pt)
-        from ._linalg import rank_int
         ok = (dj.contains(pt)
               and rank_int([dj.rows[i][0] for i in tight]) == m * m
               and not polyhedra.integrality(dj)[0])
         out.append(_true(f"half-integral vertex of the rank-{m} braid variant", ok))
-    out.append(_true("rank-2 pattern equivalence exactly at the nested word",
-                     res2.ok(), str([(str(c.word), c.status) for c in res2.comparisons])))
-    if n >= 3:
-        c3 = LieType("C", 3)
-        rho3 = Weight.rho(c3)
-        res3 = polytopes.verify_gt_theorem(3)
-        gt3 = res3.gt
-        out.append(_eq("rank-3 pattern polytope facet count",
-                       len(polyhedra.remove_redundant(gt3).rows), 18))
-        out.append(_eq("pattern polytope f-vector",
-                       polyhedra.f_vector(gt3),
-                       (1, 176, 936, 2244, 3126, 2760, 1590, 594, 138, 18, 1)))
-        dj3 = polytopes.string_polytope(braid_variant_word(3), rho3)
-        out.append(_eq("braid-variant polytope f-vector",
-                       polyhedra.f_vector(dj3),
-                       (1, 175, 933, 2241, 3125, 2760, 1590, 594, 138, 18, 1)))
-        out.append(_true("pattern polytope integral, braid variant not",
-                         polyhedra.integrality(gt3)[0] and not polyhedra.integrality(dj3)[0]))
-        facet_ok = True
-        for w in enumerate_reduced_words(c3):
-            if polytopes.polytope_facet_count(w, rho3) != facet_count(c3, w) + 9:
-                facet_ok = False
-        out.append(_true("facets of every rank-3 polytope = cone facets + 9", facet_ok))
-        out.append(_true("rank-3 pattern equivalence exactly at the nested word",
-                         res3.ok(),
-                         str([(str(c.word), c.status) for c in res3.comparisons
-                              if c.status == "equivalent"])))
     return out
 
 
-def _folding_checks(n: int) -> list[Check]:
+def gt_equivalence(n: int, reports: dict | None = None) -> list[Check]:
+    """Criterion 8, at ranks 2 to ``n``: at rho exactly the nested word's string
+    polytope is unimodularly equivalent to the pattern polytope, by a map that
+    `verify_unimodular_map` accepts, and each other word is refuted with a
+    witness.  ``reports`` maps each rank to its `verify_gt_theorem` report,
+    when the battery has built them already."""
+    if reports is None:
+        reports = {m: polytopes.verify_gt_theorem(m) for m in range(2, n + 1)}
+    out = []
+    for m, res in sorted(reports.items()):
+        hits = [c for c in res.comparisons if c.status == "equivalent"]
+        out.append(_true(f"rank-{m} pattern equivalence exactly at the nested word",
+                         res.ok(), str([(str(c.word), c.status) for c in hits])))
+        mapped = bool(hits) and all(
+            c.matrix is not None
+            and polyhedra.verify_unimodular_map(
+                polytopes.string_polytope(c.word, Weight.rho(LieType("C", m))),
+                res.gt, c.matrix, c.shift)
+            for c in hits
+        )
+        out.append(_true(f"rank-{m} certified map passes verify_unimodular_map", mapped))
+        refuted = [c for c in res.comparisons if c.status == "refuted"]
+        out.append(_eq(f"rank-{m} other words refuted, each with a witness",
+                       (len(refuted), all(c.witness for c in refuted)),
+                       ({2: 1, 3: 41}[m], True)))
+    return out
+
+
+def _polytope_checks(n: int) -> list[Check]:
+    """The worked polytope rows and criteria 5-8, sharing one pattern
+    polytope per rank through its `verify_gt_theorem` report."""
+    c2 = LieType("C", 2)
+    rho2 = Weight.rho(c2)
+    reports = {m: polytopes.verify_gt_theorem(m) for m in range(2, n + 1)}
+    gt2 = reports[2].gt
+    h0 = polytopes.string_polytope(gt_adapted_word(2), Weight.zero(c2))
+    d_i2 = polytopes.string_polytope(gt_adapted_word(2), rho2)
+    out = [
+        _eq("rank-2 nested polytope facet count",
+            polytopes.polytope_facet_count(gt_adapted_word(2), rho2), 8),
+        _eq("zero-weight polytope is the origin",
+            polyhedra.to_vrep(h0, bounded_expected=True).vertices, ((Fraction(0),) * 4,)),
+        _eq("rank-2 pattern polytope facet count", len(polyhedra.remove_redundant(gt2).rows), 8),
+        _eq("rank-2 lattice point counts agree",
+            (polyhedra.lattice_points(d_i2), polyhedra.lattice_points(gt2)), (16, 16)),
+    ]
+    out += half_integral_vertex(n)
+    out += gt_equivalence(n, reports)
+    if n >= 3:
+        gt3 = reports[3].gt
+        dj3 = polytopes.string_polytope(braid_variant_word(3), Weight.rho(LieType("C", 3)))
+        out.append(_eq("rank-3 pattern polytope facet count",
+                       len(polyhedra.remove_redundant(gt3).rows), 18))
+        out += f_vectors(gt3)
+        out.append(_true("pattern polytope integral, braid variant not",
+                         polyhedra.integrality(gt3)[0] and not polyhedra.integrality(dj3)[0]))
+    out += polytope_facet_identity(n)
+    return out
+
+
+def folding_suite(n: int) -> list[Check]:
+    """Criterion 9: the folding identities on the rank-2 words and, for
+    ``n`` >= 3, four rank-3 words."""
     out = []
     words = [w for w in enumerate_reduced_words(LieType("C", 2))]
     if n >= 3:
         words += [gt_adapted_word(3), braid_variant_word(3),
-                  _word("1,3,2,1,3,2,1,3,2"), _word("1,2,3,1,2,3,1,2,3")]
+                  ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2"),
+                  ReducedWord.parse("C3", "1,2,3,1,2,3,1,2,3")]
     comp_ok = True
     slice_ok = True
     quot_ok = True
@@ -523,8 +607,9 @@ def _folding_checks(n: int) -> list[Check]:
     return out
 
 
-def _oracle_checks(n: int) -> list[Check]:
-    out = []
+def enumerator_oracle() -> list[Check]:
+    """Criterion 10: the constrained path enumerator against the naive one on
+    every orientation of the A1-A4 diagrams and of the C2 diagrams."""
     agree = True
     for rank in (1, 2, 3, 4):
         for w in enumerate_reduced_words(LieType("A", rank)):
@@ -539,29 +624,22 @@ def _oracle_checks(n: int) -> list[Check]:
             od = OrientedDiagram(sd, u)
             if enumerate_paths(od) != enumerate_paths_naive(od):
                 agree = False
-    out.append(_true("constrained and naive path enumerators agree (up to 5 wires)",
-                     agree))
-    prop_ok = True
-    for rank in (1, 2, 3, 4):
-        t = LieType("A", rank)
-        for w in enumerate_reduced_words(t):
-            raw = string_cone(t, w)
-            if facet_count(t, w) != len(raw.forms):
-                prop_ok = False
-    out.append(_true("type-A path count equals certified facet count (up to 5 wires)",
-                     prop_ok))
-    return out
+    return [_true("constrained and naive path enumerators agree (up to 5 wires)", agree)]
 
 
 def paper_checks(n: int = 2) -> list[Check]:
     """Run the battery; ``n`` = 3 adds the exhaustive rank-3 sweeps."""
-    checks: list[Check] = []
-    checks += _weyl_checks()
-    checks += _diagram_checks()
-    checks += _path_checks()
-    checks += _cone_checks(n)
-    checks += _classification_checks(n)
-    checks += _polytope_checks(n)
-    checks += _folding_checks(n)
-    checks += _oracle_checks(n)
-    return checks
+    return [
+        *_weyl_checks(),
+        *_diagram_checks(),
+        *_path_checks(),
+        *type_a_worked_examples(),
+        *functional_table_and_rank2_facets(),
+        *_cone_checks(),
+        *_classification_checks(n),
+        *simplicial_classification_up_to_diagram(n),
+        *_polytope_checks(n),
+        *folding_suite(n),
+        *enumerator_oracle(),
+        *path_count_equals_facet_count(),
+    ]

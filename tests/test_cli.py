@@ -206,7 +206,12 @@ if _HAVE_HYPOTHESIS:
 
 
 def test_verify_paper_quick():
-    res = run(["verify-paper", "--n", "2"])
-    assert res.status == 0
-    assert res.payload["failures"] == 0
-    assert all(c["ok"] for c in res.payload["checks"])
+    names = {}
+    for n in (2, 3):
+        res = run(["verify-paper", "--n", str(n)])
+        assert res.status == 0
+        assert res.payload["failures"] == 0
+        assert all(c["ok"] for c in res.payload["checks"])
+        names[n] = [c["name"] for c in res.payload["checks"]]
+        assert len(set(names[n])) == len(names[n])
+    assert set(names[2]) < set(names[3])

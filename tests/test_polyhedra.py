@@ -4,12 +4,13 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from stringcones import polyhedra
 from stringcones.cones import string_cone
-from stringcones._linalg import rank_int
+from stringcones._linalg import det_int, rank_int
 from stringcones.polyhedra import (
     HRep,
     PolyhedralError,
@@ -508,6 +509,40 @@ def test_normalized_volume():
     simplex = HRep(2, (((1, 1), 1), ((-1, 0), 0), ((0, -1), 0)))
     assert normalized_volume(simplex) == 1
     assert normalized_volume(dilate(SQUARE, 3)) == 18
+
+
+def per_simplex_volume(h):
+    """The earlier `normalized_volume`: each simplex scaled to integers on its own."""
+    lat = face_lattice(h)
+    verts = lat.vertices
+    total = F(0)
+    for simplex in polyhedra._triangulate(lat):
+        base = verts[simplex[0]]
+        mat = [[v - b for v, b in zip(verts[i], base)] for i in simplex[1:]]
+        denom = lcm(*(x.denominator for row in mat for x in row))
+        int_mat = [[int(x * denom) for x in row] for row in mat]
+        total += F(abs(det_int(int_mat)), denom**h.dim)
+    return total
+
+
+def test_normalized_volume_against_per_simplex_oracle():
+    from stringcones.polytopes import string_polytope
+    from stringcones.weyl import Weight
+
+    inputs = [
+        SQUARE,
+        HRep(2, (((1, 1), 1), ((-1, 0), 0), ((0, -1), 0))),
+        dilate(SQUARE, 3),
+        HRep(2, (((2, 0), 1), ((0, 3), 2), ((-1, 0), 0), ((0, -1), 0))),  # rational box
+        HRep(3, tuple(((a, b, c), 1) for a in (1, -1) for b in (1, -1) for c in (1, -1))),
+    ]
+    for family in "BC":
+        lie = LieType(family, 2)
+        for coeffs in ((1, 1), (2, 1), (1, 2), (3, 2)):
+            inputs += [string_polytope(w, Weight(lie, coeffs)) for w in enumerate_reduced_words(lie)]
+    volumes = [normalized_volume(h) for h in inputs]
+    assert volumes == [per_simplex_volume(h) for h in inputs]
+    assert volumes[:5] == [2, 1, 18, F(2, 3), 8]
 
 
 def test_verify_unimodular_map():
