@@ -41,6 +41,7 @@ from .diagram import (
 from .paths import RigorousPath, all_symp_paths, enumerate_paths, path_json, symp_paths
 from .verify import paper_checks
 from .weyl import (
+    DEFAULT_WORD_CAP,
     EnumerationCapExceeded,
     LieType,
     ReducedWord,
@@ -341,8 +342,11 @@ def _cmd_render(args) -> CommandResult:
         names = [x.strip() for x in args.highlight.split(",")]
         highlights.append(_find_path(d, names))
     svg = render_svg(d, highlights)
-    with open(args.output, "w") as fh:
-        fh.write(svg)
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     return CommandResult(
         "render", {"output": args.output, "bytes": len(svg)}, f"wrote {args.output}", 0
     )
@@ -384,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("words", help="enumerate reduced words of the longest element")
     p.add_argument("type")
-    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP)
     p.set_defaults(func=_cmd_words)
 
     p = sub.add_parser("paths", help="enumerate rigorous paths")

@@ -18,7 +18,12 @@ cones differ only by a permutation of the coordinates: the transition map of
 a commutation move is a swap.  `weyl.heap_coordinates` names each coordinate
 by its letter occurrence ``(i_j, earlier occurrences of i_j)``, a label the
 whole class agrees on, so the words of a class give the same set of rows in
-heap coordinates.  `irredundant_facets` keys its facet cache on that row set.
+heap coordinates.  `class_entry` takes this quotient for string cones and
+string polytopes alike: it rewrites rows ``(c, b)``, ints throughout, in
+heap coordinates and returns the entry of their row set from one bounded
+cache.  An entry keeps the minimal rows in heap coordinates (and a
+polytope's f-vector).  A cone's rows all have ``b = 0`` and a polytope's at
+a regular weight do not, so their entries stay apart.
 """
 
 from __future__ import annotations
@@ -179,25 +184,6 @@ class FoldMaps:
             raise ValueError("fold_b expects a lifted-coordinate form of matching size")
         return LinForm("a", tuple(sum(form.coeffs[t] for t in group) for group in self.groups))
 
-    def expand_matrix(self) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for t in range(self.n_lifted):
-            row = [0] * self.n_folded
-            for k, group in enumerate(self.groups):
-                if t in group:
-                    row[k] = 1
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def collapse_matrix(self) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for group in self.groups:
-            row = [0] * self.n_lifted
-            for t in group:
-                row[t] = 1
-            rows.append(tuple(row))
-        return tuple(rows)
-
 
 def fold_maps(w: ReducedWord) -> FoldMaps:
     if not w.lie_type.is_doubled:
@@ -322,17 +308,31 @@ def string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) -> HRepCo
     return _collect(t, w, dim, pairs)
 
 
-# C4 and B4 have 330 commutation classes each, so one entry per class fits.
-FACET_CACHE_SIZE = 512
+# C4 and B4 have 330 commutation classes each; a class may hold a cone entry
+# and polytope entries at several weights.
+CLASS_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=FACET_CACHE_SIZE)
-def _facet_entry(t: LieType, dim: int, rows: tuple[tuple[int, ...], ...]) -> dict:
-    """The cache entry of the cone with these rows (sorted, in heap coordinates).
-
-    Empty until `irredundant_facets` stores the cone's facet rows under "facets".
-    """
+@lru_cache(maxsize=CLASS_CACHE_SIZE)
+def _class_entry(t: LieType, rows: tuple) -> dict:
+    """The entry of the row set ``rows`` (sorted, in heap coordinates) of type ``t``."""
     return {}
+
+
+def class_entry(t: LieType, w: ReducedWord, rows) -> tuple[dict, list]:
+    """The commutation-class entry of the system ``rows`` of ``w``, and its heap rows.
+
+    ``rows`` are ``(c, b)`` pairs in the coordinates of ``w``; the heap rows
+    are the same pairs, in the same order, with ``c`` rewritten in
+    `heap_coordinates`.  The entry is keyed on ``(t, sorted heap rows)``, so
+    every word of the class with this system gets the same one.  A value is
+    sound to share only if it is a function of the row set: the minimal rows
+    of a full-dimensional system are its facets whatever the row order.
+    """
+    heap = heap_coordinates(w)
+    at = sorted(range(len(heap)), key=heap.__getitem__)  # the position of each heap coordinate
+    heap_rows = [(tuple([c[k] for k in at]), b) for c, b in rows]
+    return _class_entry(t, tuple(sorted(heap_rows))), heap_rows
 
 
 def irredundant_facets(t: LieType, w: ReducedWord) -> tuple[HRepCone, int]:
@@ -340,28 +340,21 @@ def irredundant_facets(t: LieType, w: ReducedWord) -> tuple[HRepCone, int]:
 
     Coefficientwise duplicates (mirror pairs and the like) merge first, then
     each surviving inequality is tested for redundancy by exact LP.  The LP
-    runs once per cone: the rows are rewritten in `heap_coordinates` and
-    looked up by ``(t, dim, sorted rows)``, so the other words of a
-    commutation class hit the entry of the first.  A hit is sound whatever
-    the words: the key is the row set itself, and a full-dimensional cone
-    (every string cone is one) has one facet set whatever the row order.
-    On a miss the LP runs on the word's own rows in their own order, as
-    without the cache: its pivots, and so its time, depend on that order.
+    runs once per commutation class: the rows ``(c, 0)`` are looked up by
+    `class_entry`, so the other words of the class hit the entry of the
+    first.  A hit is sound whatever the words: the key is the row set
+    itself, and a full-dimensional cone (every string cone is one) has one
+    facet set whatever the row order.  On a miss the LP runs on the word's
+    own rows in their own order, as without the cache: its pivots, and so
+    its time, depend on that order.
     """
     cone = string_cone(t, w, deduplicate=True)
     rows = [tuple(-c for c in f.coeffs) for f in cone.forms]
-    heap = heap_coordinates(w)
-    heap_rows = []
-    for row in rows:
-        heap_row = [0] * cone.dim
-        for j, c in zip(heap, row):
-            heap_row[j] = c
-        heap_rows.append(tuple(heap_row))
-    entry = _facet_entry(t, cone.dim, tuple(sorted(heap_rows)))
-    if "facets" not in entry:
+    entry, heap_rows = class_entry(t, w, [(row, 0) for row in rows])
+    if "minimal" not in entry:
         kept = polyhedra.irredundant_cone_rows(rows, cone.dim)
-        entry["facets"] = frozenset(heap_rows[i] for i in kept)
-    kept = [i for i, row in enumerate(heap_rows) if row in entry["facets"]]
+        entry["minimal"] = frozenset(heap_rows[i] for i in kept)
+    kept = [i for i, row in enumerate(heap_rows) if row in entry["minimal"]]
     forms = tuple(cone.forms[i] for i in kept)
     paths = tuple(cone.paths[i] for i in kept)
     pruned = HRepCone(cone.lie_type, cone.word, cone.dim, forms, paths)

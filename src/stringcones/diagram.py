@@ -41,7 +41,6 @@ __all__ = [
     "build_symp_diagram",
     "orient",
     "chamber_structure",
-    "diagram_json",
 ]
 
 
@@ -385,42 +384,3 @@ def orient(d: WiringDiagram | SympWiringDiagram, k: int, barred: bool = False) -
     if not 1 <= k <= d.m - 1:
         raise ValueError(f"orientation index {k} out of range 1..{d.m - 1}")
     return OrientedDiagram(d, k)
-
-
-def diagram_json(d: WiringDiagram | SympWiringDiagram) -> dict:
-    """JSON-ready description: wires, nodes, chambers (and wall data if any)."""
-    base = d.base if isinstance(d, SympWiringDiagram) else d
-    ch = chamber_structure(base)
-    nodes = []
-    for nd in base.nodes:
-        entry = {
-            "index": nd.index,
-            "column": nd.column,
-            "wires": list(nd.wires),
-        }
-        if isinstance(d, SympWiringDiagram):
-            entry["label"] = d.label_str(nd.index)
-            entry["wall"] = d.on_wall(nd.index)
-            entry["wires"] = [d.wire_name(w) for w in nd.wires]
-        nodes.append(entry)
-    payload = {
-        "word": str(base.word if not isinstance(d, SympWiringDiagram) else d.word),
-        "wire_count": base.m,
-        "wires": [
-            d.wire_name(w) if isinstance(d, SympWiringDiagram) else str(w)
-            for w in range(1, base.m + 1)
-        ],
-        "nodes": nodes,
-        "chambers": [
-            {
-                "top_node": j,
-                "plus": sorted(ch.i_plus[j - 1]),
-                "minus": sorted(ch.i_minus[j - 1]),
-            }
-            for j in range(1, base.length + 1)
-        ],
-    }
-    if isinstance(d, SympWiringDiagram):
-        payload["type"] = str(d.word.lie_type)
-        payload["wall_nodes"] = sorted(d.wall_nodes)
-    return payload

@@ -1,8 +1,9 @@
 """Exact rational polyhedral kernel.
 
-Half-space representations store integer rows ``c . x <= b``; cones are the
-special case ``b = 0``.  Everything runs over Python integers and
-`fractions.Fraction`: no floating point enters any decision.
+Half-space representations store rows ``c . x <= b`` as
+``(tuple[int], int)`` pairs of content 1; cones are the special case
+``b = 0``.  Everything runs over Python integers and `fractions.Fraction`:
+no floating point enters any decision.
 
 The pieces:
 
@@ -94,21 +95,25 @@ class ResourceLimit(RuntimeError):
     pass
 
 
-def _normalize_row(coeffs, rhs) -> tuple[tuple[int, ...], Fraction]:
+def _normalize_row(coeffs, rhs) -> tuple[tuple[int, ...], int]:
     """Scale a row to integer coefficients and right-hand side with content 1."""
     ints = _integral([Fraction(x) for x in (*coeffs, rhs)])
     g = content(ints)
     if g > 1:
         ints = [x // g for x in ints]
-    return tuple(ints[:-1]), Fraction(ints[-1])
+    return tuple(ints[:-1]), ints[-1]
 
 
 @dataclass(frozen=True)
 class HRep:
-    """Intersection of half-spaces ``c . x <= b`` in dimension ``dim``."""
+    """Intersection of half-spaces ``c . x <= b`` in dimension ``dim``.
+
+    Rows may be given with rational entries; each is stored as
+    ``(tuple[int], int)``, scaled by a positive rational to content 1.
+    """
 
     dim: int
-    rows: tuple[tuple[tuple[int, ...], Fraction], ...]
+    rows: tuple[tuple[tuple[int, ...], int], ...]
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -274,13 +279,13 @@ def _implied(target, others, dim) -> bool:
     combined right-hand side does not exceed b; by LP duality the test is
     exact for feasible ``others``.  With the target ``0 <= -1`` it is Farkas'
     lemma, so it decides emptiness for any rows (see `feasible`).  Every row
-    has integer coefficients and an integral right-hand side, as `HRep` rows
-    do, so the LP's columns are built as integers.
+    is ``(tuple[int], int)``, as `HRep` rows are, so the LP's columns are
+    built as integers.
     """
     c_t, b_t = target
     eq_rows = [[c[k] for c, _ in others] + [0] for k in range(dim)]
-    eq_rows.append([b.numerator for _, b in others] + [1])
-    return _nonneg_feasible(eq_rows, [*c_t, b_t.numerator])
+    eq_rows.append([b for _, b in others] + [1])
+    return _nonneg_feasible(eq_rows, [*c_t, b_t])
 
 
 def feasible(rows_le, dim) -> bool:
@@ -326,7 +331,7 @@ def remove_redundant(h: HRep) -> HRep:
 
 def _minimal(h: HRep) -> HRep:
     if not feasible(h.rows, h.dim):
-        return HRep(h.dim, (((0,) * h.dim, Fraction(-1)),))
+        return HRep(h.dim, (((0,) * h.dim, -1),))
     return HRep(h.dim, tuple(h.rows[i] for i in _irredundant_indices(h.rows, h.dim)))
 
 
@@ -453,12 +458,12 @@ def vrep_to_hrep(v: VRep) -> HRep:
     if not v.vertices:
         raise PolyhedralError("empty vertex set")
     dim = len(v.vertices[0])
-    gens = [tuple([-x for x in vert] + [Fraction(-1)]) for vert in v.vertices]
-    gens += [tuple([-x for x in ray] + [Fraction(0)]) for ray in v.rays]
+    gens = [tuple([-x for x in vert] + [-1]) for vert in v.vertices]
+    gens += [tuple([-x for x in ray] + [0]) for ray in v.rays]
     gens = [_normalize_row(g, 0)[0] for g in gens]
     facets = _dd_rays(gens, dim + 1)
     # a dual ray (y, y0) certifies y.x + y0 >= 0 on the hull
-    rows = [(tuple(-c for c in f[:dim]), Fraction(f[dim])) for f in facets]
+    rows = [(tuple(-c for c in f[:dim]), f[dim]) for f in facets]
     return HRep(dim, tuple(rows))
 
 
@@ -528,7 +533,7 @@ def _face_lattice(h: HRep) -> FaceLattice:
     scaled = [[x.numerator * (den // x.denominator) for x in v] for v in points]
     incidences = []
     for row, b in minimal.rows:
-        target = b.numerator * den
+        target = b * den
         bits = 0
         for vi, v in enumerate(scaled):
             if sum(c * x for c, x in zip(row, v)) == target:
@@ -690,6 +695,8 @@ def verify_unimodular_map(p: HRep, q: HRep, matrix, shift) -> bool:
     d = det_int([[int(x) for x in row] for row in matrix])
     if d not in (1, -1):
         raise PolyhedralError(f"matrix determinant is {d}, not +-1")
+    if len(shift) != p.dim or any(int(x) != x for x in shift):
+        raise PolyhedralError("unimodular map needs an integer shift of length dim")
     vp = to_vrep(p, bounded_expected=True).vertices
     vq = set(to_vrep(q, bounded_expected=True).vertices)
     image = {tuple(a + s for a, s in zip(mat_vec(matrix, v), shift)) for v in vp}

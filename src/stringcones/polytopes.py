@@ -19,25 +19,23 @@ partial sums lambda_{>=k} on top and trailing zeros closing each row pair.
 The words of one commutation class have string polytopes that differ only
 by a renaming of coordinates: a commutation move swaps two coordinates of
 the string cone, and two commuting letters pair to zero, so it swaps two
-rows of the weight cone as well.  `string_polytope` rewrites the rows in
-`heap_coordinates` and keys a class entry on ``(type, dim, sorted rows)``,
-right-hand sides included; the polytope shares its minimal rows and its
-f-vector through that entry (`HRep.share`), so the redundancy LP and the
-face lattice run once per class.  A hit is sound for any words, since the
-key is the row set, but only for a full-dimensional polytope is the minimal
-system the facet set whatever the row order.  So a polytope shares only at
-a regular weight, where it is full-dimensional: ``k P_lambda`` holds
-``dim V(k lambda)`` lattice points, a polynomial of degree N in k.  A word
-with no adjacent commuting pair is alone in its class, so it builds no key.
+rows of the weight cone as well.  `string_polytope` looks its rows
+``(tuple[int], int)``, right-hand sides included, up in `cones.class_entry`
+and shares its minimal rows and f-vector through that entry (`HRep.share`),
+so the redundancy LP and the face lattice run once per class.  A hit is
+sound for any words, since the key is the row set, but only for a
+full-dimensional polytope is the minimal system the facet set whatever the
+row order.  So a polytope shares only at a regular weight, where it is
+full-dimensional: ``k P_lambda`` holds ``dim V(k lambda)`` lattice points,
+a polynomial of degree N in k.  A word with no adjacent commuting pair is
+alone in its class, so it builds no key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
-from .cones import FACET_CACHE_SIZE, string_cone
+from .cones import class_entry, string_cone
 from .polyhedra import HRep, remove_redundant, search_unimodular_equivalence
 from .weyl import (
     LieType,
@@ -46,7 +44,6 @@ from .weyl import (
     cartan_pairing,
     enumerate_reduced_words,
     gt_adapted_word,
-    heap_coordinates,
 )
 
 __all__ = [
@@ -75,17 +72,8 @@ def lambda_cone(w: ReducedWord, lam: Weight) -> HRep:
         coeffs[k - 1] = 1
         for l in range(k + 1, L + 1):
             coeffs[l - 1] = cartan_pairing(t, w.letters[l - 1], w.letters[k - 1])
-        rows.append((tuple(coeffs), Fraction(lam.coeffs[w.letters[k - 1] - 1])))
+        rows.append((tuple(coeffs), lam.coeffs[w.letters[k - 1] - 1]))
     return HRep(L, tuple(rows))
-
-
-@lru_cache(maxsize=FACET_CACHE_SIZE)
-def _polytope_entry(t: LieType, dim: int, rows: tuple) -> dict:
-    """The class entry of the polytope with these rows (sorted, in heap coordinates).
-
-    Filled by the polytopes that share it (`HRep.share`).
-    """
-    return {}
 
 
 def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
@@ -95,13 +83,10 @@ def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
     with the other words of its commutation class (see the module docstring).
     """
     cone = string_cone(w.lie_type, w, deduplicate=True)
-    cone_rows = tuple((tuple(-c for c in f.coeffs), Fraction(0)) for f in cone.forms)
+    cone_rows = tuple((tuple(-c for c in f.coeffs), 0) for f in cone.forms)
     h = HRep(cone.dim, cone_rows + lambda_cone(w, lam).rows)
     if lam.is_regular and any(abs(a - b) >= 2 for a, b in zip(w.letters, w.letters[1:])):
-        heap = heap_coordinates(w)
-        at = sorted(range(h.dim), key=heap.__getitem__)  # the position of each heap coordinate
-        heap_rows = [(tuple(c[k] for k in at), b) for c, b in h.rows]
-        h.share(_polytope_entry(w.lie_type, h.dim, tuple(sorted(heap_rows))), heap_rows)
+        h.share(*class_entry(w.lie_type, w, h.rows))
     return h
 
 
@@ -151,14 +136,14 @@ def gt_polytope_C(lam: Weight, n: int) -> HRep:
         raise ValueError("needs a dominant weight")
     idx = _gt_index(n)
     N = n * n
-    lam_tail = [Fraction(sum(lam.coeffs[k - 1 :])) for k in range(1, n + 1)] + [Fraction(0)]
+    lam_tail = [sum(lam.coeffs[k - 1 :]) for k in range(1, n + 1)] + [0]
 
-    rows: list[tuple[tuple[int, ...], Fraction]] = []
+    rows: list[tuple[tuple[int, ...], int]] = []
 
     def ge(hi_var, lo_var) -> None:
-        # hi - lo >= 0, each side a coordinate triple or a constant Fraction
+        # hi - lo >= 0, each side a coordinate triple or a constant
         coeffs = [0] * N
-        rhs = Fraction(0)
+        rhs = 0
         if isinstance(hi_var, tuple):
             coeffs[idx[hi_var]] -= 1
         else:
@@ -177,14 +162,14 @@ def gt_polytope_C(lam: Weight, n: int) -> HRep:
         for k in range(1, length):
             ge(("a", i, k), ("b", i + 1, k))
             ge(("b", i + 1, k), ("a", i, k + 1))
-        ge(("a", i, length), Fraction(0))
+        ge(("a", i, length), 0)
     for i in range(2, n + 1):
         length = n - i + 1
         for k in range(1, length + 1):
             ge(("b", i, k), ("a", i, k))
         for k in range(1, length):
             ge(("a", i, k), ("b", i, k + 1))
-        ge(("a", i, length), Fraction(0))
+        ge(("a", i, length), 0)
     return HRep(N, tuple(dict.fromkeys(HRep(N, tuple(rows)).rows)))
 
 

@@ -118,6 +118,13 @@ def test_render_rejects_unknown_highlight(tmp_path):
     assert res.status == 2
 
 
+def test_render_unwritable_output_exit_2(tmp_path):
+    for target in (tmp_path / "missing" / "x.svg", tmp_path):
+        res = run(["render", "C", "2,1,2,1", "-o", str(target)])
+        assert res.status == 2
+        assert res.payload["error"].startswith(f"cannot write {target}")
+
+
 def test_usage_errors():
     assert run(["cone", "C", "1,1,2,2"]).status == 2
     assert run(["nosuchcommand"]).status == 2

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from stringcones import cones, polyhedra
-from stringcones._linalg import mat_vec, primitive
+from stringcones._linalg import primitive
 from stringcones.cones import (
     HRepCone,
     LinForm,
@@ -102,16 +102,6 @@ def test_fold_maps_identities():
             assert fm.double_bc(fm.double_cb(e)) == tuple(2 * x for x in e)
             assert fm.collapse(fm.expand(e)) == fm.double_bc(e)
         assert fm.n_lifted == len(lift(w).letters)
-        exp = fm.expand_matrix()
-        col = fm.collapse_matrix()
-        for k in range(N):
-            e = [0] * N
-            e[k] = 1
-            assert mat_vec(exp, e) == fm.expand(e)
-        for t in range(fm.n_lifted):
-            e = [0] * fm.n_lifted
-            e[t] = 1
-            assert mat_vec(col, e) == fm.collapse(e)
 
 
 def test_functional_B_gamma_consistency():
@@ -303,18 +293,18 @@ def test_cached_facets_match_uncached_lp_on_c4_walks():
         W("C4", "3,2,1,2,4,3,4,2,3,2,4,3,1,2,3,4"),
         W("C4", "3,4,3,2,1,3,4,3,2,3,4,3,1,4,2,1"),
     ]
-    cones._facet_entry.cache_clear()
+    cones._class_entry.cache_clear()
     for start in starts:
         walked = {commutation_walk(start, steps, rng) for steps in (0, 5, 11, 17)}
         assert len(walked) >= min(3, len(commutation_class(start)))
         for w in walked:
             assert_facets_match_oracle(c4, w)
-    assert cones._facet_entry.cache_info().misses == len(starts)
+    assert cones._class_entry.cache_info().misses == len(starts)
 
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Counts redundancy LP sets, starting from an empty facet cache."""
+    """Counts redundancy LP sets, starting from an empty class cache."""
     calls = []
     lp = polyhedra.irredundant_cone_rows
 
@@ -323,9 +313,9 @@ def lp_calls(monkeypatch):
         return lp(rows, dim)
 
     monkeypatch.setattr(polyhedra, "irredundant_cone_rows", counting)
-    cones._facet_entry.cache_clear()
+    cones._class_entry.cache_clear()
     yield calls
-    cones._facet_entry.cache_clear()
+    cones._class_entry.cache_clear()
 
 
 @pytest.mark.parametrize("type_text", ["A4", "B3", "C3"])
@@ -343,11 +333,11 @@ def test_facet_cache_keeps_types_apart(lp_calls):
     for t in (LieType("B", 3), LieType("C", 3), LieType("B", 3)):
         irredundant_facets(t, w)
     assert len(lp_calls) == 2
-    rows = ((-1, 0), (0, -1))
-    entries = [cones._facet_entry(LieType(family, 2), 2, rows) for family in "BC"]
+    rows = (((-1, 0), 0), ((0, -1), 0))
+    entries = [cones._class_entry(LieType(family, 2), rows) for family in "BC"]
     assert entries[0] is not entries[1]
-    assert cones._facet_entry.cache_info().currsize == 4
-    assert cones._facet_entry.cache_info().maxsize == cones.FACET_CACHE_SIZE < 10**6
+    assert cones._class_entry.cache_info().currsize == 4
+    assert cones._class_entry.cache_info().maxsize == cones.CLASS_CACHE_SIZE < 10**6
 
 
 def test_facet_cache_keys_on_the_row_set(lp_calls, monkeypatch):

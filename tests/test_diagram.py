@@ -6,7 +6,6 @@ from stringcones.diagram import (
     build_diagram,
     build_symp_diagram,
     chamber_structure,
-    diagram_json,
     orient,
 )
 from stringcones.weyl import LieType, ReducedWord, enumerate_reduced_words, lift
@@ -59,6 +58,7 @@ def test_chamber_structure_worked_example():
     ch = chamber_structure(d)
     assert ch.u_form(3) == (0, 0, 1, -1, -1, 1)
     assert ch.u_form(4) == (0, 0, 0, 1, 0, -1)
+    assert (ch.i_plus[2], ch.i_minus[2]) == ({3, 6}, {4, 5})
     assert ch.det in (1, -1)
 
 
@@ -127,16 +127,3 @@ def test_orientations():
     assert odb.up_count == 3 and odb.k_display == "2b"
     with pytest.raises(ValueError):
         orient(sd, 3)
-
-
-def test_diagram_json():
-    sd = build_symp_diagram(w("2,1,2,1", "C", 2))
-    data = diagram_json(sd)
-    assert data["wire_count"] == 4
-    assert data["wall_nodes"] == [1, 4]
-    assert data["nodes"][0]["label"] == "t1"
-    assert len(data["chambers"]) == 6
-    d = build_diagram(w("1,3,2,1,3,2"))
-    data2 = diagram_json(d)
-    assert data2["chambers"][2]["plus"] == [3, 6]
-    assert data2["chambers"][2]["minus"] == [4, 5]

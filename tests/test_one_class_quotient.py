@@ -1,0 +1,83 @@
+"""The commutation-class quotient is taken in one place.
+
+String cones and string polytopes share their minimal rows across a
+commutation class through `cones.class_entry`, which rewrites rows in
+`weyl.heap_coordinates` and keys one bounded cache on them.  Outside
+``weyl.py`` (which defines heap coordinates) only ``cones.py`` may name
+``heap_coordinates``, and it keeps one ``lru_cache``.  A module holding
+class entries (it names ``class_entry``) keeps no cache of its own, so
+the quotient cannot fork again into a second copy of the key and cache.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import stringcones
+
+SOURCES = sorted(Path(stringcones.__file__).parent.glob("*.py"))
+
+
+def _names(node) -> set[str]:
+    """The names an AST node mentions: plain names, attributes and imports."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.ImportFrom):
+        return {alias.name for alias in node.names}
+    return set()
+
+
+def _is_cache(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return bool(_names(target) & {"lru_cache", "cache"})
+
+
+def quotient_forks(source: str, filename: str) -> list[int]:
+    """Line numbers in ``source`` that take the class quotient outside its one place."""
+    if filename == "weyl.py":
+        return []
+    tree = ast.parse(source)
+    mentioned = set().union(*(_names(node) for node in ast.walk(tree)))
+    caches = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_is_cache(d) for d in node.decorator_list)
+    ]
+    if filename == "cones.py":
+        return caches[1:]
+    found = [node.lineno for node in ast.walk(tree) if "heap_coordinates" in _names(node)]
+    if mentioned & {"heap_coordinates", "class_entry"}:
+        found += caches
+    return sorted(set(found))
+
+
+def test_the_class_quotient_has_one_home():
+    assert SOURCES
+    found = {}
+    for path in SOURCES:
+        lines = quotient_forks(path.read_text(), path.name)
+        if lines:
+            found[path.name] = lines
+    assert not found, f"the class quotient is taken outside cones.class_entry: {found}"
+
+
+@pytest.mark.parametrize(
+    "filename,source,bad",
+    [
+        ("cones.py", "@lru_cache(maxsize=8)\ndef f(rows): pass\nheap_coordinates(w)", False),
+        ("weyl.py", "def heap_coordinates(w): pass\nheap_coordinates(w)", False),
+        ("polytopes.py", "from .cones import class_entry\nclass_entry(t, w, rows)", False),
+        ("paths.py", "@lru_cache(maxsize=8)\ndef f(x): pass", False),
+        ("polytopes.py", "from .weyl import heap_coordinates", True),
+        ("polytopes.py", "heap = heap_coordinates(w)", True),
+        ("verify.py", "heap = weyl.heap_coordinates(w)", True),
+        ("polytopes.py", "@lru_cache(maxsize=8)\ndef f(rows): pass\nclass_entry(t, w, rows)", True),
+        ("cones.py", "@lru_cache(maxsize=8)\ndef f(r): pass\n@functools.lru_cache(4)\ndef g(r): pass", True),
+    ],
+)
+def test_the_scan_finds_a_fork(filename, source, bad):
+    assert bool(quotient_forks(source, filename)) == bad

@@ -9,6 +9,7 @@ from math import lcm
 import pytest
 
 from stringcones import polyhedra
+from stringcones.cli import _load_polytope
 from stringcones.cones import string_cone
 from stringcones._linalg import det_int, rank_int
 from stringcones.polyhedra import (
@@ -31,7 +32,8 @@ from stringcones.polyhedra import (
     verify_unimodular_map,
     vrep_to_hrep,
 )
-from stringcones.weyl import LieType, enumerate_reduced_words
+from stringcones.polytopes import gt_polytope_C
+from stringcones.weyl import LieType, Weight, enumerate_reduced_words
 
 SQUARE = HRep(2, (((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)))
 
@@ -553,6 +555,38 @@ def test_verify_unimodular_map():
     assert verify_unimodular_map(SQUARE, sheared, shear, (0, 0))
     with pytest.raises(PolyhedralError):
         verify_unimodular_map(SQUARE, SQUARE, ((2, 0), (0, 1)), (0, 0))
+
+
+def test_verify_unimodular_map_rejects_a_bad_shift():
+    # x -> x + 1/3 maps [0, 1/3] onto [1/3, 2/3], but the two segments hold
+    # one lattice point and none: the shift must be an integer vector
+    third = HRep(1, (((1,), F(1, 3)), ((-1,), 0)))
+    moved = HRep(1, (((1,), F(2, 3)), ((-1,), F(-1, 3))))
+    with pytest.raises(PolyhedralError):
+        verify_unimodular_map(third, moved, ((1,),), (F(1, 3),))
+    unit = HRep(1, (((1,), 1), ((-1,), 0)))
+    with pytest.raises(PolyhedralError):
+        verify_unimodular_map(unit, unit, ((1,),), (0, 5))
+    assert verify_unimodular_map(unit, unit, ((-1,),), (1,))
+
+
+def test_every_right_hand_side_is_an_int(tmp_path):
+    source = tmp_path / "p.json"
+    source.write_text('{"dim": 2, "rows": [[1, 0, [3, 2]], [0, 2, 1], [-1, -1, 0]]}')
+    gt = gt_polytope_C(Weight.rho(LieType("C", 2)), 2)
+    systems = [
+        HRep(2, (((F(1, 2), 1), F(3, 4)), ((-1, 0), F(0)), ((0, -1), F(-0)))),
+        _load_polytope(str(source)),
+        gt,
+        dilate(gt, 3),
+        vrep_to_hrep(VRep(((F(1, 2), 0), (0, F(1, 3)), (1, 1)), ())),
+        remove_redundant(HRep(1, (((1,), 0), ((-1,), -1)))),
+        HRep(3, ()),
+    ]
+    for h in systems:
+        for c, b in h.rows:
+            assert all(type(x) is int for x in c) and type(b) is int, (c, b)
+    assert systems[0].rows[0] == ((2, 4), 3)
 
 
 def test_chamber_change_is_unimodular_on_a_cone_section():

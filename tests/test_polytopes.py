@@ -4,7 +4,7 @@ from math import factorial, prod
 
 import pytest
 
-from stringcones import polyhedra, polytopes, verify
+from stringcones import cones, polyhedra, verify
 from stringcones._linalg import rank_int
 from stringcones.polyhedra import (
     HRep,
@@ -16,6 +16,7 @@ from stringcones.polyhedra import (
     search_unimodular_equivalence,
     to_vrep,
 )
+from stringcones.cones import irredundant_facets, string_cone
 from stringcones.polytopes import (
     gt_coordinate_names,
     gt_polytope_C,
@@ -240,10 +241,10 @@ def fresh(h):
 
 @pytest.fixture
 def empty_entries():
-    """An empty polytope cache before and after the test."""
-    polytopes._polytope_entry.cache_clear()
-    yield polytopes._polytope_entry
-    polytopes._polytope_entry.cache_clear()
+    """An empty class cache before and after the test."""
+    cones._class_entry.cache_clear()
+    yield cones._class_entry
+    cones._class_entry.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -285,6 +286,46 @@ def test_one_redundancy_lp_per_commutation_class(empty_entries, monkeypatch):
     assert len(calls) == 14  # 42 words, 14 classes, two of them words alone
 
 
+def test_cones_and_polytopes_share_one_class_cache(empty_entries, monkeypatch):
+    cone_lps, polytope_lps = [], []
+    cone_lp, polytope_lp = polyhedra.irredundant_cone_rows, polyhedra._minimal
+
+    def counted_cone_lp(rows, dim):
+        cone_lps.append(dim)
+        return cone_lp(rows, dim)
+
+    def counted_polytope_lp(h):
+        polytope_lps.append(h)
+        return polytope_lp(h)
+
+    monkeypatch.setattr(polyhedra, "irredundant_cone_rows", counted_cone_lp)
+    monkeypatch.setattr(polyhedra, "_minimal", counted_polytope_lp)
+    c3 = LieType("C", 3)
+    rho = Weight.rho(c3)
+    classes = []
+    for w in enumerate_reduced_words(c3):
+        if not any(w in cls for cls in classes):
+            classes.append(commutation_class(w))
+    for cls in classes:
+        before = len(cone_lps), len(polytope_lps)
+        for w in sorted(cls, key=str):
+            irredundant_facets(c3, w)
+            remove_redundant(string_polytope(w, rho))
+        assert (len(cone_lps), len(polytope_lps)) == (before[0] + 1, before[1] + 1), cls
+    # 14 cone entries and 12 polytope entries: two classes are words alone
+    assert empty_entries.cache_info().currsize == empty_entries.cache_info().misses == 26
+    for cls in classes:
+        w = min(cls, key=str)
+        cone_rows = [(tuple(-c for c in f.coeffs), 0) for f in string_cone(c3, w, True).forms]
+        cone_entry, _ = cones.class_entry(c3, w, cone_rows)
+        assert all(b == 0 for _, b in cone_entry["minimal"])
+        if len(cls) > 1:
+            polytope_entry, _ = cones.class_entry(c3, w, string_polytope(w, rho).rows)
+            assert polytope_entry is not cone_entry
+            assert any(b > 0 for _, b in polytope_entry["minimal"])
+    assert empty_entries.cache_info().currsize == 26  # every lookup above was a hit
+
+
 def test_braid_class_is_refuted_from_one_face_lattice(empty_entries, monkeypatch):
     rho = Weight.rho(LieType("C", 3))
     gt = gt_polytope_C(rho, 3)
@@ -317,4 +358,4 @@ def test_no_share_off_the_gate(empty_entries):
         if w.rank == 2:
             assert f_vector(h) == f_vector(fresh(h))
     assert empty_entries.cache_info().currsize == 0
-    assert empty_entries.cache_info().maxsize == polytopes.FACET_CACHE_SIZE
+    assert empty_entries.cache_info().maxsize == cones.CLASS_CACHE_SIZE
