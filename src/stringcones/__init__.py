@@ -20,4 +20,18 @@ from .weyl import (
     longest_length,
 )
 
+__all__ = [
+    "LieType",
+    "ReducedWord",
+    "Weight",
+    "braid_variant_word",
+    "cartan_pairing",
+    "contract",
+    "enumerate_reduced_words",
+    "gt_adapted_word",
+    "is_reduced",
+    "lift",
+    "longest_length",
+]
+
 __version__ = "0.1.0"

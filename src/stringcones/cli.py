@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polyhedra, polytopes
-from .cones import facet_count, irredundant_facets, string_cone
+from .cones import irredundant_facets, string_cone
 from .diagram import (
     SympWiringDiagram,
     WiringDiagram,
@@ -104,7 +104,7 @@ def _load_polytope(source: str) -> polyhedra.HRep:
             *coeffs, rhs = row
             if isinstance(rhs, list):
                 rhs = Fraction(rhs[0], rhs[1])
-            rows.append((tuple(coeffs), Fraction(rhs)))
+            rows.append((tuple(Fraction(x) for x in coeffs), Fraction(rhs)))
         return polyhedra.HRep(data["dim"], tuple(rows))
     except (TypeError, IndexError, ZeroDivisionError) as exc:
         raise ValueError(f"{source}: malformed row: {exc}") from exc

@@ -78,9 +78,6 @@ class LinForm:
             raise ValueError("cannot add forms on different spaces")
         return LinForm(self.space, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def scaled(self, factor: int) -> "LinForm":
-        return LinForm(self.space, tuple(factor * c for c in self.coeffs))
-
     def halved(self) -> "LinForm":
         if any(c % 2 for c in self.coeffs):
             raise ValueError("form has odd coefficients; cannot halve exactly")

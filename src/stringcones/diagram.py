@@ -168,9 +168,6 @@ class WiringDiagram:
             return pts[a : b + 1]
         return tuple(reversed(pts[b : a + 1]))
 
-    def bottom_position(self, wire: int) -> int:
-        return self.m + 1 - wire
-
     # -- chambers -----------------------------------------------------------
 
     def chamber_rep_point(self, j: int) -> tuple[Fraction, Fraction]:
@@ -294,9 +291,6 @@ class SympWiringDiagram:
     def anode(self, kind: str, j: int) -> int:
         return self._anode_of[(kind, j)]
 
-    def letter_of_node(self, a_index: int) -> int:
-        return self.word.letters[self.label(a_index)[1] - 1]
-
     def on_wall(self, a_index: int) -> bool:
         return a_index in self.wall_nodes
 
@@ -305,9 +299,6 @@ class SympWiringDiagram:
         if self.on_wall(a_index):
             return a_index
         return self.anode("t" if kind == "tbar" else "tbar", j)
-
-    def mirror_wire(self, wire: int) -> int:
-        return 2 * self.n + 1 - wire
 
     def wire_name(self, wire: int) -> str:
         if wire <= self.n:
@@ -369,18 +360,12 @@ def build_symp_diagram(w: ReducedWord) -> SympWiringDiagram:
     return SympWiringDiagram(w)
 
 
-def orient(d: WiringDiagram | SympWiringDiagram, k: int, barred: bool = False) -> OrientedDiagram:
-    """Orient a diagram: wires 1..k upward (or 1..n, nb..kb for barred k)."""
+def orient(d: WiringDiagram | SympWiringDiagram, k: int) -> OrientedDiagram:
+    """Orient a diagram: wires 1..k upward."""
     if isinstance(d, SympWiringDiagram):
-        if barred:
-            if not 2 <= k <= d.n:
-                raise ValueError(f"barred orientation index {k} out of range 2..{d.n}")
-            return OrientedDiagram(d, 2 * d.n + 1 - k)
         if not 1 <= k <= d.n:
             raise ValueError(f"orientation index {k} out of range 1..{d.n}")
         return OrientedDiagram(d, k)
-    if barred:
-        raise ValueError("barred orientations only exist on symplectic diagrams")
     if not 1 <= k <= d.m - 1:
         raise ValueError(f"orientation index {k} out of range 1..{d.m - 1}")
     return OrientedDiagram(d, k)

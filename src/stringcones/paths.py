@@ -69,10 +69,6 @@ class RigorousPath:
         return self.k
 
     @property
-    def end_wire(self) -> int:
-        return self.k + 1
-
-    @property
     def node_expression(self) -> tuple[int, ...]:
         return tuple(j for j, switched in self.events if switched)
 

@@ -19,16 +19,17 @@ The pieces:
   such a combination of its rows, so `feasible` is the same test;
 * double description with lexicographic insertion for vertex/ray
   enumeration, both directions;
-* the face lattice from the integer vertex-facet incidences alone: the
-  facets of a face F are the maximal proper non-empty ``F & inc`` (each
+* the face lattice from one integer vertex-facet incidence table (in any
+  dimension each facet is the tight set of one row, see `_face_lattice`):
+  the facets of a face F are the maximal proper non-empty ``F & inc`` (each
   proper face of F lies in one whose facet inc does not contain F), and
   the lattice is graded, so the closure down from the polytope dates each
   face by this covering relation, with no linear algebra; f-vectors; exact
   volumes by recursive triangulation over the same covering relation;
 * lattice-point counting by bounded coordinate recursion;
-* unimodular equivalence decided from the face lattices: dimension,
-  f-vector and integrality, then a complete anchored search for an explicit
-  integer map, whose exhaustion certifies inequivalence.
+* unimodular equivalence: dimension, f-vector and integrality, then a
+  complete anchored search for an explicit integer map over the edges read
+  from the incidences, whose exhaustion certifies inequivalence.
 
 `HRep` is the one polytope object: `remove_redundant`, `to_vrep`,
 `face_lattice` and `f_vector` compute their result once per instance and keep
@@ -44,17 +45,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import lcm
 
 from ._linalg import (
     content,
     det_int,
-    echelon,
     independent_rows,
     inverse_int,
     mat_vec,
     nullspace_vector,
     primitive,
+    rank_int,
 )
 
 __all__ = [
@@ -97,7 +98,7 @@ class ResourceLimit(RuntimeError):
 
 def _normalize_row(coeffs, rhs) -> tuple[tuple[int, ...], int]:
     """Scale a row to integer coefficients and right-hand side with content 1."""
-    ints = _integral([Fraction(x) for x in (*coeffs, rhs)])
+    ints = _integral((*coeffs, rhs))
     g = content(ints)
     if g > 1:
         ints = [x // g for x in ints]
@@ -108,7 +109,7 @@ def _normalize_row(coeffs, rhs) -> tuple[tuple[int, ...], int]:
 class HRep:
     """Intersection of half-spaces ``c . x <= b`` in dimension ``dim``.
 
-    Rows may be given with rational entries; each is stored as
+    Rows may be given with int or Fraction entries; each is stored as
     ``(tuple[int], int)``, scaled by a positive rational to content 1.
     """
 
@@ -351,12 +352,11 @@ def irredundant_cone_rows(rows, dim) -> list[int]:
 def _dd_rays(rows, dim):
     """Extreme rays of the pointed cone ``{x : c . x <= 0 for all rows}``.
 
-    Rows that do not span the dual space raise `PolyhedralError`: the cone
-    contains a line (or, for the dual cone of a V-representation, the points
-    are not full-dimensional).  Insertion order is lexicographic for
-    determinism.
+    The rows are primitive integer tuples.  Rows that do not span the dual
+    space raise `PolyhedralError`: the cone contains a line (or, for the dual
+    cone of a V-representation, the points are not full-dimensional).
+    Insertion order is lexicographic for determinism.
     """
-    rows = [primitive(r) for r in rows]
     init_idx = independent_rows(rows)
     if len(init_idx) != dim:
         raise PolyhedralError(
@@ -438,7 +438,7 @@ def _vrep(h: HRep) -> VRep:
     if cone:
         rows = [c for c, _ in h.rows]
     else:  # the homogenized system, with homogenizing coordinate >= 0
-        rows = [_normalize_row((*c, -b), 0)[0] for c, b in h.rows] + [(0,) * h.dim + (-1,)]
+        rows = [(*c, -b) for c, b in h.rows] + [(0,) * h.dim + (-1,)]
     witness = nullspace_vector(rows) if rows else None
     if witness is not None:
         raise Unbounded(
@@ -488,22 +488,8 @@ class FaceLattice:
             counts[d + 1] += 1
         return tuple(counts)
 
-    def faces_of_dim(self, d: int) -> list[int]:
-        return [bits for bits, fd in self.faces if fd == d]
-
     def tight_facets(self, bits: int) -> list[int]:
         return [i for i, inc in enumerate(self.incidences) if bits & ~inc == 0]
-
-
-def _affine_reduce(vertices):
-    """Exact coordinates of the vertices inside their own affine hull.
-
-    The differences ``v - v0`` are projected onto the pivot columns of their
-    echelon form; that projection is injective on the affine hull.
-    """
-    v0 = vertices[0]
-    pivots = echelon([[a - b for a, b in zip(v, v0)] for v in vertices[1:]])[1]
-    return [tuple(v[c] - v0[c] for c in pivots) for v in vertices], len(pivots)
 
 
 def face_lattice(h: HRep) -> FaceLattice:
@@ -512,7 +498,16 @@ def face_lattice(h: HRep) -> FaceLattice:
 
 
 def _face_lattice(h: HRep) -> FaceLattice:
-    """Faces from the integer vertex-facet incidences, dated by covering.
+    """Faces from one integer vertex-facet incidence table, dated by covering.
+
+    The vertices are scaled once by their common denominator, and each row
+    of the minimal system gives the vertices tight at it.  In any dimension,
+    every facet F of a polytope P is the tight set of one row of any system
+    defining P: a row tight on F but not on all of P cuts out a proper face
+    containing F, which is F itself.  So the facets are the maximal proper
+    non-empty tight sets, kept as first copies in row order; on a
+    full-dimensional P the minimal rows are exactly the facets.  The
+    dimension is the rank of the integer differences to one vertex.
 
     Level by level down from the polytope, a face's facets come from
     `_facets_of`.  The lattice is graded and a (k - 1)-face is a facet only
@@ -522,25 +517,21 @@ def _face_lattice(h: HRep) -> FaceLattice:
     verts = to_vrep(h, bounded_expected=True).vertices
     if not verts:
         raise PolyhedralError("empty polytope has no face lattice")
-    reduced, dim = _affine_reduce(verts)
-    if dim == 0:
-        return FaceLattice(0, verts, tuple(), (((1 << len(verts)) - 1, 0),))
-    if dim == h.dim:
-        points, minimal = verts, remove_redundant(h)
-    else:
-        points, minimal = reduced, vrep_to_hrep(VRep(tuple(reduced), ()))
-    den = lcm(*(x.denominator for v in points for x in v))
-    scaled = [[x.numerator * (den // x.denominator) for x in v] for v in points]
-    incidences = []
-    for row, b in minimal.rows:
+    den = lcm(*(x.denominator for v in verts for x in v))
+    scaled = [[x.numerator * (den // x.denominator) for x in v] for v in verts]
+    dim = rank_int([[a - b for a, b in zip(v, scaled[0])] for v in scaled[1:]])
+    tight = []
+    for row, b in remove_redundant(h).rows:
         target = b * den
         bits = 0
         for vi, v in enumerate(scaled):
             if sum(c * x for c, x in zip(row, v)) == target:
                 bits |= 1 << vi
-        incidences.append(bits)
-
+        tight.append(bits)
     top = (1 << len(verts)) - 1
+    facets = set(_facets_of(top, tight))
+    incidences = tuple(dict.fromkeys(bits for bits in tight if bits in facets))
+
     dims = {top: dim}
     level = [top]
     while level:
@@ -551,7 +542,7 @@ def _face_lattice(h: HRep) -> FaceLattice:
                     dims[sub] = dims[bits] - 1
                     below.append(sub)
         level = below
-    return FaceLattice(dim, verts, tuple(incidences), tuple(sorted(dims.items())))
+    return FaceLattice(dim, verts, incidences, tuple(sorted(dims.items())))
 
 
 def _facets_of(bits: int, incidences) -> list[int]:
@@ -591,7 +582,8 @@ def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
     """Exact number of integer points, by recursion over the coordinates.
 
     Coordinates are fixed from the last to the first, inside the vertices'
-    integer box, with interval pruning against the outstanding rows.  At its
+    integer box, with interval pruning against the outstanding rows.  Rows
+    and box are integral, so each bound is one integer division.  At its
     lowest nonzero coordinate a row's bound is exact, so every leaf reached
     satisfies every row (all-zero rows are settled by `feasible`).  Visiting
     more than ``cap`` partial assignments raises `ResourceLimit`.
@@ -603,8 +595,8 @@ def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
     if d == 0:
         return 1
     verts = to_vrep(h, bounded_expected=True).vertices
-    box_lo = [ceil(min(v[k] for v in verts)) for k in range(d)]
-    box_hi = [floor(max(v[k] for v in verts)) for k in range(d)]
+    box_lo = [-(-min(v[k] for v in verts) // 1) for k in range(d)]
+    box_hi = [max(v[k] for v in verts) // 1 for k in range(d)]
     visits = 0
 
     def count(k: int, partial) -> int:
@@ -613,12 +605,12 @@ def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
         visits += 1
         if visits > cap:
             raise ResourceLimit(f"lattice point enumeration exceeded {cap} nodes")
-        lo_k, hi_k = Fraction(box_lo[k]), Fraction(box_hi[k])
+        lo_k, hi_k = box_lo[k], box_hi[k]
         for c, b in h.rows:
             ck = c[k]
             if ck == 0:
                 continue
-            slack = Fraction(b)
+            slack = b
             for idx in range(k + 1, d):
                 slack -= c[idx] * partial[idx]
             for idx in range(k):
@@ -628,16 +620,16 @@ def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
                 elif contrib < 0:
                     slack -= contrib * box_hi[idx]
             if ck > 0:
-                hi_k = min(hi_k, slack / ck)
+                hi_k = min(hi_k, slack // ck)
             else:
-                lo_k = max(lo_k, slack / ck)
+                lo_k = max(lo_k, -(-slack // ck))
         if lo_k > hi_k:
             return 0
         if k == 0:
-            return floor(hi_k) - ceil(lo_k) + 1
+            return hi_k - lo_k + 1
         total = 0
-        for val in range(ceil(lo_k), floor(hi_k) + 1):
-            partial[k] = Fraction(val)
+        for val in range(lo_k, hi_k + 1):
+            partial[k] = val
             total += count(k - 1, partial)
         partial[k] = None
         return total
@@ -714,23 +706,31 @@ class EquivalenceResult:
     decided_by: str = field(kw_only=True)
 
 
-def _edge_data(lat: FaceLattice, vertex_index: int):
+def _edge_data(lat: FaceLattice, verts, vertex_index: int):
     """Primitive directions, lattice lengths and endpoint degrees of the
-    edges at a vertex."""
-    edges = []
+    edges at a simple vertex.
+
+    ``verts`` are the lattice's vertices times a common denominator, which
+    is the unit of the lengths.  Each edge at the vertex lies on all but one
+    of its tight facets, and its other end is the one other vertex on them.
+    """
     vbit = 1 << vertex_index
-    for bits in lat.faces_of_dim(1):
-        if bits & vbit:
-            other = bits & ~vbit
-            w = other.bit_length() - 1
-            diff = [b - a for a, b in zip(lat.vertices[vertex_index], lat.vertices[w])]
-            denom = lcm(*(x.denominator for x in diff))
-            ints = [int(x * denom) for x in diff]
-            g = content(ints)
-            direction = tuple(x // g for x in ints)
-            length = Fraction(g, denom)
-            degree = len(lat.tight_facets(1 << w))
-            edges.append((direction, length, degree))
+    others = ((1 << len(verts)) - 1) & ~vbit
+    tight = [lat.incidences[i] for i in lat.tight_facets(vbit)]
+    edges = []
+    for skip in range(len(tight)):
+        ends = others
+        for i, inc in enumerate(tight):
+            if i != skip:
+                ends &= inc
+        if ends.bit_count() != 1:
+            raise PolyhedralError(
+                f"vertex {vertex_index} is not simple: {ends.bit_count()} far ends of one edge"
+            )
+        w = ends.bit_length() - 1
+        diff = [b - a for a, b in zip(verts[vertex_index], verts[w])]
+        g = content(diff)
+        edges.append((tuple(x // g for x in diff), g, len(lat.tight_facets(ends))))
     edges.sort()
     return edges
 
@@ -744,13 +744,14 @@ def _simple_vertices(lat: FaceLattice):
 
 
 def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> EquivalenceResult:
-    """Decide unimodular equivalence, reading everything from the face lattices.
+    """Decide unimodular equivalence from f-vectors, vertices and incidences.
 
     The decision order is dimension, f-vector, integrality, then the anchored
     search; a mismatch at any stage certifies inequivalence.  The first two
     stages read `f_vector` (the dimension is its length less two), so a
     shared f-vector decides them without a face lattice; the lattices are
-    built only once both agree.  The search anchors at a simple vertex ``a``
+    built only once both agree, and the search reads only their vertices and
+    incidences (see `_edge_data`).  The search anchors at a simple vertex ``a``
     of ``p`` and tries every simple vertex of ``q`` and every bijection of
     edge stars that preserves each edge's lattice length and opposite-vertex
     facet degree.  The search is complete:
@@ -789,19 +790,20 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
         witness = "no simple vertex to anchor the search"
         return EquivalenceResult("unknown", witness=witness, decided_by="no-simple-vertex")
     anchor = simples_p[0]
-    edges_p = _edge_data(lat_p, anchor)
+    # every vertex scaled by one common denominator, so edges and images are integer tuples
+    den = lcm(*(x.denominator for v in lat_p.vertices + lat_q.vertices for x in v))
+    verts_p = [[int(x * den) for x in v] for v in lat_p.vertices]
+    verts_q = [tuple(int(x * den) for x in v) for v in lat_q.vertices]
+    vertex_set_q = set(verts_q)
+    edges_p = _edge_data(lat_p, verts_p, anchor)
     sig_p = sorted((length, degree) for _, length, degree in edges_p)
     # U = M_q (den_p M_p^-1) / den_p, where M_p has the anchor's edge directions as columns
     inv_p, den_p = inverse_int(list(zip(*(e[0] for e in edges_p))))
-    # every vertex scaled by one common denominator, so images are integer tuples
-    den = lcm(*(x.denominator for v in lat_p.vertices + lat_q.vertices for x in v))
-    verts_p = [[int(x * den) for x in v] for v in lat_p.vertices]
-    verts_q = {tuple(int(x * den) for x in v) for v in lat_q.vertices}
 
     simples_q = _simple_vertices(lat_q)
     matched = tried = 0
     for cand in simples_q:
-        edges_q = _edge_data(lat_q, cand)
+        edges_q = _edge_data(lat_q, verts_q, cand)
         if sorted((length, degree) for _, length, degree in edges_q) != sig_p:
             continue
         matched += 1
@@ -823,7 +825,7 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
                     yield [idx] + rest
                 used.remove(idx)
 
-        cand_q = [int(x * den) for x in lat_q.vertices[cand]]
+        cand_q = verts_q[cand]
         for assign in assignments(0, set()):
             tried += 1
             if tried > budget:
@@ -845,7 +847,7 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
                 continue
             # f_0 agrees and U is injective, so images inside q's vertex set cover it
             if all(
-                tuple(a + s for a, s in zip(mat_vec(u_rows, v), shift)) in verts_q
+                tuple(a + s for a, s in zip(mat_vec(u_rows, v), shift)) in vertex_set_q
                 for v in verts_p
             ):
                 return EquivalenceResult(

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from stringcones.diagram import (
+    OrientedDiagram,
     build_diagram,
     build_symp_diagram,
     chamber_structure,
@@ -123,7 +124,7 @@ def test_orientations():
     sd = build_symp_diagram(w("2,1,2,1", "C", 2))
     od2 = orient(sd, 2)
     assert [od2.is_up(x) for x in (1, 2, 3, 4)] == [True, True, False, False]
-    odb = orient(sd, 2, barred=True)
+    odb = OrientedDiagram(sd, 3)
     assert odb.up_count == 3 and odb.k_display == "2b"
     with pytest.raises(ValueError):
         orient(sd, 3)

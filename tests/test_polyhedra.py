@@ -11,7 +11,7 @@ import pytest
 from stringcones import polyhedra
 from stringcones.cli import _load_polytope
 from stringcones.cones import string_cone
-from stringcones._linalg import det_int, rank_int
+from stringcones._linalg import content, det_int, echelon, rank_int
 from stringcones.polyhedra import (
     HRep,
     PolyhedralError,
@@ -100,13 +100,26 @@ def fraction_nonneg_feasible(eq_rows, rhs) -> bool:
         basis[leave] = enter
 
 
+def _affine_reduce(vertices):
+    """Exact coordinates of the vertices inside their own affine hull.
+
+    The differences ``v - v0`` are projected onto the pivot columns of their
+    echelon form; that projection is injective on the affine hull.
+    """
+    v0 = vertices[0]
+    pivots = echelon([[a - b for a, b in zip(v, v0)] for v in vertices[1:]])[1]
+    return [tuple(v[c] - v0[c] for c in pivots) for v in vertices], len(pivots)
+
+
 def rank_face_lattice(h):
     """Reference for `polyhedra.face_lattice`: the closure of the vertex-facet
-    incidences with one `rank_int` per face for its dimension."""
+    incidences with one `rank_int` per face for its dimension.  A
+    lower-dimensional polytope is projected into its affine hull and its
+    facets come from a second double description there."""
     verts = to_vrep(h, bounded_expected=True).vertices
     if not verts:
         raise PolyhedralError("empty polytope has no face lattice")
-    reduced, dim = polyhedra._affine_reduce(verts)
+    reduced, dim = _affine_reduce(verts)
     if dim == 0:
         return polyhedra.FaceLattice(0, verts, tuple(), (((1 << len(verts)) - 1, 0),))
     minimal = (
@@ -141,7 +154,12 @@ def rank_face_lattice(h):
 
 
 def assert_lattice_matches_rank_oracle(h):
-    """`face_lattice` on a fresh copy of ``h`` equals the oracle's, or both raise alike."""
+    """`face_lattice` on a fresh copy of ``h`` equals the oracle's, or both raise alike.
+
+    On a full-dimensional polytope every field is equal.  On a
+    lower-dimensional one the oracle lists its facets in the order of its
+    second double description, so the incidences are compared as a set.
+    """
     try:
         expected = rank_face_lattice(HRep(h.dim, h.rows))
     except PolyhedralError as exc:
@@ -149,7 +167,11 @@ def assert_lattice_matches_rank_oracle(h):
             face_lattice(HRep(h.dim, h.rows))
         return None
     lat = face_lattice(HRep(h.dim, h.rows))
-    assert lat == expected
+    if expected.dim == h.dim:
+        assert lat == expected
+    else:
+        assert (lat.dim, lat.vertices, lat.faces) == (expected.dim, expected.vertices, expected.faces)
+        assert sorted(lat.incidences) == sorted(expected.incidences)
     return lat
 
 
@@ -396,7 +418,7 @@ def test_face_lattice_matches_rank_oracle_on_rank3_gt_and_braid_variant():
 
 def test_face_lattice_runs_no_elimination_per_face(monkeypatch):
     """A cold GT3 lattice (11,583 faces) runs `echelon` only for its V-rep and
-    affine hull, a constant number of times (it ran once per face before)."""
+    dimension, a constant number of times (it ran once per face before)."""
     from stringcones import _linalg
     from stringcones.polytopes import gt_polytope_C
     from stringcones.weyl import Weight
@@ -408,10 +430,30 @@ def test_face_lattice_runs_no_elimination_per_face(monkeypatch):
         return _echelon(rows)
 
     monkeypatch.setattr(_linalg, "echelon", counted)
-    monkeypatch.setattr(polyhedra, "echelon", counted)
     lat = face_lattice(gt_polytope_C(Weight.rho(LieType("C", 3)), 3))
     assert len(lat.faces) == 11583
     assert 0 < len(calls) <= 4
+
+
+def test_lower_dimensional_face_lattice_runs_one_double_description(monkeypatch):
+    """A cold lower-dimensional lattice reads its facets off the tight sets of
+    its own rows: the V-rep's double description is the only one it runs."""
+    from stringcones.polytopes import string_polytope
+
+    calls = []
+
+    def counted(rows, dim, _dd_rays=polyhedra._dd_rays):
+        calls.append(dim)
+        return _dd_rays(rows, dim)
+
+    monkeypatch.setattr(polyhedra, "_dd_rays", counted)
+    c2 = LieType("C", 2)
+    cut_box = HRep(3, tuple(box(3, 2) + [((1, 1, 0), 1), ((-1, -1, 0), -1)]))
+    for h in (string_polytope(next(enumerate_reduced_words(c2)), Weight(c2, (1, 0))), cut_box):
+        calls.clear()
+        lat = face_lattice(h)
+        assert lat.dim < h.dim
+        assert calls == [h.dim + 1]
 
 
 def test_integrality():
@@ -653,6 +695,63 @@ def test_search_equivalence_refutes():
     assert normalized_volume(p) == normalized_volume(q) == 96
     res3 = search_unimodular_equivalence(p, q)
     assert res3.status == "inequivalent" and "anchored search" in res3.witness
+
+
+def scan_edge_data(lat, vertex_index):
+    """The earlier `polyhedra._edge_data`: the edges at a vertex found by
+    scanning every 1-face, each difference scaled to integers on its own."""
+    edges = []
+    vbit = 1 << vertex_index
+    for bits in [bits for bits, fd in lat.faces if fd == 1]:
+        if bits & vbit:
+            other = bits & ~vbit
+            w = other.bit_length() - 1
+            diff = [b - a for a, b in zip(lat.vertices[vertex_index], lat.vertices[w])]
+            denom = lcm(*(x.denominator for x in diff))
+            ints = [int(x * denom) for x in diff]
+            g = content(ints)
+            direction = tuple(x // g for x in ints)
+            length = F(g, denom)
+            degree = len(lat.tight_facets(1 << w))
+            edges.append((direction, length, degree))
+    edges.sort()
+    return edges
+
+
+def test_edges_from_incidences_match_the_one_face_scan():
+    """At every simple vertex, the edges read off the incidences are the
+    1-faces through it, with equal directions, lengths and degrees: on GT3,
+    the rank-3 braid variant at rho, and every polytope the C2 equivalence
+    workload compares (both words and GT2 at the regular weights with
+    l1 + l2 <= 6)."""
+    from stringcones.polytopes import string_polytope
+    from stringcones.weyl import braid_variant_word
+
+    c2, c3 = LieType("C", 2), LieType("C", 3)
+    rho3 = Weight.rho(c3)
+    polys = [gt_polytope_C(rho3, 3), string_polytope(braid_variant_word(3), rho3)]
+    for total in range(2, 7):
+        for l1 in range(1, total):
+            lam = Weight(c2, (l1, total - l1))
+            polys.append(gt_polytope_C(lam, 2))
+            polys += [string_polytope(w, lam) for w in enumerate_reduced_words(c2)]
+    assert len(polys) == 2 + 15 * 3
+    for h in polys:
+        lat = face_lattice(h)
+        den = lcm(*(x.denominator for v in lat.vertices for x in v))
+        verts = [[int(x * den) for x in v] for v in lat.vertices]
+        simples = polyhedra._simple_vertices(lat)
+        assert simples
+        for vi in simples:
+            edges = [(d, F(g, den), deg) for d, g, deg in polyhedra._edge_data(lat, verts, vi)]
+            assert edges == scan_edge_data(lat, vi)
+
+
+def test_edge_data_refuses_a_vertex_that_is_not_simple():
+    lat = face_lattice(OCTAHEDRON)
+    verts = [[int(x) for x in v] for v in lat.vertices]
+    with pytest.raises(PolyhedralError, match="not simple"):
+        polyhedra._edge_data(lat, verts, 0)
 
 
 def test_search_equivalence_budget_exhaustion_is_unknown():

@@ -4,7 +4,7 @@ from math import factorial, prod
 
 import pytest
 
-from stringcones import cones, polyhedra, verify
+from stringcones import cones, polyhedra, polytopes, verify
 from stringcones._linalg import rank_int
 from stringcones.polyhedra import (
     HRep,
@@ -187,6 +187,30 @@ def test_verify_gt_theorem_rank2():
     assert [str(w) for w in report.equivalent_words] == ["2,1,2,1"]
     refuted = {str(c.word): c.witness for c in report.comparisons if c.status == "refuted"}
     assert "1,2,1,2" in refuted
+
+
+def test_an_unresolved_comparison_is_no_refutation(monkeypatch):
+    """A search that runs out of budget decides nothing: the word is
+    "unresolved", the report is not ok and criterion 8 fails a row."""
+    search = polyhedra.search_unimodular_equivalence
+    other = W("C2", "1,2,1,2")
+    poly_rows = string_polytope(other, Weight.rho(LieType("C", 2))).rows
+
+    def spent_on_the_other_word(p, q, budget=100_000):
+        if p.rows == poly_rows:
+            return polyhedra.EquivalenceResult(
+                "unknown", witness="search budget exhausted", decided_by="budget"
+            )
+        return search(p, q, budget=budget)
+
+    monkeypatch.setattr(polytopes, "search_unimodular_equivalence", spent_on_the_other_word)
+    report = verify_gt_theorem(2)
+    assert {str(c.word): c.status for c in report.comparisons} == {
+        "2,1,2,1": "equivalent",
+        "1,2,1,2": "unresolved",
+    }
+    assert not report.ok()
+    assert not all(ok for _, ok, _ in verify.gt_equivalence(2))
 
 
 def test_polytope_checks_build_the_pattern_polytope_once(monkeypatch):
