@@ -7,6 +7,7 @@ nullspace and inverse are read off its result.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
 
 __all__ = [
@@ -40,20 +41,26 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
-def echelon(rows):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of a rational matrix.
+def echelon(rows, reduced: bool = True):
+    """Fraction-free (Bareiss) elimination of a rational matrix.
 
-    Each row is first scaled to integers.  Every pivot step eliminates above
-    and below the pivot and divides exactly by the previous pivot, so all
-    entries stay integer minors of the scaled matrix.  Returns
-    ``(matrix, pivots, d, sign)``: the integer rows of ``d`` times the reduced
-    row echelon form, the pivot columns in order, the last pivot ``d`` (1 when
-    there is none) and the sign of the row permutation.
+    Each row is first scaled to integers.  Every pivot step eliminates below
+    the pivot, and above it too when ``reduced`` (Gauss-Jordan), dividing
+    exactly by the previous pivot, so all entries stay integer minors of the
+    scaled matrix.  Returns ``(matrix, pivots, d, sign)``: the integer rows of
+    ``d`` times the reduced row echelon form (with ``reduced``; otherwise a
+    row echelon form), the pivot columns in order, the last pivot ``d`` (1
+    when there is none) and the sign of the row permutation.  The rows below
+    a pivot are updated alike in both passes, so pivots, ``d`` and sign agree;
+    the forward pass is all that rank and determinant need.
     """
-    a = []
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        a.append([int(x * scale) for x in row])
+    if set(map(type, chain.from_iterable(rows))) == {int}:
+        a = [list(row) for row in rows]
+    else:
+        a = []
+        for row in rows:
+            scale = lcm(*(x.denominator for x in row))
+            a.append([int(x * scale) for x in row])
     m = len(a)
     pivots: list[int] = []
     prev, sign = 1, 1
@@ -69,10 +76,20 @@ def echelon(rows):
             sign = -sign
         prow = a[r]
         p = prow[c]
-        for i in range(m):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
+        if reduced:
+            for i in range(m):
+                if i != r:
+                    f = a[i][c]
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
+        else:  # rows below r are zero left of c
+            tail = prow[c + 1 :]
+            for row in a[r + 1 :]:
+                f = row[c]
+                if f:
+                    row[c + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[c + 1 :], tail)]
+                    row[c] = 0
+                elif p != prev:
+                    row[c + 1 :] = [p * x // prev for x in row[c + 1 :]]
         pivots.append(c)
         prev = p
     return a, pivots, prev, sign
@@ -80,13 +97,13 @@ def echelon(rows):
 
 def det_int(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix."""
-    _, pivots, d, sign = echelon(rows)
+    _, pivots, d, sign = echelon(rows, reduced=False)
     return sign * d if len(pivots) == len(rows) else 0
 
 
 def rank_int(rows) -> int:
     """Rank of an integer (or Fraction) matrix."""
-    return len(echelon(rows)[1])
+    return len(echelon(rows, reduced=False)[1])
 
 
 def independent_rows(rows) -> list[int]:

@@ -8,13 +8,18 @@ no floating point enters any decision.
 The pieces:
 
 * one LP, a phase-1 tableau deciding whether ``A y = b`` has a solution
-  ``y >= 0``; both questions below are asked of it.  The tableau holds only
+  ``y >= 0``; every question below is asked of it.  The tableau holds only
   integers (Edmonds–Bareiss): every entry is ``det(B)`` times the rational
   tableau's entry for the basis ``B``, each update divides exactly by the
-  previous pivot, and pivots are positive;
+  previous pivot, and pivots are positive.  When there is no solution, its
+  final objective row is an integer Farkas certificate;
 * redundancy removal: an inequality is redundant exactly when it is a
   nonnegative combination of the remaining ones (plus a constant slack),
-  which is the LP dual of maximizing its violation over the rest;
+  which is the LP dual of maximizing its violation over the rest.  First
+  one LP finds a strictly interior point, if there is one, as the
+  certificate that ``0 <= -1`` is no combination of the strict rows; an
+  exact ray from it meets a facet first, so ray shooting certifies most
+  facets with no LP, and the other rows are tested against those first;
 * emptiness by Farkas' lemma: a system is empty exactly when ``0 <= -1`` is
   such a combination of its rows, so `feasible` is the same test;
 * double description with lexicographic insertion for vertex/ray
@@ -46,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul, sub
 
 from ._linalg import (
     content,
@@ -205,18 +211,29 @@ def _memoized(h: HRep, key: str, compute):
 
 
 def _integral(row) -> list[int]:
-    """``row`` (rationals) times the least positive integer making it integral."""
+    """``row`` (rationals) times the least positive integer making it integral.
+
+    An entry that is not an int or a `Fraction` raises `PolyhedralError`.
+    """
     scale = 1
-    for x in row:
-        if x.denominator != 1:
-            scale = lcm(scale, x.denominator)
+    try:
+        for x in row:
+            if x.denominator != 1:
+                scale = lcm(scale, x.denominator)
+    except AttributeError:
+        raise PolyhedralError(f"entry {x!r} is not an int or a Fraction") from None
     if scale == 1:
         return [x.numerator for x in row]
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
 def _nonneg_feasible(eq_rows, rhs) -> bool:
-    """Whether ``A x = b`` (rational entries) has a solution with ``x >= 0``.
+    """Whether ``A x = b`` (rational entries) has a solution with ``x >= 0``."""
+    return _farkas(eq_rows, rhs, False) is None
+
+
+def _farkas(eq_rows, rhs, certify: bool):
+    """None when ``A x = b`` has a solution ``x >= 0``; otherwise a certificate.
 
     A phase-1 tableau kept in integers (Edmonds–Bareiss): each row is scaled
     once to integers, and a pivot updates every other row, the objective row
@@ -229,14 +246,23 @@ def _nonneg_feasible(eq_rows, rhs) -> bool:
     as variable ``n + i``.  On integer rows the pivots are those of the
     rational tableau; on rational rows the scaling reweights the phase-1
     objective, which may change the pivots but not the verdict.
+
+    The objective row is always ``y`` times the rows as given (each pivot
+    combines rows).  With ``certify`` row ``i`` carries the unit vector
+    ``e_i`` after its right-hand side, so the objective row ends with ``y``
+    itself: at the end ``y . A`` (the reduced costs) is ``<= 0`` and ``y . b``
+    (the infeasibility) is ``> 0``, Farkas' certificate that no ``x >= 0``
+    solves the system, returned as a list of ints.  Without ``certify`` the
+    certificate is ``[]``.
     """
     m = len(eq_rows)
     if m == 0:
-        return True
+        return None
     n = len(eq_rows[0])
     tab = []
-    for row, b in zip(eq_rows, rhs):
-        ints = _integral([*row, b])
+    for i, (row, b) in enumerate(zip(eq_rows, rhs)):
+        unit = [int(k == i) for k in range(m)] if certify else []
+        ints = _integral([*row, b, *unit])
         tab.append(ints if ints[n] >= 0 else [-x for x in ints])
     obj = [sum(col) for col in zip(*tab)]
     basis = list(range(n, n + m))  # n + i is the artificial variable of row i
@@ -244,7 +270,7 @@ def _nonneg_feasible(eq_rows, rhs) -> bool:
     while True:
         enter = next((j for j in range(n) if obj[j] > 0), None)
         if enter is None:
-            return obj[n] == 0
+            break
         leave = None
         for i, row in enumerate(tab):
             a = row[enter]
@@ -257,7 +283,7 @@ def _nonneg_feasible(eq_rows, rhs) -> bool:
                 if here < best or (here == best and basis[i] < basis[leave]):
                     leave, a_best, b_best = i, a, row[n]
         if leave is None:
-            return obj[n] == 0  # unbounded cannot happen for phase 1
+            break  # unbounded cannot happen for phase 1
         prow = tab[leave]
         piv = prow[enter]
         for i, row in enumerate(tab):
@@ -271,6 +297,7 @@ def _nonneg_feasible(eq_rows, rhs) -> bool:
         obj = [(piv * x - f * y) // den for x, y in zip(obj, prow)]
         basis[leave] = enter
         den = piv
+    return None if obj[n] == 0 else obj[n + 1 :]
 
 
 def _implied(target, others, dim) -> bool:
@@ -283,10 +310,16 @@ def _implied(target, others, dim) -> bool:
     is ``(tuple[int], int)``, as `HRep` rows are, so the LP's columns are
     built as integers.
     """
+    return _nonneg_feasible(*_combination_lp(target, others, dim))
+
+
+def _combination_lp(target, others, dim):
+    """``(A, b)`` such that ``A y = b`` with ``y >= 0`` writes ``target`` as a
+    nonnegative combination of ``others`` plus the slack ``0 . x <= 1``."""
     c_t, b_t = target
     eq_rows = [[c[k] for c, _ in others] + [0] for k in range(dim)]
     eq_rows.append([b for _, b in others] + [1])
-    return _nonneg_feasible(eq_rows, [*c_t, b_t])
+    return eq_rows, [*c_t, b_t]
 
 
 def feasible(rows_le, dim) -> bool:
@@ -304,8 +337,101 @@ def feasible(rows_le, dim) -> bool:
     return not _implied(((0,) * dim, -1), rows, dim)
 
 
+def _interior_point(rows, dim):
+    """Integers ``(U, S)`` with ``c . U < b * S`` on every row and ``S > 0``, or None.
+
+    ``U / S`` is then strictly inside every row.  It exists exactly when the
+    strict system ``{c . x - b * s <= -1, -s <= -1}`` in ``(x, s)`` is
+    non-empty, that is when ``0 <= -1`` is no combination of its rows (the
+    LP of `feasible`).  `_farkas` then certifies it with ``y``, ``y . A <= 0``
+    and ``y . b > 0``: on the column of a row that reads
+    ``c . U - b * S <= y[-1] < 0`` with ``(U, S) = y[:-1]``, and on the column
+    of ``-s <= -1`` it reads ``S > 0``.
+    """
+    strict = [((*c, -b), -1) for c, b in rows] + [((0,) * dim + (-1,), -1)]
+    y = _farkas(*_combination_lp(((0,) * (dim + 1), -1), strict, dim + 1), True)
+    return None if y is None else (y[:dim], y[dim])
+
+
+def _first_hit(rows, live, slack, d):
+    """The row that the ray from the interior point along ``d`` meets first.
+
+    Row ``j`` is met at time ``slack[j] / (c_j . d)`` (up to the point's
+    positive denominator) when ``c_j . d > 0``, so the first is the largest
+    ``(c_j . d) / slack[j]``.  A tie is broken as for the direction
+    ``d + e e_1 + e^2 e_2 + ...`` with ``e > 0`` small, by the larger
+    ``c_j / slack[j]`` in lexicographic order; that ray meets its first row
+    alone, in a point strictly inside every other row.  Two rows tied in
+    full are one row up to a positive scale, and then no row is returned.
+    """
+    best, tied = None, False
+    for j in live:
+        c = rows[j][0]
+        a = sum(map(mul, c, d))
+        if a <= 0:
+            continue
+        if best is None:
+            best, a_best, c_best, s_best = j, a, c, slack[j]
+            continue
+        s = slack[j]
+        here, there = a * s_best, a_best * s
+        if here == there:
+            # the perturbation: compare c / s with c_best / s_best
+            here, there = next(
+                ((x * s_best, y * s) for x, y in zip(c, c_best) if x * s_best != y * s),
+                (0, 0),
+            )
+            if here == there:
+                tied = True
+                continue
+        if here > there:
+            best, a_best, c_best, s_best, tied = j, a, c, s, False
+    return None if tied else best
+
+
+def _shoot(rows, live, slack, i, dim, facets: set) -> None:
+    """Add to ``facets`` the rows met first by rays from the interior point.
+
+    The first ray runs along row ``i``'s normal.  A row met first is a facet
+    (see `_first_hit`).  While that row is not ``i``, its normal is projected
+    off the direction (Gram–Schmidt over the rows met so far, in integers)
+    and the ray runs again: it can no longer meet those rows, and it still
+    moves toward row ``i`` until ``i``'s normal lies in their span.  So at
+    most ``dim`` rays run.
+    """
+    d = list(rows[i][0])
+    met = []  # mutually orthogonal normals, each with its squared length
+    for _ in range(dim):
+        j = _first_hit(rows, live, slack, d)
+        if j is None:
+            return
+        facets.add(j)
+        if j == i:
+            return
+        q = list(rows[j][0])
+        for u, uu in met:
+            f = sum(map(mul, q, u))
+            q = primitive([uu * x - f * y for x, y in zip(q, u)])
+        qq = sum(map(mul, q, q))
+        met.append((q, qq))
+        f = sum(map(mul, d, q))
+        d = primitive([qq * x - f * y for x, y in zip(d, q)])
+        if not any(d):  # row i's normal lies in the span of the rows met
+            return
+
+
 def _irredundant_indices(rows, dim) -> list[int]:
-    """Indices of a minimal subsystem of the feasible system ``rows``."""
+    """Indices of a minimal subsystem of the feasible system ``rows``.
+
+    Zero rows and later copies of a row are dropped first.  A row is then
+    redundant exactly when the live rows other than it imply it
+    (`_implied`), one LP per row, in order.  When the live rows have an
+    interior point, the minimal subsystem is their set of facets, so rays
+    shot from that point certify facets with no LP (`_shoot`), and each
+    other row is tested against the certified facets alone before all live
+    rows.  Without one (an implicit equality, or no point) the rows are
+    tested as before.  Either way the kept indices come in order.
+    """
     live = list(range(len(rows)))
     seen: dict[tuple, int] = {}
     for i, (c, b) in enumerate(rows):
@@ -314,7 +440,23 @@ def _irredundant_indices(rows, dim) -> list[int]:
             live.remove(i)
         else:
             seen[key] = i
+    facets: set[int] = set()
+    point = _interior_point([rows[i] for i in live], dim) if live else None
+    if point is not None:
+        u, s = point
+        slack = {i: rows[i][1] * s - sum(map(mul, rows[i][0], u)) for i in live}
+        if min(slack.values()) <= 0:
+            raise PolyhedralError("interior point certificate is not strictly inside")
+        for i in live:
+            if i not in facets:
+                _shoot(rows, live, slack, i, dim, facets)
+    certified = [rows[j] for j in live if j in facets]
     for i in list(live):
+        if i in facets:
+            continue
+        if certified and _implied(rows[i], certified, dim):
+            live.remove(i)
+            continue
         others = [rows[j] for j in live if j != i]
         if _implied(rows[i], others, dim):
             live.remove(i)
@@ -666,10 +808,14 @@ def normalized_volume(h: HRep) -> Fraction:
         raise PolyhedralError("normalized volume needs a full-dimensional polytope")
     den = lcm(*(x.denominator for v in lat.vertices for x in v))
     verts = [[x.numerator * (den // x.denominator) for x in v] for v in lat.vertices]
+    # Every simplex is coned from the polytope's lowest vertex 0, its last
+    # entry.  Its matrix is taken transposed, a row per coordinate and the
+    # anchors of the larger faces first: on GT3 that order makes
+    # `det_int` about 1.6 times faster than a row per vertex.
+    diffs = [list(map(sub, v, verts[0])) for v in verts]
     total = 0
     for simplex in _triangulate(lat):
-        base = verts[simplex[0]]
-        total += abs(det_int([[v - b for v, b in zip(verts[i], base)] for i in simplex[1:]]))
+        total += abs(det_int(list(zip(*(diffs[i] for i in simplex[-2::-1])))))
     return Fraction(total, den**h.dim)
 
 

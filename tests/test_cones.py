@@ -21,9 +21,11 @@ from stringcones.cones import (
 )
 from stringcones.diagram import build_diagram, build_symp_diagram, orient
 from stringcones.paths import enumerate_paths, is_symmetric, mirror, symp_paths
+from stringcones.polytopes import polytope_facet_count
 from stringcones.weyl import (
     LieType,
     ReducedWord,
+    Weight,
     braid_variant_word,
     commutation_class,
     enumerate_reduced_words,
@@ -365,6 +367,13 @@ def test_rank4_spot_checks():
     assert is_simplicial(braid_variant_word(4))
     generic = W("C4", "1,2,3,4,1,2,3,4,1,2,3,4,1,2,3,4")
     assert facet_count(c4, generic) > 16
+    # polytope facets = cone facets + n^2 at rho, one rank up from criterion 5
+    rho = Weight.rho(c4)
+    for w in (generic, W("C4", "3,2,1,2,4,3,4,2,3,2,4,3,1,2,3,4"),
+              W("C4", "4,3,2,4,3,1,4,3,2,1,3,4,2,3,2,1")):
+        assert polytope_facet_count(w, rho) == facet_count(c4, w) + 16
+    assert polytope_facet_count(gt_adapted_word(4), rho) == 32
+    assert polytope_facet_count(braid_variant_word(4), rho) == 32
     sd = build_symp_diagram(gt_adapted_word(4))
     from stringcones.paths import canonical_paths
 

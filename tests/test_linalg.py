@@ -119,6 +119,21 @@ def test_det_matches_leibniz(a):
     assert det_int(a) == _leibniz(a)
 
 
+@SETTINGS
+@given(st.integers(1, 7).flatmap(lambda n: matrices(rows=n, cols=n)))
+def test_forward_pass_agrees_with_gauss_jordan(a):
+    """The forward pass that `det_int` and `rank_int` run finds the pivots,
+    last pivot and sign of the Gauss-Jordan pass on square integer matrices,
+    a third of them of lower rank (singular)."""
+    gj = echelon(a)
+    fwd = echelon(a, reduced=False)
+    assert fwd[1:] == gj[1:]
+    assert det_int(a) == (gj[3] * gj[2] if len(gj[1]) == len(a) else 0)
+    assert rank_int(a) == len(gj[1])
+    for r, c in enumerate(fwd[1]):  # zero below each pivot
+        assert all(row[c] == 0 for row in fwd[0][r + 1 :])
+
+
 def _square(n):
     return st.one_of(matrices(rows=n, cols=n), matrices(rows=n, cols=n, entries=RATIONAL))
 

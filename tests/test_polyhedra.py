@@ -33,7 +33,7 @@ from stringcones.polyhedra import (
     vrep_to_hrep,
 )
 from stringcones.polytopes import gt_polytope_C
-from stringcones.weyl import LieType, Weight, enumerate_reduced_words
+from stringcones.weyl import LieType, ReducedWord, Weight, enumerate_reduced_words
 
 SQUARE = HRep(2, (((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)))
 
@@ -98,6 +98,43 @@ def fraction_nonneg_feasible(eq_rows, rhs) -> bool:
         if f:
             obj = [x - f * y for x, y in zip(obj, tab[leave])]
         basis[leave] = enter
+
+
+def parent_irredundant_indices(rows, dim) -> list[int]:
+    """Reference for `polyhedra._irredundant_indices`: the redundancy removal
+    before ray shooting, one LP per row, kept verbatim."""
+    live = list(range(len(rows)))
+    seen: dict[tuple, int] = {}
+    for i, (c, b) in enumerate(rows):
+        key = (c, b)
+        if key in seen or all(x == 0 for x in c):
+            live.remove(i)
+        else:
+            seen[key] = i
+    for i in list(live):
+        others = [rows[j] for j in live if j != i]
+        if polyhedra._implied(rows[i], others, dim):
+            live.remove(i)
+    return live
+
+
+def assert_shooting_matches_parent(rows, dim) -> set[int]:
+    """`_irredundant_indices` keeps the reference's indices, in order, and
+    every row its rays certify is kept by the reference; returns those rows."""
+    shot = set()
+    shoot = polyhedra._shoot
+
+    def recording(rows, live, slack, i, dim, facets):
+        shoot(rows, live, slack, i, dim, facets)
+        shot.update(facets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "_shoot", recording)
+        kept = polyhedra._irredundant_indices(rows, dim)
+    expected = parent_irredundant_indices(rows, dim)
+    assert kept == expected
+    assert shot <= set(expected)
+    return shot
 
 
 def _affine_reduce(vertices):
@@ -219,6 +256,20 @@ def test_feasible_point():
     assert feasible((((), -1),), 0) is False
 
 
+@pytest.mark.parametrize(
+    "build,entry",
+    [
+        (lambda: HRep(1, (((0.5,), 1),)), "0.5"),
+        (lambda: HRep(1, ((("1",), 1),)), "'1'"),
+        (lambda: feasible((((1,), 0), ((0.5,), 1)), 1), "0.5"),
+    ],
+    ids=["float-in-hrep", "str-in-hrep", "float-in-feasible"],
+)
+def test_an_entry_that_is_not_rational_is_a_polyhedral_error(build, entry):
+    with pytest.raises(PolyhedralError, match=f"entry {entry} is not an int or a Fraction"):
+        build()
+
+
 def test_remove_redundant_worked():
     h = HRep(2, (((1, 1), 1), ((2, 2), 2), ((-1, 0), 0), ((0, -1), 0), ((1, 1), 5)))
     mini = remove_redundant(h)
@@ -285,6 +336,96 @@ def test_cone_redundancy_runs_no_feasibility_lp(monkeypatch):
     monkeypatch.setattr(polyhedra, "feasible", refuse)
     assert irredundant_cone_rows([(-1, 0), (0, -1), (-1, -1)], 2) == [0, 1]
     assert irredundant_cone_rows([(0, 0), (-1, -1), (-1, 0), (0, -1)], 2) == [2, 3]
+
+
+C4_CLASS_WORDS = (  # the benchmark's twelve fixed C4 classes, then the nested word and its braid variant
+    "3,2,1,2,4,3,4,2,3,2,4,3,1,2,3,4",
+    "4,3,2,1,4,3,4,3,2,3,1,2,4,3,2,1",
+    "2,3,4,1,2,3,4,2,1,2,3,2,1,4,3,4",
+    "2,3,1,4,3,2,1,3,4,3,2,3,4,3,4,1",
+    "2,1,2,4,3,2,4,1,3,2,4,1,3,4,2,3",
+    "3,4,1,2,3,4,3,2,1,2,3,4,3,2,3,4",
+    "2,3,4,3,2,1,3,2,3,4,3,4,2,3,4,1",
+    "3,4,3,2,1,3,4,3,2,3,4,3,1,4,2,1",
+    "3,1,2,3,4,3,2,4,1,2,3,4,3,2,3,4",
+    "3,2,4,3,2,4,1,3,2,4,3,4,3,2,1,2",
+    "1,2,3,4,3,1,2,3,4,1,3,4,2,3,4,3",
+    "1,2,3,1,4,3,2,3,1,4,3,2,3,4,3,4",
+    "4,3,4,3,2,3,4,3,2,1,2,3,4,3,2,1",
+    "3,4,3,4,2,3,4,3,2,1,2,3,4,3,2,1",
+)
+
+
+def cone_rows(t, w):
+    """The rows ``(c, 0)`` that `irredundant_cone_rows` builds for a string cone."""
+    cone = string_cone(t, w, deduplicate=True)
+    return tuple((tuple(-c for c in f.coeffs), 0) for f in cone.forms), cone.dim
+
+
+@pytest.mark.parametrize("type_text", ["A3", "B3", "C3"])
+def test_ray_shooting_keeps_the_parent_rows_on_rank3_cones(type_text):
+    t = LieType.parse(type_text)
+    shot = 0
+    for w in enumerate_reduced_words(t):
+        shot += len(assert_shooting_matches_parent(*cone_rows(t, w)))
+    assert shot > 0
+
+
+def test_ray_shooting_keeps_the_parent_rows_on_c3_string_polytopes():
+    from stringcones.polytopes import string_polytope
+
+    rho = Weight.rho(LieType("C", 3))
+    for w in enumerate_reduced_words(rho.lie_type):
+        h = string_polytope(w, rho)
+        assert assert_shooting_matches_parent(h.rows, h.dim)
+
+
+def test_ray_shooting_keeps_the_parent_rows_on_c4_classes():
+    c4 = LieType("C", 4)
+    for text in C4_CLASS_WORDS:
+        assert assert_shooting_matches_parent(*cone_rows(c4, ReducedWord.parse("C4", text)))
+
+
+def test_ray_shooting_breaks_a_tie_toward_a_facet():
+    """From (1/2, 1/2) along (1, 1) the ray meets x <= 1, y <= 1 and the
+    redundant x + y <= 2 at once, in the corner (1, 1).  The perturbed
+    direction meets x <= 1 alone; projecting it off leaves (0, 1), which
+    meets y <= 1; projecting that off leaves nothing."""
+    rows = SQUARE.rows + (((1, 1), 2),)
+    u, s = (1, 1), 2
+    live = list(range(len(rows)))
+    slack = {i: b * s - sum(x * y for x, y in zip(c, u)) for i, (c, b) in enumerate(rows)}
+    assert polyhedra._first_hit(rows, live, slack, (1, 1)) == 0
+    facets = set()
+    polyhedra._shoot(rows, live, slack, 4, 2, facets)
+    assert facets == {0, 1}
+    assert assert_shooting_matches_parent(rows, 2) == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize(
+    "text,rows,facets",
+    [("4,3,2,4,3,1,4,3,2,1,3,4,2,3,2,1", 85, 28), ("4,3,4,3,2,3,4,3,2,1,2,3,4,3,2,1", 19, 16)],
+)
+def test_ray_shooting_work_bound(text, rows, facets, monkeypatch):
+    """On the largest C4 class and the nested word, rays certify every facet:
+    one interior-point LP plus one LP per redundant row (85 and 19 LPs at one
+    LP per row)."""
+    solves = []
+    lp, interior = polyhedra._nonneg_feasible, getattr(polyhedra, "_interior_point", None)
+
+    def counted_lp(eq_rows, rhs):
+        solves.append("redundancy")
+        return lp(eq_rows, rhs)
+
+    def counted_interior(rows, dim):
+        solves.append("interior")
+        return interior(rows, dim)
+
+    monkeypatch.setattr(polyhedra, "_nonneg_feasible", counted_lp)
+    monkeypatch.setattr(polyhedra, "_interior_point", counted_interior, raising=False)
+    cone, dim = cone_rows(LieType("C", 4), ReducedWord.parse("C4", text))
+    assert (len(cone), len(irredundant_cone_rows([c for c, _ in cone], dim))) == (rows, facets)
+    assert len(solves) <= 1 + rows - facets
 
 
 def test_to_vrep_square_and_cone():
@@ -425,9 +566,9 @@ def test_face_lattice_runs_no_elimination_per_face(monkeypatch):
 
     calls = []
 
-    def counted(rows, _echelon=_linalg.echelon):
+    def counted(rows, _echelon=_linalg.echelon, **kwargs):
         calls.append(1)
-        return _echelon(rows)
+        return _echelon(rows, **kwargs)
 
     monkeypatch.setattr(_linalg, "echelon", counted)
     lat = face_lattice(gt_polytope_C(Weight.rho(LieType("C", 3)), 3))
@@ -918,6 +1059,56 @@ if _HAVE_HYPOTHESIS:
     def test_integer_tableau_against_fraction_tableau(system):
         rows, rhs = system
         assert polyhedra._nonneg_feasible(rows, rhs) == fraction_nonneg_feasible(rows, rhs)
+
+    @given(nonneg_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_farkas_certificate_is_exact(system):
+        """Whenever the `Fraction` tableau finds no solution, the integer
+        tableau's certificate ``y`` has ``y A <= 0`` and ``y b > 0`` exactly."""
+        rows, rhs = system
+        y = polyhedra._farkas(rows, rhs, True)
+        assert (y is None) == fraction_nonneg_feasible(rows, rhs)
+        if y is not None:
+            assert all(isinstance(v, int) for v in y)
+            assert all(sum(F(a) * v for a, v in zip(col, y)) <= 0 for col in zip(*rows))
+            assert sum(F(b) * v for b, v in zip(rhs, y)) > 0
+
+    @st.composite
+    def redundancy_systems(draw):
+        """Integer rows ``(c, b)`` in dimension 1-3: a box with random rows
+        (full-dimensional), the box cut by an equality pair, the box cut by
+        two contradicting rows (empty), or random rows alone; then copies,
+        positive multiples (parallel rows) and zero rows, shuffled.  The flag
+        says whether a nonzero equality or contradicting pair was added."""
+        d = draw(st.integers(1, 3))
+        kind = draw(st.sampled_from(["box", "equality", "empty", "rows"]))
+        vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple)
+        rows = [] if kind == "rows" else box(d, draw(st.integers(1, 3)))
+        c, b = draw(vec), draw(st.integers(-2, 2))
+        if kind == "equality":
+            rows += [(c, b), (tuple(-x for x in c), -b)]
+        elif kind == "empty":
+            rows += [(c, b), (tuple(-x for x in c), -b - 1)]
+        rows += draw(st.lists(st.tuples(vec, st.integers(-2, 6)), max_size=5))
+        if rows:
+            copies = draw(st.lists(st.tuples(st.sampled_from(rows), st.integers(1, 3)), max_size=3))
+            rows += [(tuple(k * x for x in c), k * b) for (c, b), k in copies]
+        rows += [((0,) * d, draw(st.integers(0, 2)))] * draw(st.integers(0, 2))
+        cut = kind in ("equality", "empty") and any(c)  # then no interior point
+        return cut, d, tuple(draw(st.permutations(rows)))
+
+    @given(redundancy_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_ray_shooting_keeps_the_parent_rows(system):
+        cut, d, rows = system
+        assert_shooting_matches_parent(rows, d)
+        nonzero = [(c, b) for c, b in rows if any(c)]
+        point = polyhedra._interior_point(nonzero, d) if nonzero else None
+        if point is not None:
+            u, s = point
+            assert s > 0 and all(sum(x * y for x, y in zip(c, u)) < b * s for c, b in nonzero)
+        if cut:  # an equality pair or a contradicting pair of nonzero rows
+            assert point is None
 
     @st.composite
     def hulls(draw):
