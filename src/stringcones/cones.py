@@ -11,32 +11,46 @@ on the lifted diagram and is pushed down to the N = n^2 folded coordinates:
   halved when the path is its own mirror (all its coefficients are even).
 
 `string_cone` collects one inequality per rigorous path; `irredundant_facets`
-prunes that list down to the facets with an exact LP, run once per cone.
+prunes that list down to the facets with an exact LP.
 
-Words of one commutation class share a wiring diagram, and their string
-cones differ only by a permutation of the coordinates: the transition map of
-a commutation move is a swap.  `weyl.heap_coordinates` names each coordinate
-by its letter occurrence ``(i_j, earlier occurrences of i_j)``, a label the
-whole class agrees on, so the words of a class give the same set of rows in
-heap coordinates.  `class_entry` takes this quotient for string cones and
-string polytopes alike: it rewrites rows ``(c, b)``, ints throughout, in
-heap coordinates and returns the entry of their row set from one bounded
-cache.  An entry keeps the minimal rows in heap coordinates (and a
-polytope's f-vector).  A cone's rows all have ``b = 0`` and a polytope's at
-a regular weight do not, so their entries stay apart.
+Both run once per commutation class.  A commutation move swaps two adjacent
+crossings that lie on disjoint wires, so the words of a class have one
+wiring diagram up to those swaps.  `weyl.heap_coordinates` names each
+coordinate by its letter occurrence ``(i_j, earlier occurrences of i_j)``, a
+label the whole class agrees on (in types B and C the paths run on the
+lifted word, which a commutation move of the word moves by commutation
+moves).  In heap coordinates the words of a class have the same paths, with
+the same events, so the same forms, and in the same order: the paths of one
+orientation are sorted by their switch crossings, and two paths with a
+common switch prefix sit on one wire after it, so their next switches lie
+on that wire.  The crossings along one wire form a chain of the heap (two
+consecutive ones have letters at most 1 apart), so a commutation move never
+reorders them.
+
+`class_entry` keys one bounded cache on `weyl.foata_normal_form`, which the
+words of a class share and no other word has.  The first word of a class
+fills its cone entry (`_fill`): the forms in heap coordinates in path
+order, the merged forms, and each form's paths as ``(up_count, events)``
+with events in heap coordinates.  Every word then reads its cone by
+relabelling coordinates, with no diagram, no path enumeration and no sort;
+`HRepCone.paths` builds the paths on the word's own diagram when first
+read.  `irredundant_facets` keeps the indices of the facets among the
+merged forms in the entry, so its LP runs once per class.  A string
+polytope at a regular weight keys on the normal form and the weight (see
+`polytopes`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from . import polyhedra
 from ._linalg import primitive as polyhedra_primitive
 from .diagram import OrientedDiagram, SympWiringDiagram, build_diagram, build_symp_diagram, orient
 from .paths import RigorousPath, all_symp_paths, enumerate_paths, is_symmetric
-from .weyl import LieType, ReducedWord, heap_coordinates, longest_length
+from .weyl import LieType, ReducedWord, Weight, foata_normal_form, heap_coordinates, longest_length
 
 __all__ = [
     "LinForm",
@@ -232,13 +246,38 @@ def functional_B(p: RigorousPath) -> LinForm:
 
 @dataclass(frozen=True)
 class HRepCone:
-    """A cone given by ``form >= 0`` constraints, remembering source paths."""
+    """A cone given by ``form >= 0`` constraints, remembering source paths.
+
+    ``sources`` holds, per form, its generating paths as ``(up_count,
+    events)``, each event's crossing given in `heap_coordinates` of the word
+    the paths run on (the word itself in type A, its lift in types B and C).
+    `paths` rebuilds them on one new diagram of the word when first read.
+    """
 
     lie_type: LieType
     word: ReducedWord
     dim: int
     forms: tuple[LinForm, ...]
-    paths: tuple[tuple[RigorousPath, ...], ...]  # per form, all generating paths
+    sources: tuple[tuple[tuple[int, tuple[tuple[int, bool], ...]], ...], ...]
+
+    @cached_property
+    def paths(self) -> tuple[tuple[RigorousPath, ...], ...]:
+        """Per form, all its generating rigorous paths."""
+        if self.lie_type.family == "A":
+            d = base = build_diagram(self.word)
+        else:
+            d = build_symp_diagram(self.word)
+            base = d.base
+        crossing = [j + 1 for j in _inverse(heap_coordinates(base.word))]
+        ups = {k for sources in self.sources for k, _ in sources}
+        oriented = {k: OrientedDiagram(d, k) for k in ups}
+        return tuple(
+            tuple(
+                RigorousPath(oriented[k], tuple((crossing[h], switched) for h, switched in events))
+                for k, events in sources
+            )
+            for sources in self.sources
+        )
 
     def to_hrep(self) -> polyhedra.HRep:
         return polyhedra.HRep(
@@ -249,60 +288,83 @@ class HRepCone:
         return len(self.forms)
 
 
-def _collect(lie_type: LieType, word: ReducedWord, dim: int, pairs) -> HRepCone:
-    """Merge forms that agree up to positive scaling, keeping content 1."""
-    by_form: dict[tuple[int, ...], list[RigorousPath]] = {}
-    order: list[LinForm] = []
-    for form, path in pairs:
-        key = polyhedra_primitive(form.coeffs)
-        if key not in by_form:
-            by_form[key] = []
-            order.append(LinForm(form.space, key))
-        by_form[key].append(path)
-    return HRepCone(
-        lie_type,
-        word,
-        dim,
-        tuple(order),
-        tuple(tuple(by_form[f.coeffs]) for f in order),
-    )
+def _inverse(perm) -> list[int]:
+    """The inverse of a permutation of ``range(len(perm))``."""
+    out = [0] * len(perm)
+    for j, k in enumerate(perm):
+        out[k] = j
+    return out
 
 
-def string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) -> HRepCone:
-    """All string inequalities of a reduced word, one per rigorous path.
-
-    The list is complete but possibly redundant; with ``deduplicate`` the
-    coefficientwise-equal forms are merged (keeping every source path).
-    """
-    if t.rank != w.rank:
-        raise ValueError(f"rank mismatch: cone type {t}, word of rank {w.rank}")
+def _rigorous_forms(t: LieType, w: ReducedWord):
+    """The pairs ``(form, path)``, one per rigorous path in path order, and
+    the word the paths run on."""
     if t.family == "A":
-        if w.lie_type.family != "A":
-            raise ValueError("type-A cones need a type-A word")
         d = build_diagram(w)
         pairs = [
             (functional_A(p), p)
             for k in range(1, d.m)
             for p in enumerate_paths(orient(d, k))
         ]
-        dim = d.length
-    elif t.family == "C":
-        sd = build_symp_diagram(w)
+        return pairs, w
+    sd = build_symp_diagram(w)
+    if t.family == "C":
         pairs = [(functional_C(p), p) for p in all_symp_paths(sd)]
-        dim = longest_length(w.lie_type)
-    elif t.family == "B":
-        sd = build_symp_diagram(w)
+    else:
         pairs = [
             (functional_B(p), p)
             for u in range(1, 2 * sd.n)
             for p in enumerate_paths(OrientedDiagram(sd, u))
         ]
-        dim = longest_length(w.lie_type)
-    else:
-        raise ValueError(f"unsupported family {t.family}")
-    if not deduplicate:
-        return HRepCone(t, w, dim, tuple(f for f, _ in pairs), tuple((p,) for _, p in pairs))
-    return _collect(t, w, dim, pairs)
+    return pairs, sd.lift_word
+
+
+def _fill(entry: dict, t: LieType, w: ReducedWord) -> None:
+    """Keep the string cone of ``w`` in its class entry, in heap coordinates.
+
+    ``entry["raw"]`` holds one ``(form, sources)`` pair per rigorous path,
+    in path order; ``entry["merged"]`` merges the forms that agree up to
+    positive scaling, first copies in that order, keeping content 1 and
+    every source path (see `HRepCone.sources`).
+    """
+    pairs, paths_word = _rigorous_forms(t, w)
+    at = _inverse(heap_coordinates(w))  # the position of each heap coordinate
+    # each event (crossing j, switched) in heap coordinates, one tuple per kind
+    event = [None] + [((h, False), (h, True)) for h in heap_coordinates(paths_word)]
+    raw = tuple(
+        (
+            tuple([form.coeffs[j] for j in at]),
+            ((p.k, tuple([event[j][switched] for j, switched in p.events])),),
+        )
+        for form, p in pairs
+    )
+    merged: dict[tuple[int, ...], list] = {}
+    for form, sources in raw:
+        merged.setdefault(polyhedra_primitive(form), []).extend(sources)
+    entry["raw"] = raw
+    entry["merged"] = tuple((form, tuple(sources)) for form, sources in merged.items())
+
+
+def string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) -> HRepCone:
+    """All string inequalities of a reduced word, one per rigorous path.
+
+    The list is complete but possibly redundant; with ``deduplicate`` the
+    forms that agree up to positive scaling are merged (keeping content 1
+    and every source path).  The first word of a commutation class fills
+    the class entry (see the module docstring); every word reads its cone
+    from there by relabelling coordinates.
+    """
+    if t.rank != w.rank:
+        raise ValueError(f"rank mismatch: cone type {t}, word of rank {w.rank}")
+    if t.family == "A" and w.lie_type.family != "A":
+        raise ValueError("type-A cones need a type-A word")
+    entry = class_entry(t, w)
+    if "raw" not in entry:
+        _fill(entry, t, w)
+    heap = heap_coordinates(w)
+    pairs = entry["merged" if deduplicate else "raw"]
+    forms = tuple(LinForm("a", tuple([form[k] for k in heap])) for form, _ in pairs)
+    return HRepCone(t, w, len(heap), forms, tuple(sources for _, sources in pairs))
 
 
 # C4 and B4 have 330 commutation classes each; a class may hold a cone entry
@@ -311,51 +373,48 @@ CLASS_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=CLASS_CACHE_SIZE)
-def _class_entry(t: LieType, rows: tuple) -> dict:
-    """The entry of the row set ``rows`` (sorted, in heap coordinates) of type ``t``."""
+def _class_entry(t: LieType, key) -> dict:
+    """The entry of the commutation class ``key`` (see `class_entry`) of type ``t``."""
     return {}
 
 
-def class_entry(t: LieType, w: ReducedWord, rows) -> tuple[dict, list]:
-    """The commutation-class entry of the system ``rows`` of ``w``, and its heap rows.
+def class_entry(t: LieType, w: ReducedWord, lam: Weight | None = None) -> dict:
+    """The entry of the commutation class of ``w``: for its string cone of
+    type ``t``, or, given ``lam``, for its string polytope at ``lam``.
 
-    ``rows`` are ``(c, b)`` pairs in the coordinates of ``w``; the heap rows
-    are the same pairs, in the same order, with ``c`` rewritten in
-    `heap_coordinates`.  The entry is keyed on ``(t, sorted heap rows)``, so
-    every word of the class with this system gets the same one.  A value is
-    sound to share only if it is a function of the row set: the minimal rows
-    of a full-dimensional system are its facets whatever the row order.
+    It is keyed on `foata_normal_form`, which every word of the class shares
+    and no word outside it has.
     """
-    heap = heap_coordinates(w)
-    at = sorted(range(len(heap)), key=heap.__getitem__)  # the position of each heap coordinate
-    heap_rows = [(tuple([c[k] for k in at]), b) for c, b in rows]
-    return _class_entry(t, tuple(sorted(heap_rows))), heap_rows
+    key = foata_normal_form(w)
+    return _class_entry(t, key if lam is None else (key, lam))
+
+
+def heap_rows(w: ReducedWord, rows) -> list:
+    """Rows ``(c, b)`` in the coordinates of ``w``, in their order, with ``c``
+    rewritten in `heap_coordinates`."""
+    at = _inverse(heap_coordinates(w))
+    return [(tuple([c[j] for j in at]), b) for c, b in rows]
 
 
 def irredundant_facets(t: LieType, w: ReducedWord) -> tuple[HRepCone, int]:
     """Minimal facet system of the string cone and the facet count.
 
-    Coefficientwise duplicates (mirror pairs and the like) merge first, then
-    each surviving inequality is tested for redundancy by exact LP.  The LP
-    runs once per commutation class: the rows ``(c, 0)`` are looked up by
-    `class_entry`, so the other words of the class hit the entry of the
-    first.  A hit is sound whatever the words: the key is the row set
-    itself, and a full-dimensional cone (every string cone is one) has one
-    facet set whatever the row order.  On a miss the LP runs on the word's
-    own rows in their own order, as without the cache: its pivots, and so
-    its time, depend on that order.
+    Forms equal up to positive scaling merge first (mirror pairs and the
+    like), then each surviving inequality is tested for redundancy by exact
+    LP, once per commutation class: the class entry keeps the indices of
+    the facets among the merged forms, which every word of the class lists
+    in one order.  A string cone is full-dimensional, so its minimal system
+    is its facet set and the first copy of each facet is kept.
     """
     cone = string_cone(t, w, deduplicate=True)
-    rows = [tuple(-c for c in f.coeffs) for f in cone.forms]
-    entry, heap_rows = class_entry(t, w, [(row, 0) for row in rows])
+    entry = class_entry(t, w)
     if "minimal" not in entry:
-        kept = polyhedra.irredundant_cone_rows(rows, cone.dim)
-        entry["minimal"] = frozenset(heap_rows[i] for i in kept)
-    kept = [i for i, row in enumerate(heap_rows) if row in entry["minimal"]]
+        rows = [tuple(-c for c in f.coeffs) for f in cone.forms]
+        entry["minimal"] = tuple(polyhedra.irredundant_cone_rows(rows, cone.dim))
+    kept = entry["minimal"]
     forms = tuple(cone.forms[i] for i in kept)
-    paths = tuple(cone.paths[i] for i in kept)
-    pruned = HRepCone(cone.lie_type, cone.word, cone.dim, forms, paths)
-    return pruned, len(forms)
+    sources = tuple(cone.sources[i] for i in kept)
+    return HRepCone(cone.lie_type, cone.word, cone.dim, forms, sources), len(forms)
 
 
 def facet_count(t: LieType, w: ReducedWord) -> int:

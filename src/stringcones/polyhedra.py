@@ -420,7 +420,7 @@ def _shoot(rows, live, slack, i, dim, facets: set) -> None:
             return
 
 
-def _irredundant_indices(rows, dim) -> list[int]:
+def _irredundant_indices(rows, dim, decide_empty: bool = False) -> list[int] | None:
     """Indices of a minimal subsystem of the feasible system ``rows``.
 
     Zero rows and later copies of a row are dropped first.  A row is then
@@ -431,6 +431,10 @@ def _irredundant_indices(rows, dim) -> list[int]:
     other row is tested against the certified facets alone before all live
     rows.  Without one (an implicit equality, or no point) the rows are
     tested as before.  Either way the kept indices come in order.
+
+    With ``decide_empty`` the system may be empty, and then None comes
+    back: a zero row with ``b < 0`` empties it, an interior point proves it
+    non-empty otherwise, and only without one does `feasible` decide.
     """
     live = list(range(len(rows)))
     seen: dict[tuple, int] = {}
@@ -442,6 +446,10 @@ def _irredundant_indices(rows, dim) -> list[int]:
             seen[key] = i
     facets: set[int] = set()
     point = _interior_point([rows[i] for i in live], dim) if live else None
+    if decide_empty and (
+        any(b < 0 and not any(c) for c, b in rows) or (point is None and not feasible(rows, dim))
+    ):
+        return None
     if point is not None:
         u, s = point
         slack = {i: rows[i][1] * s - sum(map(mul, rows[i][0], u)) for i in live}
@@ -473,9 +481,10 @@ def remove_redundant(h: HRep) -> HRep:
 
 
 def _minimal(h: HRep) -> HRep:
-    if not feasible(h.rows, h.dim):
+    kept = _irredundant_indices(h.rows, h.dim, decide_empty=True)
+    if kept is None:
         return HRep(h.dim, (((0,) * h.dim, -1),))
-    return HRep(h.dim, tuple(h.rows[i] for i in _irredundant_indices(h.rows, h.dim)))
+    return HRep(h.dim, tuple(h.rows[i] for i in kept))
 
 
 def irredundant_cone_rows(rows, dim) -> list[int]:
@@ -679,25 +688,34 @@ def _face_lattice(h: HRep) -> FaceLattice:
     while level:
         below = []
         for bits in level:
-            for sub in _facets_of(bits, incidences):
-                if sub not in dims:
-                    dims[sub] = dims[bits] - 1
-                    below.append(sub)
+            for sub in _facets_of(bits, incidences, dims):
+                dims[sub] = dims[bits] - 1
+                below.append(sub)
         level = below
     return FaceLattice(dim, verts, incidences, tuple(sorted(dims.items())))
 
 
-def _facets_of(bits: int, incidences) -> list[int]:
-    """The facets of the face ``bits``: the maximal proper non-empty ``bits & inc``.
+def _facets_of(bits: int, incidences, dated=()) -> list[int]:
+    """The facets of the face ``bits`` that are not in ``dated``: the maximal
+    proper non-empty ``bits & inc``.
 
     Each proper face of F lies in ``F & inc`` for some facet inc not
     containing F, so the maximal such sets are F's facets.  Taken largest
-    first, a set is maximal when no set kept before contains it.
+    first, a set is maximal when no set kept before contains it.  A set in
+    ``dated`` is a face one dimension below F (the closure dates a level of
+    faces before the next), so it is a facet and needs no scan: only the
+    other sets are scanned, against it too.
     """
-    cands = {bits & inc for inc in incidences} - {bits, 0}
+    cands = {bits & inc for inc in incidences}
+    cands.difference_update((bits, 0))
+    facets = [c for c in cands if c in dated]
     out: list[int] = []
-    for c in sorted(cands, key=int.bit_count, reverse=True):
-        if all(c & ~o for o in out):
+    for c in sorted(cands.difference(facets), key=int.bit_count, reverse=True):
+        for o in facets:
+            if not c & ~o:
+                break
+        else:
+            facets.append(c)
             out.append(c)
     return out
 

@@ -19,23 +19,25 @@ partial sums lambda_{>=k} on top and trailing zeros closing each row pair.
 The words of one commutation class have string polytopes that differ only
 by a renaming of coordinates: a commutation move swaps two coordinates of
 the string cone, and two commuting letters pair to zero, so it swaps two
-rows of the weight cone as well.  `string_polytope` looks its rows
-``(tuple[int], int)``, right-hand sides included, up in `cones.class_entry`
-and shares its minimal rows and f-vector through that entry (`HRep.share`),
-so the redundancy LP and the face lattice run once per class.  A hit is
-sound for any words, since the key is the row set, but only for a
-full-dimensional polytope is the minimal system the facet set whatever the
-row order.  So a polytope shares only at a regular weight, where it is
-full-dimensional: ``k P_lambda`` holds ``dim V(k lambda)`` lattice points,
-a polynomial of degree N in k.  A word with no adjacent commuting pair is
-alone in its class, so it builds no key.
+rows of the weight cone as well.  So in `cones.heap_rows` the words of a
+class give one set of rows ``(tuple[int], int)``, right-hand sides
+included.  `string_polytope` takes the entry of its class and weight from
+`cones.class_entry` (keyed on the Cartier–Foata normal form and the
+weight) and shares its minimal rows and f-vector through it
+(`HRep.share`), so the redundancy LP and the face lattice run once per
+class.  Only for a full-dimensional polytope is the minimal system the
+facet set whatever the row order, so a polytope shares only at a regular
+weight, where it is full-dimensional: ``k P_lambda`` holds
+``dim V(k lambda)`` lattice points, a polynomial of degree N in k.  A word
+with no adjacent commuting pair is alone in its class, so it takes no
+polytope entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import class_entry, string_cone
+from .cones import class_entry, heap_rows, string_cone
 from .polyhedra import HRep, remove_redundant, search_unimodular_equivalence
 from .weyl import (
     LieType,
@@ -86,7 +88,7 @@ def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
     cone_rows = tuple((tuple(-c for c in f.coeffs), 0) for f in cone.forms)
     h = HRep(cone.dim, cone_rows + lambda_cone(w, lam).rows)
     if lam.is_regular and any(abs(a - b) >= 2 for a, b in zip(w.letters, w.letters[1:])):
-        h.share(*class_entry(w.lie_type, w, h.rows))
+        h.share(class_entry(w.lie_type, w, lam), heap_rows(w, h.rows))
     return h
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "count_reduced_words",
     "commutation_class",
     "heap_coordinates",
+    "foata_normal_form",
     "lift",
     "contract",
     "cartan_pairing",
@@ -261,13 +262,42 @@ def heap_coordinates(w: ReducedWord) -> tuple[int, ...]:
     word of a class gives a letter occurrence the same label.  Returns each
     position's index in the sorted list of labels.
     """
-    seen: dict[int, int] = {}
-    labels = []
+    nxt = [0] * (w.rank + 1)  # the index of the next occurrence of each letter
     for x in w.letters:
-        labels.append((x, seen.get(x, 0)))
-        seen[x] = labels[-1][1] + 1
-    index = {label: k for k, label in enumerate(sorted(labels))}
-    return tuple(index[label] for label in labels)
+        nxt[x] += 1
+    start = 0
+    for x, count in enumerate(nxt):
+        nxt[x], start = start, start + count
+    out = []
+    for x in w.letters:
+        out.append(nxt[x])
+        nxt[x] += 1
+    return tuple(out)
+
+
+def foata_normal_form(w: ReducedWord) -> tuple[int, ...]:
+    """The Cartier–Foata normal form of ``w``: one word per commutation class.
+
+    Each letter's level is one more than the highest level of an earlier
+    letter it does not commute with, and the letters are read off sorted by
+    (level, letter).  Letters ``x`` and ``y`` fail to commute exactly when
+    ``cartan_pairing(t, x, y) != 0``, that is when ``|x - y| <= 1`` (the
+    Dynkin diagram is a path), so a level is one more than the highest level
+    so far of ``x - 1``, ``x`` and ``x + 1``.  A commutation move swaps two
+    commuting letters and changes no level, and the normal form is itself a
+    word of the class, so two words have equal normal forms exactly when
+    they lie in one commutation class (Cartier and Foata, *LNM* 85, 1969).
+    It costs O(length) plus one sort of the letters.
+    """
+    m = w.rank + 1
+    top = [0] * (m + 1)  # the level of each letter's last occurrence, padded
+    keys = []  # level * m + letter, which sorts as (level, letter)
+    for x in w.letters:
+        a, b, c = top[x - 1], top[x], top[x + 1]
+        level = top[x] = 1 + (a if a > b and a > c else b if b > c else c)  # max, inlined
+        keys.append(level * m + x)
+    keys.sort()
+    return tuple([k % m for k in keys])
 
 
 def lift(w: ReducedWord) -> ReducedWord:

@@ -1,12 +1,13 @@
 """The commutation-class quotient is taken in one place.
 
-String cones and string polytopes share their minimal rows across a
-commutation class through `cones.class_entry`, which rewrites rows in
-`weyl.heap_coordinates` and keys one bounded cache on them.  Outside
-``weyl.py`` (which defines heap coordinates) only ``cones.py`` may name
-``heap_coordinates``, and it keeps one ``lru_cache``.  A module holding
-class entries (it names ``class_entry``) keeps no cache of its own, so
-the quotient cannot fork again into a second copy of the key and cache.
+String cones and string polytopes share their cone and minimal rows
+across a commutation class through `cones.class_entry`, which keys one
+bounded cache on `weyl.foata_normal_form` and relabels coordinates by
+`weyl.heap_coordinates`.  Outside ``weyl.py`` (which defines both) only
+``cones.py`` may name ``heap_coordinates`` or ``foata_normal_form``, and it
+keeps exactly one ``lru_cache``.  A module holding class entries (it names
+``class_entry``) keeps no cache of its own, so the quotient cannot fork
+again into a second copy of the key and cache.
 """
 
 import ast
@@ -17,6 +18,7 @@ import pytest
 import stringcones
 
 SOURCES = sorted(Path(stringcones.__file__).parent.glob("*.py"))
+CLASS_KEYS = {"heap_coordinates", "foata_normal_form"}
 
 
 def _names(node) -> set[str]:
@@ -36,7 +38,8 @@ def _is_cache(decorator) -> bool:
 
 
 def quotient_forks(source: str, filename: str) -> list[int]:
-    """Line numbers in ``source`` that take the class quotient outside its one place."""
+    """Line numbers in ``source`` that take the class quotient outside its one
+    place; ``[0]`` for a ``cones.py`` without its cache."""
     if filename == "weyl.py":
         return []
     tree = ast.parse(source)
@@ -48,9 +51,9 @@ def quotient_forks(source: str, filename: str) -> list[int]:
         and any(_is_cache(d) for d in node.decorator_list)
     ]
     if filename == "cones.py":
-        return caches[1:]
-    found = [node.lineno for node in ast.walk(tree) if "heap_coordinates" in _names(node)]
-    if mentioned & {"heap_coordinates", "class_entry"}:
+        return caches[1:] if caches else [0]
+    found = [node.lineno for node in ast.walk(tree) if _names(node) & CLASS_KEYS]
+    if mentioned & (CLASS_KEYS | {"class_entry"}):
         found += caches
     return sorted(set(found))
 
@@ -72,7 +75,10 @@ def test_the_class_quotient_has_one_home():
         ("weyl.py", "def heap_coordinates(w): pass\nheap_coordinates(w)", False),
         ("polytopes.py", "from .cones import class_entry\nclass_entry(t, w, rows)", False),
         ("paths.py", "@lru_cache(maxsize=8)\ndef f(x): pass", False),
+        ("cones.py", "heap_coordinates(w)\nfoata_normal_form(w)", True),
         ("polytopes.py", "from .weyl import heap_coordinates", True),
+        ("polytopes.py", "key = foata_normal_form(w)", True),
+        ("verify.py", "from .weyl import foata_normal_form", True),
         ("polytopes.py", "heap = heap_coordinates(w)", True),
         ("verify.py", "heap = weyl.heap_coordinates(w)", True),
         ("polytopes.py", "@lru_cache(maxsize=8)\ndef f(rows): pass\nclass_entry(t, w, rows)", True),

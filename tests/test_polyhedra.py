@@ -292,6 +292,55 @@ def test_remove_redundant_infeasible():
     assert remove_redundant(h).rows == (((0,), F(-1)),)
 
 
+@pytest.fixture
+def lp_counts(monkeypatch):
+    """Counts `_farkas` tableaux and `feasible` calls."""
+    counts = Counter()
+    farkas, feasible_ = polyhedra._farkas, polyhedra.feasible
+
+    def counted_farkas(*args):
+        counts["_farkas"] += 1
+        return farkas(*args)
+
+    def counted_feasible(*args):
+        counts["feasible"] += 1
+        return feasible_(*args)
+
+    monkeypatch.setattr(polyhedra, "_farkas", counted_farkas)
+    monkeypatch.setattr(polyhedra, "feasible", counted_feasible)
+    return counts
+
+
+def test_full_dimensional_emptiness_comes_from_the_interior_point(lp_counts):
+    """GT2 at rho has an interior point, which proves it non-empty: its
+    redundancy removal runs no `feasible` and exactly the tableaux of
+    `_irredundant_indices`, one fewer than with a feasibility LP first."""
+    gt = gt_polytope_C(Weight.rho(LieType("C", 2)), 2)
+    polyhedra._irredundant_indices(gt.rows, gt.dim)
+    alone = lp_counts["_farkas"]
+    lp_counts.clear()
+    assert len(remove_redundant(HRep(gt.dim, gt.rows)).rows) == 8
+    assert lp_counts == {"_farkas": alone}
+
+
+@pytest.mark.parametrize(
+    "rows,want,lps",
+    [
+        # empty: the canonical 0 <= -1, decided by `feasible` (no interior point)
+        ((((1, 0), 0), ((-1, 0), -1), ((0, 1), 1)), (((0, 0), -1),), 1),
+        # a zero row with b < 0 empties a square that has an interior point
+        ((((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0), ((0, 0), -1)),
+         (((0, 0), -1),), 0),
+        # a segment in the plane: no interior point, `feasible` finds it non-empty
+        ((((1, 0), 1), ((-1, 0), -1), ((0, 1), 2), ((0, -1), 0), ((1, 1), 5)),
+         (((1, 0), 1), ((-1, 0), -1), ((0, 1), 2), ((0, -1), 0)), 1),
+    ],
+)
+def test_feasible_runs_only_without_an_interior_point(lp_counts, rows, want, lps):
+    assert remove_redundant(HRep(2, rows)).rows == want
+    assert lp_counts["feasible"] == lps
+
+
 def test_redundancy_against_vertex_incidence_oracle():
     rng = random.Random(7)
     for _ in range(20):

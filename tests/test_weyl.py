@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringcones.weyl import (
     EnumerationCapExceeded,
@@ -14,6 +16,7 @@ from stringcones.weyl import (
     contract,
     count_reduced_words,
     enumerate_reduced_words,
+    foata_normal_form,
     gt_adapted_word,
     heap_coordinates,
     is_reduced,
@@ -224,6 +227,45 @@ def test_heap_coordinates_follow_letter_occurrences():
     assert heap_coordinates(moved) == (6, 0, 3, 1, 7, 4, 2, 8, 5)
     for v in commutation_class(gt_adapted_word(3)) | commutation_class(braid_variant_word(3)):
         assert sorted(heap_coordinates(v)) == list(range(9))
+
+
+@pytest.mark.parametrize("type_text,classes", [("A4", 62), ("B3", 14), ("C3", 14)])
+def test_foata_normal_form_names_the_commutation_class(type_text, classes):
+    words = list(enumerate_reduced_words(LieType.parse(type_text)))
+    forms = {w: foata_normal_form(w) for w in words}
+    assert len(set(forms.values())) == classes
+    for w in words:
+        cls = commutation_class(w)
+        assert {v for v in words if forms[v] == forms[w]} == cls
+        # the normal form is a word of the class, so a fixed point
+        normal = ReducedWord(w.lie_type, forms[w])
+        assert normal in cls and foata_normal_form(normal) == forms[w]
+
+
+def test_foata_normal_form_worked():
+    # levels 1,1 | 2 | 3,3 | 4 | 5,5 | 6 for 1,3,2,1,3,2,1,3,2
+    w = ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2")
+    assert foata_normal_form(w) == (1, 3, 2, 1, 3, 2, 1, 3, 2)
+    assert foata_normal_form(ReducedWord.parse("C3", "3,1,2,3,1,2,3,1,2")) == w.letters
+    assert foata_normal_form(ReducedWord.parse("A3", "3,1,2,3,1,2")) == (1, 3, 2, 1, 3, 2)
+
+
+@given(
+    st.sampled_from(["4,3,2,1,4,3,4,3,2,3,1,2,4,3,2,1", "1,2,3,4,1,2,3,4,1,2,3,4,1,2,3,4",
+                     "3,2,1,2,4,3,4,2,3,2,4,3,1,2,3,4", "2,3,4,1,2,3,4,2,1,2,3,2,1,4,3,4"]),
+    st.lists(st.integers(0, 10**6), max_size=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_foata_normal_form_is_unchanged_by_commuting_swaps(word, picks):
+    """A walk of commuting swaps on a C4 word keeps the normal form at every step."""
+    w = ReducedWord.parse("C4", word)
+    want = foata_normal_form(w)
+    letters = list(w.letters)
+    for pick in picks:
+        spots = [j for j in range(len(letters) - 1) if abs(letters[j] - letters[j + 1]) >= 2]
+        j = spots[pick % len(spots)]
+        letters[j], letters[j + 1] = letters[j + 1], letters[j]
+        assert foata_normal_form(ReducedWord(w.lie_type, tuple(letters))) == want
 
 
 @pytest.mark.parametrize("type_text", ["A1", "A3", "B2", "C2", "B3", "C3", "C4"])
