@@ -20,7 +20,6 @@ __all__ = [
     "nullspace_vector",
     "inverse_int",
     "mat_vec",
-    "mat_mul",
 ]
 
 
@@ -137,8 +136,3 @@ def inverse_int(rows):
 
 def mat_vec(rows, v):
     return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
-
-
-def mat_mul(a_rows, b_rows):
-    bt = list(zip(*b_rows))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a_rows)

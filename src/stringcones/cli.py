@@ -31,14 +31,8 @@ from fractions import Fraction
 
 from . import polyhedra, polytopes
 from .cones import irredundant_facets, string_cone
-from .diagram import (
-    SympWiringDiagram,
-    WiringDiagram,
-    build_diagram,
-    build_symp_diagram,
-    orient,
-)
-from .paths import RigorousPath, all_symp_paths, enumerate_paths, path_json, symp_paths
+from .diagram import SympWiringDiagram, WiringDiagram, build_diagram, build_symp_diagram
+from .paths import RigorousPath, path_json
 from .verify import paper_checks
 from .weyl import (
     DEFAULT_WORD_CAP,
@@ -177,17 +171,9 @@ def render_svg(d: WiringDiagram | SympWiringDiagram, highlights=()) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _rigorous_paths(d, k: int | None = None) -> list[RigorousPath]:
-    """The rigorous paths of orientation ``k`` of a plain or symplectic
-    diagram, or of every orientation when ``k`` is not given."""
-    if isinstance(d, SympWiringDiagram):
-        return list(symp_paths(d, k) if k else all_symp_paths(d))
-    return [p for j in ([k] if k else range(1, d.m)) for p in enumerate_paths(orient(d, j))]
-
-
-def _find_path(d, names: list[str]) -> RigorousPath:
+def _find_path(w: ReducedWord, names: list[str]) -> RigorousPath:
     wanted = tuple(names)
-    for p in _rigorous_paths(d):
+    for (p,) in string_cone(w.lie_type, w).paths:
         if p.wires_by_name() == wanted:
             return p
     raise ValueError(f"no rigorous path with wire expression {' -> '.join(names)}")
@@ -217,8 +203,12 @@ def _cmd_words(args) -> CommandResult:
 
 def _cmd_paths(args) -> CommandResult:
     w = _parse_word(args.type, args.word)
-    d = build_symp_diagram(w) if w.lie_type.is_doubled else build_diagram(w)
-    paths = _rigorous_paths(d, args.k)
+    paths = [p for (p,) in string_cone(w.lie_type, w).paths]
+    if args.k is not None:
+        top = 2 * w.rank - 1 if w.lie_type.family == "B" else w.rank
+        if not 1 <= args.k <= top:
+            raise ValueError(f"orientation index {args.k} out of range 1..{top}")
+        paths = [p for p in paths if p.k == args.k]
     payload = {"type": str(w.lie_type), "word": str(w), "paths": [path_json(p) for p in paths]}
     lines = [
         f"k={p.oriented.k_display}:  {str(p)}   nodes {list(p.node_expression)}"
@@ -340,7 +330,7 @@ def _cmd_render(args) -> CommandResult:
     highlights = []
     if args.highlight:
         names = [x.strip() for x in args.highlight.split(",")]
-        highlights.append(_find_path(d, names))
+        highlights.append(_find_path(w, names))
     svg = render_svg(d, highlights)
     try:
         with open(args.output, "w") as fh:
@@ -394,7 +384,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", help="enumerate rigorous paths")
     p.add_argument("type")
     p.add_argument("word")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument(
+        "--k", type=int, default=None, help="one orientation: 1..n, or 1..2n-1 in type B"
+    )
     p.set_defaults(func=_cmd_paths)
 
     p = sub.add_parser("cone", help="string cone inequalities")

@@ -19,25 +19,23 @@ wiring diagram up to those swaps.  `weyl.heap_coordinates` names each
 coordinate by its letter occurrence ``(i_j, earlier occurrences of i_j)``, a
 label the whole class agrees on (in types B and C the paths run on the
 lifted word, which a commutation move of the word moves by commutation
-moves).  In heap coordinates the words of a class have the same paths, with
-the same events, so the same forms, and in the same order: the paths of one
-orientation are sorted by their switch crossings, and two paths with a
-common switch prefix sit on one wire after it, so their next switches lie
-on that wire.  The crossings along one wire form a chain of the heap (two
-consecutive ones have letters at most 1 apart), so a commutation move never
-reorders them.
+moves).  In heap coordinates the words of a class have the same paths,
+so the same forms, and in the same order: the paths of one orientation are
+sorted by their switch crossings, and two paths with a common switch
+prefix sit on one wire after it, so their next switches lie on that wire.
+The crossings along one wire form a chain of the heap (two consecutive ones
+have letters at most 1 apart), so a commutation move never reorders them.
 
 `class_entry` keys one bounded cache on `weyl.foata_normal_form`, which the
 words of a class share and no other word has.  The first word of a class
-fills its cone entry (`_fill`): the forms in heap coordinates in path
-order, the merged forms, and each form's paths as ``(up_count, events)``
-with events in heap coordinates.  Every word then reads its cone by
-relabelling coordinates, with no diagram, no path enumeration and no sort;
-`HRepCone.paths` builds the paths on the word's own diagram when first
-read.  `irredundant_facets` keeps the indices of the facets among the
-merged forms in the entry, so its LP runs once per class.  A string
-polytope at a regular weight keys on the normal form and the weight (see
-`polytopes`).
+fills its cone entry (`_cone_entry`): integer forms in heap coordinates,
+one per rigorous path in path order, and the merged forms.  Every word
+then reads its cone by relabelling coordinates, with no diagram, no path
+enumeration and no sort; `HRepCone.paths` enumerates the word's own paths
+when first read.  `irredundant_facets` keeps the indices of the facets
+among the merged forms in the entry, so its LP runs once per class.  A
+string polytope at a regular weight keys on the normal form and the weight
+(see `polytopes`).
 """
 
 from __future__ import annotations
@@ -246,38 +244,30 @@ def functional_B(p: RigorousPath) -> LinForm:
 
 @dataclass(frozen=True)
 class HRepCone:
-    """A cone given by ``form >= 0`` constraints, remembering source paths.
+    """A cone given by ``form >= 0`` constraints.
 
-    ``sources`` holds, per form, its generating paths as ``(up_count,
-    events)``, each event's crossing given in `heap_coordinates` of the word
-    the paths run on (the word itself in type A, its lift in types B and C).
-    `paths` rebuilds them on one new diagram of the word when first read.
+    ``merged`` says whether forms that agree up to positive scaling were
+    merged (a deduplicated or pruned cone) or each form is one path's.
     """
 
     lie_type: LieType
     word: ReducedWord
     dim: int
     forms: tuple[LinForm, ...]
-    sources: tuple[tuple[tuple[int, tuple[tuple[int, bool], ...]], ...], ...]
+    merged: bool
 
     @cached_property
     def paths(self) -> tuple[tuple[RigorousPath, ...], ...]:
-        """Per form, all its generating rigorous paths."""
-        if self.lie_type.family == "A":
-            d = base = build_diagram(self.word)
-        else:
-            d = build_symp_diagram(self.word)
-            base = d.base
-        crossing = [j + 1 for j in _inverse(heap_coordinates(base.word))]
-        ups = {k for sources in self.sources for k, _ in sources}
-        oriented = {k: OrientedDiagram(d, k) for k in ups}
-        return tuple(
-            tuple(
-                RigorousPath(oriented[k], tuple((crossing[h], switched) for h, switched in events))
-                for k, events in sources
-            )
-            for sources in self.sources
-        )
+        """Per form, all its generating rigorous paths, enumerated on one
+        new diagram of the word when first read."""
+        found = _rigorous_paths(self.lie_type, self.word)
+        if not self.merged:
+            return tuple((p,) for p in found)
+        functional = _FUNCTIONALS[self.lie_type.family]
+        by_form: dict[tuple[int, ...], list[RigorousPath]] = {}
+        for p in found:
+            by_form.setdefault(polyhedra_primitive(functional(p).coeffs), []).append(p)
+        return tuple(tuple(by_form[f.coeffs]) for f in self.forms)
 
     def to_hrep(self) -> polyhedra.HRep:
         return polyhedra.HRep(
@@ -288,6 +278,9 @@ class HRepCone:
         return len(self.forms)
 
 
+_FUNCTIONALS = {"A": functional_A, "B": functional_B, "C": functional_C}
+
+
 def _inverse(perm) -> list[int]:
     """The inverse of a permutation of ``range(len(perm))``."""
     out = [0] * len(perm)
@@ -296,53 +289,47 @@ def _inverse(perm) -> list[int]:
     return out
 
 
-def _rigorous_forms(t: LieType, w: ReducedWord):
-    """The pairs ``(form, path)``, one per rigorous path in path order, and
-    the word the paths run on."""
+def _rigorous_paths(t: LieType, w: ReducedWord) -> list[RigorousPath]:
+    """The rigorous paths of ``w`` that cut the string cone of type ``t``,
+    in path order, on one new diagram: every orientation of the plain
+    diagram in type A, orientations 1..n of the symplectic one in type C
+    (the mirrors give the same forms) and all 2n - 1 in type B."""
     if t.family == "A":
         d = build_diagram(w)
-        pairs = [
-            (functional_A(p), p)
-            for k in range(1, d.m)
-            for p in enumerate_paths(orient(d, k))
-        ]
-        return pairs, w
+        return [p for k in range(1, d.m) for p in enumerate_paths(orient(d, k))]
     sd = build_symp_diagram(w)
     if t.family == "C":
-        pairs = [(functional_C(p), p) for p in all_symp_paths(sd)]
-    else:
-        pairs = [
-            (functional_B(p), p)
-            for u in range(1, 2 * sd.n)
-            for p in enumerate_paths(OrientedDiagram(sd, u))
-        ]
-    return pairs, sd.lift_word
+        return list(all_symp_paths(sd))
+    return [p for u in range(1, 2 * sd.n) for p in enumerate_paths(OrientedDiagram(sd, u))]
 
 
-def _fill(entry: dict, t: LieType, w: ReducedWord) -> None:
-    """Keep the string cone of ``w`` in its class entry, in heap coordinates.
+def _cone_entry(t: LieType, w: ReducedWord) -> dict:
+    """The cone entry of the class of ``w``, filled by ``w`` on a miss.
 
-    ``entry["raw"]`` holds one ``(form, sources)`` pair per rigorous path,
-    in path order; ``entry["merged"]`` merges the forms that agree up to
-    positive scaling, first copies in that order, keeping content 1 and
-    every source path (see `HRepCone.sources`).
+    ``entry["raw"]`` holds one form per rigorous path, in path order, and
+    ``entry["merged"]`` the first copies of the forms up to positive
+    scaling, with content 1; both in heap coordinates.
     """
-    pairs, paths_word = _rigorous_forms(t, w)
-    at = _inverse(heap_coordinates(w))  # the position of each heap coordinate
-    # each event (crossing j, switched) in heap coordinates, one tuple per kind
-    event = [None] + [((h, False), (h, True)) for h in heap_coordinates(paths_word)]
-    raw = tuple(
-        (
-            tuple([form.coeffs[j] for j in at]),
-            ((p.k, tuple([event[j][switched] for j, switched in p.events])),),
+    if t.rank != w.rank:
+        raise ValueError(f"rank mismatch: cone type {t}, word of rank {w.rank}")
+    if t.family == "A" and w.lie_type.family != "A":
+        raise ValueError("type-A cones need a type-A word")
+    entry = class_entry(t, w)
+    if "raw" not in entry:
+        functional = _FUNCTIONALS[t.family]
+        at = _inverse(heap_coordinates(w))  # the position of each heap coordinate
+        raw = tuple(
+            tuple([form[j] for j in at])
+            for form in (functional(p).coeffs for p in _rigorous_paths(t, w))
         )
-        for form, p in pairs
-    )
-    merged: dict[tuple[int, ...], list] = {}
-    for form, sources in raw:
-        merged.setdefault(polyhedra_primitive(form), []).extend(sources)
-    entry["raw"] = raw
-    entry["merged"] = tuple((form, tuple(sources)) for form, sources in merged.items())
+        entry["raw"] = raw
+        entry["merged"] = tuple(dict.fromkeys(map(polyhedra_primitive, raw)))
+    return entry
+
+
+def _word_forms(heap, forms) -> tuple[LinForm, ...]:
+    """Heap-coordinate forms rewritten in the coordinates of the word."""
+    return tuple(LinForm("a", tuple([form[k] for k in heap])) for form in forms)
 
 
 def string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) -> HRepCone:
@@ -354,17 +341,10 @@ def string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) -> HRepCo
     the class entry (see the module docstring); every word reads its cone
     from there by relabelling coordinates.
     """
-    if t.rank != w.rank:
-        raise ValueError(f"rank mismatch: cone type {t}, word of rank {w.rank}")
-    if t.family == "A" and w.lie_type.family != "A":
-        raise ValueError("type-A cones need a type-A word")
-    entry = class_entry(t, w)
-    if "raw" not in entry:
-        _fill(entry, t, w)
+    entry = _cone_entry(t, w)
     heap = heap_coordinates(w)
-    pairs = entry["merged" if deduplicate else "raw"]
-    forms = tuple(LinForm("a", tuple([form[k] for k in heap])) for form, _ in pairs)
-    return HRepCone(t, w, len(heap), forms, tuple(sources for _, sources in pairs))
+    forms = _word_forms(heap, entry["merged" if deduplicate else "raw"])
+    return HRepCone(t, w, len(heap), forms, deduplicate)
 
 
 # C4 and B4 have 330 commutation classes each; a class may hold a cone entry
@@ -406,15 +386,14 @@ def irredundant_facets(t: LieType, w: ReducedWord) -> tuple[HRepCone, int]:
     in one order.  A string cone is full-dimensional, so its minimal system
     is its facet set and the first copy of each facet is kept.
     """
-    cone = string_cone(t, w, deduplicate=True)
-    entry = class_entry(t, w)
+    entry = _cone_entry(t, w)
+    heap = heap_coordinates(w)
+    merged = entry["merged"]
     if "minimal" not in entry:
-        rows = [tuple(-c for c in f.coeffs) for f in cone.forms]
-        entry["minimal"] = tuple(polyhedra.irredundant_cone_rows(rows, cone.dim))
-    kept = entry["minimal"]
-    forms = tuple(cone.forms[i] for i in kept)
-    sources = tuple(cone.sources[i] for i in kept)
-    return HRepCone(cone.lie_type, cone.word, cone.dim, forms, sources), len(forms)
+        rows = [tuple([-form[k] for k in heap]) for form in merged]
+        entry["minimal"] = tuple(polyhedra.irredundant_cone_rows(rows, len(heap)))
+    forms = _word_forms(heap, [merged[i] for i in entry["minimal"]])
+    return HRepCone(t, w, len(heap), forms, True), len(forms)
 
 
 def facet_count(t: LieType, w: ReducedWord) -> int:

@@ -7,7 +7,7 @@ import pytest
 from stringcones import cli, polyhedra
 from stringcones.cli import render_svg, run
 from stringcones.diagram import build_symp_diagram
-from stringcones.weyl import ReducedWord
+from stringcones.weyl import LieType, ReducedWord, enumerate_reduced_words
 
 
 def test_words_command():
@@ -38,6 +38,35 @@ def test_paths_command_json_shape():
     assert len(res.payload["paths"]) == 5
     entry = next(p for p in res.payload["paths"] if p["wires"] == ["2", "2b"])
     assert entry["symmetric"] is True
+
+
+@pytest.mark.parametrize("type_text", ["A3", "B2", "B3", "C2", "C3"])
+def test_paths_lists_one_path_per_cone_inequality(type_text):
+    """`paths` lists the paths of the string cone: in type B that takes all
+    2n - 1 orientations, not the n of type C."""
+    for w in enumerate_reduced_words(LieType.parse(type_text)):
+        listed = run(["paths", type_text, str(w)])
+        cone = run(["cone", type_text, str(w)])
+        assert listed.status == cone.status == 0
+        assert len(listed.payload["paths"]) == len(cone.payload["constraints"]), w
+
+
+def test_paths_of_type_b_include_the_barred_orientations():
+    listed = run(["paths", "B2", "2,1,2,1"]).payload["paths"]
+    assert len(listed) == 7
+    assert [p["wires"] for p in listed if p["k"] == "2b"] == [["2b", "1b"]]
+    assert run(["paths", "B2", "2,1,2,1", "--k", "3"]).payload["paths"] == listed[-1:]
+
+
+@pytest.mark.parametrize(
+    "type_text,word,top", [("A3", "1,2,1,3,2,1", 3), ("B2", "2,1,2,1", 3), ("C2", "2,1,2,1", 2)]
+)
+def test_paths_refuses_an_orientation_out_of_range(type_text, word, top):
+    assert run(["paths", type_text, word, "--k", str(top)]).status == 0
+    for k in (0, top + 1):
+        res = run(["paths", type_text, word, "--k", str(k)])
+        assert res.status == 2
+        assert res.payload == {"error": f"orientation index {k} out of range 1..{top}"}
 
 
 def test_polytope_fvector_equiv_pipeline(tmp_path):

@@ -355,6 +355,37 @@ def test_facet_cache_keys_on_the_commutation_class(lp_calls):
     assert count_again == count == len(first.forms)
 
 
+def test_a_cone_entry_holds_integer_forms_only(lp_calls):
+    """A class entry keeps integer forms in heap coordinates and facet
+    indices: no path, no event and no `LinForm`."""
+    t = LieType("C", 3)
+    for w in enumerate_reduced_words(t):
+        irredundant_facets(t, w)
+        entry = cones.class_entry(t, w)
+        assert set(entry) == {"raw", "merged", "minimal"}
+        for form in entry["raw"] + entry["merged"]:
+            assert type(form) is tuple and len(form) == 9
+            assert all(type(c) is int for c in form)
+        assert all(type(i) is int for i in entry["minimal"])
+    assert len(lp_calls) == 14  # one per class
+
+
+def test_irredundant_facets_takes_its_class_entry_once(monkeypatch):
+    keyed = []
+    normal_form = cones.foata_normal_form
+
+    def counted(w):
+        keyed.append(w)
+        return normal_form(w)
+
+    monkeypatch.setattr(cones, "foata_normal_form", counted)
+    t = LieType("A", 4)
+    words = list(enumerate_reduced_words(t))
+    for w in words:
+        irredundant_facets(t, w)
+    assert keyed == words and len(keyed) == 768
+
+
 @pytest.mark.slow
 def test_rank4_spot_checks():
     c4 = LieType("C", 4)

@@ -15,13 +15,17 @@ from stringcones._linalg import (
     echelon,
     independent_rows,
     inverse_int,
-    mat_mul,
     mat_vec,
     nullspace_vector,
     rank_int,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def mat_mul(a_rows, b_rows):
+    bt = list(zip(*b_rows))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a_rows)
 
 
 def _rref(rows):
