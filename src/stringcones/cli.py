@@ -206,9 +206,11 @@ def _cmd_paths(args) -> CommandResult:
     paths = [p for (p,) in string_cone(w.lie_type, w).paths]
     if args.k is not None:
         top = 2 * w.rank - 1 if w.lie_type.family == "B" else w.rank
-        if not 1 <= args.k <= top:
+        labels = {str(u): u for u in range(1, top + 1)}  # and the barred ones `k_display` prints
+        labels.update({f"{2 * w.rank + 1 - u}b": u for u in range(w.rank + 1, top + 1)})
+        if args.k not in labels:
             raise ValueError(f"orientation index {args.k} out of range 1..{top}")
-        paths = [p for p in paths if p.k == args.k]
+        paths = [p for p in paths if p.k == labels[args.k]]
     payload = {"type": str(w.lie_type), "word": str(w), "paths": [path_json(p) for p in paths]}
     lines = [
         f"k={p.oriented.k_display}:  {str(p)}   nodes {list(p.node_expression)}"
@@ -385,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
     p.add_argument("word")
     p.add_argument(
-        "--k", type=int, default=None, help="one orientation: 1..n, or 1..2n-1 in type B"
+        "--k", default=None, help="one orientation: 1..n, or 1..2n-1 (or 2b..nb) in type B"
     )
     p.set_defaults(func=_cmd_paths)
 

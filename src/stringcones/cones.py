@@ -259,14 +259,15 @@ class HRepCone:
     @cached_property
     def paths(self) -> tuple[tuple[RigorousPath, ...], ...]:
         """Per form, all its generating rigorous paths, enumerated on one
-        new diagram of the word when first read."""
+        new diagram of the word when first read; a merged cone groups them
+        by the primitive of the entry's raw form at the same path index."""
         found = _rigorous_paths(self.lie_type, self.word)
         if not self.merged:
             return tuple((p,) for p in found)
-        functional = _FUNCTIONALS[self.lie_type.family]
+        heap, raw = heap_coordinates(self.word), _cone_entry(self.lie_type, self.word)["raw"]
         by_form: dict[tuple[int, ...], list[RigorousPath]] = {}
-        for p in found:
-            by_form.setdefault(polyhedra_primitive(functional(p).coeffs), []).append(p)
+        for p, form in zip(found, raw, strict=True):
+            by_form.setdefault(polyhedra_primitive([form[k] for k in heap]), []).append(p)
         return tuple(tuple(by_form[f.coeffs]) for f in self.forms)
 
     def to_hrep(self) -> polyhedra.HRep:

@@ -24,26 +24,26 @@ The pieces:
   such a combination of its rows, so `feasible` is the same test;
 * double description with lexicographic insertion for vertex/ray
   enumeration, both directions;
-* the face lattice from one integer vertex-facet incidence table (in any
-  dimension each facet is the tight set of one row, see `_face_lattice`):
-  the facets of a face F are the maximal proper non-empty ``F & inc`` (each
-  proper face of F lies in one whose facet inc does not contain F), and
-  the lattice is graded, so the closure down from the polytope dates each
-  face by this covering relation, with no linear algebra; f-vectors; exact
-  volumes by recursive triangulation over the same covering relation;
+* the face lattice closed from one integer vertex-facet incidence table
+  (each facet is the tight set of one row, see `_incidences`): the facets
+  of a face F are the maximal proper non-empty ``F & inc`` (each proper
+  face of F lies in one whose facet inc does not contain F), and the
+  lattice is graded, so the closure down from the polytope dates each face
+  by this covering relation, with no linear algebra; f-vectors; exact
+  volumes by recursive triangulation of the table's covering relation;
 * lattice-point counting by bounded coordinate recursion;
-* unimodular equivalence: dimension, f-vector and integrality, then a
-  complete anchored search for an explicit integer map over the edges read
-  from the incidences, whose exhaustion certifies inequivalence.
+* unimodular equivalence from the table alone: dimension, vertex count,
+  facet sizes, integrality, then a complete anchored search for an integer
+  map over its edges, whose exhaustion certifies inequivalence.
 
-`HRep` is the one polytope object: `remove_redundant`, `to_vrep`,
-`face_lattice` and `f_vector` compute their result once per instance and keep
-it in the instance's private memo, which `==`, `hash` and `repr` ignore.
-Errors are not kept.  A V-rep or face lattice is held by its `HRep` alone and
-freed with it.  The minimal rows and the f-vector may also be shared (see
-`HRep.share`): systems that are one polytope up to a renaming of coordinates
-read them from one entry, which keeps the facet rows in the shared
-coordinates and the f-vector, and outlives the instances.
+`HRep` is the one polytope object: `remove_redundant`, `to_vrep`, the
+incidence table and `face_lattice` compute their result once per instance
+and keep it in the instance's private memo, which `==`, `hash` and `repr`
+ignore.  Errors are not kept.  A V-rep, incidence table or face lattice is
+held by its `HRep` alone and freed with it.  The minimal rows may also be
+shared (see `HRep.share`): systems that are one polytope up to a renaming
+of coordinates read them from one entry, which keeps the facet rows in the
+shared coordinates and outlives the instances.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class HRep:
         )
 
     def share(self, entry: dict, shared_rows) -> None:
-        """Read the minimal rows and the f-vector from ``entry``, and keep them there.
+        """Read the minimal rows from ``entry``, and keep them there.
 
         ``shared_rows`` are this system's rows, in its order, rewritten in
         coordinates common to every system given ``entry``.  Those systems
@@ -153,7 +153,7 @@ class HRep:
         minimal system is the facet set whatever the row order, and each
         instance reads it back as its own rows in its own order.
         """
-        self._memo["share"] = _Share(entry, tuple(shared_rows))
+        self._memo["share"] = (entry, tuple(shared_rows))
 
 
 @dataclass(frozen=True)
@@ -164,44 +164,11 @@ class VRep:
     rays: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class _Share:
-    """The entry an `HRep` shares (see `HRep.share`) and its rows in shared coordinates."""
-
-    entry: dict
-    rows: tuple
-
-    def load(self, h: HRep, key: str):
-        """The value of ``key`` kept in the entry, as ``h``'s own; None if none is kept."""
-        value = self.entry.get(key)
-        if key == "minimal" and value is not None:  # first copies, as `_irredundant_indices`
-            own = (row for row, shared in zip(h.rows, self.rows) if shared in value)
-            return HRep(h.dim, tuple(dict.fromkeys(own)))
-        return value
-
-    def keep(self, h: HRep, key: str, value) -> None:
-        if key == "minimal":
-            shared = dict(zip(h.rows, self.rows))
-            value = frozenset(shared[row] for row in value.rows)
-        if key in ("minimal", "fvector"):
-            self.entry[key] = value
-
-
 def _memoized(h: HRep, key: str, compute):
-    """``compute(h)``, computed on the first call and kept in ``h``'s memo.
-
-    A value ``h`` shares (see `HRep.share`) is read from its entry if kept
-    there, and kept there once computed.
-    """
+    """``compute(h)``, computed on the first call and kept in ``h``'s memo."""
     memo = h._memo
     if key not in memo:
-        share = memo.get("share")
-        value = share.load(h, key) if share else None
-        if value is None:
-            value = compute(h)
-            if share:
-                share.keep(h, key, value)
-        memo[key] = value
+        memo[key] = compute(h)
     return memo[key]
 
 
@@ -477,7 +444,21 @@ def remove_redundant(h: HRep) -> HRep:
     An infeasible system collapses to the canonical empty representation
     ``0 <= -1`` rather than raising.
     """
-    return _memoized(h, "minimal", _minimal)
+    return _memoized(h, "minimal", _shared_minimal if "share" in h._memo else _minimal)
+
+
+def _shared_minimal(h: HRep) -> HRep:
+    """The minimal system of an `HRep` that shares (see `HRep.share`): read
+    from the entry as ``h``'s own rows (first copies, as
+    `_irredundant_indices`), or computed by `_minimal` and kept there."""
+    entry, shared_rows = h._memo["share"]
+    if "minimal" not in entry:
+        value = _minimal(h)
+        shared = dict(zip(h.rows, shared_rows))
+        entry["minimal"] = frozenset(shared[row] for row in value.rows)
+        return value
+    own = (row for row, shared in zip(h.rows, shared_rows) if shared in entry["minimal"])
+    return HRep(h.dim, tuple(dict.fromkeys(own)))
 
 
 def _minimal(h: HRep) -> HRep:
@@ -624,12 +605,21 @@ def vrep_to_hrep(v: VRep) -> HRep:
 
 
 @dataclass(frozen=True)
-class FaceLattice:
-    """All faces of a bounded polytope, as vertex bitsets graded by dimension."""
+class _IncidenceTable:
+    """A bounded polytope's dimension, vertices and facets."""
 
     dim: int
     vertices: tuple[tuple[Fraction, ...], ...]
     incidences: tuple[int, ...]  # per facet, bitset over vertex indices
+
+    def tight_facets(self, bits: int) -> list[int]:
+        return [i for i, inc in enumerate(self.incidences) if bits & ~inc == 0]
+
+
+@dataclass(frozen=True)
+class FaceLattice(_IncidenceTable):
+    """All faces of a bounded polytope, as vertex bitsets graded by dimension."""
+
     faces: tuple[tuple[int, int], ...]  # (vertex bitset, dimension), sorted
 
     def f_vector(self) -> tuple[int, ...]:
@@ -639,17 +629,19 @@ class FaceLattice:
             counts[d + 1] += 1
         return tuple(counts)
 
-    def tight_facets(self, bits: int) -> list[int]:
-        return [i for i, inc in enumerate(self.incidences) if bits & ~inc == 0]
-
 
 def face_lattice(h: HRep) -> FaceLattice:
     """All faces of the bounded polytope ``h``."""
     return _memoized(h, "lattice", _face_lattice)
 
 
-def _face_lattice(h: HRep) -> FaceLattice:
-    """Faces from one integer vertex-facet incidence table, dated by covering.
+def _incidence_table(h: HRep) -> _IncidenceTable:
+    """The vertex-facet incidence table of the bounded polytope ``h``."""
+    return _memoized(h, "table", _incidences)
+
+
+def _incidences(h: HRep) -> _IncidenceTable:
+    """One integer vertex-facet incidence table.
 
     The vertices are scaled once by their common denominator, and each row
     of the minimal system gives the vertices tight at it.  In any dimension,
@@ -659,11 +651,6 @@ def _face_lattice(h: HRep) -> FaceLattice:
     non-empty tight sets, kept as first copies in row order; on a
     full-dimensional P the minimal rows are exactly the facets.  The
     dimension is the rank of the integer differences to one vertex.
-
-    Level by level down from the polytope, a face's facets come from
-    `_facets_of`.  The lattice is graded and a (k - 1)-face is a facet only
-    of k-faces, so each face is first met from a face one dimension higher
-    and gets that dimension minus one: no rank is computed per face.
     """
     verts = to_vrep(h, bounded_expected=True).vertices
     if not verts:
@@ -679,20 +666,31 @@ def _face_lattice(h: HRep) -> FaceLattice:
             if sum(c * x for c, x in zip(row, v)) == target:
                 bits |= 1 << vi
         tight.append(bits)
-    top = (1 << len(verts)) - 1
-    facets = set(_facets_of(top, tight))
+    facets = set(_facets_of((1 << len(verts)) - 1, tight))
     incidences = tuple(dict.fromkeys(bits for bits in tight if bits in facets))
+    return _IncidenceTable(dim, verts, incidences)
 
-    dims = {top: dim}
+
+def _face_lattice(h: HRep) -> FaceLattice:
+    """Faces closed from the incidence table (`_incidence_table`), dated by covering.
+
+    Level by level down from the polytope, a face's facets come from
+    `_facets_of`.  The lattice is graded and a (k - 1)-face is a facet only
+    of k-faces, so each face is first met from a face one dimension higher
+    and gets that dimension minus one: no rank is computed per face.
+    """
+    table = _incidence_table(h)
+    top = (1 << len(table.vertices)) - 1
+    dims = {top: table.dim}
     level = [top]
     while level:
         below = []
         for bits in level:
-            for sub in _facets_of(bits, incidences, dims):
+            for sub in _facets_of(bits, table.incidences, dims):
                 dims[sub] = dims[bits] - 1
                 below.append(sub)
         level = below
-    return FaceLattice(dim, verts, incidences, tuple(sorted(dims.items())))
+    return FaceLattice(table.dim, table.vertices, table.incidences, tuple(sorted(dims.items())))
 
 
 def _facets_of(bits: int, incidences, dated=()) -> list[int]:
@@ -722,7 +720,7 @@ def _facets_of(bits: int, incidences, dated=()) -> list[int]:
 
 def f_vector(h: HRep) -> tuple[int, ...]:
     """Face counts ``(f_-1, f_0, ..., f_dim)``, empty face and polytope included."""
-    return _memoized(h, "fvector", lambda h: face_lattice(h).f_vector())
+    return face_lattice(h).f_vector()
 
 
 def integrality(h: HRep):
@@ -797,7 +795,7 @@ def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
     return count(d - 1, [None] * d)
 
 
-def _triangulate(lat: FaceLattice):
+def _triangulate(table: _IncidenceTable):
     """A triangulation of the polytope as tuples of vertex indices: each face
     is coned from its lowest vertex over its facets that miss that vertex."""
     memo: dict[int, list[tuple[int, ...]]] = {}
@@ -810,29 +808,29 @@ def _triangulate(lat: FaceLattice):
             else:
                 memo[bits] = [
                     s + (anchor,)
-                    for sub in _facets_of(bits, lat.incidences)
+                    for sub in _facets_of(bits, table.incidences)
                     if not sub >> anchor & 1
                     for s in tri(sub)
                 ]
         return memo[bits]
 
-    return tri((1 << len(lat.vertices)) - 1)
+    return tri((1 << len(table.vertices)) - 1)
 
 
 def normalized_volume(h: HRep) -> Fraction:
     """dim! times the Euclidean volume; an integer for lattice polytopes."""
-    lat = face_lattice(h)
-    if lat.dim != h.dim:
+    table = _incidence_table(h)
+    if table.dim != h.dim:
         raise PolyhedralError("normalized volume needs a full-dimensional polytope")
-    den = lcm(*(x.denominator for v in lat.vertices for x in v))
-    verts = [[x.numerator * (den // x.denominator) for x in v] for v in lat.vertices]
+    den = lcm(*(x.denominator for v in table.vertices for x in v))
+    verts = [[x.numerator * (den // x.denominator) for x in v] for v in table.vertices]
     # Every simplex is coned from the polytope's lowest vertex 0, its last
     # entry.  Its matrix is taken transposed, a row per coordinate and the
     # anchors of the larger faces first: on GT3 that order makes
     # `det_int` about 1.6 times faster than a row per vertex.
     diffs = [list(map(sub, v, verts[0])) for v in verts]
     total = 0
-    for simplex in _triangulate(lat):
+    for simplex in _triangulate(table):
         total += abs(det_int(list(zip(*(diffs[i] for i in simplex[-2::-1])))))
     return Fraction(total, den**h.dim)
 
@@ -865,22 +863,22 @@ class EquivalenceResult:
     matrix: tuple[tuple[int, ...], ...] | None = None
     shift: tuple[int, ...] | None = None
     witness: str | None = None
-    # the stage that settled the verdict: "dimension", "f-vector",
+    # the stage that settled the verdict: "dimension", "vertices", "facet sizes",
     # "integrality", "search", "budget", "no-simple-vertex" or "lower-dimensional"
     decided_by: str = field(kw_only=True)
 
 
-def _edge_data(lat: FaceLattice, verts, vertex_index: int):
-    """Primitive directions, lattice lengths and endpoint degrees of the
-    edges at a simple vertex.
+def _edge_data(table: _IncidenceTable, verts, vertex_index: int):
+    """Primitive directions, lattice lengths, endpoint degrees and left facet
+    sizes of the edges at a simple vertex.
 
-    ``verts`` are the lattice's vertices times a common denominator, which
-    is the unit of the lengths.  Each edge at the vertex lies on all but one
-    of its tight facets, and its other end is the one other vertex on them.
+    ``verts`` are the table's vertices times a common denominator, the unit
+    of the lengths.  Each edge at the vertex leaves one of its tight facets
+    and lies on the others, and its far end is the one other vertex on them.
     """
     vbit = 1 << vertex_index
     others = ((1 << len(verts)) - 1) & ~vbit
-    tight = [lat.incidences[i] for i in lat.tight_facets(vbit)]
+    tight = [table.incidences[i] for i in table.tight_facets(vbit)]
     edges = []
     for skip in range(len(tight)):
         ends = others
@@ -894,54 +892,51 @@ def _edge_data(lat: FaceLattice, verts, vertex_index: int):
         w = ends.bit_length() - 1
         diff = [b - a for a, b in zip(verts[vertex_index], verts[w])]
         g = content(diff)
-        edges.append((tuple(x // g for x in diff), g, len(lat.tight_facets(ends))))
+        degree = len(table.tight_facets(ends))
+        edges.append((tuple(x // g for x in diff), g, degree, tight[skip].bit_count()))
     edges.sort()
     return edges
 
 
-def _simple_vertices(lat: FaceLattice):
-    out = []
-    for vi in range(len(lat.vertices)):
-        if len(lat.tight_facets(1 << vi)) == lat.dim:
-            out.append(vi)
-    return out
+def _simple_vertices(table: _IncidenceTable):
+    return [v for v in range(len(table.vertices)) if len(table.tight_facets(1 << v)) == table.dim]
 
 
 def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> EquivalenceResult:
-    """Decide unimodular equivalence from f-vectors, vertices and incidences.
+    """Decide unimodular equivalence from the vertices and facet incidences.
 
-    The decision order is dimension, f-vector, integrality, then the anchored
-    search; a mismatch at any stage certifies inequivalence.  The first two
-    stages read `f_vector` (the dimension is its length less two), so a
-    shared f-vector decides them without a face lattice; the lattices are
-    built only once both agree, and the search reads only their vertices and
-    incidences (see `_edge_data`).  The search anchors at a simple vertex ``a``
-    of ``p`` and tries every simple vertex of ``q`` and every bijection of
-    edge stars that preserves each edge's lattice length and opposite-vertex
-    facet degree.  The search is complete:
-    a lattice map ``x -> Ux + s`` of ``p`` onto ``q`` sends ``a`` to a simple
-    vertex of ``q`` and its edges, with their primitive directions, lengths
-    and degrees, to the edges there, so it is one of the candidates, and the
-    ``d`` independent edge directions at ``a`` determine ``U``.  A verified
-    hit certifies equivalence with an explicit map; running out of
+    The decision order is dimension, vertex count, the sorted vertex counts
+    of the facets, integrality, then the anchored search, all read from the
+    incidence tables (`_incidence_table`) with no face lattice; a lattice
+    map is a bijection on vertices and on facets that keeps incidences, so
+    a mismatch at any stage certifies inequivalence.  The search anchors at
+    a simple vertex ``a`` of ``p`` and tries every simple vertex of ``q``
+    and every bijection of edge stars that keeps each edge's lattice length,
+    far-end degree and left facet size (see `_edge_data`).  It is complete:
+    a lattice map ``x -> Ux + s`` of ``p`` onto ``q`` sends ``a`` and its
+    edges to a simple vertex of ``q`` and the edges there, with their
+    directions, lengths, degrees and left facets, so it is a candidate, and
+    the ``d`` independent edge directions at ``a`` determine ``U``.  A
+    verified hit certifies equivalence with an explicit map; running out of
     candidates certifies inequivalence.  "unknown" is left only for an
     exhausted budget, a ``p`` without simple vertex, and lower-dimensional
-    input (whose edges do not determine ``U``).  Every result names the stage
-    that settled it in ``decided_by``; an exhausted search is "search".
+    input (whose edges do not determine ``U``).  Every result names the
+    stage that settled it in ``decided_by``; an exhausted search is "search".
     """
-    fv_p, fv_q = f_vector(p), f_vector(q)
+    tab_p, tab_q = _incidence_table(p), _incidence_table(q)
 
     def invariants():  # in decision order, each computed only if the ones before agree
-        yield "dimension", len(fv_p) - 2, len(fv_q) - 2
-        yield "f-vector", fv_p, fv_q
+        yield "dimension", tab_p.dim, tab_q.dim
+        yield "vertices", len(tab_p.vertices), len(tab_q.vertices)
+        sizes = (tuple(sorted(inc.bit_count() for inc in t.incidences)) for t in (tab_p, tab_q))
+        yield "facet sizes", *sizes
         yield "integrality", integrality(p)[0], integrality(q)[0]
 
     for stage, a, b in invariants():
         if a != b:
             witness = f"{stage} {a} != {b}"
             return EquivalenceResult("inequivalent", witness=witness, decided_by=stage)
-    lat_p, lat_q = face_lattice(p), face_lattice(q)
-    d = lat_p.dim
+    d = tab_p.dim
     if d != p.dim or d != q.dim:
         return EquivalenceResult(
             "unknown",
@@ -949,39 +944,38 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
             decided_by="lower-dimensional",
         )
 
-    simples_p = _simple_vertices(lat_p)
+    simples_p = _simple_vertices(tab_p)
     if not simples_p:
         witness = "no simple vertex to anchor the search"
         return EquivalenceResult("unknown", witness=witness, decided_by="no-simple-vertex")
     anchor = simples_p[0]
     # every vertex scaled by one common denominator, so edges and images are integer tuples
-    den = lcm(*(x.denominator for v in lat_p.vertices + lat_q.vertices for x in v))
-    verts_p = [[int(x * den) for x in v] for v in lat_p.vertices]
-    verts_q = [tuple(int(x * den) for x in v) for v in lat_q.vertices]
+    den = lcm(*(x.denominator for v in tab_p.vertices + tab_q.vertices for x in v))
+    verts_p = [[int(x * den) for x in v] for v in tab_p.vertices]
+    verts_q = [tuple(int(x * den) for x in v) for v in tab_q.vertices]
     vertex_set_q = set(verts_q)
-    edges_p = _edge_data(lat_p, verts_p, anchor)
-    sig_p = sorted((length, degree) for _, length, degree in edges_p)
+    edges_p = _edge_data(tab_p, verts_p, anchor)
+    sig_p = sorted(e[1:] for e in edges_p)
     # U = M_q (den_p M_p^-1) / den_p, where M_p has the anchor's edge directions as columns
     inv_p, den_p = inverse_int(list(zip(*(e[0] for e in edges_p))))
 
-    simples_q = _simple_vertices(lat_q)
+    simples_q = _simple_vertices(tab_q)
     matched = tried = 0
     for cand in simples_q:
-        edges_q = _edge_data(lat_q, verts_q, cand)
-        if sorted((length, degree) for _, length, degree in edges_q) != sig_p:
+        edges_q = _edge_data(tab_q, verts_q, cand)
+        if sorted(e[1:] for e in edges_q) != sig_p:
             continue
         matched += 1
         # assign each anchor edge a target edge with the same signature
         groups: dict[tuple, list[int]] = {}
-        for idx, (_, length, degree) in enumerate(edges_q):
-            groups.setdefault((length, degree), []).append(idx)
+        for idx, edge in enumerate(edges_q):
+            groups.setdefault(edge[1:], []).append(idx)
 
         def assignments(i: int, used: set[int]):
             if i == d:
                 yield []
                 return
-            _, length, degree = edges_p[i]
-            for idx in groups.get((length, degree), []):
+            for idx in groups.get(edges_p[i][1:], []):
                 if idx in used:
                     continue
                 used.add(idx)
@@ -1009,7 +1003,7 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
             shift = [b - a for b, a in zip(cand_q, mat_vec(u_rows, verts_p[anchor]))]
             if any(x % den for x in shift):
                 continue
-            # f_0 agrees and U is injective, so images inside q's vertex set cover it
+            # the vertex counts agree and U is injective, so images inside q's vertex set cover it
             if all(
                 tuple(a + s for a, s in zip(mat_vec(u_rows, v), shift)) in vertex_set_q
                 for v in verts_p

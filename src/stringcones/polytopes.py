@@ -23,14 +23,13 @@ rows of the weight cone as well.  So in `cones.heap_rows` the words of a
 class give one set of rows ``(tuple[int], int)``, right-hand sides
 included.  `string_polytope` takes the entry of its class and weight from
 `cones.class_entry` (keyed on the Cartier–Foata normal form and the
-weight) and shares its minimal rows and f-vector through it
-(`HRep.share`), so the redundancy LP and the face lattice run once per
-class.  Only for a full-dimensional polytope is the minimal system the
-facet set whatever the row order, so a polytope shares only at a regular
-weight, where it is full-dimensional: ``k P_lambda`` holds
-``dim V(k lambda)`` lattice points, a polynomial of degree N in k.  A word
-with no adjacent commuting pair is alone in its class, so it takes no
-polytope entry.
+weight) and shares its minimal rows through it (`HRep.share`), so the
+redundancy LP runs once per class.  Only for a full-dimensional polytope
+is the minimal system the facet set whatever the row order, so a polytope
+shares only at a regular weight, where it is full-dimensional:
+``k P_lambda`` holds ``dim V(k lambda)`` lattice points, a polynomial of
+degree N in k.  A word with no adjacent commuting pair is alone in its
+class, so it takes no polytope entry.
 """
 
 from __future__ import annotations
@@ -81,8 +80,8 @@ def lambda_cone(w: ReducedWord, lam: Weight) -> HRep:
 def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
     """String cone plus weight cone of ``w`` at ``lam`` (possibly redundant rows).
 
-    At a regular weight the polytope shares its minimal rows and f-vector
-    with the other words of its commutation class (see the module docstring).
+    At a regular weight the polytope shares its minimal rows with the other
+    words of its commutation class (see the module docstring).
     """
     cone = string_cone(w.lie_type, w, deduplicate=True)
     cone_rows = tuple((tuple(-c for c in f.coeffs), 0) for f in cone.forms)
@@ -207,12 +206,13 @@ def verify_gt_theorem(n: int, budget: int = 100_000) -> GTReport:
     polytope; exactly the nested word should survive.
 
     Words whose polytopes have the wrong facet count are refuted outright.
-    The rest go to `search_unimodular_equivalence`, which compares dimension,
-    f-vector and integrality of the two face lattices and then runs its
-    anchored map search.  The search is complete (any lattice map sends the
-    anchor's edge star to one of the edge stars it tries), so its exhaustion
-    refutes the word; only a spent budget or a polytope without simple
-    vertex leaves it "unresolved", which is no refutation.
+    The rest go to `search_unimodular_equivalence`, which compares
+    dimension, vertex count, facet sizes and integrality from the two
+    incidence tables and then runs its anchored map search.  The search is
+    complete (any lattice map sends the anchor's edge star to one of the
+    edge stars it tries), so its exhaustion refutes the word; only a spent
+    budget or a polytope without simple vertex leaves it "unresolved",
+    which is no refutation.
     """
     t = LieType("C", n)
     rho = Weight.rho(t)

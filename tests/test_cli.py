@@ -58,6 +58,16 @@ def test_paths_of_type_b_include_the_barred_orientations():
     assert run(["paths", "B2", "2,1,2,1", "--k", "3"]).payload["paths"] == listed[-1:]
 
 
+def test_paths_of_type_b_take_the_printed_barred_label():
+    by_label = run(["paths", "B2", "2,1,2,1", "--k", "2b"]).payload["paths"]
+    assert by_label == run(["paths", "B2", "2,1,2,1", "--k", "3"]).payload["paths"]
+    assert [p["k"] for p in by_label] == ["2b"]
+    for type_text, label, top in (("C2", "1b", 2), ("B2", "3b", 3)):
+        res = run(["paths", type_text, "2,1,2,1", "--k", label])
+        assert res.status == 2
+        assert res.payload == {"error": f"orientation index {label} out of range 1..{top}"}
+
+
 @pytest.mark.parametrize(
     "type_text,word,top", [("A3", "1,2,1,3,2,1", 3), ("B2", "2,1,2,1", 3), ("C2", "2,1,2,1", 2)]
 )

@@ -672,7 +672,7 @@ def test_lattice_points():
 
 def test_derived_representations_computed_once_per_instance(monkeypatch):
     calls = Counter()
-    for name in ("_minimal", "_vrep", "_face_lattice"):
+    for name in ("_minimal", "_vrep", "_incidences", "_face_lattice"):
         def counted(h, _worker=getattr(polyhedra, name), _name=name):
             calls[_name, id(h)] += 1
             return _worker(h)
@@ -691,7 +691,8 @@ def test_derived_representations_computed_once_per_instance(monkeypatch):
         assert face_lattice(h) is face_lattice(h)
     assert search_unimodular_equivalence(p, q).status == "equivalent"
     assert verify_unimodular_map(p, q, shear, (0, 0))
-    assert calls == {(name, id(h)): 1 for name in ("_minimal", "_vrep", "_face_lattice") for h in (p, q)}
+    names = ("_minimal", "_vrep", "_incidences", "_face_lattice")
+    assert calls == {(name, id(h)): 1 for name in names for h in (p, q)}
 
 
 def test_memo_is_invisible_and_freed_with_its_hrep():
@@ -730,9 +731,10 @@ def test_shared_minimal_rows_and_f_vector(monkeypatch):
     # q's own rows in q's order, the first copy of its doubled row kept
     assert remove_redundant(q).rows == (((-1, 0), 0), ((0, 1), 1), ((0, -1), 0), ((1, 0), 1))
     assert remove_redundant(q).rows == remove_redundant(HRep(2, q.rows)).rows
-    assert calls == {"_minimal": 2, "_face_lattice": 1}  # the second for the oracle
-    # the entry keeps shared rows and the f-vector, not the face lattice
-    assert set(entry) == {"minimal", "fvector"}
+    # the second `_minimal` for the oracle; each instance closes its own face lattice
+    assert calls == {"_minimal": 2, "_face_lattice": 2}
+    # the entry keeps the shared rows only: no f-vector, no face lattice
+    assert set(entry) == {"minimal"}
     del p
     gc.collect()
     assert lattice() is None
@@ -865,13 +867,14 @@ def test_search_equivalence_identity_and_shear():
 def test_search_equivalence_refutes():
     triangle = HRep(2, (((1, 1), 1), ((-1, 0), 0), ((0, -1), 0)))
     res = search_unimodular_equivalence(SQUARE, triangle)
-    assert res.status == "inequivalent" and "f-vector" in res.witness
+    assert (res.status, res.witness) == ("inequivalent", "vertices 4 != 3")
     wide = HRep(2, (((1, 0), 2), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)))
     res2 = search_unimodular_equivalence(SQUARE, wide)
     assert res2.status == "inequivalent" and "anchored search" in res2.witness
     # C2 at lambda = (2, 1): the word 1,2,1,2 agrees with the Gelfand-Tsetlin
-    # polytope on f-vector, integrality, lattice points of P and 2P and
-    # normalized volume, yet the search refutes it
+    # polytope on f-vector, facet sizes, integrality, lattice points of P and
+    # 2P and normalized volume, yet the search refutes it: no simple vertex
+    # of q matches the anchor's edge signature, so no bijection is tried
     from stringcones.polytopes import gt_polytope_C, string_polytope
     from stringcones.weyl import LieType, ReducedWord, Weight
 
@@ -884,7 +887,9 @@ def test_search_equivalence_refutes():
     assert [lattice_points(dilate(q, t)) for t in (1, 2)] == [35, 220]
     assert normalized_volume(p) == normalized_volume(q) == 96
     res3 = search_unimodular_equivalence(p, q)
-    assert res3.status == "inequivalent" and "anchored search" in res3.witness
+    assert res3.status == "inequivalent" and res3.witness.endswith(
+        "(0 matching the anchor's edge signature) and 0 edge bijections"
+    )
 
 
 def scan_edge_data(lat, vertex_index):
@@ -909,8 +914,9 @@ def scan_edge_data(lat, vertex_index):
 
 
 def test_edges_from_incidences_match_the_one_face_scan():
-    """At every simple vertex, the edges read off the incidences are the
-    1-faces through it, with equal directions, lengths and degrees: on GT3,
+    """At every simple vertex, the edges read off the incidence table are
+    the 1-faces through it, with equal directions, lengths and degrees, and
+    each leaves the one facet at the vertex that misses its far end: on GT3,
     the rank-3 braid variant at rho, and every polytope the C2 equivalence
     workload compares (both words and GT2 at the regular weights with
     l1 + l2 <= 6)."""
@@ -927,21 +933,25 @@ def test_edges_from_incidences_match_the_one_face_scan():
             polys += [string_polytope(w, lam) for w in enumerate_reduced_words(c2)]
     assert len(polys) == 2 + 15 * 3
     for h in polys:
-        lat = face_lattice(h)
+        table, lat = polyhedra._incidence_table(h), face_lattice(h)
         den = lcm(*(x.denominator for v in lat.vertices for x in v))
         verts = [[int(x * den) for x in v] for v in lat.vertices]
-        simples = polyhedra._simple_vertices(lat)
+        simples = polyhedra._simple_vertices(table)
         assert simples
         for vi in simples:
-            edges = [(d, F(g, den), deg) for d, g, deg in polyhedra._edge_data(lat, verts, vi)]
-            assert edges == scan_edge_data(lat, vi)
+            data = polyhedra._edge_data(table, verts, vi)
+            assert [(d, F(g, den), deg) for d, g, deg, _ in data] == scan_edge_data(lat, vi)
+            for d, g, _, size in data:
+                far = verts.index([a + g * x for a, x in zip(verts[vi], d)])
+                left = [i for i in lat.tight_facets(1 << vi) if not lat.incidences[i] >> far & 1]
+                assert [lat.incidences[i].bit_count() for i in left] == [size]
 
 
 def test_edge_data_refuses_a_vertex_that_is_not_simple():
-    lat = face_lattice(OCTAHEDRON)
-    verts = [[int(x) for x in v] for v in lat.vertices]
+    table = polyhedra._incidence_table(OCTAHEDRON)
+    verts = [[int(x) for x in v] for v in table.vertices]
     with pytest.raises(PolyhedralError, match="not simple"):
-        polyhedra._edge_data(lat, verts, 0)
+        polyhedra._edge_data(table, verts, 0)
 
 
 def test_search_equivalence_budget_exhaustion_is_unknown():
@@ -955,11 +965,21 @@ def test_search_equivalence_budget_exhaustion_is_unknown():
 
 SEGMENT_IN_PLANE = HRep(2, (((1, 0), 2), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)))
 OCTAHEDRON = HRep(3, tuple(((a, b, c), 1) for a in (1, -1) for b in (1, -1) for c in (1, -1)))
+# five vertices each: a square and four triangles, against six triangles
+SQUARE_PYRAMID = HRep(
+    3, (((0, 0, -1), 0), ((1, 0, 1), 1), ((-1, 0, 1), 1), ((0, 1, 1), 1), ((0, -1, 1), 1))
+)
+TRIANGULAR_BIPYRAMID = HRep(
+    3,
+    (((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0),
+     ((1, 1, -1), 1), ((1, -1, 1), 1), ((-1, 1, 1), 1)),
+)
 
 
 DECIDING_STAGE_CASES = [
     ("dimension", SQUARE, SEGMENT_IN_PLANE, 100, "inequivalent"),
-    ("f-vector", SQUARE, HRep(2, (((1, 1), 1), ((-1, 0), 0), ((0, -1), 0))), 100, "inequivalent"),
+    ("vertices", SQUARE, HRep(2, (((1, 1), 1), ((-1, 0), 0), ((0, -1), 0))), 100, "inequivalent"),
+    ("facet sizes", SQUARE_PYRAMID, TRIANGULAR_BIPYRAMID, 100, "inequivalent"),
     ("integrality", HRep(1, (((1,), 1), ((-1,), 0))), HRep(1, (((2,), 1), ((-1,), 0))), 100,
      "inequivalent"),
     ("search", SQUARE, HRep(2, (((0, 1), 1), ((0, -1), 0), ((1, -1), 1), ((-1, 1), 0))), 100,
@@ -984,11 +1004,16 @@ def test_equivalence_names_the_deciding_stage(stage, p, q, budget, status, monke
         checked.append(h)
         return _integrality(h)
 
+    def closure(h):
+        raise AssertionError("the equivalence search reads no face lattice")
+
     monkeypatch.setattr(polyhedra, "integrality", counted)
+    for name in ("f_vector", "face_lattice", "_face_lattice"):
+        monkeypatch.setattr(polyhedra, name, closure)
     res = search_unimodular_equivalence(p, q, budget=budget)
     assert (res.status, res.decided_by) == (status, stage)
     # a stage runs only when every stage before it agrees
-    assert len(checked) == (0 if stage in ("dimension", "f-vector") else 2)
+    assert len(checked) == (0 if stage in ("dimension", "vertices", "facet sizes") else 2)
 
 
 try:

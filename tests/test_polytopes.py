@@ -287,7 +287,7 @@ def test_shared_minimal_rows_match_a_fresh_lp(empty_entries, type_text, coeffs):
 
 @pytest.mark.parametrize("word", ["2,3,2,1,3,2,3,2,1", "1,2,3,2,1,3,2,3,2", "3,2,1,3,2,1,3,2,1"])
 def test_shared_f_vector_matches_a_fresh_face_lattice(empty_entries, word):
-    # the first word is the braid variant's class, whose f-vector refutes it
+    # the first word is the braid variant's class, whose vertex count refutes it
     rho = Weight.rho(LieType("C", 3))
     for w in sorted(commutation_class(W("C3", word)), key=str):
         h = string_polytope(w, rho)
@@ -350,22 +350,21 @@ def test_cones_and_polytopes_share_one_class_cache(empty_entries, monkeypatch):
     assert empty_entries.cache_info().currsize == 26  # every lookup above was a hit
 
 
-def test_braid_class_is_refuted_from_one_face_lattice(empty_entries, monkeypatch):
+def test_braid_class_is_refuted_without_a_face_lattice(empty_entries, monkeypatch):
     rho = Weight.rho(LieType("C", 3))
     gt = gt_polytope_C(rho, 3)
-    f_vector(gt)
-    built = []
-    worker = polyhedra._face_lattice
+    built = Counter()
+    for name in ("f_vector", "_face_lattice"):
+        def counted(h, _worker=getattr(polyhedra, name), _name=name):
+            built[_name] += 1
+            return _worker(h)
 
-    def counted(h):
-        built.append(h)
-        return worker(h)
-
-    monkeypatch.setattr(polyhedra, "_face_lattice", counted)
+        monkeypatch.setattr(polyhedra, name, counted)
     for w in sorted(commutation_class(braid_variant_word(3)), key=str):
         verdict = search_unimodular_equivalence(string_polytope(w, rho), gt)
-        assert (verdict.status, verdict.decided_by) == ("inequivalent", "f-vector")
-    assert len(built) == 1
+        assert (verdict.status, verdict.witness) == ("inequivalent", "vertices 175 != 176")
+        assert verdict.decided_by == "vertices"
+    assert built == {}
 
 
 def test_no_share_off_the_gate(empty_entries):
