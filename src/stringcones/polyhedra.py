@@ -19,7 +19,10 @@ The pieces:
   one LP finds a strictly interior point, if there is one, as the
   certificate that ``0 <= -1`` is no combination of the strict rows; an
   exact ray from it meets a facet first, so ray shooting certifies most
-  facets with no LP, and the other rows are tested against those first;
+  facets with no LP.  A row that two certified facets imply is dropped
+  with no LP; any other row costs one LP against the certified facets,
+  which either implies it or certifies, by a ray toward the point its
+  certificate names, one more facet;
 * emptiness by Farkas' lemma: a system is empty exactly when ``0 <= -1`` is
   such a combination of its rows, so `feasible` is the same test;
 * double description with lexicographic insertion for vertex/ray
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul, sub
 
 from ._linalg import (
@@ -387,17 +390,75 @@ def _shoot(rows, live, slack, i, dim, facets: set) -> None:
             return
 
 
+def _two_term(row, normals) -> bool:
+    """Whether two certified facets imply ``row`` (c, b), read with no LP.
+
+    ``normals`` maps the primitive normal ``g`` of each certified facet to
+    ``(k, b_g, c_g)``, the facet being ``c_g . x <= b_g`` with ``c_g = k g``.
+    The row follows when ``q c = p c_f + s g`` for a facet ``f``, integers
+    ``p, q > 0`` and ``s >= 0``, and ``k q b >= k p b_f + s b_g``.  Only the
+    ratios ``p / q = c[j] / c_f[j]`` on coordinates where both are nonzero
+    and of one sign are tried, so ``g`` vanishes on one of them.
+    """
+    c, b = row
+    for _, b_f, c_f in normals.values():
+        tried = set()
+        for x, y in zip(c, c_f):
+            if x * y <= 0:
+                continue
+            e = gcd(x, y)
+            p, q = abs(x) // e, abs(y) // e
+            if (p, q) in tried:
+                continue
+            tried.add((p, q))
+            r = [q * v - p * w for v, w in zip(c, c_f)]
+            s = content(r)
+            if s == 0:
+                if q * b >= p * b_f:
+                    return True
+                continue
+            hit = normals.get(tuple(v // s for v in r))
+            if hit is not None and hit[0] * (q * b - p * b_f) >= s * hit[1]:
+                return True
+    return False
+
+
+def _toward_violation(row, certified, point, dim):
+    """A direction from the interior point ``U / S`` toward points that satisfy
+    every ``certified`` row and violate ``row``, or None when there are none.
+
+    None means the certified rows imply ``row`` (the LP of `_implied`).
+    Otherwise that LP's Farkas certificate ``y`` gives ``X = y[:dim]`` and
+    ``T = -y[dim] >= 0`` with ``c_f . X <= T b_f`` on every certified row and
+    ``c . X > T b``: ``X / T`` is such a point (``T > 0``), or ``X`` is a
+    direction along which ``row`` fails and no certified row does
+    (``T = 0``).  The direction is ``S X - T U``, and the ray along it meets
+    ``row`` before any certified row.
+    """
+    y = _farkas(*_combination_lp(row, certified, dim), True)
+    if y is None:
+        return None
+    u, s = point
+    t = -y[dim]
+    return primitive([s * x - t * v for x, v in zip(y[:dim], u)])
+
+
 def _irredundant_indices(rows, dim, decide_empty: bool = False) -> list[int] | None:
     """Indices of a minimal subsystem of the feasible system ``rows``.
 
-    Zero rows and later copies of a row are dropped first.  A row is then
-    redundant exactly when the live rows other than it imply it
-    (`_implied`), one LP per row, in order.  When the live rows have an
-    interior point, the minimal subsystem is their set of facets, so rays
-    shot from that point certify facets with no LP (`_shoot`), and each
-    other row is tested against the certified facets alone before all live
-    rows.  Without one (an implicit equality, or no point) the rows are
-    tested as before.  Either way the kept indices come in order.
+    Zero rows and later copies of a row are dropped first.  Without an
+    interior point (an implicit equality, or no point) a row is redundant
+    exactly when the live rows other than it imply it (`_implied`), one LP
+    per row, in order.  With one, the minimal subsystem is the set of
+    facets: rays from the point certify most of them with no LP (`_shoot`),
+    and each other row, in order, is dropped if two certified facets imply
+    it (`_two_term`), and is otherwise asked of one LP against the
+    certified facets, whose certificate aims a ray at one more facet
+    (`_toward_violation`), until the row is certified or implied.  So each
+    of these LPs certifies a facet or drops a row; only a ray that ties in
+    full (two rows of one half-space) sends the row to the LP against all
+    live rows.  Either way the kept indices are those of the one-LP-per-row
+    loop, in order.
 
     With ``decide_empty`` the system may be empty, and then None comes
     back: a zero row with ``b < 0`` empties it, an interior point proves it
@@ -411,30 +472,52 @@ def _irredundant_indices(rows, dim, decide_empty: bool = False) -> list[int] | N
             live.remove(i)
         else:
             seen[key] = i
-    facets: set[int] = set()
     point = _interior_point([rows[i] for i in live], dim) if live else None
     if decide_empty and (
         any(b < 0 and not any(c) for c, b in rows) or (point is None and not feasible(rows, dim))
     ):
         return None
-    if point is not None:
-        u, s = point
-        slack = {i: rows[i][1] * s - sum(map(mul, rows[i][0], u)) for i in live}
-        if min(slack.values()) <= 0:
-            raise PolyhedralError("interior point certificate is not strictly inside")
-        for i in live:
-            if i not in facets:
-                _shoot(rows, live, slack, i, dim, facets)
-    certified = [rows[j] for j in live if j in facets]
+    if point is None:
+        for i in list(live):
+            if _implied(rows[i], [rows[j] for j in live if j != i], dim):
+                live.remove(i)
+        return live
+    u, s = point
+    slack = {i: rows[i][1] * s - sum(map(mul, rows[i][0], u)) for i in live}
+    if min(slack.values()) <= 0:
+        raise PolyhedralError("interior point certificate is not strictly inside")
+    facets: set[int] = set()
+    for i in live:
+        if i not in facets:
+            _shoot(rows, live, slack, i, dim, facets)
+    normals = {}  # the certified facets by primitive normal, as `_two_term` reads them
+
+    def certify(j):
+        facets.add(j)
+        c, b = rows[j]
+        k = content(c)
+        normals[tuple(x // k for x in c)] = (k, b, c)
+
+    for j in sorted(facets):
+        certify(j)
     for i in list(live):
         if i in facets:
             continue
-        if certified and _implied(rows[i], certified, dim):
+        if _two_term(rows[i], normals):
             live.remove(i)
             continue
-        others = [rows[j] for j in live if j != i]
-        if _implied(rows[i], others, dim):
-            live.remove(i)
+        while i not in facets:
+            certified = [rows[j] for j in live if j in facets]
+            d = _toward_violation(rows[i], certified, point, dim)
+            j = None if d is None else _first_hit(rows, live, slack, d)
+            if j is None:  # the certified facets imply row i, or the ray tied in full
+                if d is None or _implied(rows[i], [rows[k] for k in live if k != i], dim):
+                    live.remove(i)
+                    break
+                j = i  # the tie is of other rows, and none of the live rows implies row i
+            if j in facets:
+                raise PolyhedralError("a certificate ray met a certified facet")
+            certify(j)
     return live
 
 

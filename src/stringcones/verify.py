@@ -2,7 +2,8 @@
 
 Every check compares a computation against a frozen expected value: the
 worked low-rank examples, the facet counts, the f-vectors, the
-classification results, the folding identities, and the enumeration
+classification results, the folding identities, the crystal counts
+(lattice points against Weyl's dimension formula), and the enumeration
 oracles.  Checks come back as ``(name, ok, detail)`` rows; the battery is
 sized by ``n`` (2 is quick, 3 runs the full rank-3 sweeps).
 
@@ -73,6 +74,7 @@ from .weyl import (
     is_reduced,
     lift,
     longest_length,
+    weyl_dimension,
 )
 
 Check = tuple[str, bool, str]
@@ -123,6 +125,11 @@ FUNCTIONAL_TABLE_2121 = {
 # the braid variant's string polytope.
 F_VECTOR_GT3 = (1, 176, 936, 2244, 3126, 2760, 1590, 594, 138, 18, 1)
 F_VECTOR_BRAID3 = (1, 175, 933, 2241, 3125, 2760, 1590, 594, 138, 18, 1)
+
+# Crystal counts: the weights, per rank, at which lattice points are counted.
+# (1, 0, 2) is not regular: its string polytopes are lower-dimensional, so
+# their redundancy removal runs without an interior point.
+CRYSTAL_WEIGHTS = {2: ((1, 1), (2, 1), (1, 2), (3, 2)), 3: ((1, 1, 1), (2, 1, 1), (1, 0, 2))}
 
 
 def _weyl_checks() -> list[Check]:
@@ -529,6 +536,31 @@ def _polytope_checks(n: int) -> list[Check]:
     return out
 
 
+def crystal_counts(n: int) -> list[Check]:
+    """At ranks 2 to ``n``, in types B and C: the lattice points of a string
+    polytope parametrize the crystal basis of V(lam), so the string polytope
+    of one word per commutation class has dim V(lam) lattice points at each
+    weight of `CRYSTAL_WEIGHTS` (Weyl's formula, computed with no polytope)."""
+    out = []
+    for m in range(2, n + 1):
+        for family in "BC":
+            t = LieType(family, m)
+            words, seen = [], set()
+            for w in enumerate_reduced_words(t):
+                if w not in seen:
+                    words.append(w)
+                    seen |= commutation_class(w)
+            bad = []
+            for coeffs in CRYSTAL_WEIGHTS[m]:
+                lam = Weight(t, coeffs)
+                want = weyl_dimension(lam)
+                bad += [(str(w), coeffs) for w in words
+                        if polyhedra.lattice_points(polytopes.string_polytope(w, lam)) != want]
+            out.append(_eq(f"{t} lattice points = dim V(lam), one word per class at "
+                           f"{len(CRYSTAL_WEIGHTS[m])} weights", bad, []))
+    return out
+
+
 def folding_suite(n: int) -> list[Check]:
     """Criterion 9: the folding identities on the rank-2 words and, for
     ``n`` >= 3, four rank-3 words."""
@@ -639,6 +671,7 @@ def paper_checks(n: int = 2) -> list[Check]:
         *_classification_checks(n),
         *simplicial_classification_up_to_diagram(n),
         *_polytope_checks(n),
+        *crystal_counts(n),
         *folding_suite(n),
         *enumerator_oracle(),
         *path_count_equals_facet_count(),

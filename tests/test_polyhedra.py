@@ -119,21 +119,62 @@ def parent_irredundant_indices(rows, dim) -> list[int]:
 
 
 def assert_shooting_matches_parent(rows, dim) -> set[int]:
-    """`_irredundant_indices` keeps the reference's indices, in order, and
-    every row its rays certify is kept by the reference; returns those rows."""
-    shot = set()
-    shoot = polyhedra._shoot
+    """`_irredundant_indices` keeps the reference's indices, in order; the
+    reference keeps every row that a ray meets, from the interior point or
+    toward a certificate's point, and drops every row that the two-term test
+    drops.  With an interior point the tableaux number at most one, plus one
+    per row the first rays leave undecided, plus one per full tie of a
+    certificate's ray.  Returns the rows the first rays certify."""
+    shot, met, dropped, points = set(), set(), set(), []
+    aimed = []  # the row each certificate's ray met, None for a full tie
+    shooting, tableaux = False, 0
+    shoot, first_hit, two_term = polyhedra._shoot, polyhedra._first_hit, polyhedra._two_term
+    farkas, interior = polyhedra._farkas, polyhedra._interior_point
 
     def recording(rows, live, slack, i, dim, facets):
+        nonlocal shooting
+        shooting = True
         shoot(rows, live, slack, i, dim, facets)
+        shooting = False
         shot.update(facets)
+
+    def recording_hit(rows, live, slack, d):
+        j = first_hit(rows, live, slack, d)
+        met.add(j)
+        if not shooting:
+            aimed.append(j)
+        return j
+
+    def recording_two_term(row, normals):
+        found = two_term(row, normals)
+        if found:
+            dropped.add(row)
+        return found
+
+    def counted_farkas(*args):
+        nonlocal tableaux
+        tableaux += 1
+        return farkas(*args)
+
+    def recording_interior(rows, dim):
+        points.append(interior(rows, dim))
+        return points[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polyhedra, "_shoot", recording)
+        mp.setattr(polyhedra, "_first_hit", recording_hit)
+        mp.setattr(polyhedra, "_two_term", recording_two_term)
+        mp.setattr(polyhedra, "_farkas", counted_farkas)
+        mp.setattr(polyhedra, "_interior_point", recording_interior)
         kept = polyhedra._irredundant_indices(rows, dim)
     expected = parent_irredundant_indices(rows, dim)
     assert kept == expected
-    assert shot <= set(expected)
+    assert met - {None} <= set(expected)
+    assert dropped.isdisjoint(rows[j] for j in expected)
+    if points and points[0] is not None:
+        live = {(c, b) for c, b in rows if any(c)}
+        undecided = len(live) - len(shot)
+        assert tableaux <= 1 + undecided + aimed.count(None)
     return shot
 
 
@@ -455,26 +496,96 @@ def test_ray_shooting_breaks_a_tie_toward_a_facet():
     "text,rows,facets",
     [("4,3,2,4,3,1,4,3,2,1,3,4,2,3,2,1", 85, 28), ("4,3,4,3,2,3,4,3,2,1,2,3,4,3,2,1", 19, 16)],
 )
-def test_ray_shooting_work_bound(text, rows, facets, monkeypatch):
+def test_ray_shooting_work_bound(text, rows, facets, lp_counts):
     """On the largest C4 class and the nested word, rays certify every facet:
-    one interior-point LP plus one LP per redundant row (85 and 19 LPs at one
-    LP per row)."""
-    solves = []
-    lp, interior = polyhedra._nonneg_feasible, getattr(polyhedra, "_interior_point", None)
-
-    def counted_lp(eq_rows, rhs):
-        solves.append("redundancy")
-        return lp(eq_rows, rhs)
-
-    def counted_interior(rows, dim):
-        solves.append("interior")
-        return interior(rows, dim)
-
-    monkeypatch.setattr(polyhedra, "_nonneg_feasible", counted_lp)
-    monkeypatch.setattr(polyhedra, "_interior_point", counted_interior, raising=False)
+    one interior-point LP plus at most one LP per redundant row (85 and 19
+    LPs at one LP per row).  Every tableau counts, whatever asks for it."""
     cone, dim = cone_rows(LieType("C", 4), ReducedWord.parse("C4", text))
     assert (len(cone), len(irredundant_cone_rows([c for c, _ in cone], dim))) == (rows, facets)
-    assert len(solves) <= 1 + rows - facets
+    assert lp_counts["_farkas"] <= 1 + rows - facets
+
+
+def test_redundancy_work_bound_on_c4_classes(lp_counts):
+    """The 14 C4 class words take 34 tableaux in all: 14 interior points,
+    one for each of the 19 facets that no first ray meets, and one for the
+    one redundant row of 119 that the two-term test misses.  Asking each
+    undecided row against the certified facets, and a facet a second time
+    against all rows, took 172."""
+    c4 = LieType("C", 4)
+    for text in C4_CLASS_WORDS:
+        cone, dim = cone_rows(c4, ReducedWord.parse("C4", text))
+        irredundant_cone_rows([c for c, _ in cone], dim)
+    assert lp_counts["_farkas"] <= 34
+
+
+def normals_of(facets):
+    """The certified facets by primitive normal, as `_two_term` reads them."""
+    return {tuple(x // content(c) for x in c): (content(c), b, c) for c, b in facets}
+
+
+@pytest.mark.parametrize(
+    "facets,row,implied",
+    [
+        # x <= 1, y <= 1 give x + y <= 2, but not x + y <= 1: the right-hand sides decide
+        (box(2, 1), ((1, 1), 2), True),
+        (box(2, 1), ((1, 1), 1), False),
+        # 2 (x + y) = (2x + y) + y <= 3 + 1: the ratio p / q is 1 / 2
+        ([((2, 1), 3), ((0, 1), 1)], ((1, 1), 2), True),
+        ([((2, 1), 3), ((0, 1), 1)], ((1, 1), 1), False),
+        # 2y <= 1 - 2x <= 1 from the non-primitive normal of 2x + 2y <= 1
+        ([((-1, 0), 0), ((2, 2), 1)], ((0, 2), 1), True),
+        ([((-1, 0), 0), ((2, 2), 1)], ((0, 2), 0), False),
+        # x <= 1 and 2y + 2z <= 1 give x + y + z <= 3/2, with g = (0, 1, 1) and k = 2
+        ([((1, 0, 0), 1), ((0, 2, 2), 1)], ((1, 1, 1), 2), True),
+        ([((1, 0, 0), 1), ((0, 2, 2), 1)], ((1, 1, 1), 1), False),
+        # 3x + y = (x + y) + 2x <= 1 + 1, where only g = (1, 0) with k = 2 fits
+        ([((1, 1), 1), ((2, 0), 1)], ((3, 1), 2), True),
+        ([((1, 1), 1), ((2, 0), 1)], ((3, 1), 1), False),
+        # -x - y <= 2 from -x <= 1 and -y <= 1, with both ratios -1 / -1 read as 1 / 1
+        (box(2, 1), ((-1, -1), 2), True),
+        (box(2, 1), ((-1, -1), 0), False),
+        # one term: a parallel row with a larger right-hand side
+        (box(2, 1), ((2, 0), 3), True),
+        (box(2, 1), ((2, 0), 1), False),
+    ],
+)
+def test_two_term_certificate(facets, row, implied):
+    assert polyhedra._two_term(row, normals_of(facets)) is implied
+
+
+def test_two_term_certificate_drops_a_row_with_no_lp(lp_counts):
+    """x + y <= 2 touches the square [-1, 1]^2 at a corner, so no ray meets
+    it; the two-term test drops it, and the interior point is the one LP."""
+    rows = tuple(box(2, 1)) + (((1, 1), 2),)
+    assert assert_shooting_matches_parent(rows, 2) == {0, 1, 2, 3}
+    lp_counts.clear()
+    assert polyhedra._irredundant_indices(rows, 2) == [0, 1, 2, 3]
+    assert lp_counts["_farkas"] == 1
+
+
+def test_certificate_ray_certifies_a_facet_no_first_ray_meets(lp_counts, monkeypatch):
+    """With the first rays switched off, every facet of the square cut by
+    x + y <= 1 is met by a certificate's ray: each LP certifies one facet,
+    so five tableaux plus the interior point."""
+    rows = tuple(box(2, 1)) + (((1, 1), 1),)
+    assert parent_irredundant_indices(rows, 2) == [0, 1, 2, 3, 4]
+    monkeypatch.setattr(polyhedra, "_shoot", lambda *args: None)
+    lp_counts.clear()
+    assert polyhedra._irredundant_indices(rows, 2) == [0, 1, 2, 3, 4]
+    assert lp_counts["_farkas"] == 6
+
+
+def test_full_tie_falls_back_to_all_live_rows(lp_counts):
+    """(0, 1) . x <= 0 and (0, 2) . x <= 0 are one half-space, so every ray
+    meets both at once; the first goes by the LP against all live rows, as
+    in the one-LP-per-row loop, and the second is kept."""
+    rows = (((0, 1), 0), ((0, 2), 0))
+    assert parent_irredundant_indices(rows, 2) == [1]
+    lp_counts.clear()
+    assert polyhedra._irredundant_indices(rows, 2) == [1]
+    # the interior point; row 0: its certificate, then the fallback; row 1: its certificate
+    assert lp_counts["_farkas"] == 4
+    assert assert_shooting_matches_parent(rows, 2) == set()
 
 
 def test_to_vrep_square_and_cone():
@@ -1152,8 +1263,10 @@ if _HAVE_HYPOTHESIS:
         """Integer rows ``(c, b)`` in dimension 1-3: a box with random rows
         (full-dimensional), the box cut by an equality pair, the box cut by
         two contradicting rows (empty), or random rows alone; then copies,
-        positive multiples (parallel rows) and zero rows, shuffled.  The flag
-        says whether a nonzero equality or contradicting pair was added."""
+        positive multiples (one half-space), parallel rows with other
+        right-hand sides and non-primitive normals such as ``(2, 2) . x <= 1``,
+        and zero rows, shuffled.  The flag says whether a nonzero equality or
+        contradicting pair was added."""
         d = draw(st.integers(1, 3))
         kind = draw(st.sampled_from(["box", "equality", "empty", "rows"]))
         vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple)
@@ -1167,6 +1280,9 @@ if _HAVE_HYPOTHESIS:
         if rows:
             copies = draw(st.lists(st.tuples(st.sampled_from(rows), st.integers(1, 3)), max_size=3))
             rows += [(tuple(k * x for x in c), k * b) for (c, b), k in copies]
+            shifted = st.tuples(st.sampled_from(rows), st.integers(1, 3), st.integers(-2, 2))
+            shifts = draw(st.lists(shifted, max_size=3))
+            rows += [(tuple(k * x for x in c), k * b + e) for (c, b), k, e in shifts]
         rows += [((0,) * d, draw(st.integers(0, 2)))] * draw(st.integers(0, 2))
         cut = kind in ("equality", "empty") and any(c)  # then no interior point
         return cut, d, tuple(draw(st.permutations(rows)))
@@ -1183,6 +1299,25 @@ if _HAVE_HYPOTHESIS:
             assert s > 0 and all(sum(x * y for x, y in zip(c, u)) < b * s for c, b in nonzero)
         if cut:  # an equality pair or a contradicting pair of nonzero rows
             assert point is None
+
+    @st.composite
+    def two_term_systems(draw):
+        """Rows ``c . x <= b`` with ``b >= 0`` in dimension 1-3 (so 0 satisfies
+        them) standing for certified facets, and one more row of any sign."""
+        d = draw(st.integers(1, 3))
+        vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple)
+        rows = draw(st.lists(st.tuples(vec.filter(any), st.integers(0, 4)), min_size=1, max_size=8))
+        return d, rows, (draw(vec), draw(st.integers(-4, 8)))
+
+    @given(two_term_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_two_term_certificate_is_sound(system):
+        """A row the two-term test drops is implied by the rows that stand for
+        the certified facets, as the LP decides."""
+        d, rows, row = system
+        normals = normals_of(rows)
+        if polyhedra._two_term(row, normals):
+            assert polyhedra._implied(row, [(c, b) for _, b, c in normals.values()], d)
 
     @st.composite
     def hulls(draw):

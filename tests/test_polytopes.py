@@ -180,6 +180,25 @@ def test_rank2_lattice_points_equal_the_weyl_dimension(coeffs, points):
             assert lattice_points(string_polytope(w, lam)) == weyl_dimension(lam)
 
 
+def test_rank3_lattice_points_equal_the_weyl_dimension(monkeypatch):
+    """One word per commutation class of B3 and C3 (14 each) at rho, (2,1,1)
+    and the irregular (1,0,2): 84 string polytopes, each with dim V(lam)
+    lattice points.  The rows read every polytope they count."""
+    counted = Counter()
+    count = polyhedra.lattice_points
+
+    def counting(h, *args):
+        counted[h.dim] += 1
+        return count(h, *args)
+
+    monkeypatch.setattr(polyhedra, "lattice_points", counting)
+    rows = verify.crystal_counts(3)
+    assert [(name.split()[0], ok) for name, ok, _ in rows] == [
+        ("B2", True), ("C2", True), ("B3", True), ("C3", True)
+    ]
+    assert counted == {4: 2 * 2 * 4, 9: 2 * 14 * 3}
+
+
 def test_verify_gt_theorem_rank2():
     report = verify_gt_theorem(2)
     assert report.ok()
