@@ -316,8 +316,8 @@ def _cmd_equiv(args) -> CommandResult:
         "status": res.status,
         "witness": res.witness,
         "decided_by": res.decided_by,
-        "matrix": [list(r) for r in res.matrix] if res.matrix else None,
-        "shift": list(res.shift) if res.shift else None,
+        "matrix": None if res.matrix is None else [list(r) for r in res.matrix],
+        "shift": None if res.shift is None else list(res.shift),
     }
     if res.status == "equivalent":
         table = f"equivalent\nmatrix: {res.matrix}\nshift: {res.shift}"

@@ -26,14 +26,16 @@ The pieces:
 * emptiness by Farkas' lemma: a system is empty exactly when ``0 <= -1`` is
   such a combination of its rows, so `feasible` is the same test;
 * double description with lexicographic insertion for vertex/ray
-  enumeration, both directions;
-* the face lattice closed from one integer vertex-facet incidence table
-  (each facet is the tight set of one row, see `_incidences`): the facets
-  of a face F are the maximal proper non-empty ``F & inc`` (each proper
-  face of F lies in one whose facet inc does not contain F), and the
-  lattice is graded, so the closure down from the polytope dates each face
-  by this covering relation, with no linear algebra; f-vectors; exact
-  volumes by recursive triangulation of the table's covering relation;
+  enumeration, both directions; each ray's zero set is kept by
+  construction, so a V-rep carries the rows tight at each vertex;
+* the face lattice closed from one integer vertex-facet incidence table,
+  read off those tight rows with no LP (each facet is the tight set of one
+  row of any defining system, see `_incidences`): the facets of a face F
+  are the maximal proper non-empty ``F & inc`` (each proper face of F lies
+  in one whose facet inc does not contain F), and the lattice is graded,
+  so the closure down from the polytope dates each face by this covering
+  relation, with no linear algebra; f-vectors; exact volumes by recursive
+  triangulation of the table's covering relation;
 * lattice-point counting by bounded coordinate recursion;
 * unimodular equivalence from the table alone: dimension, vertex count,
   facet sizes, integrality, then a complete anchored search for an integer
@@ -161,10 +163,17 @@ class HRep:
 
 @dataclass(frozen=True)
 class VRep:
-    """Vertices (rational points) and rays (primitive integer directions)."""
+    """Vertices (rational points) and rays (primitive integer directions).
+
+    ``tight`` holds, per vertex, the bitset of the rows of the `HRep` it was
+    computed from that are tight there (bit ``i`` for row ``i``); like
+    `HRep`'s memo, ``==``, ``hash`` and ``repr`` ignore it, and a hand-built
+    V-rep leaves it empty.
+    """
 
     vertices: tuple[tuple[Fraction, ...], ...]
     rays: tuple[tuple[int, ...], ...]
+    tight: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 def _memoized(h: HRep, key: str, compute):
@@ -443,10 +452,13 @@ def _toward_violation(row, certified, point, dim):
     return primitive([s * x - t * v for x, v in zip(y[:dim], u)])
 
 
-def _irredundant_indices(rows, dim, decide_empty: bool = False) -> list[int] | None:
-    """Indices of a minimal subsystem of the feasible system ``rows``.
+def _irredundant_indices(rows, dim) -> list[int] | None:
+    """Indices of a minimal subsystem of ``rows``, or None when it is empty.
 
-    Zero rows and later copies of a row are dropped first.  Without an
+    A zero row with ``b < 0`` empties the system.  Otherwise it is non-empty
+    with no LP when every ``b >= 0`` (it contains 0) or when it has an
+    interior point, and only without either does `feasible` decide.  Zero
+    rows and later copies of a row are dropped first.  Without an
     interior point (an implicit equality, or no point) a row is redundant
     exactly when the live rows other than it imply it (`_implied`), one LP
     per row, in order.  With one, the minimal subsystem is the set of
@@ -459,11 +471,9 @@ def _irredundant_indices(rows, dim, decide_empty: bool = False) -> list[int] | N
     full (two rows of one half-space) sends the row to the LP against all
     live rows.  Either way the kept indices are those of the one-LP-per-row
     loop, in order.
-
-    With ``decide_empty`` the system may be empty, and then None comes
-    back: a zero row with ``b < 0`` empties it, an interior point proves it
-    non-empty otherwise, and only without one does `feasible` decide.
     """
+    if any(b < 0 and not any(c) for c, b in rows):
+        return None
     live = list(range(len(rows)))
     seen: dict[tuple, int] = {}
     for i, (c, b) in enumerate(rows):
@@ -473,9 +483,7 @@ def _irredundant_indices(rows, dim, decide_empty: bool = False) -> list[int] | N
         else:
             seen[key] = i
     point = _interior_point([rows[i] for i in live], dim) if live else None
-    if decide_empty and (
-        any(b < 0 and not any(c) for c, b in rows) or (point is None and not feasible(rows, dim))
-    ):
+    if point is None and any(b < 0 for _, b in rows) and not feasible(rows, dim):
         return None
     if point is None:
         for i in list(live):
@@ -545,7 +553,7 @@ def _shared_minimal(h: HRep) -> HRep:
 
 
 def _minimal(h: HRep) -> HRep:
-    kept = _irredundant_indices(h.rows, h.dim, decide_empty=True)
+    kept = _irredundant_indices(h.rows, h.dim)
     if kept is None:
         return HRep(h.dim, (((0,) * h.dim, -1),))
     return HRep(h.dim, tuple(h.rows[i] for i in kept))
@@ -565,71 +573,51 @@ def irredundant_cone_rows(rows, dim) -> list[int]:
 
 
 def _dd_rays(rows, dim):
-    """Extreme rays of the pointed cone ``{x : c . x <= 0 for all rows}``.
+    """Extreme rays of the pointed cone ``{x : c . x <= 0 for all rows}``,
+    each with its zero set: sorted ``(ray, bits)`` pairs, bit ``i`` set
+    when row ``i`` is tight at the ray.
 
     The rows are primitive integer tuples.  Rows that do not span the dual
     space raise `PolyhedralError`: the cone contains a line (or, for the dual
     cone of a V-representation, the points are not full-dimensional).
-    Insertion order is lexicographic for determinism.
+    Insertion order is lexicographic for determinism.  Each zero set is
+    known when its ray is made (Fukuda–Prodon, "Double description method
+    revisited", 1996), with no dot product: an initial ray, a column of
+    ``-init^-1``, is tight on every initial row but its own; a kept ray
+    gains the inserted row when tight on it; and a new ray
+    ``vals[j] r_i - vals[i] r_j`` (both coefficients positive) is tight on
+    its parents' common zero set and the inserted row, since on any earlier
+    row both terms are ``<= 0``.
     """
     init_idx = independent_rows(rows)
     if len(init_idx) != dim:
         raise PolyhedralError(
             "rows do not span: the cone contains a line, or the points are not full-dimensional"
         )
-    init = [rows[i] for i in init_idx]
-    rest = sorted(
-        (rows[i] for i in range(len(rows)) if i not in set(init_idx)),
-    )
     # the initial rays are the columns of -init^{-1}, read from d * init^{-1}
-    inv, d = inverse_int(init)
+    inv, d = inverse_int([rows[i] for i in init_idx])
     sign = 1 if d > 0 else -1
     rays = [primitive([-sign * row[k] for row in inv]) for k in range(dim)]
-
-    processed = list(init)
-
-    def zero_set(ray):
-        bits = 0
-        for i, row in enumerate(processed):
-            if sum(a * b for a, b in zip(row, ray)) == 0:
-                bits |= 1 << i
-        return bits
-
-    zsets = [zero_set(r) for r in rays]
-
-    for row in rest:
-        vals = [sum(a * b for a, b in zip(row, r)) for r in rays]
-        if all(v <= 0 for v in vals):
-            processed.append(row)
-            bit = 1 << (len(processed) - 1)
-            zsets = [z | (bit if v == 0 else 0) for z, v in zip(zsets, vals)]
-            continue
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        new_rays = []
-        new_zsets = []
+    every = sum(1 << i for i in init_idx)
+    zsets = [every & ~(1 << i) for i in init_idx]
+    for r in sorted(set(range(len(rows))).difference(init_idx), key=rows.__getitem__):
+        row, bit = rows[r], 1 << r
+        vals = [sum(map(mul, row, ray)) for ray in rays]
+        kept = [i for i, v in enumerate(vals) if v <= 0]
+        new_rays = [rays[i] for i in kept]
+        new_zsets = [zsets[i] | bit if vals[i] == 0 else zsets[i] for i in kept]
+        neg = [i for i in kept if vals[i] < 0]
+        pos = [j for j, v in enumerate(vals) if v > 0]
         for i in neg:
             for j in pos:
                 common = zsets[i] & zsets[j]
-                if any(
-                    k != i and k != j and (common & zsets[k]) == common
-                    for k in range(len(rays))
-                ):
+                if any(k != i and k != j and common & z == common for k, z in enumerate(zsets)):
                     continue
                 combo = [vals[j] * a - vals[i] * b for a, b in zip(rays[i], rays[j])]
                 new_rays.append(primitive(combo))
-        processed.append(row)
-        bit = 1 << (len(processed) - 1)
-        kept_rays = [rays[i] for i in neg + zero]
-        kept_zsets = [zsets[i] | (bit if i in zero else 0) for i in neg + zero]
-        for ray in new_rays:
-            z = zero_set(ray)
-            kept_rays.append(ray)
-            kept_zsets.append(z)
-        rays = kept_rays
-        zsets = kept_zsets
-    return sorted(set(tuple(r) for r in rays))
+                new_zsets.append(common | bit)
+        rays, zsets = new_rays, new_zsets
+    return sorted(set(zip(rays, zsets)))
 
 
 def to_vrep(h: HRep, bounded_expected: bool = False) -> VRep:
@@ -661,11 +649,12 @@ def _vrep(h: HRep) -> VRep:
             ray=tuple(witness[: h.dim]),
         )
     rays = _dd_rays(rows, h.dim if cone else h.dim + 1)
-    if cone:
-        return VRep(((Fraction(0),) * h.dim,), tuple(rays))
-    vertices = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1] > 0]
-    rec_rays = [r[:-1] for r in rays if r[-1] == 0]
-    return VRep(tuple(sorted(vertices)), tuple(sorted(rec_rays)))
+    if cone:  # the apex is tight on every row
+        return VRep(((Fraction(0),) * h.dim,), tuple(r for r, _ in rays), ((1 << len(rows)) - 1,))
+    # a vertex has r[-1] > 0, so its zero set misses the homogenizing row
+    vertices = sorted((tuple(Fraction(x, r[-1]) for x in r[:-1]), z) for r, z in rays if r[-1] > 0)
+    rec_rays = sorted(r[:-1] for r, _ in rays if r[-1] == 0)
+    return VRep(tuple(v for v, _ in vertices), tuple(rec_rays), tuple(z for _, z in vertices))
 
 
 def vrep_to_hrep(v: VRep) -> HRep:
@@ -678,7 +667,7 @@ def vrep_to_hrep(v: VRep) -> HRep:
     gens = [_normalize_row(g, 0)[0] for g in gens]
     facets = _dd_rays(gens, dim + 1)
     # a dual ray (y, y0) certifies y.x + y0 >= 0 on the hull
-    rows = [(tuple(-c for c in f[:dim]), f[dim]) for f in facets]
+    rows = [(tuple(-c for c in f[:dim]), f[dim]) for f, _ in facets]
     return HRep(dim, tuple(rows))
 
 
@@ -726,29 +715,25 @@ def _incidence_table(h: HRep) -> _IncidenceTable:
 def _incidences(h: HRep) -> _IncidenceTable:
     """One integer vertex-facet incidence table.
 
-    The vertices are scaled once by their common denominator, and each row
-    of the minimal system gives the vertices tight at it.  In any dimension,
-    every facet F of a polytope P is the tight set of one row of any system
-    defining P: a row tight on F but not on all of P cuts out a proper face
-    containing F, which is F itself.  So the facets are the maximal proper
-    non-empty tight sets, kept as first copies in row order; on a
-    full-dimensional P the minimal rows are exactly the facets.  The
-    dimension is the rank of the integer differences to one vertex.
+    Each row's tight vertices are the V-rep's tight rows per vertex
+    (`VRep.tight`), transposed.  In any dimension, every facet F of a
+    polytope P is the tight set of one row of any system defining P: a row
+    tight on F but not on all of P cuts out a proper face containing F,
+    which is F itself.  So the facets are the maximal proper non-empty
+    tight sets of ``h``'s rows, kept as first copies in row order.  The
+    dimension is the rank of the differences to one vertex.
     """
-    verts = to_vrep(h, bounded_expected=True).vertices
+    vrep = to_vrep(h, bounded_expected=True)
+    verts = vrep.vertices
     if not verts:
         raise PolyhedralError("empty polytope has no face lattice")
-    den = lcm(*(x.denominator for v in verts for x in v))
-    scaled = [[x.numerator * (den // x.denominator) for x in v] for v in verts]
-    dim = rank_int([[a - b for a, b in zip(v, scaled[0])] for v in scaled[1:]])
-    tight = []
-    for row, b in remove_redundant(h).rows:
-        target = b * den
-        bits = 0
-        for vi, v in enumerate(scaled):
-            if sum(c * x for c, x in zip(row, v)) == target:
-                bits |= 1 << vi
-        tight.append(bits)
+    dim = rank_int([list(map(sub, v, verts[0])) for v in verts[1:]])
+    tight = [0] * len(h.rows)
+    for vi, bits in enumerate(vrep.tight):
+        while bits:
+            low = bits & -bits
+            tight[low.bit_length() - 1] |= 1 << vi
+            bits ^= low
     facets = set(_facets_of((1 << len(verts)) - 1, tight))
     incidences = tuple(dict.fromkeys(bits for bits in tight if bits in facets))
     return _IncidenceTable(dim, verts, incidences)

@@ -217,19 +217,24 @@ def count_reduced_words(t: LieType, cap: int = DEFAULT_WORD_CAP) -> int:
     ``(r, r-1, ..., 1)`` in type A_r (Stanley 1984, *Europ. J. Combin.* 5) and
     of the n×n square in types B_n/C_n (Haiman 1992, *Discrete Math.* 99),
     counted by the hook-length formula.  Raises `EnumerationCapExceeded` when
-    the count is over ``cap``, as enumerating them would.
+    the count is over ``cap``, as enumerating them would.  Each rank's shape
+    contains the one before, and a shape has at least the tableaux of any
+    shape it contains, so the counts grow with the rank: the ranks are
+    walked up from 1, and the first count over ``cap`` refuses ``t`` without
+    its own, possibly huge, count.
     """
-    shape = list(range(t.rank, 0, -1)) if t.family == "A" else [t.rank] * t.rank
-    columns = [sum(1 for r in shape if r > j) for j in range(shape[0])]
-    hooks = 1
-    for i, r in enumerate(shape):
-        for j in range(r):
-            hooks *= (r - j) + (columns[j] - i) - 1
-    count = factorial(sum(shape)) // hooks
-    if count > cap:
-        raise EnumerationCapExceeded(
-            f"{count} reduced words for {t}, more than the cap {cap}; raise the cap to enumerate"
-        )
+    for rank in range(1, t.rank + 1):
+        shape = list(range(rank, 0, -1)) if t.family == "A" else [rank] * rank
+        columns = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+        hooks = 1
+        for i, r in enumerate(shape):
+            for j in range(r):
+                hooks *= (r - j) + (columns[j] - i) - 1
+        count = factorial(sum(shape)) // hooks
+        if count > cap:
+            raise EnumerationCapExceeded(
+                f"{t} has more than the cap {cap} reduced words; raise the cap to enumerate"
+            )
     return count
 
 

@@ -94,6 +94,14 @@ def test_polytope_fvector_equiv_pipeline(tmp_path):
     assert eq.payload["matrix"] is not None
 
 
+def test_equiv_of_two_points_prints_empty_matrix_and_shift(tmp_path):
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"dim": 0, "rows": []}))
+    eq = run(["equiv", str(point), str(point)])
+    assert eq.payload["status"] == "equivalent"
+    assert (eq.payload["matrix"], eq.payload["shift"]) == ([], [])
+
+
 def test_full_polytope_payloads():
     nested = run(["polytope", "C", "2,1,2,1", "--lambda", "rho", "--full"])
     gt = run(["gt", "--n", "2", "--lambda", "rho", "--full"])
@@ -183,6 +191,26 @@ def test_words_over_the_cap_exit_2(monkeypatch):
     res = run(["words", "C9"])
     assert res.status == 2
     assert "more than the cap 10000000" in res.payload["error"]
+
+
+def test_words_at_large_rank_exit_2_at_once(monkeypatch):
+    """The count of A200 has more digits than an int converts to text, and
+    the hook product of A1000000 alone takes minutes; both are refused at
+    the first rank whose count is over the cap, with no factorial over 100."""
+    from stringcones import weyl
+
+    def small(k, _factorial=weyl.factorial):
+        if k > 100:
+            raise AssertionError(f"factorial({k}) computed")
+        return _factorial(k)
+
+    monkeypatch.setattr(weyl, "factorial", small)
+    for text in ("A200", "C150", "A1000000"):
+        res = run(["words", text])
+        assert res.status == 2
+        assert res.payload["error"] == (
+            f"{text} has more than the cap 10000000 reduced words; raise the cap to enumerate"
+        )
 
 
 def test_fvector_bad_input_files(tmp_path):

@@ -5,13 +5,22 @@ import weakref
 from collections import Counter
 from fractions import Fraction as F
 from math import lcm
+from operator import mul
 
 import pytest
 
 from stringcones import polyhedra
 from stringcones.cli import _load_polytope
 from stringcones.cones import string_cone
-from stringcones._linalg import content, det_int, echelon, rank_int
+from stringcones._linalg import (
+    content,
+    det_int,
+    echelon,
+    independent_rows,
+    inverse_int,
+    primitive,
+    rank_int,
+)
 from stringcones.polyhedra import (
     HRep,
     PolyhedralError,
@@ -118,13 +127,78 @@ def parent_irredundant_indices(rows, dim) -> list[int]:
     return live
 
 
+def parent_dd_rays(rows, dim):
+    """Reference for `polyhedra._dd_rays`: double description that rebuilds
+    each new ray's zero set by dot products, kept verbatim; returns the
+    sorted rays alone."""
+    init_idx = independent_rows(rows)
+    if len(init_idx) != dim:
+        raise PolyhedralError(
+            "rows do not span: the cone contains a line, or the points are not full-dimensional"
+        )
+    init = [rows[i] for i in init_idx]
+    rest = sorted(
+        (rows[i] for i in range(len(rows)) if i not in set(init_idx)),
+    )
+    # the initial rays are the columns of -init^{-1}, read from d * init^{-1}
+    inv, d = inverse_int(init)
+    sign = 1 if d > 0 else -1
+    rays = [primitive([-sign * row[k] for row in inv]) for k in range(dim)]
+
+    processed = list(init)
+
+    def zero_set(ray):
+        bits = 0
+        for i, row in enumerate(processed):
+            if sum(a * b for a, b in zip(row, ray)) == 0:
+                bits |= 1 << i
+        return bits
+
+    zsets = [zero_set(r) for r in rays]
+
+    for row in rest:
+        vals = [sum(a * b for a, b in zip(row, r)) for r in rays]
+        if all(v <= 0 for v in vals):
+            processed.append(row)
+            bit = 1 << (len(processed) - 1)
+            zsets = [z | (bit if v == 0 else 0) for z, v in zip(zsets, vals)]
+            continue
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        new_rays = []
+        new_zsets = []
+        for i in neg:
+            for j in pos:
+                common = zsets[i] & zsets[j]
+                if any(
+                    k != i and k != j and (common & zsets[k]) == common
+                    for k in range(len(rays))
+                ):
+                    continue
+                combo = [vals[j] * a - vals[i] * b for a, b in zip(rays[i], rays[j])]
+                new_rays.append(primitive(combo))
+        processed.append(row)
+        bit = 1 << (len(processed) - 1)
+        kept_rays = [rays[i] for i in neg + zero]
+        kept_zsets = [zsets[i] | (bit if i in zero else 0) for i in neg + zero]
+        for ray in new_rays:
+            z = zero_set(ray)
+            kept_rays.append(ray)
+            kept_zsets.append(z)
+        rays = kept_rays
+        zsets = kept_zsets
+    return sorted(set(tuple(r) for r in rays))
+
+
 def assert_shooting_matches_parent(rows, dim) -> set[int]:
-    """`_irredundant_indices` keeps the reference's indices, in order; the
-    reference keeps every row that a ray meets, from the interior point or
-    toward a certificate's point, and drops every row that the two-term test
-    drops.  With an interior point the tableaux number at most one, plus one
-    per row the first rays leave undecided, plus one per full tie of a
-    certificate's ray.  Returns the rows the first rays certify."""
+    """`_irredundant_indices` keeps the reference's indices, in order, or
+    returns None on an empty system; the reference keeps every row that a
+    ray meets, from the interior point or toward a certificate's point, and
+    drops every row that the two-term test drops.  With an interior point
+    the tableaux number at most one, plus one per row the first rays leave
+    undecided, plus one per full tie of a certificate's ray.  Returns the
+    rows the first rays certify."""
     shot, met, dropped, points = set(), set(), set(), []
     aimed = []  # the row each certificate's ray met, None for a full tie
     shooting, tableaux = False, 0
@@ -167,6 +241,9 @@ def assert_shooting_matches_parent(rows, dim) -> set[int]:
         mp.setattr(polyhedra, "_farkas", counted_farkas)
         mp.setattr(polyhedra, "_interior_point", recording_interior)
         kept = polyhedra._irredundant_indices(rows, dim)
+    if kept is None:
+        assert not feasible(rows, dim)
+        return shot
     expected = parent_irredundant_indices(rows, dim)
     assert kept == expected
     assert met - {None} <= set(expected)
@@ -375,6 +452,9 @@ def test_full_dimensional_emptiness_comes_from_the_interior_point(lp_counts):
         # a segment in the plane: no interior point, `feasible` finds it non-empty
         ((((1, 0), 1), ((-1, 0), -1), ((0, 1), 2), ((0, -1), 0), ((1, 1), 5)),
          (((1, 0), 1), ((-1, 0), -1), ((0, 1), 2), ((0, -1), 0)), 1),
+        # a segment with every b >= 0: it contains 0, so no LP decides emptiness
+        ((((1, 0), 1), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0), ((1, 1), 5)),
+         (((1, 0), 1), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)), 0),
     ],
 )
 def test_feasible_runs_only_without_an_interior_point(lp_counts, rows, want, lps):
@@ -734,6 +814,51 @@ def test_face_lattice_runs_no_elimination_per_face(monkeypatch):
     lat = face_lattice(gt_polytope_C(Weight.rho(LieType("C", 3)), 3))
     assert len(lat.faces) == 11583
     assert 0 < len(calls) <= 4
+
+
+def assert_dd_matches_parent(rows, dim) -> None:
+    """`_dd_rays` returns the reference's rays, or raises as it does, and
+    each ray's zero set holds exactly the rows with a zero dot product."""
+    try:
+        expected = parent_dd_rays(rows, dim)
+    except PolyhedralError:
+        with pytest.raises(PolyhedralError):
+            polyhedra._dd_rays(rows, dim)
+        return
+    got = polyhedra._dd_rays(rows, dim)
+    assert [ray for ray, _ in got] == expected
+    for ray, bits in got:
+        assert bits == sum(1 << i for i, row in enumerate(rows) if not sum(map(mul, row, ray)))
+
+
+def homogenized(h):
+    """The rows and dimension that `to_vrep` hands double description for ``h``."""
+    return [(*c, -b) for c, b in h.rows] + [(0,) * h.dim + (-1,)], h.dim + 1
+
+
+@pytest.mark.parametrize("type_text", ["A3", "B3", "C3"])
+def test_double_description_matches_the_parent_on_rank3_words(type_text):
+    """Every rank-3 string cone, and in type C every string polytope at rho and GT3."""
+    from stringcones.polytopes import string_polytope
+
+    t = LieType.parse(type_text)
+    rho = Weight.rho(t)
+    for w in enumerate_reduced_words(t):
+        rows, dim = cone_rows(t, w)
+        assert_dd_matches_parent([c for c, _ in rows], dim)
+        if t.family == "C":
+            assert_dd_matches_parent(*homogenized(string_polytope(w, rho)))
+    if t.family == "C":
+        assert_dd_matches_parent(*homogenized(gt_polytope_C(rho, 3)))
+
+
+def test_face_lattice_runs_no_lp(lp_counts):
+    """The incidence table reads each row's tight vertices off the zero sets
+    that double description keeps, so a fresh GT3 lattice solves no LP."""
+    gt = gt_polytope_C(Weight.rho(LieType("C", 3)), 3)
+    lp_counts.clear()
+    assert len(face_lattice(HRep(gt.dim, gt.rows)).faces) == 11583
+    assert lp_counts["_farkas"] == 0
 
 
 def test_lower_dimensional_face_lattice_runs_one_double_description(monkeypatch):
@@ -1327,6 +1452,26 @@ if _HAVE_HYPOTHESIS:
         coords = st.builds(lambda k: F(k, den), st.integers(-2 * den, 2 * den))
         pts = draw(st.lists(st.tuples(*[coords] * d), min_size=3, max_size=9, unique=True))
         return VRep(tuple(sorted(pts)), ())
+
+    @given(hulls())
+    @settings(max_examples=80, deadline=None)
+    def test_double_description_against_parent_on_hulls(v):
+        """The dual cone of a V-rep, whose rows `vrep_to_hrep` builds so."""
+        gens = [polyhedra._normalize_row((*(-x for x in p), -1), 0)[0] for p in v.vertices]
+        assert_dd_matches_parent(gens, len(v.vertices[0]) + 1)
+
+    @given(
+        st.integers(1, 3),
+        st.booleans(),
+        st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                           st.integers(-2, 4)), max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_double_description_against_parent_on_random_systems(d, boxed, extra):
+        """Random rows inside the box ``|x_k| <= 2``, or alone (then often
+        unbounded, with a line, or empty), homogenized as `to_vrep` does."""
+        rows = (box(d, 2) if boxed else []) + [(tuple(c[:d]), b) for c, b in extra]
+        assert_dd_matches_parent(*homogenized(HRep(d, tuple(rows))))
 
     @given(hulls())
     @settings(max_examples=80, deadline=None)
