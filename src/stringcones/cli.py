@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +55,7 @@ class CommandResult:
 
 
 def _rows_json(h: polyhedra.HRep) -> list:
-    return [[*c, _frac_json(b)] for c, b in h.rows]
+    return [[*c, b] for c, b in h.rows]
 
 
 def _frac_json(x):
@@ -64,15 +63,20 @@ def _frac_json(x):
     return f.numerator if f.denominator == 1 else [f.numerator, f.denominator]
 
 
-def _finite(text: str) -> float:
-    """JSON hook for non-integer numbers: ``Infinity``, ``NaN`` and ``1e999`` are refused."""
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite number {text} in polytope JSON")
-    return x
+def _not_an_integer(text: str):
+    """JSON hook for non-integer numbers (``0.1``, ``Infinity``, ``NaN``,
+    ``1e999``): every one is refused."""
+    raise ValueError(f"number {text} in polytope JSON is not an integer")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _load_polytope(source: str) -> polyhedra.HRep:
+    """The `HRep` of a JSON object ``{"dim": d, "rows": [[c_1, ..., c_d, b], ...]}``
+    read from a file or ``-`` (stdin): each ``c_k`` an integer, each ``b`` an
+    integer or a ``[num, den]`` pair of integers with ``den != 0``."""
     try:
         if source == "-":
             text = sys.stdin.read()
@@ -81,27 +85,31 @@ def _load_polytope(source: str) -> polyhedra.HRep:
                 text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {source}: {exc.strerror or exc}") from exc
-    data = json.loads(text, parse_float=_finite, parse_constant=_finite)
+    data = json.loads(text, parse_float=_not_an_integer, parse_constant=_not_an_integer)
     if not (
         isinstance(data, dict)
-        and isinstance(data.get("dim"), int)
-        and not isinstance(data["dim"], bool)
+        and _is_int(data.get("dim"))
         and data["dim"] >= 0
         and isinstance(data.get("rows"), list)
     ):
         raise ValueError(f"{source}: expected an object with a 'dim' >= 0 and a list 'rows'")
     rows = []
-    try:
-        for row in data["rows"]:
-            if not isinstance(row, list):  # a string would unpack character by character
-                raise TypeError(f"row {row!r} is not a list")
-            *coeffs, rhs = row
-            if isinstance(rhs, list):
-                rhs = Fraction(rhs[0], rhs[1])
-            rows.append((tuple(Fraction(x) for x in coeffs), Fraction(rhs)))
-        return polyhedra.HRep(data["dim"], tuple(rows))
-    except (TypeError, IndexError, ZeroDivisionError) as exc:
-        raise ValueError(f"{source}: malformed row: {exc}") from exc
+    for row in data["rows"]:
+        if not (isinstance(row, list) and row):  # a string would unpack character by character
+            raise ValueError(f"{source}: row {row!r} is not a non-empty list")
+        *coeffs, rhs = row
+        bad = next((x for x in coeffs if not _is_int(x)), None)
+        if bad is not None:
+            raise ValueError(f"{source}: coefficient {bad!r} of row {row!r} is not an integer")
+        if isinstance(rhs, list) and len(rhs) == 2 and all(map(_is_int, rhs)) and rhs[1]:
+            rhs = Fraction(*rhs)
+        elif not _is_int(rhs):
+            raise ValueError(
+                f"{source}: right-hand side {rhs!r} of row {row!r} is not an integer"
+                " or a [num, den] pair of integers with den != 0"
+            )
+        rows.append((tuple(coeffs), rhs))
+    return polyhedra.HRep(data["dim"], tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -369,21 +377,16 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="stringcones", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of tables")
-    base_sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True)
 
-    class _Sub:
-        def add_parser(self, name, **kwargs):
-            kwargs.setdefault("parents", [common])
-            return base_sub.add_parser(name, **kwargs)
-
-    sub = _Sub()
-
-    p = sub.add_parser("words", help="enumerate reduced words of the longest element")
+    p = sub.add_parser(
+        "words", parents=[common], help="enumerate reduced words of the longest element"
+    )
     p.add_argument("type")
     p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP)
     p.set_defaults(func=_cmd_words)
 
-    p = sub.add_parser("paths", help="enumerate rigorous paths")
+    p = sub.add_parser("paths", parents=[common], help="enumerate rigorous paths")
     p.add_argument("type")
     p.add_argument("word")
     p.add_argument(
@@ -391,43 +394,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_paths)
 
-    p = sub.add_parser("cone", help="string cone inequalities")
+    p = sub.add_parser("cone", parents=[common], help="string cone inequalities")
     p.add_argument("type")
     p.add_argument("word")
     p.add_argument("--irredundant", action="store_true")
     p.set_defaults(func=_cmd_cone)
 
-    p = sub.add_parser("polytope", help="string polytope rows")
+    p = sub.add_parser("polytope", parents=[common], help="string polytope rows")
     p.add_argument("type")
     p.add_argument("word")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--full", action="store_true", help="also compute vertices, f-vector, integrality")
     p.set_defaults(func=_cmd_polytope)
 
-    p = sub.add_parser("gt", help="symplectic Gelfand-Tsetlin polytope")
+    p = sub.add_parser("gt", parents=[common], help="symplectic Gelfand-Tsetlin polytope")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--full", action="store_true", help="also compute vertices, f-vector, integrality")
     p.set_defaults(func=_cmd_gt)
 
-    p = sub.add_parser("fvector", help="f-vector of a polytope JSON file")
+    p = sub.add_parser("fvector", parents=[common], help="f-vector of a polytope JSON file")
     p.add_argument("source")
     p.set_defaults(func=_cmd_fvector)
 
-    p = sub.add_parser("equiv", help="unimodular equivalence of two polytope JSON files")
+    p = sub.add_parser(
+        "equiv", parents=[common], help="unimodular equivalence of two polytope JSON files"
+    )
     p.add_argument("source_a")
     p.add_argument("source_b")
     p.add_argument("--budget", type=int, default=100_000)
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("render", help="render a wiring diagram as SVG")
+    p = sub.add_parser("render", parents=[common], help="render a wiring diagram as SVG")
     p.add_argument("type")
     p.add_argument("word")
     p.add_argument("--highlight", default=None, help="wire expression like 2,1b,2b")
     p.add_argument("-o", "--output", default="diagram.svg")
     p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("verify-paper", help="run the verification battery")
+    p = sub.add_parser("verify-paper", parents=[common], help="run the verification battery")
     p.add_argument("--n", type=int, choices=(2, 3), default=2)
     p.set_defaults(func=_cmd_verify)
     return ap

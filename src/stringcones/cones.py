@@ -5,10 +5,10 @@ crossing coordinates: +1 where the path jumps to a higher wire, -1 where it
 drops to a lower one.  For a type-B/C word of rank n the same recipe runs
 on the lifted diagram and is pushed down to the N = n^2 folded coordinates:
 
-* type B substitutes both twin coordinates of a letter by the letter's own
-  coordinate;
-* type C additionally doubles wall coordinates, and the resulting form is
-  halved when the path is its own mirror (all its coefficients are even).
+* type B sums each letter's twin coordinates (`FoldMaps.collapse`);
+* type C additionally doubles wall coordinates (`FoldMaps.double_cb`), and
+  the resulting form is halved when the path is its own mirror (all its
+  coefficients are even).
 
 `string_cone` collects one inequality per rigorous path; `irredundant_facets`
 prunes that list down to the facets with an exact LP.
@@ -35,7 +35,8 @@ enumeration and no sort; `HRepCone.paths` enumerates the word's own paths
 when first read.  `irredundant_facets` keeps the indices of the facets
 among the merged forms in the entry, so its LP runs once per class.  A
 string polytope at a regular weight keys on the normal form and the weight
-(see `polytopes`).
+and keeps the indices of its facet rows alike: it lists its weight rows in
+heap-coordinate order (`heap_order`, see `polytopes`).
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "HRepCone",
     "FoldMaps",
     "functional_A",
-    "functional_t",
     "functional_C",
     "functional_C_unhalved",
     "functional_B",
@@ -69,13 +69,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinForm:
-    """An integer linear functional, tagged with its coordinate space.
+    """An integer linear functional; the inequality meant is ``form >= 0``."""
 
-    ``space`` is "a" for folded/plain crossing coordinates and "t" for the
-    coordinates of a lifted diagram.  The inequality meant is ``form >= 0``.
-    """
-
-    space: str
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -84,16 +79,6 @@ class LinForm:
     @property
     def dim(self) -> int:
         return len(self.coeffs)
-
-    def __add__(self, other: "LinForm") -> "LinForm":
-        if self.space != other.space or self.dim != other.dim:
-            raise ValueError("cannot add forms on different spaces")
-        return LinForm(self.space, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def halved(self) -> "LinForm":
-        if any(c % 2 for c in self.coeffs):
-            raise ValueError("form has odd coefficients; cannot halve exactly")
-        return LinForm(self.space, tuple(c // 2 for c in self.coeffs))
 
     def pretty(self, labels: Iterable[str] | None = None) -> str:
         names = list(labels) if labels is not None else [f"a{i+1}" for i in range(self.dim)]
@@ -118,13 +103,9 @@ def _switch_vector(p: RigorousPath) -> list[int]:
 
 
 def functional_A(p: RigorousPath) -> LinForm:
-    """The inequality a path cuts on plain type-A crossing coordinates."""
-    return LinForm("a", tuple(_switch_vector(p)))
-
-
-def functional_t(p: RigorousPath) -> LinForm:
-    """Same coefficients as `functional_A`, on lifted coordinates."""
-    return LinForm("t", tuple(_switch_vector(p)))
+    """The inequality a path cuts on its diagram's crossing coordinates:
+    plain type-A ones, or the lifted ones of a symplectic diagram."""
+    return LinForm(_switch_vector(p))
 
 
 def t_labels(sd: SympWiringDiagram) -> list[str]:
@@ -139,8 +120,6 @@ class FoldMaps:
     (the slice embedding), ``collapse`` sums each twin group (the quotient
     projection), and the two ``double_*`` maps scale by the per-letter
     multiplicities; composing the two scalings gives multiplication by 2.
-    ``substitute`` rewrites a lifted functional in folded coordinates with
-    wall crossings counted twice.
     """
 
     word: ReducedWord
@@ -178,21 +157,6 @@ class FoldMaps:
     def double_cb(self, vec):
         return tuple(m * x for m, x in zip(self.co_multiplicities(), vec))
 
-    def substitute(self, form: LinForm) -> LinForm:
-        if form.space != "t" or form.dim != self.n_lifted:
-            raise ValueError("substitute expects a lifted-coordinate form of matching size")
-        coeffs = tuple(
-            m * sum(form.coeffs[t] for t in group)
-            for m, group in zip(self.co_multiplicities(), self.groups)
-        )
-        return LinForm("a", coeffs)
-
-    def fold_b(self, form: LinForm) -> LinForm:
-        """Rewrite a lifted functional in type-B folded coordinates."""
-        if form.space != "t" or form.dim != self.n_lifted:
-            raise ValueError("fold_b expects a lifted-coordinate form of matching size")
-        return LinForm("a", tuple(sum(form.coeffs[t] for t in group) for group in self.groups))
-
 
 def fold_maps(w: ReducedWord) -> FoldMaps:
     if not w.lie_type.is_doubled:
@@ -214,11 +178,13 @@ def fold_maps(w: ReducedWord) -> FoldMaps:
 
 
 def functional_C_unhalved(p: RigorousPath) -> LinForm:
-    """The type-C form of a symplectic path before any halving."""
+    """The type-C form of a symplectic path before any halving: each twin
+    group of the lifted form summed, wall crossings counted twice."""
     sd = p.diagram
     if not isinstance(sd, SympWiringDiagram):
         raise ValueError("type-C functionals need a symplectic path")
-    return fold_maps(sd.word).substitute(functional_t(p))
+    fm = fold_maps(sd.word)
+    return LinForm(fm.double_cb(fm.collapse(_switch_vector(p))))
 
 
 def functional_C(p: RigorousPath) -> LinForm:
@@ -228,18 +194,20 @@ def functional_C(p: RigorousPath) -> LinForm:
     coefficients, which are divided by two.
     """
     form = functional_C_unhalved(p)
-    sd = p.diagram
-    if p.k == sd.n and is_symmetric(p):
-        return form.halved()
+    if p.k == p.diagram.n and is_symmetric(p):
+        if any(c % 2 for c in form.coeffs):
+            raise ValueError("form has odd coefficients; cannot halve exactly")
+        return LinForm(tuple(c // 2 for c in form.coeffs))
     return form
 
 
 def functional_B(p: RigorousPath) -> LinForm:
-    """The type-B string inequality of a path on a lifted/symplectic diagram."""
+    """The type-B string inequality of a path on a lifted/symplectic diagram:
+    each twin group of the lifted form summed."""
     sd = p.diagram
     if not isinstance(sd, SympWiringDiagram):
         raise ValueError("type-B functionals need a path on a symplectic diagram")
-    return fold_maps(sd.word).fold_b(functional_t(p))
+    return LinForm(fold_maps(sd.word).collapse(_switch_vector(p)))
 
 
 @dataclass(frozen=True)
@@ -274,9 +242,6 @@ class HRepCone:
         return polyhedra.HRep(
             self.dim, tuple((tuple(-c for c in f.coeffs), 0) for f in self.forms)
         )
-
-    def __len__(self) -> int:
-        return len(self.forms)
 
 
 _FUNCTIONALS = {"A": functional_A, "B": functional_B, "C": functional_C}
@@ -330,7 +295,7 @@ def _cone_entry(t: LieType, w: ReducedWord) -> dict:
 
 def _word_forms(heap, forms) -> tuple[LinForm, ...]:
     """Heap-coordinate forms rewritten in the coordinates of the word."""
-    return tuple(LinForm("a", tuple([form[k] for k in heap])) for form in forms)
+    return tuple(LinForm(tuple([form[k] for k in heap])) for form in forms)
 
 
 def string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) -> HRepCone:
@@ -370,11 +335,11 @@ def class_entry(t: LieType, w: ReducedWord, lam: Weight | None = None) -> dict:
     return _class_entry(t, key if lam is None else (key, lam))
 
 
-def heap_rows(w: ReducedWord, rows) -> list:
-    """Rows ``(c, b)`` in the coordinates of ``w``, in their order, with ``c``
-    rewritten in `heap_coordinates`."""
-    at = _inverse(heap_coordinates(w))
-    return [(tuple([c[j] for j in at]), b) for c, b in rows]
+def heap_order(w: ReducedWord, per_position) -> tuple:
+    """One item per position of ``w``, listed in the order of the positions'
+    `heap_coordinates`: the words of a class list their letter occurrences
+    alike."""
+    return tuple([per_position[k] for k in _inverse(heap_coordinates(w))])
 
 
 def irredundant_facets(t: LieType, w: ReducedWord) -> tuple[HRepCone, int]:

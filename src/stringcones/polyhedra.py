@@ -46,9 +46,9 @@ incidence table and `face_lattice` compute their result once per instance
 and keep it in the instance's private memo, which `==`, `hash` and `repr`
 ignore.  Errors are not kept.  A V-rep, incidence table or face lattice is
 held by its `HRep` alone and freed with it.  The minimal rows may also be
-shared (see `HRep.share`): systems that are one polytope up to a renaming
-of coordinates read them from one entry, which keeps the facet rows in the
-shared coordinates and outlives the instances.
+shared (see `HRep.share`): systems that list one sequence of rows up to a
+renaming of coordinates read them from one entry, which keeps the indices
+of the facet rows and outlives the instances.
 """
 
 from __future__ import annotations
@@ -149,16 +149,16 @@ class HRep:
             if sum(c * x for c, x in zip(row, point)) == b
         )
 
-    def share(self, entry: dict, shared_rows) -> None:
-        """Read the minimal rows from ``entry``, and keep them there.
+    def share(self, entry: dict) -> None:
+        """Read the indices of the minimal rows from ``entry``, and keep them
+        there.
 
-        ``shared_rows`` are this system's rows, in its order, rewritten in
-        coordinates common to every system given ``entry``.  Those systems
-        must give one set of shared rows and be full-dimensional: then the
-        minimal system is the facet set whatever the row order, and each
-        instance reads it back as its own rows in its own order.
+        Every system given ``entry`` must list one sequence of rows up to a
+        renaming of coordinates and be full-dimensional: then the minimal
+        system is the facet set, whose first copies sit at the same indices
+        in each.
         """
-        self._memo["share"] = (entry, tuple(shared_rows))
+        self._memo["share"] = entry
 
 
 @dataclass(frozen=True)
@@ -535,25 +535,17 @@ def remove_redundant(h: HRep) -> HRep:
     An infeasible system collapses to the canonical empty representation
     ``0 <= -1`` rather than raising.
     """
-    return _memoized(h, "minimal", _shared_minimal if "share" in h._memo else _minimal)
-
-
-def _shared_minimal(h: HRep) -> HRep:
-    """The minimal system of an `HRep` that shares (see `HRep.share`): read
-    from the entry as ``h``'s own rows (first copies, as
-    `_irredundant_indices`), or computed by `_minimal` and kept there."""
-    entry, shared_rows = h._memo["share"]
-    if "minimal" not in entry:
-        value = _minimal(h)
-        shared = dict(zip(h.rows, shared_rows))
-        entry["minimal"] = frozenset(shared[row] for row in value.rows)
-        return value
-    own = (row for row, shared in zip(h.rows, shared_rows) if shared in entry["minimal"])
-    return HRep(h.dim, tuple(dict.fromkeys(own)))
+    return _memoized(h, "minimal", _minimal)
 
 
 def _minimal(h: HRep) -> HRep:
-    kept = _irredundant_indices(h.rows, h.dim)
+    """The rows `_irredundant_indices` keeps, their indices read from the
+    entry ``h`` shares (see `HRep.share`), or computed and kept there."""
+    entry = h._memo.get("share", {})
+    if "minimal" not in entry:
+        kept = _irredundant_indices(h.rows, h.dim)
+        entry["minimal"] = None if kept is None else tuple(kept)
+    kept = entry["minimal"]
     if kept is None:
         return HRep(h.dim, (((0,) * h.dim, -1),))
     return HRep(h.dim, tuple(h.rows[i] for i in kept))
@@ -624,10 +616,11 @@ def to_vrep(h: HRep, bounded_expected: bool = False) -> VRep:
     """Exact vertex/ray representation.
 
     Cones (all right-hand sides zero) yield their apex and extreme rays;
-    other inputs are homogenized.  A system containing a line raises
-    `Unbounded` carrying the line's direction.  With ``bounded_expected`` a
-    recession ray (of a cone or of the homogenized system) raises
-    `Unbounded` carrying it as a witness.
+    other inputs are homogenized.  An empty system has no vertex and no
+    ray.  A non-empty system containing a line raises `Unbounded` carrying
+    the line's direction.  With ``bounded_expected`` a recession ray (of a
+    cone or of the homogenized system) raises `Unbounded` carrying it as a
+    witness.
     """
     vrep = _memoized(h, "vrep", _vrep)
     if vrep.rays and bounded_expected:
@@ -644,6 +637,8 @@ def _vrep(h: HRep) -> VRep:
         rows = [(*c, -b) for c, b in h.rows] + [(0,) * h.dim + (-1,)]
     witness = nullspace_vector(rows) if rows else None
     if witness is not None:
+        if not feasible(h.rows, h.dim):
+            return VRep((), ())
         raise Unbounded(
             "system has a lineality direction; not a bounded polytope",
             ray=tuple(witness[: h.dim]),
@@ -653,6 +648,8 @@ def _vrep(h: HRep) -> VRep:
         return VRep(((Fraction(0),) * h.dim,), tuple(r for r, _ in rays), ((1 << len(rows)) - 1,))
     # a vertex has r[-1] > 0, so its zero set misses the homogenizing row
     vertices = sorted((tuple(Fraction(x, r[-1]) for x in r[:-1]), z) for r, z in rays if r[-1] > 0)
+    if not vertices:  # the system is empty, and so are its recession rays
+        return VRep((), ())
     rec_rays = sorted(r[:-1] for r, _ in rays if r[-1] == 0)
     return VRep(tuple(v for v, _ in vertices), tuple(rec_rays), tuple(z for _, z in vertices))
 
@@ -811,16 +808,17 @@ def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
     integer box, with interval pruning against the outstanding rows.  Rows
     and box are integral, so each bound is one integer division.  At its
     lowest nonzero coordinate a row's bound is exact, so every leaf reached
-    satisfies every row (all-zero rows are settled by `feasible`).  Visiting
-    more than ``cap`` partial assignments raises `ResourceLimit`.
-    An infeasible system counts 0, even one with a lineality direction.
+    satisfies every row (an all-zero row with ``b < 0`` leaves no vertex).
+    Visiting more than ``cap`` partial assignments raises `ResourceLimit`.
+    An empty system has no vertex and counts 0, even one with a lineality
+    direction.
     """
     d = h.dim
-    if not feasible(h.rows, d):
+    verts = to_vrep(h, bounded_expected=True).vertices
+    if not verts:
         return 0
     if d == 0:
         return 1
-    verts = to_vrep(h, bounded_expected=True).vertices
     box_lo = [-(-min(v[k] for v in verts) // 1) for k in range(d)]
     box_hi = [max(v[k] for v in verts) // 1 for k in range(d)]
     visits = 0

@@ -19,14 +19,16 @@ partial sums lambda_{>=k} on top and trailing zeros closing each row pair.
 The words of one commutation class have string polytopes that differ only
 by a renaming of coordinates: a commutation move swaps two coordinates of
 the string cone, and two commuting letters pair to zero, so it swaps two
-rows of the weight cone as well.  So in `cones.heap_rows` the words of a
-class give one set of rows ``(tuple[int], int)``, right-hand sides
-included.  `string_polytope` takes the entry of its class and weight from
-`cones.class_entry` (keyed on the Cartier–Foata normal form and the
-weight) and shares its minimal rows through it (`HRep.share`), so the
-redundancy LP runs once per class.  Only for a full-dimensional polytope
-is the minimal system the facet set whatever the row order, so a polytope
-shares only at a regular weight, where it is full-dimensional:
+rows of the weight cone as well.  `string_polytope` lists the merged cone
+rows in the class entry's order and the weight rows in heap-coordinate
+order (`cones.heap_order`), so the words of a class list one sequence of
+rows ``(tuple[int], int)`` up to that renaming, right-hand sides included.
+It takes the entry of its class and weight from `cones.class_entry`
+(keyed on the Cartier–Foata normal form and the weight) and shares its
+minimal rows through it (`HRep.share`): the entry keeps the indices of the
+kept rows, as a cone entry does, so the redundancy LP runs once per class.
+A polytope shares only at a regular weight, where it is full-dimensional,
+so its minimal system is its facet set, the same rows in every sequence:
 ``k P_lambda`` holds ``dim V(k lambda)`` lattice points, a polynomial of
 degree N in k.  A word with no adjacent commuting pair is alone in its
 class, so it takes no polytope entry.
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import class_entry, heap_rows, string_cone
+from .cones import class_entry, heap_order, string_cone
 from .polyhedra import HRep, remove_redundant, search_unimodular_equivalence
 from .weyl import (
     LieType,
@@ -80,14 +82,16 @@ def lambda_cone(w: ReducedWord, lam: Weight) -> HRep:
 def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
     """String cone plus weight cone of ``w`` at ``lam`` (possibly redundant rows).
 
-    At a regular weight the polytope shares its minimal rows with the other
-    words of its commutation class (see the module docstring).
+    The merged string-cone rows come first, then the weight-cone rows in
+    heap-coordinate order (`cones.heap_order`).  At a regular weight the
+    polytope shares its minimal rows with the other words of its
+    commutation class (see the module docstring).
     """
     cone = string_cone(w.lie_type, w, deduplicate=True)
     cone_rows = tuple((tuple(-c for c in f.coeffs), 0) for f in cone.forms)
-    h = HRep(cone.dim, cone_rows + lambda_cone(w, lam).rows)
+    h = HRep(cone.dim, cone_rows + heap_order(w, lambda_cone(w, lam).rows))
     if lam.is_regular and any(abs(a - b) >= 2 for a, b in zip(w.letters, w.letters[1:])):
-        h.share(class_entry(w.lie_type, w, lam), heap_rows(w, h.rows))
+        h.share(class_entry(w.lie_type, w, lam))
     return h
 
 

@@ -37,7 +37,6 @@ from .cones import (
     functional_B,
     functional_C,
     functional_C_unhalved,
-    functional_t,
     irredundant_facets,
     string_cone,
 )
@@ -332,7 +331,7 @@ def functional_table_and_rank2_facets() -> list[Check]:
     w21 = ReducedWord.parse("C2", "2,1,2,1")
     table = {
         p.wires_by_name(): (
-            functional_t(p).coeffs,
+            functional_A(p).coeffs,
             functional_C_unhalved(p).coeffs,
             functional_C(p).coeffs,
         )

@@ -51,7 +51,7 @@ def _collect(lie_type: LieType, word: ReducedWord, dim: int, pairs) -> HRepCone:
         key = polyhedra_primitive(form.coeffs)
         if key not in by_form:
             by_form[key] = []
-            order.append(LinForm(form.space, key))
+            order.append(LinForm(key))
         by_form[key].append(path)
     return HRepCone(
         lie_type,

@@ -243,6 +243,41 @@ def test_fvector_non_finite_numbers_exit_2(tmp_path, literal, place):
     assert literal in res.payload["error"]
 
 
+@pytest.mark.parametrize(
+    "row,entry",
+    [
+        ("[0.1, 1]", "0.1"),  # a float coefficient
+        ("[true, 1]", "True"),  # a boolean coefficient
+        ('[1, "1/2"]', "'1/2'"),  # a string right-hand side
+        ("[1, [1, 2, 3]]", "[1, 2, 3]"),  # a right-hand side of three integers
+    ],
+)
+def test_fvector_refuses_entries_that_are_not_integers(tmp_path, row, entry):
+    source = tmp_path / "p.json"
+    source.write_text(f'{{"dim": 1, "rows": [[-1, 0], {row}]}}')
+    res = run(["fvector", str(source)])
+    assert res.status == 2
+    assert entry in res.payload["error"]
+
+
+def test_fvector_reads_a_fraction_pair(tmp_path):
+    source = tmp_path / "p.json"
+    source.write_text('{"dim": 1, "rows": [[-1, 0], [2, [3, 2]]]}')
+    assert cli._load_polytope(str(source)).rows == (((-1,), 0), ((4,), 3))
+    assert run(["fvector", str(source)]).payload["fvector"] == [1, 2, 1]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fvector_of_an_empty_system_says_it_is_empty(tmp_path, dim):
+    # x <= 1 and x >= 2, with a free second coordinate in dimension 2
+    source = tmp_path / "p.json"
+    pad = [0] * (dim - 1)
+    source.write_text(json.dumps({"dim": dim, "rows": [[1, *pad, 1], [-1, *pad, -2]]}))
+    res = run(["fvector", str(source)])
+    assert res.status == 2
+    assert res.payload["error"] == "empty polytope has no face lattice"
+
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st

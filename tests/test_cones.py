@@ -13,7 +13,6 @@ from stringcones.cones import (
     functional_B,
     functional_C,
     functional_C_unhalved,
-    functional_t,
     irredundant_facets,
     is_simplicial,
     string_cone,
@@ -45,14 +44,20 @@ def vec(dim, **kw):
 
 
 def test_linform_basics():
-    f = LinForm("a", (1, -1, 0))
-    g = LinForm("a", (1, 1, 0))
-    assert (f + g).coeffs == (2, 0, 0)
+    f = LinForm([1, -1, 0])
+    assert (f.coeffs, f.dim) == ((1, -1, 0), 3)
     assert f.pretty() == "a1 - a2"
-    assert LinForm("a", (2, 0, -2)).halved().coeffs == (1, 0, -1)
-    with pytest.raises(ValueError):
-        LinForm("a", (1, 2)).halved()
-    assert LinForm("a", (0, 0)).pretty() == "0"
+    assert LinForm((-2, 0, 1)).pretty(["x", "y", "z"]) == "-2*x + z"
+    assert LinForm((0, 0)).pretty() == "0"
+
+
+def test_functional_C_halves_only_even_forms(monkeypatch):
+    sd = build_symp_diagram(W("C2", "2,1,2,1"))
+    wall = next(p for p in symp_paths(sd, 2) if is_symmetric(p))
+    assert functional_C(wall).coeffs == (1, 0, 0, 0)
+    monkeypatch.setattr(cones, "functional_C_unhalved", lambda p: LinForm((2, 1, 0, 0)))
+    with pytest.raises(ValueError, match="odd coefficients"):
+        functional_C(wall)
 
 
 def test_functional_A_worked():
@@ -72,7 +77,7 @@ def test_worked_functional_table():
     rows = {}
     for p in symp_paths(sd, 2):
         rows[p.wires_by_name()] = (
-            functional_t(p).pretty(labels),
+            functional_A(p).pretty(labels),
             functional_C_unhalved(p).pretty(),
             functional_C(p).pretty(),
         )
@@ -120,7 +125,7 @@ def test_functional_B_sampled_point_oracle():
     sd = build_symp_diagram(W("C3", "1,3,2,1,3,2,1,3,2"))
     fm = fold_maps(sd.word)
     for p in symp_paths(sd, 2):
-        ft = functional_t(p)
+        ft = functional_A(p)
         fb = functional_B(p)
         for _ in range(10):
             a = [rng.randint(-5, 5) for _ in range(9)]

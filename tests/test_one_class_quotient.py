@@ -7,10 +7,13 @@ bounded cache on `weyl.foata_normal_form` and relabels coordinates by
 ``cones.py`` may name ``heap_coordinates`` or ``foata_normal_form``, and it
 keeps exactly one ``lru_cache``.  A module holding class entries (it names
 ``class_entry``) keeps no cache of its own, so the quotient cannot fork
-again into a second copy of the key and cache.
+again into a second copy of the key and cache.  ``polyhedra.py`` imports
+only ``_linalg`` and the standard library: an `HRep` shares an entry's
+row indices without knowing how the entry is keyed.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +90,16 @@ def test_the_class_quotient_has_one_home():
 )
 def test_the_scan_finds_a_fork(filename, source, bad):
     assert bool(quotient_forks(source, filename)) == bad
+
+
+def test_polyhedra_imports_only_linalg_and_the_standard_library():
+    path = Path(stringcones.__file__).parent / "polyhedra.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    local = {name for name in imported if name.startswith(".")}
+    assert local == {"._linalg"}
+    assert all(name.split(".")[0] in sys.stdlib_module_names for name in imported - local)

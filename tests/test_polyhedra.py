@@ -949,31 +949,62 @@ def test_memo_is_invisible_and_freed_with_its_hrep():
 
 
 def test_shared_minimal_rows_and_f_vector(monkeypatch):
-    # SQUARE, and SQUARE with its coordinates swapped, its rows reordered and one doubled
-    p = HRep(2, SQUARE.rows + (((1, 1), 2),))
-    q = HRep(2, (((-1, 0), 0), ((0, 1), 1), ((1, 1), 2), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1)))
+    # SQUARE with a redundant row and a doubled one, and the same rows with
+    # the coordinates swapped: one row sequence up to a renaming
+    p = HRep(2, SQUARE.rows + (((1, 1), 2), ((0, 1), 1)))
+    q = HRep(2, tuple((c[::-1], b) for c, b in p.rows))
     calls = Counter()
-    for name in ("_minimal", "_face_lattice"):
-        def counted(h, _worker=getattr(polyhedra, name), _name=name):
+    for name in ("_irredundant_indices", "_face_lattice"):
+        def counted(*args, _worker=getattr(polyhedra, name), _name=name):
             calls[_name] += 1
-            return _worker(h)
+            return _worker(*args)
 
         monkeypatch.setattr(polyhedra, name, counted)
     entry = {}
     for h in (p, q):
-        h.share(entry, [(c[::-1] if h is q else c, b) for c, b in h.rows])
+        h.share(entry)
     lattice = weakref.ref(face_lattice(p))
     assert f_vector(p) == f_vector(q) == (1, 4, 4, 1)
     # q's own rows in q's order, the first copy of its doubled row kept
-    assert remove_redundant(q).rows == (((-1, 0), 0), ((0, 1), 1), ((0, -1), 0), ((1, 0), 1))
+    assert remove_redundant(q).rows == (((0, 1), 1), ((1, 0), 1), ((0, -1), 0), ((-1, 0), 0))
     assert remove_redundant(q).rows == remove_redundant(HRep(2, q.rows)).rows
-    # the second `_minimal` for the oracle; each instance closes its own face lattice
-    assert calls == {"_minimal": 2, "_face_lattice": 2}
-    # the entry keeps the shared rows only: no f-vector, no face lattice
-    assert set(entry) == {"minimal"}
+    # the entry keeps the indices of the kept rows only: no f-vector, no face lattice
+    assert entry == {"minimal": (0, 1, 2, 3)}
+    assert remove_redundant(p).rows == SQUARE.rows
+    # one LP for the entry, the second for the oracle; each instance closes
+    # its own face lattice
+    assert calls == {"_irredundant_indices": 2, "_face_lattice": 2}
     del p
     gc.collect()
     assert lattice() is None
+
+
+def test_empty_systems_have_no_vertices_and_no_face_lattice():
+    # an empty strip with a lineality direction, and an empty system whose
+    # homogenized cone has a recession ray
+    strip = HRep(2, (((1, 0), 1), ((-1, 0), -2)))
+    corner = HRep(2, (((1, 0), -1), ((-1, 0), 0), ((0, -1), 0)))
+    for h in (strip, corner):
+        assert to_vrep(h, bounded_expected=True) == VRep((), ())
+        assert lattice_points(h) == 0
+        with pytest.raises(PolyhedralError, match="empty polytope has no face lattice"):
+            face_lattice(h)
+    # a non-empty system with a line still has no V-rep
+    with pytest.raises(Unbounded, match="lineality direction"):
+        to_vrep(HRep(2, (((1, 0), 1), ((-1, 0), 0))))
+
+
+def test_lattice_points_runs_no_lp(monkeypatch):
+    calls = []
+    farkas = polyhedra._farkas
+
+    def counted(*args):
+        calls.append(args)
+        return farkas(*args)
+
+    monkeypatch.setattr(polyhedra, "_farkas", counted)
+    assert lattice_points(SQUARE) == lattice_points(HRep(2, SQUARE.rows)) == 4
+    assert calls == []
 
 
 def test_normalized_volume():

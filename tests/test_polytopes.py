@@ -32,7 +32,9 @@ from stringcones.weyl import (
     braid_variant_word,
     commutation_class,
     enumerate_reduced_words,
+    foata_normal_form,
     gt_adapted_word,
+    heap_coordinates,
     positive_coroots,
     weyl_dimension,
 )
@@ -330,20 +332,27 @@ def test_one_redundancy_lp_per_commutation_class(empty_entries, monkeypatch):
     assert len(calls) == 14  # 42 words, 14 classes, two of them words alone
 
 
+def test_every_class_lists_one_row_sequence_in_heap_coordinates(empty_entries):
+    rho = Weight.rho(LieType("C", 3))
+    sequences = {}
+    for w in enumerate_reduced_words(rho.lie_type):
+        heap = heap_coordinates(w)
+        at = sorted(range(len(heap)), key=heap.__getitem__)  # the position of each heap coordinate
+        rows = tuple((tuple(c[k] for k in at), b) for c, b in string_polytope(w, rho).rows)
+        sequences.setdefault(foata_normal_form(w), set()).add(rows)
+    assert len(sequences) == 14
+    assert all(len(rows) == 1 for rows in sequences.values())
+
+
 def test_cones_and_polytopes_share_one_class_cache(empty_entries, monkeypatch):
-    cone_lps, polytope_lps = [], []
-    cone_lp, polytope_lp = polyhedra.irredundant_cone_rows, polyhedra._minimal
+    lps = []
+    lp = polyhedra._irredundant_indices
 
-    def counted_cone_lp(rows, dim):
-        cone_lps.append(dim)
-        return cone_lp(rows, dim)
+    def counted(rows, dim):
+        lps.append(dim)
+        return lp(rows, dim)
 
-    def counted_polytope_lp(h):
-        polytope_lps.append(h)
-        return polytope_lp(h)
-
-    monkeypatch.setattr(polyhedra, "irredundant_cone_rows", counted_cone_lp)
-    monkeypatch.setattr(polyhedra, "_minimal", counted_polytope_lp)
+    monkeypatch.setattr(polyhedra, "_irredundant_indices", counted)
     c3 = LieType("C", 3)
     rho = Weight.rho(c3)
     classes = []
@@ -351,21 +360,30 @@ def test_cones_and_polytopes_share_one_class_cache(empty_entries, monkeypatch):
         if not any(w in cls for cls in classes):
             classes.append(commutation_class(w))
     for cls in classes:
-        before = len(cone_lps), len(polytope_lps)
+        before = len(lps)
         for w in sorted(cls, key=str):
             irredundant_facets(c3, w)
             remove_redundant(string_polytope(w, rho))
-        assert (len(cone_lps), len(polytope_lps)) == (before[0] + 1, before[1] + 1), cls
+        assert len(lps) == before + 2, cls  # one cone LP and one polytope LP
     # 14 cone entries and 12 polytope entries: two classes are words alone
     assert empty_entries.cache_info().currsize == empty_entries.cache_info().misses == 26
     for cls in classes:
         w = min(cls, key=str)
         cone_entry = cones.class_entry(c3, w)
         assert len(cone_entry["minimal"]) == len(irredundant_facets(c3, w)[0].forms)
+        entries = [cone_entry]
         if len(cls) > 1:
             polytope_entry = cones.class_entry(c3, w, rho)
             assert polytope_entry is not cone_entry
-            assert any(b > 0 for _, b in polytope_entry["minimal"])
+            h = string_polytope(w, rho)
+            kept = tuple(h.rows[i] for i in polytope_entry["minimal"])
+            assert remove_redundant(h).rows == kept
+            assert any(b > 0 for _, b in kept)
+            entries.append(polytope_entry)
+        for entry in entries:  # both kinds keep the kept rows' indices, in order
+            indices = entry["minimal"]
+            assert type(indices) is tuple and all(type(i) is int for i in indices)
+            assert list(indices) == sorted(set(indices))
     assert empty_entries.cache_info().currsize == 26  # every lookup above was a hit
 
 
