@@ -24,12 +24,8 @@ __all__ = [
 
 
 def content(vec) -> int:
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-        if g == 1:
-            return 1
-    return g
+    """The gcd of an integer vector's entries (0 for the zero vector)."""
+    return gcd(*vec)
 
 
 def primitive(vec) -> tuple[int, ...]:

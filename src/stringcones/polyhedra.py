@@ -19,10 +19,12 @@ The pieces:
   one LP finds a strictly interior point, if there is one, as the
   certificate that ``0 <= -1`` is no combination of the strict rows; an
   exact ray from it meets a facet first, so ray shooting certifies most
-  facets with no LP.  A row that two certified facets imply is dropped
-  with no LP; any other row costs one LP against the certified facets,
-  which either implies it or certifies, by a ray toward the point its
-  certificate names, one more facet;
+  facets with no LP.  A ray reads the rows through a coordinate index,
+  only those sharing a coordinate with its direction, since string forms
+  are sparse.  A row that two certified facets imply is dropped with no
+  LP, before any ray is shot from it; any other row costs one LP against
+  the certified facets, which either implies it or certifies, by a ray
+  toward the point its certificate names, one more facet;
 * emptiness by Farkas' lemma: a system is empty exactly when ``0 <= -1`` is
   such a combination of its rows, so `feasible` is the same test;
 * double description with lexicographic insertion for vertex/ray
@@ -332,27 +334,42 @@ def _interior_point(rows, dim):
     return None if y is None else (y[:dim], y[dim])
 
 
-def _first_hit(rows, live, slack, d):
+def _column_index(rows, live):
+    """Per coordinate ``k``, the map from each live row ``j`` with
+    ``c_j[k] != 0`` to ``c_j[k]``: the live rows that `_first_hit` reads."""
+    return [{j: x for j, x in zip(live, col) if x} for col in zip(*(rows[j][0] for j in live))]
+
+
+def _first_hit(rows, cols, slack, d):
     """The row that the ray from the interior point along ``d`` meets first.
 
     Row ``j`` is met at time ``slack[j] / (c_j . d)`` (up to the point's
     positive denominator) when ``c_j . d > 0``, so the first is the largest
-    ``(c_j . d) / slack[j]``.  A tie is broken as for the direction
-    ``d + e e_1 + e^2 e_2 + ...`` with ``e > 0`` small, by the larger
-    ``c_j / slack[j]`` in lexicographic order; that ray meets its first row
-    alone, in a point strictly inside every other row.  Two rows tied in
-    full are one row up to a positive scale, and then no row is returned.
+    ``(c_j . d) / slack[j]``.  The products are summed through the column
+    index ``cols`` (see `_column_index`) over the coordinates where ``d`` is
+    nonzero; a row that shares none of them has ``c_j . d = 0`` and is not
+    met.  A tie is broken as for the direction ``d + e e_1 + e^2 e_2 + ...``
+    with ``e > 0`` small, by the larger ``c_j / slack[j]`` in lexicographic
+    order; that ray meets its first row alone, in a point strictly inside
+    every other row.  Two rows tied in full are one row up to a positive
+    scale, and then no row is returned.  The order in which rows are read
+    does not matter: the result is the maximum of a total preorder, when
+    that maximum is unique.
     """
+    dots: dict[int, int] = {}
+    get = dots.get
+    for col, x in zip(cols, d):
+        if x:
+            for j, c in col.items():
+                dots[j] = get(j, 0) + c * x
     best, tied = None, False
-    for j in live:
-        c = rows[j][0]
-        a = sum(map(mul, c, d))
+    for j, a in dots.items():
         if a <= 0:
             continue
         if best is None:
-            best, a_best, c_best, s_best = j, a, c, slack[j]
+            best, a_best, c_best, s_best = j, a, rows[j][0], slack[j]
             continue
-        s = slack[j]
+        c, s = rows[j][0], slack[j]
         here, there = a * s_best, a_best * s
         if here == there:
             # the perturbation: compare c / s with c_best / s_best
@@ -368,8 +385,8 @@ def _first_hit(rows, live, slack, d):
     return None if tied else best
 
 
-def _shoot(rows, live, slack, i, dim, facets: set) -> None:
-    """Add to ``facets`` the rows met first by rays from the interior point.
+def _shoot(rows, cols, slack, i, dim, certify) -> None:
+    """Pass to ``certify`` the rows met first by rays from the interior point.
 
     The first ray runs along row ``i``'s normal.  A row met first is a facet
     (see `_first_hit`).  While that row is not ``i``, its normal is projected
@@ -381,10 +398,10 @@ def _shoot(rows, live, slack, i, dim, facets: set) -> None:
     d = list(rows[i][0])
     met = []  # mutually orthogonal normals, each with its squared length
     for _ in range(dim):
-        j = _first_hit(rows, live, slack, d)
+        j = _first_hit(rows, cols, slack, d)
         if j is None:
             return
-        facets.add(j)
+        certify(j)
         if j == i:
             return
         q = list(rows[j][0])
@@ -410,9 +427,11 @@ def _two_term(row, normals) -> bool:
     and of one sign are tried, so ``g`` vanishes on one of them.
     """
     c, b = row
+    support = [(k, x) for k, x in enumerate(c) if x]
     for _, b_f, c_f in normals.values():
         tried = set()
-        for x, y in zip(c, c_f):
+        for k, x in support:
+            y = c_f[k]
             if x * y <= 0:
                 continue
             e = gcd(x, y)
@@ -462,15 +481,19 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
     interior point (an implicit equality, or no point) a row is redundant
     exactly when the live rows other than it imply it (`_implied`), one LP
     per row, in order.  With one, the minimal subsystem is the set of
-    facets: rays from the point certify most of them with no LP (`_shoot`),
-    and each other row, in order, is dropped if two certified facets imply
-    it (`_two_term`), and is otherwise asked of one LP against the
-    certified facets, whose certificate aims a ray at one more facet
-    (`_toward_violation`), until the row is certified or implied.  So each
-    of these LPs certifies a facet or drops a row; only a ray that ties in
-    full (two rows of one half-space) sends the row to the LP against all
-    live rows.  Either way the kept indices are those of the one-LP-per-row
-    loop, in order.
+    facets.  The live rows are indexed by coordinate (`_column_index`),
+    which every ray reads.  Each row not yet certified, in order, is
+    dropped if two facets certified so far imply it (`_two_term`), and
+    otherwise rays from the point along its normal certify, as they meet
+    them, facets with no LP (`_shoot`); a dropped row leaves the index, so
+    no later ray meets it.  Then each row still undecided, in order, is
+    dropped if two certified facets imply it, and is otherwise asked of
+    one LP against the certified facets, whose certificate aims a ray at
+    one more facet (`_toward_violation`), until the row is certified or
+    implied.  So each of these LPs certifies a facet or drops a row; only a
+    ray that ties in full (two rows of one half-space) sends the row to the
+    LP against all live rows.  A dropped row is redundant, so either way
+    the kept indices are those of the one-LP-per-row loop, in order.
     """
     if any(b < 0 and not any(c) for c, b in rows):
         return None
@@ -494,33 +517,42 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
     slack = {i: rows[i][1] * s - sum(map(mul, rows[i][0], u)) for i in live}
     if min(slack.values()) <= 0:
         raise PolyhedralError("interior point certificate is not strictly inside")
+    cols = _column_index(rows, live)
     facets: set[int] = set()
-    for i in live:
-        if i not in facets:
-            _shoot(rows, live, slack, i, dim, facets)
     normals = {}  # the certified facets by primitive normal, as `_two_term` reads them
 
     def certify(j):
-        facets.add(j)
-        c, b = rows[j]
-        k = content(c)
-        normals[tuple(x // k for x in c)] = (k, b, c)
+        if j not in facets:
+            facets.add(j)
+            c, b = rows[j]
+            k = content(c)
+            normals[tuple(x // k for x in c)] = (k, b, c)
 
-    for j in sorted(facets):
-        certify(j)
+    def drop(i):
+        live.remove(i)
+        for col in cols:
+            col.pop(i, None)
+
     for i in list(live):
         if i in facets:
             continue
         if _two_term(rows[i], normals):
-            live.remove(i)
+            drop(i)
+        else:
+            _shoot(rows, cols, slack, i, dim, certify)
+    for i in list(live):
+        if i in facets:
+            continue
+        if _two_term(rows[i], normals):
+            drop(i)
             continue
         while i not in facets:
             certified = [rows[j] for j in live if j in facets]
             d = _toward_violation(rows[i], certified, point, dim)
-            j = None if d is None else _first_hit(rows, live, slack, d)
+            j = None if d is None else _first_hit(rows, cols, slack, d)
             if j is None:  # the certified facets imply row i, or the ray tied in full
                 if d is None or _implied(rows[i], [rows[k] for k in live if k != i], dim):
-                    live.remove(i)
+                    drop(i)
                     break
                 j = i  # the tie is of other rows, and none of the live rows implies row i
             if j in facets:
@@ -579,7 +611,9 @@ def _dd_rays(rows, dim):
     gains the inserted row when tight on it; and a new ray
     ``vals[j] r_i - vals[i] r_j`` (both coefficients positive) is tight on
     its parents' common zero set and the inserted row, since on any earlier
-    row both terms are ``<= 0``.
+    row both terms are ``<= 0``.  Two rays are adjacent only when their
+    common zero set holds at least ``dim - 2`` rows (the cardinality test),
+    so only such pairs reach the combinatorial test `_adjacent`.
     """
     init_idx = independent_rows(rows)
     if len(init_idx) != dim:
@@ -603,13 +637,19 @@ def _dd_rays(rows, dim):
         for i in neg:
             for j in pos:
                 common = zsets[i] & zsets[j]
-                if any(k != i and k != j and common & z == common for k, z in enumerate(zsets)):
+                if common.bit_count() < dim - 2 or not _adjacent(common, i, j, zsets):
                     continue
                 combo = [vals[j] * a - vals[i] * b for a, b in zip(rays[i], rays[j])]
                 new_rays.append(primitive(combo))
                 new_zsets.append(common | bit)
         rays, zsets = new_rays, new_zsets
     return sorted(set(zip(rays, zsets)))
+
+
+def _adjacent(common, i, j, zsets) -> bool:
+    """Whether rays ``i`` and ``j`` with the common zero set ``common`` are
+    adjacent: no other ray's zero set contains it (the combinatorial test)."""
+    return not any(k != i and k != j and common & z == common for k, z in enumerate(zsets))
 
 
 def to_vrep(h: HRep, bounded_expected: bool = False) -> VRep:

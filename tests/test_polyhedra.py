@@ -127,6 +127,34 @@ def parent_irredundant_indices(rows, dim) -> list[int]:
     return live
 
 
+def parent_first_hit(rows, live, slack, d):
+    """Reference for `polyhedra._first_hit`: a dense product with every live
+    row, kept verbatim."""
+    best, tied = None, False
+    for j in live:
+        c = rows[j][0]
+        a = sum(map(mul, c, d))
+        if a <= 0:
+            continue
+        if best is None:
+            best, a_best, c_best, s_best = j, a, c, slack[j]
+            continue
+        s = slack[j]
+        here, there = a * s_best, a_best * s
+        if here == there:
+            # the perturbation: compare c / s with c_best / s_best
+            here, there = next(
+                ((x * s_best, y * s) for x, y in zip(c, c_best) if x * s_best != y * s),
+                (0, 0),
+            )
+            if here == there:
+                tied = True
+                continue
+        if here > there:
+            best, a_best, c_best, s_best, tied = j, a, c, s, False
+    return None if tied else best
+
+
 def parent_dd_rays(rows, dim):
     """Reference for `polyhedra._dd_rays`: double description that rebuilds
     each new ray's zero set by dot products, kept verbatim; returns the
@@ -205,15 +233,19 @@ def assert_shooting_matches_parent(rows, dim) -> set[int]:
     shoot, first_hit, two_term = polyhedra._shoot, polyhedra._first_hit, polyhedra._two_term
     farkas, interior = polyhedra._farkas, polyhedra._interior_point
 
-    def recording(rows, live, slack, i, dim, facets):
+    def recording(rows, cols, slack, i, dim, certify):
         nonlocal shooting
-        shooting = True
-        shoot(rows, live, slack, i, dim, facets)
-        shooting = False
-        shot.update(facets)
 
-    def recording_hit(rows, live, slack, d):
-        j = first_hit(rows, live, slack, d)
+        def recording_certify(j):
+            shot.add(j)
+            certify(j)
+
+        shooting = True
+        shoot(rows, cols, slack, i, dim, recording_certify)
+        shooting = False
+
+    def recording_hit(rows, cols, slack, d):
+        j = first_hit(rows, cols, slack, d)
         met.add(j)
         if not shooting:
             aimed.append(j)
@@ -556,6 +588,59 @@ def test_ray_shooting_keeps_the_parent_rows_on_c4_classes():
         assert assert_shooting_matches_parent(*cone_rows(c4, ReducedWord.parse("C4", text)))
 
 
+def assert_first_hit_matches_parent(rows, dim, monkeypatch) -> int:
+    """Every ray of `_irredundant_indices` meets the row that the dense
+    reference meets among the rows its column index holds, and the index
+    holds no row that the two-term test dropped.  Returns the number of rays."""
+    rays, dropped = [], set()
+    first_hit, two_term = polyhedra._first_hit, polyhedra._two_term
+
+    def checked(rows, cols, slack, d):
+        live = sorted(set().union(*cols))
+        assert not dropped.intersection(rows[j] for j in live)
+        j = first_hit(rows, cols, slack, d)
+        assert j == parent_first_hit(rows, live, slack, d)
+        rays.append(j)
+        return j
+
+    def recording_two_term(row, normals):
+        found = two_term(row, normals)
+        if found:
+            dropped.add(row)
+        return found
+
+    with monkeypatch.context() as mp:
+        mp.setattr(polyhedra, "_first_hit", checked)
+        mp.setattr(polyhedra, "_two_term", recording_two_term)
+        assert polyhedra._irredundant_indices(rows, dim) == parent_irredundant_indices(rows, dim)
+    return len(rays)
+
+
+def test_sparse_first_hit_matches_the_dense_parent_on_c4_classes(monkeypatch):
+    c4 = LieType("C", 4)
+    rays = 0
+    for text in C4_CLASS_WORDS:
+        rays += assert_first_hit_matches_parent(*cone_rows(c4, ReducedWord.parse("C4", text)), monkeypatch)
+    assert rays > 0
+
+
+@pytest.mark.parametrize(
+    "rows,slack,d,want",
+    [
+        # x <= 1 and 2x <= 2 are one half-space: a full tie, so no row
+        ((((1, 0), 1), ((2, 0), 2), ((0, 1), 1)), {0: 1, 1: 2, 2: 1}, (1, 0), None),
+        # x <= 1 and y <= 1 tie along (1, 1); the perturbation picks x <= 1
+        ((((0, 1), 1), ((1, 0), 1)), {0: 1, 1: 1}, (1, 1), 1),
+        # a row that shares no coordinate with d is not met
+        ((((0, 1), 1), ((-1, 0), 1)), {0: 1, 1: 1}, (1, 0), None),
+    ],
+)
+def test_sparse_first_hit_on_ties(rows, slack, d, want):
+    live = list(range(len(rows)))
+    assert parent_first_hit(rows, live, slack, d) == want
+    assert polyhedra._first_hit(rows, polyhedra._column_index(rows, live), slack, d) == want
+
+
 def test_ray_shooting_breaks_a_tie_toward_a_facet():
     """From (1/2, 1/2) along (1, 1) the ray meets x <= 1, y <= 1 and the
     redundant x + y <= 2 at once, in the corner (1, 1).  The perturbed
@@ -565,9 +650,10 @@ def test_ray_shooting_breaks_a_tie_toward_a_facet():
     u, s = (1, 1), 2
     live = list(range(len(rows)))
     slack = {i: b * s - sum(x * y for x, y in zip(c, u)) for i, (c, b) in enumerate(rows)}
-    assert polyhedra._first_hit(rows, live, slack, (1, 1)) == 0
+    cols = polyhedra._column_index(rows, live)
+    assert polyhedra._first_hit(rows, cols, slack, (1, 1)) == 0
     facets = set()
-    polyhedra._shoot(rows, live, slack, 4, 2, facets)
+    polyhedra._shoot(rows, cols, slack, 4, 2, facets.add)
     assert facets == {0, 1}
     assert assert_shooting_matches_parent(rows, 2) == {0, 1, 2, 3}
 
@@ -585,17 +671,30 @@ def test_ray_shooting_work_bound(text, rows, facets, lp_counts):
     assert lp_counts["_farkas"] <= 1 + rows - facets
 
 
-def test_redundancy_work_bound_on_c4_classes(lp_counts):
+def test_redundancy_work_bound_on_c4_classes(lp_counts, monkeypatch):
     """The 14 C4 class words take 34 tableaux in all: 14 interior points,
     one for each of the 19 facets that no first ray meets, and one for the
     one redundant row of 119 that the two-term test misses.  Asking each
     undecided row against the certified facets, and a facet a second time
-    against all rows, took 172."""
+    against all rows, took 172.  They take 916 rays, first rays and
+    certificates' rays together: a row is shot from only when the two-term
+    test, against the facets certified so far, keeps it.  Shooting from
+    every row not yet certified took 1,300."""
+    rays = 0
+    first_hit = polyhedra._first_hit
+
+    def counted(*args):
+        nonlocal rays
+        rays += 1
+        return first_hit(*args)
+
+    monkeypatch.setattr(polyhedra, "_first_hit", counted)
     c4 = LieType("C", 4)
     for text in C4_CLASS_WORDS:
         cone, dim = cone_rows(c4, ReducedWord.parse("C4", text))
         irredundant_cone_rows([c for c, _ in cone], dim)
     assert lp_counts["_farkas"] <= 34
+    assert rays <= 916
 
 
 def normals_of(facets):
@@ -850,6 +949,26 @@ def test_double_description_matches_the_parent_on_rank3_words(type_text):
             assert_dd_matches_parent(*homogenized(string_polytope(w, rho)))
     if t.family == "C":
         assert_dd_matches_parent(*homogenized(gt_polytope_C(rho, 3)))
+
+
+def test_double_description_work_bound_on_gt3(monkeypatch):
+    """Only pairs whose common zero set holds at least ``dim - 2`` rows reach
+    the combinatorial test: 230 of the 620 pairs that reached it without
+    the cardinality test, on GT3 homogenized; the rays stay the parent's."""
+    pairs = 0
+    adjacent = polyhedra._adjacent
+
+    def counted(*args):
+        nonlocal pairs
+        pairs += 1
+        return adjacent(*args)
+
+    monkeypatch.setattr(polyhedra, "_adjacent", counted)
+    rows, dim = homogenized(gt_polytope_C(Weight.rho(LieType("C", 3)), 3))
+    got = polyhedra._dd_rays(rows, dim)
+    assert len(got) == 176
+    assert pairs <= 230
+    assert [ray for ray, _ in got] == parent_dd_rays(rows, dim)
 
 
 def test_face_lattice_runs_no_lp(lp_counts):
@@ -1455,6 +1574,31 @@ if _HAVE_HYPOTHESIS:
             assert s > 0 and all(sum(x * y for x, y in zip(c, u)) < b * s for c, b in nonzero)
         if cut:  # an equality pair or a contradicting pair of nonzero rows
             assert point is None
+
+    @st.composite
+    def first_hit_systems(draw):
+        """Rows ``c`` in dimension 1-3 with positive slacks, some of them
+        positive multiples of others with their slacks (full ties), a subset
+        of them live, and a direction: a row's normal, a sum of two (ties
+        after the perturbation), or any vector."""
+        d = draw(st.integers(1, 3))
+        vec = st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(tuple)
+        base = draw(st.lists(st.tuples(vec, st.integers(1, 3)), min_size=1, max_size=6))
+        multiples = draw(st.lists(st.tuples(st.sampled_from(base), st.integers(1, 3)), max_size=3))
+        system = draw(st.permutations(base + [(tuple(k * x for x in c), k * s) for (c, s), k in multiples]))
+        rows = tuple((c, 0) for c, _ in system)
+        slack = {j: s for j, (_, s) in enumerate(system)}
+        live = sorted(draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)))
+        normal = st.sampled_from([c for c, _ in rows])
+        pair = st.tuples(normal, normal).map(lambda p: tuple(map(sum, zip(*p))))
+        return rows, live, slack, draw(st.one_of(normal, pair, vec))
+
+    @given(first_hit_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_first_hit_matches_the_dense_parent(system):
+        rows, live, slack, d = system
+        cols = polyhedra._column_index(rows, live)
+        assert polyhedra._first_hit(rows, cols, slack, d) == parent_first_hit(rows, live, slack, d)
 
     @st.composite
     def two_term_systems(draw):

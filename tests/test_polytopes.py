@@ -262,21 +262,34 @@ def test_string_polytope_full_dimensional():
             assert rank_int(diffs) == n * n
 
 
+def closed_form_volume(lam):
+    """String polytopes are Newton-Okounkov bodies: at a regular weight the
+    normalized volume is ``N! prod <lam, b> / <rho, b>`` over the ``N``
+    positive coroots ``b``."""
+    coroots = positive_coroots(lam.lie_type)
+    pairings = [sum(c * x for c, x in zip(b, lam.coeffs)) for b in coroots]
+    return factorial(len(coroots)) * prod(pairings) // prod(sum(b) for b in coroots)
+
+
 @pytest.mark.parametrize("coeffs", [(1, 1), (2, 1), (1, 2), (3, 2)])
 def test_rank2_normalized_volume_equals_the_closed_form(coeffs):
-    # string polytopes are Newton-Okounkov bodies: at a regular weight the
-    # normalized volume is N! prod <lam, b> / <rho, b> over the positive coroots b
     volumes = {}
     for family in "BC":
         lam = Weight(LieType(family, 2), coeffs)
-        coroots = positive_coroots(lam.lie_type)
-        pairings = [sum(c * x for c, x in zip(b, lam.coeffs)) for b in coroots]
-        want = factorial(len(coroots)) * prod(pairings) // prod(sum(b) for b in coroots)
+        want = closed_form_volume(lam)
         for w in enumerate_reduced_words(lam.lie_type):
             assert normalized_volume(string_polytope(w, lam)) == want
         volumes[family] = want
     assert volumes["C"] == {(1, 1): 24, (2, 1): 96, (1, 2): 120, (3, 2): 840}[coeffs]
     assert (volumes["B"] == volumes["C"]) == (coeffs == (1, 1))  # (2, 1) tells B from C
+
+
+@pytest.mark.parametrize("word", [gt_adapted_word(3), braid_variant_word(3)], ids=str)
+def test_rank3_normalized_volume_equals_the_closed_form(word):
+    """The nested C3 word and its braid variant at rho: 9! times a product of ones."""
+    rho = Weight.rho(LieType("C", 3))
+    assert closed_form_volume(rho) == factorial(9)
+    assert normalized_volume(string_polytope(word, rho)) == factorial(9)
 
 
 def fresh(h):
