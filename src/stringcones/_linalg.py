@@ -1,6 +1,7 @@
 """Small exact linear-algebra helpers shared by the diagram and polyhedral code.
 
-Everything works over Python integers and `fractions.Fraction`; no floats.
+Everything works over Python integers; `echelon` also takes rows of
+`fractions.Fraction`, each scaled to integers first.  No floats.
 `echelon` is the one elimination: determinant, rank, independent rows,
 nullspace and inverse are read off its result.
 """

@@ -2,8 +2,9 @@
 
 Half-space representations store rows ``c . x <= b`` as
 ``(tuple[int], int)`` pairs of content 1; cones are the special case
-``b = 0``.  Everything runs over Python integers and `fractions.Fraction`:
-no floating point enters any decision.
+``b = 0``.  Everything runs over Python integers, vertices as integer
+points over one common denominator (`Fraction` vertices exist only in the
+public V-rep): no floating point enters any decision.
 
 The pieces:
 
@@ -165,7 +166,8 @@ class HRep:
 
 @dataclass(frozen=True)
 class VRep:
-    """Vertices (rational points) and rays (primitive integer directions).
+    """Vertices (rational points) and rays (primitive integer directions), the
+    public form that `to_vrep` builds once from integer points (see `_vrep`).
 
     ``tight`` holds, per vertex, the bitset of the rows of the `HRep` it was
     computed from that are tight there (bit ``i`` for row ``i``); like
@@ -662,36 +664,52 @@ def to_vrep(h: HRep, bounded_expected: bool = False) -> VRep:
     cone or of the homogenized system) raises `Unbounded` carrying it as a
     witness.
     """
-    vrep = _memoized(h, "vrep", _vrep)
-    if vrep.rays and bounded_expected:
+    if bounded_expected:
+        _bounded(h)
+    return _memoized(h, "fractions", _fraction_vrep)
+
+
+def _fraction_vrep(h: HRep) -> VRep:
+    den, points, tight, rays = _memoized(h, "vrep", _vrep)
+    return VRep(tuple(tuple(Fraction(x, den) for x in p) for p in points), rays, tight)
+
+
+def _bounded(h: HRep):
+    """``(den, points, tight)`` of `_vrep`; a recession ray raises `Unbounded`."""
+    den, points, tight, rays = _memoized(h, "vrep", _vrep)
+    if rays:
         message = "input is an unbounded cone" if h.is_cone else "input is unbounded"
-        raise Unbounded(message, ray=vrep.rays[0])
-    return vrep
+        raise Unbounded(message, ray=rays[0])
+    return den, points, tight
 
 
-def _vrep(h: HRep) -> VRep:
+def _vrep(h: HRep):
+    """``(den, points, tight, rays)``: the sorted vertices as integer points
+    over ``den``, their least common denominator (``r[-1]`` for the vertex of
+    a primitive homogeneous ray ``r``; one positive scale keeps their order),
+    each with its tight rows as in `VRep`, and the sorted recession rays."""
     cone = h.is_cone
     if cone:
         rows = [c for c, _ in h.rows]
     else:  # the homogenized system, with homogenizing coordinate >= 0
         rows = [(*c, -b) for c, b in h.rows] + [(0,) * h.dim + (-1,)]
-    witness = nullspace_vector(rows) if rows else None
-    if witness is not None:
+    try:
+        rays = _dd_rays(rows, h.dim if cone else h.dim + 1)
+    except PolyhedralError:  # the rows do not span: a line, unless the system is empty
         if not feasible(h.rows, h.dim):
-            return VRep((), ())
-        raise Unbounded(
-            "system has a lineality direction; not a bounded polytope",
-            ray=tuple(witness[: h.dim]),
-        )
-    rays = _dd_rays(rows, h.dim if cone else h.dim + 1)
+            return 1, (), (), ()
+        line = nullspace_vector(rows or [(0,) * h.dim])[: h.dim]
+        message = "system has a lineality direction; not a bounded polytope"
+        raise Unbounded(message, ray=line) from None
     if cone:  # the apex is tight on every row
-        return VRep(((Fraction(0),) * h.dim,), tuple(r for r, _ in rays), ((1 << len(rows)) - 1,))
+        return 1, ((0,) * h.dim,), ((1 << len(rows)) - 1,), tuple(r for r, _ in rays)
     # a vertex has r[-1] > 0, so its zero set misses the homogenizing row
-    vertices = sorted((tuple(Fraction(x, r[-1]) for x in r[:-1]), z) for r, z in rays if r[-1] > 0)
+    den = lcm(*(r[-1] for r, _ in rays if r[-1] > 0))
+    vertices = sorted((tuple(x * (den // r[-1]) for x in r[:-1]), z) for r, z in rays if r[-1] > 0)
     if not vertices:  # the system is empty, and so are its recession rays
-        return VRep((), ())
-    rec_rays = sorted(r[:-1] for r, _ in rays if r[-1] == 0)
-    return VRep(tuple(v for v, _ in vertices), tuple(rec_rays), tuple(z for _, z in vertices))
+        return 1, (), (), ()
+    rec_rays = tuple(sorted(r[:-1] for r, _ in rays if r[-1] == 0))
+    return den, tuple(p for p, _ in vertices), tuple(z for _, z in vertices), rec_rays
 
 
 def vrep_to_hrep(v: VRep) -> HRep:
@@ -715,11 +733,14 @@ def vrep_to_hrep(v: VRep) -> HRep:
 
 @dataclass(frozen=True)
 class _IncidenceTable:
-    """A bounded polytope's dimension, vertices and facets."""
+    """A bounded polytope's dimension, vertices and facets; ``vertices`` are
+    ``den`` times the vertices: integer points in a table (see `_vrep`),
+    `Fraction`s with ``den`` 1 in a `FaceLattice`."""
 
     dim: int
-    vertices: tuple[tuple[Fraction, ...], ...]
+    vertices: tuple[tuple, ...]
     incidences: tuple[int, ...]  # per facet, bitset over vertex indices
+    den: int = field(default=1, kw_only=True)
 
     def tight_facets(self, bits: int) -> list[int]:
         return [i for i, inc in enumerate(self.incidences) if bits & ~inc == 0]
@@ -758,22 +779,24 @@ def _incidences(h: HRep) -> _IncidenceTable:
     tight on F but not on all of P cuts out a proper face containing F,
     which is F itself.  So the facets are the maximal proper non-empty
     tight sets of ``h``'s rows, kept as first copies in row order.  The
-    dimension is the rank of the differences to one vertex.
+    implicit equalities, the rows tight at every vertex, cut out the affine
+    hull (Schrijver, *Theory of Linear and Integer Programming*, §8.2), so
+    the dimension is ``h.dim`` minus their rank.
     """
-    vrep = to_vrep(h, bounded_expected=True)
-    verts = vrep.vertices
-    if not verts:
+    den, points, vertex_tight = _bounded(h)
+    if not points:
         raise PolyhedralError("empty polytope has no face lattice")
-    dim = rank_int([list(map(sub, v, verts[0])) for v in verts[1:]])
     tight = [0] * len(h.rows)
-    for vi, bits in enumerate(vrep.tight):
+    for vi, bits in enumerate(vertex_tight):
         while bits:
             low = bits & -bits
             tight[low.bit_length() - 1] |= 1 << vi
             bits ^= low
-    facets = set(_facets_of((1 << len(verts)) - 1, tight))
+    top = (1 << len(points)) - 1
+    dim = h.dim - rank_int([c for (c, _), bits in zip(h.rows, tight) if bits == top])
+    facets = set(_facets_of(top, tight))
     incidences = tuple(dict.fromkeys(bits for bits in tight if bits in facets))
-    return _IncidenceTable(dim, verts, incidences)
+    return _IncidenceTable(dim, points, incidences, den=den)
 
 
 def _face_lattice(h: HRep) -> FaceLattice:
@@ -795,7 +818,8 @@ def _face_lattice(h: HRep) -> FaceLattice:
                 dims[sub] = dims[bits] - 1
                 below.append(sub)
         level = below
-    return FaceLattice(table.dim, table.vertices, table.incidences, tuple(sorted(dims.items())))
+    faces = tuple(sorted(dims.items()))
+    return FaceLattice(table.dim, to_vrep(h).vertices, table.incidences, faces)
 
 
 def _facets_of(bits: int, incidences, dated=()) -> list[int]:
@@ -830,10 +854,10 @@ def f_vector(h: HRep) -> tuple[int, ...]:
 
 def integrality(h: HRep):
     """Whether all vertices are integral; returns (flag, witness_vertex_or_None)."""
-    vrep = to_vrep(h, bounded_expected=True)
-    for v in vrep.vertices:
-        if any(x.denominator != 1 for x in v):
-            return False, v
+    den, points, _ = _bounded(h)
+    for p in points:
+        if any(x % den for x in p):
+            return False, tuple(Fraction(x, den) for x in p)
     return True, None
 
 
@@ -854,13 +878,13 @@ def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
     direction.
     """
     d = h.dim
-    verts = to_vrep(h, bounded_expected=True).vertices
-    if not verts:
+    den, points, _ = _bounded(h)
+    if not points:
         return 0
     if d == 0:
         return 1
-    box_lo = [-(-min(v[k] for v in verts) // 1) for k in range(d)]
-    box_hi = [max(v[k] for v in verts) // 1 for k in range(d)]
+    box_lo = [-(-min(col) // den) for col in zip(*points)]
+    box_hi = [max(col) // den for col in zip(*points)]
     visits = 0
 
     def count(k: int, partial) -> int:
@@ -928,17 +952,15 @@ def normalized_volume(h: HRep) -> Fraction:
     table = _incidence_table(h)
     if table.dim != h.dim:
         raise PolyhedralError("normalized volume needs a full-dimensional polytope")
-    den = lcm(*(x.denominator for v in table.vertices for x in v))
-    verts = [[x.numerator * (den // x.denominator) for x in v] for v in table.vertices]
     # Every simplex is coned from the polytope's lowest vertex 0, its last
     # entry.  Its matrix is taken transposed, a row per coordinate and the
     # anchors of the larger faces first: on GT3 that order makes
     # `det_int` about 1.6 times faster than a row per vertex.
-    diffs = [list(map(sub, v, verts[0])) for v in verts]
+    diffs = [list(map(sub, v, table.vertices[0])) for v in table.vertices]
     total = 0
     for simplex in _triangulate(table):
         total += abs(det_int(list(zip(*(diffs[i] for i in simplex[-2::-1])))))
-    return Fraction(total, den**h.dim)
+    return Fraction(total, table.den**h.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -1055,10 +1077,11 @@ def search_unimodular_equivalence(p: HRep, q: HRep, budget: int = 100_000) -> Eq
         witness = "no simple vertex to anchor the search"
         return EquivalenceResult("unknown", witness=witness, decided_by="no-simple-vertex")
     anchor = simples_p[0]
-    # every vertex scaled by one common denominator, so edges and images are integer tuples
-    den = lcm(*(x.denominator for v in tab_p.vertices + tab_q.vertices for x in v))
-    verts_p = [[int(x * den) for x in v] for v in tab_p.vertices]
-    verts_q = [tuple(int(x * den) for x in v) for v in tab_q.vertices]
+    # both tables over one common denominator, so edges and images are integer tuples
+    den = lcm(tab_p.den, tab_q.den)
+    verts_p, verts_q = (
+        [tuple(x * (den // t.den) for x in v) for v in t.vertices] for t in (tab_p, tab_q)
+    )
     vertex_set_q = set(verts_q)
     edges_p = _edge_data(tab_p, verts_p, anchor)
     sig_p = sorted(e[1:] for e in edges_p)
