@@ -1,15 +1,14 @@
 """Small exact linear-algebra helpers shared by the diagram and polyhedral code.
 
-Everything works over Python integers; `echelon` also takes rows of
-`fractions.Fraction`, each scaled to integers first.  No floats.
+Everything works over Python integers: the entries given must be ints (a
+rational matrix is scaled to integers by its caller).  No floats.
 `echelon` is the one elimination: determinant, rank, independent rows,
 nullspace and inverse are read off its result.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 __all__ = [
     "content",
@@ -38,25 +37,19 @@ def primitive(vec) -> tuple[int, ...]:
 
 
 def echelon(rows, reduced: bool = True):
-    """Fraction-free (Bareiss) elimination of a rational matrix.
+    """Fraction-free (Bareiss) elimination of an integer matrix.
 
-    Each row is first scaled to integers.  Every pivot step eliminates below
-    the pivot, and above it too when ``reduced`` (Gauss-Jordan), dividing
-    exactly by the previous pivot, so all entries stay integer minors of the
-    scaled matrix.  Returns ``(matrix, pivots, d, sign)``: the integer rows of
-    ``d`` times the reduced row echelon form (with ``reduced``; otherwise a
-    row echelon form), the pivot columns in order, the last pivot ``d`` (1
-    when there is none) and the sign of the row permutation.  The rows below
-    a pivot are updated alike in both passes, so pivots, ``d`` and sign agree;
-    the forward pass is all that rank and determinant need.
+    Every pivot step eliminates below the pivot, and above it too when
+    ``reduced`` (Gauss-Jordan), dividing exactly by the previous pivot, so
+    all entries stay integer minors of the matrix.  Returns ``(matrix,
+    pivots, d, sign)``: the integer rows of ``d`` times the reduced row
+    echelon form (with ``reduced``; otherwise a row echelon form), the pivot
+    columns in order, the last pivot ``d`` (1 when there is none) and the
+    sign of the row permutation.  The rows below a pivot are updated alike
+    in both passes, so pivots, ``d`` and sign agree; the forward pass is all
+    that rank and determinant need.
     """
-    if set(map(type, chain.from_iterable(rows))) == {int}:
-        a = [list(row) for row in rows]
-    else:
-        a = []
-        for row in rows:
-            scale = lcm(*(x.denominator for x in row))
-            a.append([int(x * scale) for x in row])
+    a = [list(row) for row in rows]
     m = len(a)
     pivots: list[int] = []
     prev, sign = 1, 1
@@ -98,7 +91,7 @@ def det_int(rows: list[list[int]]) -> int:
 
 
 def rank_int(rows) -> int:
-    """Rank of an integer (or Fraction) matrix."""
+    """Rank of an integer matrix."""
     return len(echelon(rows, reduced=False)[1])
 
 

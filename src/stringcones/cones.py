@@ -30,19 +30,24 @@ have letters at most 1 apart), so a commutation move never reorders them.
 words of a class share and no other word has.  The first word of a class
 fills its cone entry (`_cone_entry`): integer forms in heap coordinates,
 one per rigorous path in path order, and the merged forms.  Every word
-then reads its cone by relabelling coordinates, with no diagram, no path
-enumeration and no sort; `HRepCone.paths` enumerates the word's own paths
-when first read.  `irredundant_facets` keeps the indices of the facets
-among the merged forms in the entry, so its LP runs once per class.  A
-string polytope at a regular weight keys on the normal form and the weight
-and keeps the indices of its facet rows alike: it lists its weight rows in
-heap-coordinate order (`heap_order`, see `polytopes`).
+then reads its cone by relabelling coordinates (`_relabelling`, one
+`operator.itemgetter` step per form), with no diagram, no path enumeration
+and no sort; `HRepCone.paths` enumerates the word's own paths when first
+read.  `irredundant_facets` keeps the indices of the facets among the
+merged forms in the entry, so its LP runs once per class.  A string
+polytope at a regular weight keys on the normal form and the weight
+(`class_polytope_rows`): its entry keeps the polytope's row sequence in
+heap coordinates, the merged cone rows and then the weight rows in heap
+order (`heap_order`, see `polytopes`), and the indices of its facet rows
+alike.  A hit is one relabelling of those rows, with no cone entry read.
+All relabelling happens here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable
 
 from . import polyhedra
@@ -67,14 +72,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinForm:
-    """An integer linear functional; the inequality meant is ``form >= 0``."""
+    """An integer linear functional; the inequality meant is ``form >= 0``.
+
+    A tuple given as ``coeffs`` is kept as it is, any other sequence copied.
+    """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if type(self.coeffs) is not tuple:
+            object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @property
     def dim(self) -> int:
@@ -232,10 +241,10 @@ class HRepCone:
         found = _rigorous_paths(self.lie_type, self.word)
         if not self.merged:
             return tuple((p,) for p in found)
-        heap, raw = heap_coordinates(self.word), _cone_entry(self.lie_type, self.word)["raw"]
+        relabel, raw = _relabelling(self.word), _cone_entry(self.lie_type, self.word)["raw"]
         by_form: dict[tuple[int, ...], list[RigorousPath]] = {}
         for p, form in zip(found, raw, strict=True):
-            by_form.setdefault(polyhedra_primitive([form[k] for k in heap]), []).append(p)
+            by_form.setdefault(polyhedra_primitive(relabel(form)), []).append(p)
         return tuple(tuple(by_form[f.coeffs]) for f in self.forms)
 
     def to_hrep(self) -> polyhedra.HRep:
@@ -293,9 +302,11 @@ def _cone_entry(t: LieType, w: ReducedWord) -> dict:
     return entry
 
 
-def _word_forms(heap, forms) -> tuple[LinForm, ...]:
-    """Heap-coordinate forms rewritten in the coordinates of the word."""
-    return tuple(LinForm(tuple([form[k] for k in heap])) for form in forms)
+def _relabelling(w: ReducedWord):
+    """The map rewriting a heap-coordinate row in the coordinates of ``w``,
+    one C-level step per row (a word of one letter has one coordinate)."""
+    heap = heap_coordinates(w)
+    return itemgetter(*heap) if len(heap) > 1 else tuple
 
 
 def string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) -> HRepCone:
@@ -307,10 +318,9 @@ def string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) -> HRepCo
     the class entry (see the module docstring); every word reads its cone
     from there by relabelling coordinates.
     """
-    entry = _cone_entry(t, w)
-    heap = heap_coordinates(w)
-    forms = _word_forms(heap, entry["merged" if deduplicate else "raw"])
-    return HRepCone(t, w, len(heap), forms, deduplicate)
+    forms = _cone_entry(t, w)["merged" if deduplicate else "raw"]
+    relabel = _relabelling(w)
+    return HRepCone(t, w, len(w.letters), tuple([LinForm(relabel(f)) for f in forms]), deduplicate)
 
 
 # C4 and B4 have 330 commutation classes each; a class may hold a cone entry
@@ -342,6 +352,28 @@ def heap_order(w: ReducedWord, per_position) -> tuple:
     return tuple([per_position[k] for k in _inverse(heap_coordinates(w))])
 
 
+def class_polytope_rows(w: ReducedWord, lam: Weight, weight_rows) -> tuple[dict, tuple]:
+    """The polytope entry of the class of ``w`` at ``lam`` and the rows of
+    the string polytope of ``w`` read from it.
+
+    The entry keeps the row sequence in heap coordinates: the merged cone
+    rows ``-form . x <= 0``, then the weight rows in heap order.
+    ``weight_rows()`` gives the weight rows of ``w`` in its own coordinates
+    and is called only by the word that fills the entry; every word, that
+    one included, reads its rows by relabelling the sequence, so a hit reads
+    no cone entry.
+    """
+    entry = class_entry(w.lie_type, w, lam)
+    if "rows" not in entry:
+        at = _inverse(heap_coordinates(w))
+        merged = _cone_entry(w.lie_type, w)["merged"]
+        cone = tuple([(tuple([-c for c in form]), 0) for form in merged])
+        weight = tuple([(tuple([c[j] for j in at]), b) for c, b in heap_order(w, weight_rows())])
+        entry["rows"] = cone + weight
+    relabel = _relabelling(w)
+    return entry, tuple([(relabel(c), b) for c, b in entry["rows"]])
+
+
 def irredundant_facets(t: LieType, w: ReducedWord) -> tuple[HRepCone, int]:
     """Minimal facet system of the string cone and the facet count.
 
@@ -353,13 +385,13 @@ def irredundant_facets(t: LieType, w: ReducedWord) -> tuple[HRepCone, int]:
     is its facet set and the first copy of each facet is kept.
     """
     entry = _cone_entry(t, w)
-    heap = heap_coordinates(w)
-    merged = entry["merged"]
+    relabel = _relabelling(w)
+    merged, dim = entry["merged"], len(w.letters)
     if "minimal" not in entry:
-        rows = [tuple([-form[k] for k in heap]) for form in merged]
-        entry["minimal"] = tuple(polyhedra.irredundant_cone_rows(rows, len(heap)))
-    forms = _word_forms(heap, [merged[i] for i in entry["minimal"]])
-    return HRepCone(t, w, len(heap), forms, True), len(forms)
+        rows = [tuple([-c for c in relabel(form)]) for form in merged]
+        entry["minimal"] = tuple(polyhedra.irredundant_cone_rows(rows, dim))
+    forms = tuple([LinForm(relabel(merged[i])) for i in entry["minimal"]])
+    return HRepCone(t, w, dim, forms, True), len(forms)
 
 
 def facet_count(t: LieType, w: ReducedWord) -> int:

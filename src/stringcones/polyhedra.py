@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, sub
+from operator import countOf, mul, sub
 
 from ._linalg import (
     content,
@@ -111,12 +111,18 @@ class ResourceLimit(RuntimeError):
 
 
 def _normalize_row(coeffs, rhs) -> tuple[tuple[int, ...], int]:
-    """Scale a row to integer coefficients and right-hand side with content 1."""
-    ints = _integral((*coeffs, rhs))
-    g = content(ints)
+    """Scale a row to integer coefficients and right-hand side with content 1.
+
+    A row of ints only is divided by its gcd as it is; any other row (a
+    bool, a `Fraction` or no number in it) is scaled by `_integral` first.
+    """
+    coeffs = tuple(coeffs)
+    if type(rhs) is not int or countOf(map(type, coeffs), int) < len(coeffs):
+        *coeffs, rhs = _integral((*coeffs, rhs))
+    g = gcd(*coeffs, rhs)
     if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints[:-1]), ints[-1]
+        coeffs, rhs = [x // g for x in coeffs], rhs // g
+    return tuple(coeffs), rhs
 
 
 @dataclass(frozen=True)
@@ -132,7 +138,7 @@ class HRep:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(_normalize_row(c, b) for c, b in self.rows)
+        rows = tuple([_normalize_row(c, b) for c, b in self.rows])
         for c, _ in rows:
             if len(c) != self.dim:
                 raise PolyhedralError("row length does not match dimension")
@@ -582,7 +588,7 @@ def _minimal(h: HRep) -> HRep:
     kept = entry["minimal"]
     if kept is None:
         return HRep(h.dim, (((0,) * h.dim, -1),))
-    return HRep(h.dim, tuple(h.rows[i] for i in kept))
+    return HRep(h.dim, tuple([h.rows[i] for i in kept]))
 
 
 def irredundant_cone_rows(rows, dim) -> list[int]:

@@ -23,22 +23,27 @@ rows of the weight cone as well.  `string_polytope` lists the merged cone
 rows in the class entry's order and the weight rows in heap-coordinate
 order (`cones.heap_order`), so the words of a class list one sequence of
 rows ``(tuple[int], int)`` up to that renaming, right-hand sides included.
-It takes the entry of its class and weight from `cones.class_entry`
-(keyed on the Cartier–Foata normal form and the weight) and shares its
-minimal rows through it (`HRep.share`): the entry keeps the indices of the
-kept rows, as a cone entry does, so the redundancy LP runs once per class.
-A polytope shares only at a regular weight, where it is full-dimensional,
-so its minimal system is its facet set, the same rows in every sequence:
-``k P_lambda`` holds ``dim V(k lambda)`` lattice points, a polynomial of
-degree N in k.  A word with no adjacent commuting pair is alone in its
-class, so it takes no polytope entry.
+It reads its rows from the entry of its class and weight
+(`cones.class_polytope_rows`, keyed on the Cartier–Foata normal form and
+the weight), which keeps that sequence in heap coordinates: the first word
+of the class builds it from the string cone's entry and the weight cone,
+and every word, that one included, relabels it to its own coordinates, so
+a hit builds no string cone and no weight cone.  The polytope shares its
+minimal rows through the same entry (`HRep.share`): the entry keeps the
+indices of the kept rows, as a cone entry does, so the redundancy LP runs
+once per class.  A polytope shares only at a regular weight, where it is
+full-dimensional, so its minimal system is its facet set, the same rows in
+every sequence: ``k P_lambda`` holds ``dim V(k lambda)`` lattice points, a
+polynomial of degree N in k.  A word with no adjacent commuting pair is
+alone in its class, so it takes no polytope entry and is built from its
+string cone and weight cone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import class_entry, heap_order, string_cone
+from .cones import class_polytope_rows, heap_order, string_cone
 from .polyhedra import HRep, remove_redundant, search_unimodular_equivalence
 from .weyl import (
     LieType,
@@ -61,12 +66,16 @@ __all__ = [
 ]
 
 
-def lambda_cone(w: ReducedWord, lam: Weight) -> HRep:
-    """The weight-cone inequalities of ``w`` at ``lam`` as ``<=`` rows."""
+def _check_weight(w: ReducedWord, lam: Weight) -> None:
     if not lam.is_dominant:
         raise ValueError("weight cone needs a dominant weight")
     if lam.lie_type != w.lie_type:
         raise ValueError("weight and word have different Lie types")
+
+
+def lambda_cone(w: ReducedWord, lam: Weight) -> HRep:
+    """The weight-cone inequalities of ``w`` at ``lam`` as ``<=`` rows."""
+    _check_weight(w, lam)
     t = w.lie_type
     L = len(w.letters)
     rows = []
@@ -84,15 +93,18 @@ def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
 
     The merged string-cone rows come first, then the weight-cone rows in
     heap-coordinate order (`cones.heap_order`).  At a regular weight the
-    polytope shares its minimal rows with the other words of its
-    commutation class (see the module docstring).
+    polytope reads its rows from, and shares its minimal rows through, the
+    polytope entry of its commutation class (see the module docstring).
     """
+    _check_weight(w, lam)
+    if lam.is_regular and any(abs(a - b) >= 2 for a, b in zip(w.letters, w.letters[1:])):
+        entry, rows = class_polytope_rows(w, lam, lambda: lambda_cone(w, lam).rows)
+        h = HRep(len(w.letters), rows)
+        h.share(entry)
+        return h
     cone = string_cone(w.lie_type, w, deduplicate=True)
     cone_rows = tuple((tuple(-c for c in f.coeffs), 0) for f in cone.forms)
-    h = HRep(cone.dim, cone_rows + heap_order(w, lambda_cone(w, lam).rows))
-    if lam.is_regular and any(abs(a - b) >= 2 for a, b in zip(w.letters, w.letters[1:])):
-        h.share(class_entry(w.lie_type, w, lam))
-    return h
+    return HRep(cone.dim, cone_rows + heap_order(w, lambda_cone(w, lam).rows))
 
 
 def polytope_facet_count(w: ReducedWord, lam: Weight) -> int:

@@ -1,0 +1,170 @@
+"""Class hits are relabellings: string cones and polytopes against the earlier code.
+
+A word whose commutation class already has an entry reads its string cone
+and its string polytope by relabelling the integer rows the entry keeps in
+heap coordinates.  The oracles below are the earlier `string_polytope`,
+`string_cone` and `_word_forms`, kept verbatim under their own names: they
+rewrite the cone entry's forms and rebuild the weight cone for every word.
+The oracle polytope's `class_entry` is a fresh dict per call, so its minimal
+rows come from an LP of its own.  Each word is built cold (class cache
+cleared) and then warm (a second word of its class, filled by the first).
+"""
+
+import pytest
+
+from stringcones import cones, polytopes, weyl
+from stringcones.cones import HRepCone, LinForm, _cone_entry, heap_order
+from stringcones.polyhedra import HRep, remove_redundant
+from stringcones.polytopes import lambda_cone
+from stringcones.weyl import (
+    LieType,
+    ReducedWord,
+    Weight,
+    commutation_class,
+    enumerate_reduced_words,
+    heap_coordinates,
+)
+
+
+def class_entry(t, w, lam=None) -> dict:
+    """The oracle's entry: a fresh dict, which shares nothing."""
+    return {}
+
+
+def _word_forms(heap, forms) -> tuple[LinForm, ...]:
+    """Heap-coordinate forms rewritten in the coordinates of the word."""
+    return tuple(LinForm(tuple([form[k] for k in heap])) for form in forms)
+
+
+def string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) -> HRepCone:
+    """All string inequalities of a reduced word, one per rigorous path.
+
+    The list is complete but possibly redundant; with ``deduplicate`` the
+    forms that agree up to positive scaling are merged (keeping content 1
+    and every source path).  The first word of a commutation class fills
+    the class entry (see the module docstring); every word reads its cone
+    from there by relabelling coordinates.
+    """
+    entry = _cone_entry(t, w)
+    heap = heap_coordinates(w)
+    forms = _word_forms(heap, entry["merged" if deduplicate else "raw"])
+    return HRepCone(t, w, len(heap), forms, deduplicate)
+
+
+def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
+    """String cone plus weight cone of ``w`` at ``lam`` (possibly redundant rows).
+
+    The merged string-cone rows come first, then the weight-cone rows in
+    heap-coordinate order (`cones.heap_order`).  At a regular weight the
+    polytope shares its minimal rows with the other words of its
+    commutation class (see the module docstring).
+    """
+    cone = string_cone(w.lie_type, w, deduplicate=True)
+    cone_rows = tuple((tuple(-c for c in f.coeffs), 0) for f in cone.forms)
+    h = HRep(cone.dim, cone_rows + heap_order(w, lambda_cone(w, lam).rows))
+    if lam.is_regular and any(abs(a - b) >= 2 for a, b in zip(w.letters, w.letters[1:])):
+        h.share(class_entry(w.lie_type, w, lam))
+    return h
+
+
+@pytest.fixture
+def empty_entries():
+    cones._class_entry.cache_clear()
+    yield cones._class_entry
+    cones._class_entry.cache_clear()
+
+
+def cold_then_warm(words, check):
+    """``check`` each word on an empty class cache, then on another word of
+    its class (a hit on the entry the first filled), if it has one."""
+    for w in words:
+        cones._class_entry.cache_clear()
+        check(w)
+        others = sorted(commutation_class(w) - {w}, key=str)
+        if others:
+            check(others[0])
+            check(w)  # the filling word itself, warm
+
+
+def assert_cone_matches_parent(t, w):
+    for deduplicate in (False, True):
+        got = cones.string_cone(t, w, deduplicate)
+        want = string_cone(t, w, deduplicate)
+        assert got.dim == want.dim
+        assert [f.coeffs for f in got.forms] == [f.coeffs for f in want.forms]
+        assert all(type(f.coeffs) is tuple for f in got.forms)
+    pruned, count = cones.irredundant_facets(t, w)
+    minimal = remove_redundant(want.to_hrep()).rows
+    assert [(tuple(-c for c in f.coeffs), 0) for f in pruned.forms] == list(minimal)
+    assert count == len(minimal)
+
+
+@pytest.mark.parametrize("type_text", ["A3", "B3", "C3"])
+def test_class_cone_hits_match_the_parent(empty_entries, type_text):
+    t = LieType.parse(type_text)
+    cold_then_warm(list(enumerate_reduced_words(t)), lambda w: assert_cone_matches_parent(t, w))
+
+
+def assert_polytope_matches_parent(w, lam):
+    got = polytopes.string_polytope(w, lam)
+    want = string_polytope(w, lam)
+    assert (got.dim, got.rows) == (want.dim, want.rows)
+    assert remove_redundant(got).rows == remove_redundant(want).rows
+
+
+@pytest.mark.parametrize(
+    "type_text,coeffs",
+    [("C3", (1, 1, 1)), ("C3", (2, 1, 1)), ("C3", (1, 2, 3)), ("B3", (1, 1, 1))],
+)
+def test_class_polytope_hits_match_the_parent(empty_entries, type_text, coeffs):
+    lam = Weight(LieType.parse(type_text), coeffs)
+    words = list(enumerate_reduced_words(lam.lie_type))
+    cold_then_warm(words, lambda w: assert_polytope_matches_parent(w, lam))
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls of the functions a class hit must not run, by name."""
+    calls = []
+
+    def wrap(module, name):
+        inner = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in [
+        (cones, "_rigorous_paths"),
+        (cones, "string_cone"),
+        (polytopes, "string_cone"),
+        (polytopes, "lambda_cone"),
+        (polytopes, "cartan_pairing"),
+        (weyl, "cartan_pairing"),
+    ]:
+        wrap(module, name)
+    return calls
+
+
+def test_a_class_hit_runs_no_paths_and_no_weight_cone(empty_entries, counted):
+    c3 = LieType("C", 3)
+    rho = Weight.rho(c3)
+    first = ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2")
+    moved = ReducedWord.parse("C3", "3,1,2,1,3,2,1,3,2")
+    assert moved in commutation_class(first)
+    cones.irredundant_facets(c3, first)
+    remove_redundant(polytopes.string_polytope(first, rho))
+    assert {"_rigorous_paths", "lambda_cone", "cartan_pairing"} <= set(counted)
+    counted.clear()
+    cones.irredundant_facets(c3, moved)
+    remove_redundant(polytopes.string_polytope(moved, rho))
+    assert counted == []
+    # a non-dominant or wrong-type weight raises on a warm class as it did cold
+    with pytest.raises(ValueError, match="weight cone needs a dominant weight"):
+        polytopes.string_polytope(moved, Weight(c3, (1, -1, 1)))
+    for lam in (Weight.rho(LieType("B", 3)), Weight.rho(LieType("C", 2))):
+        with pytest.raises(ValueError, match="weight and word have different Lie types"):
+            polytopes.string_polytope(moved, lam)
+    assert empty_entries.cache_info().currsize == 2  # one cone and one polytope entry

@@ -81,7 +81,7 @@ def parent_table(h):
     verts = parent_vrep(h).vertices
     den = lcm(*(x.denominator for v in verts for x in v))
     points = tuple(tuple(int(x * den) for x in v) for v in verts)
-    dim = rank_int([list(map(sub, v, verts[0])) for v in verts[1:]])
+    dim = rank_int([list(map(sub, p, points[0])) for p in points[1:]])
     return polyhedra._IncidenceTable(dim, points, table.incidences, den=den)
 
 
@@ -130,8 +130,8 @@ def test_integer_vertices_match_the_fraction_path(battery):
         assert vrep.tight == expected.tight and vrep.rays == expected.rays
         assert all(type(x) is F for v in vrep.vertices for x in v)
         assert table.den == lcm(*(x.denominator for v in expected.vertices for x in v))
-        diffs = [list(map(sub, v, expected.vertices[0])) for v in expected.vertices[1:]]
-        assert table.dim == rank_int(diffs)
+        points = [[int(x * table.den) for x in v] for v in expected.vertices]
+        assert table.dim == rank_int([list(map(sub, p, points[0])) for p in points[1:]])
         assert integrality(h) == parent_integrality(expected.vertices)
         assert face_lattice(h).vertices == expected.vertices
 

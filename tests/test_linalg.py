@@ -2,10 +2,13 @@
 
 Every view of `echelon` is checked against a plain `Fraction` Gauss-Jordan
 elimination written here and against the defining identity of its result.
+`echelon` takes integer rows only, so a rational matrix is scaled to one
+first, each row by the lcm of its denominators (the same row space).
 """
 
 from fractions import Fraction as F
 from itertools import permutations
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,7 +95,13 @@ def matrices(draw, rows=None, cols=None, entries=ENTRY):
     return [[draw(entries) for _ in range(n)] for _ in range(m)]
 
 
-ANY_MATRIX = st.one_of(matrices(), matrices(entries=RATIONAL))
+def integer_rows(rows):
+    """Each row times the lcm of its denominators."""
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    return [[int(x * s) for x in row] for row, s in zip(rows, scales)]
+
+
+ANY_MATRIX = st.one_of(matrices(), matrices(entries=RATIONAL).map(integer_rows))
 
 
 @SETTINGS
@@ -139,7 +148,9 @@ def test_forward_pass_agrees_with_gauss_jordan(a):
 
 
 def _square(n):
-    return st.one_of(matrices(rows=n, cols=n), matrices(rows=n, cols=n, entries=RATIONAL))
+    return st.one_of(
+        matrices(rows=n, cols=n), matrices(rows=n, cols=n, entries=RATIONAL).map(integer_rows)
+    )
 
 
 @SETTINGS

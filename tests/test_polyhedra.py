@@ -291,10 +291,12 @@ def _affine_reduce(vertices):
     """Exact coordinates of the vertices inside their own affine hull.
 
     The differences ``v - v0`` are projected onto the pivot columns of their
-    echelon form; that projection is injective on the affine hull.
+    echelon form (taken over their common denominator, as `echelon` takes
+    ints); that projection is injective on the affine hull.
     """
     v0 = vertices[0]
-    pivots = echelon([[a - b for a, b in zip(v, v0)] for v in vertices[1:]])[1]
+    den = lcm(*(x.denominator for v in vertices for x in v))
+    pivots = echelon([[int((a - b) * den) for a, b in zip(v, v0)] for v in vertices[1:]])[1]
     return [tuple(v[c] - v0[c] for c in pivots) for v in vertices], len(pivots)
 
 
@@ -504,7 +506,8 @@ def test_redundancy_against_vertex_incidence_oracle():
         for c, b in h.rows:
             tight = [v for v in verts if sum(ci * vi for ci, vi in zip(c, v)) == b]
             if len(tight) >= 4:
-                diffs = [[x - y for x, y in zip(v, tight[0])] for v in tight[1:]]
+                den = lcm(*(x.denominator for v in tight for x in v))
+                diffs = [[int((x - y) * den) for x, y in zip(v, tight[0])] for v in tight[1:]]
                 if rank_int(diffs) == 3:
                     facets.add((c, b))
         assert facets == set(mini.rows)
@@ -1689,6 +1692,43 @@ if _HAVE_HYPOTHESIS:
         for x in range(-5, 6):
             for y in range(-5, 6):
                 assert h.contains((x, y)) == mini.contains((x, y))
+
+    def parent_normalize_row(coeffs, rhs) -> tuple[tuple[int, ...], int]:
+        """Scale a row to integer coefficients and right-hand side with content 1."""
+        ints = polyhedra._integral((*coeffs, rhs))
+        g = content(ints)
+        if g > 1:
+            ints = [x // g for x in ints]
+        return tuple(ints[:-1]), ints[-1]
+
+    INTS = st.one_of(st.integers(-12, 12), st.integers())
+    ROW_KINDS = st.sampled_from([
+        INTS,
+        st.one_of(INTS, st.booleans()),
+        st.one_of(INTS, st.fractions(max_denominator=12)),
+        st.one_of(INTS, st.booleans(), st.fractions(), st.sampled_from([0.5, 1.0, "1", None])),
+    ])
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_normalize_row_matches_the_integral_path(data):
+        """The all-int fast path of `_normalize_row` against the earlier
+        `_integral` path: equal rows of ints, or the same `PolyhedralError`."""
+        kind = data.draw(ROW_KINDS)
+        coeffs = data.draw(st.lists(kind, max_size=6))
+        rhs = data.draw(kind)
+        if data.draw(st.booleans()):
+            coeffs = tuple(coeffs)
+        try:
+            want = parent_normalize_row(coeffs, rhs)
+        except PolyhedralError as exc:
+            with pytest.raises(PolyhedralError) as raised:
+                polyhedra._normalize_row(coeffs, rhs)
+            assert str(raised.value) == str(exc)
+            return
+        got = polyhedra._normalize_row(coeffs, rhs)
+        assert got == want and type(got[0]) is tuple
+        assert all(type(x) is int for x in (*got[0], got[1]))
 
 
 def test_verified_map_preserves_invariants():

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction as F
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 
@@ -258,7 +258,8 @@ def test_string_polytope_full_dimensional():
         for w in sample:
             h = string_polytope(w, rho)
             verts = to_vrep(h, bounded_expected=True).vertices
-            diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts[1:]]
+            den = lcm(*(x.denominator for v in verts for x in v))
+            diffs = [[int((x - y) * den) for x, y in zip(v, verts[0])] for v in verts[1:]]
             assert rank_int(diffs) == n * n
 
 
