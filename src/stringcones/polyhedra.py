@@ -17,15 +17,18 @@ The pieces:
 * redundancy removal: an inequality is redundant exactly when it is a
   nonnegative combination of the remaining ones (plus a constant slack),
   which is the LP dual of maximizing its violation over the rest.  First
-  one LP finds a strictly interior point, if there is one, as the
-  certificate that ``0 <= -1`` is no combination of the strict rows; an
-  exact ray from it meets a facet first, so ray shooting certifies most
-  facets with no LP.  A ray reads the rows through a coordinate index,
-  only those sharing a coordinate with its direction, since string forms
-  are sparse.  A row that two certified facets imply is dropped with no
-  LP, before any ray is shot from it; any other row costs one LP against
-  the certified facets, which either implies it or certifies, by a ray
-  toward the point its certificate names, one more facet;
+  a strictly interior point is found, if there is one: written down by
+  back-substitution when every ``b >= 0`` and every ``b = 0`` row leads
+  negative (string cones, and string polytopes at a regular weight), and
+  otherwise by one LP, as the certificate that ``0 <= -1`` is no
+  combination of the strict rows; an exact ray from it meets a facet
+  first, so ray shooting certifies most facets with no LP.  A ray reads
+  the rows through a coordinate index, only those sharing a coordinate
+  with its direction, since string forms are sparse.  A row that two
+  certified facets imply is dropped with no LP, before any ray is shot
+  from it; any other row costs one LP against the certified facets, which
+  either implies it or certifies, by a ray toward the point its
+  certificate names, one more facet;
 * emptiness by Farkas' lemma: a system is empty exactly when ``0 <= -1`` is
   such a combination of its rows, so `feasible` is the same test;
 * double description with lexicographic insertion for vertex/ray
@@ -329,14 +332,34 @@ def feasible(rows_le, dim) -> bool:
 def _interior_point(rows, dim):
     """Integers ``(U, S)`` with ``c . U < b * S`` on every row and ``S > 0``, or None.
 
-    ``U / S`` is then strictly inside every row.  It exists exactly when the
-    strict system ``{c . x - b * s <= -1, -s <= -1}`` in ``(x, s)`` is
-    non-empty, that is when ``0 <= -1`` is no combination of its rows (the
-    LP of `feasible`).  `_farkas` then certifies it with ``y``, ``y . A <= 0``
-    and ``y . b > 0``: on the column of a row that reads
-    ``c . U - b * S <= y[-1] < 0`` with ``(U, S) = y[:-1]``, and on the column
-    of ``-s <= -1`` it reads ``S > 0``.
+    ``U / S`` is then strictly inside every row.  When no row has ``b < 0``
+    and every row with ``b = 0`` has a negative first nonzero entry, as the
+    rows ``-form . x <= 0`` of string cones and of string polytopes at a
+    regular weight do, it is written down with no LP: ``U`` from the last
+    coordinate back, each ``U_k`` large enough that every ``b = 0`` row
+    whose first nonzero entry is at ``k`` reads ``c . U < 0``, and ``S``
+    large enough for the rows with ``b > 0``.  Otherwise it exists exactly
+    when the strict system ``{c . x - b * s <= -1, -s <= -1}`` in ``(x, s)``
+    is non-empty, that is when ``0 <= -1`` is no combination of its rows
+    (the LP of `feasible`).  `_farkas` then certifies it with ``y``,
+    ``y . A <= 0`` and ``y . b > 0``: on the column of a row that reads
+    ``c . U - b * S <= y[-1] < 0`` with ``(U, S) = y[:-1]``, and on the
+    column of ``-s <= -1`` it reads ``S > 0``.
     """
+    lead: dict[int, list] = {}  # the b = 0 rows by the coordinate of their first nonzero
+    for c, b in rows:
+        if b < 0:
+            break
+        if b == 0:
+            k = next((k for k, x in enumerate(c) if x), None)
+            if k is None or c[k] > 0:
+                break
+            lead.setdefault(k, []).append(c)
+    else:
+        u = [0] * dim  # while u[k] is set, u[j] = 0 for j <= k: c . u sums over j > k
+        for k in reversed(range(dim)):
+            u[k] = max([1] + [sum(map(mul, c, u)) // -c[k] + 1 for c in lead.get(k, ())])
+        return u, max([1] + [sum(map(mul, c, u)) // b + 1 for c, b in rows if b > 0])
     strict = [((*c, -b), -1) for c, b in rows] + [((0,) * dim + (-1,), -1)]
     y = _farkas(*_combination_lp(((0,) * (dim + 1), -1), strict, dim + 1), True)
     return None if y is None else (y[:dim], y[dim])
@@ -484,7 +507,8 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
 
     A zero row with ``b < 0`` empties the system.  Otherwise it is non-empty
     with no LP when every ``b >= 0`` (it contains 0) or when it has an
-    interior point, and only without either does `feasible` decide.  Zero
+    interior point (`_interior_point`, which writes one down with no LP for
+    string systems), and only without either does `feasible` decide.  Zero
     rows and later copies of a row are dropped first.  Without an
     interior point (an implicit equality, or no point) a row is redundant
     exactly when the live rows other than it imply it (`_implied`), one LP
@@ -501,7 +525,9 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
     implied.  So each of these LPs certifies a facet or drops a row; only a
     ray that ties in full (two rows of one half-space) sends the row to the
     LP against all live rows.  A dropped row is redundant, so either way
-    the kept indices are those of the one-LP-per-row loop, in order.
+    the kept indices are those of the one-LP-per-row loop, in order,
+    whatever point certifies the facets; a point away from the vertices,
+    as the written-down one is, lets more first rays meet their own row.
     """
     if any(b < 0 and not any(c) for c, b in rows):
         return None

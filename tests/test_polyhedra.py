@@ -9,7 +9,7 @@ from operator import mul
 
 import pytest
 
-from stringcones import polyhedra
+from stringcones import cones, polyhedra
 from stringcones.cli import _load_polytope
 from stringcones.cones import string_cone
 from stringcones._linalg import (
@@ -667,20 +667,25 @@ def test_ray_shooting_breaks_a_tie_toward_a_facet():
 )
 def test_ray_shooting_work_bound(text, rows, facets, lp_counts):
     """On the largest C4 class and the nested word, rays certify every facet:
-    one interior-point LP plus at most one LP per redundant row (85 and 19
-    LPs at one LP per row).  Every tableau counts, whatever asks for it."""
+    the interior point is written down with no LP, and at most one LP runs
+    per redundant row (85 and 19 LPs at one LP per row; both words now run
+    none).  Every tableau counts, whatever asks for it."""
     cone, dim = cone_rows(LieType("C", 4), ReducedWord.parse("C4", text))
     assert (len(cone), len(irredundant_cone_rows([c for c, _ in cone], dim))) == (rows, facets)
-    assert lp_counts["_farkas"] <= 1 + rows - facets
+    assert lp_counts["_farkas"] <= rows - facets
 
 
 def test_redundancy_work_bound_on_c4_classes(lp_counts, monkeypatch):
-    """The 14 C4 class words take 34 tableaux in all: 14 interior points,
-    one for each of the 19 facets that no first ray meets, and one for the
-    one redundant row of 119 that the two-term test misses.  Asking each
-    undecided row against the certified facets, and a facet a second time
-    against all rows, took 172.  They take 916 rays, first rays and
-    certificates' rays together: a row is shot from only when the two-term
+    """The 14 C4 class words take 2 tableaux in all, one for each of the 2
+    facets that no first ray meets; the two-term test drops all 119
+    redundant rows.  Every row leads negative, so each interior point is
+    written down with no LP, and the rays from it meet their own facet far
+    more often than rays from the LP's basic point did: that took 34
+    tableaux (14 interior points, 19 facets no first ray met, one row the
+    two-term test missed), and asking each undecided row against the
+    certified facets, and a facet a second time against all rows, took
+    172.  They take 656 rays, first rays and certificates' rays together
+    (916 from the LP's point): a row is shot from only when the two-term
     test, against the facets certified so far, keeps it.  Shooting from
     every row not yet certified took 1,300."""
     rays = 0
@@ -696,8 +701,8 @@ def test_redundancy_work_bound_on_c4_classes(lp_counts, monkeypatch):
     for text in C4_CLASS_WORDS:
         cone, dim = cone_rows(c4, ReducedWord.parse("C4", text))
         irredundant_cone_rows([c for c, _ in cone], dim)
-    assert lp_counts["_farkas"] <= 34
-    assert rays <= 916
+    assert lp_counts["_farkas"] <= 2
+    assert rays <= 656
 
 
 def normals_of(facets):
@@ -735,26 +740,36 @@ def test_two_term_certificate(facets, row, implied):
     assert polyhedra._two_term(row, normals_of(facets)) is implied
 
 
+def translated(rows, t):
+    """``rows`` moved by the vector ``t``: ``c . x <= b + c . t``."""
+    return tuple((c, b + sum(map(mul, c, t))) for c, b in rows)
+
+
 def test_two_term_certificate_drops_a_row_with_no_lp(lp_counts):
     """x + y <= 2 touches the square [-1, 1]^2 at a corner, so no ray meets
-    it; the two-term test drops it, and the interior point is the one LP."""
-    rows = tuple(box(2, 1)) + (((1, 1), 2),)
-    assert assert_shooting_matches_parent(rows, 2) == {0, 1, 2, 3}
-    lp_counts.clear()
-    assert polyhedra._irredundant_indices(rows, 2) == [0, 1, 2, 3]
-    assert lp_counts["_farkas"] == 1
+    it; the two-term test drops it.  Every b is positive, so the interior
+    point takes no LP either.  Moved by (2, 0), the row -x <= -1 has b < 0,
+    and the interior point is the one LP."""
+    for shift, lps in (((0, 0), 0), ((2, 0), 1)):
+        rows = translated(tuple(box(2, 1)) + (((1, 1), 2),), shift)
+        assert assert_shooting_matches_parent(rows, 2) == {0, 1, 2, 3}
+        lp_counts.clear()
+        assert polyhedra._irredundant_indices(rows, 2) == [0, 1, 2, 3]
+        assert lp_counts["_farkas"] == lps
 
 
 def test_certificate_ray_certifies_a_facet_no_first_ray_meets(lp_counts, monkeypatch):
     """With the first rays switched off, every facet of the square cut by
     x + y <= 1 is met by a certificate's ray: each LP certifies one facet,
-    so five tableaux plus the interior point."""
-    rows = tuple(box(2, 1)) + (((1, 1), 1),)
-    assert parent_irredundant_indices(rows, 2) == [0, 1, 2, 3, 4]
+    so five tableaux, plus the interior point's LP once the square is moved
+    by (2, 0) and the row -x <= -1 has b < 0."""
     monkeypatch.setattr(polyhedra, "_shoot", lambda *args: None)
-    lp_counts.clear()
-    assert polyhedra._irredundant_indices(rows, 2) == [0, 1, 2, 3, 4]
-    assert lp_counts["_farkas"] == 6
+    for shift, lps in (((0, 0), 5), ((2, 0), 6)):
+        rows = translated(tuple(box(2, 1)) + (((1, 1), 1),), shift)
+        assert parent_irredundant_indices(rows, 2) == [0, 1, 2, 3, 4]
+        lp_counts.clear()
+        assert polyhedra._irredundant_indices(rows, 2) == [0, 1, 2, 3, 4]
+        assert lp_counts["_farkas"] == lps
 
 
 def test_full_tie_falls_back_to_all_live_rows(lp_counts):
@@ -768,6 +783,85 @@ def test_full_tie_falls_back_to_all_live_rows(lp_counts):
     # the interior point; row 0: its certificate, then the fallback; row 1: its certificate
     assert lp_counts["_farkas"] == 4
     assert assert_shooting_matches_parent(rows, 2) == set()
+
+
+def leads_negative(rows) -> bool:
+    """Whether no row has ``b < 0`` and every row with ``b = 0`` has a
+    negative first nonzero entry: the rows whose interior point
+    `_interior_point` writes down with no LP."""
+    return all(
+        b > 0 or b == 0 and next((x for x in c if x), 0) < 0 for c, b in rows
+    )
+
+
+def parent_interior_point(rows, dim):
+    """Reference for `polyhedra._interior_point`: the phase-1 LP alone, kept verbatim."""
+    strict = [((*c, -b), -1) for c, b in rows] + [((0,) * dim + (-1,), -1)]
+    y = polyhedra._farkas(*polyhedra._combination_lp(((0,) * (dim + 1), -1), strict, dim + 1), True)
+    return None if y is None else (y[:dim], y[dim])
+
+
+def assert_strictly_inside(point, rows):
+    u, s = point
+    assert s > 0 and all(sum(map(mul, c, u)) < b * s for c, b in rows)
+
+
+@pytest.mark.parametrize(
+    "rows,inside",
+    [
+        # the square [1, 3] x [-1, 1]: the row -x <= -1 has b < 0
+        ((((1, 0), 3), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 1)), True),
+        # the square [-1, 0] x [-1, 1]: the b = 0 row x <= 0 leads with +1
+        ((((1, 0), 0), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)), True),
+        # the point x = 0 on the line: no interior point
+        ((((1,), 0), ((-1,), 0)), False),
+    ],
+)
+def test_interior_point_takes_the_lp_outside_the_condition(rows, inside, lp_counts):
+    """A row with b < 0, a b = 0 row that leads positive, and the
+    lower-dimensional pair x <= 0, -x <= 0 each take the one LP, whose
+    result is the reference's; the kept rows are those of the one-LP-per-row
+    loop."""
+    dim = len(rows[0][0])
+    assert not leads_negative(rows)
+    point = polyhedra._interior_point(rows, dim)
+    assert lp_counts["_farkas"] == 1
+    assert point == parent_interior_point(rows, dim)
+    if inside:
+        assert_strictly_inside(point, rows)
+    else:
+        assert point is None
+    assert_shooting_matches_parent(rows, dim)
+    assert polyhedra._irredundant_indices(rows, dim) == list(range(len(rows)))
+
+
+@pytest.mark.parametrize("type_text", ["A3", "A4", "B2", "B3", "C2", "C3", "C4"])
+def test_every_string_form_leads_positive(type_text):
+    """Every string form has a positive first nonzero coefficient (``f_{i_1}``
+    raises ``a_1`` alone on strings), so the rows ``-form . x <= 0`` lead
+    negative and the interior point needs no LP.  Every word of each type is
+    read, but at C4 only the class words."""
+    t = LieType.parse(type_text)
+    if type_text == "C4":
+        words = [ReducedWord.parse("C4", text) for text in C4_CLASS_WORDS]
+    else:
+        words = enumerate_reduced_words(t)
+    for w in words:
+        cone = string_cone(w.lie_type, w)
+        assert all(next(x for x in f.coeffs if x) > 0 for f in cone.forms)
+
+
+def test_a4_sweep_runs_no_lp(lp_counts):
+    """`irredundant_facets` over the 768 A4 words, from an empty class
+    cache, runs no `_farkas` at all: each interior point is written down and
+    rays certify every facet."""
+    t = LieType("A", 4)
+    cones._class_entry.cache_clear()
+    try:
+        facets = [cones.facet_count(t, w) for w in enumerate_reduced_words(t)]
+    finally:
+        cones._class_entry.cache_clear()
+    assert len(facets) == 768 and lp_counts["_farkas"] == 0
 
 
 def test_to_vrep_square_and_cone():
@@ -1573,10 +1667,50 @@ if _HAVE_HYPOTHESIS:
         nonzero = [(c, b) for c, b in rows if any(c)]
         point = polyhedra._interior_point(nonzero, d) if nonzero else None
         if point is not None:
-            u, s = point
-            assert s > 0 and all(sum(x * y for x, y in zip(c, u)) < b * s for c, b in nonzero)
+            assert_strictly_inside(point, nonzero)
         if cut:  # an equality pair or a contradicting pair of nonzero rows
             assert point is None
+
+    @st.composite
+    def leading_systems(draw):
+        """Integer rows in dimension 1-4 with ``b`` in ``[-1, 4]``.  Unless
+        the draw leaves them as they are, ``b`` is made ``>= 0`` and each
+        ``b = 0`` row is made to lead negative (a zero one becomes
+        ``-x_d <= 0``), so both the written-down point and the LP are met;
+        copies and positive multiples are mixed in."""
+        d = draw(st.integers(1, 4))
+        vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple)
+        rows = draw(st.lists(st.tuples(vec, st.integers(-1, 4)), min_size=1, max_size=8))
+        if draw(st.booleans()):
+            lead = []
+            for c, b in rows:
+                b = max(b, 0)
+                if b == 0:
+                    first = next((x for x in c if x), 0)
+                    c = tuple(-x for x in c) if first > 0 else c if first else (0,) * (d - 1) + (-1,)
+                lead.append((c, b))
+            rows = lead
+        copies = draw(st.lists(st.tuples(st.sampled_from(rows), st.integers(1, 3)), max_size=2))
+        rows += [(tuple(k * x for x in c), k * b) for (c, b), k in copies]
+        return d, tuple(draw(st.permutations(rows)))
+
+    @given(leading_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_written_down_interior_point(system):
+        """When every ``b >= 0`` and every ``b = 0`` row leads negative, the
+        point takes no LP and is strictly inside every row; otherwise it is
+        the LP's, as before.  Either way the kept rows are the reference's."""
+        d, rows = system
+        tableaux, farkas = [], polyhedra._farkas
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyhedra, "_farkas", lambda *args: tableaux.append(args) or farkas(*args))
+            point = polyhedra._interior_point(rows, d)
+        if leads_negative(rows):
+            assert not tableaux
+            assert_strictly_inside(point, rows)
+        else:
+            assert point == parent_interior_point(rows, d)
+        assert_shooting_matches_parent(rows, d)
 
     @st.composite
     def first_hit_systems(draw):

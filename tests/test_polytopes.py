@@ -234,6 +234,15 @@ def test_an_unresolved_comparison_is_no_refutation(monkeypatch):
     assert not all(ok for _, ok, _ in verify.gt_equivalence(2))
 
 
+def test_refuted_counts_are_every_word_but_the_nested_one():
+    """Criterion 8 expects every word but the nested one to be refuted, which
+    is still 1 word at rank 2 and 41 at rank 3."""
+    rows = {name: (ok, detail) for name, ok, detail in verify.gt_equivalence(3)}
+    for m, refuted in ((2, 1), (3, 41)):
+        ok, detail = rows[f"rank-{m} other words refuted, each with a witness"]
+        assert ok and detail.endswith(f"want ({refuted}, True)")
+
+
 def test_polytope_checks_build_the_pattern_polytope_once(monkeypatch):
     """The rank-2 checks read the pattern polytope from the theorem's report,
     so its V-rep is computed once."""
