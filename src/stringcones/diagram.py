@@ -175,26 +175,6 @@ class WiringDiagram:
         x, y = self.node_center(j)
         return (Fraction(x), Fraction(2 * y - 1, 2))
 
-    def segment_id(self, wire: int, a, b) -> tuple[int, int]:
-        """Identify the wire segment between consecutive stops ``a`` and ``b``.
-
-        Stops are node indices or 'top'/'bottom'; the id is (wire, slot) with
-        slot 0 for the top stub and slot k after the k-th node on the wire.
-        """
-        seq = self.wire_nodes[wire]
-
-        def slot(spot) -> int:
-            if spot == "top":
-                return -1
-            if spot == "bottom":
-                return len(seq)
-            return seq.index(spot)
-
-        sa, sb = slot(a), slot(b)
-        if abs(sa - sb) != 1:
-            raise ValueError(f"{a} and {b} are not consecutive on wire {wire}")
-        return (wire, min(sa, sb) + 1)
-
     def __repr__(self) -> str:
         return f"WiringDiagram({self.word})"
 

@@ -14,6 +14,13 @@ expression and the node expression (switch crossings only) derive from the
 events.  On symplectic diagrams the mirror of a path is its reflection in
 the wall, traversed backwards; a path with orientation ``n`` equal to its
 own mirror is symmetric.
+
+The extension of a path with orientation at most ``n`` is read straight
+from its definition: of the paths of that orientation whose enclosed
+regions lie inside region(p) | region(mirror(p)), the one whose region
+contains all the others.  The canonical paths are extensions, and a path
+has the maximality property (its folded string inequality is irredundant)
+exactly when it is its own extension.
 """
 
 from __future__ import annotations
@@ -34,8 +41,6 @@ __all__ = [
     "is_symmetric",
     "enclosed_region",
     "extension",
-    "extension_by_search",
-    "satisfies_maximality",
     "canonical_paths",
     "is_new",
     "path_json",
@@ -131,10 +136,6 @@ class RigorousPath:
             seg = self.base.wire_slice(wire, frm, to)
             pts.extend(seg if not pts else seg[1:])
         return tuple(pts)
-
-    def segments(self) -> frozenset[tuple[int, int]]:
-        """Ids of all wire segments the path runs along, stubs included."""
-        return frozenset(self.base.segment_id(wire, frm, to) for wire, frm, to in self.stops())
 
     def __str__(self) -> str:
         return " -> ".join(self.wires_by_name())
@@ -304,156 +305,31 @@ def enclosed_region(p: RigorousPath) -> frozenset[int]:
     return base.regions[key]
 
 
-def _fragment_in_closure(p: RigorousPath, wire: int, frm, to) -> bool:
-    """Whether the wire segment from ``frm`` to ``to`` stays in the closed region of ``p``."""
-    base = p.base
-    if base.segment_id(wire, frm, to) in p.segments():
-        return True
-    pts = base.wire_slice(wire, frm, to)
-    mx = Fraction(pts[0][0] + pts[1][0], 2)
-    my = Fraction(pts[0][1] + pts[1][1], 2)
-    return _inside(mx, my, _closed_polygon(p))
-
-
 # -- extensions -------------------------------------------------------------
 
 
-def _path_from_nodes(oriented: OrientedDiagram, nodes: tuple[int, ...]) -> RigorousPath:
-    """Rebuild a path from its ordered visited crossings; validates the walk."""
-    base = oriented.base
-    wire = oriented.up_count
-    at = base.first_node_on_wire(wire, downward=False)
-    events: list[tuple[int, bool]] = []
-    for pos, v in enumerate(nodes):
-        if at != v:
-            raise ValueError(f"node {v} is not next along wire {wire}")
-        node = base.node(v)
-        other = node.other_wire(wire)
-        target = nodes[pos + 1] if pos + 1 < len(nodes) else None
-        chosen = None
-        for cand, switched in ((wire, False), (other, True)):
-            nxt = base.node_on_wire_after(cand, v, downward=not oriented.is_up(cand))
-            if target is None:
-                ok = nxt is None and not oriented.is_up(cand) and cand == oriented.up_count + 1
-            else:
-                ok = nxt == target
-            if ok:
-                chosen = (cand, switched, nxt)
-                break
-        if chosen is None:
-            raise ValueError(f"walk cannot continue from node {v} to {target}")
-        wire, switched, at = chosen[0], chosen[1], chosen[2]
-        events.append((v, switched))
-    if wire != oriented.up_count + 1:
-        raise ValueError("walk does not end at the required bottom endpoint")
-    return RigorousPath(oriented, tuple(events))
-
-
-def satisfies_maximality(p: RigorousPath) -> bool:
-    """No other path fits inside region(p) union region(mirror(p)) yet leaves region(p).
-
-    Paths with this property give irredundant folded string inequalities.
-    """
-    union = enclosed_region(p) | enclosed_region(mirror(p))
-    own = enclosed_region(p)
-    for q in enumerate_paths(p.oriented):
-        if q == p:
-            continue
-        r = enclosed_region(q)
-        if r <= union and not r <= own:
-            return False
-    return True
-
-
-def _wall_event_index(p: RigorousPath) -> int:
-    sd = p.diagram
-    hits = [i for i, (j, _) in enumerate(p.events) if sd.on_wall(j)]
-    if len(hits) != 1:
-        raise ValueError(f"expected exactly one wall transit, found {len(hits)}")
-    return hits[0]
-
-
-def _extend_at_wall(p: RigorousPath) -> RigorousPath:
-    """Symmetrize an orientation-n path by splicing it with its mirror at the wall."""
-    sd = p.diagram
-    t = _wall_event_index(p)
-    wall = p.events[t][0]
-    prefix = p.events[:t]
-    suffix = p.events[t + 1 :]
-
-    def reflect(evts):
-        return tuple((sd.mirror_node(j), sw) for j, sw in reversed(evts))
-
-    union = enclosed_region(p) | enclosed_region(mirror(p))
-    for half in (prefix + ((wall, True),) + reflect(prefix), reflect(suffix) + ((wall, True),) + suffix):
-        cand = _path_from_nodes(p.oriented, tuple(j for j, _ in half))
-        if enclosed_region(cand) == union:
-            return cand
-    raise AssertionError("no wall splice matches the union region")
-
-
-def _splice(p: RigorousPath, q: RigorousPath) -> RigorousPath:
-    """One extension step: reroute ``p`` along the excursion of ``q``."""
-    d_nodes = p.visited
-    q_nodes = q.visited
-    legs = q.stops()[1:]  # fragments after the entry stub: (wire, from, to)
-    own_closure = [
-        _fragment_in_closure(p, wire, frm, to) for wire, frm, to in legs
-    ]
-    u1 = next(i for i, ok in enumerate(own_closure) if not ok)
-    u2 = next(i for i in range(u1 + 1, len(legs)) if own_closure[i])
-    # legs[i] runs from q_nodes[i] to q_nodes[i+1] (or the exit stub at the end)
-    v1 = d_nodes.index(q_nodes[u1])
-    v2 = d_nodes.index(q_nodes[u2])
-    merged = d_nodes[: v1 + 1] + q_nodes[u1 + 1 : u2 + 1] + d_nodes[v2 + 1 :]
-    return _path_from_nodes(p.oriented, merged)
-
-
 def extension(p: RigorousPath) -> RigorousPath:
-    """The unique maximal reroute of ``p`` inside region(p) union region(mirror(p)).
+    """The path of ``p``'s orientation with the largest region inside the union.
 
-    For orientation ``n`` the result is the symmetric path filling the whole
-    union.  For smaller orientations the path is grown by splicing in any
-    path that escapes region(p) while staying inside the union, until the
-    maximality property holds.  Symmetric paths and already-maximal paths
-    come back unchanged; the operation is idempotent.
+    The union is region(p) | region(mirror(p)).  Among the paths of the same
+    orientation whose regions lie inside it, exactly one region contains all
+    the others; that path is the extension.  For orientation ``n`` it is the
+    symmetric path filling the whole union.  A path whose region already is
+    the union (every symmetric path) comes back unchanged, and the operation
+    is idempotent.  Raises ``ValueError`` when there is not exactly one
+    maximal path.
     """
     sd = p.diagram
     if not isinstance(sd, SympWiringDiagram) or p.k > sd.n:
         raise ValueError("extension applies to symplectic paths with orientation <= n")
-    if p.k == sd.n:
-        return p if is_symmetric(p) else _extend_at_wall(p)
-    union = enclosed_region(p) | enclosed_region(mirror(p))
-    current = p
-    while True:
-        own = enclosed_region(current)
-        escape = None
-        for q in enumerate_paths(p.oriented):
-            if q == current:
-                continue
-            r = enclosed_region(q)
-            if r <= union and not r <= own:
-                escape = q
-                break
-        if escape is None:
-            return current
-        grown = _splice(current, escape)
-        if not enclosed_region(grown) > own:
-            raise AssertionError("extension splice failed to grow the region")
-        current = grown
-
-
-def extension_by_search(p: RigorousPath) -> RigorousPath:
-    """Oracle for `extension`: pick the region-maximal path inside the union."""
-    union = enclosed_region(p) | enclosed_region(mirror(p))
-    candidates = [q for q in enumerate_paths(p.oriented) if enclosed_region(q) <= union]
-    best = [
-        q
-        for q in candidates
-        if all(enclosed_region(r) <= enclosed_region(q) for r in candidates)
-    ]
+    own = enclosed_region(p)
+    union = own | enclosed_region(mirror(p))
+    if own == union:
+        return p
+    inside = [q for q in enumerate_paths(p.oriented) if enclosed_region(q) <= union]
+    best = [q for q in inside if all(enclosed_region(r) <= enclosed_region(q) for r in inside)]
     if len(best) != 1:
-        raise AssertionError(f"expected a unique maximal candidate, found {len(best)}")
+        raise ValueError(f"expected one maximal path inside the union, found {len(best)}")
     return best[0]
 
 
@@ -525,7 +401,7 @@ def _canonical_lift_path(sd: SympWiringDiagram, j: int) -> RigorousPath:
             if pre_peak_ok:
                 found.append(p)
     if len(found) != 1:
-        raise AssertionError(
+        raise ValueError(
             f"expected one canonical lifted path peaking at wires ({j}, {top_wire}), found {len(found)}"
         )
     return found[0]
@@ -549,7 +425,7 @@ def canonical_paths(sd: SympWiringDiagram) -> tuple[RigorousPath, ...]:
         if p not in unique:
             unique.append(p)
     if sd.n >= 3 and len(unique) != 2 * sd.n - 1:
-        raise AssertionError(f"expected {2 * sd.n - 1} canonical paths, found {len(unique)}")
+        raise ValueError(f"expected {2 * sd.n - 1} canonical paths, found {len(unique)}")
     return tuple(unique)
 
 

@@ -34,16 +34,16 @@ indices of the kept rows, as a cone entry does, so the redundancy LP runs
 once per class.  A polytope shares only at a regular weight, where it is
 full-dimensional, so its minimal system is its facet set, the same rows in
 every sequence: ``k P_lambda`` holds ``dim V(k lambda)`` lattice points, a
-polynomial of degree N in k.  A word with no adjacent commuting pair is
-alone in its class, so it takes no polytope entry and is built from its
-string cone and weight cone.
+polynomial of degree N in k.  Every word and weight read their rows this
+way, a word alone in its class included; a non-regular weight takes an
+entry in the same bounded class cache but shares no minimal rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import class_polytope_rows, heap_order, string_cone
+from .cones import class_polytope_rows
 from .polyhedra import HRep, remove_redundant, search_unimodular_equivalence
 from .weyl import (
     LieType,
@@ -92,19 +92,17 @@ def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
     """String cone plus weight cone of ``w`` at ``lam`` (possibly redundant rows).
 
     The merged string-cone rows come first, then the weight-cone rows in
-    heap-coordinate order (`cones.heap_order`).  At a regular weight the
-    polytope reads its rows from, and shares its minimal rows through, the
-    polytope entry of its commutation class (see the module docstring).
+    heap-coordinate order (`cones.heap_order`).  The polytope reads its
+    rows from the polytope entry of its commutation class and weight, and
+    at a regular weight shares its minimal rows through it (see the module
+    docstring).
     """
     _check_weight(w, lam)
-    if lam.is_regular and any(abs(a - b) >= 2 for a, b in zip(w.letters, w.letters[1:])):
-        entry, rows = class_polytope_rows(w, lam, lambda: lambda_cone(w, lam).rows)
-        h = HRep(len(w.letters), rows)
+    entry, rows = class_polytope_rows(w, lam, lambda: lambda_cone(w, lam).rows)
+    h = HRep(len(w.letters), rows)
+    if lam.is_regular:
         h.share(entry)
-        return h
-    cone = string_cone(w.lie_type, w, deduplicate=True)
-    cone_rows = tuple((tuple(-c for c in f.coeffs), 0) for f in cone.forms)
-    return HRep(cone.dim, cone_rows + heap_order(w, lambda_cone(w, lam).rows))
+    return h
 
 
 def polytope_facet_count(w: ReducedWord, lam: Weight) -> int:

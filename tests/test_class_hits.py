@@ -6,8 +6,10 @@ heap coordinates.  The oracles below are the earlier `string_polytope`,
 `string_cone` and `_word_forms`, kept verbatim under their own names: they
 rewrite the cone entry's forms and rebuild the weight cone for every word.
 The oracle polytope's `class_entry` is a fresh dict per call, so its minimal
-rows come from an LP of its own.  Each word is built cold (class cache
-cleared) and then warm (a second word of its class, filled by the first).
+rows come from an LP of its own.  `direct_polytope` is the branch the
+earlier `string_polytope` took for a word alone in its class or a
+non-regular weight.  Each word is built cold (class cache cleared) and then
+warm (a second word of its class, filled by the first).
 """
 
 import pytest
@@ -139,7 +141,6 @@ def counted(monkeypatch):
     for module, name in [
         (cones, "_rigorous_paths"),
         (cones, "string_cone"),
-        (polytopes, "string_cone"),
         (polytopes, "lambda_cone"),
         (polytopes, "cartan_pairing"),
         (weyl, "cartan_pairing"),
@@ -168,3 +169,34 @@ def test_a_class_hit_runs_no_paths_and_no_weight_cone(empty_entries, counted):
         with pytest.raises(ValueError, match="weight and word have different Lie types"):
             polytopes.string_polytope(moved, lam)
     assert empty_entries.cache_info().currsize == 2  # one cone and one polytope entry
+
+
+def direct_polytope(w: ReducedWord, lam: Weight) -> HRep:
+    """The earlier direct branch of `string_polytope`, which a word alone in
+    its class or a non-regular weight took: the library's string cone and
+    weight cone, with no class entry."""
+    cone = cones.string_cone(w.lie_type, w, deduplicate=True)
+    cone_rows = tuple((tuple(-c for c in f.coeffs), 0) for f in cone.forms)
+    return HRep(cone.dim, cone_rows + heap_order(w, lambda_cone(w, lam).rows))
+
+
+@pytest.mark.parametrize(
+    "type_text,coeffs",
+    [("C2", (1, 1)), ("C2", (1, 0)), ("C2", (0, 0)), ("C3", (1, 0, 2)), ("C3", (0, 1, 0))],
+)
+def test_singleton_words_and_non_regular_weights_match_the_direct_branch(
+    empty_entries, type_text, coeffs
+):
+    lam = Weight(LieType.parse(type_text), coeffs)
+    words = sorted(enumerate_reduced_words(lam.lie_type), key=str)[:6]
+    if type_text == "C2":
+        assert ReducedWord.parse("C2", "1,2,1,2") in words
+        assert all(commutation_class(w) == {w} for w in words)
+
+    def check(w):
+        got = polytopes.string_polytope(w, lam)
+        want = direct_polytope(w, lam)
+        assert (got.dim, got.rows) == (want.dim, want.rows)
+        assert remove_redundant(got).rows == remove_redundant(want).rows
+
+    cold_then_warm(words, check)

@@ -17,11 +17,9 @@ from stringcones.paths import (
     enumerate_paths,
     enumerate_paths_naive,
     extension,
-    extension_by_search,
     is_new,
     is_symmetric,
     mirror,
-    satisfies_maximality,
     symp_paths,
 )
 from stringcones.weyl import LieType, ReducedWord, contract, enumerate_reduced_words
@@ -165,18 +163,21 @@ def test_extension_invariants_all_rank3_words():
             assert r <= re_ <= union
             if p.k == 3:
                 assert is_symmetric(e)
-            assert satisfies_maximality(e)
 
 
-def test_extension_search_oracle():
-    for text in ("2,1,2,1", "1,2,1,2"):
-        sd = build_symp_diagram(W("C2", text))
-        for p in all_symp_paths(sd):
-            assert extension_by_search(p) == extension(p)
-    for text in ("3,2,3,2,1,2,3,2,1", "1,3,2,1,3,2,1,3,2", "2,1,3,2,1,3,2,1,3"):
-        sd = build_symp_diagram(W("C3", text))
-        for p in all_symp_paths(sd):
-            assert extension_by_search(p) == extension(p)
+def test_extension_of_rank4_wall_paths():
+    # The earlier splice construction found no wall splice for 18 of this
+    # word's 207 wall paths, this one among them.
+    sd = build_symp_diagram(W("C4", "4,3,2,1,3,2,4,3,4,2,3,4,1,2,1,3"))
+    wall = symp_paths(sd, 4)
+    assert len(wall) == 207
+    P = next(p for p in wall if str(p) == "4 -> 3b -> 2 -> 2b -> 1 -> 3 -> 2 -> 4b")
+    assert str(extension(P)) == "4 -> 3b -> 1b -> 2 -> 2b -> 1 -> 3 -> 4b"
+    for p in wall:
+        e = extension(p)
+        assert is_symmetric(e)
+        assert extension(e) == e
+        assert enclosed_region(e) == enclosed_region(p) | enclosed_region(mirror(p))
 
 
 def test_canonical_paths_table():

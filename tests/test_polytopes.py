@@ -388,26 +388,23 @@ def test_cones_and_polytopes_share_one_class_cache(empty_entries, monkeypatch):
             irredundant_facets(c3, w)
             remove_redundant(string_polytope(w, rho))
         assert len(lps) == before + 2, cls  # one cone LP and one polytope LP
-    # 14 cone entries and 12 polytope entries: two classes are words alone
-    assert empty_entries.cache_info().currsize == empty_entries.cache_info().misses == 26
+    # 14 cone entries and 14 polytope entries, words alone in their class too
+    assert empty_entries.cache_info().currsize == empty_entries.cache_info().misses == 28
     for cls in classes:
         w = min(cls, key=str)
         cone_entry = cones.class_entry(c3, w)
         assert len(cone_entry["minimal"]) == len(irredundant_facets(c3, w)[0].forms)
-        entries = [cone_entry]
-        if len(cls) > 1:
-            polytope_entry = cones.class_entry(c3, w, rho)
-            assert polytope_entry is not cone_entry
-            h = string_polytope(w, rho)
-            kept = tuple(h.rows[i] for i in polytope_entry["minimal"])
-            assert remove_redundant(h).rows == kept
-            assert any(b > 0 for _, b in kept)
-            entries.append(polytope_entry)
-        for entry in entries:  # both kinds keep the kept rows' indices, in order
+        polytope_entry = cones.class_entry(c3, w, rho)
+        assert polytope_entry is not cone_entry
+        h = string_polytope(w, rho)
+        kept = tuple(h.rows[i] for i in polytope_entry["minimal"])
+        assert remove_redundant(h).rows == kept
+        assert any(b > 0 for _, b in kept)
+        for entry in (cone_entry, polytope_entry):  # both kinds keep the kept rows' indices, in order
             indices = entry["minimal"]
             assert type(indices) is tuple and all(type(i) is int for i in indices)
             assert list(indices) == sorted(set(indices))
-    assert empty_entries.cache_info().currsize == 26  # every lookup above was a hit
+    assert empty_entries.cache_info().currsize == 28  # every lookup above was a hit
 
 
 def test_braid_class_is_refuted_without_a_face_lattice(empty_entries, monkeypatch):
@@ -428,7 +425,8 @@ def test_braid_class_is_refuted_without_a_face_lattice(empty_entries, monkeypatc
 
 
 def test_no_share_off_the_gate(empty_entries):
-    # a non-regular weight or a word alone in its class builds no polytope entry
+    # a non-regular weight shares no minimal rows; a word alone in its class
+    # (both C2 words) shares them at a regular weight
     c3 = LieType("C", 3)
     weights = (Weight(c3, (1, 0, 2)), Weight.zero(c3))
     cases = [(w, lam) for lam in weights for w in enumerate_reduced_words(c3)]
@@ -440,6 +438,9 @@ def test_no_share_off_the_gate(empty_entries):
         assert remove_redundant(h).rows == remove_redundant(fresh(h)).rows
         if w.rank == 2:
             assert f_vector(h) == f_vector(fresh(h))
-    # only the string cones' entries, one per commutation class: 14 in C3, 2 in C2
-    assert empty_entries.cache_info().currsize == 14 + 2
+        if not lam.is_regular:
+            assert "minimal" not in cones.class_entry(w.lie_type, w, lam)
+    # one cone entry per commutation class, 14 in C3 and 2 in C2, and one
+    # polytope entry per class and weight
+    assert empty_entries.cache_info().currsize == (14 + 2) + (14 * 2 + 2 * 2)
     assert empty_entries.cache_info().maxsize == cones.CLASS_CACHE_SIZE
