@@ -6,12 +6,12 @@ the top) swaps the wires at positions ``c_j`` and ``c_j + 1``.  Wire ``k``
 starts at top position ``k`` and ends at bottom position ``m + 1 - k``; its
 endpoints are labelled ``U_k`` (top) and ``L_k`` (bottom).
 
-Integer drawing coordinates, used both for exact region computations and
-for SVG output: position ``p`` sits at ``x = 2p - 1``; the crossing of
-letter ``j`` occupies the slab ``y in [2(l-j), 2(l-j) + 2]`` with its centre
-at ``(2 c_j, 2(l-j) + 1)``.  Crossing centres thus have even x and odd y
-while wire corners have odd x and even y, which keeps all point-location
-predicates away from degenerate cases.
+``arrangements[j]`` lists the wires by position just below crossing ``j``
+(``arrangements[0]`` is the top); `paths.enclosed_region` reads the
+chambers a path encloses off them.  Integer drawing coordinates serve
+only the SVG output: position ``p`` sits at ``x = 2p - 1``; the crossing of
+letter ``j`` occupies the slab ``y in [2(l-j), 2(l-j) + 2]`` with its
+centre at ``(2 c_j, 2(l-j) + 1)``.
 
 A type-B/C word of rank ``n`` folds out to its lifted type-A word on ``2n``
 wires; the resulting symplectic wiring diagram is mirror symmetric about
@@ -25,7 +25,6 @@ labels: ``tbar_j`` in column ``x`` and ``t_j`` in column ``2n - x``; a letter
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from ._linalg import det_int
@@ -167,13 +166,6 @@ class WiringDiagram:
         if a <= b:
             return pts[a : b + 1]
         return tuple(reversed(pts[b : a + 1]))
-
-    # -- chambers -----------------------------------------------------------
-
-    def chamber_rep_point(self, j: int) -> tuple[Fraction, Fraction]:
-        """A point interior to the chamber whose top node is ``a_j``."""
-        x, y = self.node_center(j)
-        return (Fraction(x), Fraction(2 * y - 1, 2))
 
     def __repr__(self) -> str:
         return f"WiringDiagram({self.word})"

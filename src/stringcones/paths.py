@@ -13,7 +13,9 @@ travel order, tagged with whether the path switched wires there.  The wire
 expression and the node expression (switch crossings only) derive from the
 events.  On symplectic diagrams the mirror of a path is its reflection in
 the wall, traversed backwards; a path with orientation ``n`` equal to its
-own mirror is symmetric.
+own mirror is symmetric.  The region a path encloses is a parity count
+over the diagram's wire arrangements, with no drawing coordinates; those
+serve only the SVG (`RigorousPath.polyline`).
 
 The extension of a path with orientation at most ``n`` is read straight
 from its definition: of the paths of that orientation whose enclosed
@@ -26,7 +28,6 @@ exactly when it is its own extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagram import OrientedDiagram, SympWiringDiagram, WiringDiagram, orient
 from .weyl import ReducedWord
@@ -263,34 +264,16 @@ def is_symmetric(p: RigorousPath) -> bool:
 # -- enclosed regions -------------------------------------------------------
 
 
-def _closed_polygon(p: RigorousPath) -> tuple[tuple, ...]:
-    pts = list(p.polyline())
-    x_end = pts[-1][0]
-    x_start = pts[0][0]
-    pts.extend([(x_end, -2), (x_start, -2)])
-    return tuple(pts)
-
-
-def _inside(px: Fraction, py: Fraction, poly) -> bool:
-    """Even-odd test with a horizontal ray; ``py`` must avoid all vertex heights."""
-    crossings = 0
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        if y1 == y2:
-            continue
-        lo, hi = (y1, y2) if y1 < y2 else (y2, y1)
-        if not (lo < py < hi):
-            continue
-        x_at = Fraction(x1) + (Fraction(x2) - Fraction(x1)) * (py - y1) / (y2 - y1)
-        if x_at > px:
-            crossings += 1
-    return crossings % 2 == 1
-
-
 def enclosed_region(p: RigorousPath) -> frozenset[int]:
     """Indices of the chambers between the path and the diagram bottom.
+
+    The even-odd rule, read off the arrangements: chamber ``j`` lies just
+    below crossing ``j``, between positions ``c_j`` and ``c_j + 1``.  A leg
+    of the path along one wire from stop ``a`` to stop ``b`` (the bottom
+    counting as ``l + 1``) passes the levels ``min(a, b) <= j < max(a, b)``,
+    and a ray from chamber ``j`` to the right meets it when the wire sits
+    right of the chamber there.  The chamber is enclosed when an odd number
+    of legs meet that ray.
 
     Kept in the base diagram's ``regions`` memo, keyed by start wire and
     events, so it is freed with the diagram.
@@ -298,10 +281,14 @@ def enclosed_region(p: RigorousPath) -> frozenset[int]:
     base = p.base
     key = (p.k, p.events)
     if key not in base.regions:
-        poly = _closed_polygon(p)
-        base.regions[key] = frozenset(
-            j for j in range(1, base.length + 1) if _inside(*base.chamber_rep_point(j), poly)
-        )
+        bottom = base.length + 1
+        inside: set[int] = set()
+        for wire, frm, to in p.stops():
+            lo, hi = sorted(bottom if s == "bottom" else s for s in (frm, to))
+            for j in range(lo, hi):
+                if base.arrangements[j].index(wire) >= base.node(j).column:
+                    inside ^= {j}
+        base.regions[key] = frozenset(inside)
     return base.regions[key]
 
 
@@ -322,11 +309,19 @@ def extension(p: RigorousPath) -> RigorousPath:
     sd = p.diagram
     if not isinstance(sd, SympWiringDiagram) or p.k > sd.n:
         raise ValueError("extension applies to symplectic paths with orientation <= n")
+    return _largest_inside_union(p)
+
+
+def _largest_inside_union(p: RigorousPath, paths=None) -> RigorousPath:
+    """The extension of ``p``, picked from ``paths``, all paths of its
+    orientation; they are enumerated here when not given and needed."""
     own = enclosed_region(p)
     union = own | enclosed_region(mirror(p))
     if own == union:
         return p
-    inside = [q for q in enumerate_paths(p.oriented) if enclosed_region(q) <= union]
+    if paths is None:
+        paths = enumerate_paths(p.oriented)
+    inside = [q for q in paths if enclosed_region(q) <= union]
     best = [q for q in inside if all(enclosed_region(r) <= enclosed_region(q) for r in inside)]
     if len(best) != 1:
         raise ValueError(f"expected one maximal path inside the union, found {len(best)}")
@@ -366,14 +361,15 @@ def _strictly_decreasing(seq) -> bool:
     return all(a > b for a, b in zip(seq, seq[1:]))
 
 
-def _canonical_lift_path(sd: SympWiringDiagram, j: int) -> RigorousPath:
-    """The single-peaked staircase path of the lifted diagram peaking at wire j vs 2n."""
+def _canonical_lift_path(sd: SympWiringDiagram, j: int, by_orientation) -> RigorousPath:
+    """The single-peaked staircase path of the lifted diagram peaking at wire j vs 2n,
+    among ``by_orientation``, the paths of each orientation 1..2n-1."""
     base = sd.base
     top_wire = 2 * sd.n
     peak = next(nd.index for nd in base.nodes if nd.wires == (j, top_wire))
     found: list[RigorousPath] = []
-    for u in range(1, 2 * sd.n):
-        for p in enumerate_paths(OrientedDiagram(sd, u)):
+    for paths in by_orientation.values():
+        for p in paths:
             if p.peaks != (peak,):
                 continue
             if not _below_wire(sd, p, top_wire):
@@ -414,12 +410,13 @@ def canonical_paths(sd: SympWiringDiagram) -> tuple[RigorousPath, ...]:
     mirror it into an orientation at most ``n``, then extend.  For rank at
     least 3 they are pairwise distinct and there are exactly ``2n - 1``.
     """
+    by_orientation = {u: enumerate_paths(OrientedDiagram(sd, u)) for u in range(1, 2 * sd.n)}
     out: list[RigorousPath] = []
     for j in range(1, 2 * sd.n):
-        p = _canonical_lift_path(sd, j)
+        p = _canonical_lift_path(sd, j, by_orientation)
         if p.k > sd.n:
             p = mirror(p)
-        out.append(extension(p))
+        out.append(_largest_inside_union(p, by_orientation[p.k]))
     unique: list[RigorousPath] = []
     for p in out:
         if p not in unique:

@@ -19,7 +19,14 @@ from stringcones.cones import (
     t_labels,
 )
 from stringcones.diagram import build_diagram, build_symp_diagram, orient
-from stringcones.paths import enumerate_paths, is_symmetric, mirror, symp_paths
+from stringcones.paths import (
+    canonical_paths,
+    enumerate_paths,
+    is_new,
+    is_symmetric,
+    mirror,
+    symp_paths,
+)
 from stringcones.polytopes import polytope_facet_count
 from stringcones.weyl import (
     LieType,
@@ -27,6 +34,7 @@ from stringcones.weyl import (
     Weight,
     braid_variant_word,
     commutation_class,
+    contract,
     enumerate_reduced_words,
     gt_adapted_word,
     heap_coordinates,
@@ -400,12 +408,20 @@ def test_rank4_spot_checks():
     assert facet_count(c4, generic) > 16
     # polytope facets = cone facets + n^2 at rho, one rank up from criterion 5
     rho = Weight.rho(c4)
-    for w in (generic, W("C4", "3,2,1,2,4,3,4,2,3,2,4,3,1,2,3,4"),
-              W("C4", "4,3,2,4,3,1,4,3,2,1,3,4,2,3,2,1")):
+    polytope_words = (W("C4", "3,2,1,2,4,3,4,2,3,2,4,3,1,2,3,4"),
+                      W("C4", "4,3,2,4,3,1,4,3,2,1,3,4,2,3,2,1"))
+    for w in (generic, *polytope_words):
         assert polytope_facet_count(w, rho) == facet_count(c4, w) + 16
     assert polytope_facet_count(gt_adapted_word(4), rho) == 32
     assert polytope_facet_count(braid_variant_word(4), rho) == 32
-    sd = build_symp_diagram(gt_adapted_word(4))
-    from stringcones.paths import canonical_paths
-
-    assert len(canonical_paths(sd)) == 7
+    # contraction rows: the 2n - 1 canonical paths are new facets one rank up
+    wall_word = W("C4", "4,3,2,1,3,2,4,3,4,2,3,4,1,2,1,3")
+    for w in (generic, *polytope_words, wall_word, gt_adapted_word(4), braid_variant_word(4)):
+        cps = canonical_paths(build_symp_diagram(w))
+        assert len(cps) == len(set(cps)) == 7
+        assert all(is_new(p, w) for p in cps)
+        facets = {f.coeffs for f in irredundant_facets(c4, w)[0].forms}
+        assert {primitive(functional_C(p).coeffs) for p in cps} <= facets
+        gained = facet_count(c4, w) - facet_count(LieType("C", 3), contract(w))
+        nested = w in (gt_adapted_word(4), braid_variant_word(4))
+        assert (gained == 7) if nested else (gained >= 7)

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -117,6 +118,45 @@ def test_enclosed_region_examples():
     assert sorted(enclosed_region(low)) == [6]
 
 
+def polygon_region(p):
+    """The earlier region code, kept as the oracle: close the drawn path
+    along the bottom and run the even-odd test with a horizontal ray from a
+    point just below each crossing centre."""
+    base = p.base
+    poly = list(p.polyline())
+    poly.extend([(poly[-1][0], -2), (poly[0][0], -2)])
+
+    def inside(px, py):
+        crossings = 0
+        for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
+            if y1 == y2 or not min(y1, y2) < py < max(y1, y2):
+                continue
+            if x1 + (Fraction(x2) - x1) * (py - y1) / (y2 - y1) > px:
+                crossings += 1
+        return crossings % 2 == 1
+
+    region = set()
+    for j in range(1, base.length + 1):
+        x, y = base.node_center(j)
+        if inside(Fraction(x), Fraction(2 * y - 1, 2)):
+            region.add(j)
+    return frozenset(region)
+
+
+def test_enclosed_region_matches_the_polygon_oracle():
+    diagrams = [build_diagram(w) for w in enumerate_reduced_words(LieType("A", 3))]
+    for t in (LieType("C", 2), LieType("C", 3)):
+        diagrams += [build_symp_diagram(w) for w in enumerate_reduced_words(t)]
+    diagrams.append(build_symp_diagram(W("C4", "4,3,2,1,3,2,4,3,4,2,3,4,1,2,1,3")))
+    checked = 0
+    for d in diagrams:
+        for u in range(1, d.m):  # barred orientations too
+            for p in enumerate_paths(OrientedDiagram(d, u)):
+                assert enclosed_region(p) == polygon_region(p), (d, str(p))
+                checked += 1
+    assert checked == 1545
+
+
 def test_enclosed_regions_are_freed_with_their_diagram():
     sd = build_symp_diagram(W("C2", "2,1,2,1"))
     regions = [enclosed_region(p) | enclosed_region(mirror(p)) for p in all_symp_paths(sd)]
@@ -130,10 +170,10 @@ def test_enclosed_regions_are_freed_with_their_diagram():
 def test_functional_is_chamber_sum():
     from stringcones.cones import functional_A
 
-    for text in ("1,2,1,3,2,1", "1,3,2,1,3,2", "2,1,3,2,1,3"):
-        d = build_diagram(W("A3", text))
+    for w in (*enumerate_reduced_words(LieType("A", 3)), *enumerate_reduced_words(LieType("A", 4))):
+        d = build_diagram(w)
         ch = chamber_structure(d)
-        for k in (1, 2, 3):
+        for k in range(1, d.m):
             for p in enumerate_paths(orient(d, k)):
                 total = [0] * d.length
                 for j in enclosed_region(p):
