@@ -69,7 +69,9 @@ class WiringDiagram:
     """The wiring diagram of a type-A reduced word.
 
     Hashable by identity; all contents are immutable after construction,
-    except the ``regions`` memo that `paths.enclosed_region` fills.
+    except two memos: ``paths``, the sorted event tuples of the rigorous
+    paths of each orientation, keyed by up count, which `paths.enumerate_paths`
+    fills, and ``regions``, which `paths.enclosed_region` fills.
     """
 
     def __init__(self, word: ReducedWord):
@@ -94,6 +96,8 @@ class WiringDiagram:
             per_wire[nd.left_above].append(nd.index)
             per_wire[nd.right_above].append(nd.index)
         self.wire_nodes = {w: tuple(v) for w, v in per_wire.items()}
+        # event tuples of the rigorous paths of each orientation, by up count
+        self.paths: dict[int, tuple[tuple[tuple[int, bool], ...], ...]] = {}
         # enclosed chambers of the paths on this diagram, by (start wire, events)
         self.regions: dict[tuple, frozenset[int]] = {}
 

@@ -9,9 +9,12 @@ and the path would cross from right to left, i.e. downward on the higher
 of two downward wires or upward on the lower of two upward wires.
 
 Paths are stored as their full event list: every crossing transited, in
-travel order, tagged with whether the path switched wires there.  The wire
-expression and the node expression (switch crossings only) derive from the
-events.  On symplectic diagrams the mirror of a path is its reflection in
+travel order, tagged with whether the path switched wires there.  The node
+expression (switch crossings only) derives from the events; the wire
+expression and the peaks from the switches (`RigorousPath.switch_pairs`).
+The search runs once per orientation of a diagram: the base diagram keeps
+the sorted event tuples, never the paths, so a diagram and its paths form
+no reference cycle.  On symplectic diagrams the mirror of a path is its reflection in
 the wall, traversed backwards; a path with orientation ``n`` equal to its
 own mirror is symmetric.  The region a path encloses is a parity count
 over the diagram's wire arrangements, with no drawing coordinates; those
@@ -20,9 +23,10 @@ serve only the SVG (`RigorousPath.polyline`).
 The extension of a path with orientation at most ``n`` is read straight
 from its definition: of the paths of that orientation whose enclosed
 regions lie inside region(p) | region(mirror(p)), the one whose region
-contains all the others.  The canonical paths are extensions, and a path
-has the maximality property (its folded string inequality is irredundant)
-exactly when it is its own extension.
+contains all the others.  The canonical paths are extensions of the
+single-peaked staircase paths of the lifted diagram, found in one pass
+over its orientations, and a path has the maximality property (its folded
+string inequality is irredundant) exactly when it is its own extension.
 """
 
 from __future__ import annotations
@@ -71,31 +75,19 @@ class RigorousPath:
         return self.oriented.up_count
 
     @property
-    def start_wire(self) -> int:
-        return self.k
-
-    @property
     def node_expression(self) -> tuple[int, ...]:
         return tuple(j for j, switched in self.events if switched)
 
     @property
-    def visited(self) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.events)
-
-    @property
     def wire_seq(self) -> tuple[int, ...]:
         """Wires in travel order (the wire expression)."""
-        wires = [self.start_wire]
-        for j, switched in self.events:
-            if switched:
-                wires.append(self.base.node(j).other_wire(wires[-1]))
-        return tuple(wires)
+        return (self.k, *(to for _, _, to in self.switch_pairs))
 
     @property
     def switch_pairs(self) -> tuple[tuple[int, int, int], ...]:
         """Triples (node, from_wire, to_wire), one per switch event."""
         out = []
-        wire = self.start_wire
+        wire = self.k
         for j, switched in self.events:
             if switched:
                 nxt = self.base.node(j).other_wire(wire)
@@ -106,11 +98,8 @@ class RigorousPath:
     @property
     def peaks(self) -> tuple[int, ...]:
         """Crossings where the path turns from ascending to descending."""
-        out = []
-        for j, frm, to in self.switch_pairs:
-            if self.oriented.is_up(frm) and not self.oriented.is_up(to):
-                out.append(j)
-        return tuple(out)
+        up = self.oriented.is_up
+        return tuple(j for j, frm, to in self.switch_pairs if up(frm) and not up(to))
 
     def wires_by_name(self) -> tuple[str, ...]:
         d = self.diagram
@@ -121,7 +110,7 @@ class RigorousPath:
     def stops(self) -> tuple:
         """'bottom', the visited crossings, 'bottom' - with the wire per leg."""
         legs = []
-        wire = self.start_wire
+        wire = self.k
         prev: object = "bottom"
         for j, switched in self.events:
             legs.append((wire, prev, j))
@@ -142,22 +131,31 @@ class RigorousPath:
         return " -> ".join(self.wires_by_name())
 
 
-def _make_path(oriented: OrientedDiagram, events) -> RigorousPath:
-    return RigorousPath(oriented, tuple(events))
-
-
 def enumerate_paths(d: OrientedDiagram) -> tuple[RigorousPath, ...]:
-    """All rigorous paths on ``d``, sorted by their switch-node sequences."""
+    """All rigorous paths on ``d``, sorted by their switch-node sequences.
+
+    The depth-first search runs once per orientation of a diagram: its
+    sorted event tuples are kept in the base diagram's ``paths`` memo, keyed
+    by up count, and each call builds the paths from them.
+    """
+    base = d.base
+    if d.up_count not in base.paths:
+        base.paths[d.up_count] = _search(d)
+    return tuple(RigorousPath(d, events) for events in base.paths[d.up_count])
+
+
+def _search(d: OrientedDiagram) -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """The event tuples of the rigorous paths on ``d``, sorted by switch nodes."""
     base = d.base
     end_wire = d.up_count + 1
-    out: list[RigorousPath] = []
+    out: list[tuple[tuple[int, bool], ...]] = []
     events: list[tuple[int, bool]] = []
     visited: set[int] = set()
 
     def run(wire: int, at: int | None) -> None:
         if at is None:
             if not d.is_up(wire) and wire == end_wire:
-                out.append(_make_path(d, events))
+                out.append(tuple(events))
             return
         if at in visited:
             return
@@ -177,7 +175,7 @@ def enumerate_paths(d: OrientedDiagram) -> tuple[RigorousPath, ...]:
 
     run(d.up_count, base.first_node_on_wire(d.up_count, downward=False))
     del run  # the closure refers to itself; the cycle would keep `out` until a GC pass
-    out.sort(key=lambda p: p.node_expression)
+    out.sort(key=lambda evts: [j for j, switched in evts if switched])
     return tuple(out)
 
 
@@ -223,7 +221,7 @@ def enumerate_paths_naive(d: OrientedDiagram) -> tuple[RigorousPath, ...]:
         return True
 
     grow(d.up_count, base.first_node_on_wire(d.up_count, downward=False))
-    paths = [_make_path(d, e) for e in walks if fragment_free(e)]
+    paths = [RigorousPath(d, e) for e in walks if fragment_free(e)]
     paths.sort(key=lambda p: p.node_expression)
     return tuple(paths)
 
@@ -309,19 +307,11 @@ def extension(p: RigorousPath) -> RigorousPath:
     sd = p.diagram
     if not isinstance(sd, SympWiringDiagram) or p.k > sd.n:
         raise ValueError("extension applies to symplectic paths with orientation <= n")
-    return _largest_inside_union(p)
-
-
-def _largest_inside_union(p: RigorousPath, paths=None) -> RigorousPath:
-    """The extension of ``p``, picked from ``paths``, all paths of its
-    orientation; they are enumerated here when not given and needed."""
     own = enclosed_region(p)
     union = own | enclosed_region(mirror(p))
     if own == union:
         return p
-    if paths is None:
-        paths = enumerate_paths(p.oriented)
-    inside = [q for q in paths if enclosed_region(q) <= union]
+    inside = [q for q in enumerate_paths(p.oriented) if enclosed_region(q) <= union]
     best = [q for q in inside if all(enclosed_region(r) <= enclosed_region(q) for r in inside)]
     if len(best) != 1:
         raise ValueError(f"expected one maximal path inside the union, found {len(best)}")
@@ -331,96 +321,53 @@ def _largest_inside_union(p: RigorousPath, paths=None) -> RigorousPath:
 # -- canonical paths ----------------------------------------------------------
 
 
-def _wire_position_at(base: WiringDiagram, wire: int, level: int) -> int:
-    return base.arrangements[level].index(wire) + 1
+def _staircase_crossing(p: RigorousPath) -> tuple[int, int] | None:
+    """The crossing ``(j, 2n)`` where ``p`` peaks, when ``p`` is a
+    single-peaked staircase path of the lifted diagram; None otherwise.
 
-
-def _below_wire(sd: SympWiringDiagram, path: RigorousPath, wire: int) -> bool:
-    """Whether the path stays weakly below the given extreme wire (1 or 2n).
-
-    Wire 2n descends monotonically from top right to bottom left, so the
-    region below it lies strictly to its right; for wire 1 it is the other
-    way around.  Crossings on the wire itself count as below.
+    Such a path has one rising switch, onto wire 2n, and meets no downward
+    wire before it.  A switch from an upward wire onto a downward one always
+    rises, so the rising switch is the path's only peak, and every other
+    switch moves to a lower wire.
     """
-    base = sd.base
-    for v in path.visited:
-        node = base.node(v)
-        if wire in node.wires:
-            continue
-        pos = _wire_position_at(base, wire, v - 1)
-        if wire == 2 * sd.n:
-            if not node.column >= pos:
-                return False
-        else:
-            if not node.column < pos:
-                return False
-    return True
-
-
-def _strictly_decreasing(seq) -> bool:
-    return all(a > b for a, b in zip(seq, seq[1:]))
-
-
-def _canonical_lift_path(sd: SympWiringDiagram, j: int, by_orientation) -> RigorousPath:
-    """The single-peaked staircase path of the lifted diagram peaking at wire j vs 2n,
-    among ``by_orientation``, the paths of each orientation 1..2n-1."""
-    base = sd.base
-    top_wire = 2 * sd.n
-    peak = next(nd.index for nd in base.nodes if nd.wires == (j, top_wire))
-    found: list[RigorousPath] = []
-    for paths in by_orientation.values():
-        for p in paths:
-            if p.peaks != (peak,):
-                continue
-            if not _below_wire(sd, p, top_wire):
-                continue
-            ws = p.wire_seq
-            if top_wire not in ws:
-                continue
-            cut = ws.index(top_wire)
-            if cut == 0 or ws[cut - 1] != j:
-                continue
-            if not (_strictly_decreasing(ws[:cut]) and _strictly_decreasing(ws[cut + 1 :])):
-                continue
-            start = p.start_wire
-            pre_peak_ok = True
-            wire = start
-            for ev, switched in p.events:
-                if ev == peak:
-                    break
-                other = base.node(ev).other_wire(wire)
-                if other > start:
-                    pre_peak_ok = False
-                    break
-                if switched:
-                    wire = other
-            if pre_peak_ok:
-                found.append(p)
-    if len(found) != 1:
-        raise ValueError(
-            f"expected one canonical lifted path peaking at wires ({j}, {top_wire}), found {len(found)}"
-        )
-    return found[0]
+    rises = [(j, frm, to) for j, frm, to in p.switch_pairs if to > frm]
+    if len(rises) != 1 or rises[0][2] != 2 * p.diagram.n:
+        return None
+    peak, j, top = rises[0]
+    before = p.events[: p.events.index((peak, True))]
+    if any(max(p.base.node(v).wires) > p.k for v, _ in before):
+        return None
+    return (j, top)
 
 
 def canonical_paths(sd: SympWiringDiagram) -> tuple[RigorousPath, ...]:
     """The canonical symplectic rigorous paths, one per node on the last barred wire.
 
     Each arises from a single-peaked staircase path of the lifted diagram:
-    mirror it into an orientation at most ``n``, then extend.  For rank at
-    least 3 they are pairwise distinct and there are exactly ``2n - 1``.
+    mirror it into an orientation at most ``n``, then extend.  One pass over
+    the orientations ``1..2n-1`` buckets the staircase paths by their peak
+    crossing; each crossing ``(j, 2n)`` must hold exactly one.  For rank at
+    least 3 the canonical paths are pairwise distinct and there are exactly
+    ``2n - 1``.
     """
-    by_orientation = {u: enumerate_paths(OrientedDiagram(sd, u)) for u in range(1, 2 * sd.n)}
-    out: list[RigorousPath] = []
-    for j in range(1, 2 * sd.n):
-        p = _canonical_lift_path(sd, j, by_orientation)
-        if p.k > sd.n:
-            p = mirror(p)
-        out.append(_largest_inside_union(p, by_orientation[p.k]))
+    top = 2 * sd.n
+    by_crossing: dict[tuple[int, int], list[RigorousPath]] = {}
+    for u in range(1, top):
+        for p in enumerate_paths(OrientedDiagram(sd, u)):
+            crossing = _staircase_crossing(p)
+            if crossing is not None:
+                by_crossing.setdefault(crossing, []).append(p)
     unique: list[RigorousPath] = []
-    for p in out:
-        if p not in unique:
-            unique.append(p)
+    for j in range(1, top):
+        found = by_crossing.get((j, top), [])
+        if len(found) != 1:
+            raise ValueError(
+                f"expected one canonical lifted path peaking at wires ({j}, {top}), found {len(found)}"
+            )
+        p = found[0] if found[0].k <= sd.n else mirror(found[0])
+        e = extension(p)
+        if e not in unique:
+            unique.append(e)
     if sd.n >= 3 and len(unique) != 2 * sd.n - 1:
         raise ValueError(f"expected {2 * sd.n - 1} canonical paths, found {len(unique)}")
     return tuple(unique)

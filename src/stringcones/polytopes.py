@@ -185,7 +185,7 @@ def gt_polytope_C(lam: Weight, n: int) -> HRep:
         for k in range(1, length):
             ge(("a", i, k), ("b", i, k + 1))
         ge(("a", i, length), 0)
-    return HRep(N, tuple(dict.fromkeys(HRep(N, tuple(rows)).rows)))
+    return HRep(N, tuple(dict.fromkeys(rows)))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 
 from stringcones.diagram import (
     OrientedDiagram,
+    WiringDiagram,
     build_diagram,
     build_symp_diagram,
     chamber_structure,
@@ -23,7 +24,14 @@ from stringcones.paths import (
     mirror,
     symp_paths,
 )
-from stringcones.weyl import LieType, ReducedWord, contract, enumerate_reduced_words
+from stringcones.weyl import (
+    LieType,
+    ReducedWord,
+    braid_variant_word,
+    contract,
+    enumerate_reduced_words,
+    gt_adapted_word,
+)
 
 W = ReducedWord.parse
 
@@ -158,13 +166,20 @@ def test_enclosed_region_matches_the_polygon_oracle():
 
 
 def test_enclosed_regions_are_freed_with_their_diagram():
-    sd = build_symp_diagram(W("C2", "2,1,2,1"))
-    regions = [enclosed_region(p) | enclosed_region(mirror(p)) for p in all_symp_paths(sd)]
-    assert len(regions) == 6
-    diagram = weakref.ref(sd.base)
-    del sd
-    gc.collect()
-    assert diagram() is None
+    # By reference counting alone: a memo that held a path would tie the
+    # diagram into a reference cycle, which only a GC pass frees.
+    gc.disable()
+    try:
+        sd = build_symp_diagram(W("C3", "1,3,2,1,3,2,1,3,2"))
+        regions = [enclosed_region(p) | enclosed_region(mirror(p)) for p in all_symp_paths(sd)]
+        extended = [extension(p) for p in all_symp_paths(sd)]
+        canonical = canonical_paths(sd)
+        assert len(regions) == len(extended) and len(canonical) == 5
+        diagram = weakref.ref(sd.base)
+        del sd, extended, canonical
+        assert diagram() is None
+    finally:
+        gc.enable()
 
 
 def test_functional_is_chamber_sum():
@@ -205,9 +220,17 @@ def test_extension_invariants_all_rank3_words():
                 assert is_symmetric(e)
 
 
-def test_extension_of_rank4_wall_paths():
+def test_extension_of_rank4_wall_paths(monkeypatch):
     # The earlier splice construction found no wall splice for 18 of this
     # word's 207 wall paths, this one among them.
+    searches = []  # each depth-first path search asks for its first node once
+    first_node = WiringDiagram.first_node_on_wire
+
+    def counted(self, *args, **kwargs):
+        searches.append(args)
+        return first_node(self, *args, **kwargs)
+
+    monkeypatch.setattr(WiringDiagram, "first_node_on_wire", counted)
     sd = build_symp_diagram(W("C4", "4,3,2,1,3,2,4,3,4,2,3,4,1,2,1,3"))
     wall = symp_paths(sd, 4)
     assert len(wall) == 207
@@ -218,6 +241,7 @@ def test_extension_of_rank4_wall_paths():
         assert is_symmetric(e)
         assert extension(e) == e
         assert enclosed_region(e) == enclosed_region(p) | enclosed_region(mirror(p))
+    assert len(searches) == 1  # the wall orientation, searched once for all extensions
 
 
 def test_canonical_paths_table():
@@ -235,6 +259,99 @@ def test_canonical_paths_all_words():
         assert len(cps) == 5
         assert len(set(cps)) == 5
         assert all(is_new(p, w) for p in cps)
+
+
+def canonical_paths_by_rescan(sd):
+    """The earlier canonical path code, kept as the oracle: for each j, scan
+    every path of all 2n - 1 orientations for the single-peaked staircase
+    path peaking at wires (j, 2n), with a wire-position test against wire
+    2n and the check that wire j comes just before wire 2n."""
+
+    def wire_position_at(base, wire, level):
+        return base.arrangements[level].index(wire) + 1
+
+    def below_wire(path, wire):
+        base = sd.base
+        for v in (j for j, _ in path.events):
+            node = base.node(v)
+            if wire in node.wires:
+                continue
+            pos = wire_position_at(base, wire, v - 1)
+            if wire == 2 * sd.n:
+                if not node.column >= pos:
+                    return False
+            else:
+                if not node.column < pos:
+                    return False
+        return True
+
+    def strictly_decreasing(seq):
+        return all(a > b for a, b in zip(seq, seq[1:]))
+
+    def lift_path(j, by_orientation):
+        base = sd.base
+        top_wire = 2 * sd.n
+        peak = next(nd.index for nd in base.nodes if nd.wires == (j, top_wire))
+        found = []
+        for paths in by_orientation.values():
+            for p in paths:
+                if p.peaks != (peak,):
+                    continue
+                if not below_wire(p, top_wire):
+                    continue
+                ws = p.wire_seq
+                if top_wire not in ws:
+                    continue
+                cut = ws.index(top_wire)
+                if cut == 0 or ws[cut - 1] != j:
+                    continue
+                if not (strictly_decreasing(ws[:cut]) and strictly_decreasing(ws[cut + 1 :])):
+                    continue
+                start = p.k
+                pre_peak_ok = True
+                wire = start
+                for ev, switched in p.events:
+                    if ev == peak:
+                        break
+                    other = base.node(ev).other_wire(wire)
+                    if other > start:
+                        pre_peak_ok = False
+                        break
+                    if switched:
+                        wire = other
+                if pre_peak_ok:
+                    found.append(p)
+        assert len(found) == 1, (sd, j, len(found))
+        return found[0]
+
+    by_orientation = {u: enumerate_paths(OrientedDiagram(sd, u)) for u in range(1, 2 * sd.n)}
+    unique = []
+    for j in range(1, 2 * sd.n):
+        p = lift_path(j, by_orientation)
+        if p.k > sd.n:
+            p = mirror(p)
+        e = extension(p)
+        if e not in unique:
+            unique.append(e)
+    return tuple(unique)
+
+
+RANK4_WORDS = (  # the contraction-row words of test_cones.py::test_rank4_spot_checks
+    W("C4", "1,2,3,4,1,2,3,4,1,2,3,4,1,2,3,4"),
+    W("C4", "3,2,1,2,4,3,4,2,3,2,4,3,1,2,3,4"),
+    W("C4", "4,3,2,4,3,1,4,3,2,1,3,4,2,3,2,1"),
+    W("C4", "4,3,2,1,3,2,4,3,4,2,3,4,1,2,1,3"),
+    gt_adapted_word(4),
+    braid_variant_word(4),
+)
+
+
+def test_canonical_paths_match_the_rescan_oracle():
+    words = (*enumerate_reduced_words(LieType("C", 3)), *RANK4_WORDS)
+    for w in words:
+        sd = build_symp_diagram(w)
+        assert canonical_paths(sd) == canonical_paths_by_rescan(sd), w
+    assert len(words) == 48
 
 
 def test_is_new():
