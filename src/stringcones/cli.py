@@ -192,15 +192,6 @@ def _find_path(w: ReducedWord, names: list[str]) -> RigorousPath:
 # ---------------------------------------------------------------------------
 
 
-def _parse_word(type_text: str, word_text: str) -> ReducedWord:
-    """Accept either a full type like ``C2`` or a bare family letter, whose
-    rank is then read off the word's largest letter."""
-    letters = tuple(int(x) for x in word_text.replace(" ", "").split(",") if x)
-    text = type_text.strip().upper()
-    t = LieType.parse(text) if len(text) > 1 else LieType(text, max(letters))
-    return ReducedWord(t, letters)
-
-
 def _cmd_words(args) -> CommandResult:
     t = LieType.parse(args.type)
     count_reduced_words(t, cap=args.cap)  # refuses before any word is built
@@ -210,7 +201,7 @@ def _cmd_words(args) -> CommandResult:
 
 
 def _cmd_paths(args) -> CommandResult:
-    w = _parse_word(args.type, args.word)
+    w = ReducedWord.parse(args.type, args.word)
     paths = [p for (p,) in string_cone(w.lie_type, w).paths]
     if args.k is not None:
         top = 2 * w.rank - 1 if w.lie_type.family == "B" else w.rank
@@ -228,7 +219,7 @@ def _cmd_paths(args) -> CommandResult:
 
 
 def _cmd_cone(args) -> CommandResult:
-    w = _parse_word(args.type, args.word)
+    w = ReducedWord.parse(args.type, args.word)
     t = w.lie_type
     if args.irredundant:
         cone, count = irredundant_facets(t, w)
@@ -270,7 +261,7 @@ def _full_polytope_payload(h: polyhedra.HRep) -> dict:
 
 
 def _cmd_polytope(args) -> CommandResult:
-    w = _parse_word(args.type, args.word)
+    w = ReducedWord.parse(args.type, args.word)
     lam = Weight.parse(w.lie_type, args.lam)
     h = polytopes.string_polytope(w, lam)
     payload = {
@@ -335,7 +326,7 @@ def _cmd_equiv(args) -> CommandResult:
 
 
 def _cmd_render(args) -> CommandResult:
-    w = _parse_word(args.type, args.word)
+    w = ReducedWord.parse(args.type, args.word)
     d = build_symp_diagram(w) if w.lie_type.is_doubled else build_diagram(w)
     highlights = []
     if args.highlight:

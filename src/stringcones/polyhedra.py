@@ -26,9 +26,9 @@ The pieces:
   the rows through a coordinate index, only those sharing a coordinate
   with its direction, since string forms are sparse.  A row that two
   certified facets imply is dropped with no LP, before any ray is shot
-  from it; any other row costs one LP against the certified facets, which
-  either implies it or certifies, by a ray toward the point its
-  certificate names, one more facet;
+  from it.  Each row the rays leave undecided is dropped by that test or
+  by one LP against the other live rows, or else kept; a system with no
+  interior point takes this last pass alone;
 * emptiness by Farkas' lemma: a system is empty exactly when ``0 <= -1`` is
   such a combination of its rows, so `feasible` is the same test;
 * double description with lexicographic insertion for vertex/ray
@@ -482,26 +482,6 @@ def _two_term(row, normals) -> bool:
     return False
 
 
-def _toward_violation(row, certified, point, dim):
-    """A direction from the interior point ``U / S`` toward points that satisfy
-    every ``certified`` row and violate ``row``, or None when there are none.
-
-    None means the certified rows imply ``row`` (the LP of `_implied`).
-    Otherwise that LP's Farkas certificate ``y`` gives ``X = y[:dim]`` and
-    ``T = -y[dim] >= 0`` with ``c_f . X <= T b_f`` on every certified row and
-    ``c . X > T b``: ``X / T`` is such a point (``T > 0``), or ``X`` is a
-    direction along which ``row`` fails and no certified row does
-    (``T = 0``).  The direction is ``S X - T U``, and the ray along it meets
-    ``row`` before any certified row.
-    """
-    y = _farkas(*_combination_lp(row, certified, dim), True)
-    if y is None:
-        return None
-    u, s = point
-    t = -y[dim]
-    return primitive([s * x - t * v for x, v in zip(y[:dim], u)])
-
-
 def _irredundant_indices(rows, dim) -> list[int] | None:
     """Indices of a minimal subsystem of ``rows``, or None when it is empty.
 
@@ -509,25 +489,20 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
     with no LP when every ``b >= 0`` (it contains 0) or when it has an
     interior point (`_interior_point`, which writes one down with no LP for
     string systems), and only without either does `feasible` decide.  Zero
-    rows and later copies of a row are dropped first.  Without an
-    interior point (an implicit equality, or no point) a row is redundant
-    exactly when the live rows other than it imply it (`_implied`), one LP
-    per row, in order.  With one, the minimal subsystem is the set of
-    facets.  The live rows are indexed by coordinate (`_column_index`),
-    which every ray reads.  Each row not yet certified, in order, is
-    dropped if two facets certified so far imply it (`_two_term`), and
-    otherwise rays from the point along its normal certify, as they meet
-    them, facets with no LP (`_shoot`); a dropped row leaves the index, so
-    no later ray meets it.  Then each row still undecided, in order, is
-    dropped if two certified facets imply it, and is otherwise asked of
-    one LP against the certified facets, whose certificate aims a ray at
-    one more facet (`_toward_violation`), until the row is certified or
-    implied.  So each of these LPs certifies a facet or drops a row; only a
-    ray that ties in full (two rows of one half-space) sends the row to the
-    LP against all live rows.  A dropped row is redundant, so either way
-    the kept indices are those of the one-LP-per-row loop, in order,
-    whatever point certifies the facets; a point away from the vertices,
-    as the written-down one is, lets more first rays meet their own row.
+    rows and later copies of a row are dropped first.  The reference is the
+    one-LP-per-row loop: in order, a row goes when the other live rows
+    imply it (`_implied`).  With an interior point the minimal subsystem is
+    the set of facets, and a first pass takes each row not yet certified,
+    in order: it is dropped if two facets certified so far imply it
+    (`_two_term`), and otherwise rays from the point along its normal
+    certify, as they meet them, facets with no LP (`_shoot`, reading the
+    coordinate index `_column_index`, which a dropped row leaves).  Then,
+    on every system, each row still undecided, in order, is dropped if two
+    certified rows or one LP against the other live rows imply it, and is
+    otherwise certified.  A row a ray meets first is a facet, and the live
+    rows always include every certified row, so each row is kept or
+    dropped as in the reference.  A point away from the vertices, as the
+    written-down one is, lets more first rays meet their own row.
     """
     if any(b < 0 and not any(c) for c, b in rows):
         return None
@@ -542,16 +517,6 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
     point = _interior_point([rows[i] for i in live], dim) if live else None
     if point is None and any(b < 0 for _, b in rows) and not feasible(rows, dim):
         return None
-    if point is None:
-        for i in list(live):
-            if _implied(rows[i], [rows[j] for j in live if j != i], dim):
-                live.remove(i)
-        return live
-    u, s = point
-    slack = {i: rows[i][1] * s - sum(map(mul, rows[i][0], u)) for i in live}
-    if min(slack.values()) <= 0:
-        raise PolyhedralError("interior point certificate is not strictly inside")
-    cols = _column_index(rows, live)
     facets: set[int] = set()
     normals = {}  # the certified facets by primitive normal, as `_two_term` reads them
 
@@ -562,36 +527,28 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
             k = content(c)
             normals[tuple(x // k for x in c)] = (k, b, c)
 
-    def drop(i):
-        live.remove(i)
-        for col in cols:
-            col.pop(i, None)
-
+    if point is not None:
+        u, s = point
+        slack = {i: rows[i][1] * s - sum(map(mul, rows[i][0], u)) for i in live}
+        if min(slack.values()) <= 0:
+            raise PolyhedralError("interior point certificate is not strictly inside")
+        cols = _column_index(rows, live)
+        for i in list(live):
+            if i in facets:
+                continue
+            if _two_term(rows[i], normals):
+                live.remove(i)
+                for col in cols:
+                    col.pop(i, None)
+            else:
+                _shoot(rows, cols, slack, i, dim, certify)
     for i in list(live):
         if i in facets:
             continue
-        if _two_term(rows[i], normals):
-            drop(i)
+        if _two_term(rows[i], normals) or _implied(rows[i], [rows[j] for j in live if j != i], dim):
+            live.remove(i)
         else:
-            _shoot(rows, cols, slack, i, dim, certify)
-    for i in list(live):
-        if i in facets:
-            continue
-        if _two_term(rows[i], normals):
-            drop(i)
-            continue
-        while i not in facets:
-            certified = [rows[j] for j in live if j in facets]
-            d = _toward_violation(rows[i], certified, point, dim)
-            j = None if d is None else _first_hit(rows, cols, slack, d)
-            if j is None:  # the certified facets imply row i, or the ray tied in full
-                if d is None or _implied(rows[i], [rows[k] for k in live if k != i], dim):
-                    drop(i)
-                    break
-                j = i  # the tie is of other rows, and none of the live rows implies row i
-            if j in facets:
-                raise PolyhedralError("a certificate ray met a certified facet")
-            certify(j)
+            certify(i)
     return live
 
 

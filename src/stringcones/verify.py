@@ -65,6 +65,7 @@ from .weyl import (
     Weight,
     braid_variant_word,
     cartan_pairing,
+    class_words,
     commutation_class,
     contract,
     count_reduced_words,
@@ -545,11 +546,7 @@ def crystal_counts(n: int) -> list[Check]:
     for m in range(2, n + 1):
         for family in "BC":
             t = LieType(family, m)
-            words, seen = [], set()
-            for w in enumerate_reduced_words(t):
-                if w not in seen:
-                    words.append(w)
-                    seen |= commutation_class(w)
+            words = class_words(t)
             bad = []
             for coeffs in CRYSTAL_WEIGHTS[m]:
                 lam = Weight(t, coeffs)

@@ -30,6 +30,7 @@ __all__ = [
     "commutation_class",
     "heap_coordinates",
     "foata_normal_form",
+    "class_words",
     "lift",
     "contract",
     "cartan_pairing",
@@ -69,7 +70,7 @@ class LieType:
         text = text.strip()
         if len(text) < 2 or text[0].upper() not in _FAMILIES:
             raise ValueError(f"cannot parse Lie type from {text!r}")
-        return cls(text[0].upper(), int(text[1:]))
+        return cls(text[0].upper(), _integer(text[1:], "rank", text))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -126,6 +127,14 @@ def _is_ascent(t: LieType, w: tuple[int, ...], letter: int) -> bool:
     return key(w[letter - 1]) < key(w[letter])
 
 
+def _integer(token: str, what: str, text: str) -> int:
+    """``token`` of the input ``text`` as an int, or a `ValueError` naming both."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{what} {token!r} in {text!r} is not an integer") from None
+
+
 def _check_letters(t: LieType, letters: Sequence[int]) -> None:
     for x in letters:
         if not 1 <= x <= t.rank:
@@ -164,8 +173,15 @@ class ReducedWord:
 
     @classmethod
     def parse(cls, type_text: str, word_text: str) -> "ReducedWord":
-        t = LieType.parse(type_text)
-        letters = tuple(int(x) for x in word_text.replace(" ", "").split(",") if x)
+        """Comma-separated letters for a type like ``"C3"``, or for a bare
+        family like ``"C"`` of the rank of the largest letter; an empty word
+        or a letter that is not an integer raises a `ValueError` naming it."""
+        tokens = word_text.replace(" ", "").split(",")
+        letters = [_integer(x, "letter", word_text) for x in tokens if x]
+        if not letters:
+            raise ValueError(f"word {word_text!r} has no letters")
+        text = type_text.strip().upper()
+        t = LieType.parse(type_text) if len(text) > 1 else LieType(text, max(letters))
         return cls(t, letters)
 
     def __str__(self) -> str:
@@ -303,6 +319,15 @@ def foata_normal_form(w: ReducedWord) -> tuple[int, ...]:
         keys.append(level * m + x)
     keys.sort()
     return tuple([k % m for k in keys])
+
+
+def class_words(t: LieType) -> list[ReducedWord]:
+    """The first word of each commutation class of ``t``, in enumeration
+    order: each word whose `foata_normal_form` no earlier word has."""
+    first: dict[tuple[int, ...], ReducedWord] = {}
+    for w in enumerate_reduced_words(t):
+        first.setdefault(foata_normal_form(w), w)
+    return list(first.values())
 
 
 def lift(w: ReducedWord) -> ReducedWord:
@@ -447,7 +472,7 @@ class Weight:
             return cls.rho(t)
         if text == "0":
             return cls.zero(t)
-        return cls(t, tuple(int(x) for x in text.split(",")))
+        return cls(t, tuple([_integer(x, "weight coefficient", text) for x in text.split(",")]))
 
     @property
     def is_dominant(self) -> bool:

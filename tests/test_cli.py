@@ -177,6 +177,21 @@ def test_usage_errors():
     assert run(["nosuchcommand"]).status == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["paths", "C", ""], "word '' has no letters"),
+        (["cone", "C2", "a,b"], "letter 'a' in 'a,b' is not an integer"),
+        (["polytope", "C2", "1,2,1,2", "--lambda", "x"], "weight coefficient 'x' in 'x' is not an integer"),
+        (["cone", "Cx", "1,2"], "rank 'x' in 'Cx' is not an integer"),
+    ],
+)
+def test_bad_words_and_weights_exit_2_naming_the_input(argv, message):
+    res = run(argv)
+    assert res.status == 2
+    assert res.payload["error"] == message
+
+
 def test_words_over_the_cap_exit_2(monkeypatch):
     res = run(["words", "C3", "--cap", "5"])
     assert res.status == 2

@@ -41,8 +41,8 @@ from stringcones.polyhedra import (
     verify_unimodular_map,
     vrep_to_hrep,
 )
-from stringcones.polytopes import gt_polytope_C
-from stringcones.weyl import LieType, ReducedWord, Weight, enumerate_reduced_words
+from stringcones.polytopes import gt_polytope_C, string_polytope
+from stringcones.weyl import LieType, ReducedWord, Weight, class_words, enumerate_reduced_words
 
 SQUARE = HRep(2, (((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)))
 
@@ -222,33 +222,24 @@ def parent_dd_rays(rows, dim):
 def assert_shooting_matches_parent(rows, dim) -> set[int]:
     """`_irredundant_indices` keeps the reference's indices, in order, or
     returns None on an empty system; the reference keeps every row that a
-    ray meets, from the interior point or toward a certificate's point, and
-    drops every row that the two-term test drops.  With an interior point
-    the tableaux number at most one, plus one per row the first rays leave
-    undecided, plus one per full tie of a certificate's ray.  Returns the
-    rows the first rays certify."""
+    ray meets and drops every row that the two-term test drops.  With an
+    interior point the tableaux number at most one, plus one per row the
+    rays leave undecided.  Returns the rows the rays certify."""
     shot, met, dropped, points = set(), set(), set(), []
-    aimed = []  # the row each certificate's ray met, None for a full tie
-    shooting, tableaux = False, 0
+    tableaux = 0
     shoot, first_hit, two_term = polyhedra._shoot, polyhedra._first_hit, polyhedra._two_term
     farkas, interior = polyhedra._farkas, polyhedra._interior_point
 
     def recording(rows, cols, slack, i, dim, certify):
-        nonlocal shooting
-
         def recording_certify(j):
             shot.add(j)
             certify(j)
 
-        shooting = True
         shoot(rows, cols, slack, i, dim, recording_certify)
-        shooting = False
 
     def recording_hit(rows, cols, slack, d):
         j = first_hit(rows, cols, slack, d)
         met.add(j)
-        if not shooting:
-            aimed.append(j)
         return j
 
     def recording_two_term(row, normals):
@@ -283,7 +274,7 @@ def assert_shooting_matches_parent(rows, dim) -> set[int]:
     if points and points[0] is not None:
         live = {(c, b) for c, b in rows if any(c)}
         undecided = len(live) - len(shot)
-        assert tableaux <= 1 + undecided + aimed.count(None)
+        assert tableaux <= 1 + undecided
     return shot
 
 
@@ -677,17 +668,17 @@ def test_ray_shooting_work_bound(text, rows, facets, lp_counts):
 
 def test_redundancy_work_bound_on_c4_classes(lp_counts, monkeypatch):
     """The 14 C4 class words take 2 tableaux in all, one for each of the 2
-    facets that no first ray meets; the two-term test drops all 119
-    redundant rows.  Every row leads negative, so each interior point is
-    written down with no LP, and the rays from it meet their own facet far
-    more often than rays from the LP's basic point did: that took 34
-    tableaux (14 interior points, 19 facets no first ray met, one row the
-    two-term test missed), and asking each undecided row against the
-    certified facets, and a facet a second time against all rows, took
-    172.  They take 656 rays, first rays and certificates' rays together
-    (916 from the LP's point): a row is shot from only when the two-term
-    test, against the facets certified so far, keeps it.  Shooting from
-    every row not yet certified took 1,300."""
+    facets that no ray meets; the two-term test drops all 119 redundant
+    rows.  Every row leads negative, so each interior point is written down
+    with no LP, and the rays from it meet their own facet far more often
+    than rays from the LP's basic point did: that took 34 tableaux (14
+    interior points, 19 facets no first ray met, one row the two-term test
+    missed), and asking each undecided row against the certified facets,
+    and a facet a second time against all rows, took 172.  They take 654
+    rays, all from the interior point (656 when each LP's certificate also
+    aimed a ray, 916 from the LP's point): a row is shot from only when the
+    two-term test, against the facets certified so far, keeps it.  Shooting
+    from every row not yet certified took 1,300."""
     rays = 0
     first_hit = polyhedra._first_hit
 
@@ -702,7 +693,49 @@ def test_redundancy_work_bound_on_c4_classes(lp_counts, monkeypatch):
         cone, dim = cone_rows(c4, ReducedWord.parse("C4", text))
         irredundant_cone_rows([c for c, _ in cone], dim)
     assert lp_counts["_farkas"] <= 2
-    assert rays <= 656
+    assert rays <= 654
+
+
+def test_only_interior_points_ask_for_a_certificate(monkeypatch):
+    """Every LP of redundancy removal is a yes/no `_implied`; only
+    `_interior_point` asks `_farkas` for its certificate.  The 14 C3 string
+    polytope classes at rho lead negative, so only GT3 takes that LP: one
+    certificate (43 when each undecided row's LP aimed a ray), and none on
+    the 14 C4 class cones (2 then)."""
+    asked = 0
+    farkas = polyhedra._farkas
+
+    def counted(eq_rows, rhs, certify):
+        nonlocal asked
+        asked += certify
+        return farkas(eq_rows, rhs, certify)
+
+    monkeypatch.setattr(polyhedra, "_farkas", counted)
+    rho = Weight.rho(LieType("C", 3))
+    systems = [string_polytope(w, rho) for w in class_words(rho.lie_type)]
+    assert len(systems) == 14
+    for h in systems + [gt_polytope_C(rho, 3)]:
+        polyhedra._irredundant_indices(h.rows, h.dim)
+    assert asked == 1
+    asked = 0
+    c4 = LieType("C", 4)
+    for text in C4_CLASS_WORDS:
+        polyhedra._irredundant_indices(*cone_rows(c4, ReducedWord.parse("C4", text)))
+    assert asked == 0
+
+
+@pytest.mark.parametrize("type_text", ["B3", "C3"])
+@pytest.mark.parametrize("coeffs", [(1, 0, 2), (0, 1, 0)])
+def test_non_regular_polytopes_keep_the_parent_rows(type_text, coeffs):
+    """A string polytope at a non-regular weight is not full-dimensional,
+    so it has no interior point: every row goes to the last pass, where the
+    two-term test runs before the LP.  One word per class."""
+    t = LieType.parse(type_text)
+    lam = Weight(t, coeffs)
+    for w in class_words(t):
+        h = string_polytope(w, lam)
+        assert polyhedra._interior_point(h.rows, h.dim) is None
+        assert polyhedra._irredundant_indices(h.rows, h.dim) == parent_irredundant_indices(h.rows, h.dim)
 
 
 def normals_of(facets):
@@ -758,11 +791,12 @@ def test_two_term_certificate_drops_a_row_with_no_lp(lp_counts):
         assert lp_counts["_farkas"] == lps
 
 
-def test_certificate_ray_certifies_a_facet_no_first_ray_meets(lp_counts, monkeypatch):
-    """With the first rays switched off, every facet of the square cut by
-    x + y <= 1 is met by a certificate's ray: each LP certifies one facet,
-    so five tableaux, plus the interior point's LP once the square is moved
-    by (2, 0) and the row -x <= -1 has b < 0."""
+def test_with_first_rays_off_each_undecided_row_costs_one_lp(lp_counts, monkeypatch):
+    """With the first rays switched off, every row of the square cut by
+    x + y <= 1 is left undecided, and each is a facet that no two certified
+    rows imply: one LP against the other live rows keeps each, so five
+    tableaux, plus the interior point's LP once the square is moved by
+    (2, 0) and the row -x <= -1 has b < 0."""
     monkeypatch.setattr(polyhedra, "_shoot", lambda *args: None)
     for shift, lps in (((0, 0), 5), ((2, 0), 6)):
         rows = translated(tuple(box(2, 1)) + (((1, 1), 1),), shift)
@@ -772,16 +806,17 @@ def test_certificate_ray_certifies_a_facet_no_first_ray_meets(lp_counts, monkeyp
         assert lp_counts["_farkas"] == lps
 
 
-def test_full_tie_falls_back_to_all_live_rows(lp_counts):
+def test_rows_of_one_half_space_take_one_lp_each(lp_counts):
     """(0, 1) . x <= 0 and (0, 2) . x <= 0 are one half-space, so every ray
-    meets both at once; the first goes by the LP against all live rows, as
-    in the one-LP-per-row loop, and the second is kept."""
+    meets both at once and certifies neither; each goes to one LP against
+    the other live rows, as in the one-LP-per-row loop: the first is
+    dropped and the second kept."""
     rows = (((0, 1), 0), ((0, 2), 0))
     assert parent_irredundant_indices(rows, 2) == [1]
     lp_counts.clear()
     assert polyhedra._irredundant_indices(rows, 2) == [1]
-    # the interior point; row 0: its certificate, then the fallback; row 1: its certificate
-    assert lp_counts["_farkas"] == 4
+    # the interior point, then one LP for each row
+    assert lp_counts["_farkas"] == 3
     assert assert_shooting_matches_parent(rows, 2) == set()
 
 

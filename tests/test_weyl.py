@@ -12,6 +12,7 @@ from stringcones.weyl import (
     Weight,
     braid_variant_word,
     cartan_pairing,
+    class_words,
     commutation_class,
     contract,
     count_reduced_words,
@@ -67,6 +68,11 @@ def test_reduced_word_constructor_validates():
         ReducedWord(LieType("C", 2), (1, 1, 2, 2))
     w = ReducedWord.parse("C2", "2,1,2,1")
     assert str(w) == "2,1,2,1" and len(w) == 4
+
+
+def test_a_bare_family_takes_the_rank_of_the_largest_letter():
+    assert ReducedWord.parse("c", " 2, 1,2,1") == ReducedWord.parse("C2", "2,1,2,1")
+    assert ReducedWord.parse("A", "1,2,1,3,2,1").lie_type == LieType("A", 3)
 
 
 def test_enumerate_small_ranks():
@@ -240,6 +246,18 @@ def test_foata_normal_form_names_the_commutation_class(type_text, classes):
         # the normal form is a word of the class, so a fixed point
         normal = ReducedWord(w.lie_type, forms[w])
         assert normal in cls and foata_normal_form(normal) == forms[w]
+
+
+@pytest.mark.parametrize("type_text", ["A3", "B2", "B3", "C2", "C3"])
+def test_class_words_match_the_commutation_class_search(type_text):
+    """The first word of each class, found by searching each new word's
+    class as `commutation_class` does."""
+    words, seen = [], set()
+    for w in enumerate_reduced_words(LieType.parse(type_text)):
+        if w not in seen:
+            words.append(w)
+            seen |= commutation_class(w)
+    assert class_words(LieType.parse(type_text)) == words
 
 
 def test_foata_normal_form_worked():
