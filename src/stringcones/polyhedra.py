@@ -28,7 +28,10 @@ The pieces:
   certified facets imply is dropped with no LP, before any ray is shot
   from it.  Each row the rays leave undecided is dropped by that test or
   by one LP against the other live rows, or else kept; a system with no
-  interior point takes this last pass alone;
+  interior point takes this last pass alone.  A system with an interior
+  point and every ``b >= 0`` decides its ``b = 0`` rows first, among
+  themselves, as its tangent cone at 0 (near 0 a string polytope at a
+  regular weight is its string cone);
 * emptiness by Farkas' lemma: a system is empty exactly when ``0 <= -1`` is
   such a combination of its rows, so `feasible` is the same test;
 * double description with lexicographic insertion for vertex/ray
@@ -146,6 +149,15 @@ class HRep:
             if len(c) != self.dim:
                 raise PolyhedralError("row length does not match dimension")
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _canonical(cls, dim: int, rows) -> HRep:
+        """An instance holding ``rows`` as given, with no row normalized:
+        each row must already be stored as an instance stores it, as a row
+        read from an instance is, with its coordinates renamed or not."""
+        h = object.__new__(cls)
+        h.__dict__.update(dim=dim, rows=rows, _memo={})
+        return h
 
     @property
     def is_cone(self) -> bool:
@@ -491,18 +503,30 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
     string systems), and only without either does `feasible` decide.  Zero
     rows and later copies of a row are dropped first.  The reference is the
     one-LP-per-row loop: in order, a row goes when the other live rows
-    imply it (`_implied`).  With an interior point the minimal subsystem is
-    the set of facets, and a first pass takes each row not yet certified,
-    in order: it is dropped if two facets certified so far imply it
-    (`_two_term`), and otherwise rays from the point along its normal
-    certify, as they meet them, facets with no LP (`_shoot`, reading the
-    coordinate index `_column_index`, which a dropped row leaves).  Then,
-    on every system, each row still undecided, in order, is dropped if two
-    certified rows or one LP against the other live rows imply it, and is
-    otherwise certified.  A row a ray meets first is a facet, and the live
-    rows always include every certified row, so each row is kept or
-    dropped as in the reference.  A point away from the vertices, as the
-    written-down one is, lets more first rays meet their own row.
+    imply it (`_implied`).  A group of rows is decided so: with an interior
+    point, a first pass takes each row not yet certified, in order: it is
+    dropped if two facets certified so far imply it (`_two_term`), and
+    otherwise rays from the point along its normal certify, as they meet
+    them, facets with no LP (`_shoot`, reading the coordinate index
+    `_column_index` of the group, which a dropped row leaves).  Then each
+    row still undecided, in order, is dropped if two certified rows or one
+    LP against the other live rows of the group imply it, and is otherwise
+    certified.  A row a ray meets first is a facet, and the live rows always
+    include every certified row, so each row is kept or dropped as in the
+    reference.  A point away from the vertices, as the written-down one is,
+    lets more first rays meet their own row.
+
+    The tangent-cone phase runs first when the system has an interior point,
+    every live ``b >= 0``, and both ``b = 0`` and ``b > 0`` rows are live, as
+    in a string polytope at a regular weight.  Every ``b > 0`` row holds
+    strictly at 0, so near 0 the system is the cone that the ``b = 0`` rows
+    cut out: the other live rows imply a ``b = 0`` row exactly when the
+    other live ``b = 0`` rows do.  So the ``b = 0`` rows are decided first,
+    as their own group with the same point (which is inside the cone), and
+    then the rows left, the cone's facets certified among them.  Copies of
+    one half-space all have ``b = 0`` or all ``b > 0``, so each row is still
+    kept or dropped as in the reference.  Otherwise the live rows are one
+    group.
     """
     if any(b < 0 and not any(c) for c, b in rows):
         return None
@@ -527,28 +551,38 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
             k = content(c)
             normals[tuple(x // k for x in c)] = (k, b, c)
 
+    def decide(group):
+        # drop from ``group`` each row the others imply, certify the rest
+        if slack is not None:
+            cols = _column_index(rows, group)
+            for i in list(group):
+                if i in facets:
+                    continue
+                if _two_term(rows[i], normals):
+                    group.remove(i)
+                    for col in cols:
+                        col.pop(i, None)
+                else:
+                    _shoot(rows, cols, slack, i, dim, certify)
+        for i in list(group):
+            if i in facets:
+                continue
+            if _two_term(rows[i], normals) or _implied(rows[i], [rows[j] for j in group if j != i], dim):
+                group.remove(i)
+            else:
+                certify(i)
+
+    slack = None
     if point is not None:
         u, s = point
         slack = {i: rows[i][1] * s - sum(map(mul, rows[i][0], u)) for i in live}
         if min(slack.values()) <= 0:
             raise PolyhedralError("interior point certificate is not strictly inside")
-        cols = _column_index(rows, live)
-        for i in list(live):
-            if i in facets:
-                continue
-            if _two_term(rows[i], normals):
-                live.remove(i)
-                for col in cols:
-                    col.pop(i, None)
-            else:
-                _shoot(rows, cols, slack, i, dim, certify)
-    for i in list(live):
-        if i in facets:
-            continue
-        if _two_term(rows[i], normals) or _implied(rows[i], [rows[j] for j in live if j != i], dim):
-            live.remove(i)
-        else:
-            certify(i)
+        cone = [i for i in live if rows[i][1] == 0]
+        if 0 < len(cone) < len(live) and all(rows[i][1] >= 0 for i in live):
+            decide(cone)
+            live = [i for i in live if rows[i][1] or i in facets]
+    decide(live)
     return live
 
 
@@ -571,7 +605,7 @@ def _minimal(h: HRep) -> HRep:
     kept = entry["minimal"]
     if kept is None:
         return HRep(h.dim, (((0,) * h.dim, -1),))
-    return HRep(h.dim, tuple([h.rows[i] for i in kept]))
+    return HRep._canonical(h.dim, tuple([h.rows[i] for i in kept]))
 
 
 def irredundant_cone_rows(rows, dim) -> list[int]:

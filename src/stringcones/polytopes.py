@@ -28,7 +28,9 @@ It reads its rows from the entry of its class and weight
 the weight), which keeps that sequence in heap coordinates: the first word
 of the class builds it from the string cone's entry and the weight cone,
 and every word, that one included, relabels it to its own coordinates, so
-a hit builds no string cone and no weight cone.  The polytope shares its
+a hit builds no string cone and no weight cone, and normalizes no row:
+the entry's rows are primitive, so they and the kept rows go into their
+`HRep` as they are (`HRep._canonical`).  The polytope shares its
 minimal rows through the same entry (`HRep.share`): the entry keeps the
 indices of the kept rows, as a cone entry does, so the redundancy LP runs
 once per class.  A polytope shares only at a regular weight, where it is
@@ -99,7 +101,7 @@ def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
     """
     _check_weight(w, lam)
     entry, rows = class_polytope_rows(w, lam, lambda: lambda_cone(w, lam).rows)
-    h = HRep(len(w.letters), rows)
+    h = HRep._canonical(len(w.letters), rows)
     if lam.is_regular:
         h.share(entry)
     return h

@@ -14,7 +14,7 @@ warm (a second word of its class, filled by the first).
 
 import pytest
 
-from stringcones import cones, polytopes, weyl
+from stringcones import cones, polyhedra, polytopes, weyl
 from stringcones.cones import HRepCone, LinForm, _cone_entry, heap_order
 from stringcones.polyhedra import HRep, remove_redundant
 from stringcones.polytopes import lambda_cone
@@ -169,6 +169,33 @@ def test_a_class_hit_runs_no_paths_and_no_weight_cone(empty_entries, counted):
         with pytest.raises(ValueError, match="weight and word have different Lie types"):
             polytopes.string_polytope(moved, lam)
     assert empty_entries.cache_info().currsize == 2  # one cone and one polytope entry
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (1, 0, 1)])
+def test_class_rows_are_stored_as_an_hrep_stores_them(empty_entries, coeffs):
+    """A fill and a hit build their `HRep` with no row normalized, and so
+    does `remove_redundant`: every row is already what a fresh `HRep`
+    stores."""
+    lam = Weight(LieType("C", 3), coeffs)
+
+    def check(w):
+        h = polytopes.string_polytope(w, lam)
+        for g in (h, remove_redundant(h)):
+            assert HRep(g.dim, g.rows).rows == g.rows
+
+    cold_then_warm(list(enumerate_reduced_words(lam.lie_type)), check)
+
+
+def test_a_warm_class_hit_normalizes_no_row(empty_entries, monkeypatch):
+    rho = Weight.rho(LieType("C", 3))
+    first = ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2")
+    moved = ReducedWord.parse("C3", "3,1,2,1,3,2,1,3,2")
+    remove_redundant(polytopes.string_polytope(first, rho))
+    normalized, normalize = [], polyhedra._normalize_row
+    monkeypatch.setattr(polyhedra, "_normalize_row", lambda c, b: normalized.append(c) or normalize(c, b))
+    h = polytopes.string_polytope(moved, rho)
+    assert 0 < len(remove_redundant(h).rows) < len(h.rows)
+    assert normalized == []
 
 
 def direct_polytope(w: ReducedWord, lam: Weight) -> HRep:

@@ -224,15 +224,18 @@ def assert_shooting_matches_parent(rows, dim) -> set[int]:
     returns None on an empty system; the reference keeps every row that a
     ray meets and drops every row that the two-term test drops.  With an
     interior point the tableaux number at most one, plus one per row the
-    rays leave undecided.  Returns the rows the rays certify."""
-    shot, met, dropped, points = set(), set(), set(), []
+    rays leave undecided.  Returns the rows the rays certify before an LP
+    decides them (a row the tangent-cone phase decides by an LP may be met
+    again by a later ray)."""
+    shot, met, dropped, points, asked = set(), set(), set(), [], set()
     tableaux = 0
     shoot, first_hit, two_term = polyhedra._shoot, polyhedra._first_hit, polyhedra._two_term
-    farkas, interior = polyhedra._farkas, polyhedra._interior_point
+    farkas, interior, implied = polyhedra._farkas, polyhedra._interior_point, polyhedra._implied
 
     def recording(rows, cols, slack, i, dim, certify):
         def recording_certify(j):
-            shot.add(j)
+            if rows[j] not in asked:
+                shot.add(j)
             certify(j)
 
         shoot(rows, cols, slack, i, dim, recording_certify)
@@ -257,12 +260,17 @@ def assert_shooting_matches_parent(rows, dim) -> set[int]:
         points.append(interior(rows, dim))
         return points[-1]
 
+    def recording_implied(target, others, dim):
+        asked.add(target)
+        return implied(target, others, dim)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polyhedra, "_shoot", recording)
         mp.setattr(polyhedra, "_first_hit", recording_hit)
         mp.setattr(polyhedra, "_two_term", recording_two_term)
         mp.setattr(polyhedra, "_farkas", counted_farkas)
         mp.setattr(polyhedra, "_interior_point", recording_interior)
+        mp.setattr(polyhedra, "_implied", recording_implied)
         kept = polyhedra._irredundant_indices(rows, dim)
     if kept is None:
         assert not feasible(rows, dim)
@@ -580,6 +588,80 @@ def test_ray_shooting_keeps_the_parent_rows_on_c4_classes():
     c4 = LieType("C", 4)
     for text in C4_CLASS_WORDS:
         assert assert_shooting_matches_parent(*cone_rows(c4, ReducedWord.parse("C4", text)))
+
+
+def assert_tangent_cone_matches_parent(rows, dim) -> bool:
+    """`assert_shooting_matches_parent`; returns whether the tangent-cone
+    phase ran, that is whether a column index held only ``b = 0`` rows of a
+    system that has nonzero ``b > 0`` rows too."""
+    sides, index = [], polyhedra._column_index
+
+    def recording(rows, live):
+        sides.append({rows[j][1] > 0 for j in live})
+        return index(rows, live)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "_column_index", recording)
+        assert_shooting_matches_parent(rows, dim)
+    return {False} in sides and any(b > 0 and any(c) for c, b in rows)
+
+
+@pytest.mark.parametrize(
+    "type_text,weights,texts",
+    [
+        # the 15 weights of the benchmark's gt_equivalence_c2
+        ("C2", [(a, s - a) for s in range(2, 7) for a in range(1, s)], None),
+        ("C3", [(1, 1, 1), (1, 0, 1), (0, 1, 0)], None),
+        ("B3", [(1, 1, 1)], None),
+        ("C4", [(1, 1, 1, 1)], C4_CLASS_WORDS),
+    ],
+)
+def test_tangent_cone_keeps_the_parent_rows_on_string_polytopes(type_text, weights, texts):
+    """At a regular weight every word takes the tangent-cone phase: every
+    ``b >= 0``, the cone rows have ``b = 0``, the weight rows ``b > 0``, and
+    the interior point is written down.  A non-regular weight leaves no
+    interior point, so the phase does not run.  Either way the kept rows
+    are the reference's."""
+    t = LieType.parse(type_text)
+    if texts:
+        words = [ReducedWord.parse(type_text, text) for text in texts]
+    else:
+        words = list(enumerate_reduced_words(t))
+    for coeffs in weights:
+        lam = Weight(t, coeffs)
+        for w in words:
+            h = string_polytope(w, lam)
+            assert assert_tangent_cone_matches_parent(h.rows, h.dim) == lam.is_regular
+
+
+def test_polytope_keeps_exactly_the_cone_facets_at_rho():
+    """At rho every weight row has ``b > 0``, so near 0 the string polytope
+    is the string cone: the ``b = 0`` rows it keeps are, in order, the
+    facets `cones.irredundant_facets` finds, on the 14 C3 classes and the C4
+    class words."""
+    c3, c4 = LieType("C", 3), LieType("C", 4)
+    cases = [(c3, w) for w in class_words(c3)]
+    cases += [(c4, ReducedWord.parse("C4", text)) for text in C4_CLASS_WORDS]
+    for t, w in cases:
+        cone, _ = cones.irredundant_facets(t, w)
+        kept = remove_redundant(string_polytope(w, Weight.rho(t))).rows
+        assert [row for row in kept if row[1] == 0] == [
+            (tuple(-c for c in f.coeffs), 0) for f in cone.forms
+        ]
+
+
+def test_tangent_cone_work_bound_on_c3_polytopes(lp_counts):
+    """The 42 C3 string polytopes at rho, from an empty class cache (one
+    redundancy removal per class), take at most 21 tableaux; they took 44
+    when the cone rows met the weight rows in the rays and in the LPs."""
+    rho = Weight.rho(LieType("C", 3))
+    cones._class_entry.cache_clear()
+    try:
+        for w in enumerate_reduced_words(rho.lie_type):
+            remove_redundant(string_polytope(w, rho))
+    finally:
+        cones._class_entry.cache_clear()
+    assert lp_counts["_farkas"] <= 21
 
 
 def assert_first_hit_matches_parent(rows, dim, monkeypatch) -> int:
@@ -1746,6 +1828,41 @@ if _HAVE_HYPOTHESIS:
         else:
             assert point == parent_interior_point(rows, d)
         assert_shooting_matches_parent(rows, d)
+
+    @st.composite
+    def tangent_cone_systems(draw):
+        """Integer rows with ``b >= 0`` in dimension 1-4: ``b = 0`` rows, with
+        copies and positive multiples among them, and ``b > 0`` rows.  Unless
+        the draw leaves them as they are, the ``b = 0`` rows are made to lead
+        negative, so that the point is written down (otherwise the LP finds
+        it); a ``b = 0`` row may come with its negation, which leaves no
+        interior point.  Shuffled."""
+        d = draw(st.integers(1, 4))
+        vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple)
+        cone = draw(st.lists(vec, min_size=1, max_size=6))
+        if draw(st.booleans()):
+            cone = [tuple(-x for x in c) if next((x for x in c if x), 0) > 0 else c for c in cone]
+        multiples = draw(st.lists(st.tuples(st.sampled_from(cone), st.integers(1, 3)), max_size=3))
+        cone += [tuple(k * x for x in c) for c, k in multiples]
+        if draw(st.booleans()):
+            cone.append(tuple(-x for x in draw(st.sampled_from(cone))))
+        rows = [(c, 0) for c in cone]
+        rows += draw(st.lists(st.tuples(vec, st.integers(1, 4)), min_size=1, max_size=6))
+        return d, tuple(draw(st.permutations(rows)))
+
+    @given(tangent_cone_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_tangent_cone_keeps_the_parent_rows(system):
+        """The kept rows are the reference's, and the ``b = 0`` rows among
+        them are those the reference keeps of the ``b = 0`` rows alone: near
+        0, which every ``b > 0`` row holds strictly, the system is the cone
+        they cut out."""
+        d, rows = system
+        assert_tangent_cone_matches_parent(rows, d)
+        zero = [i for i, (_, b) in enumerate(rows) if b == 0]
+        alone = parent_irredundant_indices([rows[i] for i in zero], d)
+        kept = parent_irredundant_indices(rows, d)
+        assert [i for i in kept if rows[i][1] == 0] == [zero[k] for k in alone]
 
     @st.composite
     def first_hit_systems(draw):
