@@ -364,6 +364,13 @@ def _cmd_verify(args) -> CommandResult:
     return CommandResult("verify-paper", payload, "\n".join(lines), 0 if failures == 0 else 1)
 
 
+def _nonnegative(text: str) -> int:
+    """A flag value that is an integer of at least 0; argparse names the flag."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="stringcones", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
@@ -374,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "words", parents=[common], help="enumerate reduced words of the longest element"
     )
     p.add_argument("type")
-    p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP)
+    p.add_argument("--cap", type=_nonnegative, default=DEFAULT_WORD_CAP)
     p.set_defaults(func=_cmd_words)
 
     p = sub.add_parser("paths", parents=[common], help="enumerate rigorous paths")
@@ -413,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("source_a")
     p.add_argument("source_b")
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--budget", type=_nonnegative, default=100_000)
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("render", parents=[common], help="render a wiring diagram as SVG")

@@ -34,7 +34,8 @@ then reads its cone by relabelling coordinates (`_relabelling`, one
 `operator.itemgetter` step per form), with no diagram, no path enumeration
 and no sort; `HRepCone.paths` enumerates the word's own paths when first
 read.  `irredundant_facets` keeps the indices of the facets among the
-merged forms in the entry, so its LP runs once per class.  A string
+merged forms in the entry, written by `polyhedra.remove_redundant` as a
+polytope's are, so its LP runs once per class.  A string
 polytope at a regular weight keys on the normal form and the weight
 (`class_polytope_rows`): its entry keeps the polytope's row sequence in
 heap coordinates, the merged cone rows and then the weight rows in heap
@@ -54,7 +55,7 @@ from . import polyhedra
 from ._linalg import primitive as polyhedra_primitive
 from .diagram import OrientedDiagram, SympWiringDiagram, build_diagram, build_symp_diagram, orient
 from .paths import RigorousPath, all_symp_paths, enumerate_paths, is_symmetric
-from .weyl import LieType, ReducedWord, Weight, foata_normal_form, heap_coordinates, longest_length
+from .weyl import LieType, ReducedWord, Weight, foata_normal_form, heap_coordinates
 
 __all__ = [
     "LinForm",
@@ -68,7 +69,6 @@ __all__ = [
     "string_cone",
     "irredundant_facets",
     "facet_count",
-    "is_simplicial",
 ]
 
 
@@ -117,10 +117,6 @@ def functional_A(p: RigorousPath) -> LinForm:
     return LinForm(_switch_vector(p))
 
 
-def t_labels(sd: SympWiringDiagram) -> list[str]:
-    return [sd.label_str(a) for a in range(1, sd.base.length + 1)]
-
-
 @dataclass(frozen=True)
 class FoldMaps:
     """The linear maps tying the folded coordinates to the lifted ones.
@@ -134,10 +130,6 @@ class FoldMaps:
     word: ReducedWord
     groups: tuple[tuple[int, ...], ...]  # lifted coordinate indices per letter, 0-based
     wall_letters: tuple[bool, ...]
-
-    @property
-    def n_folded(self) -> int:
-        return len(self.groups)
 
     @property
     def n_lifted(self) -> int:
@@ -381,27 +373,23 @@ def irredundant_facets(t: LieType, w: ReducedWord) -> tuple[HRepCone, int]:
     like), then each surviving inequality is tested for redundancy by exact
     LP, once per commutation class: the class entry keeps the indices of
     the facets among the merged forms, which every word of the class lists
-    in one order.  A string cone is full-dimensional, so its minimal system
-    is its facet set and the first copy of each facet is kept.
+    in one order; the word that fills the entry writes them through
+    `remove_redundant` (see `HRep.share`), and a hit builds no `HRep`.  A
+    string cone is full-dimensional, so its minimal system is its facet set
+    and the first copy of each facet is kept.
     """
     entry = _cone_entry(t, w)
     relabel = _relabelling(w)
     merged, dim = entry["merged"], len(w.letters)
     if "minimal" not in entry:
-        rows = [tuple([-c for c in relabel(form)]) for form in merged]
-        entry["minimal"] = tuple(polyhedra.irredundant_cone_rows(rows, dim))
+        rows = tuple([(tuple([-c for c in relabel(form)]), 0) for form in merged])
+        h = polyhedra.HRep._canonical(dim, rows)
+        h.share(entry)
+        polyhedra.remove_redundant(h)
     forms = tuple([LinForm(relabel(merged[i])) for i in entry["minimal"]])
     return HRepCone(t, w, dim, forms, True), len(forms)
 
 
 def facet_count(t: LieType, w: ReducedWord) -> int:
     return irredundant_facets(t, w)[1]
-
-
-def is_simplicial(w: ReducedWord, family: str = "C") -> bool:
-    """Whether the folded string cone has exactly as many facets as dimensions."""
-    if not w.lie_type.is_doubled:
-        raise ValueError("simpliciality concerns type-B/C words")
-    t = LieType(family, w.rank)
-    return facet_count(t, w) == longest_length(w.lie_type)
 

@@ -281,18 +281,6 @@ class SympWiringDiagram:
             return str(wire)
         return f"{2 * self.n + 1 - wire}b"
 
-    def wire_from_name(self, name: str) -> int:
-        name = name.strip()
-        if name.endswith("b"):
-            k = int(name[:-1])
-            if not 1 <= k <= self.n:
-                raise ValueError(f"no wire named {name!r}")
-            return 2 * self.n + 1 - k
-        k = int(name)
-        if not 1 <= k <= self.n:
-            raise ValueError(f"no wire named {name!r}")
-        return k
-
     def __repr__(self) -> str:
         return f"SympWiringDiagram({self.word.lie_type}, {self.word})"
 

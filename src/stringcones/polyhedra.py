@@ -36,7 +36,7 @@ The pieces:
   such a combination of its rows, so `feasible` is the same test;
 * double description with lexicographic insertion for vertex/ray
   enumeration, both directions; each ray's zero set is kept by
-  construction, so a V-rep carries the rows tight at each vertex;
+  construction, so the integer V-rep carries the rows tight at each vertex;
 * the face lattice closed from one integer vertex-facet incidence table,
   read off those tight rows with no LP (each facet is the tight set of one
   row of any defining system, see `_incidences`): the facets of a face F
@@ -86,7 +86,6 @@ __all__ = [
     "ResourceLimit",
     "feasible",
     "remove_redundant",
-    "irredundant_cone_rows",
     "to_vrep",
     "vrep_to_hrep",
     "FaceLattice",
@@ -94,7 +93,6 @@ __all__ = [
     "f_vector",
     "integrality",
     "lattice_points",
-    "dilate",
     "normalized_volume",
     "verify_unimodular_map",
     "search_unimodular_equivalence",
@@ -189,16 +187,10 @@ class HRep:
 class VRep:
     """Vertices (rational points) and rays (primitive integer directions), the
     public form that `to_vrep` builds once from integer points (see `_vrep`).
-
-    ``tight`` holds, per vertex, the bitset of the rows of the `HRep` it was
-    computed from that are tight there (bit ``i`` for row ``i``); like
-    `HRep`'s memo, ``==``, ``hash`` and ``repr`` ignore it, and a hand-built
-    V-rep leaves it empty.
     """
 
     vertices: tuple[tuple[Fraction, ...], ...]
     rays: tuple[tuple[int, ...], ...]
-    tight: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 def _memoized(h: HRep, key: str, compute):
@@ -608,14 +600,6 @@ def _minimal(h: HRep) -> HRep:
     return HRep._canonical(h.dim, tuple([h.rows[i] for i in kept]))
 
 
-def irredundant_cone_rows(rows, dim) -> list[int]:
-    """Minimal-subsystem indices for cone rows ``c . x <= 0`` (deduplicated input).
-
-    A cone contains 0, so no feasibility test is needed.
-    """
-    return _irredundant_indices(tuple((tuple(c), 0) for c in rows), dim)
-
-
 # ---------------------------------------------------------------------------
 # Double description
 # ---------------------------------------------------------------------------
@@ -693,8 +677,8 @@ def to_vrep(h: HRep, bounded_expected: bool = False) -> VRep:
 
 
 def _fraction_vrep(h: HRep) -> VRep:
-    den, points, tight, rays = _memoized(h, "vrep", _vrep)
-    return VRep(tuple(tuple(Fraction(x, den) for x in p) for p in points), rays, tight)
+    den, points, _, rays = _memoized(h, "vrep", _vrep)
+    return VRep(tuple(tuple(Fraction(x, den) for x in p) for p in points), rays)
 
 
 def _bounded(h: HRep):
@@ -710,7 +694,8 @@ def _vrep(h: HRep):
     """``(den, points, tight, rays)``: the sorted vertices as integer points
     over ``den``, their least common denominator (``r[-1]`` for the vertex of
     a primitive homogeneous ray ``r``; one positive scale keeps their order),
-    each with its tight rows as in `VRep`, and the sorted recession rays."""
+    each with the bitset of the rows of ``h`` tight there (bit ``i`` for row
+    ``i``), and the sorted recession rays."""
     cone = h.is_cone
     if cone:
         rows = [c for c, _ in h.rows]
@@ -796,8 +781,8 @@ def _incidence_table(h: HRep) -> _IncidenceTable:
 def _incidences(h: HRep) -> _IncidenceTable:
     """One integer vertex-facet incidence table.
 
-    Each row's tight vertices are the V-rep's tight rows per vertex
-    (`VRep.tight`), transposed.  In any dimension, every facet F of a
+    Each row's tight vertices are the tight rows per vertex that `_vrep`
+    keeps, transposed.  In any dimension, every facet F of a
     polytope P is the tight set of one row of any system defining P: a row
     tight on F but not on all of P cuts out a proper face containing F,
     which is F itself.  So the facets are the maximal proper non-empty
@@ -882,10 +867,6 @@ def integrality(h: HRep):
         if any(x % den for x in p):
             return False, tuple(Fraction(x, den) for x in p)
     return True, None
-
-
-def dilate(h: HRep, factor: int) -> HRep:
-    return HRep(h.dim, tuple((c, b * factor) for c, b in h.rows))
 
 
 def lattice_points(h: HRep, cap: int = 2_000_000) -> int:

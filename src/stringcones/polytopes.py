@@ -111,28 +111,23 @@ def polytope_facet_count(w: ReducedWord, lam: Weight) -> int:
     return len(remove_redundant(string_polytope(w, lam)).rows)
 
 
-def gt_coordinate_names(n: int) -> list[str]:
-    """Coordinate names in the printed interleaved order, ``a1_2`` style."""
-    names: list[str] = []
+def _gt_coordinates(n: int):
+    """The coordinates ``(kind, i, k)`` of the rank-n Gelfand-Tsetlin
+    polytope, in the printed interleaved order."""
     for k in range(1, n + 1):
         for j in range(k - 1):
-            names.append(f"b{k - j}_{1 + j}")
+            yield "b", k - j, 1 + j
         for j in range(k):
-            names.append(f"a{1 + j}_{k - j}")
-    return names
+            yield "a", 1 + j, k - j
+
+
+def gt_coordinate_names(n: int) -> list[str]:
+    """Coordinate names in the printed interleaved order, ``a1_2`` style."""
+    return [f"{kind}{i}_{k}" for kind, i, k in _gt_coordinates(n)]
 
 
 def _gt_index(n: int) -> dict[tuple[str, int, int], int]:
-    index: dict[tuple[str, int, int], int] = {}
-    pos = 0
-    for k in range(1, n + 1):
-        for j in range(k - 1):
-            index[("b", k - j, 1 + j)] = pos
-            pos += 1
-        for j in range(k):
-            index[("a", 1 + j, k - j)] = pos
-            pos += 1
-    return index
+    return {coordinate: pos for pos, coordinate in enumerate(_gt_coordinates(n))}
 
 
 def gt_polytope_C(lam: Weight, n: int) -> HRep:

@@ -116,7 +116,7 @@ def assert_matches_parent(t, w):
         assert as_data(cone) == as_data(want), (t, w, deduplicate)
         assert all(p.diagram is cone.paths[0][0].diagram for ps in cone.paths for p in ps)
     rows = [tuple(-c for c in f.coeffs) for f in want.forms]
-    kept = polyhedra.irredundant_cone_rows(rows, want.dim)
+    kept = polyhedra._irredundant_indices(tuple((c, 0) for c in rows), want.dim)
     pruned, count = irredundant_facets(t, w)
     assert [f.coeffs for f in pruned.forms] == [want.forms[i].coeffs for i in kept]
     assert [[(p.k, p.events) for p in ps] for ps in pruned.paths] == [

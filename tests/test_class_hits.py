@@ -186,6 +186,25 @@ def test_class_rows_are_stored_as_an_hrep_stores_them(empty_entries, coeffs):
     cold_then_warm(list(enumerate_reduced_words(lam.lie_type)), check)
 
 
+def test_a_warm_cone_class_hit_builds_no_hrep(empty_entries, monkeypatch):
+    """The first word of a class builds one `HRep`, which writes the facet
+    indices into the entry; a second word reads them with no `HRep`."""
+    c3 = LieType("C", 3)
+    first = ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2")
+    moved = ReducedWord.parse("C3", "3,1,2,1,3,2,1,3,2")
+    built = []
+    post_init, canonical = HRep.__post_init__, HRep._canonical
+    monkeypatch.setattr(HRep, "__post_init__", lambda h: built.append("__post_init__") or post_init(h))
+    monkeypatch.setattr(
+        HRep, "_canonical", classmethod(lambda cls, dim, rows: built.append("_canonical") or canonical(dim, rows))
+    )
+    cones.irredundant_facets(c3, first)
+    assert "_canonical" in built
+    built.clear()
+    pruned, count = cones.irredundant_facets(c3, moved)
+    assert built == [] and count == len(pruned.forms) > 0
+
+
 def test_a_warm_class_hit_normalizes_no_row(empty_entries, monkeypatch):
     rho = Weight.rho(LieType("C", 3))
     first = ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2")

@@ -208,6 +208,27 @@ def test_words_over_the_cap_exit_2(monkeypatch):
     assert "more than the cap 10000000" in res.payload["error"]
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["words", "C2", "--cap", "-1"], "--cap"),
+        (["equiv", "a.json", "a.json", "--budget", "-1"], "--budget"),
+        (["equiv", "a.json", "a.json", "--budget", "x"], "--budget"),
+    ],
+)
+def test_a_bad_budget_or_cap_exits_2_naming_the_flag(capsys, argv, flag):
+    res = run(argv)
+    assert res.status == 2
+    assert f"argument {flag}: must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_a_zero_budget_or_cap_is_accepted(tmp_path):
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"dim": 0, "rows": []}))
+    assert run(["equiv", str(point), str(point), "--budget", "0"]).status == 0
+    assert "more than the cap 0" in run(["words", "C2", "--cap", "0"]).payload["error"]
+
+
 def test_words_at_large_rank_exit_2_at_once(monkeypatch):
     """The count of A200 has more digits than an int converts to text, and
     the hook product of A1000000 alone takes minutes; both are refused at

@@ -14,9 +14,7 @@ from stringcones.cones import (
     functional_C,
     functional_C_unhalved,
     irredundant_facets,
-    is_simplicial,
     string_cone,
-    t_labels,
 )
 from stringcones.diagram import build_diagram, build_symp_diagram, orient
 from stringcones.paths import (
@@ -80,7 +78,7 @@ def test_functional_A_worked():
 
 def test_worked_functional_table():
     sd = build_symp_diagram(W("C2", "2,1,2,1"))
-    labels = t_labels(sd)
+    labels = [sd.label_str(a) for a in range(1, sd.base.length + 1)]
     assert labels == ["t1", "tbar2", "t2", "t3", "tbar4", "t4"]
     rows = {}
     for p in symp_paths(sd, 2):
@@ -110,7 +108,7 @@ def test_worked_rank3_functional():
 def test_fold_maps_identities():
     for w in (W("C2", "2,1,2,1"), W("C3", "1,2,3,1,2,3,1,2,3")):
         fm = fold_maps(w)
-        N = fm.n_folded
+        N = len(fm.groups)
         for k in range(N):
             e = [0] * N
             e[k] = 1
@@ -195,10 +193,11 @@ def test_braid_variant_block_facets():
 
 
 def test_simpliciality():
-    assert is_simplicial(gt_adapted_word(3))
-    assert is_simplicial(braid_variant_word(3))
-    assert not is_simplicial(W("C3", "1,3,2,1,3,2,1,3,2"))
-    assert is_simplicial(gt_adapted_word(2), family="B")
+    c3 = LieType("C", 3)
+    assert facet_count(c3, gt_adapted_word(3)) == 9
+    assert facet_count(c3, braid_variant_word(3)) == 9
+    assert facet_count(c3, W("C3", "1,3,2,1,3,2,1,3,2")) != 9
+    assert facet_count(LieType("B", 2), gt_adapted_word(2)) == 4
 
 
 def test_wall_orientation_facets_iff_symmetric():
@@ -269,7 +268,7 @@ def uncached_irredundant_facets(t, w):
     """Kept indices and forms by one redundancy LP for this very word (the oracle)."""
     cone = string_cone(t, w, deduplicate=True)
     rows = [tuple(-c for c in f.coeffs) for f in cone.forms]
-    kept = polyhedra.irredundant_cone_rows(rows, cone.dim)
+    kept = polyhedra._irredundant_indices(tuple((c, 0) for c in rows), cone.dim)
     return kept, tuple(cone.forms[i] for i in kept)
 
 
@@ -321,13 +320,13 @@ def test_cached_facets_match_uncached_lp_on_c4_walks():
 def lp_calls(monkeypatch):
     """Counts redundancy LP sets, starting from an empty class cache."""
     calls = []
-    lp = polyhedra.irredundant_cone_rows
+    lp = polyhedra._irredundant_indices
 
     def counting(rows, dim):
         calls.append(dim)
         return lp(rows, dim)
 
-    monkeypatch.setattr(polyhedra, "irredundant_cone_rows", counting)
+    monkeypatch.setattr(polyhedra, "_irredundant_indices", counting)
     cones._class_entry.cache_clear()
     yield calls
     cones._class_entry.cache_clear()
@@ -402,8 +401,8 @@ def test_irredundant_facets_takes_its_class_entry_once(monkeypatch):
 @pytest.mark.slow
 def test_rank4_spot_checks():
     c4 = LieType("C", 4)
-    assert is_simplicial(gt_adapted_word(4))
-    assert is_simplicial(braid_variant_word(4))
+    assert facet_count(c4, gt_adapted_word(4)) == 16
+    assert facet_count(c4, braid_variant_word(4)) == 16
     generic = W("C4", "1,2,3,4,1,2,3,4,1,2,3,4,1,2,3,4")
     assert facet_count(c4, generic) > 16
     # polytope facets = cone facets + n^2 at rho, one rank up from criterion 5

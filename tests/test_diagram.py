@@ -109,9 +109,6 @@ def test_mirror_node_is_an_involution_fixing_the_wall():
 def test_wire_names():
     sd = build_symp_diagram(w("2,1,2,1", "C", 2))
     assert [sd.wire_name(i) for i in (1, 2, 3, 4)] == ["1", "2", "2b", "1b"]
-    assert sd.wire_from_name("1b") == 4
-    with pytest.raises(ValueError):
-        sd.wire_from_name("3")
 
 
 def test_orientations():

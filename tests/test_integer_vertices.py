@@ -42,7 +42,8 @@ OCTAHEDRON_ROWS = tuple(((a, b, c), 1) for a in (1, -1) for b in (1, -1) for c i
 
 
 def parent_vrep(h):
-    """The earlier `polyhedra._vrep`, with `Fraction` vertices."""
+    """The earlier `polyhedra._vrep`, with `Fraction` vertices: the V-rep and,
+    per vertex, the bitset of the rows tight there."""
     cone = h.is_cone
     if cone:
         rows = [c for c, _ in h.rows]
@@ -51,19 +52,19 @@ def parent_vrep(h):
     witness = nullspace_vector(rows) if rows else None
     if witness is not None:
         if not feasible(h.rows, h.dim):
-            return VRep((), ())
+            return VRep((), ()), ()
         raise Unbounded(
             "system has a lineality direction; not a bounded polytope",
             ray=tuple(witness[: h.dim]),
         )
     rays = polyhedra._dd_rays(rows, h.dim if cone else h.dim + 1)
     if cone:
-        return VRep(((F(0),) * h.dim,), tuple(r for r, _ in rays), ((1 << len(rows)) - 1,))
+        return VRep(((F(0),) * h.dim,), tuple(r for r, _ in rays)), ((1 << len(rows)) - 1,)
     vertices = sorted((tuple(F(x, r[-1]) for x in r[:-1]), z) for r, z in rays if r[-1] > 0)
     if not vertices:
-        return VRep((), ())
+        return VRep((), ()), ()
     rec_rays = sorted(r[:-1] for r, _ in rays if r[-1] == 0)
-    return VRep(tuple(v for v, _ in vertices), tuple(rec_rays), tuple(z for _, z in vertices))
+    return VRep(tuple(v for v, _ in vertices), tuple(rec_rays)), tuple(z for _, z in vertices)
 
 
 def parent_integrality(verts):
@@ -78,7 +79,7 @@ def parent_table(h):
     rescaled to integers as the earlier search did, over the least common
     denominator of the `Fraction` vertices."""
     table = polyhedra._incidences(HRep(h.dim, h.rows))
-    verts = parent_vrep(h).vertices
+    verts = parent_vrep(h)[0].vertices
     den = lcm(*(x.denominator for v in verts for x in v))
     points = tuple(tuple(int(x * den) for x in v) for v in verts)
     dim = rank_int([list(map(sub, p, points[0])) for p in points[1:]])
@@ -122,12 +123,12 @@ def test_integer_vertices_match_the_fraction_path(battery):
     lower = [h for h in polys if polyhedra._incidence_table(h).dim < h.dim]
     assert len(lower) == (4 if battery is small_battery else 0)
     for h in polys:
-        expected = parent_vrep(HRep(h.dim, h.rows))
+        expected, tight = parent_vrep(HRep(h.dim, h.rows))
         table = polyhedra._incidence_table(h)
         vertices = tuple(tuple(F(x, table.den) for x in p) for p in table.vertices)
         vrep = to_vrep(h)
         assert vertices == vrep.vertices == expected.vertices
-        assert vrep.tight == expected.tight and vrep.rays == expected.rays
+        assert polyhedra._vrep(h)[2] == tight and vrep.rays == expected.rays
         assert all(type(x) is F for v in vrep.vertices for x in v)
         assert table.den == lcm(*(x.denominator for v in expected.vertices for x in v))
         points = [[int(x * table.den) for x in v] for v in expected.vertices]
@@ -147,7 +148,7 @@ def test_search_on_c2_pairs_matches_the_fraction_path(monkeypatch):
     assert {r.status for r in got} == {"equivalent", "inequivalent"}
     monkeypatch.setattr(polyhedra, "_incidence_table", parent_table)
     monkeypatch.setattr(
-        polyhedra, "integrality", lambda h: parent_integrality(parent_vrep(h).vertices)
+        polyhedra, "integrality", lambda h: parent_integrality(parent_vrep(h)[0].vertices)
     )
     expected = []
     for i in range(0, len(polys), 3):
@@ -159,7 +160,7 @@ def test_search_on_c2_pairs_matches_the_fraction_path(monkeypatch):
 def test_empty_and_line_systems_keep_their_v_rep():
     """The lineality witness is computed only when the rows do not span."""
     strip = HRep(2, (((1, 0), 1), ((-1, 0), -2)))
-    assert to_vrep(strip) == parent_vrep(strip) == VRep((), ())
+    assert to_vrep(strip) == parent_vrep(strip)[0] == VRep((), ())
     line = HRep(2, (((1, 0), 1), ((-1, 0), 0)))
     rays = []
     for vrep in (to_vrep, parent_vrep):

@@ -1,12 +1,15 @@
-"""No dead private helper and no dead class member in the package's source.
+"""No dead private helper, no dead public name and no dead class member in
+the package's source.
 
 A private (``_``-prefixed) module-level function is no module's API, so it
 lives only while the source calls it: every one must be read somewhere in
 the package (as a name, or as an attribute) outside its own definition.
-A method or property of a package class lives only while some file reads
-it as an attribute outside its own definition: the package source, the
-tests or the benchmark harness.  Dunder methods are called by the language
-and are exempt.  The checks run on the standard library's `ast`.
+A public module-level function or class, and a method or property of a
+package class, lives only while the program reads it outside its own
+definition: the package source or the benchmark harness, not the tests
+alone.  Dunder methods are called by the language and are exempt, and so
+are the public functions in `TEST_ONLY`.  The checks run on the standard
+library's `ast`.
 """
 
 import ast
@@ -16,7 +19,13 @@ import stringcones
 
 SOURCES = sorted(Path(stringcones.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
-READERS = SOURCES + sorted(REPO.glob("tests/**/*.py")) + sorted(REPO.glob("perfbench/**/*.py"))
+READERS = SOURCES + sorted(REPO.glob("perfbench/*.py"))  # the program, not its tests
+
+# Public functions that only the tests read, each kept for a reason.
+TEST_ONLY = {
+    "polyhedra.vrep_to_hrep": "the tests build polytopes from points with it (hulls, the rank oracle)",
+    "polyhedra.normalized_volume": "the tests check the paper's polytopes against the closed-form volume",
+}
 
 
 def dead_helpers(paths) -> list[str]:
@@ -40,16 +49,38 @@ def dead_helpers(paths) -> list[str]:
     ]
 
 
+def _reads(trees, paths, kinds=(ast.Name, ast.Attribute)) -> dict[str, set[int]]:
+    """Name -> ids of the nodes of ``paths`` reading it as one of ``kinds``."""
+    reads: dict[str, set[int]] = {}
+    for path in paths:
+        for node in ast.walk(trees[path]):
+            if isinstance(node, kinds):
+                reads.setdefault(node.id if isinstance(node, ast.Name) else node.attr, set()).add(id(node))
+    return reads
+
+
+def dead_public(sources, readers) -> list[str]:
+    """``module.name`` for each public module-level function or class of
+    ``sources`` that no file of ``readers`` reads, as a name or as an
+    attribute, outside its own definition."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in {*sources, *readers}}
+    reads = _reads(trees, readers)
+    dead = []
+    for path in sources:
+        for top in trees[path].body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                own = {id(node) for node in ast.walk(top)}
+                if not reads.get(top.name, set()) - own:
+                    dead.append(f"{path.stem}.{top.name}")
+    return dead
+
+
 def dead_members(sources, readers) -> list[str]:
     """``module.Class.member`` for each non-dunder method or property of a
     class in ``sources`` that no file of ``readers`` reads as an attribute
     outside the member's own definition."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in {*sources, *readers}}
-    reads: dict[str, set[int]] = {}  # attribute name -> ids of the nodes reading it
-    for path in readers:
-        for node in ast.walk(trees[path]):
-            if isinstance(node, ast.Attribute):
-                reads.setdefault(node.attr, set()).add(id(node))
+    reads = _reads(trees, readers, ast.Attribute)
     dead = []
     for path in sources:
         for cls in ast.walk(trees[path]):
@@ -93,9 +124,27 @@ def test_the_check_sees_a_dead_member(tmp_path):
     assert dead_members([source], [source]) == ["a.P.dead", "a.P.recursive", "a.P.read_in_test"]
 
 
+def test_the_check_sees_a_dead_public_name(tmp_path):
+    source = tmp_path / "a.py"
+    source.write_text(
+        "class Used:\n    pass\n\n"
+        "class Dead:\n    def make(self):\n        return Dead()\n\n"
+        "def read_in_test():\n    return Used()\n\n"
+        "def _private():\n    pass\n"
+    )
+    test = tmp_path / "test_a.py"
+    test.write_text("from a import read_in_test\n\nread_in_test()\n")
+    assert dead_public([source], [source, test]) == ["a.Dead"]
+    assert dead_public([source], [source]) == ["a.Dead", "a.read_in_test"]
+
+
 def test_every_private_function_is_used():
     assert not dead_helpers(SOURCES), "private functions that nothing calls"
 
 
 def test_every_method_and_property_is_read():
-    assert not dead_members(SOURCES, READERS), "methods or properties that nothing reads"
+    assert not dead_members(SOURCES, READERS), "methods or properties that only the tests read"
+
+
+def test_every_public_function_and_class_is_read():
+    assert sorted(dead_public(SOURCES, READERS)) == sorted(TEST_ONLY), "public names that only the tests read"

@@ -27,12 +27,10 @@ from stringcones.polyhedra import (
     ResourceLimit,
     Unbounded,
     VRep,
-    dilate,
     f_vector,
     face_lattice,
     feasible,
     integrality,
-    irredundant_cone_rows,
     lattice_points,
     normalized_volume,
     remove_redundant,
@@ -45,6 +43,10 @@ from stringcones.polytopes import gt_polytope_C, string_polytope
 from stringcones.weyl import LieType, ReducedWord, Weight, class_words, enumerate_reduced_words
 
 SQUARE = HRep(2, (((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)))
+
+
+def dilate(h, t):
+    return HRep(h.dim, tuple((c, b * t) for c, b in h.rows))
 
 
 def box(d, size):
@@ -514,7 +516,7 @@ def test_redundancy_against_vertex_incidence_oracle():
 
 def test_cone_redundancy():
     rows = [(-1, 0), (0, -1), (-1, -1)]
-    assert irredundant_cone_rows(rows, 2) == [0, 1]
+    assert polyhedra._irredundant_indices(tuple((c, 0) for c in rows), 2) == [0, 1]
 
 
 @pytest.mark.parametrize("t", [LieType("A", 3), LieType("B", 3), LieType("C", 3)])
@@ -525,10 +527,11 @@ def test_cone_redundancy_against_fraction_tableau(t, monkeypatch):
     for w in enumerate_reduced_words(t):
         cone = string_cone(t, w, deduplicate=True)
         rows = [tuple(-c for c in f.coeffs) for f in cone.forms]
-        systems.append((rows, cone.dim, irredundant_cone_rows(rows, cone.dim)))
+        kept = polyhedra._irredundant_indices(tuple((c, 0) for c in rows), cone.dim)
+        systems.append((rows, cone.dim, kept))
     monkeypatch.setattr(polyhedra, "_nonneg_feasible", fraction_nonneg_feasible)
     for rows, dim, kept in systems:
-        assert irredundant_cone_rows(rows, dim) == kept
+        assert polyhedra._irredundant_indices(tuple((c, 0) for c in rows), dim) == kept
 
 
 def test_cone_redundancy_runs_no_feasibility_lp(monkeypatch):
@@ -538,8 +541,10 @@ def test_cone_redundancy_runs_no_feasibility_lp(monkeypatch):
         raise AssertionError("feasible called on a cone system")
 
     monkeypatch.setattr(polyhedra, "feasible", refuse)
-    assert irredundant_cone_rows([(-1, 0), (0, -1), (-1, -1)], 2) == [0, 1]
-    assert irredundant_cone_rows([(0, 0), (-1, -1), (-1, 0), (0, -1)], 2) == [2, 3]
+    rows = [(-1, 0), (0, -1), (-1, -1)]
+    assert polyhedra._irredundant_indices(tuple((c, 0) for c in rows), 2) == [0, 1]
+    rows = [(0, 0), (-1, -1), (-1, 0), (0, -1)]
+    assert polyhedra._irredundant_indices(tuple((c, 0) for c in rows), 2) == [2, 3]
 
 
 C4_CLASS_WORDS = (  # the benchmark's twelve fixed C4 classes, then the nested word and its braid variant
@@ -561,7 +566,7 @@ C4_CLASS_WORDS = (  # the benchmark's twelve fixed C4 classes, then the nested w
 
 
 def cone_rows(t, w):
-    """The rows ``(c, 0)`` that `irredundant_cone_rows` builds for a string cone."""
+    """The rows ``(c, 0)`` whose redundancy `cones.irredundant_facets` decides for a string cone."""
     cone = string_cone(t, w, deduplicate=True)
     return tuple((tuple(-c for c in f.coeffs), 0) for f in cone.forms), cone.dim
 
@@ -744,7 +749,7 @@ def test_ray_shooting_work_bound(text, rows, facets, lp_counts):
     per redundant row (85 and 19 LPs at one LP per row; both words now run
     none).  Every tableau counts, whatever asks for it."""
     cone, dim = cone_rows(LieType("C", 4), ReducedWord.parse("C4", text))
-    assert (len(cone), len(irredundant_cone_rows([c for c, _ in cone], dim))) == (rows, facets)
+    assert (len(cone), len(polyhedra._irredundant_indices(cone, dim))) == (rows, facets)
     assert lp_counts["_farkas"] <= rows - facets
 
 
@@ -773,7 +778,7 @@ def test_redundancy_work_bound_on_c4_classes(lp_counts, monkeypatch):
     c4 = LieType("C", 4)
     for text in C4_CLASS_WORDS:
         cone, dim = cone_rows(c4, ReducedWord.parse("C4", text))
-        irredundant_cone_rows([c for c, _ in cone], dim)
+        polyhedra._irredundant_indices(cone, dim)
     assert lp_counts["_farkas"] <= 2
     assert rays <= 654
 

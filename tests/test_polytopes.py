@@ -106,6 +106,14 @@ def test_gt_coordinates():
     assert len(gt_coordinate_names(4)) == 16
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gt_index_positions_match_the_coordinate_names(n):
+    index = polytopes._gt_index(n)
+    assert sorted(index.values()) == list(range(n * n))
+    names = gt_coordinate_names(n)
+    assert all(names[pos] == f"{kind}{i}_{k}" for (kind, i, k), pos in index.items())
+
+
 def test_gt_polytope_facets():
     for n, want in ((2, 8), (3, 18)):
         t = LieType("C", n)
