@@ -47,7 +47,7 @@ def echelon(rows, reduced: bool = True):
     columns in order, the last pivot ``d`` (1 when there is none) and the
     sign of the row permutation.  The rows below a pivot are updated alike
     in both passes, so pivots, ``d`` and sign agree; the forward pass is all
-    that rank and determinant need.
+    that rank, determinant and independent rows need.
     """
     a = [list(row) for row in rows]
     m = len(a)
@@ -97,7 +97,7 @@ def rank_int(rows) -> int:
 
 def independent_rows(rows) -> list[int]:
     """Indices of the greedy first basis among the rows (pivot columns of the transpose)."""
-    return echelon(list(zip(*rows)))[1]
+    return echelon(list(zip(*rows)), reduced=False)[1]
 
 
 def nullspace_vector(rows):

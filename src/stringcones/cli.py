@@ -120,11 +120,10 @@ _SCALE = 22
 _HIGHLIGHT_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd")
 
 
-def render_svg(d: WiringDiagram | SympWiringDiagram, highlights=()) -> str:
+def render_svg(d: WiringDiagram, highlights=()) -> str:
     """Deterministic SVG picture: wires, labelled nodes, wall, highlighted paths."""
-    base = d.base if isinstance(d, SympWiringDiagram) else d
-    top = 2 * base.length + 1
-    width = (2 * base.m + 2) * _SCALE
+    top = 2 * d.length + 1
+    width = (2 * d.m + 2) * _SCALE
     height = (top + 4) * _SCALE
 
     def pt(x, y) -> str:
@@ -143,14 +142,14 @@ def render_svg(d: WiringDiagram | SympWiringDiagram, highlights=()) -> str:
             f'x2="{(x_wall + 1) * _SCALE}" y2="{height - _SCALE // 2}" '
             'stroke="#2aa37a" stroke-dasharray="6,5" stroke-width="1"/>'
         )
-    for w in range(1, base.m + 1):
-        pts = " ".join(pt(x, y) for x, y in base.wire_polyline(w))
+    for w in range(1, d.m + 1):
+        pts = " ".join(pt(x, y) for x, y in d.wire_polyline(w))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.3"/>'
         )
-        name = d.wire_name(w) if isinstance(d, SympWiringDiagram) else str(w)
-        x_top, _ = base.wire_polyline(w)[0]
-        x_bot, _ = base.wire_polyline(w)[-1]
+        name = d.wire_name(w)
+        x_top, _ = d.wire_polyline(w)[0]
+        x_bot, _ = d.wire_polyline(w)[-1]
         parts.append(
             f'<text x="{(x_top + 1) * _SCALE}" y="{_SCALE - 6}" font-size="11" '
             f'text-anchor="middle">U{name}</text>'
@@ -165,11 +164,9 @@ def render_svg(d: WiringDiagram | SympWiringDiagram, highlights=()) -> str:
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             'stroke-width="4" stroke-opacity="0.55" stroke-linecap="round"/>'
         )
-    for nd in base.nodes:
-        x, y = base.node_center(nd.index)
-        label = (
-            d.label_str(nd.index) if isinstance(d, SympWiringDiagram) else f"a{nd.index}"
-        )
+    for nd in d.nodes:
+        x, y = d.node_center(nd.index)
+        label = d.label_str(nd.index)
         sx, sy = (x + 1) * _SCALE, (top + 1 - y) * _SCALE
         parts.append(f'<circle cx="{sx}" cy="{sy}" r="2.2" fill="black"/>')
         parts.append(
@@ -221,29 +218,16 @@ def _cmd_paths(args) -> CommandResult:
 def _cmd_cone(args) -> CommandResult:
     w = ReducedWord.parse(args.type, args.word)
     t = w.lie_type
+    cone = irredundant_facets(t, w)[0] if args.irredundant else string_cone(t, w)
+    pretty = [f.pretty() for f in cone.forms]
+    payload = {"type": str(t), "word": str(w), "constraints": [list(f.coeffs) for f in cone.forms]}
     if args.irredundant:
-        cone, count = irredundant_facets(t, w)
-        simplicial = count == cone.dim
-        payload = {
-            "type": str(t),
-            "word": str(w),
-            "constraints": [list(f.coeffs) for f in cone.forms],
-            "facets": [f.pretty() for f in cone.forms],
-            "facet_count": count,
-            "simplicial": simplicial,
-        }
-        lines = [f"{count} facets:"] + [f"  {f.pretty()} >= 0" for f in cone.forms]
-        return CommandResult("cone", payload, "\n".join(lines), 0)
-    cone = string_cone(t, w)
-    payload = {
-        "type": str(t),
-        "word": str(w),
-        "constraints": [list(f.coeffs) for f in cone.forms],
-        "inequalities": [f.pretty() for f in cone.forms],
-    }
-    lines = [f"{len(cone.forms)} path inequalities:"] + [
-        f"  {f.pretty()} >= 0   ({p})" for f, ps in zip(cone.forms, cone.paths) for p in ps
-    ]
+        payload.update(facets=pretty, facet_count=len(pretty), simplicial=len(pretty) == cone.dim)
+        lines = [f"{len(pretty)} facets:"] + [f"  {s} >= 0" for s in pretty]
+    else:  # one path per form
+        payload["inequalities"] = pretty
+        lines = [f"{len(pretty)} path inequalities:"]
+        lines += [f"  {s} >= 0   ({p})" for s, (p,) in zip(pretty, cone.paths)]
     return CommandResult("cone", payload, "\n".join(lines), 0)
 
 

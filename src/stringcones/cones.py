@@ -53,8 +53,8 @@ from typing import Iterable
 
 from . import polyhedra
 from ._linalg import primitive as polyhedra_primitive
-from .diagram import OrientedDiagram, SympWiringDiagram, build_diagram, build_symp_diagram, orient
-from .paths import RigorousPath, all_symp_paths, enumerate_paths, is_symmetric
+from .diagram import OrientedDiagram, SympWiringDiagram, build_diagram, build_symp_diagram
+from .paths import RigorousPath, enumerate_paths, is_symmetric
 from .weyl import LieType, ReducedWord, Weight, foata_normal_form, heap_coordinates
 
 __all__ = [
@@ -105,7 +105,7 @@ class LinForm:
 
 
 def _switch_vector(p: RigorousPath) -> list[int]:
-    vec = [0] * p.base.length
+    vec = [0] * p.diagram.length
     for node, frm, to in p.switch_pairs:
         vec[node - 1] = 1 if frm < to else -1
     return vec
@@ -258,16 +258,12 @@ def _inverse(perm) -> list[int]:
 
 def _rigorous_paths(t: LieType, w: ReducedWord) -> list[RigorousPath]:
     """The rigorous paths of ``w`` that cut the string cone of type ``t``,
-    in path order, on one new diagram: every orientation of the plain
-    diagram in type A, orientations 1..n of the symplectic one in type C
-    (the mirrors give the same forms) and all 2n - 1 in type B."""
-    if t.family == "A":
-        d = build_diagram(w)
-        return [p for k in range(1, d.m) for p in enumerate_paths(orient(d, k))]
-    sd = build_symp_diagram(w)
-    if t.family == "C":
-        return list(all_symp_paths(sd))
-    return [p for u in range(1, 2 * sd.n) for p in enumerate_paths(OrientedDiagram(sd, u))]
+    in path order, on one new diagram (the symplectic one in types B and
+    C): orientations 1..n in type C (the mirrors give the same forms) and
+    all 1..m-1 otherwise."""
+    d = build_diagram(w) if t.family == "A" else build_symp_diagram(w)
+    top = d.n if t.family == "C" else d.m - 1
+    return [p for u in range(1, top + 1) for p in enumerate_paths(OrientedDiagram(d, u))]
 
 
 def _cone_entry(t: LieType, w: ReducedWord) -> dict:

@@ -12,13 +12,16 @@ Paths are stored as their full event list: every crossing transited, in
 travel order, tagged with whether the path switched wires there.  The node
 expression (switch crossings only) derives from the events; the wire
 expression and the peaks from the switches (`RigorousPath.switch_pairs`).
-The search runs once per orientation of a diagram: the base diagram keeps
-the sorted event tuples, never the paths, so a diagram and its paths form
-no reference cycle.  On symplectic diagrams the mirror of a path is its reflection in
-the wall, traversed backwards; a path with orientation ``n`` equal to its
-own mirror is symmetric.  The region a path encloses is a parity count
-over the diagram's wire arrangements, with no drawing coordinates; those
-serve only the SVG (`RigorousPath.polyline`).
+The search runs once per orientation of a diagram: the diagram keeps the
+sorted event tuples, never the paths, so a diagram and its paths form no
+reference cycle.  A symplectic diagram is the wiring diagram of its lifted
+word, so one search, one region count and one drawing serve both types,
+and a path names its wires through its diagram (`wire_name`).  On
+symplectic diagrams the mirror of a path is its reflection in the wall,
+traversed backwards; a path with orientation ``n`` equal to its own mirror
+is symmetric.  The region a path encloses is a parity count over the
+diagram's wire arrangements, with no drawing coordinates; those serve only
+the SVG (`RigorousPath.polyline`).
 
 The extension of a path with orientation at most ``n`` is read straight
 from its definition: of the paths of that orientation whose enclosed
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import OrientedDiagram, SympWiringDiagram, WiringDiagram, orient
+from .diagram import OrientedDiagram, SympWiringDiagram, orient
 from .weyl import ReducedWord
 
 __all__ = [
@@ -67,10 +70,6 @@ class RigorousPath:
         return self.oriented.diagram
 
     @property
-    def base(self) -> WiringDiagram:
-        return self.oriented.base
-
-    @property
     def k(self) -> int:
         return self.oriented.up_count
 
@@ -90,7 +89,7 @@ class RigorousPath:
         wire = self.k
         for j, switched in self.events:
             if switched:
-                nxt = self.base.node(j).other_wire(wire)
+                nxt = self.diagram.node(j).other_wire(wire)
                 out.append((j, wire, nxt))
                 wire = nxt
         return tuple(out)
@@ -102,10 +101,7 @@ class RigorousPath:
         return tuple(j for j, frm, to in self.switch_pairs if up(frm) and not up(to))
 
     def wires_by_name(self) -> tuple[str, ...]:
-        d = self.diagram
-        if isinstance(d, SympWiringDiagram):
-            return tuple(d.wire_name(w) for w in self.wire_seq)
-        return tuple(str(w) for w in self.wire_seq)
+        return tuple(map(self.diagram.wire_name, self.wire_seq))
 
     def stops(self) -> tuple:
         """'bottom', the visited crossings, 'bottom' - with the wire per leg."""
@@ -115,7 +111,7 @@ class RigorousPath:
         for j, switched in self.events:
             legs.append((wire, prev, j))
             if switched:
-                wire = self.base.node(j).other_wire(wire)
+                wire = self.diagram.node(j).other_wire(wire)
             prev = j
         legs.append((wire, prev, "bottom"))
         return tuple(legs)
@@ -123,7 +119,7 @@ class RigorousPath:
     def polyline(self) -> tuple[tuple[int, int], ...]:
         pts: list[tuple[int, int]] = []
         for wire, frm, to in self.stops():
-            seg = self.base.wire_slice(wire, frm, to)
+            seg = self.diagram.wire_slice(wire, frm, to)
             pts.extend(seg if not pts else seg[1:])
         return tuple(pts)
 
@@ -135,18 +131,18 @@ def enumerate_paths(d: OrientedDiagram) -> tuple[RigorousPath, ...]:
     """All rigorous paths on ``d``, sorted by their switch-node sequences.
 
     The depth-first search runs once per orientation of a diagram: its
-    sorted event tuples are kept in the base diagram's ``paths`` memo, keyed
-    by up count, and each call builds the paths from them.
+    sorted event tuples are kept in the diagram's ``paths`` memo, keyed by
+    up count, and each call builds the paths from them.
     """
-    base = d.base
-    if d.up_count not in base.paths:
-        base.paths[d.up_count] = _search(d)
-    return tuple(RigorousPath(d, events) for events in base.paths[d.up_count])
+    memo = d.diagram.paths
+    if d.up_count not in memo:
+        memo[d.up_count] = _search(d)
+    return tuple(RigorousPath(d, events) for events in memo[d.up_count])
 
 
 def _search(d: OrientedDiagram) -> tuple[tuple[tuple[int, bool], ...], ...]:
     """The event tuples of the rigorous paths on ``d``, sorted by switch nodes."""
-    base = d.base
+    diagram = d.diagram
     end_wire = d.up_count + 1
     out: list[tuple[tuple[int, bool], ...]] = []
     events: list[tuple[int, bool]] = []
@@ -159,21 +155,21 @@ def _search(d: OrientedDiagram) -> tuple[tuple[tuple[int, bool], ...], ...]:
             return
         if at in visited:
             return
-        node = base.node(at)
+        node = diagram.node(at)
         other = node.other_wire(wire)
         visited.add(at)
         same_direction = d.is_up(wire) == d.is_up(other)
         pass_ok = not same_direction or (wire > other if d.is_up(wire) else wire < other)
         if pass_ok:
             events.append((at, False))
-            run(wire, base.node_on_wire_after(wire, at, downward=not d.is_up(wire)))
+            run(wire, diagram.node_on_wire_after(wire, at, downward=not d.is_up(wire)))
             events.pop()
         events.append((at, True))
-        run(other, base.node_on_wire_after(other, at, downward=not d.is_up(other)))
+        run(other, diagram.node_on_wire_after(other, at, downward=not d.is_up(other)))
         events.pop()
         visited.remove(at)
 
-    run(d.up_count, base.first_node_on_wire(d.up_count, downward=False))
+    run(d.up_count, diagram.first_node_on_wire(d.up_count, downward=False))
     del run  # the closure refers to itself; the cycle would keep `out` until a GC pass
     out.sort(key=lambda evts: [j for j, switched in evts if switched])
     return tuple(out)
@@ -185,7 +181,7 @@ def enumerate_paths_naive(d: OrientedDiagram) -> tuple[RigorousPath, ...]:
     Walks are grown with no turning rule at all; the forbidden-fragment test
     runs as a separate postfilter over the finished walks.
     """
-    base = d.base
+    diagram = d.diagram
     end_wire = d.up_count + 1
     walks: list[tuple[tuple[int, bool], ...]] = []
     events: list[tuple[int, bool]] = []
@@ -199,17 +195,17 @@ def enumerate_paths_naive(d: OrientedDiagram) -> tuple[RigorousPath, ...]:
         if at in visited:
             return
         visited.add(at)
-        other = base.node(at).other_wire(wire)
+        other = diagram.node(at).other_wire(wire)
         for switched, nxt_wire in ((False, wire), (True, other)):
             events.append((at, switched))
-            grow(nxt_wire, base.node_on_wire_after(nxt_wire, at, downward=not d.is_up(nxt_wire)))
+            grow(nxt_wire, diagram.node_on_wire_after(nxt_wire, at, downward=not d.is_up(nxt_wire)))
             events.pop()
         visited.remove(at)
 
     def fragment_free(evts) -> bool:
         wire = d.up_count
         for j, switched in evts:
-            other = base.node(j).other_wire(wire)
+            other = diagram.node(j).other_wire(wire)
             if switched:
                 wire = other
                 continue
@@ -220,7 +216,7 @@ def enumerate_paths_naive(d: OrientedDiagram) -> tuple[RigorousPath, ...]:
                     return False
         return True
 
-    grow(d.up_count, base.first_node_on_wire(d.up_count, downward=False))
+    grow(d.up_count, diagram.first_node_on_wire(d.up_count, downward=False))
     paths = [RigorousPath(d, e) for e in walks if fragment_free(e)]
     paths.sort(key=lambda p: p.node_expression)
     return tuple(paths)
@@ -273,21 +269,21 @@ def enclosed_region(p: RigorousPath) -> frozenset[int]:
     right of the chamber there.  The chamber is enclosed when an odd number
     of legs meet that ray.
 
-    Kept in the base diagram's ``regions`` memo, keyed by start wire and
-    events, so it is freed with the diagram.
+    Kept in the diagram's ``regions`` memo, keyed by start wire and events,
+    so it is freed with the diagram.
     """
-    base = p.base
+    diagram = p.diagram
     key = (p.k, p.events)
-    if key not in base.regions:
-        bottom = base.length + 1
+    if key not in diagram.regions:
+        bottom = diagram.length + 1
         inside: set[int] = set()
         for wire, frm, to in p.stops():
             lo, hi = sorted(bottom if s == "bottom" else s for s in (frm, to))
             for j in range(lo, hi):
-                if base.arrangements[j].index(wire) >= base.node(j).column:
+                if diagram.arrangements[j].index(wire) >= diagram.node(j).column:
                     inside ^= {j}
-        base.regions[key] = frozenset(inside)
-    return base.regions[key]
+        diagram.regions[key] = frozenset(inside)
+    return diagram.regions[key]
 
 
 # -- extensions -------------------------------------------------------------
@@ -335,7 +331,7 @@ def _staircase_crossing(p: RigorousPath) -> tuple[int, int] | None:
         return None
     peak, j, top = rises[0]
     before = p.events[: p.events.index((peak, True))]
-    if any(max(p.base.node(v).wires) > p.k for v, _ in before):
+    if any(max(p.diagram.node(v).wires) > p.k for v, _ in before):
         return None
     return (j, top)
 

@@ -412,7 +412,7 @@ def _classification_checks(n: int) -> list[Check]:
 
 def _diagram_key(w: ReducedWord) -> tuple:
     """The symplectic wiring diagram of ``w``, compared as a set of crossings."""
-    return tuple(sorted((nd.wires, nd.column) for nd in build_symp_diagram(w).base.nodes))
+    return tuple(sorted((nd.wires, nd.column) for nd in build_symp_diagram(w).nodes))
 
 
 def simplicial_classification_up_to_diagram(n: int) -> list[Check]:

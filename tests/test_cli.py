@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from unittest import mock
@@ -158,6 +159,48 @@ def test_render_mirror_pair_symmetry():
     p = next(q for q in symp_paths(sd, 2) if q.wires_by_name() == ("2", "1", "2b"))
     svg = render_svg(sd, [p, mirror(p)])
     assert svg.count("stroke-width=\"4\"") == 2
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["A3", "1,2,1,3,2,1"], "c976575ae58ed8dd4775e2e5f860979612868b55538024b704aa07f259ec255a"),
+        (["C3", "1,2,3,1,2,3,1,2,3"], "acd07756ff0f930f080eece8351df24df82703039454f7badf6c0e03037e2738"),
+        (
+            ["C2", "2,1,2,1", "--highlight", "2,1b,1,2b"],
+            "6911ea8cbb58305a24349dfbd21706a3d9400612e42fd8e687ff39c3ca8e5cdc",
+        ),
+        (
+            ["B2", "1,2,1,2", "--highlight", "2b,1b"],
+            "a6c21f8f9bb127b56323870625c701b404389fc703bbe438f4ee6dea486fc7c3",
+        ),
+    ],
+)
+def test_render_output_is_byte_identical(tmp_path, argv, digest):
+    """The SVG bytes, pinned: a plain diagram, a wall with three wall nodes,
+    and a highlighted path with barred wires in types C and B."""
+    out = tmp_path / "d.svg"
+    assert run(["render", *argv, "-o", str(out)]).status == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["C3", "1,3,2,1,3,2,1,3,2"], "737f6096ebb1f733825238b7acfb53a04b69beaa85cbfb098ee8b7261109041b"),
+        (
+            ["C3", "1,3,2,1,3,2,1,3,2", "--irredundant"],
+            "1e7d5e4402c7c69b439d328a427353bf192b2a87f8255da5c1014a2874e11e22",
+        ),
+        (["A3", "1,2,1,3,2,1"], "486cb21f9b182214b174d7f71891fa753688630656a5811961e085300db0c476"),
+    ],
+)
+def test_cone_output_is_byte_identical(argv, digest):
+    """The JSON payload (keys in order) and the table of `cone`, pinned."""
+    res = run(["cone", *argv])
+    assert res.status == 0
+    text = json.dumps(res.payload, indent=2) + res.table
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_render_rejects_unknown_highlight(tmp_path):

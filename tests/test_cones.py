@@ -78,7 +78,7 @@ def test_functional_A_worked():
 
 def test_worked_functional_table():
     sd = build_symp_diagram(W("C2", "2,1,2,1"))
-    labels = [sd.label_str(a) for a in range(1, sd.base.length + 1)]
+    labels = [sd.label_str(a) for a in range(1, sd.length + 1)]
     assert labels == ["t1", "tbar2", "t2", "t3", "tbar4", "t4"]
     rows = {}
     for p in symp_paths(sd, 2):

@@ -8,8 +8,10 @@ A public module-level function or class, and a method or property of a
 package class, lives only while the program reads it outside its own
 definition: the package source or the benchmark harness, not the tests
 alone.  Dunder methods are called by the language and are exempt, and so
-are the public functions in `TEST_ONLY`.  The checks run on the standard
-library's `ast`.
+are the public functions in `TEST_ONLY`.  A dataclass field, and an
+attribute that an ``__init__`` sets on ``self``, lives only while the
+program reads it as an attribute; the fields in `UNREAD_FIELDS` are exempt.
+The checks run on the standard library's `ast`.
 """
 
 import ast
@@ -25,6 +27,11 @@ READERS = SOURCES + sorted(REPO.glob("perfbench/*.py"))  # the program, not its 
 TEST_ONLY = {
     "polyhedra.vrep_to_hrep": "the tests build polytopes from points with it (hulls, the rank oracle)",
     "polyhedra.normalized_volume": "the tests check the paper's polytopes against the closed-form volume",
+}
+
+# Fields that the program sets and never reads, each kept for a reason.
+UNREAD_FIELDS = {
+    "polyhedra.Unbounded.ray": "the witness of unboundedness, for the callers that catch the error",
 }
 
 
@@ -97,6 +104,49 @@ def dead_members(sources, readers) -> list[str]:
     return dead
 
 
+def _fields(cls: ast.ClassDef) -> set[str]:
+    """The fields of a dataclass and the attributes an ``__init__`` sets on ``self``."""
+    names = set()
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+        names |= {
+            s.target.id
+            for s in cls.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+        }
+    for member in cls.body:
+        if isinstance(member, ast.FunctionDef) and member.name == "__init__":
+            for node in ast.walk(member):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    names.add(node.attr)
+    return names
+
+
+def dead_fields(sources, readers) -> list[str]:
+    """``module.Class.field`` for each dataclass field, or attribute set on
+    ``self`` by an ``__init__``, of a class in ``sources`` that no file of
+    ``readers`` reads as an attribute."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in {*sources, *readers}}
+    read = {
+        node.attr
+        for path in readers
+        for node in ast.walk(trees[path])
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{path.stem}.{cls.name}.{name}"
+        for path in sources
+        for cls in ast.walk(trees[path])
+        if isinstance(cls, ast.ClassDef)
+        for name in sorted(_fields(cls) - read)
+    ]
+
+
 def test_the_check_sees_a_dead_helper(tmp_path):
     (tmp_path / "a.py").write_text(
         "def _dead():\n    return _dead()\n\n"
@@ -138,6 +188,21 @@ def test_the_check_sees_a_dead_public_name(tmp_path):
     assert dead_public([source], [source]) == ["a.Dead", "a.read_in_test"]
 
 
+def test_the_check_sees_a_dead_field(tmp_path):
+    source = tmp_path / "a.py"
+    source.write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass D:\n    used: int\n    unread: int\n\n"
+        "@dataclass\nclass E:\n    only_in_test: int\n\n"
+        "class P:\n    def __init__(self, d):\n        self.kept = d.used\n        self.dropped = 0\n\n"
+        "    def total(self):\n        return self.kept\n"
+    )
+    test = tmp_path / "test_a.py"
+    test.write_text("from a import E\n\nE(1).only_in_test\n")
+    assert dead_fields([source], [source, test]) == ["a.D.unread", "a.P.dropped"]
+    assert dead_fields([source], [source]) == ["a.D.unread", "a.E.only_in_test", "a.P.dropped"]
+
+
 def test_every_private_function_is_used():
     assert not dead_helpers(SOURCES), "private functions that nothing calls"
 
@@ -148,3 +213,7 @@ def test_every_method_and_property_is_read():
 
 def test_every_public_function_and_class_is_read():
     assert sorted(dead_public(SOURCES, READERS)) == sorted(TEST_ONLY), "public names that only the tests read"
+
+
+def test_every_field_is_read():
+    assert sorted(dead_fields(SOURCES, READERS)) == sorted(UNREAD_FIELDS), "fields that only the tests read"

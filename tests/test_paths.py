@@ -130,7 +130,7 @@ def polygon_region(p):
     """The earlier region code, kept as the oracle: close the drawn path
     along the bottom and run the even-odd test with a horizontal ray from a
     point just below each crossing centre."""
-    base = p.base
+    base = p.diagram
     poly = list(p.polyline())
     poly.extend([(poly[-1][0], -2), (poly[0][0], -2)])
 
@@ -175,7 +175,7 @@ def test_enclosed_regions_are_freed_with_their_diagram():
         extended = [extension(p) for p in all_symp_paths(sd)]
         canonical = canonical_paths(sd)
         assert len(regions) == len(extended) and len(canonical) == 5
-        diagram = weakref.ref(sd.base)
+        diagram = weakref.ref(sd)
         del sd, extended, canonical
         assert diagram() is None
     finally:
@@ -271,7 +271,7 @@ def canonical_paths_by_rescan(sd):
         return base.arrangements[level].index(wire) + 1
 
     def below_wire(path, wire):
-        base = sd.base
+        base = sd
         for v in (j for j, _ in path.events):
             node = base.node(v)
             if wire in node.wires:
@@ -289,7 +289,7 @@ def canonical_paths_by_rescan(sd):
         return all(a > b for a, b in zip(seq, seq[1:]))
 
     def lift_path(j, by_orientation):
-        base = sd.base
+        base = sd
         top_wire = 2 * sd.n
         peak = next(nd.index for nd in base.nodes if nd.wires == (j, top_wire))
         found = []
