@@ -200,12 +200,10 @@ def _cmd_words(args) -> CommandResult:
 def _cmd_paths(args) -> CommandResult:
     w = ReducedWord.parse(args.type, args.word)
     paths = [p for (p,) in string_cone(w.lie_type, w).paths]
-    if args.k is not None:
-        top = 2 * w.rank - 1 if w.lie_type.family == "B" else w.rank
-        labels = {str(u): u for u in range(1, top + 1)}  # and the barred ones `k_display` prints
-        labels.update({f"{2 * w.rank + 1 - u}b": u for u in range(w.rank + 1, top + 1)})
+    if args.k is not None:  # an up count, or the label `k_display` prints for it
+        labels = {label: p.k for p in paths for label in (str(p.k), p.oriented.k_display)}
         if args.k not in labels:
-            raise ValueError(f"orientation index {args.k} out of range 1..{top}")
+            raise ValueError(f"orientation index {args.k} out of range 1..{max(labels.values())}")
         paths = [p for p in paths if p.k == labels[args.k]]
     payload = {"type": str(w.lie_type), "word": str(w), "paths": [path_json(p) for p in paths]}
     lines = [

@@ -118,9 +118,9 @@ class WiringDiagram:
             return seq[k + 1] if k + 1 < len(seq) else None
         return seq[k - 1] if k > 0 else None
 
-    def first_node_on_wire(self, wire: int, downward: bool) -> int:
-        seq = self.wire_nodes[wire]
-        return seq[0] if downward else seq[-1]
+    def first_node_on_wire(self, wire: int) -> int:
+        """The lowest node on ``wire``, the first one a path up from the bottom meets."""
+        return self.wire_nodes[wire][-1]
 
     # -- names --------------------------------------------------------------
 
@@ -165,20 +165,10 @@ class WiringDiagram:
         return self._wire_polylines[wire]
 
     def wire_slice(self, wire: int, frm, to) -> tuple[tuple[int, int], ...]:
-        """Polyline along ``wire`` between node indices or 'top'/'bottom'."""
+        """Polyline along ``wire`` between node indices or 'bottom'."""
         pts = self._wire_polylines[wire]
-        index = {}
-        for k, p in enumerate(pts):
-            index[p] = k
-
-        def locate(spot) -> int:
-            if spot == "top":
-                return 0
-            if spot == "bottom":
-                return len(pts) - 1
-            return index[self.node_center(spot)]
-
-        a, b = locate(frm), locate(to)
+        a, b = (len(pts) - 1 if s == "bottom" else pts.index(self.node_center(s))
+                for s in (frm, to))
         if a <= b:
             return pts[a : b + 1]
         return tuple(reversed(pts[b : a + 1]))
@@ -199,7 +189,6 @@ class ChamberStructure:
     same-column boundary nodes, -1 on the others.
     """
 
-    diagram: WiringDiagram
     phi_rows: tuple[tuple[int, ...], ...]
 
     @cached_property
@@ -225,7 +214,7 @@ def chamber_structure(d: WiringDiagram) -> ChamberStructure:
             if abs(columns[k - 1] - c) == 1:
                 row[k - 1] = -1
         rows.append(tuple(row))
-    return ChamberStructure(d, tuple(rows))
+    return ChamberStructure(tuple(rows))
 
 
 class SympWiringDiagram(WiringDiagram):

@@ -169,7 +169,7 @@ def _search(d: OrientedDiagram) -> tuple[tuple[tuple[int, bool], ...], ...]:
         events.pop()
         visited.remove(at)
 
-    run(d.up_count, diagram.first_node_on_wire(d.up_count, downward=False))
+    run(d.up_count, diagram.first_node_on_wire(d.up_count))
     del run  # the closure refers to itself; the cycle would keep `out` until a GC pass
     out.sort(key=lambda evts: [j for j, switched in evts if switched])
     return tuple(out)
@@ -216,7 +216,7 @@ def enumerate_paths_naive(d: OrientedDiagram) -> tuple[RigorousPath, ...]:
                     return False
         return True
 
-    grow(d.up_count, diagram.first_node_on_wire(d.up_count, downward=False))
+    grow(d.up_count, diagram.first_node_on_wire(d.up_count))
     paths = [RigorousPath(d, e) for e in walks if fragment_free(e)]
     paths.sort(key=lambda p: p.node_expression)
     return tuple(paths)

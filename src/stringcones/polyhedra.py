@@ -996,7 +996,8 @@ class EquivalenceResult:
     shift: tuple[int, ...] | None = None
     witness: str | None = None
     # the stage that settled the verdict: "dimension", "vertices", "facet sizes",
-    # "integrality", "search", "budget", "no-simple-vertex" or "lower-dimensional"
+    # "integrality", "search", "budget", "no-simple-vertex" or "lower-dimensional";
+    # `polytopes.verify_gt_theorem` adds "facet count", its pre-filter
     decided_by: str = field(kw_only=True)
 
 

@@ -39,6 +39,12 @@ every sequence: ``k P_lambda`` holds ``dim V(k lambda)`` lattice points, a
 polynomial of degree N in k.  Every word and weight read their rows this
 way, a word alone in its class included; a non-regular weight takes an
 entry in the same bounded class cache but shares no minimal rows.
+
+`verify_gt_theorem` reproduces the paper's classification: at rho, exactly
+the nested word's string polytope is unimodularly equivalent to the
+pattern polytope.  Its report pairs every word with the
+`EquivalenceResult` that decided it, the search's own or, for a word whose
+polytope has the wrong facet count, one decided by "facet count".
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import class_polytope_rows
-from .polyhedra import HRep, remove_redundant, search_unimodular_equivalence
+from .polyhedra import EquivalenceResult, HRep, remove_redundant, search_unimodular_equivalence
 from .weyl import (
     LieType,
     ReducedWord,
@@ -62,7 +68,6 @@ __all__ = [
     "polytope_facet_count",
     "gt_coordinate_names",
     "gt_polytope_C",
-    "GTComparison",
     "GTReport",
     "verify_gt_theorem",
 ]
@@ -186,63 +191,45 @@ def gt_polytope_C(lam: Weight, n: int) -> HRep:
 
 
 @dataclass(frozen=True)
-class GTComparison:
-    word: ReducedWord
-    status: str  # "equivalent" | "refuted" | "unresolved"
-    witness: str | None
-    matrix: tuple[tuple[int, ...], ...] | None = None
-    shift: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
 class GTReport:
     n: int
-    comparisons: tuple[GTComparison, ...]
+    comparisons: tuple[tuple[ReducedWord, EquivalenceResult], ...]  # in enumeration order
     gt: HRep  # the pattern polytope at rho every word was compared with
 
-    @property
-    def equivalent_words(self) -> tuple[ReducedWord, ...]:
-        return tuple(c.word for c in self.comparisons if c.status == "equivalent")
-
     def ok(self) -> bool:
-        """Exactly the nested word is equivalent, and every other word is refuted."""
-        if any(c.status == "unresolved" for c in self.comparisons):
+        """Exactly the nested word is equivalent, and every other word is inequivalent."""
+        if any(v.status == "unknown" for _, v in self.comparisons):
             return False
-        expected = gt_adapted_word(self.n)
-        return tuple(str(w) for w in self.equivalent_words) == (str(expected),)
+        hits = [str(w) for w, v in self.comparisons if v.status == "equivalent"]
+        return hits == [str(gt_adapted_word(self.n))]
 
 
-def verify_gt_theorem(n: int, budget: int = 100_000) -> GTReport:
+def verify_gt_theorem(n: int) -> GTReport:
     """Compare every rank-n string polytope at rho with the Gelfand-Tsetlin
     polytope; exactly the nested word should survive.
 
-    Words whose polytopes have the wrong facet count are refuted outright.
+    Each word gets one `EquivalenceResult`.  Words whose polytopes have the
+    wrong facet count are inequivalent outright, decided by "facet count".
     The rest go to `search_unimodular_equivalence`, which compares
     dimension, vertex count, facet sizes and integrality from the two
     incidence tables and then runs its anchored map search.  The search is
     complete (any lattice map sends the anchor's edge star to one of the
     edge stars it tries), so its exhaustion refutes the word; only a spent
-    budget or a polytope without simple vertex leaves it "unresolved",
-    which is no refutation.
+    budget or a polytope without simple vertex leaves it "unknown", which
+    is no refutation.
     """
     t = LieType("C", n)
     rho = Weight.rho(t)
     gt = gt_polytope_C(rho, n)
     gt_facets = len(remove_redundant(gt).rows)
-    out: list[GTComparison] = []
+    out = []
     for w in enumerate_reduced_words(t):
         poly = string_polytope(w, rho)
         facets = len(remove_redundant(poly).rows)
         if facets != gt_facets:
-            out.append(
-                GTComparison(w, "refuted", f"facet count {facets} != {gt_facets}")
-            )
-            continue
-        verdict = search_unimodular_equivalence(poly, gt, budget=budget)
-        if verdict.status == "equivalent":
-            out.append(GTComparison(w, "equivalent", None, verdict.matrix, verdict.shift))
-        elif verdict.status == "inequivalent":
-            out.append(GTComparison(w, "refuted", verdict.witness))
+            witness = f"facet count {facets} != {gt_facets}"
+            verdict = EquivalenceResult("inequivalent", witness=witness, decided_by="facet count")
         else:
-            out.append(GTComparison(w, "unresolved", verdict.witness))
+            verdict = search_unimodular_equivalence(poly, gt)
+        out.append((w, verdict))
     return GTReport(n, tuple(out), gt)

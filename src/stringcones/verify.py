@@ -448,12 +448,10 @@ def polytope_facet_identity(n: int) -> list[Check]:
     return out
 
 
-def f_vectors(gt3: polyhedra.HRep | None = None) -> list[Check]:
-    """Criterion 6: the rank-3 f-vectors at rho.  The battery passes in the
-    pattern polytope its rank-3 report built, whose face lattice it keeps."""
+def f_vectors() -> list[Check]:
+    """Criterion 6: the rank-3 f-vectors at rho."""
     rho = Weight.rho(LieType("C", 3))
-    if gt3 is None:
-        gt3 = polytopes.gt_polytope_C(rho, 3)
+    gt3 = polytopes.gt_polytope_C(rho, 3)
     dj3 = polytopes.string_polytope(braid_variant_word(3), rho)
     return [
         _eq("pattern polytope f-vector", polyhedra.f_vector(gt3), F_VECTOR_GT3),
@@ -487,20 +485,20 @@ def gt_equivalence(n: int, reports: dict | None = None) -> list[Check]:
         reports = {m: polytopes.verify_gt_theorem(m) for m in range(2, n + 1)}
     out = []
     for m, res in sorted(reports.items()):
-        hits = [c for c in res.comparisons if c.status == "equivalent"]
+        hits = [(w, v) for w, v in res.comparisons if v.status == "equivalent"]
         out.append(_true(f"rank-{m} pattern equivalence exactly at the nested word",
-                         res.ok(), str([(str(c.word), c.status) for c in hits])))
+                         res.ok(), str([(str(w), v.status) for w, v in hits])))
         mapped = bool(hits) and all(
-            c.matrix is not None
+            v.matrix is not None
             and polyhedra.verify_unimodular_map(
-                polytopes.string_polytope(c.word, Weight.rho(LieType("C", m))),
-                res.gt, c.matrix, c.shift)
-            for c in hits
+                polytopes.string_polytope(w, Weight.rho(LieType("C", m))),
+                res.gt, v.matrix, v.shift)
+            for w, v in hits
         )
         out.append(_true(f"rank-{m} certified map passes verify_unimodular_map", mapped))
-        refuted = [c for c in res.comparisons if c.status == "refuted"]
+        refuted = [v for _, v in res.comparisons if v.status == "inequivalent"]
         out.append(_eq(f"rank-{m} other words refuted, each with a witness",
-                       (len(refuted), all(c.witness for c in refuted)),
+                       (len(refuted), all(v.witness for v in refuted)),
                        (count_reduced_words(LieType("C", m)) - 1, True)))
     return out
 
@@ -530,7 +528,7 @@ def _polytope_checks(n: int) -> list[Check]:
         dj3 = polytopes.string_polytope(braid_variant_word(3), Weight.rho(LieType("C", 3)))
         out.append(_eq("rank-3 pattern polytope facet count",
                        len(polyhedra.remove_redundant(gt3).rows), 18))
-        out += f_vectors(gt3)
+        out += f_vectors()
         out.append(_true("pattern polytope integral, braid variant not",
                          polyhedra.integrality(gt3)[0] and not polyhedra.integrality(dj3)[0]))
     out += polytope_facet_identity(n)

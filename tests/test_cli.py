@@ -69,6 +69,29 @@ def test_paths_of_type_b_take_the_printed_barred_label():
         assert res.payload == {"error": f"orientation index {label} out of range 1..{top}"}
 
 
+@pytest.mark.parametrize("type_text", ["A3", "B2", "B3", "C2", "C3"])
+def test_paths_k_accepts_exactly_the_printed_labels_and_the_up_counts(type_text):
+    """`--k` takes each label `paths` prints under `k`, selecting the paths
+    printed under it, and each up count 1..top, one orientation per count in
+    listing order; every other label is refused, naming the range."""
+    for w in enumerate_reduced_words(LieType.parse(type_text)):
+        listed = run(["paths", type_text, str(w)]).payload["paths"]
+        printed = list(dict.fromkeys(p["k"] for p in listed))
+        top = len(printed)  # every orientation has paths
+        for label in printed:
+            chosen = run(["paths", type_text, str(w), "--k", label]).payload["paths"]
+            assert chosen == [p for p in listed if p["k"] == label], (w, label)
+        by_count = [run(["paths", type_text, str(w), "--k", str(u)]).payload["paths"]
+                    for u in range(1, top + 1)]
+        assert [len({p["k"] for p in sel}) for sel in by_count] == [1] * top, w
+        assert [p for sel in by_count for p in sel] == listed, w
+        tried = {f"{u}{bar}" for u in range(top + 2) for bar in ("", "b")}
+        for label in tried - set(printed) - {str(u) for u in range(1, top + 1)}:
+            res = run(["paths", type_text, str(w), "--k", label])
+            assert res.status == 2
+            assert res.payload == {"error": f"orientation index {label} out of range 1..{top}"}
+
+
 @pytest.mark.parametrize(
     "type_text,word,top", [("A3", "1,2,1,3,2,1", 3), ("B2", "2,1,2,1", 3), ("C2", "2,1,2,1", 2)]
 )
@@ -201,6 +224,32 @@ def test_cone_output_is_byte_identical(argv, digest):
     assert res.status == 0
     text = json.dumps(res.payload, indent=2) + res.table
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "n, rows, table_digest, payload_digest",
+    [
+        (
+            "2", 73,
+            "2eeea8321d793401070f8913effa5c05e6c78985ba5b694b82f5e93336455eed",
+            "de707fda07289a3ec8127f1e3cbaa7ced9f114e7b5048679e87ababbaffa72c5",
+        ),
+        (
+            "3", 90,
+            "60fee7b11040738ccdd3bc12adfd8ac5aff7b37802d1bbf409239a749b45e543",
+            "b58c0a6c9a647b461e79d5ed1a80ed78e86701b044e450ef93dba252e50bbee2",
+        ),
+    ],
+)
+def test_verify_paper_output_is_byte_identical(n, rows, table_digest, payload_digest):
+    """The battery's table and JSON payload, pinned: a change to any row's
+    name, verdict or detail shows here."""
+    res = run(["verify-paper", "--n", n])
+    assert res.status == 0
+    assert len(res.payload["checks"]) == rows
+    assert hashlib.sha256(res.table.encode()).hexdigest() == table_digest
+    payload = json.dumps(res.payload, indent=2)
+    assert hashlib.sha256(payload.encode()).hexdigest() == payload_digest
 
 
 def test_render_rejects_unknown_highlight(tmp_path):

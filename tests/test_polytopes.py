@@ -213,14 +213,28 @@ def test_verify_gt_theorem_rank2():
     report = verify_gt_theorem(2)
     assert report.ok()
     assert report.gt == gt_polytope_C(Weight.rho(LieType("C", 2)), 2)
-    assert [str(w) for w in report.equivalent_words] == ["2,1,2,1"]
-    refuted = {str(c.word): c.witness for c in report.comparisons if c.status == "refuted"}
+    assert [str(w) for w, v in report.comparisons if v.status == "equivalent"] == ["2,1,2,1"]
+    refuted = {str(w): v.witness for w, v in report.comparisons if v.status == "inequivalent"}
     assert "1,2,1,2" in refuted
+
+
+@pytest.mark.parametrize("n, stages", [
+    (2, {("inequivalent", "integrality"): 1, ("equivalent", "search"): 1}),
+    (3, {("inequivalent", "facet count"): 39, ("inequivalent", "vertices"): 2,
+         ("equivalent", "search"): 1}),
+])
+def test_gt_report_holds_one_search_verdict_per_word(n, stages):
+    """Every word's verdict is the search's `EquivalenceResult`, the facet-count
+    pre-filter included, and names the stage that decided it."""
+    report = verify_gt_theorem(n)
+    assert [w for w, _ in report.comparisons] == list(enumerate_reduced_words(LieType("C", n)))
+    assert all(type(v) is polyhedra.EquivalenceResult for _, v in report.comparisons)
+    assert Counter((v.status, v.decided_by) for _, v in report.comparisons) == stages
 
 
 def test_an_unresolved_comparison_is_no_refutation(monkeypatch):
     """A search that runs out of budget decides nothing: the word is
-    "unresolved", the report is not ok and criterion 8 fails a row."""
+    "unknown", the report is not ok and criterion 8 fails a row."""
     search = polyhedra.search_unimodular_equivalence
     other = W("C2", "1,2,1,2")
     poly_rows = string_polytope(other, Weight.rho(LieType("C", 2))).rows
@@ -234,9 +248,9 @@ def test_an_unresolved_comparison_is_no_refutation(monkeypatch):
 
     monkeypatch.setattr(polytopes, "search_unimodular_equivalence", spent_on_the_other_word)
     report = verify_gt_theorem(2)
-    assert {str(c.word): c.status for c in report.comparisons} == {
+    assert {str(w): v.status for w, v in report.comparisons} == {
         "2,1,2,1": "equivalent",
-        "1,2,1,2": "unresolved",
+        "1,2,1,2": "unknown",
     }
     assert not report.ok()
     assert not all(ok for _, ok, _ in verify.gt_equivalence(2))
