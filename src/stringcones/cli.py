@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polyhedra, polytopes
-from .cones import irredundant_facets, string_cone
+from .cones import irredundant_facets, rigorous_paths, string_cone
 from .diagram import SympWiringDiagram, WiringDiagram, build_diagram, build_symp_diagram
 from .paths import RigorousPath, path_json
 from .verify import paper_checks
@@ -178,7 +179,7 @@ def render_svg(d: WiringDiagram, highlights=()) -> str:
 
 def _find_path(w: ReducedWord, names: list[str]) -> RigorousPath:
     wanted = tuple(names)
-    for (p,) in string_cone(w.lie_type, w).paths:
+    for p in rigorous_paths(w.lie_type, w):
         if p.wires_by_name() == wanted:
             return p
     raise ValueError(f"no rigorous path with wire expression {' -> '.join(names)}")
@@ -199,7 +200,7 @@ def _cmd_words(args) -> CommandResult:
 
 def _cmd_paths(args) -> CommandResult:
     w = ReducedWord.parse(args.type, args.word)
-    paths = [p for (p,) in string_cone(w.lie_type, w).paths]
+    paths = rigorous_paths(w.lie_type, w)
     if args.k is not None:  # an up count, or the label `k_display` prints for it
         labels = {label: p.k for p in paths for label in (str(p.k), p.oriented.k_display)}
         if args.k not in labels:
@@ -222,16 +223,16 @@ def _cmd_cone(args) -> CommandResult:
     if args.irredundant:
         payload.update(facets=pretty, facet_count=len(pretty), simplicial=len(pretty) == cone.dim)
         lines = [f"{len(pretty)} facets:"] + [f"  {s} >= 0" for s in pretty]
-    else:  # one path per form
+    else:  # one form per rigorous path, in path order
         payload["inequalities"] = pretty
         lines = [f"{len(pretty)} path inequalities:"]
-        lines += [f"  {s} >= 0   ({p})" for s, (p,) in zip(pretty, cone.paths)]
+        lines += [f"  {s} >= 0   ({p})" for s, p in zip(pretty, rigorous_paths(t, w), strict=True)]
     return CommandResult("cone", payload, "\n".join(lines), 0)
 
 
 def _full_polytope_payload(h: polyhedra.HRep) -> dict:
-    vrep = polyhedra.to_vrep(h, bounded_expected=True)
-    integral, _ = polyhedra.integrality(h)
+    integral, _ = polyhedra.integrality(h)  # an unbounded polytope raises here
+    vrep = polyhedra.to_vrep(h)
     return {
         "vrep": {
             "vertices": [[_frac_json(x) for x in v] for v in vrep.vertices],
@@ -436,10 +437,15 @@ def main() -> None:
     result = run(argv)
     if result.command == "usage":
         sys.exit(result.status)
-    if "--json" in argv:
-        print(json.dumps(result.payload, indent=2))
-    elif result.table:
-        print(result.table)
+    try:
+        if "--json" in argv:
+            print(json.dumps(result.payload, indent=2))
+        elif result.table:
+            print(result.table)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed the pipe, as `| head` does
+        # send what is left unwritten to devnull, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(result.status)
 
 

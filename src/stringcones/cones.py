@@ -32,11 +32,12 @@ fills its cone entry (`_cone_entry`): integer forms in heap coordinates,
 one per rigorous path in path order, and the merged forms.  Every word
 then reads its cone by relabelling coordinates (`_relabelling`, one
 `operator.itemgetter` step per form), with no diagram, no path enumeration
-and no sort; `HRepCone.paths` enumerates the word's own paths when first
-read.  `irredundant_facets` keeps the indices of the facets among the
+and no sort.  A cone is its forms alone; `rigorous_paths` lists a word's
+paths, one per raw form and in the same order, for the callers that show
+them.  `irredundant_facets` keeps the indices of the facets among the
 merged forms in the entry, written by `polyhedra.remove_redundant` as a
-polytope's are, so its LP runs once per class.  A string
-polytope at a regular weight keys on the normal form and the weight
+polytope's are, so its LP runs once per class.  A string polytope at a
+regular weight keys on the normal form and the weight
 (`class_polytope_rows`): its entry keeps the polytope's row sequence in
 heap coordinates, the merged cone rows and then the weight rows in heap
 order (`heap_order`, see `polytopes`), and the indices of its facet rows
@@ -47,9 +48,8 @@ All relabelling happens here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable
 
 from . import polyhedra
 from ._linalg import primitive as polyhedra_primitive
@@ -66,6 +66,7 @@ __all__ = [
     "functional_C_unhalved",
     "functional_B",
     "fold_maps",
+    "rigorous_paths",
     "string_cone",
     "irredundant_facets",
     "facet_count",
@@ -89,14 +90,13 @@ class LinForm:
     def dim(self) -> int:
         return len(self.coeffs)
 
-    def pretty(self, labels: Iterable[str] | None = None) -> str:
-        names = list(labels) if labels is not None else [f"a{i+1}" for i in range(self.dim)]
+    def pretty(self) -> str:
         parts: list[str] = []
-        for c, name in zip(self.coeffs, names):
+        for i, c in enumerate(self.coeffs, 1):
             if c == 0:
                 continue
             mag = abs(c)
-            term = name if mag == 1 else f"{mag}*{name}"
+            term = f"a{i}" if mag == 1 else f"{mag}*a{i}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:
@@ -121,26 +121,20 @@ def functional_A(p: RigorousPath) -> LinForm:
 class FoldMaps:
     """The linear maps tying the folded coordinates to the lifted ones.
 
-    ``expand`` repeats the coordinate of each letter once per twin crossing
-    (the slice embedding), ``collapse`` sums each twin group (the quotient
-    projection), and the two ``double_*`` maps scale by the per-letter
-    multiplicities; composing the two scalings gives multiplication by 2.
+    ``groups`` lists the lifted coordinates of each letter, one per twin
+    crossing: two away from the wall, one on it.  ``expand`` repeats the
+    coordinate of each letter once per twin crossing (the slice embedding),
+    ``collapse`` sums each twin group (the quotient projection),
+    ``double_bc`` scales each letter by its twin-crossing count and
+    ``double_cb`` by 3 minus it; composing the two scalings gives
+    multiplication by 2.
     """
 
-    word: ReducedWord
     groups: tuple[tuple[int, ...], ...]  # lifted coordinate indices per letter, 0-based
-    wall_letters: tuple[bool, ...]
 
     @property
     def n_lifted(self) -> int:
         return sum(len(g) for g in self.groups)
-
-    def multiplicities(self) -> tuple[int, ...]:
-        """Twin-crossing counts per letter: 2 away from the wall, 1 on it."""
-        return tuple(1 if wall else 2 for wall in self.wall_letters)
-
-    def co_multiplicities(self) -> tuple[int, ...]:
-        return tuple(2 if wall else 1 for wall in self.wall_letters)
 
     def expand(self, vec):
         out = [0] * self.n_lifted
@@ -153,10 +147,10 @@ class FoldMaps:
         return tuple(sum(vec[t] for t in group) for group in self.groups)
 
     def double_bc(self, vec):
-        return tuple(m * x for m, x in zip(self.multiplicities(), vec))
+        return tuple(len(g) * x for g, x in zip(self.groups, vec))
 
     def double_cb(self, vec):
-        return tuple(m * x for m, x in zip(self.co_multiplicities(), vec))
+        return tuple((3 - len(g)) * x for g, x in zip(self.groups, vec))
 
 
 def fold_maps(w: ReducedWord) -> FoldMaps:
@@ -164,18 +158,15 @@ def fold_maps(w: ReducedWord) -> FoldMaps:
         raise ValueError("fold maps exist for type-B/C words only")
     n = w.rank
     groups: list[tuple[int, ...]] = []
-    walls: list[bool] = []
     t = 0
     for x in w.letters:
         if x == n:
             groups.append((t,))
-            walls.append(True)
             t += 1
         else:
             groups.append((t, t + 1))
-            walls.append(False)
             t += 2
-    return FoldMaps(w, tuple(groups), tuple(walls))
+    return FoldMaps(tuple(groups))
 
 
 def functional_C_unhalved(p: RigorousPath) -> LinForm:
@@ -213,31 +204,10 @@ def functional_B(p: RigorousPath) -> LinForm:
 
 @dataclass(frozen=True)
 class HRepCone:
-    """A cone given by ``form >= 0`` constraints.
+    """A cone given by ``form >= 0`` constraints."""
 
-    ``merged`` says whether forms that agree up to positive scaling were
-    merged (a deduplicated or pruned cone) or each form is one path's.
-    """
-
-    lie_type: LieType
-    word: ReducedWord
     dim: int
     forms: tuple[LinForm, ...]
-    merged: bool
-
-    @cached_property
-    def paths(self) -> tuple[tuple[RigorousPath, ...], ...]:
-        """Per form, all its generating rigorous paths, enumerated on one
-        new diagram of the word when first read; a merged cone groups them
-        by the primitive of the entry's raw form at the same path index."""
-        found = _rigorous_paths(self.lie_type, self.word)
-        if not self.merged:
-            return tuple((p,) for p in found)
-        relabel, raw = _relabelling(self.word), _cone_entry(self.lie_type, self.word)["raw"]
-        by_form: dict[tuple[int, ...], list[RigorousPath]] = {}
-        for p, form in zip(found, raw, strict=True):
-            by_form.setdefault(polyhedra_primitive(relabel(form)), []).append(p)
-        return tuple(tuple(by_form[f.coeffs]) for f in self.forms)
 
     def to_hrep(self) -> polyhedra.HRep:
         return polyhedra.HRep(
@@ -256,11 +226,21 @@ def _inverse(perm) -> list[int]:
     return out
 
 
-def _rigorous_paths(t: LieType, w: ReducedWord) -> list[RigorousPath]:
+def _check_types(t: LieType, w: ReducedWord) -> None:
+    """Refuse a word that has no string cone of type ``t``."""
+    if t.rank != w.rank:
+        raise ValueError(f"rank mismatch: cone type {t}, word of rank {w.rank}")
+    if t.family == "A" and w.lie_type.family != "A":
+        raise ValueError("type-A cones need a type-A word")
+
+
+def rigorous_paths(t: LieType, w: ReducedWord) -> list[RigorousPath]:
     """The rigorous paths of ``w`` that cut the string cone of type ``t``,
     in path order, on one new diagram (the symplectic one in types B and
     C): orientations 1..n in type C (the mirrors give the same forms) and
-    all 1..m-1 otherwise."""
+    all 1..m-1 otherwise.  The raw `string_cone` lists the form of each,
+    in the same order."""
+    _check_types(t, w)
     d = build_diagram(w) if t.family == "A" else build_symp_diagram(w)
     top = d.n if t.family == "C" else d.m - 1
     return [p for u in range(1, top + 1) for p in enumerate_paths(OrientedDiagram(d, u))]
@@ -273,17 +253,14 @@ def _cone_entry(t: LieType, w: ReducedWord) -> dict:
     ``entry["merged"]`` the first copies of the forms up to positive
     scaling, with content 1; both in heap coordinates.
     """
-    if t.rank != w.rank:
-        raise ValueError(f"rank mismatch: cone type {t}, word of rank {w.rank}")
-    if t.family == "A" and w.lie_type.family != "A":
-        raise ValueError("type-A cones need a type-A word")
+    _check_types(t, w)
     entry = class_entry(t, w)
     if "raw" not in entry:
         functional = _FUNCTIONALS[t.family]
         at = _inverse(heap_coordinates(w))  # the position of each heap coordinate
         raw = tuple(
             tuple([form[j] for j in at])
-            for form in (functional(p).coeffs for p in _rigorous_paths(t, w))
+            for form in (functional(p).coeffs for p in rigorous_paths(t, w))
         )
         entry["raw"] = raw
         entry["merged"] = tuple(dict.fromkeys(map(polyhedra_primitive, raw)))
@@ -301,14 +278,14 @@ def string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) -> HRepCo
     """All string inequalities of a reduced word, one per rigorous path.
 
     The list is complete but possibly redundant; with ``deduplicate`` the
-    forms that agree up to positive scaling are merged (keeping content 1
-    and every source path).  The first word of a commutation class fills
-    the class entry (see the module docstring); every word reads its cone
-    from there by relabelling coordinates.
+    forms that agree up to positive scaling are merged (keeping content 1).
+    The first word of a commutation class fills the class entry (see the
+    module docstring); every word reads its cone from there by relabelling
+    coordinates.
     """
     forms = _cone_entry(t, w)["merged" if deduplicate else "raw"]
     relabel = _relabelling(w)
-    return HRepCone(t, w, len(w.letters), tuple([LinForm(relabel(f)) for f in forms]), deduplicate)
+    return HRepCone(len(w.letters), tuple([LinForm(relabel(f)) for f in forms]))
 
 
 # C4 and B4 have 330 commutation classes each; a class may hold a cone entry
@@ -383,7 +360,7 @@ def irredundant_facets(t: LieType, w: ReducedWord) -> tuple[HRepCone, int]:
         h.share(entry)
         polyhedra.remove_redundant(h)
     forms = tuple([LinForm(relabel(merged[i])) for i in entry["minimal"]])
-    return HRepCone(t, w, dim, forms, True), len(forms)
+    return HRepCone(dim, forms), len(forms)
 
 
 def facet_count(t: LieType, w: ReducedWord) -> int:

@@ -661,18 +661,16 @@ def _adjacent(common, i, j, zsets) -> bool:
     return not any(k != i and k != j and common & z == common for k, z in enumerate(zsets))
 
 
-def to_vrep(h: HRep, bounded_expected: bool = False) -> VRep:
+def to_vrep(h: HRep) -> VRep:
     """Exact vertex/ray representation.
 
     Cones (all right-hand sides zero) yield their apex and extreme rays;
     other inputs are homogenized.  An empty system has no vertex and no
     ray.  A non-empty system containing a line raises `Unbounded` carrying
-    the line's direction.  With ``bounded_expected`` a recession ray (of a
-    cone or of the homogenized system) raises `Unbounded` carrying it as a
-    witness.
+    the line's direction.  A caller that needs a bounded polytope asks
+    `integrality` (or any other bounded-only function), which raises
+    `Unbounded` on a recession ray and carries it as a witness.
     """
-    if bounded_expected:
-        _bounded(h)
     return _memoized(h, "fractions", _fraction_vrep)
 
 
@@ -983,10 +981,11 @@ def verify_unimodular_map(p: HRep, q: HRep, matrix, shift) -> bool:
         raise PolyhedralError(f"matrix determinant is {d}, not +-1")
     if len(shift) != p.dim or any(int(x) != x for x in shift):
         raise PolyhedralError("unimodular map needs an integer shift of length dim")
-    vp = to_vrep(p, bounded_expected=True).vertices
-    vq = set(to_vrep(q, bounded_expected=True).vertices)
-    image = {tuple(a + s for a, s in zip(mat_vec(matrix, v), shift)) for v in vp}
-    return image == vq
+    den, vp, _ = _bounded(p)
+    den_q, vq, _ = _bounded(q)
+    # a unimodular map keeps each vertex's denominator, so equal images share one
+    image = {tuple(a + s * den for a, s in zip(mat_vec(matrix, v), shift)) for v in vp}
+    return den == den_q and image == set(vq)
 
 
 @dataclass(frozen=True)

@@ -100,28 +100,28 @@ def parent_string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) ->
 
 
 def as_data(cone):
-    """Forms in order and, per form, its paths as ``(k, events)``."""
-    return (
-        cone.dim,
-        [f.coeffs for f in cone.forms],
-        [[(p.k, p.events) for p in ps] for ps in cone.paths],
-    )
+    """The dimension and the forms in order."""
+    return cone.dim, [f.coeffs for f in cone.forms]
+
+
+FUNCTIONALS = {"A": functional_A, "B": functional_B, "C": functional_C}
 
 
 def assert_matches_parent(t, w):
-    """Both `deduplicate` modes and the facets equal the oracle's."""
-    for deduplicate in (False, True):
-        cone = string_cone(t, w, deduplicate)
-        want = parent_string_cone(t, w, deduplicate)
-        assert as_data(cone) == as_data(want), (t, w, deduplicate)
-        assert all(p.diagram is cone.paths[0][0].diagram for ps in cone.paths for p in ps)
+    """Both `deduplicate` modes and the facets equal the oracle's, and the
+    raw cone lists the form of each of `rigorous_paths`, in their order."""
+    wants = {deduplicate: parent_string_cone(t, w, deduplicate) for deduplicate in (False, True)}
+    for deduplicate, want in wants.items():
+        assert as_data(string_cone(t, w, deduplicate)) == as_data(want), (t, w, deduplicate)
+    found = cones.rigorous_paths(t, w)
+    assert [(p.k, p.events) for p in found] == [(p.k, p.events) for (p,) in wants[False].paths]
+    assert all(p.diagram is found[0].diagram for p in found)
+    assert [FUNCTIONALS[t.family](p) for p in found] == list(string_cone(t, w).forms)
+    want = wants[True]
     rows = [tuple(-c for c in f.coeffs) for f in want.forms]
     kept = polyhedra._irredundant_indices(tuple((c, 0) for c in rows), want.dim)
     pruned, count = irredundant_facets(t, w)
     assert [f.coeffs for f in pruned.forms] == [want.forms[i].coeffs for i in kept]
-    assert [[(p.k, p.events) for p in ps] for ps in pruned.paths] == [
-        [(p.k, p.events) for p in want.paths[i]] for i in kept
-    ]
     assert count == len(kept)
 
 
@@ -209,11 +209,6 @@ def test_a_hit_builds_no_path_until_read(empty_entries, monkeypatch):
     built.clear()
     moved = ReducedWord.parse("C3", "3,1,2,1,3,2,1,3,2")
     assert moved in commutation_class(w)
-    cone = string_cone(t, moved)
-    pruned, _ = irredundant_facets(t, moved)
+    string_cone(t, moved)
+    irredundant_facets(t, moved)
     assert built == []
-    assert len(cone.paths) == len(cone.forms)
-    assert len(built) == len(cone.forms) == 25
-    assert cone.paths is cone.paths  # built once per cone
-    assert len(built) == 25
-    assert len(pruned.paths) == 13

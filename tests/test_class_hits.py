@@ -50,7 +50,7 @@ def string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) -> HRepCo
     entry = _cone_entry(t, w)
     heap = heap_coordinates(w)
     forms = _word_forms(heap, entry["merged" if deduplicate else "raw"])
-    return HRepCone(t, w, len(heap), forms, deduplicate)
+    return HRepCone(len(heap), forms)
 
 
 def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
@@ -139,7 +139,7 @@ def counted(monkeypatch):
         monkeypatch.setattr(module, name, counting)
 
     for module, name in [
-        (cones, "_rigorous_paths"),
+        (cones, "rigorous_paths"),
         (cones, "string_cone"),
         (polytopes, "lambda_cone"),
         (polytopes, "cartan_pairing"),
@@ -157,7 +157,7 @@ def test_a_class_hit_runs_no_paths_and_no_weight_cone(empty_entries, counted):
     assert moved in commutation_class(first)
     cones.irredundant_facets(c3, first)
     remove_redundant(polytopes.string_polytope(first, rho))
-    assert {"_rigorous_paths", "lambda_cone", "cartan_pairing"} <= set(counted)
+    assert {"rigorous_paths", "lambda_cone", "cartan_pairing"} <= set(counted)
     counted.clear()
     cones.irredundant_facets(c3, moved)
     remove_redundant(polytopes.string_polytope(moved, rho))

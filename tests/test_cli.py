@@ -1,6 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -207,23 +211,75 @@ def test_render_output_is_byte_identical(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def output_digest(argv) -> str:
+    """The sha256 of the JSON payload (keys in order) and the table of one run."""
+    res = run(argv)
+    assert res.status == 0
+    return hashlib.sha256((json.dumps(res.payload, indent=2) + res.table).encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (["C3", "1,3,2,1,3,2,1,3,2"], "737f6096ebb1f733825238b7acfb53a04b69beaa85cbfb098ee8b7261109041b"),
         (
-            ["C3", "1,3,2,1,3,2,1,3,2", "--irredundant"],
+            ["cone", "C3", "1,3,2,1,3,2,1,3,2"],
+            "737f6096ebb1f733825238b7acfb53a04b69beaa85cbfb098ee8b7261109041b",
+        ),
+        (
+            ["cone", "C3", "1,3,2,1,3,2,1,3,2", "--irredundant"],
             "1e7d5e4402c7c69b439d328a427353bf192b2a87f8255da5c1014a2874e11e22",
         ),
-        (["A3", "1,2,1,3,2,1"], "486cb21f9b182214b174d7f71891fa753688630656a5811961e085300db0c476"),
+        (["cone", "A3", "1,2,1,3,2,1"], "486cb21f9b182214b174d7f71891fa753688630656a5811961e085300db0c476"),
+        (["cone", "B2", "1,2,1,2"], "376ac5d21645ca3d08da8cc77137a608f812b7bf2c0a48ff48c8838e5f3f2c8c"),
+        (
+            ["cone", "B3", "1,2,3,1,2,3,1,2,3"],
+            "e694963c3ea0d8ba2b9deb056d5dcbe5d47f3e4a55df018dfef55e0f42d873f1",
+        ),
+        (
+            ["polytope", "C2", "2,1,2,1", "--lambda", "rho", "--full"],
+            "e31226891a9c35f58608c8c66c73c2f887333aabd47d8fa642954eb32084a386",
+        ),
+        (
+            ["gt", "--n", "2", "--lambda", "rho", "--full"],
+            "05df869b5ac3dd792c738f4017f84947bd3d4d55b2e928765e1e83e52ea44e37",
+        ),
     ],
 )
 def test_cone_output_is_byte_identical(argv, digest):
-    """The JSON payload (keys in order) and the table of `cone`, pinned."""
-    res = run(["cone", *argv])
-    assert res.status == 0
-    text = json.dumps(res.payload, indent=2) + res.table
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    """`cone` (each path's form, and the facets), `polytope --full` and
+    `gt --full`, pinned."""
+    assert output_digest(argv) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["A3", "1,2,1,3,2,1"], "42fe36d256065ed927833793d1ffc5c15e2a43cc73daa11a2206b11993c7ff21"),
+        (["B2", "1,2,1,2"], "25484530c8ddb8099f781e112d89d253a77dad2778b25d930193e77d7a610089"),
+        (
+            ["C3", "1,3,2,1,3,2,1,3,2"],
+            "d65583ec979542d64ff7406bf34ea5c76342e61fa64eecce765a13fc26610ff5",
+        ),
+    ],
+)
+def test_paths_output_is_byte_identical(argv, digest):
+    """The listed rigorous paths of `paths`, in order, pinned."""
+    assert output_digest(["paths", *argv]) == digest
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_closed_pipe_ends_quietly(flags):
+    """`words C4` prints 24,024 lines, more than a pipe holds; a reader that
+    takes one line and closes the pipe leaves no traceback and exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stringcones", "words", "C4", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 0
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from stringcones.cones import (
     functional_C,
     functional_C_unhalved,
     irredundant_facets,
+    rigorous_paths,
     string_cone,
 )
 from stringcones.diagram import build_diagram, build_symp_diagram, orient
@@ -53,7 +54,7 @@ def test_linform_basics():
     f = LinForm([1, -1, 0])
     assert (f.coeffs, f.dim) == ((1, -1, 0), 3)
     assert f.pretty() == "a1 - a2"
-    assert LinForm((-2, 0, 1)).pretty(["x", "y", "z"]) == "-2*x + z"
+    assert LinForm((-2, 0, 1)).pretty() == "-2*a1 + a3"
     assert LinForm((0, 0)).pretty() == "0"
 
 
@@ -83,15 +84,16 @@ def test_worked_functional_table():
     rows = {}
     for p in symp_paths(sd, 2):
         rows[p.wires_by_name()] = (
-            functional_A(p).pretty(labels),
+            functional_A(p).pretty(),
             functional_C_unhalved(p).pretty(),
             functional_C(p).pretty(),
         )
-    assert rows[("2", "2b")] == ("t1", "2*a1", "a1")
-    assert rows[("2", "1b", "1", "2b")] == ("tbar2 + t2 - t3", "2*a2 - 2*a3", "a2 - a3")
-    assert rows[("2", "1", "1b", "2b")] == ("t3 - tbar4 - t4", "2*a3 - 2*a4", "a3 - a4")
-    assert rows[("2", "1", "2b")] == ("tbar2 - t4", "a2 - a4", "a2 - a4")
-    assert rows[("2", "1b", "2b")] == ("t2 - tbar4", "a2 - a4", "a2 - a4")
+    # the type-A column in lifted coordinates: a1..a6 are t1, tbar2, t2, t3, tbar4, t4
+    assert rows[("2", "2b")] == ("a1", "2*a1", "a1")
+    assert rows[("2", "1b", "1", "2b")] == ("a2 + a3 - a4", "2*a2 - 2*a3", "a2 - a3")
+    assert rows[("2", "1", "1b", "2b")] == ("a4 - a5 - a6", "2*a3 - 2*a4", "a3 - a4")
+    assert rows[("2", "1", "2b")] == ("a2 - a6", "a2 - a4", "a2 - a4")
+    assert rows[("2", "1b", "2b")] == ("a3 - a5", "a2 - a4", "a2 - a4")
 
 
 def test_worked_rank3_functional():
@@ -166,8 +168,19 @@ def test_string_cone_C_worked_multiset():
     )
     deduped = string_cone(c2, W("C2", "2,1,2,1"), deduplicate=True)
     assert len(deduped.forms) == 5
-    dup = next(ps for f, ps in zip(deduped.forms, deduped.paths) if f.coeffs == vec(4, a2=1, a4=-1))
+    paths = rigorous_paths(c2, W("C2", "2,1,2,1"))
+    dup = [p for f, p in zip(cone.forms, paths, strict=True) if f.coeffs == vec(4, a2=1, a4=-1)]
     assert len(dup) == 2
+
+
+@pytest.mark.parametrize("build", [rigorous_paths, string_cone])
+def test_a_word_of_another_type_is_refused(build):
+    """One check refuses a word whose rank or family has no cone of the type."""
+    c2_word = W("C2", "2,1,2,1")
+    with pytest.raises(ValueError, match="rank mismatch: cone type C3, word of rank 2"):
+        build(LieType("C", 3), c2_word)
+    with pytest.raises(ValueError, match="type-A cones need a type-A word"):
+        build(LieType("A", 2), c2_word)
 
 
 def test_irredundant_facets_worked():
@@ -278,7 +291,7 @@ def assert_facets_match_oracle(t, w):
     kept, want = uncached_irredundant_facets(t, w)
     assert [forms.index(f) for f in pruned.forms] == kept
     assert pruned.forms == want
-    assert count == len(want) == len(pruned.paths)
+    assert count == len(want) == len(pruned.forms)
 
 
 @pytest.mark.parametrize("type_text", ["A3", "A4", "B2", "B3", "C2", "C3"])

@@ -11,7 +11,9 @@ alone.  Dunder methods are called by the language and are exempt, and so
 are the public functions in `TEST_ONLY`.  A dataclass field, and an
 attribute that an ``__init__`` sets on ``self``, lives only while the
 program reads it as an attribute; the fields in `UNREAD_FIELDS` are exempt.
-The checks run on the standard library's `ast`.
+A parameter with a default (a knob) lives only while some call of the
+program passes it, by keyword or by position; the knobs in `ALLOWED_KNOBS`
+are exempt.  The checks run on the standard library's `ast`.
 """
 
 import ast
@@ -32,6 +34,11 @@ TEST_ONLY = {
 # Fields that the program sets and never reads, each kept for a reason.
 UNREAD_FIELDS = {
     "polyhedra.Unbounded.ray": "the witness of unboundedness, for the callers that catch the error",
+}
+
+# Defaulted parameters that no program call passes, each kept for a reason.
+ALLOWED_KNOBS = {
+    "polyhedra.lattice_points.cap": "a safety cap, which the tests lower to reach `ResourceLimit`",
 }
 
 
@@ -147,6 +154,66 @@ def dead_fields(sources, readers) -> list[str]:
     ]
 
 
+def _functions(tree):
+    """``(qualified name, called name, definition, bound)`` per function of a
+    module: a method's first parameter is bound unless it is a staticmethod,
+    and ``C(...)`` calls ``C.__init__``."""
+    methods = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for member in cls.body:
+            if isinstance(member, ast.FunctionDef):
+                methods.add(id(member))
+                decorators = member.decorator_list
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in decorators)
+                called = cls.name if member.name == "__init__" else member.name
+                yield f"{cls.name}.{member.name}", called, member, not static
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and id(node) not in methods:
+            yield node.name, node.name, node, False
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether ``call`` passes the parameter ``name``, at ``position`` when it
+    may come positionally; a ``*args`` or ``**kwargs`` call passes every one."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unset_knobs(sources, readers) -> list[str]:
+    """``module.function.parameter`` (``module.Class.method.parameter`` for a
+    method) for each defaulted parameter of a function in ``sources`` that
+    no call in ``readers`` passes.  Calls are matched by the called name."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in {*sources, *readers}}
+    calls: dict[str, list[ast.Call]] = {}
+    for path in readers:
+        for node in ast.walk(trees[path]):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                called = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(called, []).append(node)
+    unset = []
+    for path in sources:
+        for qualified, called, func, bound in _functions(trees[path]):
+            positional = [*func.args.posonlyargs, *func.args.args][1 if bound else 0 :]
+            first = len(positional) - len(func.args.defaults)  # the first defaulted one
+            knobs = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            knobs += [
+                (None, arg.arg)
+                for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults)
+                if default is not None
+            ]
+            unset += [
+                f"{path.stem}.{qualified}.{name}"
+                for position, name in knobs
+                if not any(_passes(call, position, name) for call in calls.get(called, ()))
+            ]
+    return unset
+
+
 def test_the_check_sees_a_dead_helper(tmp_path):
     (tmp_path / "a.py").write_text(
         "def _dead():\n    return _dead()\n\n"
@@ -217,3 +284,26 @@ def test_every_public_function_and_class_is_read():
 
 def test_every_field_is_read():
     assert sorted(dead_fields(SOURCES, READERS)) == sorted(UNREAD_FIELDS), "fields that only the tests read"
+
+
+def test_the_check_sees_an_unset_knob(tmp_path):
+    source = tmp_path / "a.py"
+    source.write_text(
+        "def f(a, b=1, *, c=2):\n    return a\n\n"
+        "def g(x=0):\n    return x\n\n"
+        "def h(y=0, z=0):\n    return y\n\n"
+        "class C:\n"
+        "    def __init__(self, k=1):\n        self.k = k\n\n"
+        "    def m(self, p=0, q=0):\n        return p\n\n"
+        "    @staticmethod\n    def s(r=0):\n        return r\n\n"
+        "f(1, 2)\nC(k=3).m(1)\nC.s(1)\nh(*())\n"
+    )
+    test = tmp_path / "test_a.py"
+    test.write_text("from a import f, g\n\nf(0, c=1)\ng(1)\n")
+    assert unset_knobs([source], [source]) == ["a.C.m.q", "a.f.c", "a.g.x"]
+    assert unset_knobs([source], [source, test]) == ["a.C.m.q"]
+
+
+def test_every_knob_is_set_by_the_program():
+    unset = sorted(unset_knobs(SOURCES, READERS))
+    assert unset == sorted(ALLOWED_KNOBS), "parameters that no program call passes"

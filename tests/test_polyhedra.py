@@ -306,7 +306,10 @@ def rank_face_lattice(h):
     incidences with one `rank_int` per face for its dimension.  A
     lower-dimensional polytope is projected into its affine hull and its
     facets come from a second double description there."""
-    verts = to_vrep(h, bounded_expected=True).vertices
+    vr = to_vrep(h)
+    if vr.rays:
+        raise Unbounded("input is unbounded", ray=vr.rays[0])
+    verts = vr.vertices
     if not verts:
         raise PolyhedralError("empty polytope has no face lattice")
     reduced, dim = _affine_reduce(verts)
@@ -502,7 +505,9 @@ def test_redundancy_against_vertex_incidence_oracle():
     for _ in range(20):
         h = random_polytope(rng, 4, 9)
         mini = remove_redundant(h)
-        verts = to_vrep(h, bounded_expected=True).vertices
+        vr = to_vrep(h)
+        assert vr.rays == ()
+        verts = vr.vertices
         facets = set()
         for c, b in h.rows:
             tight = [v for v in verts if sum(ci * vi for ci, vi in zip(c, v)) == b]
@@ -987,7 +992,7 @@ def test_a4_sweep_runs_no_lp(lp_counts):
 
 
 def test_to_vrep_square_and_cone():
-    vr = to_vrep(SQUARE, bounded_expected=True)
+    vr = to_vrep(SQUARE)
     assert len(vr.vertices) == 4 and not vr.rays
     cone = HRep(2, (((-1, 0), 0), ((0, -1), 0)))
     vc = to_vrep(cone)
@@ -998,11 +1003,12 @@ def test_to_vrep_unbounded_witness():
     half_strip = HRep(2, (((-1, 0), 0), ((0, -1), 0), ((0, 1), 1)))
     quadrant = HRep(2, (((-1, 0), 0), ((0, -1), 0)))  # a cone, not its apex
     for h in (half_strip, quadrant):
-        for call in (lambda h: to_vrep(h, bounded_expected=True), f_vector, integrality):
+        for call in (f_vector, integrality):
             with pytest.raises(Unbounded) as err:
                 call(h)
             ray = err.value.ray
             assert ray is not None and any(ray) and h.contains(tuple(10 * x for x in ray))
+            assert ray in to_vrep(h).rays
 
 
 def test_to_vrep_rejects_lineality():
@@ -1025,14 +1031,15 @@ def test_vrep_roundtrip_random():
     for _ in range(25):
         d = rng.randint(2, 4)
         h = random_polytope(rng, d, d + 3)
-        vr = to_vrep(h, bounded_expected=True)
+        vr = to_vrep(h)
+        assert vr.rays == ()
         if len(vr.vertices) <= d:
             continue
         try:
             h2 = vrep_to_hrep(vr)
         except PolyhedralError:
             continue
-        assert set(to_vrep(h2, bounded_expected=True).vertices) == set(vr.vertices)
+        assert to_vrep(h2) == vr  # both sorted, with no ray
         for _ in range(20):
             pt = tuple(F(rng.randint(-9, 9), 2) for _ in range(d))
             assert h.contains(pt) == h2.contains(pt)
@@ -1261,7 +1268,7 @@ def test_derived_representations_computed_once_per_instance(monkeypatch):
         assert integrality(h) == (True, None)
         assert lattice_points(h) == 4
         assert normalized_volume(h) == 2
-        assert to_vrep(h) is to_vrep(h, bounded_expected=True)
+        assert to_vrep(h) is to_vrep(h)
         assert face_lattice(h) is face_lattice(h)
     assert search_unimodular_equivalence(p, q).status == "equivalent"
     assert verify_unimodular_map(p, q, shear, (0, 0))
@@ -1323,7 +1330,7 @@ def test_empty_systems_have_no_vertices_and_no_face_lattice():
     strip = HRep(2, (((1, 0), 1), ((-1, 0), -2)))
     corner = HRep(2, (((1, 0), -1), ((-1, 0), 0), ((0, -1), 0)))
     for h in (strip, corner):
-        assert to_vrep(h, bounded_expected=True) == VRep((), ())
+        assert to_vrep(h) == VRep((), ())
         assert lattice_points(h) == 0
         with pytest.raises(PolyhedralError, match="empty polytope has no face lattice"):
             face_lattice(h)
@@ -1445,7 +1452,8 @@ def test_chamber_change_is_unimodular_on_a_cone_section():
         mapped_rows.append((c, b))
     assert verify_unimodular_map(sect, sect, tuple(tuple(int(i == j) for j in range(6)) for i in range(6)), (0,) * 6)
     mat = ch.phi_rows
-    vr = to_vrep(sect, bounded_expected=True)
+    vr = to_vrep(sect)
+    assert vr.rays == ()
     image = VRep(
         tuple(sorted(tuple(sum(F(m) * x for m, x in zip(row, v)) for row in mat) for v in vr.vertices)),
         (),
@@ -1461,7 +1469,7 @@ def test_search_equivalence_identity_and_shear():
     shear = ((1, 1), (0, 1))
     sheared_v = [
         tuple(a + s for a, s in zip((row[0] * v[0] + row[1] * v[1] for row in shear), (0, 0)))
-        for v in to_vrep(SQUARE, bounded_expected=True).vertices
+        for v in to_vrep(SQUARE).vertices
     ]
     sheared = vrep_to_hrep(VRep(tuple(sorted(tuple(map(F, v)) for v in sheared_v)), ()))
     res2 = search_unimodular_equivalence(SQUARE, sheared)
@@ -1717,7 +1725,9 @@ if _HAVE_HYPOTHESIS:
         system is non-empty exactly when double description, which runs no
         LP, finds a vertex."""
         h = HRep(d, tuple(box(d, side)) + tuple((tuple(c[:d]), b) for c, b in extra))
-        assert feasible(h.rows, d) == bool(to_vrep(h, bounded_expected=True).vertices)
+        vr = to_vrep(h)
+        assert vr.rays == ()
+        assert feasible(h.rows, d) == bool(vr.vertices)
 
     @st.composite
     def nonneg_systems(draw):
@@ -2026,7 +2036,7 @@ def test_verified_map_preserves_invariants():
     shear = ((1, 1), (0, 1))
     sheared_pts = sorted(
         tuple(F(row[0] * v[0] + row[1] * v[1]) for row in shear)
-        for v in to_vrep(SQUARE, bounded_expected=True).vertices
+        for v in to_vrep(SQUARE).vertices
     )
     sheared = vrep_to_hrep(VRep(tuple(sheared_pts), ()))
     assert verify_unimodular_map(SQUARE, sheared, shear, (0, 0))

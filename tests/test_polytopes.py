@@ -8,6 +8,7 @@ from stringcones import cones, polyhedra, polytopes, verify
 from stringcones._linalg import rank_int
 from stringcones.polyhedra import (
     HRep,
+    VRep,
     f_vector,
     integrality,
     lattice_points,
@@ -76,8 +77,7 @@ def test_lambda_cone_validation():
 def test_zero_weight_polytope_is_origin():
     w = W("C2", "2,1,2,1")
     h = string_polytope(w, Weight.zero(w.lie_type))
-    vr = to_vrep(h, bounded_expected=True)
-    assert vr.vertices == ((F(0),) * 4,)
+    assert to_vrep(h) == VRep(((F(0),) * 4,), ())
 
 
 def test_polytope_facet_counts_rank2():
@@ -123,14 +123,14 @@ def test_gt_polytope_facets():
 
 def test_gt_polytope_zero_weight():
     gt = gt_polytope_C(Weight.zero(LieType("C", 2)), 2)
-    vr = to_vrep(gt, bounded_expected=True)
-    assert vr.vertices == ((F(0),) * 4,)
+    assert to_vrep(gt) == VRep(((F(0),) * 4,), ())
 
 
 def test_gt_polytope_non_regular_weight_is_valid():
     t = LieType("C", 3)
     gt = gt_polytope_C(Weight(t, (1, 0, 1)), 3)
-    vr = to_vrep(gt, bounded_expected=True)
+    vr = to_vrep(gt)
+    assert vr.rays == ()
     assert len(vr.vertices) > 1
     assert all(gt.contains(v) for v in vr.vertices)
 
@@ -288,7 +288,9 @@ def test_string_polytope_full_dimensional():
         sample = words if n == 2 else [words[0], gt_adapted_word(3), braid_variant_word(3)]
         for w in sample:
             h = string_polytope(w, rho)
-            verts = to_vrep(h, bounded_expected=True).vertices
+            vr = to_vrep(h)
+            assert vr.rays == ()
+            verts = vr.vertices
             den = lcm(*(x.denominator for v in verts for x in v))
             diffs = [[int((x - y) * den) for x, y in zip(v, verts[0])] for v in verts[1:]]
             assert rank_int(diffs) == n * n
