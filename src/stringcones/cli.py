@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polyhedra, polytopes
-from .cones import irredundant_facets, rigorous_paths, string_cone
+from .cones import irredundant_facets, path_forms, rigorous_paths
 from .diagram import SympWiringDiagram, WiringDiagram, build_diagram, build_symp_diagram
 from .paths import RigorousPath, path_json
 from .verify import paper_checks
@@ -217,16 +217,17 @@ def _cmd_paths(args) -> CommandResult:
 def _cmd_cone(args) -> CommandResult:
     w = ReducedWord.parse(args.type, args.word)
     t = w.lie_type
-    cone = irredundant_facets(t, w)[0] if args.irredundant else string_cone(t, w)
-    pretty = [f.pretty() for f in cone.forms]
-    payload = {"type": str(t), "word": str(w), "constraints": [list(f.coeffs) for f in cone.forms]}
+    paths = [] if args.irredundant else rigorous_paths(t, w)  # the raw cone: one form per path
+    forms = irredundant_facets(t, w)[0].forms if args.irredundant else path_forms(t.family, paths)
+    pretty = [f.pretty() for f in forms]
+    payload = {"type": str(t), "word": str(w), "constraints": [list(f.coeffs) for f in forms]}
     if args.irredundant:
-        payload.update(facets=pretty, facet_count=len(pretty), simplicial=len(pretty) == cone.dim)
+        payload.update(facets=pretty, facet_count=len(pretty), simplicial=len(pretty) == len(w.letters))
         lines = [f"{len(pretty)} facets:"] + [f"  {s} >= 0" for s in pretty]
-    else:  # one form per rigorous path, in path order
+    else:  # in path order
         payload["inequalities"] = pretty
         lines = [f"{len(pretty)} path inequalities:"]
-        lines += [f"  {s} >= 0   ({p})" for s, p in zip(pretty, rigorous_paths(t, w), strict=True)]
+        lines += [f"  {s} >= 0   ({p})" for s, p in zip(pretty, paths, strict=True)]
     return CommandResult("cone", payload, "\n".join(lines), 0)
 
 

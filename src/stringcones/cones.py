@@ -4,11 +4,13 @@ A path on a type-A diagram cuts out one integer linear inequality on the
 crossing coordinates: +1 where the path jumps to a higher wire, -1 where it
 drops to a lower one.  For a type-B/C word of rank n the same recipe runs
 on the lifted diagram and is pushed down to the N = n^2 folded coordinates:
-
-* type B sums each letter's twin coordinates (`FoldMaps.collapse`);
-* type C additionally doubles wall coordinates (`FoldMaps.double_cb`), and
-  the resulting form is halved when the path is its own mirror (all its
-  coefficients are even).
+type B sums each letter's twin coordinates (`FoldMaps.collapse`), type C
+also doubles wall coordinates (`FoldMaps.double_cb`) and halves the form of
+a path that is its own mirror (all its coefficients are even).  One kernel,
+`_forms`, computes each path's form from its event tuple and a table built
+once per word (`_form_table`: each crossing's coordinate, weight and
+mirror).  The functionals and `path_forms` call it on paths, a cone fill on
+the event tuples of `paths.path_events`, with no path object.
 
 `string_cone` collects one inequality per rigorous path; `irredundant_facets`
 prunes that list down to the facets with an exact LP.
@@ -53,8 +55,8 @@ from operator import itemgetter
 
 from . import polyhedra
 from ._linalg import primitive as polyhedra_primitive
-from .diagram import OrientedDiagram, SympWiringDiagram, build_diagram, build_symp_diagram
-from .paths import RigorousPath, enumerate_paths, is_symmetric
+from .diagram import OrientedDiagram, SympWiringDiagram, WiringDiagram, build_diagram, build_symp_diagram
+from .paths import RigorousPath, enumerate_paths, path_events
 from .weyl import LieType, ReducedWord, Weight, foata_normal_form, heap_coordinates
 
 __all__ = [
@@ -66,6 +68,7 @@ __all__ = [
     "functional_C_unhalved",
     "functional_B",
     "fold_maps",
+    "path_forms",
     "rigorous_paths",
     "string_cone",
     "irredundant_facets",
@@ -104,17 +107,10 @@ class LinForm:
         return " ".join(parts) if parts else "0"
 
 
-def _switch_vector(p: RigorousPath) -> list[int]:
-    vec = [0] * p.diagram.length
-    for node, frm, to in p.switch_pairs:
-        vec[node - 1] = 1 if frm < to else -1
-    return vec
-
-
 def functional_A(p: RigorousPath) -> LinForm:
     """The inequality a path cuts on its diagram's crossing coordinates:
     plain type-A ones, or the lifted ones of a symplectic diagram."""
-    return LinForm(_switch_vector(p))
+    return path_forms("A", [p])[0]
 
 
 @dataclass(frozen=True)
@@ -172,11 +168,7 @@ def fold_maps(w: ReducedWord) -> FoldMaps:
 def functional_C_unhalved(p: RigorousPath) -> LinForm:
     """The type-C form of a symplectic path before any halving: each twin
     group of the lifted form summed, wall crossings counted twice."""
-    sd = p.diagram
-    if not isinstance(sd, SympWiringDiagram):
-        raise ValueError("type-C functionals need a symplectic path")
-    fm = fold_maps(sd.word)
-    return LinForm(fm.double_cb(fm.collapse(_switch_vector(p))))
+    return path_forms("C", [p], halve=False)[0]
 
 
 def functional_C(p: RigorousPath) -> LinForm:
@@ -185,21 +177,68 @@ def functional_C(p: RigorousPath) -> LinForm:
     Mirror-symmetric paths with orientation n produce forms with all even
     coefficients, which are divided by two.
     """
-    form = functional_C_unhalved(p)
-    if p.k == p.diagram.n and is_symmetric(p):
-        if any(c % 2 for c in form.coeffs):
-            raise ValueError("form has odd coefficients; cannot halve exactly")
-        return LinForm(tuple(c // 2 for c in form.coeffs))
-    return form
+    return path_forms("C", [p])[0]
 
 
 def functional_B(p: RigorousPath) -> LinForm:
     """The type-B string inequality of a path on a lifted/symplectic diagram:
     each twin group of the lifted form summed."""
-    sd = p.diagram
-    if not isinstance(sd, SympWiringDiagram):
-        raise ValueError("type-B functionals need a path on a symplectic diagram")
-    return LinForm(fold_maps(sd.word).collapse(_switch_vector(p)))
+    return path_forms("B", [p])[0]
+
+
+def _form_table(family: str, d: WiringDiagram, coordinate) -> tuple:
+    """What `_forms` reads of ``d``, once per word: per crossing (entry 0
+    unused) the coordinate ``coordinate[k]`` of its letter ``k`` (a crossing
+    in type A, a twin group of `fold_maps` in B and C), its weight (2 on the
+    wall in type C, else 1), lower wire and wire sum; each crossing's mirror;
+    the dimension; the orientation whose self-mirror paths are halved."""
+    if family == "A":
+        groups = [(t,) for t in range(d.length)]
+    elif isinstance(d, SympWiringDiagram):
+        groups = fold_maps(d.word).groups
+    else:
+        raise ValueError(f"type-{family} functionals need a path on a symplectic diagram")
+    letters = [(0, 0)] * d.length
+    for k, group in enumerate(groups):
+        for t in group:
+            letters[t] = (coordinate[k], 3 - len(group) if family == "C" else 1)
+    crossings = [None, *((*letters[t], nd.wires[0], sum(nd.wires)) for t, nd in enumerate(d.nodes))]
+    if family != "C":
+        return crossings, None, len(coordinate), 0
+    return crossings, [0, *map(d.mirror_node, range(1, d.length + 1))], len(coordinate), d.n
+
+
+def _forms(table: tuple, k: int, paths) -> list[tuple[int, ...]]:
+    """The integer form of each path of orientation ``k`` (an event tuple),
+    the one place a path's form is computed: a switch to the higher wire adds
+    the crossing's weight at its coordinate, one to the lower wire subtracts
+    it; a wall path equal to its mirror (events mirrored, reversed) is halved."""
+    crossings, mirror, dim, wall = table
+    out = []
+    for events in paths:
+        form = [0] * dim
+        wire = k
+        for j, switched in events:
+            if switched:
+                c, weight, low, pair = crossings[j]
+                form[c] += weight if wire == low else -weight
+                wire = pair - wire
+        if k == wall and events == tuple([(mirror[j], s) for j, s in reversed(events)]):
+            if any(c % 2 for c in form):
+                raise ValueError("form has odd coefficients; cannot halve exactly")
+            form = [c // 2 for c in form]
+        out.append(tuple(form))
+    return out
+
+
+def path_forms(family: str, paths: list[RigorousPath], halve: bool = True) -> list[LinForm]:
+    """The type-``family`` forms of paths of one diagram, in its word's
+    coordinates, from one table; ``halve=False`` keeps type-C forms whole."""
+    d = paths[0].diagram
+    table = _form_table(family, d, range(d.length if family == "A" else len(d.word.letters)))
+    if not halve:
+        table = (*table[:3], 0)
+    return [LinForm(_forms(table, p.k, [p.events])[0]) for p in paths]
 
 
 @dataclass(frozen=True)
@@ -213,9 +252,6 @@ class HRepCone:
         return polyhedra.HRep(
             self.dim, tuple((tuple(-c for c in f.coeffs), 0) for f in self.forms)
         )
-
-
-_FUNCTIONALS = {"A": functional_A, "B": functional_B, "C": functional_C}
 
 
 def _inverse(perm) -> list[int]:
@@ -234,16 +270,21 @@ def _check_types(t: LieType, w: ReducedWord) -> None:
         raise ValueError("type-A cones need a type-A word")
 
 
-def rigorous_paths(t: LieType, w: ReducedWord) -> list[RigorousPath]:
-    """The rigorous paths of ``w`` that cut the string cone of type ``t``,
-    in path order, on one new diagram (the symplectic one in types B and
-    C): orientations 1..n in type C (the mirrors give the same forms) and
-    all 1..m-1 otherwise.  The raw `string_cone` lists the form of each,
-    in the same order."""
-    _check_types(t, w)
+def _oriented(t: LieType, w: ReducedWord) -> list[OrientedDiagram]:
+    """The orientations cutting the string cone of type ``t``, on one new diagram
+    (symplectic in types B and C): 1..n in type C (the mirrors give the same
+    forms), all 1..m-1 otherwise."""
     d = build_diagram(w) if t.family == "A" else build_symp_diagram(w)
     top = d.n if t.family == "C" else d.m - 1
-    return [p for u in range(1, top + 1) for p in enumerate_paths(OrientedDiagram(d, u))]
+    return [OrientedDiagram(d, u) for u in range(1, top + 1)]
+
+
+def rigorous_paths(t: LieType, w: ReducedWord) -> list[RigorousPath]:
+    """The rigorous paths of ``w`` that cut the string cone of type ``t``,
+    in path order (see `_oriented`).  The raw `string_cone` lists the form
+    of each, in the same order."""
+    _check_types(t, w)
+    return [p for od in _oriented(t, w) for p in enumerate_paths(od)]
 
 
 def _cone_entry(t: LieType, w: ReducedWord) -> dict:
@@ -251,17 +292,15 @@ def _cone_entry(t: LieType, w: ReducedWord) -> dict:
 
     ``entry["raw"]`` holds one form per rigorous path, in path order, and
     ``entry["merged"]`` the first copies of the forms up to positive
-    scaling, with content 1; both in heap coordinates.
+    scaling, with content 1; both in heap coordinates.  A miss runs the
+    form kernel over each orientation's event tuples: it builds no path.
     """
     _check_types(t, w)
     entry = class_entry(t, w)
     if "raw" not in entry:
-        functional = _FUNCTIONALS[t.family]
-        at = _inverse(heap_coordinates(w))  # the position of each heap coordinate
-        raw = tuple(
-            tuple([form[j] for j in at])
-            for form in (functional(p).coeffs for p in rigorous_paths(t, w))
-        )
+        oriented = _oriented(t, w)
+        table = _form_table(t.family, oriented[0].diagram, heap_coordinates(w))
+        raw = tuple([f for od in oriented for f in _forms(table, od.up_count, path_events(od))])
         entry["raw"] = raw
         entry["merged"] = tuple(dict.fromkeys(map(polyhedra_primitive, raw)))
     return entry

@@ -13,10 +13,11 @@ travel order, tagged with whether the path switched wires there.  The node
 expression (switch crossings only) derives from the events; the wire
 expression and the peaks from the switches (`RigorousPath.switch_pairs`).
 The search runs once per orientation of a diagram: the diagram keeps the
-sorted event tuples, never the paths, so a diagram and its paths form no
-reference cycle.  A symplectic diagram is the wiring diagram of its lifted
-word, so one search, one region count and one drawing serve both types,
-and a path names its wires through its diagram (`wire_name`).  On
+sorted event tuples (`path_events`), never the paths, so a diagram and its
+paths form no reference cycle, and a reader of forms builds no path.  A
+symplectic diagram is the wiring diagram of its lifted word, so one search,
+one region count and one drawing serve both types, and a path names its
+wires through its diagram (`wire_name`).  On
 symplectic diagrams the mirror of a path is its reflection in the wall,
 traversed backwards; a path with orientation ``n`` equal to its own mirror
 is symmetric.  The region a path encloses is a parity count over the
@@ -41,6 +42,7 @@ from .weyl import ReducedWord
 
 __all__ = [
     "RigorousPath",
+    "path_events",
     "enumerate_paths",
     "enumerate_paths_naive",
     "symp_paths",
@@ -61,9 +63,6 @@ class RigorousPath:
 
     oriented: OrientedDiagram
     events: tuple[tuple[int, bool], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
 
     @property
     def diagram(self):
@@ -127,49 +126,57 @@ class RigorousPath:
         return " -> ".join(self.wires_by_name())
 
 
-def enumerate_paths(d: OrientedDiagram) -> tuple[RigorousPath, ...]:
-    """All rigorous paths on ``d``, sorted by their switch-node sequences.
-
-    The depth-first search runs once per orientation of a diagram: its
-    sorted event tuples are kept in the diagram's ``paths`` memo, keyed by
-    up count, and each call builds the paths from them.
-    """
+def path_events(d: OrientedDiagram) -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """The event tuples of the rigorous paths on ``d``, sorted by their
+    switch nodes: the search runs once per orientation of a diagram, whose
+    ``paths`` memo keeps them by up count."""
     memo = d.diagram.paths
     if d.up_count not in memo:
         memo[d.up_count] = _search(d)
-    return tuple(RigorousPath(d, events) for events in memo[d.up_count])
+    return memo[d.up_count]
+
+
+def enumerate_paths(d: OrientedDiagram) -> tuple[RigorousPath, ...]:
+    """All rigorous paths on ``d``, in the order of `path_events`."""
+    return tuple(RigorousPath(d, events) for events in path_events(d))
 
 
 def _search(d: OrientedDiagram) -> tuple[tuple[tuple[int, bool], ...], ...]:
-    """The event tuples of the rigorous paths on ``d``, sorted by switch nodes."""
-    diagram = d.diagram
-    end_wire = d.up_count + 1
+    """The search behind `path_events`, on per-crossing tables: the next
+    crossing along each wire in its direction, and the wire sum.  Passing is
+    forbidden exactly where ``wire < other`` and ``up < other`` disagree."""
+    diagram, up = d.diagram, d.up_count
+    end_wire = up + 1  # a downward wire, so a path may end at its bottom
+    after = [{} for _ in range(diagram.length + 1)]
+    for wire, seq in diagram.wire_nodes.items():
+        walk = seq[::-1] if wire <= up else seq
+        for j, n in zip(walk, (*walk[1:], None)):
+            after[j][wire] = n
+    pair = [0, *(nd.left_above + nd.right_above for nd in diagram.nodes)]
     out: list[tuple[tuple[int, bool], ...]] = []
     events: list[tuple[int, bool]] = []
-    visited: set[int] = set()
+    visited = [False] * len(pair)
 
     def run(wire: int, at: int | None) -> None:
         if at is None:
-            if not d.is_up(wire) and wire == end_wire:
+            if wire == end_wire:
                 out.append(tuple(events))
             return
-        if at in visited:
+        if visited[at]:
             return
-        node = diagram.node(at)
-        other = node.other_wire(wire)
-        visited.add(at)
-        same_direction = d.is_up(wire) == d.is_up(other)
-        pass_ok = not same_direction or (wire > other if d.is_up(wire) else wire < other)
-        if pass_ok:
+        other = pair[at] - wire
+        visited[at] = True
+        nxt = after[at]
+        if (wire < other) == (up < other):
             events.append((at, False))
-            run(wire, diagram.node_on_wire_after(wire, at, downward=not d.is_up(wire)))
+            run(wire, nxt[wire])
             events.pop()
         events.append((at, True))
-        run(other, diagram.node_on_wire_after(other, at, downward=not d.is_up(other)))
+        run(other, nxt[other])
         events.pop()
-        visited.remove(at)
+        visited[at] = False
 
-    run(d.up_count, diagram.first_node_on_wire(d.up_count))
+    run(up, diagram.first_node_on_wire(up))
     del run  # the closure refers to itself; the cycle would keep `out` until a GC pass
     out.sort(key=lambda evts: [j for j, switched in evts if switched])
     return tuple(out)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from stringcones import cones, paths, polyhedra
+from stringcones import cones, polyhedra
 from stringcones._linalg import primitive as polyhedra_primitive
 from stringcones.cones import (
     LinForm,
@@ -178,15 +178,16 @@ def test_class_cones_match_the_parent_on_rank4_walks(empty_entries, family):
 
 def test_one_path_enumeration_per_class_and_orientation(empty_entries, monkeypatch):
     """The 768 A4 words fall into 62 classes of 4 orientations each: 248
-    enumerations, where one per word and orientation would be 3072."""
+    runs of the form kernel, one per orientation's path search, where one
+    per word and orientation would be 3072."""
     calls = []
-    enumerate_ = cones.enumerate_paths
+    forms = cones._forms
 
-    def counted(d):
-        calls.append(d.up_count)
-        return enumerate_(d)
+    def counted(table, k, events):
+        calls.append(k)
+        return forms(table, k, events)
 
-    monkeypatch.setattr(cones, "enumerate_paths", counted)
+    monkeypatch.setattr(cones, "_forms", counted)
     t = LieType("A", 4)
     for w in enumerate_reduced_words(t):
         irredundant_facets(t, w)
@@ -195,17 +196,17 @@ def test_one_path_enumeration_per_class_and_orientation(empty_entries, monkeypat
 
 def test_a_hit_builds_no_path_until_read(empty_entries, monkeypatch):
     built = []
-    init = paths.RigorousPath.__post_init__
+    forms = cones._forms
 
-    def counted(self):
-        built.append(self)
-        init(self)
+    def counted(table, k, events):
+        built.append(k)
+        return forms(table, k, events)
 
-    monkeypatch.setattr(paths.RigorousPath, "__post_init__", counted)
+    monkeypatch.setattr(cones, "_forms", counted)
     t = LieType("C", 3)
     w = ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2")
     string_cone(t, w)
-    assert built  # the first word of the class enumerates its paths
+    assert built  # the first word of the class reads its paths' forms
     built.clear()
     moved = ReducedWord.parse("C3", "3,1,2,1,3,2,1,3,2")
     assert moved in commutation_class(w)

@@ -139,7 +139,7 @@ def counted(monkeypatch):
         monkeypatch.setattr(module, name, counting)
 
     for module, name in [
-        (cones, "rigorous_paths"),
+        (cones, "_forms"),
         (cones, "string_cone"),
         (polytopes, "lambda_cone"),
         (polytopes, "cartan_pairing"),
@@ -157,7 +157,7 @@ def test_a_class_hit_runs_no_paths_and_no_weight_cone(empty_entries, counted):
     assert moved in commutation_class(first)
     cones.irredundant_facets(c3, first)
     remove_redundant(polytopes.string_polytope(first, rho))
-    assert {"rigorous_paths", "lambda_cone", "cartan_pairing"} <= set(counted)
+    assert {"_forms", "lambda_cone", "cartan_pairing"} <= set(counted)
     counted.clear()
     cones.irredundant_facets(c3, moved)
     remove_redundant(polytopes.string_polytope(moved, rho))

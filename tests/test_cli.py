@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from stringcones import cli, polyhedra
+from stringcones import cli, cones, paths, polyhedra
 from stringcones.cli import render_svg, run
 from stringcones.diagram import build_symp_diagram
 from stringcones.weyl import LieType, ReducedWord, enumerate_reduced_words
@@ -249,6 +249,24 @@ def test_cone_output_is_byte_identical(argv, digest):
     """`cone` (each path's form, and the facets), `polytope --full` and
     `gt --full`, pinned."""
     assert output_digest(argv) == digest
+
+
+def test_cone_searches_each_orientation_once(monkeypatch):
+    """A cold `cone` lists each path's form from one path search per
+    orientation: 3 on a C3 word, not one search for the cone and one more
+    for the paths that label it."""
+    cones._class_entry.cache_clear()
+    searches = []
+    search = paths._search
+
+    def counted(d):
+        searches.append(d.up_count)
+        return search(d)
+
+    monkeypatch.setattr(paths, "_search", counted)
+    assert run(["cone", "C3", "1,3,2,1,3,2,1,3,2"]).status == 0
+    assert searches == [1, 2, 3]
+    cones._class_entry.cache_clear()
 
 
 @pytest.mark.parametrize(

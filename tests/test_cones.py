@@ -14,10 +14,11 @@ from stringcones.cones import (
     functional_C,
     functional_C_unhalved,
     irredundant_facets,
+    path_forms,
     rigorous_paths,
     string_cone,
 )
-from stringcones.diagram import build_diagram, build_symp_diagram, orient
+from stringcones.diagram import OrientedDiagram, build_diagram, build_symp_diagram, orient
 from stringcones.paths import (
     canonical_paths,
     enumerate_paths,
@@ -32,6 +33,7 @@ from stringcones.weyl import (
     ReducedWord,
     Weight,
     braid_variant_word,
+    class_words,
     commutation_class,
     contract,
     enumerate_reduced_words,
@@ -62,7 +64,13 @@ def test_functional_C_halves_only_even_forms(monkeypatch):
     sd = build_symp_diagram(W("C2", "2,1,2,1"))
     wall = next(p for p in symp_paths(sd, 2) if is_symmetric(p))
     assert functional_C(wall).coeffs == (1, 0, 0, 0)
-    monkeypatch.setattr(cones, "functional_C_unhalved", lambda p: LinForm((2, 1, 0, 0)))
+    table = cones._form_table
+
+    def wall_weight_one(*args):  # the wall path then sums to the odd form a1
+        t = table(*args)
+        return ([None, *((c, 1, lo, s) for c, _, lo, s in t[0][1:])], *t[1:])
+
+    monkeypatch.setattr(cones, "_form_table", wall_weight_one)
     with pytest.raises(ValueError, match="odd coefficients"):
         functional_C(wall)
 
@@ -234,6 +242,64 @@ def test_mirror_pair_functional_equality():
                 )
                 if k == 3 and is_symmetric(p):
                     assert all(c % 2 == 0 for c in functional_C_unhalved(p).coeffs)
+
+
+def switch_vector(p):
+    """The lifted form of a path: +1 where it switches to a higher wire, -1
+    where it switches to a lower one."""
+    vec = [0] * p.diagram.length
+    for node, frm, to in p.switch_pairs:
+        vec[node - 1] = 1 if frm < to else -1
+    return vec
+
+
+def oracle_form(family, p):
+    """A path's string form by the per-path composition: its switch vector,
+    folded by `FoldMaps.collapse` (and `double_cb` in type C), halved when
+    the path is its own mirror."""
+    if family == "A":
+        return tuple(switch_vector(p))
+    fm = fold_maps(p.diagram.word)
+    form = fm.collapse(switch_vector(p))
+    if family == "C":
+        form = fm.double_cb(form)
+        if p.k == p.diagram.n and p == mirror(p):
+            assert not any(c % 2 for c in form)
+            form = tuple(c // 2 for c in form)
+    return form
+
+
+def kernel_oracle_cases():
+    """Every class word of B2-B3 and C2-C3, and every 11th C4 class word,
+    read as both C4 and B4."""
+    cases = [w for text in ("B2", "B3", "C2", "C3") for w in class_words(LieType.parse(text))]
+    for w in class_words(LieType("C", 4))[::11]:
+        cases += [w, ReducedWord(LieType("B", 4), w.letters)]
+    return cases
+
+
+def test_form_kernel_matches_the_per_path_composition():
+    """The raw cone forms and `path_forms` against the oracle, path by path,
+    on every orientation of the symplectic diagram; at rank at most 3 the
+    per-path functionals too."""
+    cones._class_entry.cache_clear()
+    for w in kernel_oracle_cases():
+        t = w.lie_type
+        raw = [f.coeffs for f in string_cone(t, w).forms]
+        assert raw == [oracle_form(t.family, p) for p in rigorous_paths(t, w)], w
+        sd = build_symp_diagram(w)
+        every = [p for u in range(1, 2 * w.rank) for p in enumerate_paths(OrientedDiagram(sd, u))]
+        for family in ("A", "B", "C"):
+            forms = [f.coeffs for f in path_forms(family, every)]
+            assert forms == [oracle_form(family, p) for p in every], (w, family)
+        if w.rank <= 3:
+            for p in every:
+                assert functional_A(p).coeffs == oracle_form("A", p)
+                assert functional_B(p).coeffs == oracle_form("B", p)
+                assert functional_C(p).coeffs == oracle_form("C", p)
+                fm = fold_maps(w)
+                assert functional_C_unhalved(p).coeffs == fm.double_cb(fm.collapse(switch_vector(p)))
+    cones._class_entry.cache_clear()
 
 
 def test_b_cone_facets_match_c_via_scaling():

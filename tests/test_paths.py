@@ -28,6 +28,7 @@ from stringcones.weyl import (
     LieType,
     ReducedWord,
     braid_variant_word,
+    class_words,
     contract,
     enumerate_reduced_words,
     gt_adapted_word,
@@ -67,15 +68,16 @@ def test_enumeration_is_deterministic():
 
 
 def test_naive_oracle_agreement_small():
-    for text in ("1,2,1,3,2,1", "1,3,2,1,3,2", "2,1,3,2,1,3"):
-        d = build_diagram(W("A3", text))
-        for k in (1, 2, 3):
-            od = orient(d, k)
-            assert enumerate_paths(od) == enumerate_paths_naive(od)
-    sd = build_symp_diagram(W("C2", "1,2,1,2"))
-    for u in (1, 2, 3):
-        od = OrientedDiagram(sd, u)
-        assert enumerate_paths(od) == enumerate_paths_naive(od)
+    """The table-driven search against the naive enumerator, paths and order,
+    on every orientation of one word per commutation class of A2-A4, B2-B3
+    and C2-C3 (the symplectic diagrams with their barred orientations)."""
+    for type_text in ("A2", "A3", "A4", "B2", "B3", "C2", "C3"):
+        t = LieType.parse(type_text)
+        for w in class_words(t):
+            d = build_diagram(w) if t.family == "A" else build_symp_diagram(w)
+            for u in range(1, d.m):
+                od = OrientedDiagram(d, u)
+                assert enumerate_paths(od) == enumerate_paths_naive(od), (w, u)
 
 
 def test_peaks_and_expressions():
