@@ -16,8 +16,9 @@ Words are comma-separated letters; weights are comma-separated fundamental
 coefficients or the literal ``rho`` / ``0``.  ``--json`` switches any
 subcommand to a machine-readable payload on stdout.  Exit status: 0 on
 success (all checks green for verify-paper), 1 on a failed check, 2 on
-usage errors, on unreadable or malformed input files, and on a word list
-over its ``--cap`` (refused before any word is built).
+usage errors, on unreadable or malformed input files, on a word list
+over its ``--cap`` (refused before any word is built), and on a ``gt``
+rank over `GT_MAX_RANK` (refused before any weight or row is built).
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ from .weyl import (
 )
 
 __all__ = ["CommandResult", "run", "render_svg", "main"]
+
+# The largest rank `gt` builds: its rows grow as n^4, and rank 4 is already
+# past what vertices and face lattices can handle.
+GT_MAX_RANK = 8
 
 
 @dataclass
@@ -265,6 +270,8 @@ def _cmd_polytope(args) -> CommandResult:
 
 
 def _cmd_gt(args) -> CommandResult:
+    if args.n > GT_MAX_RANK:
+        raise ValueError(f"rank {args.n} is over the bound {GT_MAX_RANK} of the gt polytope")
     t = LieType("C", args.n)
     lam = Weight.parse(t, args.lam)
     h = polytopes.gt_polytope_C(lam, args.n)

@@ -6,11 +6,13 @@ drops to a lower one.  For a type-B/C word of rank n the same recipe runs
 on the lifted diagram and is pushed down to the N = n^2 folded coordinates:
 type B sums each letter's twin coordinates (`FoldMaps.collapse`), type C
 also doubles wall coordinates (`FoldMaps.double_cb`) and halves the form of
-a path that is its own mirror (all its coefficients are even).  One kernel,
-`_forms`, computes each path's form from its event tuple and a table built
-once per word (`_form_table`: each crossing's coordinate, weight and
-mirror).  The functionals and `path_forms` call it on paths, a cone fill on
-the event tuples of `paths.path_events`, with no path object.
+a path that is its own mirror (all its coefficients are even).  The fold
+maps and the form kernel read the symplectic diagram's twin table, the
+one reading of the fold `weyl.lift` writes.  One kernel, `_forms`,
+computes each path's form from its event tuple and a table built once per
+word (`_form_table`: each crossing's coordinate, weight and mirror).  The
+functionals and `path_forms` call it on paths, a cone fill on the event
+tuples of `paths.path_events`, with no path object.
 
 `string_cone` collects one inequality per rigorous path; `irredundant_facets`
 prunes that list down to the facets with an exact LP.
@@ -89,10 +91,6 @@ class LinForm:
         if type(self.coeffs) is not tuple:
             object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
     def pretty(self) -> str:
         parts: list[str] = []
         for i, c in enumerate(self.coeffs, 1):
@@ -150,19 +148,12 @@ class FoldMaps:
 
 
 def fold_maps(w: ReducedWord) -> FoldMaps:
-    if not w.lie_type.is_doubled:
-        raise ValueError("fold maps exist for type-B/C words only")
-    n = w.rank
-    groups: list[tuple[int, ...]] = []
-    t = 0
-    for x in w.letters:
-        if x == n:
-            groups.append((t,))
-            t += 1
-        else:
-            groups.append((t, t + 1))
-            t += 2
-    return FoldMaps(tuple(groups))
+    """The fold maps of a type-B/C word, read off its diagram's twin table."""
+    twins = build_symp_diagram(w).twins
+    return FoldMaps(tuple([
+        (a - 1,) if twin == a else (a - 1, twin - 1)
+        for a, (_, _, twin) in enumerate(twins, start=1) if twin >= a
+    ]))
 
 
 def functional_C_unhalved(p: RigorousPath) -> LinForm:
@@ -189,23 +180,23 @@ def functional_B(p: RigorousPath) -> LinForm:
 def _form_table(family: str, d: WiringDiagram, coordinate) -> tuple:
     """What `_forms` reads of ``d``, once per word: per crossing (entry 0
     unused) the coordinate ``coordinate[k]`` of its letter ``k`` (a crossing
-    in type A, a twin group of `fold_maps` in B and C), its weight (2 on the
-    wall in type C, else 1), lower wire and wire sum; each crossing's mirror;
-    the dimension; the orientation whose self-mirror paths are halved."""
+    in type A, a letter of the word in B and C, from the diagram's
+    ``twins``), its weight (2 on the wall in type C, else 1), lower wire and
+    wire sum; each crossing's mirror; the dimension; the orientation whose
+    self-mirror paths are halved."""
     if family == "A":
-        groups = [(t,) for t in range(d.length)]
+        letters = [(coordinate[t], 1) for t in range(d.length)]
     elif isinstance(d, SympWiringDiagram):
-        groups = fold_maps(d.word).groups
+        letters = [
+            (coordinate[j - 1], 2 if family == "C" and twin == a else 1)
+            for a, (_, j, twin) in enumerate(d.twins, start=1)
+        ]
     else:
         raise ValueError(f"type-{family} functionals need a path on a symplectic diagram")
-    letters = [(0, 0)] * d.length
-    for k, group in enumerate(groups):
-        for t in group:
-            letters[t] = (coordinate[k], 3 - len(group) if family == "C" else 1)
     crossings = [None, *((*letters[t], nd.wires[0], sum(nd.wires)) for t, nd in enumerate(d.nodes))]
     if family != "C":
         return crossings, None, len(coordinate), 0
-    return crossings, [0, *map(d.mirror_node, range(1, d.length + 1))], len(coordinate), d.n
+    return crossings, [0, *(twin for _, _, twin in d.twins)], len(coordinate), d.n
 
 
 def _forms(table: tuple, k: int, paths) -> list[tuple[int, ...]]:
@@ -281,8 +272,8 @@ def _oriented(t: LieType, w: ReducedWord) -> list[OrientedDiagram]:
 
 def rigorous_paths(t: LieType, w: ReducedWord) -> list[RigorousPath]:
     """The rigorous paths of ``w`` that cut the string cone of type ``t``,
-    in path order (see `_oriented`).  The raw `string_cone` lists the form
-    of each, in the same order."""
+    in path order (see `_oriented`): the one listing of a word's paths.
+    The raw `string_cone` lists the form of each, in the same order."""
     _check_types(t, w)
     return [p for od in _oriented(t, w) for p in enumerate_paths(od)]
 

@@ -21,8 +21,11 @@ it adds is names: wires ``n+1, ..., 2n`` are displayed as the barred wires
 ``nb, ..., 1b``, and the two crossings produced by a letter ``x != n`` of
 the underlying word carry twin labels, ``tbar_j`` in column ``x`` and
 ``t_j`` in column ``2n - x``; a letter ``n`` yields the single wall node
-``t_j``.  Every diagram names its wires (`wire_name`) and crossings
-(`label_str`), so the path and drawing code reads one type.
+``t_j``.  `weyl.lift` writes that layout, and the diagram reads it back
+once, off its lifted columns, into one twin table (``twins``), which its
+labels, its mirror (`mirror_node`) and the fold maps of `cones` read.
+Every diagram names its wires (`wire_name`) and crossings (`label_str`),
+so the path and drawing code reads one type.
 """
 
 from __future__ import annotations
@@ -222,8 +225,10 @@ class SympWiringDiagram(WiringDiagram):
 
     It is the wiring diagram of the lifted type-A word, with ``word`` the
     type-B/C word itself; the extra structure is the wall, barred wire
-    names, and the twin node labels t_j / tbar_j attached to each letter of
-    the underlying word.
+    names, and ``twins``: per crossing ``a`` the triple ``(kind, j, twin)``
+    naming it tbar_j (twin ``a + 1``) or t_j (twin ``a - 1``, or ``a`` itself
+    on the wall) after the letter ``j`` of the underlying word.  Labels,
+    mirrors and the fold maps all read it.
     """
 
     def __init__(self, word: ReducedWord):
@@ -231,17 +236,16 @@ class SympWiringDiagram(WiringDiagram):
             raise ValueError("SympWiringDiagram expects a type-B or type-C word")
         super().__init__(lift(word))
         self.word = word
-        self.n = word.rank
+        self.n = n = word.rank
 
-        labels: list[tuple[str, int]] = []
-        for j, x in enumerate(word.letters, start=1):
-            if x == self.n:
-                labels.append(("t", j))
-            else:
-                labels.extend((("tbar", j), ("t", j)))
-        self._labels = tuple(labels)
-        self._anode_of = {lab: a_index for a_index, lab in enumerate(labels, start=1)}
-        self.wall_nodes = frozenset(nd.index for nd in self.nodes if nd.column == self.n)
+        # `lift` writes a letter x < n as the columns x, 2n - x
+        twins: list[tuple[str, int, int]] = []
+        j = 0
+        for a, nd in enumerate(self.nodes, start=1):
+            j += nd.column <= n  # the first crossing of a letter: tbar_j, or t_j on the wall
+            twins.append(("tbar", j, a + 1) if nd.column < n else ("t", j, a - 1 if nd.column > n else a))
+        self.twins = tuple(twins)
+        self.wall_nodes = frozenset(a for a, (_, _, twin) in enumerate(twins, start=1) if twin == a)
 
     @property
     def base(self) -> SympWiringDiagram:
@@ -252,23 +256,14 @@ class SympWiringDiagram(WiringDiagram):
     # -- labels -------------------------------------------------------------
 
     def label(self, a_index: int) -> tuple[str, int]:
-        return self._labels[a_index - 1]
+        return self.twins[a_index - 1][:2]
 
     def label_str(self, a_index: int) -> str:
         kind, j = self.label(a_index)
         return f"{kind}{j}"
 
-    def anode(self, kind: str, j: int) -> int:
-        return self._anode_of[(kind, j)]
-
-    def on_wall(self, a_index: int) -> bool:
-        return a_index in self.wall_nodes
-
     def mirror_node(self, a_index: int) -> int:
-        kind, j = self.label(a_index)
-        if self.on_wall(a_index):
-            return a_index
-        return self.anode("t" if kind == "tbar" else "tbar", j)
+        return self.twins[a_index - 1][2]
 
     def wire_name(self, wire: int) -> str:
         if wire <= self.n:

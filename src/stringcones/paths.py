@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import OrientedDiagram, SympWiringDiagram, orient
-from .weyl import ReducedWord
 
 __all__ = [
     "RigorousPath",
@@ -46,7 +45,6 @@ __all__ = [
     "enumerate_paths",
     "enumerate_paths_naive",
     "symp_paths",
-    "all_symp_paths",
     "mirror",
     "is_symmetric",
     "enclosed_region",
@@ -233,13 +231,6 @@ def symp_paths(sd: SympWiringDiagram, k: int) -> tuple[RigorousPath, ...]:
     return enumerate_paths(orient(sd, k))
 
 
-def all_symp_paths(sd: SympWiringDiagram) -> tuple[RigorousPath, ...]:
-    out: list[RigorousPath] = []
-    for k in range(1, sd.n + 1):
-        out.extend(symp_paths(sd, k))
-    return tuple(out)
-
-
 def mirror(p: RigorousPath) -> RigorousPath:
     """Reflect a symplectic path in the wall and reverse the traversal.
 
@@ -376,14 +367,14 @@ def canonical_paths(sd: SympWiringDiagram) -> tuple[RigorousPath, ...]:
     return tuple(unique)
 
 
-def is_new(p: RigorousPath, w: ReducedWord) -> bool:
+def is_new(p: RigorousPath) -> bool:
     """Whether the path uses the outermost wire pair, so does not descend from
     the contracted word's diagram."""
-    if w.rank < 3:
-        raise ValueError("newness is relative to a contraction, which needs rank >= 3")
     sd = p.diagram
     if not isinstance(sd, SympWiringDiagram):
         raise ValueError("is_new expects a symplectic path")
+    if sd.n < 3:
+        raise ValueError("newness is relative to a contraction, which needs rank >= 3")
     return 1 in p.wire_seq or 2 * sd.n in p.wire_seq
 
 

@@ -867,7 +867,11 @@ def integrality(h: HRep):
     return True, None
 
 
-def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
+# The most partial assignments `lattice_points` visits before it gives up.
+LATTICE_POINT_CAP = 2_000_000
+
+
+def lattice_points(h: HRep) -> int:
     """Exact number of integer points, by recursion over the coordinates.
 
     Coordinates are fixed from the last to the first, inside the vertices'
@@ -875,7 +879,8 @@ def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
     and box are integral, so each bound is one integer division.  At its
     lowest nonzero coordinate a row's bound is exact, so every leaf reached
     satisfies every row (an all-zero row with ``b < 0`` leaves no vertex).
-    Visiting more than ``cap`` partial assignments raises `ResourceLimit`.
+    Visiting more than `LATTICE_POINT_CAP` partial assignments raises
+    `ResourceLimit`.
     An empty system has no vertex and counts 0, even one with a lineality
     direction.
     """
@@ -893,8 +898,8 @@ def lattice_points(h: HRep, cap: int = 2_000_000) -> int:
         # partial maps coordinate index -> fixed value, for indices > k
         nonlocal visits
         visits += 1
-        if visits > cap:
-            raise ResourceLimit(f"lattice point enumeration exceeded {cap} nodes")
+        if visits > LATTICE_POINT_CAP:
+            raise ResourceLimit(f"lattice point enumeration exceeded {LATTICE_POINT_CAP} nodes")
         lo_k, hi_k = box_lo[k], box_hi[k]
         for c, b in h.rows:
             ck = c[k]

@@ -38,6 +38,7 @@ from .cones import (
     functional_C,
     functional_C_unhalved,
     irredundant_facets,
+    rigorous_paths,
     string_cone,
 )
 from .diagram import (
@@ -48,7 +49,6 @@ from .diagram import (
     orient,
 )
 from .paths import (
-    all_symp_paths,
     canonical_paths,
     enclosed_region,
     enumerate_paths,
@@ -197,12 +197,11 @@ def _diagram_checks() -> list[Check]:
     out.append(_eq("wall nodes of (1,2,3)x3",
                    sorted(sd.label_str(a) for a in sd.wall_nodes), ["t3", "t6", "t9"]))
     sd2 = build_symp_diagram(ReducedWord.parse("C2", "2,1,2,1"))
-    out.append(_eq("node labels of (2,1,2,1)",
-                   [sd2.label_str(a) for a in range(1, 7)],
-                   ["t1", "tbar2", "t2", "t3", "tbar4", "t4"]))
+    labels = [sd2.label_str(a) for a in range(1, 7)]
+    out.append(_eq("node labels of (2,1,2,1)", labels, ["t1", "tbar2", "t2", "t3", "tbar4", "t4"]))
     mirror_ok = all(
         sd2.mirror_node(sd2.mirror_node(a)) == a for a in range(1, 7)
-    ) and sd2.mirror_node(sd2.anode("t", 2)) == sd2.anode("tbar", 2)
+    ) and sd2.label_str(sd2.mirror_node(labels.index("t2") + 1)) == "tbar2"
     out.append(_true("mirror swaps twin nodes and fixes the wall", mirror_ok))
     od = orient(d, 1)
     out.append(_true("orientation k=1 sends only the first wire up",
@@ -273,8 +272,7 @@ def _path_checks() -> list[Check]:
                      and is_symmetric(Pex)))
     ext_ok = True
     for wtxt in ("2,1,2,1", "1,2,1,2"):
-        sdd = build_symp_diagram(ReducedWord.parse("C2", wtxt))
-        for p in all_symp_paths(sdd):
+        for p in rigorous_paths(LieType("C", 2), ReducedWord.parse("C2", wtxt)):
             e = extension(p)
             if extension(e) != e:
                 ext_ok = False
@@ -282,7 +280,7 @@ def _path_checks() -> list[Check]:
                           enclosed_region(p) | enclosed_region(mirror(p)))
             if not (r <= re_ <= un):
                 ext_ok = False
-            if p.k == sdd.n and not is_symmetric(e):
+            if p.k == 2 and not is_symmetric(e):
                 ext_ok = False
     out.append(_true("extension invariants at rank 2", ext_ok))
     sd5 = build_symp_diagram(ReducedWord.parse("C3", "3,2,1,3,2,3,2,1,2"))
@@ -292,10 +290,10 @@ def _path_checks() -> list[Check]:
                      and ("1", "3", "2") in names))
     out.append(_eq("canonical path count", len(names), 5))
     out.append(_true("canonical paths are new",
-                     all(is_new(p, sd5.word) for p in canonical_paths(sd5))))
+                     all(is_new(p) for p in canonical_paths(sd5))))
     inner = next(p for p in symp_paths(sd5, 2) if "1" not in p.wires_by_name()
                  and "1b" not in p.wires_by_name())
-    out.append(_true("wire-avoiding path is not new", not is_new(inner, sd5.word)))
+    out.append(_true("wire-avoiding path is not new", not is_new(inner)))
     return out
 
 
@@ -618,8 +616,7 @@ def folding_suite(n: int) -> list[Check]:
                 rows.append((tuple(-x for x in om), -Fraction(r[k])))
             if not polyhedra.feasible(rows, dimA):
                 quot_ok = False
-        sd = build_symp_diagram(w)
-        for p in all_symp_paths(sd):
+        for p in rigorous_paths(tC, w):
             if functional_C_unhalved(p).coeffs != functional_C_unhalved(mirror(p)).coeffs:
                 mirror_ok = False
             if p.k == w.rank and is_symmetric(p):

@@ -9,6 +9,13 @@ the order-reversing permutation in type A and minus the identity in types
 B/C.  B_n and C_n share one Weyl group, so their reduced words coincide as
 letter sequences; the types differ only through `cartan_pairing`.
 
+A type-B/C word of rank ``n`` folds out of a type-A word on ``2n`` wires:
+`lift` is the one writer of that layout, and the entry of the one-line
+notation at position ``p`` (``p <= n``) is the wire at position ``p`` of
+the lifted diagram, ``v`` for ``+v`` and ``2n + 1 - v`` for ``-v``.  So
+`contract`, which drops the wires ``1`` and ``2n``, reads the word alone,
+tracking where the entry +-1 sits.
+
 Letters are 1-based generator indices.  Words serialize as comma-separated
 integers, Lie types as strings like ``"A3"`` or ``"C2"``.
 """
@@ -348,46 +355,30 @@ def lift(w: ReducedWord) -> ReducedWord:
     return ReducedWord(LieType("A", 2 * n - 1), tuple(out))
 
 
-def _unlift(letters: Sequence[int], n: int) -> tuple[int, ...]:
-    """Inverse of `lift`: collapse pairs (i, 2n-i) back to single letters."""
-    out: list[int] = []
-    i = 0
-    while i < len(letters):
-        x = letters[i]
-        if x == n:
-            out.append(n)
-            i += 1
-        else:
-            if x >= n or i + 1 >= len(letters) or letters[i + 1] != 2 * n - x:
-                raise ValueError("letter sequence is not a lifted word")
-            out.append(x)
-            i += 2
-    return tuple(out)
-
-
 def contract(w: ReducedWord) -> ReducedWord:
-    """Drop the outermost wire pair of a type-C word, lowering the rank by one.
+    """Drop the outermost wire pair of a type-B/C word, lowering the rank by one.
 
-    Implemented on the lifted type-A word: delete the first and last wires
-    of its wiring diagram, reread the surviving crossings as a type-A word
-    of rank 2n-3, and collapse it back to a type-C word of rank n-1.
+    Read on the signed one-line notation, where the entry +-1 sits at the
+    positions of wires 1 and 2n (see the module docstring).  A letter that
+    moves it (``i < n`` swapping it with a neighbour, or ``n`` flipping its
+    sign) crosses those wires and is dropped; every other letter is kept,
+    one lower when the entry +-1 lies left of its positions.
     """
     if not w.lie_type.is_doubled:
         raise ValueError("contract applies to words of type B or C")
     n = w.rank
     if n < 3:
         raise ValueError("contract needs rank at least 3")
-    m = 2 * n
-    lifted = lift(w)
-    arr = list(range(1, m + 1))  # wires left to right, top arrangement first
+    at = 1  # the position of the entry +-1 in the one-line notation
     out: list[int] = []
-    for c in lifted.letters:
-        a, b = arr[c - 1], arr[c]
-        if a not in (1, m) and b not in (1, m):
-            col = sum(1 for x in arr[: c - 1] if x not in (1, m)) + 1
-            out.append(col)
-        arr[c - 1], arr[c] = b, a
-    return ReducedWord(LieType(w.lie_type.family, n - 1), _unlift(out, n - 1))
+    for x in w.letters:
+        if at == x + 1:
+            at = x
+        elif at == x:
+            at = min(x + 1, n)
+        else:
+            out.append(x - 1 if at < x else x)
+    return ReducedWord(LieType(w.lie_type.family, n - 1), tuple(out))
 
 
 def cartan_pairing(t: LieType, i: int, j: int) -> int:

@@ -22,7 +22,7 @@ from stringcones.cones import (
     string_cone,
 )
 from stringcones.diagram import OrientedDiagram, build_diagram, build_symp_diagram, orient
-from stringcones.paths import RigorousPath, all_symp_paths, enumerate_paths
+from stringcones.paths import RigorousPath, enumerate_paths
 from stringcones.weyl import (
     LieType,
     ReducedWord,
@@ -82,7 +82,11 @@ def parent_string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) ->
         dim = d.length
     elif t.family == "C":
         sd = build_symp_diagram(w)
-        pairs = [(functional_C(p), p) for p in all_symp_paths(sd)]
+        pairs = [
+            (functional_C(p), p)
+            for u in range(1, sd.n + 1)
+            for p in enumerate_paths(OrientedDiagram(sd, u))
+        ]
         dim = longest_length(w.lie_type)
     elif t.family == "B":
         sd = build_symp_diagram(w)

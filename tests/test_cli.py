@@ -415,6 +415,18 @@ def test_words_at_large_rank_exit_2_at_once(monkeypatch):
         )
 
 
+def test_gt_over_the_rank_bound_exits_2_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gt polytope built over the rank bound")
+
+    monkeypatch.setattr(cli.polytopes, "gt_polytope_C", refuse)
+    monkeypatch.setattr(cli.Weight, "parse", refuse)
+    for n in (cli.GT_MAX_RANK + 1, 10**9):
+        res = run(["gt", "--n", str(n), "--lambda", "rho"])
+        assert res.status == 2
+        assert res.payload["error"] == f"rank {n} is over the bound {cli.GT_MAX_RANK} of the gt polytope"
+
+
 def test_fvector_bad_input_files(tmp_path):
     cases = {
         "no_rows.json": {"dim": 2},

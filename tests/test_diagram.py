@@ -98,7 +98,7 @@ def test_mirror_node_is_an_involution_fixing_the_wall():
     sd = build_symp_diagram(w("1,3,2,1,3,2,1,3,2", "C", 3))
     for a in range(1, sd.length + 1):
         assert sd.mirror_node(sd.mirror_node(a)) == a
-        if sd.on_wall(a):
+        if a in sd.wall_nodes:
             assert sd.mirror_node(a) == a
         else:
             kind, j = sd.label(a)

@@ -7,7 +7,11 @@ the package (as a name, or as an attribute) outside its own definition.
 A public module-level function or class, and a method or property of a
 package class, lives only while the program reads it outside its own
 definition: the package source or the benchmark harness, not the tests
-alone.  Dunder methods are called by the language and are exempt, and so
+alone.  A read of a name that two package classes define (a method, a
+property or a field) may be the other class's, so such a method or
+property lives only while it runs: it must be called while the battery
+``verify.paper_checks(2)`` and the CLI invocations in `CLI_RUNS` run under
+``sys.setprofile``.  Dunder methods are called by the language and are exempt, and so
 are the public functions in `TEST_ONLY`.  A dataclass field, and an
 attribute that an ``__init__`` sets on ``self``, lives only while the
 program reads it as an attribute; the fields in `UNREAD_FIELDS` are exempt.
@@ -17,9 +21,11 @@ are exempt.  The checks run on the standard library's `ast`.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import stringcones
+from stringcones import cli, cones, verify
 
 SOURCES = sorted(Path(stringcones.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
@@ -37,9 +43,18 @@ UNREAD_FIELDS = {
 }
 
 # Defaulted parameters that no program call passes, each kept for a reason.
-ALLOWED_KNOBS = {
-    "polyhedra.lattice_points.cap": "a safety cap, which the tests lower to reach `ResourceLimit`",
-}
+ALLOWED_KNOBS: dict[str, str] = {}
+
+# The CLI invocations that, with `verify.paper_checks(2)`, show which members
+# run; ``{out}`` is an output file.
+CLI_RUNS = (
+    ["render", "A3", "1,2,1,3,2,1", "-o", "{out}"],
+    ["render", "C2", "2,1,2,1", "--highlight", "2,1,2b", "-o", "{out}"],
+    ["paths", "C2", "2,1,2,1"],
+    ["cone", "C2", "2,1,2,1"],
+    ["polytope", "C2", "2,1,2,1", "--lambda", "rho", "--full"],
+    ["gt", "--n", "2", "--lambda", "rho"],
+)
 
 
 def dead_helpers(paths) -> list[str]:
@@ -89,26 +104,57 @@ def dead_public(sources, readers) -> list[str]:
     return dead
 
 
-def dead_members(sources, readers) -> list[str]:
+def dead_members(sources, readers, ran=None) -> list[str]:
     """``module.Class.member`` for each non-dunder method or property of a
     class in ``sources`` that no file of ``readers`` reads as an attribute
-    outside the member's own definition."""
+    outside the member's own definition.  Given ``ran``, the
+    ``(module, "Class.member")`` pairs seen running, a member whose name
+    another class of ``sources`` also defines counts as read only if it ran."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in {*sources, *readers}}
     reads = _reads(trees, readers, ast.Attribute)
+    classes = [(path, cls) for path in sources for cls in ast.walk(trees[path]) if isinstance(cls, ast.ClassDef)]
+    definers: dict[str, int] = {}  # name -> how many classes define it
+    for _, cls in classes:
+        names = {m.name for m in cls.body if isinstance(m, ast.FunctionDef)} | _fields(cls)
+        for name in names:
+            definers[name] = definers.get(name, 0) + 1
     dead = []
-    for path in sources:
-        for cls in ast.walk(trees[path]):
-            if not isinstance(cls, ast.ClassDef):
+    for path, cls in classes:
+        for member in cls.body:
+            if not isinstance(member, ast.FunctionDef):
                 continue
-            for member in cls.body:
-                if not isinstance(member, ast.FunctionDef):
-                    continue
-                if member.name.startswith("__") and member.name.endswith("__"):
-                    continue
+            if member.name.startswith("__") and member.name.endswith("__"):
+                continue
+            if ran is not None and definers[member.name] > 1:
+                alive = (path.stem, f"{cls.name}.{member.name}") in ran
+            else:
                 own = {id(node) for node in ast.walk(member)}
-                if not reads.get(member.name, set()) - own:
-                    dead.append(f"{path.stem}.{cls.name}.{member.name}")
+                alive = bool(reads.get(member.name, set()) - own)
+            if not alive:
+                dead.append(f"{path.stem}.{cls.name}.{member.name}")
     return dead
+
+
+def ran_members(out: Path) -> set[tuple[str, str]]:
+    """``(module, qualified name)`` of each package function called while
+    `verify.paper_checks(2)` and the `CLI_RUNS` run, from an empty class cache."""
+    package = str(Path(stringcones.__file__).parent)
+    ran = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(package):
+            ran.add((Path(code.co_filename).stem, code.co_qualname))
+
+    cones._class_entry.cache_clear()
+    sys.setprofile(profile)
+    try:
+        verify.paper_checks(2)
+        statuses = [cli.run([arg.format(out=out) for arg in argv]).status for argv in CLI_RUNS]
+    finally:
+        sys.setprofile(None)
+    assert statuses == [0] * len(CLI_RUNS)
+    return ran
 
 
 def _fields(cls: ast.ClassDef) -> set[str]:
@@ -241,6 +287,22 @@ def test_the_check_sees_a_dead_member(tmp_path):
     assert dead_members([source], [source]) == ["a.P.dead", "a.P.recursive", "a.P.read_in_test"]
 
 
+def test_the_check_sees_a_shared_name_that_never_runs(tmp_path):
+    source = tmp_path / "a.py"
+    source.write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\nclass H:\n    dim: int\n\n"
+        "class F:\n    @property\n    def dim(self):\n        return 0\n\n"
+        "    def size(self):\n        return 0\n\n"
+        "class G:\n    def size(self):\n        return H(1).dim\n\n"
+        "G().size()\nF().size()\n"
+    )
+    assert dead_members([source], [source]) == []
+    ran = {("a", "G.size"), ("a", "F.size")}
+    assert dead_members([source], [source], ran) == ["a.F.dim"]
+    assert dead_members([source], [source], ran - {("a", "F.size")}) == ["a.F.dim", "a.F.size"]
+
+
 def test_the_check_sees_a_dead_public_name(tmp_path):
     source = tmp_path / "a.py"
     source.write_text(
@@ -274,8 +336,9 @@ def test_every_private_function_is_used():
     assert not dead_helpers(SOURCES), "private functions that nothing calls"
 
 
-def test_every_method_and_property_is_read():
-    assert not dead_members(SOURCES, READERS), "methods or properties that only the tests read"
+def test_every_method_and_property_is_read(tmp_path):
+    dead = dead_members(SOURCES, READERS, ran_members(tmp_path / "diagram.svg"))
+    assert not dead, "methods or properties that only the tests read"
 
 
 def test_every_public_function_and_class_is_read():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from stringcones.cones import rigorous_paths
 from stringcones.diagram import (
     OrientedDiagram,
     WiringDiagram,
@@ -13,7 +14,6 @@ from stringcones.diagram import (
     orient,
 )
 from stringcones.paths import (
-    all_symp_paths,
     canonical_paths,
     enclosed_region,
     enumerate_paths,
@@ -173,12 +173,13 @@ def test_enclosed_regions_are_freed_with_their_diagram():
     gc.disable()
     try:
         sd = build_symp_diagram(W("C3", "1,3,2,1,3,2,1,3,2"))
-        regions = [enclosed_region(p) | enclosed_region(mirror(p)) for p in all_symp_paths(sd)]
-        extended = [extension(p) for p in all_symp_paths(sd)]
+        paths = [p for k in (1, 2, 3) for p in symp_paths(sd, k)]
+        regions = [enclosed_region(p) | enclosed_region(mirror(p)) for p in paths]
+        extended = [extension(p) for p in paths]
         canonical = canonical_paths(sd)
         assert len(regions) == len(extended) and len(canonical) == 5
         diagram = weakref.ref(sd)
-        del sd, extended, canonical
+        del sd, paths, extended, canonical
         assert diagram() is None
     finally:
         gc.enable()
@@ -210,9 +211,9 @@ def test_extension_worked_examples():
 
 
 def test_extension_invariants_all_rank3_words():
-    for w in enumerate_reduced_words(LieType("C", 3)):
-        sd = build_symp_diagram(w)
-        for p in all_symp_paths(sd):
+    c3 = LieType("C", 3)
+    for w in enumerate_reduced_words(c3):
+        for p in rigorous_paths(c3, w):
             e = extension(p)
             assert extension(e) == e
             r, re_ = enclosed_region(p), enclosed_region(e)
@@ -260,7 +261,7 @@ def test_canonical_paths_all_words():
         cps = canonical_paths(sd)
         assert len(cps) == 5
         assert len(set(cps)) == 5
-        assert all(is_new(p, w) for p in cps)
+        assert all(is_new(p) for p in cps)
 
 
 def canonical_paths_by_rescan(sd):
@@ -358,19 +359,18 @@ def test_canonical_paths_match_the_rescan_oracle():
 
 def test_is_new():
     w = W("C3", "3,2,1,3,2,3,2,1,2")
-    sd = build_symp_diagram(w)
     inner = next(
         p
-        for p in all_symp_paths(sd)
+        for p in rigorous_paths(w.lie_type, w)
         if "1" not in p.wires_by_name() and "1b" not in p.wires_by_name()
     )
-    assert not is_new(inner, w)
+    assert not is_new(inner)
     with pytest.raises(ValueError):
-        is_new(all_symp_paths(build_symp_diagram(W("C2", "2,1,2,1")))[0], W("C2", "2,1,2,1"))
+        is_new(rigorous_paths(LieType("C", 2), W("C2", "2,1,2,1"))[0])
 
 
 def test_path_count_monotone_under_contraction():
     for w in enumerate_reduced_words(LieType("C", 3)):
-        big = len(all_symp_paths(build_symp_diagram(w)))
-        small = len(all_symp_paths(build_symp_diagram(contract(w))))
+        big = len(rigorous_paths(w.lie_type, w))
+        small = len(rigorous_paths(LieType("C", 2), contract(w)))
         assert big >= small + 5

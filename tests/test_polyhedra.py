@@ -1234,7 +1234,7 @@ def test_integrality():
     assert not flag and witness == (F(3, 2),)
 
 
-def test_lattice_points():
+def test_lattice_points(monkeypatch):
     assert lattice_points(SQUARE) == 4
     assert lattice_points(dilate(SQUARE, 2)) == 9
     assert lattice_points(HRep(1, (((1,), 3), ((-1,), 0)))) == 4
@@ -1247,8 +1247,9 @@ def test_lattice_points():
     for unbounded in (half_strip, HRep(2, (((1, 0), 1), ((-1, 0), 0))), HRep(2, (((1, 0), 0),))):
         with pytest.raises(Unbounded):
             lattice_points(unbounded)
+    monkeypatch.setattr(polyhedra, "LATTICE_POINT_CAP", 10)
     with pytest.raises(ResourceLimit):
-        lattice_points(dilate(SQUARE, 1000), cap=10)
+        lattice_points(dilate(SQUARE, 1000))
 
 
 def test_derived_representations_computed_once_per_instance(monkeypatch):

@@ -149,6 +149,46 @@ def test_contract_examples():
         contract(ReducedWord.parse("C2", "2,1,2,1"))
 
 
+def contract_on_the_lifted_diagram(w: ReducedWord) -> ReducedWord:
+    """The contraction read off the lifted wiring diagram: drop wires 1 and
+    2n, reread the surviving crossings' columns as a type-A word on 2n - 2
+    wires, and collapse each pair (i, 2n - 2 - i) back to the letter i."""
+    n, m = w.rank, 2 * w.rank
+    arr = list(range(1, m + 1))  # wires left to right
+    columns = []
+    for c in lift(w).letters:
+        a, b = arr[c - 1], arr[c]
+        if a not in (1, m) and b not in (1, m):
+            columns.append(sum(1 for x in arr[: c - 1] if x not in (1, m)) + 1)
+        arr[c - 1], arr[c] = b, a
+    letters = []
+    while columns:
+        x = columns.pop(0)
+        letters.append(x)
+        if x != n - 1:
+            assert columns.pop(0) == 2 * (n - 1) - x
+    return ReducedWord(LieType(w.lie_type.family, n - 1), tuple(letters))
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+def test_contract_matches_the_lifted_diagram(family):
+    words = [*enumerate_reduced_words(LieType(family, 3)), *class_words(LieType(family, 4))]
+    assert len(words) == 42 + 330
+    for w in words:
+        assert contract(w) == contract_on_the_lifted_diagram(w), w
+
+
+@pytest.mark.parametrize("type_text, word, message", [
+    ("B2", "2,1,2,1", "contract needs rank at least 3"),
+    ("C2", "1,2,1,2", "contract needs rank at least 3"),
+    ("A3", "1,2,1,3,2,1", "contract applies to words of type B or C"),
+    ("A5", "1,2,1,3,2,1,4,3,2,1,5,4,3,2,1", "contract applies to words of type B or C"),
+])
+def test_contract_refuses_low_rank_and_type_a(type_text, word, message):
+    with pytest.raises(ValueError, match=message):
+        contract(ReducedWord.parse(type_text, word))
+
+
 def test_contract_preserves_reducedness():
     c2 = LieType("C", 2)
     for w in enumerate_reduced_words(LieType("C", 3)):
