@@ -1,4 +1,5 @@
-"""Small exact linear-algebra helpers shared by the diagram and polyhedral code.
+"""Small exact linear-algebra helpers shared by the diagram and polyhedral
+code, and `Value`, the base of the package's immutable value types.
 
 Everything works over Python integers: the entries given must be ints (a
 rational matrix is scaled to integers by its caller).  No floats.
@@ -9,8 +10,10 @@ nullspace and inverse are read off its result.
 from __future__ import annotations
 
 from math import gcd
+from operator import attrgetter
 
 __all__ = [
+    "Value",
     "content",
     "primitive",
     "echelon",
@@ -21,6 +24,42 @@ __all__ = [
     "inverse_int",
     "mat_vec",
 ]
+
+
+class Value:
+    """An immutable value named by the fields in ``_fields``.
+
+    It equals an instance of its own class with equal fields, hashes as the
+    tuple of its fields and prints as ``Name(field=value, ...)``.  Its
+    ``__init__`` sets each attribute with ``object.__setattr__``; after
+    that, assigning or deleting one raises `AttributeError`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # one C call reads the field tuple that equality and hashing compare
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda v: (get(v),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def content(vec) -> int:

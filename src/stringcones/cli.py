@@ -27,10 +27,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polyhedra, polytopes
+from ._linalg import Value
 from .cones import irredundant_facets, path_forms, rigorous_paths
 from .diagram import SympWiringDiagram, WiringDiagram, build_diagram, build_symp_diagram
 from .paths import RigorousPath, path_json
@@ -52,12 +52,14 @@ __all__ = ["CommandResult", "run", "render_svg", "main"]
 GT_MAX_RANK = 8
 
 
-@dataclass
-class CommandResult:
-    command: str
-    payload: dict
-    table: str
-    status: int
+class CommandResult(Value):
+    _fields = ("command", "payload", "table", "status")
+
+    def __init__(self, command: str, payload: dict, table: str, status: int) -> None:
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "status", status)
 
 
 def _rows_json(h: polyhedra.HRep) -> list:

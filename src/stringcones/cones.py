@@ -51,12 +51,11 @@ All relabelling happens here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
 from . import polyhedra
-from ._linalg import primitive as polyhedra_primitive
+from ._linalg import Value, primitive as polyhedra_primitive
 from .diagram import OrientedDiagram, SympWiringDiagram, WiringDiagram, build_diagram, build_symp_diagram
 from .paths import RigorousPath, enumerate_paths, path_events
 from .weyl import LieType, ReducedWord, Weight, foata_normal_form, heap_coordinates
@@ -78,18 +77,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class LinForm:
+class LinForm(Value):
     """An integer linear functional; the inequality meant is ``form >= 0``.
 
     A tuple given as ``coeffs`` is kept as it is, any other sequence copied.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if type(self.coeffs) is not tuple:
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, coeffs) -> None:
+        object.__setattr__(self, "coeffs", coeffs if type(coeffs) is tuple else tuple(coeffs))
+
+    def __reduce__(self):  # copy and pickle cannot set a slot on a frozen instance
+        return LinForm, (self.coeffs,)
 
     def pretty(self) -> str:
         parts: list[str] = []
@@ -111,8 +111,7 @@ def functional_A(p: RigorousPath) -> LinForm:
     return path_forms("A", [p])[0]
 
 
-@dataclass(frozen=True)
-class FoldMaps:
+class FoldMaps(Value):
     """The linear maps tying the folded coordinates to the lifted ones.
 
     ``groups`` lists the lifted coordinates of each letter, one per twin
@@ -124,7 +123,10 @@ class FoldMaps:
     multiplication by 2.
     """
 
-    groups: tuple[tuple[int, ...], ...]  # lifted coordinate indices per letter, 0-based
+    _fields = ("groups",)  # lifted coordinate indices per letter, 0-based
+
+    def __init__(self, groups: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "groups", groups)
 
     @property
     def n_lifted(self) -> int:
@@ -232,12 +234,14 @@ def path_forms(family: str, paths: list[RigorousPath], halve: bool = True) -> li
     return [LinForm(_forms(table, p.k, [p.events])[0]) for p in paths]
 
 
-@dataclass(frozen=True)
-class HRepCone:
+class HRepCone(Value):
     """A cone given by ``form >= 0`` constraints."""
 
-    dim: int
-    forms: tuple[LinForm, ...]
+    _fields = ("dim", "forms")
+
+    def __init__(self, dim: int, forms: tuple[LinForm, ...]) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "forms", forms)
 
     def to_hrep(self) -> polyhedra.HRep:
         return polyhedra.HRep(

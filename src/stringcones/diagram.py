@@ -30,10 +30,9 @@ so the path and drawing code reads one type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from ._linalg import det_int
+from ._linalg import Value, det_int
 from .weyl import ReducedWord, lift
 
 __all__ = [
@@ -49,14 +48,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Value):
     """One crossing: ``index`` counts from the top, ``column`` is the swap gap."""
 
-    index: int
-    column: int
-    left_above: int  # wire at position `column` just above the crossing
-    right_above: int  # wire at position `column + 1` just above
+    # left_above, right_above: the wires at positions `column`, `column + 1` just above
+    _fields = ("index", "column", "left_above", "right_above")
+
+    def __init__(self, index: int, column: int, left_above: int, right_above: int) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "left_above", left_above)
+        object.__setattr__(self, "right_above", right_above)
 
     @property
     def wires(self) -> tuple[int, int]:
@@ -180,8 +182,7 @@ class WiringDiagram:
         return f"WiringDiagram({self.word})"
 
 
-@dataclass(frozen=True)
-class ChamberStructure:
+class ChamberStructure(Value):
     """Chambers of a wiring diagram and the chamber-variable change of basis.
 
     Chamber ``j`` is the region directly below node ``a_j``.  Its boundary
@@ -192,7 +193,10 @@ class ChamberStructure:
     same-column boundary nodes, -1 on the others.
     """
 
-    phi_rows: tuple[tuple[int, ...], ...]
+    _fields = ("phi_rows",)
+
+    def __init__(self, phi_rows: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "phi_rows", phi_rows)
 
     @cached_property
     def det(self) -> int:
@@ -274,8 +278,7 @@ class SympWiringDiagram(WiringDiagram):
         return f"SympWiringDiagram({self.word.lie_type}, {self.word})"
 
 
-@dataclass(frozen=True)
-class OrientedDiagram:
+class OrientedDiagram(Value):
     """A (symplectic) wiring diagram with the first ``up_count`` wires upward.
 
     ``up_count`` always refers to unbarred type-A wire indices; for a
@@ -283,8 +286,11 @@ class OrientedDiagram:
     barred orientation ``kb`` it equals ``2n + 1 - k``.
     """
 
-    diagram: WiringDiagram
-    up_count: int
+    _fields = ("diagram", "up_count")
+
+    def __init__(self, diagram: WiringDiagram, up_count: int) -> None:
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "up_count", up_count)
 
     def is_up(self, wire: int) -> bool:
         return wire <= self.up_count

@@ -35,8 +35,7 @@ string inequality is irredundant) exactly when it is its own extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._linalg import Value
 from .diagram import OrientedDiagram, SympWiringDiagram, orient
 
 __all__ = [
@@ -55,12 +54,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RigorousPath:
+class RigorousPath(Value):
     """An oriented path, recorded as (crossing index, switched) events."""
 
-    oriented: OrientedDiagram
-    events: tuple[tuple[int, bool], ...]
+    _fields = ("oriented", "events")
+
+    def __init__(self, oriented: OrientedDiagram, events: tuple[tuple[int, bool], ...]) -> None:
+        object.__setattr__(self, "oriented", oriented)
+        object.__setattr__(self, "events", events)
 
     @property
     def diagram(self):

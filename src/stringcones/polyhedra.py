@@ -62,12 +62,12 @@ of the facet rows and outlives the instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import countOf, mul, sub
 
 from ._linalg import (
+    Value,
     content,
     det_int,
     independent_rows,
@@ -129,24 +129,27 @@ def _normalize_row(coeffs, rhs) -> tuple[tuple[int, ...], int]:
     return tuple(coeffs), rhs
 
 
-@dataclass(frozen=True)
-class HRep:
+class HRep(Value):
     """Intersection of half-spaces ``c . x <= b`` in dimension ``dim``.
 
     Rows may be given with int or Fraction entries; each is stored as
     ``(tuple[int], int)``, scaled by a positive rational to content 1.
+    The memo of derived representations (``_memo``) is no field.
     """
 
-    dim: int
-    rows: tuple[tuple[tuple[int, ...], int], ...]
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _fields = ("dim", "rows")
 
-    def __post_init__(self) -> None:
-        rows = tuple([_normalize_row(c, b) for c, b in self.rows])
+    def __init__(self, dim: int, rows) -> None:
+        rows = tuple([_normalize_row(c, b) for c, b in rows])
         for c, _ in rows:
-            if len(c) != self.dim:
+            if len(c) != dim:
                 raise PolyhedralError("row length does not match dimension")
+        self._hold(dim, rows)
+
+    def _hold(self, dim: int, rows) -> None:
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def _canonical(cls, dim: int, rows) -> HRep:
@@ -154,7 +157,7 @@ class HRep:
         each row must already be stored as an instance stores it, as a row
         read from an instance is, with its coordinates renamed or not."""
         h = object.__new__(cls)
-        h.__dict__.update(dim=dim, rows=rows, _memo={})
+        h._hold(dim, rows)
         return h
 
     @property
@@ -183,14 +186,16 @@ class HRep:
         self._memo["share"] = entry
 
 
-@dataclass(frozen=True)
-class VRep:
+class VRep(Value):
     """Vertices (rational points) and rays (primitive integer directions), the
     public form that `to_vrep` builds once from integer points (see `_vrep`).
     """
 
-    vertices: tuple[tuple[Fraction, ...], ...]
-    rays: tuple[tuple[int, ...], ...]
+    _fields = ("vertices", "rays")
+
+    def __init__(self, vertices: tuple[tuple[Fraction, ...], ...], rays: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "rays", rays)
 
 
 def _memoized(h: HRep, key: str, compute):
@@ -737,26 +742,31 @@ def vrep_to_hrep(v: VRep) -> HRep:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _IncidenceTable:
+class _IncidenceTable(Value):
     """A bounded polytope's dimension, vertices and facets; ``vertices`` are
     ``den`` times the vertices: integer points in a table (see `_vrep`),
     `Fraction`s with ``den`` 1 in a `FaceLattice`."""
 
-    dim: int
-    vertices: tuple[tuple, ...]
-    incidences: tuple[int, ...]  # per facet, bitset over vertex indices
-    den: int = field(default=1, kw_only=True)
+    _fields = ("dim", "vertices", "incidences", "den")  # incidences: per facet, a vertex bitset
+
+    def __init__(self, dim: int, vertices: tuple, incidences: tuple[int, ...], *, den: int = 1):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "incidences", incidences)
+        object.__setattr__(self, "den", den)
 
     def tight_facets(self, bits: int) -> list[int]:
         return [i for i, inc in enumerate(self.incidences) if bits & ~inc == 0]
 
 
-@dataclass(frozen=True)
 class FaceLattice(_IncidenceTable):
     """All faces of a bounded polytope, as vertex bitsets graded by dimension."""
 
-    faces: tuple[tuple[int, int], ...]  # (vertex bitset, dimension), sorted
+    _fields = (*_IncidenceTable._fields, "faces")  # faces: (vertex bitset, dimension), sorted
+
+    def __init__(self, dim: int, vertices: tuple, incidences: tuple[int, ...], faces: tuple):
+        super().__init__(dim, vertices, incidences)
+        object.__setattr__(self, "faces", faces)
 
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * (self.dim + 2)
@@ -993,16 +1003,19 @@ def verify_unimodular_map(p: HRep, q: HRep, matrix, shift) -> bool:
     return den == den_q and image == set(vq)
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
-    status: str  # "equivalent" | "inequivalent" | "unknown"
-    matrix: tuple[tuple[int, ...], ...] | None = None
-    shift: tuple[int, ...] | None = None
-    witness: str | None = None
-    # the stage that settled the verdict: "dimension", "vertices", "facet sizes",
-    # "integrality", "search", "budget", "no-simple-vertex" or "lower-dimensional";
+class EquivalenceResult(Value):
+    # status: "equivalent" | "inequivalent" | "unknown"; decided_by: the stage that
+    # settled the verdict: "dimension", "vertices", "facet sizes", "integrality",
+    # "search", "budget", "no-simple-vertex" or "lower-dimensional";
     # `polytopes.verify_gt_theorem` adds "facet count", its pre-filter
-    decided_by: str = field(kw_only=True)
+    _fields = ("status", "matrix", "shift", "witness", "decided_by")
+
+    def __init__(self, status: str, matrix=None, shift=None, witness=None, *, decided_by: str):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "decided_by", decided_by)
 
 
 def _edge_data(table: _IncidenceTable, verts, vertex_index: int):

@@ -49,8 +49,7 @@ polytope has the wrong facet count, one decided by "facet count".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._linalg import Value
 from .cones import class_polytope_rows
 from .polyhedra import EquivalenceResult, HRep, remove_redundant, search_unimodular_equivalence
 from .weyl import (
@@ -190,11 +189,15 @@ def gt_polytope_C(lam: Weight, n: int) -> HRep:
     return HRep(N, tuple(dict.fromkeys(rows)))
 
 
-@dataclass(frozen=True)
-class GTReport:
-    n: int
-    comparisons: tuple[tuple[ReducedWord, EquivalenceResult], ...]  # in enumeration order
-    gt: HRep  # the pattern polytope at rho every word was compared with
+class GTReport(Value):
+    # comparisons: (word, verdict) pairs in enumeration order; gt: the pattern
+    # polytope at rho every word was compared with
+    _fields = ("n", "comparisons", "gt")
+
+    def __init__(self, n: int, comparisons: tuple[tuple[ReducedWord, EquivalenceResult], ...], gt: HRep):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "comparisons", comparisons)
+        object.__setattr__(self, "gt", gt)
 
     def ok(self) -> bool:
         """Exactly the nested word is equivalent, and every other word is inequivalent."""

@@ -22,9 +22,10 @@ integers, Lie types as strings like ``"A3"`` or ``"C2"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Sequence
+
+from ._linalg import Value
 
 __all__ = [
     "LieType",
@@ -57,19 +58,19 @@ class EnumerationCapExceeded(RuntimeError):
     """Raised when a reduced-word enumeration would exceed its cap."""
 
 
-@dataclass(frozen=True, order=True)
-class LieType:
+class LieType(Value):
     """A simple Lie type restricted to the families A, B, C."""
 
-    family: str
-    rank: int
+    _fields = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unsupported family {self.family!r}; expected one of {_FAMILIES}")
-        min_rank = 1 if self.family == "A" else 2
-        if self.rank < min_rank:
-            raise ValueError(f"rank {self.rank} too small for type {self.family}")
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in _FAMILIES:
+            raise ValueError(f"unsupported family {family!r}; expected one of {_FAMILIES}")
+        min_rank = 1 if family == "A" else 2
+        if rank < min_rank:
+            raise ValueError(f"rank {rank} too small for type {family}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
@@ -163,20 +164,20 @@ def is_reduced(t: LieType, letters: Sequence[int]) -> bool:
     return w == _w0(t)
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(Value):
     """A reduced word for the longest Weyl element of a fixed Lie type."""
 
-    lie_type: LieType
-    letters: tuple[int, ...]
+    _fields = ("lie_type", "letters")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if not is_reduced(self.lie_type, self.letters):
+    def __init__(self, lie_type: LieType, letters: Sequence[int]) -> None:
+        letters = tuple(letters)
+        if not is_reduced(lie_type, letters):
             raise ValueError(
-                f"{','.join(map(str, self.letters))} is not a reduced word "
-                f"for the longest element of {self.lie_type}"
+                f"{','.join(map(str, letters))} is not a reduced word "
+                f"for the longest element of {lie_type}"
             )
+        object.__setattr__(self, "lie_type", lie_type)
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def parse(cls, type_text: str, word_text: str) -> "ReducedWord":
@@ -435,17 +436,17 @@ def weyl_dimension(lam: Weight) -> int:
     return top // bottom
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Value):
     """An integral weight written in fundamental-weight coordinates."""
 
-    lie_type: LieType
-    coeffs: tuple[int, ...]
+    _fields = ("lie_type", "coeffs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != self.lie_type.rank:
+    def __init__(self, lie_type: LieType, coeffs: Sequence[int]) -> None:
+        coeffs = tuple(coeffs)
+        if len(coeffs) != lie_type.rank:
             raise ValueError("weight needs one coefficient per fundamental weight")
+        object.__setattr__(self, "lie_type", lie_type)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def rho(cls, t: LieType) -> "Weight":

@@ -193,8 +193,8 @@ def test_a_warm_cone_class_hit_builds_no_hrep(empty_entries, monkeypatch):
     first = ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2")
     moved = ReducedWord.parse("C3", "3,1,2,1,3,2,1,3,2")
     built = []
-    post_init, canonical = HRep.__post_init__, HRep._canonical
-    monkeypatch.setattr(HRep, "__post_init__", lambda h: built.append("__post_init__") or post_init(h))
+    init, canonical = HRep.__init__, HRep._canonical
+    monkeypatch.setattr(HRep, "__init__", lambda h, dim, rows: built.append("__init__") or init(h, dim, rows))
     monkeypatch.setattr(
         HRep, "_canonical", classmethod(lambda cls, dim, rows: built.append("_canonical") or canonical(dim, rows))
     )

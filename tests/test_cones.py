@@ -5,7 +5,6 @@ import pytest
 from stringcones import cones, polyhedra
 from stringcones._linalg import primitive
 from stringcones.cones import (
-    HRepCone,
     LinForm,
     facet_count,
     fold_maps,

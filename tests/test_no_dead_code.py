@@ -12,9 +12,11 @@ property or a field) may be the other class's, so such a method or
 property lives only while it runs: it must be called while the battery
 ``verify.paper_checks(2)`` and the CLI invocations in `CLI_RUNS` run under
 ``sys.setprofile``.  Dunder methods are called by the language and are exempt, and so
-are the public functions in `TEST_ONLY`.  A dataclass field, and an
-attribute that an ``__init__`` sets on ``self``, lives only while the
-program reads it as an attribute; the fields in `UNREAD_FIELDS` are exempt.
+are the public functions in `TEST_ONLY`.  A field (a name in a class's
+``_fields`` tuple, the declaration of the package's value types, or a
+dataclass field), and an attribute that an ``__init__`` sets on ``self``,
+lives only while the program reads it as an attribute; the fields in
+`UNREAD_FIELDS` are exempt.
 A parameter with a default (a knob) lives only while some call of the
 program passes it, by keyword or by position; the knobs in `ALLOWED_KNOBS`
 are exempt.  The checks run on the standard library's `ast`.
@@ -158,8 +160,15 @@ def ran_members(out: Path) -> set[tuple[str, str]]:
 
 
 def _fields(cls: ast.ClassDef) -> set[str]:
-    """The fields of a dataclass and the attributes an ``__init__`` sets on ``self``."""
-    names = set()
+    """The names in a ``_fields`` tuple, the fields of a dataclass and the
+    attributes an ``__init__`` sets on ``self``."""
+    names = {
+        node.value
+        for s in cls.body
+        if isinstance(s, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_fields" for t in s.targets)
+        for node in ast.walk(s.value)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
     decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
     if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
         names |= {
@@ -181,8 +190,8 @@ def _fields(cls: ast.ClassDef) -> set[str]:
 
 
 def dead_fields(sources, readers) -> list[str]:
-    """``module.Class.field`` for each dataclass field, or attribute set on
-    ``self`` by an ``__init__``, of a class in ``sources`` that no file of
+    """``module.Class.field`` for each field, or attribute set on ``self``
+    by an ``__init__``, of a class in ``sources`` that no file of
     ``readers`` reads as an attribute."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in {*sources, *readers}}
     read = {
@@ -324,12 +333,20 @@ def test_the_check_sees_a_dead_field(tmp_path):
         "@dataclass(frozen=True)\nclass D:\n    used: int\n    unread: int\n\n"
         "@dataclass\nclass E:\n    only_in_test: int\n\n"
         "class P:\n    def __init__(self, d):\n        self.kept = d.used\n        self.dropped = 0\n\n"
-        "    def total(self):\n        return self.kept\n"
+        "    def total(self):\n        return self.kept + V(1, 2).seen + W().added\n\n"
+        "class V(Value):\n    __slots__ = _fields = ('seen', 'hidden')\n\n"
+        "class W(V):\n    _fields = (*V._fields, 'added', 'ignored')\n"
     )
     test = tmp_path / "test_a.py"
     test.write_text("from a import E\n\nE(1).only_in_test\n")
-    assert dead_fields([source], [source, test]) == ["a.D.unread", "a.P.dropped"]
-    assert dead_fields([source], [source]) == ["a.D.unread", "a.E.only_in_test", "a.P.dropped"]
+    assert dead_fields([source], [source, test]) == ["a.D.unread", "a.P.dropped", "a.V.hidden", "a.W.ignored"]
+    assert dead_fields([source], [source]) == [
+        "a.D.unread",
+        "a.E.only_in_test",
+        "a.P.dropped",
+        "a.V.hidden",
+        "a.W.ignored",
+    ]
 
 
 def test_every_private_function_is_used():

@@ -1,4 +1,4 @@
-"""No unused import in the package's source.
+"""No unused import in the package's source or its tests.
 
 The project ships no linter, so this is the check, on the standard
 library's `ast`: every name a module imports must be read in that module
@@ -13,6 +13,7 @@ import pytest
 import stringcones
 
 SOURCES = sorted(Path(stringcones.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -40,6 +41,6 @@ def test_the_check_sees_an_unused_import(tmp_path):
     assert unused_imports(source) == ["gcd (line 1)"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_every_import_is_used_or_exported(path):
     assert not unused_imports(path), f"{path.name} imports names it never uses"

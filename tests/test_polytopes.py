@@ -17,7 +17,7 @@ from stringcones.polyhedra import (
     search_unimodular_equivalence,
     to_vrep,
 )
-from stringcones.cones import irredundant_facets, string_cone
+from stringcones.cones import irredundant_facets
 from stringcones.polytopes import (
     gt_coordinate_names,
     gt_polytope_C,
