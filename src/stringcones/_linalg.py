@@ -84,7 +84,7 @@ def echelon(rows, reduced: bool = True):
     pivots, d, sign)``: the integer rows of ``d`` times the reduced row
     echelon form (with ``reduced``; otherwise a row echelon form), the pivot
     columns in order, the last pivot ``d`` (1 when there is none) and the
-    sign of the row permutation.  The rows below a pivot are updated alike
+    sign of the row permutation.  The rows below a pivot change alike
     in both passes, so pivots, ``d`` and sign agree; the forward pass is all
     that rank, determinant and independent rows need.
     """

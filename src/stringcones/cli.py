@@ -41,7 +41,6 @@ from .weyl import (
     LieType,
     ReducedWord,
     Weight,
-    count_reduced_words,
     enumerate_reduced_words,
 )
 
@@ -199,7 +198,6 @@ def _find_path(w: ReducedWord, names: list[str]) -> RigorousPath:
 
 def _cmd_words(args) -> CommandResult:
     t = LieType.parse(args.type)
-    count_reduced_words(t, cap=args.cap)  # refuses before any word is built
     words = [str(w) for w in enumerate_reduced_words(t, cap=args.cap)]
     table = "\n".join(words)
     return CommandResult("words", {"type": str(t), "count": len(words), "words": words}, table, 0)

@@ -37,23 +37,23 @@ The pieces:
 * double description with lexicographic insertion for vertex/ray
   enumeration, both directions; each ray's zero set is kept by
   construction, so the integer V-rep carries the rows tight at each vertex;
-* the face lattice closed from one integer vertex-facet incidence table,
-  read off those tight rows with no LP (each facet is the tight set of one
-  row of any defining system, see `_incidences`): the facets of a face F
-  are the maximal proper non-empty ``F & inc`` (each proper face of F lies
-  in one whose facet inc does not contain F), and the lattice is graded,
-  so the closure down from the polytope dates each face by this covering
-  relation, with no linear algebra; f-vectors; exact volumes by recursive
-  triangulation of the table's covering relation;
+* one integer vertex-facet incidence table per polytope, read off those
+  tight rows with no LP (each facet is the tight set of one row of any
+  defining system, see `_incidences`): the facets of a face F are the
+  maximal proper non-empty ``F & inc`` (each proper face of F lies in one
+  whose facet inc does not contain F), and the face lattice is graded, so
+  f-vectors count the faces closed down from the polytope by this covering
+  relation, with no linear algebra; exact volumes by recursive
+  triangulation of the same covering relation;
 * lattice-point counting by bounded coordinate recursion;
 * unimodular equivalence from the table alone: dimension, vertex count,
   facet sizes, integrality, then a complete anchored search for an integer
   map over its edges, whose exhaustion certifies inequivalence.
 
 `HRep` is the one polytope object: `remove_redundant`, `to_vrep`, the
-incidence table and `face_lattice` compute their result once per instance
-and keep it in the instance's private memo, which `==`, `hash` and `repr`
-ignore.  Errors are not kept.  A V-rep, incidence table or face lattice is
+incidence table and `f_vector` compute their result once per instance and
+keep it in the instance's private memo, which `==`, `hash` and `repr`
+ignore.  Errors are not kept.  A V-rep, incidence table or f-vector is
 held by its `HRep` alone and freed with it.  The minimal rows may also be
 shared (see `HRep.share`): systems that list one sequence of rows up to a
 renaming of coordinates read them from one entry, which keeps the indices
@@ -88,8 +88,6 @@ __all__ = [
     "remove_redundant",
     "to_vrep",
     "vrep_to_hrep",
-    "FaceLattice",
-    "face_lattice",
     "f_vector",
     "integrality",
     "lattice_points",
@@ -744,12 +742,11 @@ def vrep_to_hrep(v: VRep) -> HRep:
 
 class _IncidenceTable(Value):
     """A bounded polytope's dimension, vertices and facets; ``vertices`` are
-    ``den`` times the vertices: integer points in a table (see `_vrep`),
-    `Fraction`s with ``den`` 1 in a `FaceLattice`."""
+    integer points, ``den`` times the vertices (see `_vrep`)."""
 
     _fields = ("dim", "vertices", "incidences", "den")  # incidences: per facet, a vertex bitset
 
-    def __init__(self, dim: int, vertices: tuple, incidences: tuple[int, ...], *, den: int = 1):
+    def __init__(self, dim: int, vertices: tuple, incidences: tuple[int, ...], den: int):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "incidences", incidences)
@@ -757,28 +754,6 @@ class _IncidenceTable(Value):
 
     def tight_facets(self, bits: int) -> list[int]:
         return [i for i, inc in enumerate(self.incidences) if bits & ~inc == 0]
-
-
-class FaceLattice(_IncidenceTable):
-    """All faces of a bounded polytope, as vertex bitsets graded by dimension."""
-
-    _fields = (*_IncidenceTable._fields, "faces")  # faces: (vertex bitset, dimension), sorted
-
-    def __init__(self, dim: int, vertices: tuple, incidences: tuple[int, ...], faces: tuple):
-        super().__init__(dim, vertices, incidences)
-        object.__setattr__(self, "faces", faces)
-
-    def f_vector(self) -> tuple[int, ...]:
-        counts = [0] * (self.dim + 2)
-        counts[0] = 1  # the empty face
-        for _, d in self.faces:
-            counts[d + 1] += 1
-        return tuple(counts)
-
-
-def face_lattice(h: HRep) -> FaceLattice:
-    """All faces of the bounded polytope ``h``."""
-    return _memoized(h, "lattice", _face_lattice)
 
 
 def _incidence_table(h: HRep) -> _IncidenceTable:
@@ -812,11 +787,12 @@ def _incidences(h: HRep) -> _IncidenceTable:
     dim = h.dim - rank_int([c for (c, _), bits in zip(h.rows, tight) if bits == top])
     facets = set(_facets_of(top, tight))
     incidences = tuple(dict.fromkeys(bits for bits in tight if bits in facets))
-    return _IncidenceTable(dim, points, incidences, den=den)
+    return _IncidenceTable(dim, points, incidences, den)
 
 
-def _face_lattice(h: HRep) -> FaceLattice:
-    """Faces closed from the incidence table (`_incidence_table`), dated by covering.
+def _faces(h: HRep) -> dict[int, int]:
+    """Every non-empty face of the bounded polytope ``h``, as ``{vertex
+    bitset: dimension}``, closed from its incidence table (`_incidence_table`).
 
     Level by level down from the polytope, a face's facets come from
     `_facets_of`.  The lattice is graded and a (k - 1)-face is a facet only
@@ -830,42 +806,42 @@ def _face_lattice(h: HRep) -> FaceLattice:
     while level:
         below = []
         for bits in level:
-            for sub in _facets_of(bits, table.incidences, dims):
-                dims[sub] = dims[bits] - 1
-                below.append(sub)
+            for sub in _facets_of(bits, table.incidences):
+                if sub not in dims:
+                    dims[sub] = dims[bits] - 1
+                    below.append(sub)
         level = below
-    faces = tuple(sorted(dims.items()))
-    return FaceLattice(table.dim, to_vrep(h).vertices, table.incidences, faces)
+    return dims
 
 
-def _facets_of(bits: int, incidences, dated=()) -> list[int]:
-    """The facets of the face ``bits`` that are not in ``dated``: the maximal
-    proper non-empty ``bits & inc``.
+def _facets_of(bits: int, incidences) -> list[int]:
+    """The facets of the face ``bits``: the maximal proper non-empty ``bits & inc``.
 
     Each proper face of F lies in ``F & inc`` for some facet inc not
     containing F, so the maximal such sets are F's facets.  Taken largest
-    first, a set is maximal when no set kept before contains it.  A set in
-    ``dated`` is a face one dimension below F (the closure dates a level of
-    faces before the next), so it is a facet and needs no scan: only the
-    other sets are scanned, against it too.
+    first, a set is maximal when no set kept before contains it.
     """
     cands = {bits & inc for inc in incidences}
     cands.difference_update((bits, 0))
-    facets = [c for c in cands if c in dated]
-    out: list[int] = []
-    for c in sorted(cands.difference(facets), key=int.bit_count, reverse=True):
+    facets: list[int] = []
+    for c in sorted(cands, key=int.bit_count, reverse=True):
         for o in facets:
             if not c & ~o:
                 break
         else:
             facets.append(c)
-            out.append(c)
-    return out
+    return facets
 
 
 def f_vector(h: HRep) -> tuple[int, ...]:
     """Face counts ``(f_-1, f_0, ..., f_dim)``, empty face and polytope included."""
-    return face_lattice(h).f_vector()
+    return _memoized(h, "f_vector", _count_faces)
+
+
+def _count_faces(h: HRep) -> tuple[int, ...]:
+    """The empty face, then the faces of `_faces` by dimension."""
+    dims = list(_faces(h).values())
+    return (1, *(countOf(dims, d) for d in range(max(dims) + 1)))
 
 
 def integrality(h: HRep):

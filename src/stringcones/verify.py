@@ -513,8 +513,8 @@ def _polytope_checks(n: int) -> list[Check]:
     out = [
         _eq("rank-2 nested polytope facet count",
             polytopes.polytope_facet_count(gt_adapted_word(2), rho2), 8),
-        _eq("zero-weight polytope is the origin",  # a face lattice needs it bounded
-            polyhedra.face_lattice(h0).vertices, ((Fraction(0),) * 4,)),
+        _eq("zero-weight polytope is the origin",
+            polyhedra.to_vrep(h0).vertices, ((Fraction(0),) * 4,)),
         _eq("rank-2 pattern polytope facet count", len(polyhedra.remove_redundant(gt2).rows), 8),
         _eq("rank-2 lattice point counts agree",
             (polyhedra.lattice_points(d_i2), polyhedra.lattice_points(gt2)), (16, 16)),

@@ -176,8 +176,19 @@ class ReducedWord(Value):
                 f"{','.join(map(str, letters))} is not a reduced word "
                 f"for the longest element of {lie_type}"
             )
+        self._hold(lie_type, letters)
+
+    def _hold(self, lie_type: LieType, letters: tuple[int, ...]) -> None:
         object.__setattr__(self, "lie_type", lie_type)
         object.__setattr__(self, "letters", letters)
+
+    @classmethod
+    def _reduced(cls, lie_type: LieType, letters: tuple[int, ...]) -> "ReducedWord":
+        """An instance holding ``letters`` unchecked: they must already be a
+        reduced word for the longest element of ``lie_type``."""
+        w = object.__new__(cls)
+        w._hold(lie_type, letters)
+        return w
 
     @classmethod
     def parse(cls, type_text: str, word_text: str) -> "ReducedWord":
@@ -208,22 +219,17 @@ def enumerate_reduced_words(t: LieType, cap: int = DEFAULT_WORD_CAP) -> Iterator
 
     Depth-first search over prefixes, extending only by letters that
     lengthen the product.  Any reduced prefix extends to a reduced word of
-    the longest element, so the search has no dead ends.  Raises
-    `EnumerationCapExceeded` once more than ``cap`` words would be emitted.
+    the longest element, so the search has no dead ends, and every word it
+    reaches is reduced.  Raises `EnumerationCapExceeded` on the call, before
+    any word is built, when `count_reduced_words` counts more than ``cap``.
     """
+    count_reduced_words(t, cap)
     target = longest_length(t)
-    emitted = 0
     stack_word: list[int] = []
 
     def walk(w: tuple[int, ...]) -> Iterator[ReducedWord]:
-        nonlocal emitted
         if len(stack_word) == target:
-            emitted += 1
-            if emitted > cap:
-                raise EnumerationCapExceeded(
-                    f"more than {cap} reduced words for {t}; raise the cap to enumerate"
-                )
-            yield ReducedWord(t, tuple(stack_word))
+            yield ReducedWord._reduced(t, tuple(stack_word))
             return
         for letter in range(1, t.rank + 1):
             if _is_ascent(t, w, letter):

@@ -129,13 +129,6 @@ def assert_matches_parent(t, w):
     assert count == len(kept)
 
 
-@pytest.fixture
-def empty_entries():
-    cones._class_entry.cache_clear()
-    yield cones._class_entry
-    cones._class_entry.cache_clear()
-
-
 @pytest.mark.parametrize("type_text", ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3"])
 def test_class_cones_match_the_parent_on_every_word(empty_entries, type_text):
     t = LieType.parse(type_text)

@@ -69,13 +69,6 @@ def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
     return h
 
 
-@pytest.fixture
-def empty_entries():
-    cones._class_entry.cache_clear()
-    yield cones._class_entry
-    cones._class_entry.cache_clear()
-
-
 def cold_then_warm(words, check):
     """``check`` each word on an empty class cache, then on another word of
     its class (a hit on the entry the first filled), if it has one."""

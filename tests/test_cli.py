@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from stringcones import cli, cones, paths, polyhedra
+from stringcones import cli, cones, paths, polyhedra, weyl
 from stringcones.cli import render_svg, run
 from stringcones.diagram import build_symp_diagram
 from stringcones.weyl import LieType, ReducedWord, enumerate_reduced_words
@@ -365,10 +365,10 @@ def test_words_over_the_cap_exit_2(monkeypatch):
     assert run(["words", "C3", "--cap", "42"]).payload["count"] == 42
 
     def refuse(*args, **kwargs):
-        raise AssertionError("words enumerated although the count is over the cap")
+        raise AssertionError("words walked although the count is over the cap")
 
-    # the closed-form count refuses C9 (about 2.2e47 words) before any is built
-    monkeypatch.setattr(cli, "enumerate_reduced_words", refuse)
+    # the closed-form count refuses C9 (about 2.2e47 words) before the walk takes a step
+    monkeypatch.setattr(weyl, "_is_ascent", refuse)
     res = run(["words", "C9"])
     assert res.status == 2
     assert "more than the cap 10000000" in res.payload["error"]

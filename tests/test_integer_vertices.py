@@ -20,7 +20,6 @@ from stringcones.polyhedra import (
     PolyhedralError,
     Unbounded,
     VRep,
-    face_lattice,
     feasible,
     integrality,
     search_unimodular_equivalence,
@@ -134,7 +133,6 @@ def test_integer_vertices_match_the_fraction_path(battery):
         points = [[int(x * table.den) for x in v] for v in expected.vertices]
         assert table.dim == rank_int([list(map(sub, p, points[0])) for p in points[1:]])
         assert integrality(h) == parent_integrality(expected.vertices)
-        assert face_lattice(h).vertices == expected.vertices
 
 
 def test_search_on_c2_pairs_matches_the_fraction_path(monkeypatch):

@@ -13,21 +13,32 @@ property lives only while it runs: it must be called while the battery
 ``verify.paper_checks(2)`` and the CLI invocations in `CLI_RUNS` run under
 ``sys.setprofile``.  Dunder methods are called by the language and are exempt, and so
 are the public functions in `TEST_ONLY`.  A field (a name in a class's
-``_fields`` tuple, the declaration of the package's value types, or a
-dataclass field), and an attribute that an ``__init__`` sets on ``self``,
-lives only while the program reads it as an attribute; the fields in
-`UNREAD_FIELDS` are exempt.
+``_fields`` tuple, the declaration of the package's value types), and an
+attribute that an ``__init__`` sets on ``self``, lives only while the
+program reads it as an attribute.  A field whose name another package class
+also declares lives only while package code reads it, in that same run, on
+an instance of its own class: a temporary ``__getattribute__`` on `Value`
+and `WiringDiagram` records those reads.  The fields in `UNREAD_FIELDS` are
+exempt.
 A parameter with a default (a knob) lives only while some call of the
 program passes it, by keyword or by position; the knobs in `ALLOWED_KNOBS`
 are exempt.  The checks run on the standard library's `ast`.
 """
 
 import ast
+import io
 import sys
+from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 import stringcones
 from stringcones import cli, cones, verify
+from stringcones._linalg import Value
+from stringcones.diagram import WiringDiagram
 
 SOURCES = sorted(Path(stringcones.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
@@ -47,8 +58,8 @@ UNREAD_FIELDS = {
 # Defaulted parameters that no program call passes, each kept for a reason.
 ALLOWED_KNOBS: dict[str, str] = {}
 
-# The CLI invocations that, with `verify.paper_checks(2)`, show which members
-# run; ``{out}`` is an output file.
+# The command lines that, with `verify.paper_checks(2)`, show which members
+# run and which shared fields are read; ``{out}`` is an output file.
 CLI_RUNS = (
     ["render", "A3", "1,2,1,3,2,1", "-o", "{out}"],
     ["render", "C2", "2,1,2,1", "--highlight", "2,1,2b", "-o", "{out}"],
@@ -137,31 +148,64 @@ def dead_members(sources, readers, ran=None) -> list[str]:
     return dead
 
 
-def ran_members(out: Path) -> set[tuple[str, str]]:
+def ran_members(out: Path, shared) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
     """``(module, qualified name)`` of each package function called while
-    `verify.paper_checks(2)` and the `CLI_RUNS` run, from an empty class cache."""
+    `verify.paper_checks(2)` and the `CLI_RUNS` run, from an empty class
+    cache, and ``(module, "Class.field")`` for each read of a name in
+    ``shared`` that package code makes in that run on an instance of
+    ``Class`` or of a subclass, a `Value` or a `WiringDiagram`.  The reads
+    of `Value`'s own equality, hash and repr are not counted."""
     package = str(Path(stringcones.__file__).parent)
-    ran = set()
+    ran, read = set(), set()
 
     def profile(frame, event, arg):
         code = frame.f_code
         if event == "call" and code.co_filename.startswith(package):
             ran.add((Path(code.co_filename).stem, code.co_qualname))
 
+    def recorded(self, name):
+        if name in shared:
+            code = sys._getframe(1).f_code
+            if code.co_filename.startswith(package) and not code.co_qualname.startswith("Value."):
+                for cls in type(self).__mro__[:-1]:  # not object
+                    read.add((cls.__module__.rpartition(".")[2], f"{cls.__qualname__}.{name}"))
+        return object.__getattribute__(self, name)
+
     cones._class_entry.cache_clear()
+    for root in (Value, WiringDiagram):
+        root.__getattribute__ = recorded
     sys.setprofile(profile)
     try:
         verify.paper_checks(2)
-        statuses = [cli.run([arg.format(out=out) for arg in argv]).status for argv in CLI_RUNS]
+        statuses = [exit_status([arg.format(out=out) for arg in argv]) for argv in CLI_RUNS]
     finally:
         sys.setprofile(None)
+        for root in (Value, WiringDiagram):
+            del root.__getattribute__
     assert statuses == [0] * len(CLI_RUNS)
-    return ran
+    return ran, read
+
+
+def exit_status(argv) -> int:
+    """The exit status of the command line ``argv``, run by `cli.main` with
+    its output discarded."""
+    with mock.patch.object(sys, "argv", ["stringcones", *argv]), redirect_stdout(io.StringIO()):
+        try:
+            cli.main()
+        except SystemExit as done:
+            return done.code
+    raise AssertionError("cli.main returned without exiting")
+
+
+@pytest.fixture(scope="module")
+def program_run(tmp_path_factory):
+    """`ran_members` of the package, recording the reads of its shared field names."""
+    return ran_members(tmp_path_factory.mktemp("run") / "diagram.svg", shared_fields(SOURCES))
 
 
 def _fields(cls: ast.ClassDef) -> set[str]:
-    """The names in a ``_fields`` tuple, the fields of a dataclass and the
-    attributes an ``__init__`` sets on ``self``."""
+    """The names in a ``_fields`` tuple and the attributes an ``__init__``
+    sets on ``self``."""
     names = {
         node.value
         for s in cls.body
@@ -169,13 +213,6 @@ def _fields(cls: ast.ClassDef) -> set[str]:
         for node in ast.walk(s.value)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
-    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
-    if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
-        names |= {
-            s.target.id
-            for s in cls.body
-            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
-        }
     for member in cls.body:
         if isinstance(member, ast.FunctionDef) and member.name == "__init__":
             for node in ast.walk(member):
@@ -189,23 +226,41 @@ def _fields(cls: ast.ClassDef) -> set[str]:
     return names
 
 
-def dead_fields(sources, readers) -> list[str]:
+def _classes(sources):
+    """``(path, class definition)`` for each class in ``sources``."""
+    return [
+        (path, cls)
+        for path in sources
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+    ]
+
+
+def shared_fields(sources) -> set[str]:
+    """The field names that more than one class of ``sources`` declares."""
+    declared = Counter(name for _, cls in _classes(sources) for name in _fields(cls))
+    return {name for name, count in declared.items() if count > 1}
+
+
+def dead_fields(sources, readers, ran_reads=None) -> list[str]:
     """``module.Class.field`` for each field, or attribute set on ``self``
     by an ``__init__``, of a class in ``sources`` that no file of
-    ``readers`` reads as an attribute."""
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in {*sources, *readers}}
+    ``readers`` reads as an attribute.  Given ``ran_reads``, the
+    ``(module, "Class.field")`` pairs read while the program ran, a field
+    whose name another class of ``sources`` also declares counts as read
+    only if it is among them."""
     read = {
         node.attr
         for path in readers
-        for node in ast.walk(trees[path])
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
+    shared = shared_fields(sources) if ran_reads is not None else set()
     return [
         f"{path.stem}.{cls.name}.{name}"
-        for path in sources
-        for cls in ast.walk(trees[path])
-        if isinstance(cls, ast.ClassDef)
-        for name in sorted(_fields(cls) - read)
+        for path, cls in _classes(sources)
+        for name in sorted(_fields(cls))
+        if ((path.stem, f"{cls.name}.{name}") not in ran_reads if name in shared else name not in read)
     ]
 
 
@@ -299,8 +354,7 @@ def test_the_check_sees_a_dead_member(tmp_path):
 def test_the_check_sees_a_shared_name_that_never_runs(tmp_path):
     source = tmp_path / "a.py"
     source.write_text(
-        "from dataclasses import dataclass\n\n"
-        "@dataclass\nclass H:\n    dim: int\n\n"
+        "class H:\n    _fields = ('dim',)\n\n"
         "class F:\n    @property\n    def dim(self):\n        return 0\n\n"
         "    def size(self):\n        return 0\n\n"
         "class G:\n    def size(self):\n        return H(1).dim\n\n"
@@ -329,9 +383,8 @@ def test_the_check_sees_a_dead_public_name(tmp_path):
 def test_the_check_sees_a_dead_field(tmp_path):
     source = tmp_path / "a.py"
     source.write_text(
-        "from dataclasses import dataclass\n\n"
-        "@dataclass(frozen=True)\nclass D:\n    used: int\n    unread: int\n\n"
-        "@dataclass\nclass E:\n    only_in_test: int\n\n"
+        "class D(Value):\n    _fields = ('used', 'unread')\n\n"
+        "class E(Value):\n    _fields = ('only_in_test',)\n\n"
         "class P:\n    def __init__(self, d):\n        self.kept = d.used\n        self.dropped = 0\n\n"
         "    def total(self):\n        return self.kept + V(1, 2).seen + W().added\n\n"
         "class V(Value):\n    __slots__ = _fields = ('seen', 'hidden')\n\n"
@@ -349,12 +402,26 @@ def test_the_check_sees_a_dead_field(tmp_path):
     ]
 
 
+def test_the_check_sees_a_shared_field_that_is_never_read(tmp_path):
+    source = tmp_path / "a.py"
+    source.write_text(
+        "class A(Value):\n    _fields = ('dim', 'size')\n\n"
+        "class B(Value):\n    _fields = ('dim', 'unread')\n\n"
+        "def total(a):\n    return a.dim + a.size\n"
+    )
+    assert shared_fields([source]) == {"dim"}
+    assert dead_fields([source], [source]) == ["a.B.unread"]
+    # only A's dim is read while the program runs; B's is read by name alone
+    assert dead_fields([source], [source], {("a", "A.dim")}) == ["a.B.dim", "a.B.unread"]
+    assert dead_fields([source], [source], set()) == ["a.A.dim", "a.B.dim", "a.B.unread"]
+
+
 def test_every_private_function_is_used():
     assert not dead_helpers(SOURCES), "private functions that nothing calls"
 
 
-def test_every_method_and_property_is_read(tmp_path):
-    dead = dead_members(SOURCES, READERS, ran_members(tmp_path / "diagram.svg"))
+def test_every_method_and_property_is_read(program_run):
+    dead = dead_members(SOURCES, READERS, program_run[0])
     assert not dead, "methods or properties that only the tests read"
 
 
@@ -362,8 +429,10 @@ def test_every_public_function_and_class_is_read():
     assert sorted(dead_public(SOURCES, READERS)) == sorted(TEST_ONLY), "public names that only the tests read"
 
 
-def test_every_field_is_read():
-    assert sorted(dead_fields(SOURCES, READERS)) == sorted(UNREAD_FIELDS), "fields that only the tests read"
+def test_every_field_is_read(program_run):
+    read = program_run[1]
+    assert ("polyhedra", "HRep.dim") in read and ("polyhedra", "_IncidenceTable.dim") in read
+    assert sorted(dead_fields(SOURCES, READERS, read)) == sorted(UNREAD_FIELDS), "fields that only the tests read"
 
 
 def test_the_check_sees_an_unset_knob(tmp_path):

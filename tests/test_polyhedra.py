@@ -2,7 +2,7 @@ import gc
 import itertools
 import random
 import weakref
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction as F
 from math import lcm
 from operator import mul
@@ -28,7 +28,6 @@ from stringcones.polyhedra import (
     Unbounded,
     VRep,
     f_vector,
-    face_lattice,
     feasible,
     integrality,
     lattice_points,
@@ -301,11 +300,15 @@ def _affine_reduce(vertices):
     return [tuple(v[c] - v0[c] for c in pivots) for v in vertices], len(pivots)
 
 
+# faces: {vertex bitset: dimension}, every non-empty face
+Lattice = namedtuple("Lattice", "dim vertices incidences faces")
+
+
 def rank_face_lattice(h):
-    """Reference for `polyhedra.face_lattice`: the closure of the vertex-facet
-    incidences with one `rank_int` per face for its dimension.  A
-    lower-dimensional polytope is projected into its affine hull and its
-    facets come from a second double description there."""
+    """Reference for the incidence table and `polyhedra._faces`: the closure
+    of the vertex-facet incidences with one `rank_int` per face for its
+    dimension.  A lower-dimensional polytope is projected into its affine
+    hull and its facets come from a second double description there."""
     vr = to_vrep(h)
     if vr.rays:
         raise Unbounded("input is unbounded", ray=vr.rays[0])
@@ -314,7 +317,7 @@ def rank_face_lattice(h):
         raise PolyhedralError("empty polytope has no face lattice")
     reduced, dim = _affine_reduce(verts)
     if dim == 0:
-        return polyhedra.FaceLattice(0, verts, tuple(), (((1 << len(verts)) - 1, 0),))
+        return Lattice(0, verts, (), {(1 << len(verts)) - 1: 0})
     minimal = (
         remove_redundant(h)
         if dim == h.dim
@@ -342,30 +345,35 @@ def rank_face_lattice(h):
             tight = [normals[i] for i, inc2 in enumerate(incidences) if nb & ~inc2 == 0]
             seen[nb] = dim - rank_int(tight)
             queue.append(nb)
-    faces = tuple(sorted(seen.items()))
-    return polyhedra.FaceLattice(dim, verts, tuple(incidences), faces)
+    return Lattice(dim, verts, tuple(incidences), seen)
 
 
 def assert_lattice_matches_rank_oracle(h):
-    """`face_lattice` on a fresh copy of ``h`` equals the oracle's, or both raise alike.
+    """On a fresh copy of ``h``, the incidence table, the V-rep's vertices,
+    `_faces` and `f_vector` equal the oracle's, or both raise alike; returns
+    the oracle's lattice.
 
-    On a full-dimensional polytope every field is equal.  On a
+    On a full-dimensional polytope the incidences are equal in order.  On a
     lower-dimensional one the oracle lists its facets in the order of its
-    second double description, so the incidences are compared as a set.
+    second double description, so they are compared as a set.
     """
     try:
         expected = rank_face_lattice(HRep(h.dim, h.rows))
     except PolyhedralError as exc:
         with pytest.raises(type(exc)):
-            face_lattice(HRep(h.dim, h.rows))
+            f_vector(HRep(h.dim, h.rows))
         return None
-    lat = face_lattice(HRep(h.dim, h.rows))
+    fresh = HRep(h.dim, h.rows)
+    table = polyhedra._incidence_table(fresh)
+    assert (table.dim, to_vrep(fresh).vertices) == (expected.dim, expected.vertices)
+    assert polyhedra._faces(fresh) == expected.faces
+    counts = Counter(expected.faces.values())
+    assert f_vector(fresh) == (1, *(counts[d] for d in range(expected.dim + 1)))
     if expected.dim == h.dim:
-        assert lat == expected
+        assert table.incidences == expected.incidences
     else:
-        assert (lat.dim, lat.vertices, lat.faces) == (expected.dim, expected.vertices, expected.faces)
-        assert sorted(lat.incidences) == sorted(expected.incidences)
-    return lat
+        assert sorted(table.incidences) == sorted(expected.incidences)
+    return expected
 
 
 def test_simplex_known_values():
@@ -1074,9 +1082,8 @@ def test_f_vector_lower_dimensional():
 
 
 def test_face_lattice_dims():
-    lat = face_lattice(SQUARE)
-    assert lat.dim == 2
-    assert sorted(d for _, d in lat.faces) == [0, 0, 0, 0, 1, 1, 1, 1, 2]
+    assert polyhedra._incidence_table(SQUARE).dim == 2
+    assert sorted(polyhedra._faces(SQUARE).values()) == [0, 0, 0, 0, 1, 1, 1, 1, 2]
 
 
 def test_face_lattice_matches_rank_oracle_on_small_and_lower_dimensional_input():
@@ -1118,8 +1125,9 @@ def test_face_lattice_matches_rank_oracle_on_rank3_gt_and_braid_variant():
     rho = Weight.rho(LieType("C", 3))
     gt = assert_lattice_matches_rank_oracle(gt_polytope_C(rho, 3))
     braid = assert_lattice_matches_rank_oracle(string_polytope(braid_variant_word(3), rho))
-    assert gt.f_vector()[:4] == (1, 176, 936, 2244)
-    assert braid.f_vector()[:3] == (1, 175, 933)
+    for lattice, head in ((gt, (176, 936, 2244)), (braid, (175, 933))):
+        counts = Counter(lattice.faces.values())
+        assert tuple(counts[d] for d in range(len(head))) == head
 
 
 def test_face_lattice_runs_no_elimination_per_face(monkeypatch):
@@ -1136,8 +1144,7 @@ def test_face_lattice_runs_no_elimination_per_face(monkeypatch):
         return _echelon(rows, **kwargs)
 
     monkeypatch.setattr(_linalg, "echelon", counted)
-    lat = face_lattice(gt_polytope_C(Weight.rho(LieType("C", 3)), 3))
-    assert len(lat.faces) == 11583
+    assert len(polyhedra._faces(gt_polytope_C(Weight.rho(LieType("C", 3)), 3))) == 11583
     assert 0 < len(calls) <= 4
 
 
@@ -1202,7 +1209,7 @@ def test_face_lattice_runs_no_lp(lp_counts):
     that double description keeps, so a fresh GT3 lattice solves no LP."""
     gt = gt_polytope_C(Weight.rho(LieType("C", 3)), 3)
     lp_counts.clear()
-    assert len(face_lattice(HRep(gt.dim, gt.rows)).faces) == 11583
+    assert len(polyhedra._faces(HRep(gt.dim, gt.rows))) == 11583
     assert lp_counts["_farkas"] == 0
 
 
@@ -1222,8 +1229,8 @@ def test_lower_dimensional_face_lattice_runs_one_double_description(monkeypatch)
     cut_box = HRep(3, tuple(box(3, 2) + [((1, 1, 0), 1), ((-1, -1, 0), -1)]))
     for h in (string_polytope(next(enumerate_reduced_words(c2)), Weight(c2, (1, 0))), cut_box):
         calls.clear()
-        lat = face_lattice(h)
-        assert lat.dim < h.dim
+        f_vector(h)
+        assert polyhedra._incidence_table(h).dim < h.dim
         assert calls == [h.dim + 1]
 
 
@@ -1254,7 +1261,7 @@ def test_lattice_points(monkeypatch):
 
 def test_derived_representations_computed_once_per_instance(monkeypatch):
     calls = Counter()
-    for name in ("_minimal", "_vrep", "_incidences", "_face_lattice"):
+    for name in ("_minimal", "_vrep", "_incidences", "_faces"):
         def counted(h, _worker=getattr(polyhedra, name), _name=name):
             calls[_name, id(h)] += 1
             return _worker(h)
@@ -1270,17 +1277,18 @@ def test_derived_representations_computed_once_per_instance(monkeypatch):
         assert lattice_points(h) == 4
         assert normalized_volume(h) == 2
         assert to_vrep(h) is to_vrep(h)
-        assert face_lattice(h) is face_lattice(h)
+        assert f_vector(h) is f_vector(h)
     assert search_unimodular_equivalence(p, q).status == "equivalent"
     assert verify_unimodular_map(p, q, shear, (0, 0))
-    names = ("_minimal", "_vrep", "_incidences", "_face_lattice")
+    names = ("_minimal", "_vrep", "_incidences", "_faces")
     assert calls == {(name, id(h)): 1 for name in names for h in (p, q)}
 
 
 def test_memo_is_invisible_and_freed_with_its_hrep():
     cold, warm = HRep(2, SQUARE.rows), HRep(2, SQUARE.rows)
     before = (hash(warm), repr(warm))
-    lattice = weakref.ref(face_lattice(warm))
+    assert f_vector(warm) == (1, 4, 4, 1)
+    table = weakref.ref(polyhedra._incidence_table(warm))
     minimal = weakref.ref(remove_redundant(warm))
     assert warm == cold and len({warm, cold}) == 1
     assert (hash(warm), repr(warm)) == (hash(cold), repr(cold)) == before
@@ -1288,10 +1296,10 @@ def test_memo_is_invisible_and_freed_with_its_hrep():
     cone = HRep(2, (((-1, 0), 0), ((0, -1), 0)))
     for _ in range(2):
         with pytest.raises(Unbounded):
-            face_lattice(cone)
+            f_vector(cone)
     del warm
     gc.collect()
-    assert lattice() is None and minimal() is None
+    assert table() is None and minimal() is None
 
 
 def test_shared_minimal_rows_and_f_vector(monkeypatch):
@@ -1300,7 +1308,7 @@ def test_shared_minimal_rows_and_f_vector(monkeypatch):
     p = HRep(2, SQUARE.rows + (((1, 1), 2), ((0, 1), 1)))
     q = HRep(2, tuple((c[::-1], b) for c, b in p.rows))
     calls = Counter()
-    for name in ("_irredundant_indices", "_face_lattice"):
+    for name in ("_irredundant_indices", "_faces"):
         def counted(*args, _worker=getattr(polyhedra, name), _name=name):
             calls[_name] += 1
             return _worker(*args)
@@ -1309,7 +1317,7 @@ def test_shared_minimal_rows_and_f_vector(monkeypatch):
     entry = {}
     for h in (p, q):
         h.share(entry)
-    lattice = weakref.ref(face_lattice(p))
+    table = weakref.ref(polyhedra._incidence_table(p))
     assert f_vector(p) == f_vector(q) == (1, 4, 4, 1)
     # q's own rows in q's order, the first copy of its doubled row kept
     assert remove_redundant(q).rows == (((0, 1), 1), ((1, 0), 1), ((0, -1), 0), ((-1, 0), 0))
@@ -1317,12 +1325,12 @@ def test_shared_minimal_rows_and_f_vector(monkeypatch):
     # the entry keeps the indices of the kept rows only: no f-vector, no face lattice
     assert entry == {"minimal": (0, 1, 2, 3)}
     assert remove_redundant(p).rows == SQUARE.rows
-    # one LP for the entry, the second for the oracle; each instance closes
-    # its own face lattice
-    assert calls == {"_irredundant_indices": 2, "_face_lattice": 2}
+    # one LP for the entry, the second for the oracle; each instance counts
+    # its own faces
+    assert calls == {"_irredundant_indices": 2, "_faces": 2}
     del p
     gc.collect()
-    assert lattice() is None
+    assert table() is None
 
 
 def test_empty_systems_have_no_vertices_and_no_face_lattice():
@@ -1334,7 +1342,7 @@ def test_empty_systems_have_no_vertices_and_no_face_lattice():
         assert to_vrep(h) == VRep((), ())
         assert lattice_points(h) == 0
         with pytest.raises(PolyhedralError, match="empty polytope has no face lattice"):
-            face_lattice(h)
+            f_vector(h)
     # a non-empty system with a line still has no V-rep
     with pytest.raises(Unbounded, match="lineality direction"):
         to_vrep(HRep(2, (((1, 0), 1), ((-1, 0), 0))))
@@ -1362,10 +1370,9 @@ def test_normalized_volume():
 
 def per_simplex_volume(h):
     """The earlier `normalized_volume`: each simplex scaled to integers on its own."""
-    lat = face_lattice(h)
-    verts = lat.vertices
+    verts = to_vrep(h).vertices
     total = F(0)
-    for simplex in polyhedra._triangulate(lat):
+    for simplex in polyhedra._triangulate(polyhedra._incidence_table(h)):
         base = verts[simplex[0]]
         mat = [[v - b for v, b in zip(verts[i], base)] for i in simplex[1:]]
         denom = lcm(*(x.denominator for row in mat for x in row))
@@ -1506,22 +1513,24 @@ def test_search_equivalence_refutes():
     )
 
 
-def scan_edge_data(lat, vertex_index):
+def scan_edge_data(h, faces, vertex_index):
     """The earlier `polyhedra._edge_data`: the edges at a vertex found by
-    scanning every 1-face, each difference scaled to integers on its own."""
+    scanning every 1-face of ``faces`` (`polyhedra._faces` of ``h``), each
+    difference scaled to integers on its own."""
     edges = []
     vbit = 1 << vertex_index
-    for bits in [bits for bits, fd in lat.faces if fd == 1]:
+    vertices, table = to_vrep(h).vertices, polyhedra._incidence_table(h)
+    for bits in [bits for bits, fd in faces.items() if fd == 1]:
         if bits & vbit:
             other = bits & ~vbit
             w = other.bit_length() - 1
-            diff = [b - a for a, b in zip(lat.vertices[vertex_index], lat.vertices[w])]
+            diff = [b - a for a, b in zip(vertices[vertex_index], vertices[w])]
             denom = lcm(*(x.denominator for x in diff))
             ints = [int(x * denom) for x in diff]
             g = content(ints)
             direction = tuple(x // g for x in ints)
             length = F(g, denom)
-            degree = len(lat.tight_facets(1 << w))
+            degree = len(table.tight_facets(1 << w))
             edges.append((direction, length, degree))
     edges.sort()
     return edges
@@ -1547,18 +1556,18 @@ def test_edges_from_incidences_match_the_one_face_scan():
             polys += [string_polytope(w, lam) for w in enumerate_reduced_words(c2)]
     assert len(polys) == 2 + 15 * 3
     for h in polys:
-        table, lat = polyhedra._incidence_table(h), face_lattice(h)
-        den = lcm(*(x.denominator for v in lat.vertices for x in v))
-        verts = [[int(x * den) for x in v] for v in lat.vertices]
+        table, vertices, faces = polyhedra._incidence_table(h), to_vrep(h).vertices, polyhedra._faces(h)
+        den = lcm(*(x.denominator for v in vertices for x in v))
+        verts = [[int(x * den) for x in v] for v in vertices]
         simples = polyhedra._simple_vertices(table)
         assert simples
         for vi in simples:
             data = polyhedra._edge_data(table, verts, vi)
-            assert [(d, F(g, den), deg) for d, g, deg, _ in data] == scan_edge_data(lat, vi)
+            assert [(d, F(g, den), deg) for d, g, deg, _ in data] == scan_edge_data(h, faces, vi)
             for d, g, _, size in data:
                 far = verts.index([a + g * x for a, x in zip(verts[vi], d)])
-                left = [i for i in lat.tight_facets(1 << vi) if not lat.incidences[i] >> far & 1]
-                assert [lat.incidences[i].bit_count() for i in left] == [size]
+                left = [i for i in table.tight_facets(1 << vi) if not table.incidences[i] >> far & 1]
+                assert [table.incidences[i].bit_count() for i in left] == [size]
 
 
 def test_edge_data_refuses_a_vertex_that_is_not_simple():
@@ -1622,7 +1631,7 @@ def test_equivalence_names_the_deciding_stage(stage, p, q, budget, status, monke
         raise AssertionError("the equivalence search reads no face lattice")
 
     monkeypatch.setattr(polyhedra, "integrality", counted)
-    for name in ("f_vector", "face_lattice", "_face_lattice"):
+    for name in ("f_vector", "_faces"):
         monkeypatch.setattr(polyhedra, name, closure)
     res = search_unimodular_equivalence(p, q, budget=budget)
     assert (res.status, res.decided_by) == (status, stage)

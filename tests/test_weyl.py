@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringcones import weyl
 from stringcones.weyl import (
     EnumerationCapExceeded,
     LieType,
@@ -95,6 +96,23 @@ def test_enumerate_rank3_against_brute_force():
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
         count_reduced_words(LieType("C", 3), cap=10)
+
+
+def test_enumeration_over_the_cap_raises_on_the_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the walk took a step although the count is over the cap")
+
+    monkeypatch.setattr(weyl, "_is_ascent", refuse)
+    with pytest.raises(EnumerationCapExceeded, match="more than the cap 41"):
+        enumerate_reduced_words(LieType("C", 3), cap=41)  # never iterated
+
+
+@pytest.mark.parametrize("type_text", ["A4", "B3", "C3"])
+def test_walked_words_equal_validated_words(type_text):
+    t = LieType.parse(type_text)
+    for w in enumerate_reduced_words(t):
+        checked = ReducedWord(t, w.letters)
+        assert w == checked and hash(w) == hash(checked) and type(w.letters) is tuple
 
 
 @pytest.mark.parametrize(
