@@ -29,10 +29,13 @@ __all__ = [
 class Value:
     """An immutable value named by the fields in ``_fields``.
 
-    It equals an instance of its own class with equal fields, hashes as the
-    tuple of its fields and prints as ``Name(field=value, ...)``.  Its
-    ``__init__`` sets each attribute with ``object.__setattr__``; after
-    that, assigning or deleting one raises `AttributeError`.
+    ``Name(a, b, ...)`` takes one value per field, in order, and no
+    keywords; a type that only stores its fields writes no ``__init__``,
+    and one that checks or derives them passes them to
+    ``super().__init__``.  A value equals an instance of its own class with
+    equal fields, hashes as the tuple of its fields and prints as
+    ``Name(field=value, ...)``; assigning or deleting an attribute raises
+    `AttributeError`.
     """
 
     __slots__ = ()
@@ -42,6 +45,15 @@ class Value:
         # one C call reads the field tuple that equality and hashing compare
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda v: (get(v),))
+
+    def __init__(self, *values) -> None:
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(fields)} field values, got {len(values)}"
+            )
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

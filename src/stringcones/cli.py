@@ -28,6 +28,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import polyhedra, polytopes
 from ._linalg import Value
@@ -53,12 +54,6 @@ GT_MAX_RANK = 8
 
 class CommandResult(Value):
     _fields = ("command", "payload", "table", "status")
-
-    def __init__(self, command: str, payload: dict, table: str, status: int) -> None:
-        object.__setattr__(self, "command", command)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "status", status)
 
 
 def _rows_json(h: polyhedra.HRep) -> list:
@@ -363,10 +358,12 @@ def _nonnegative(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="stringcones", description=__doc__.splitlines()[0])
+    # no option may be abbreviated: `main` picks the output format from the literal `--json`
+    strict = partial(argparse.ArgumentParser, allow_abbrev=False)
+    ap = strict(prog="stringcones", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of tables")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=strict)
 
     p = sub.add_parser(
         "words", parents=[common], help="enumerate reduced words of the longest element"
@@ -436,7 +433,7 @@ def run(argv) -> CommandResult:
         return CommandResult("usage", {}, "", 2 if exc.code not in (0, None) else 0)
     try:
         return args.func(args)
-    except (ValueError, polyhedra.PolyhedralError, EnumerationCapExceeded) as exc:
+    except (ValueError, EnumerationCapExceeded) as exc:
         return CommandResult(args.command, {"error": str(exc)}, f"error: {exc}", 2)
 
 

@@ -125,9 +125,6 @@ class FoldMaps(Value):
 
     _fields = ("groups",)  # lifted coordinate indices per letter, 0-based
 
-    def __init__(self, groups: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "groups", groups)
-
     @property
     def n_lifted(self) -> int:
         return sum(len(g) for g in self.groups)
@@ -238,10 +235,6 @@ class HRepCone(Value):
     """A cone given by ``form >= 0`` constraints."""
 
     _fields = ("dim", "forms")
-
-    def __init__(self, dim: int, forms: tuple[LinForm, ...]) -> None:
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "forms", forms)
 
     def to_hrep(self) -> polyhedra.HRep:
         return polyhedra.HRep(

@@ -54,12 +54,6 @@ class Node(Value):
     # left_above, right_above: the wires at positions `column`, `column + 1` just above
     _fields = ("index", "column", "left_above", "right_above")
 
-    def __init__(self, index: int, column: int, left_above: int, right_above: int) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "column", column)
-        object.__setattr__(self, "left_above", left_above)
-        object.__setattr__(self, "right_above", right_above)
-
     @property
     def wires(self) -> tuple[int, int]:
         a, b = self.left_above, self.right_above
@@ -195,9 +189,6 @@ class ChamberStructure(Value):
 
     _fields = ("phi_rows",)
 
-    def __init__(self, phi_rows: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "phi_rows", phi_rows)
-
     @cached_property
     def det(self) -> int:
         return det_int([list(r) for r in self.phi_rows])
@@ -287,10 +278,6 @@ class OrientedDiagram(Value):
     """
 
     _fields = ("diagram", "up_count")
-
-    def __init__(self, diagram: WiringDiagram, up_count: int) -> None:
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "up_count", up_count)
 
     def is_up(self, wire: int) -> bool:
         return wire <= self.up_count

@@ -59,10 +59,6 @@ class RigorousPath(Value):
 
     _fields = ("oriented", "events")
 
-    def __init__(self, oriented: OrientedDiagram, events: tuple[tuple[int, bool], ...]) -> None:
-        object.__setattr__(self, "oriented", oriented)
-        object.__setattr__(self, "events", events)
-
     @property
     def diagram(self):
         return self.oriented.diagram

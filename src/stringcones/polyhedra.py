@@ -191,10 +191,6 @@ class VRep(Value):
 
     _fields = ("vertices", "rays")
 
-    def __init__(self, vertices: tuple[tuple[Fraction, ...], ...], rays: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "rays", rays)
-
 
 def _memoized(h: HRep, key: str, compute):
     """``compute(h)``, computed on the first call and kept in ``h``'s memo."""
@@ -746,12 +742,6 @@ class _IncidenceTable(Value):
 
     _fields = ("dim", "vertices", "incidences", "den")  # incidences: per facet, a vertex bitset
 
-    def __init__(self, dim: int, vertices: tuple, incidences: tuple[int, ...], den: int):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "incidences", incidences)
-        object.__setattr__(self, "den", den)
-
     def tight_facets(self, bits: int) -> list[int]:
         return [i for i, inc in enumerate(self.incidences) if bits & ~inc == 0]
 
@@ -987,11 +977,7 @@ class EquivalenceResult(Value):
     _fields = ("status", "matrix", "shift", "witness", "decided_by")
 
     def __init__(self, status: str, matrix=None, shift=None, witness=None, *, decided_by: str):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "decided_by", decided_by)
+        super().__init__(status, matrix, shift, witness, decided_by)
 
 
 def _edge_data(table: _IncidenceTable, verts, vertex_index: int):

@@ -194,11 +194,6 @@ class GTReport(Value):
     # polytope at rho every word was compared with
     _fields = ("n", "comparisons", "gt")
 
-    def __init__(self, n: int, comparisons: tuple[tuple[ReducedWord, EquivalenceResult], ...], gt: HRep):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "comparisons", comparisons)
-        object.__setattr__(self, "gt", gt)
-
     def ok(self) -> bool:
         """Exactly the nested word is equivalent, and every other word is inequivalent."""
         if any(v.status == "unknown" for _, v in self.comparisons):

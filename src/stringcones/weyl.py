@@ -69,8 +69,7 @@ class LieType(Value):
         min_rank = 1 if family == "A" else 2
         if rank < min_rank:
             raise ValueError(f"rank {rank} too small for type {family}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
+        super().__init__(family, rank)
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
@@ -451,8 +450,7 @@ class Weight(Value):
         coeffs = tuple(coeffs)
         if len(coeffs) != lie_type.rank:
             raise ValueError("weight needs one coefficient per fundamental weight")
-        object.__setattr__(self, "lie_type", lie_type)
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(lie_type, coeffs)
 
     @classmethod
     def rho(cls, t: LieType) -> "Weight":

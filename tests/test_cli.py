@@ -300,6 +300,18 @@ def test_a_closed_pipe_ends_quietly(flags):
     assert proc.wait(timeout=60) == 0
 
 
+@pytest.mark.parametrize("argv", [["words", "C2", "--js"], ["cone", "C2", "2,1,2,1", "--irr", "--js"]])
+def test_an_abbreviated_option_is_refused(argv):
+    """argparse would read `--js` as `--json`, while the output format follows
+    the literal `--json`: a prefix is a usage error, never a table with exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "stringcones", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "unrecognized arguments" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "n, rows, table_digest, payload_digest",
     [

@@ -82,7 +82,7 @@ def parent_table(h):
     den = lcm(*(x.denominator for v in verts for x in v))
     points = tuple(tuple(int(x * den) for x in v) for v in verts)
     dim = rank_int([list(map(sub, p, points[0])) for p in points[1:]])
-    return polyhedra._IncidenceTable(dim, points, table.incidences, den=den)
+    return polyhedra._IncidenceTable(dim, points, table.incidences, den)
 
 
 def regular_c2_weights():

@@ -22,7 +22,6 @@ from stringcones.polytopes import (
     gt_coordinate_names,
     gt_polytope_C,
     lambda_cone,
-    polytope_facet_count,
     string_polytope,
     verify_gt_theorem,
 )
@@ -80,13 +79,6 @@ def test_zero_weight_polytope_is_origin():
     assert to_vrep(h) == VRep(((F(0),) * 4,), ())
 
 
-def test_polytope_facet_counts_rank2():
-    c2 = LieType("C", 2)
-    rho = Weight.rho(c2)
-    assert polytope_facet_count(gt_adapted_word(2), rho) == 8
-    assert polytope_facet_count(braid_variant_word(2), rho) == 8
-
-
 def test_gt_coordinates():
     assert gt_coordinate_names(2) == ["a1_1", "b2_1", "a1_2", "a2_1"]
     names3 = gt_coordinate_names(3)
@@ -132,18 +124,6 @@ def test_gt_polytope_integral_and_sized():
     assert lattice_points(gt) == 16
     d = string_polytope(gt_adapted_word(2), Weight.rho(t))
     assert lattice_points(d) == 16
-
-
-def test_half_integral_vertex():
-    for n in (2, 3):
-        t = LieType("C", n)
-        h = string_polytope(braid_variant_word(n), Weight.rho(t))
-        pt = [F(0), F(3, 2), F(3), F(1)] + [F(0)] * (n * n - 4)
-        assert h.contains(pt)
-        tight = h.tight_at(pt)
-        assert rank_int([h.rows[i][0] for i in tight]) == n * n
-        flag, witness = integrality(h)
-        assert not flag and witness is not None
 
 
 def test_gt_string_polytope_shared_invariants():

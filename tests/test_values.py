@@ -5,9 +5,17 @@ as the tuple of its fields (in the order pinned below, so set and dict
 orders do not move), prints as ``Name(field=value, ...)`` and refuses to
 have an attribute assigned or deleted.  Importing the package generates no
 code: `dataclasses` is never loaded.
+
+Each type declares its fields once, in ``_fields``.  A type that only
+stores them writes no ``__init__``: it takes one value per field from
+`Value.__init__`, and refuses one too few or one too many.  An ``__init__``
+that checks, converts or defaults its arguments passes the fields on with
+``super().__init__``; one that does nothing else fails the check below.
 """
 
+import ast
 import copy
+import inspect
 import os
 import pickle
 import subprocess
@@ -41,7 +49,7 @@ VALUES = [
     (cones.HRepCone(2, (cones.LinForm((1, 0)),)), ("dim", "forms")),
     (SQUARE, ("dim", "rows")),
     (polyhedra.VRep(SEGMENT, ()), ("vertices", "rays")),
-    (polyhedra._IncidenceTable(1, ((0,), (2,)), (1, 2), den=2), ("dim", "vertices", "incidences", "den")),
+    (polyhedra._IncidenceTable(1, ((0,), (2,)), (1, 2), 2), ("dim", "vertices", "incidences", "den")),
     (
         polyhedra.EquivalenceResult("unknown", witness="search budget exhausted", decided_by="budget"),
         ("status", "matrix", "shift", "witness", "decided_by"),
@@ -82,10 +90,6 @@ def test_equal_only_within_one_class(value, fields):
 def test_a_subclass_with_equal_shared_fields_is_unequal():
     class Graded(polyhedra._IncidenceTable):
         _fields = (*polyhedra._IncidenceTable._fields, "faces")
-
-        def __init__(self, dim, vertices, incidences, den, faces):
-            super().__init__(dim, vertices, incidences, den)
-            object.__setattr__(self, "faces", faces)
 
     graded = Graded(1, SEGMENT, (1, 2), 1, ())
     table = polyhedra._IncidenceTable(1, SEGMENT, (1, 2), 1)
@@ -132,6 +136,64 @@ def test_fields_cannot_be_assigned_or_deleted(value, fields):
 def test_copies_and_pickles_keep_the_fields(value, fields):
     assert copy.copy(value) == value
     assert repr(copy.deepcopy(value)) == repr(pickle.loads(pickle.dumps(value))) == repr(value)
+
+
+@pytest.mark.parametrize("value,fields", VALUES, ids=IDS)
+def test_a_wrong_number_of_fields_is_refused(value, fields):
+    args = field_values(value, fields)
+    for wrong in (args[:-1], (*args, None)):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            type(value)(*wrong)
+
+
+def only_stores(init: ast.FunctionDef) -> bool:
+    """Whether ``init`` takes plain positional parameters and its body only
+    stores them: each statement is ``object.__setattr__(self, "p", p)``, or
+    the body is one ``super().__init__(...)`` of the parameters in order."""
+    a = init.args
+    if a.vararg or a.kwarg or a.kwonlyargs or a.defaults or a.posonlyargs:
+        return False
+    params = [arg.arg for arg in a.args[1:]]
+    body = init.body[1:] if ast.get_docstring(init) else init.body
+    calls = [s.value for s in body if isinstance(s, ast.Expr) and isinstance(s.value, ast.Call)]
+    if len(calls) != len(body):
+        return False
+    dumped = [ast.dump(c) for c in calls]
+    stores = [ast.dump(ast.parse(f"object.__setattr__(self, {p!r}, {p})", mode="eval").body) for p in params]
+    forward = ast.dump(ast.parse(f"super().__init__({', '.join(params)})", mode="eval").body)
+    return all(d in stores for d in dumped) or dumped == [forward]
+
+
+def init_of(source: str):
+    return next((f for f in ast.parse(source).body[0].body
+                 if isinstance(f, ast.FunctionDef) and f.name == "__init__"), None)
+
+
+def test_no_value_type_writes_an_init_that_only_stores_its_fields():
+    types = [type(v) for v, _ in VALUES]
+    inits = {t.__name__: init_of(inspect.getsource(t)) for t in types}
+    assert not [name for name, init in inits.items() if init and only_stores(init)]
+    assert sorted(name for name, init in inits.items() if init) == [
+        "EquivalenceResult", "HRep", "LieType", "LinForm", "ReducedWord", "Weight",
+    ]
+
+
+@pytest.mark.parametrize(
+    "body, flagged",
+    [
+        ('object.__setattr__(self, "a", a)\n        object.__setattr__(self, "b", b)', True),
+        ('object.__setattr__(self, "b", b)', True),
+        ("super().__init__(a, b)", True),
+        ("super().__init__(b, a)", False),
+        ('object.__setattr__(self, "a", tuple(a))\n        object.__setattr__(self, "b", b)', False),
+        ('if a < 0:\n            raise ValueError(a)\n        super().__init__(a, b)', False),
+    ],
+)
+def test_the_stores_only_check_flags_a_redundant_init(body, flagged):
+    source = f'class Pair(Value):\n    _fields = ("a", "b")\n\n    def __init__(self, a, b):\n        {body}\n'
+    assert only_stores(init_of(source)) is flagged
+    with_default = source.replace("self, a, b", "self, a, b=0")
+    assert not only_stores(init_of(with_default))
 
 
 def test_keyword_only_arguments_stay_keyword_only():
