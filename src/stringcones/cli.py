@@ -48,7 +48,7 @@ from .weyl import (
 __all__ = ["CommandResult", "run", "render_svg", "main"]
 
 # The largest rank `gt` builds: its rows grow as n^4, and rank 4 is already
-# past what vertices and face lattices can handle.
+# past what vertices and f-vectors can handle.
 GT_MAX_RANK = 8
 
 
@@ -358,7 +358,8 @@ def _nonnegative(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # no option may be abbreviated: `main` picks the output format from the literal `--json`
+    # no option may be abbreviated: a prefix that names one option today would
+    # name another, or none, once an option sharing it is added
     strict = partial(argparse.ArgumentParser, allow_abbrev=False)
     ap = strict(prog="stringcones", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
@@ -424,26 +425,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def run(argv) -> CommandResult:
-    """Execute one CLI invocation; returns the result instead of printing."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed its message
-        return CommandResult("usage", {}, "", 2 if exc.code not in (0, None) else 0)
+def _execute(args: argparse.Namespace) -> CommandResult:
+    """Run a parsed command; bad input gives its error with status 2."""
     try:
         return args.func(args)
     except (ValueError, EnumerationCapExceeded) as exc:
         return CommandResult(args.command, {"error": str(exc)}, f"error: {exc}", 2)
 
 
-def main() -> None:
-    argv = sys.argv[1:]
-    result = run(argv)
-    if result.command == "usage":
-        sys.exit(result.status)
+def run(argv) -> CommandResult:
+    """Execute one CLI invocation; returns the result instead of printing."""
     try:
-        if "--json" in argv:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse already printed its message
+        return CommandResult("usage", {}, "", 2 if exc.code not in (0, None) else 0)
+    return _execute(args)
+
+
+def main() -> None:
+    args = _build_parser().parse_args()  # a usage error exits 2, `--help` 0
+    result = _execute(args)
+    try:
+        if args.json:
             print(json.dumps(result.payload, indent=2))
         elif result.table:
             print(result.table)

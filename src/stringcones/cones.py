@@ -10,9 +10,10 @@ a path that is its own mirror (all its coefficients are even).  The fold
 maps and the form kernel read the symplectic diagram's twin table, the
 one reading of the fold `weyl.lift` writes.  One kernel, `_forms`,
 computes each path's form from its event tuple and a table built once per
-word (`_form_table`: each crossing's coordinate, weight and mirror).  The
-functionals and `path_forms` call it on paths, a cone fill on the event
-tuples of `paths.path_events`, with no path object.
+word (`_form_table`: each crossing's coordinate, weight and mirror).
+`path_forms`, the one public reading of a path's form, calls it on the
+paths of one diagram, a cone fill on the event tuples of
+`paths.path_events`, with no path object.
 
 `string_cone` collects one inequality per rigorous path; `irredundant_facets`
 prunes that list down to the facets with an exact LP.
@@ -64,10 +65,6 @@ __all__ = [
     "LinForm",
     "HRepCone",
     "FoldMaps",
-    "functional_A",
-    "functional_C",
-    "functional_C_unhalved",
-    "functional_B",
     "fold_maps",
     "path_forms",
     "rigorous_paths",
@@ -103,12 +100,6 @@ class LinForm(Value):
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts) if parts else "0"
-
-
-def functional_A(p: RigorousPath) -> LinForm:
-    """The inequality a path cuts on its diagram's crossing coordinates:
-    plain type-A ones, or the lifted ones of a symplectic diagram."""
-    return path_forms("A", [p])[0]
 
 
 class FoldMaps(Value):
@@ -155,34 +146,14 @@ def fold_maps(w: ReducedWord) -> FoldMaps:
     ]))
 
 
-def functional_C_unhalved(p: RigorousPath) -> LinForm:
-    """The type-C form of a symplectic path before any halving: each twin
-    group of the lifted form summed, wall crossings counted twice."""
-    return path_forms("C", [p], halve=False)[0]
-
-
-def functional_C(p: RigorousPath) -> LinForm:
-    """The type-C string inequality of a symplectic path.
-
-    Mirror-symmetric paths with orientation n produce forms with all even
-    coefficients, which are divided by two.
-    """
-    return path_forms("C", [p])[0]
-
-
-def functional_B(p: RigorousPath) -> LinForm:
-    """The type-B string inequality of a path on a lifted/symplectic diagram:
-    each twin group of the lifted form summed."""
-    return path_forms("B", [p])[0]
-
-
 def _form_table(family: str, d: WiringDiagram, coordinate) -> tuple:
     """What `_forms` reads of ``d``, once per word: per crossing (entry 0
     unused) the coordinate ``coordinate[k]`` of its letter ``k`` (a crossing
     in type A, a letter of the word in B and C, from the diagram's
     ``twins``), its weight (2 on the wall in type C, else 1), lower wire and
     wire sum; each crossing's mirror; the dimension; the orientation whose
-    self-mirror paths are halved."""
+    self-mirror paths are halved.  The table serves the paths of ``d``
+    alone: its crossing numbers mean nothing on another diagram."""
     if family == "A":
         letters = [(coordinate[t], 1) for t in range(d.length)]
     elif isinstance(d, SympWiringDiagram):
@@ -223,8 +194,19 @@ def _forms(table: tuple, k: int, paths) -> list[tuple[int, ...]]:
 
 def path_forms(family: str, paths: list[RigorousPath], halve: bool = True) -> list[LinForm]:
     """The type-``family`` forms of paths of one diagram, in its word's
-    coordinates, from one table; ``halve=False`` keeps type-C forms whole."""
+    coordinates, from one table; ``halve=False`` keeps type-C forms whole.
+
+    Type A reads the diagram's crossing coordinates (the lifted ones on a
+    symplectic diagram); B sums each twin group of them, and C also counts
+    wall crossings twice and halves a wall path equal to its mirror.  The
+    table is built from the first path's diagram, so a path on any other
+    diagram is refused with `ValueError`; no paths give no forms.
+    """
+    if not paths:
+        return []
     d = paths[0].diagram
+    if any(p.diagram is not d for p in paths):
+        raise ValueError("path_forms needs paths of one diagram")
     table = _form_table(family, d, range(d.length if family == "A" else len(d.word.letters)))
     if not halve:
         table = (*table[:3], 0)

@@ -36,14 +36,13 @@ string inequality is irredundant) exactly when it is its own extension.
 from __future__ import annotations
 
 from ._linalg import Value
-from .diagram import OrientedDiagram, SympWiringDiagram, orient
+from .diagram import OrientedDiagram, SympWiringDiagram
 
 __all__ = [
     "RigorousPath",
     "path_events",
     "enumerate_paths",
     "enumerate_paths_naive",
-    "symp_paths",
     "mirror",
     "is_symmetric",
     "enclosed_region",
@@ -222,10 +221,6 @@ def enumerate_paths_naive(d: OrientedDiagram) -> tuple[RigorousPath, ...]:
     paths = [RigorousPath(d, e) for e in walks if fragment_free(e)]
     paths.sort(key=lambda p: p.node_expression)
     return tuple(paths)
-
-
-def symp_paths(sd: SympWiringDiagram, k: int) -> tuple[RigorousPath, ...]:
-    return enumerate_paths(orient(sd, k))
 
 
 def mirror(p: RigorousPath) -> RigorousPath:

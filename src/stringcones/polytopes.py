@@ -64,7 +64,6 @@ from .weyl import (
 __all__ = [
     "lambda_cone",
     "string_polytope",
-    "polytope_facet_count",
     "gt_coordinate_names",
     "gt_polytope_C",
     "GTReport",
@@ -109,10 +108,6 @@ def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
     if lam.is_regular:
         h.share(entry)
     return h
-
-
-def polytope_facet_count(w: ReducedWord, lam: Weight) -> int:
-    return len(remove_redundant(string_polytope(w, lam)).rows)
 
 
 def _gt_coordinates(n: int):

@@ -33,11 +33,8 @@ from ._linalg import rank_int
 from .cones import (
     facet_count,
     fold_maps,
-    functional_A,
-    functional_B,
-    functional_C,
-    functional_C_unhalved,
     irredundant_facets,
+    path_forms,
     rigorous_paths,
     string_cone,
 )
@@ -57,7 +54,6 @@ from .paths import (
     is_new,
     is_symmetric,
     mirror,
-    symp_paths,
 )
 from .weyl import (
     LieType,
@@ -221,8 +217,8 @@ def _path_checks() -> list[Check]:
                    tuple(len(enumerate_paths(orient(d, k))) for k in (1, 2, 3)), (3, 2, 1)))
     out.append(_eq("path counts of (1,3,2,1,3,2)",
                    tuple(len(enumerate_paths(orient(d2, k))) for k in (1, 2, 3)), (3, 1, 3)))
-    sd = build_symp_diagram(ReducedWord.parse("C2", "2,1,2,1"))
-    got = [p.wires_by_name() for p in symp_paths(sd, 2)]
+    wall = enumerate_paths(orient(build_symp_diagram(ReducedWord.parse("C2", "2,1,2,1")), 2))
+    got = [p.wires_by_name() for p in wall]
     want = [
         ("2", "2b"),
         ("2", "1b", "1", "2b"),
@@ -231,18 +227,18 @@ def _path_checks() -> list[Check]:
         ("2", "1", "1b", "2b"),
     ]
     out.append(_eq("the five wall-orientation paths of (2,1,2,1)", sorted(got), sorted(want)))
-    sym_flags = {p.wires_by_name(): is_symmetric(p) for p in symp_paths(sd, 2)}
+    sym_flags = {p.wires_by_name(): is_symmetric(p) for p in wall}
     out.append(_true("three symmetric, two mirror-paired",
                      sym_flags[("2", "2b")]
                      and sym_flags[("2", "1b", "1", "2b")]
                      and sym_flags[("2", "1", "1b", "2b")]
                      and not sym_flags[("2", "1", "2b")]
                      and not sym_flags[("2", "1b", "2b")]))
-    p4 = next(p for p in symp_paths(sd, 2) if p.wires_by_name() == ("2", "1", "2b"))
+    p4 = next(p for p in wall if p.wires_by_name() == ("2", "1", "2b"))
     out.append(_eq("mirror of the fourth path", mirror(p4).wires_by_name(), ("2", "1b", "2b")))
     out.append(_true("mirror is an involution", mirror(mirror(p4)) == p4))
     sd3 = build_symp_diagram(ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2"))
-    P = next(p for p in symp_paths(sd3, 3) if p.wires_by_name() == ("3", "1b", "2", "3b"))
+    P = next(p for p in enumerate_paths(orient(sd3, 3)) if p.wires_by_name() == ("3", "1b", "2", "3b"))
     out.append(_eq("rank-3 mirror example", mirror(P).wires_by_name(), ("3", "2b", "1", "3b")))
     p_region = next(q for q in enumerate_paths(orient(d2, 3)) if q.wire_seq == (3, 1, 4))
     out.append(_eq("enclosed chambers of the worked path",
@@ -254,16 +250,16 @@ def _path_checks() -> list[Check]:
     ident_ok = True
     for dd in (d, d2):
         ch = chamber_structure(dd)
-        for k in (1, 2, 3):
-            for p in enumerate_paths(orient(dd, k)):
-                total = [0] * 6
-                for j in enclosed_region(p):
-                    total = [a + b for a, b in zip(total, ch.u_form(j))]
-                if tuple(total) != functional_A(p).coeffs:
-                    ident_ok = False
+        paths = [p for k in (1, 2, 3) for p in enumerate_paths(orient(dd, k))]
+        for p, form in zip(paths, path_forms("A", paths)):
+            total = [0] * 6
+            for j in enclosed_region(p):
+                total = [a + b for a, b in zip(total, ch.u_form(j))]
+            if tuple(total) != form.coeffs:
+                ident_ok = False
     out.append(_true("path functional is the enclosed chamber sum", ident_ok))
     sd4 = build_symp_diagram(ReducedWord.parse("C3", "2,1,3,2,1,3,2,1,3"))
-    P2 = next(p for p in symp_paths(sd4, 2) if p.wires_by_name() == ("2", "1b", "3"))
+    P2 = next(p for p in enumerate_paths(orient(sd4, 2)) if p.wires_by_name() == ("2", "1b", "3"))
     out.append(_eq("worked extension", extension(P2).wires_by_name(),
                    ("2", "1b", "1", "2b", "3")))
     Pex = extension(P)
@@ -291,7 +287,7 @@ def _path_checks() -> list[Check]:
     out.append(_eq("canonical path count", len(names), 5))
     out.append(_true("canonical paths are new",
                      all(is_new(p) for p in canonical_paths(sd5))))
-    inner = next(p for p in symp_paths(sd5, 2) if "1" not in p.wires_by_name()
+    inner = next(p for p in enumerate_paths(orient(sd5, 2)) if "1" not in p.wires_by_name()
                  and "1b" not in p.wires_by_name())
     out.append(_true("wire-avoiding path is not new", not is_new(inner)))
     return out
@@ -328,13 +324,12 @@ def functional_table_and_rank2_facets() -> list[Check]:
     """Criterion 3: the functional table of (2,1,2,1) and the rank-2 facet counts."""
     c2 = LieType("C", 2)
     w21 = ReducedWord.parse("C2", "2,1,2,1")
+    paths = enumerate_paths(orient(build_symp_diagram(w21), 2))
     table = {
-        p.wires_by_name(): (
-            functional_A(p).coeffs,
-            functional_C_unhalved(p).coeffs,
-            functional_C(p).coeffs,
+        p.wires_by_name(): (a.coeffs, c_whole.coeffs, c.coeffs)
+        for p, a, c_whole, c in zip(
+            paths, path_forms("A", paths), path_forms("C", paths, halve=False), path_forms("C", paths)
         )
-        for p in symp_paths(build_symp_diagram(w21), 2)
     }
     mini, cnt = irredundant_facets(c2, w21)
     return [
@@ -350,15 +345,16 @@ def functional_table_and_rank2_facets() -> list[Check]:
 
 
 def _cone_checks() -> list[Check]:
-    sd = build_symp_diagram(ReducedWord.parse("C2", "2,1,2,1"))
-    fm = fold_maps(sd.word)
+    w21 = ReducedWord.parse("C2", "2,1,2,1")
+    fm = fold_maps(w21)
+    paths = enumerate_paths(orient(build_symp_diagram(w21), 2))
     gamma_ok = all(
-        functional_C_unhalved(p).coeffs
-        == fm.double_cb(functional_B(p).coeffs) == tuple(
-            sum(r * x for r, x in zip(row, functional_B(p).coeffs))
+        c_whole.coeffs
+        == fm.double_cb(b.coeffs) == tuple(
+            sum(r * x for r, x in zip(row, b.coeffs))
             for row in ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1))
         )
-        for p in symp_paths(sd, 2)
+        for c_whole, b in zip(path_forms("C", paths, halve=False), path_forms("B", paths))
     )
     out = [_true("rescaled fold equals the type-B fold composed with doubling", gamma_ok)]
     minij, _ = irredundant_facets(LieType("C", 3), braid_variant_word(3))
@@ -369,11 +365,11 @@ def _cone_checks() -> list[Check]:
     }
     out.append(_eq("block facets of the rank-3 braid variant", _forms_set(minij), want_j))
     sd3 = build_symp_diagram(ReducedWord.parse("C3", "1,3,2,1,3,2,1,3,2"))
-    q2 = next(p for p in symp_paths(sd3, 3)
+    q2 = next(p for p in enumerate_paths(orient(sd3, 3))
               if p.wires_by_name() == ("3", "2b", "1", "1b", "2", "3b"))
     out.append(_true("worked rank-3 symmetric-piece functional",
-                     functional_C_unhalved(q2).coeffs == _vec(9, a4=2, a5=2, a6=-2)
-                     and functional_C(q2).coeffs == _vec(9, a4=1, a5=1, a6=-1)))
+                     path_forms("C", [q2], halve=False)[0].coeffs == _vec(9, a4=2, a5=2, a6=-2)
+                     and path_forms("C", [q2])[0].coeffs == _vec(9, a4=1, a5=1, a6=-1)))
     return out
 
 
@@ -436,12 +432,12 @@ def polytope_facet_identity(n: int) -> list[Check]:
     for m in range(2, n + 1):
         t, N = LieType("C", m), m * m
         rho = Weight.rho(t)
-        bad = [str(w) for w in enumerate_reduced_words(t)
-               if polytopes.polytope_facet_count(w, rho) != facet_count(t, w) + N]
+        facets = {w: len(polyhedra.remove_redundant(polytopes.string_polytope(w, rho)).rows)
+                  for w in enumerate_reduced_words(t)}
+        bad = [str(w) for w, count in facets.items() if count != facet_count(t, w) + N]
         out.append(_eq(f"facets of every rank-{m} polytope = cone facets + {N}", bad, []))
         out.append(_eq(f"named rank-{m} polytopes have 2N facets",
-                       [polytopes.polytope_facet_count(w, rho)
-                        for w in (gt_adapted_word(m), braid_variant_word(m))],
+                       [facets[w] for w in (gt_adapted_word(m), braid_variant_word(m))],
                        [2 * N, 2 * N]))
     return out
 
@@ -512,7 +508,7 @@ def _polytope_checks(n: int) -> list[Check]:
     d_i2 = polytopes.string_polytope(gt_adapted_word(2), rho2)
     out = [
         _eq("rank-2 nested polytope facet count",
-            polytopes.polytope_facet_count(gt_adapted_word(2), rho2), 8),
+            len(polyhedra.remove_redundant(d_i2).rows), 8),
         _eq("zero-weight polytope is the origin",
             polyhedra.to_vrep(h0).vertices, ((Fraction(0),) * 4,)),
         _eq("rank-2 pattern polytope facet count", len(polyhedra.remove_redundant(gt2).rows), 8),
@@ -617,10 +613,11 @@ def folding_suite(n: int) -> list[Check]:
             if not polyhedra.feasible(rows, dimA):
                 quot_ok = False
         for p in rigorous_paths(tC, w):
-            if functional_C_unhalved(p).coeffs != functional_C_unhalved(mirror(p)).coeffs:
+            form, mirrored = path_forms("C", [p, mirror(p)], halve=False)
+            if form.coeffs != mirrored.coeffs:
                 mirror_ok = False
             if p.k == w.rank and is_symmetric(p):
-                if any(c % 2 for c in functional_C_unhalved(p).coeffs):
+                if any(c % 2 for c in form.coeffs):
                     mirror_ok = False
     out.append(_true("doubling maps compose to multiplication by 2", comp_ok))
     out.append(_true("slice membership matches across the unfolding", slice_ok))

@@ -15,10 +15,8 @@ from stringcones import cones, polyhedra
 from stringcones._linalg import primitive as polyhedra_primitive
 from stringcones.cones import (
     LinForm,
-    functional_A,
-    functional_B,
-    functional_C,
     irredundant_facets,
+    path_forms,
     string_cone,
 )
 from stringcones.diagram import OrientedDiagram, build_diagram, build_symp_diagram, orient
@@ -75,7 +73,7 @@ def parent_string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) ->
             raise ValueError("type-A cones need a type-A word")
         d = build_diagram(w)
         pairs = [
-            (functional_A(p), p)
+            (path_forms("A", [p])[0], p)
             for k in range(1, d.m)
             for p in enumerate_paths(orient(d, k))
         ]
@@ -83,7 +81,7 @@ def parent_string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) ->
     elif t.family == "C":
         sd = build_symp_diagram(w)
         pairs = [
-            (functional_C(p), p)
+            (path_forms("C", [p])[0], p)
             for u in range(1, sd.n + 1)
             for p in enumerate_paths(OrientedDiagram(sd, u))
         ]
@@ -91,7 +89,7 @@ def parent_string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) ->
     elif t.family == "B":
         sd = build_symp_diagram(w)
         pairs = [
-            (functional_B(p), p)
+            (path_forms("B", [p])[0], p)
             for u in range(1, 2 * sd.n)
             for p in enumerate_paths(OrientedDiagram(sd, u))
         ]
@@ -108,9 +106,6 @@ def as_data(cone):
     return cone.dim, [f.coeffs for f in cone.forms]
 
 
-FUNCTIONALS = {"A": functional_A, "B": functional_B, "C": functional_C}
-
-
 def assert_matches_parent(t, w):
     """Both `deduplicate` modes and the facets equal the oracle's, and the
     raw cone lists the form of each of `rigorous_paths`, in their order."""
@@ -120,7 +115,7 @@ def assert_matches_parent(t, w):
     found = cones.rigorous_paths(t, w)
     assert [(p.k, p.events) for p in found] == [(p.k, p.events) for (p,) in wants[False].paths]
     assert all(p.diagram is found[0].diagram for p in found)
-    assert [FUNCTIONALS[t.family](p) for p in found] == list(string_cone(t, w).forms)
+    assert path_forms(t.family, found) == list(string_cone(t, w).forms)
     want = wants[True]
     rows = [tuple(-c for c in f.coeffs) for f in want.forms]
     kept = polyhedra._irredundant_indices(tuple((c, 0) for c in rows), want.dim)

@@ -11,7 +11,7 @@ import pytest
 
 from stringcones import cli, cones, paths, polyhedra, weyl
 from stringcones.cli import render_svg, run
-from stringcones.diagram import build_symp_diagram
+from stringcones.diagram import build_symp_diagram, orient
 from stringcones.weyl import LieType, ReducedWord, enumerate_reduced_words
 
 
@@ -181,9 +181,9 @@ def test_render_symplectic_with_highlight(tmp_path):
 
 def test_render_mirror_pair_symmetry():
     sd = build_symp_diagram(ReducedWord.parse("C2", "2,1,2,1"))
-    from stringcones.paths import mirror, symp_paths
+    from stringcones.paths import enumerate_paths, mirror
 
-    p = next(q for q in symp_paths(sd, 2) if q.wires_by_name() == ("2", "1", "2b"))
+    p = next(q for q in enumerate_paths(orient(sd, 2)) if q.wires_by_name() == ("2", "1", "2b"))
     svg = render_svg(sd, [p, mirror(p)])
     assert svg.count("stroke-width=\"4\"") == 2
 
@@ -302,14 +302,31 @@ def test_a_closed_pipe_ends_quietly(flags):
 
 @pytest.mark.parametrize("argv", [["words", "C2", "--js"], ["cone", "C2", "2,1,2,1", "--irr", "--js"]])
 def test_an_abbreviated_option_is_refused(argv):
-    """argparse would read `--js` as `--json`, while the output format follows
-    the literal `--json`: a prefix is a usage error, never a table with exit 0."""
+    """argparse would read `--js` as `--json`, and a prefix that names one
+    option today may name another once an option sharing it is added: every
+    option is spelled in full, and a prefix is a usage error."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "stringcones", *argv], capture_output=True, text=True, env=env, timeout=60
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "unrecognized arguments" in proc.stderr
+
+
+def test_the_printed_format_follows_the_parsed_json_flag():
+    """After `--` the token `--json` is a positional (here an unknown type),
+    not the flag: the error prints as plain text; the flag itself gives JSON."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    stringcones = [sys.executable, "-m", "stringcones"]
+    proc = subprocess.run(
+        [*stringcones, "words", "--", "--json"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (2, "error: cannot parse Lie type from '--json'\n")
+    proc = subprocess.run(
+        [*stringcones, "words", "C2", "--json"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == run(["words", "C2"]).payload
 
 
 @pytest.mark.parametrize(

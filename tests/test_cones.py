@@ -8,10 +8,6 @@ from stringcones.cones import (
     LinForm,
     facet_count,
     fold_maps,
-    functional_A,
-    functional_B,
-    functional_C,
-    functional_C_unhalved,
     irredundant_facets,
     path_forms,
     rigorous_paths,
@@ -24,9 +20,8 @@ from stringcones.paths import (
     is_new,
     is_symmetric,
     mirror,
-    symp_paths,
 )
-from stringcones.polytopes import polytope_facet_count
+from stringcones.polytopes import string_polytope
 from stringcones.weyl import (
     LieType,
     ReducedWord,
@@ -61,8 +56,8 @@ def test_linform_basics():
 
 def test_functional_C_halves_only_even_forms(monkeypatch):
     sd = build_symp_diagram(W("C2", "2,1,2,1"))
-    wall = next(p for p in symp_paths(sd, 2) if is_symmetric(p))
-    assert functional_C(wall).coeffs == (1, 0, 0, 0)
+    wall = next(p for p in enumerate_paths(orient(sd, 2)) if is_symmetric(p))
+    assert path_forms("C", [wall])[0].coeffs == (1, 0, 0, 0)
     table = cones._form_table
 
     def wall_weight_one(*args):  # the wall path then sums to the odd form a1
@@ -71,16 +66,17 @@ def test_functional_C_halves_only_even_forms(monkeypatch):
 
     monkeypatch.setattr(cones, "_form_table", wall_weight_one)
     with pytest.raises(ValueError, match="odd coefficients"):
-        functional_C(wall)
+        path_forms("C", [wall])
 
 
 def test_functional_A_worked():
     d = build_diagram(W("A3", "1,2,1,3,2,1"))
-    forms = {functional_A(p).coeffs for k in (1, 2, 3) for p in enumerate_paths(orient(d, k))}
+    paths = [p for k in (1, 2, 3) for p in enumerate_paths(orient(d, k))]
+    forms = {f.coeffs for f in path_forms("A", paths)}
     assert vec(6, a2=1, a3=-1) in forms
     assert vec(6, a6=1) in forms
     d2 = build_diagram(W("A3", "1,3,2,1,3,2"))
-    k3 = {functional_A(p).coeffs for p in enumerate_paths(orient(d2, 3))}
+    k3 = {f.coeffs for f in path_forms("A", enumerate_paths(orient(d2, 3)))}
     assert vec(6, a4=1, a6=-1) in k3
 
 
@@ -88,30 +84,18 @@ def test_worked_functional_table():
     sd = build_symp_diagram(W("C2", "2,1,2,1"))
     labels = [sd.label_str(a) for a in range(1, sd.length + 1)]
     assert labels == ["t1", "tbar2", "t2", "t3", "tbar4", "t4"]
+    paths = enumerate_paths(orient(sd, 2))
     rows = {}
-    for p in symp_paths(sd, 2):
-        rows[p.wires_by_name()] = (
-            functional_A(p).pretty(),
-            functional_C_unhalved(p).pretty(),
-            functional_C(p).pretty(),
-        )
+    for p, a, c_whole, c in zip(
+        paths, path_forms("A", paths), path_forms("C", paths, halve=False), path_forms("C", paths)
+    ):
+        rows[p.wires_by_name()] = (a.pretty(), c_whole.pretty(), c.pretty())
     # the type-A column in lifted coordinates: a1..a6 are t1, tbar2, t2, t3, tbar4, t4
     assert rows[("2", "2b")] == ("a1", "2*a1", "a1")
     assert rows[("2", "1b", "1", "2b")] == ("a2 + a3 - a4", "2*a2 - 2*a3", "a2 - a3")
     assert rows[("2", "1", "1b", "2b")] == ("a4 - a5 - a6", "2*a3 - 2*a4", "a3 - a4")
     assert rows[("2", "1", "2b")] == ("a2 - a6", "a2 - a4", "a2 - a4")
     assert rows[("2", "1b", "2b")] == ("a3 - a5", "a2 - a4", "a2 - a4")
-
-
-def test_worked_rank3_functional():
-    sd = build_symp_diagram(W("C3", "1,3,2,1,3,2,1,3,2"))
-    q2 = next(
-        p
-        for p in symp_paths(sd, 3)
-        if p.wires_by_name() == ("3", "2b", "1", "1b", "2", "3b")
-    )
-    assert functional_C_unhalved(q2).coeffs == vec(9, a4=2, a5=2, a6=-2)
-    assert functional_C(q2).coeffs == vec(9, a4=1, a5=1, a6=-1)
 
 
 def test_fold_maps_identities():
@@ -126,22 +110,12 @@ def test_fold_maps_identities():
         assert fm.n_lifted == len(lift(w).letters)
 
 
-def test_functional_B_gamma_consistency():
-    sd = build_symp_diagram(W("C2", "2,1,2,1"))
-    fm = fold_maps(sd.word)
-    for p in symp_paths(sd, 2):
-        b = functional_B(p)
-        # the rescaled form evaluates like the B form after doubling the walls
-        assert functional_C_unhalved(p).coeffs == fm.double_cb(b.coeffs)
-
-
 def test_functional_B_sampled_point_oracle():
     rng = random.Random(11)
     sd = build_symp_diagram(W("C3", "1,3,2,1,3,2,1,3,2"))
     fm = fold_maps(sd.word)
-    for p in symp_paths(sd, 2):
-        ft = functional_A(p)
-        fb = functional_B(p)
+    paths = enumerate_paths(orient(sd, 2))
+    for ft, fb in zip(path_forms("A", paths), path_forms("B", paths)):
         for _ in range(10):
             a = [rng.randint(-5, 5) for _ in range(9)]
             lifted = fm.expand(a)
@@ -226,21 +200,20 @@ def test_wall_orientation_facets_iff_symmetric():
         for w in enumerate_reduced_words(t):
             sd = build_symp_diagram(w)
             fset = {f.coeffs for f in irredundant_facets(t, w)[0].forms}
-            for p in symp_paths(sd, n):
-                assert is_symmetric(p) == (primitive(functional_C(p).coeffs) in fset)
+            paths = enumerate_paths(orient(sd, n))
+            for p, f in zip(paths, path_forms("C", paths)):
+                assert is_symmetric(p) == (primitive(f.coeffs) in fset)
 
 
 def test_mirror_pair_functional_equality():
     for w in enumerate_reduced_words(LieType("C", 3)):
         sd = build_symp_diagram(w)
         for k in (1, 2, 3):
-            for p in symp_paths(sd, k):
-                assert (
-                    functional_C_unhalved(p).coeffs
-                    == functional_C_unhalved(mirror(p)).coeffs
-                )
+            for p in enumerate_paths(orient(sd, k)):
+                form, mirrored = path_forms("C", [p, mirror(p)], halve=False)
+                assert form.coeffs == mirrored.coeffs
                 if k == 3 and is_symmetric(p):
-                    assert all(c % 2 == 0 for c in functional_C_unhalved(p).coeffs)
+                    assert all(c % 2 == 0 for c in form.coeffs)
 
 
 def switch_vector(p):
@@ -280,7 +253,7 @@ def kernel_oracle_cases():
 def test_form_kernel_matches_the_per_path_composition():
     """The raw cone forms and `path_forms` against the oracle, path by path,
     on every orientation of the symplectic diagram; at rank at most 3 the
-    per-path functionals too."""
+    unhalved type-C forms too."""
     cones._class_entry.cache_clear()
     for w in kernel_oracle_cases():
         t = w.lie_type
@@ -292,13 +265,26 @@ def test_form_kernel_matches_the_per_path_composition():
             forms = [f.coeffs for f in path_forms(family, every)]
             assert forms == [oracle_form(family, p) for p in every], (w, family)
         if w.rank <= 3:
-            for p in every:
-                assert functional_A(p).coeffs == oracle_form("A", p)
-                assert functional_B(p).coeffs == oracle_form("B", p)
-                assert functional_C(p).coeffs == oracle_form("C", p)
-                fm = fold_maps(w)
-                assert functional_C_unhalved(p).coeffs == fm.double_cb(fm.collapse(switch_vector(p)))
+            fm = fold_maps(w)
+            assert [f.coeffs for f in path_forms("C", every, halve=False)] == [
+                fm.double_cb(fm.collapse(switch_vector(p))) for p in every
+            ], w
     cones._class_entry.cache_clear()
+
+
+def test_path_forms_refuses_paths_of_two_diagrams():
+    """The form table is built from the first path's diagram, whose crossing
+    numbers mean nothing on another word's diagram."""
+    c2 = LieType("C", 2)
+    first = rigorous_paths(c2, W("C2", "2,1,2,1"))[0]
+    others = rigorous_paths(c2, W("C2", "1,2,1,2"))
+    with pytest.raises(ValueError, match="one diagram"):
+        path_forms("C", [first, *others])
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_path_forms_of_no_paths_are_none(family):
+    assert path_forms(family, []) == []
 
 
 def test_b_cone_facets_match_c_via_scaling():
@@ -488,9 +474,9 @@ def test_rank4_spot_checks():
     polytope_words = (W("C4", "3,2,1,2,4,3,4,2,3,2,4,3,1,2,3,4"),
                       W("C4", "4,3,2,4,3,1,4,3,2,1,3,4,2,3,2,1"))
     for w in (generic, *polytope_words):
-        assert polytope_facet_count(w, rho) == facet_count(c4, w) + 16
-    assert polytope_facet_count(gt_adapted_word(4), rho) == 32
-    assert polytope_facet_count(braid_variant_word(4), rho) == 32
+        assert len(polyhedra.remove_redundant(string_polytope(w, rho)).rows) == facet_count(c4, w) + 16
+    assert len(polyhedra.remove_redundant(string_polytope(gt_adapted_word(4), rho)).rows) == 32
+    assert len(polyhedra.remove_redundant(string_polytope(braid_variant_word(4), rho)).rows) == 32
     # contraction rows: the 2n - 1 canonical paths are new facets one rank up
     wall_word = W("C4", "4,3,2,1,3,2,4,3,4,2,3,4,1,2,1,3")
     for w in (generic, *polytope_words, wall_word, gt_adapted_word(4), braid_variant_word(4)):
@@ -498,7 +484,7 @@ def test_rank4_spot_checks():
         assert len(cps) == len(set(cps)) == 7
         assert all(is_new(p) for p in cps)
         facets = {f.coeffs for f in irredundant_facets(c4, w)[0].forms}
-        assert {primitive(functional_C(p).coeffs) for p in cps} <= facets
+        assert {primitive(f.coeffs) for f in path_forms("C", cps)} <= facets
         gained = facet_count(c4, w) - facet_count(LieType("C", 3), contract(w))
         nested = w in (gt_adapted_word(4), braid_variant_word(4))
         assert (gained == 7) if nested else (gained >= 7)

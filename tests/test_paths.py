@@ -22,7 +22,6 @@ from stringcones.paths import (
     is_new,
     is_symmetric,
     mirror,
-    symp_paths,
 )
 from stringcones.weyl import (
     LieType,
@@ -46,7 +45,7 @@ def test_path_counts_worked_examples():
 
 def test_five_symplectic_paths():
     sd = build_symp_diagram(W("C2", "2,1,2,1"))
-    got = sorted(p.wires_by_name() for p in symp_paths(sd, 2))
+    got = sorted(p.wires_by_name() for p in enumerate_paths(orient(sd, 2)))
     assert got == sorted(
         [
             ("2", "2b"),
@@ -56,7 +55,7 @@ def test_five_symplectic_paths():
             ("2", "1", "1b", "2b"),
         ]
     )
-    assert [p.wires_by_name() for p in symp_paths(sd, 1)] == [("1", "2")]
+    assert [p.wires_by_name() for p in enumerate_paths(orient(sd, 1))] == [("1", "2")]
 
 
 def test_enumeration_is_deterministic():
@@ -82,7 +81,7 @@ def test_naive_oracle_agreement_small():
 
 def test_peaks_and_expressions():
     sd = build_symp_diagram(W("C2", "2,1,2,1"))
-    paths = {q.wires_by_name(): q for q in symp_paths(sd, 2)}
+    paths = {q.wires_by_name(): q for q in enumerate_paths(orient(sd, 2))}
     assert len(paths[("2", "2b")].peaks) == 1
     assert len(paths[("2", "1b", "1", "2b")].peaks) == 2  # descends to the wall and back
     for p in paths.values():
@@ -91,18 +90,18 @@ def test_peaks_and_expressions():
 
 def test_mirror_examples_and_properties():
     sd = build_symp_diagram(W("C2", "2,1,2,1"))
-    p4 = next(p for p in symp_paths(sd, 2) if p.wires_by_name() == ("2", "1", "2b"))
+    p4 = next(p for p in enumerate_paths(orient(sd, 2)) if p.wires_by_name() == ("2", "1", "2b"))
     assert mirror(p4).wires_by_name() == ("2", "1b", "2b")
     assert mirror(mirror(p4)) == p4
     sd3 = build_symp_diagram(W("C3", "1,3,2,1,3,2,1,3,2"))
-    P = next(p for p in symp_paths(sd3, 3) if p.wires_by_name() == ("3", "1b", "2", "3b"))
+    P = next(p for p in enumerate_paths(orient(sd3, 3)) if p.wires_by_name() == ("3", "1b", "2", "3b"))
     assert mirror(P).wires_by_name() == ("3", "2b", "1", "3b")
 
 
 def test_mirror_is_a_bijection_between_orientations():
     sd = build_symp_diagram(W("C3", "1,2,3,1,2,3,1,2,3"))
     for k in (1, 2, 3):
-        paths = symp_paths(sd, k)
+        paths = enumerate_paths(orient(sd, k))
         target = set(enumerate_paths(OrientedDiagram(sd, 2 * 3 - k)))
         images = {mirror(p) for p in paths}
         assert images <= target and len(images) == len(paths)
@@ -112,11 +111,11 @@ def test_mirror_is_a_bijection_between_orientations():
 
 def test_symmetry_detection():
     sd = build_symp_diagram(W("C2", "2,1,2,1"))
-    flags = {p.wires_by_name(): is_symmetric(p) for p in symp_paths(sd, 2)}
+    flags = {p.wires_by_name(): is_symmetric(p) for p in enumerate_paths(orient(sd, 2))}
     assert flags[("2", "2b")] and flags[("2", "1b", "1", "2b")] and flags[("2", "1", "1b", "2b")]
     assert not flags[("2", "1", "2b")] and not flags[("2", "1b", "2b")]
     with pytest.raises(ValueError):
-        is_symmetric(symp_paths(sd, 1)[0])
+        is_symmetric(enumerate_paths(orient(sd, 1))[0])
 
 
 def test_enclosed_region_examples():
@@ -173,7 +172,7 @@ def test_enclosed_regions_are_freed_with_their_diagram():
     gc.disable()
     try:
         sd = build_symp_diagram(W("C3", "1,3,2,1,3,2,1,3,2"))
-        paths = [p for k in (1, 2, 3) for p in symp_paths(sd, k)]
+        paths = [p for k in (1, 2, 3) for p in enumerate_paths(orient(sd, k))]
         regions = [enclosed_region(p) | enclosed_region(mirror(p)) for p in paths]
         extended = [extension(p) for p in paths]
         canonical = canonical_paths(sd)
@@ -186,25 +185,25 @@ def test_enclosed_regions_are_freed_with_their_diagram():
 
 
 def test_functional_is_chamber_sum():
-    from stringcones.cones import functional_A
+    from stringcones.cones import path_forms
 
     for w in (*enumerate_reduced_words(LieType("A", 3)), *enumerate_reduced_words(LieType("A", 4))):
         d = build_diagram(w)
         ch = chamber_structure(d)
-        for k in range(1, d.m):
-            for p in enumerate_paths(orient(d, k)):
-                total = [0] * d.length
-                for j in enclosed_region(p):
-                    total = [a + b for a, b in zip(total, ch.u_form(j))]
-                assert tuple(total) == functional_A(p).coeffs
+        paths = [p for k in range(1, d.m) for p in enumerate_paths(orient(d, k))]
+        for p, form in zip(paths, path_forms("A", paths)):
+            total = [0] * d.length
+            for j in enclosed_region(p):
+                total = [a + b for a, b in zip(total, ch.u_form(j))]
+            assert tuple(total) == form.coeffs
 
 
 def test_extension_worked_examples():
     sd4 = build_symp_diagram(W("C3", "2,1,3,2,1,3,2,1,3"))
-    P2 = next(p for p in symp_paths(sd4, 2) if p.wires_by_name() == ("2", "1b", "3"))
+    P2 = next(p for p in enumerate_paths(orient(sd4, 2)) if p.wires_by_name() == ("2", "1b", "3"))
     assert extension(P2).wires_by_name() == ("2", "1b", "1", "2b", "3")
     sd3 = build_symp_diagram(W("C3", "1,3,2,1,3,2,1,3,2"))
-    P = next(p for p in symp_paths(sd3, 3) if p.wires_by_name() == ("3", "1b", "2", "3b"))
+    P = next(p for p in enumerate_paths(orient(sd3, 3)) if p.wires_by_name() == ("3", "1b", "2", "3b"))
     pex = extension(P)
     assert is_symmetric(pex)
     assert enclosed_region(pex) == enclosed_region(P) | enclosed_region(mirror(P))
@@ -235,7 +234,7 @@ def test_extension_of_rank4_wall_paths(monkeypatch):
 
     monkeypatch.setattr(WiringDiagram, "first_node_on_wire", counted)
     sd = build_symp_diagram(W("C4", "4,3,2,1,3,2,4,3,4,2,3,4,1,2,1,3"))
-    wall = symp_paths(sd, 4)
+    wall = enumerate_paths(orient(sd, 4))
     assert len(wall) == 207
     P = next(p for p in wall if str(p) == "4 -> 3b -> 2 -> 2b -> 1 -> 3 -> 2 -> 4b")
     assert str(extension(P)) == "4 -> 3b -> 1b -> 2 -> 2b -> 1 -> 3 -> 4b"
