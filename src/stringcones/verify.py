@@ -349,8 +349,7 @@ def _cone_checks() -> list[Check]:
     fm = fold_maps(w21)
     paths = enumerate_paths(orient(build_symp_diagram(w21), 2))
     gamma_ok = all(
-        c_whole.coeffs
-        == fm.double_cb(b.coeffs) == tuple(
+        c_whole.coeffs == fm.double_cb(b.coeffs) == tuple(
             sum(r * x for r, x in zip(row, b.coeffs))
             for row in ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1))
         )
