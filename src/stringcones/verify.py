@@ -320,7 +320,7 @@ def path_count_equals_facet_count() -> list[Check]:
                 mismatches, [])]
 
 
-def functional_table_and_rank2_facets() -> list[Check]:
+def form_table_and_rank2_facets() -> list[Check]:
     """Criterion 3: the functional table of (2,1,2,1) and the rank-2 facet counts."""
     c2 = LieType("C", 2)
     w21 = ReducedWord.parse("C2", "2,1,2,1")
@@ -654,7 +654,7 @@ def paper_checks(n: int = 2) -> list[Check]:
         *_diagram_checks(),
         *_path_checks(),
         *type_a_worked_examples(),
-        *functional_table_and_rank2_facets(),
+        *form_table_and_rank2_facets(),
         *_cone_checks(),
         *_classification_checks(n),
         *simplicial_classification_up_to_diagram(n),

@@ -70,7 +70,7 @@ def test_criterion_02_path_count_equals_facet_count():
 
 
 def test_criterion_03_functional_table_and_rank2_facets():
-    _assert_criterion(3, verify.functional_table_and_rank2_facets)
+    _assert_criterion(3, verify.form_table_and_rank2_facets)
 
 
 def test_criterion_04_simpliciality_classification_as_stated():
