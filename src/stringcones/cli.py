@@ -53,7 +53,7 @@ GT_MAX_RANK = 8
 
 
 class CommandResult(Value):
-    _fields = ("command", "payload", "table", "status")
+    _fields = ("payload", "table", "status")
 
 
 def _rows_json(h: polyhedra.HRep) -> list:
@@ -145,13 +145,13 @@ def render_svg(d: WiringDiagram, highlights=()) -> str:
             'stroke="#2aa37a" stroke-dasharray="6,5" stroke-width="1"/>'
         )
     for w in range(1, d.m + 1):
-        pts = " ".join(pt(x, y) for x, y in d.wire_polyline(w))
+        line = d.wire_polylines[w]
+        pts = " ".join(pt(x, y) for x, y in line)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.3"/>'
         )
         name = d.wire_name(w)
-        x_top, _ = d.wire_polyline(w)[0]
-        x_bot, _ = d.wire_polyline(w)[-1]
+        x_top, x_bot = line[0][0], line[-1][0]
         parts.append(
             f'<text x="{(x_top + 1) * _SCALE}" y="{_SCALE - 6}" font-size="11" '
             f'text-anchor="middle">U{name}</text>'
@@ -195,23 +195,23 @@ def _cmd_words(args) -> CommandResult:
     t = LieType.parse(args.type)
     words = [str(w) for w in enumerate_reduced_words(t, cap=args.cap)]
     table = "\n".join(words)
-    return CommandResult("words", {"type": str(t), "count": len(words), "words": words}, table, 0)
+    return CommandResult({"type": str(t), "count": len(words), "words": words}, table, 0)
 
 
 def _cmd_paths(args) -> CommandResult:
     w = ReducedWord.parse(args.type, args.word)
     paths = rigorous_paths(w.lie_type, w)
-    if args.k is not None:  # an up count, or the label `k_display` prints for it
-        labels = {label: p.k for p in paths for label in (str(p.k), p.oriented.k_display)}
+    if args.k is not None:  # an up count, or the wire name printed for it
+        labels = {label: p.k for p in paths for label in (str(p.k), p.diagram.wire_name(p.k))}
         if args.k not in labels:
             raise ValueError(f"orientation index {args.k} out of range 1..{max(labels.values())}")
         paths = [p for p in paths if p.k == labels[args.k]]
     payload = {"type": str(w.lie_type), "word": str(w), "paths": [path_json(p) for p in paths]}
     lines = [
-        f"k={p.oriented.k_display}:  {str(p)}   nodes {list(p.node_expression)}"
+        f"k={p.diagram.wire_name(p.k)}:  {str(p)}   nodes {list(p.node_expression)}"
         for p in paths
     ]
-    return CommandResult("paths", payload, "\n".join(lines), 0)
+    return CommandResult(payload, "\n".join(lines), 0)
 
 
 def _cmd_cone(args) -> CommandResult:
@@ -228,7 +228,7 @@ def _cmd_cone(args) -> CommandResult:
         payload["inequalities"] = pretty
         lines = [f"{len(pretty)} path inequalities:"]
         lines += [f"  {s} >= 0   ({p})" for s, p in zip(pretty, paths, strict=True)]
-    return CommandResult("cone", payload, "\n".join(lines), 0)
+    return CommandResult(payload, "\n".join(lines), 0)
 
 
 def _full_polytope_payload(h: polyhedra.HRep) -> dict:
@@ -261,7 +261,7 @@ def _cmd_polytope(args) -> CommandResult:
     lines = [f"dim {h.dim}, {len(h.rows)} rows (c.x <= b):"] + [
         f"  {list(c)} <= {b}" for c, b in h.rows
     ]
-    return CommandResult("polytope", payload, "\n".join(lines), 0)
+    return CommandResult(payload, "\n".join(lines), 0)
 
 
 def _cmd_gt(args) -> CommandResult:
@@ -283,14 +283,14 @@ def _cmd_gt(args) -> CommandResult:
     lines = [f"dim {h.dim}, {len(h.rows)} rows; coordinates:"]
     lines.append("  " + " ".join(payload["coordinates"]))
     lines += [f"  {list(c)} <= {b}" for c, b in h.rows]
-    return CommandResult("gt", payload, "\n".join(lines), 0)
+    return CommandResult(payload, "\n".join(lines), 0)
 
 
 def _cmd_fvector(args) -> CommandResult:
     h = _load_polytope(args.source)
     fv = polyhedra.f_vector(h)
     payload = {"fvector": list(fv)}
-    return CommandResult("fvector", payload, f"f-vector: {tuple(fv)}", 0)
+    return CommandResult(payload, f"f-vector: {tuple(fv)}", 0)
 
 
 def _cmd_equiv(args) -> CommandResult:
@@ -308,7 +308,7 @@ def _cmd_equiv(args) -> CommandResult:
         table = f"equivalent\nmatrix: {res.matrix}\nshift: {res.shift}"
     else:
         table = f"{res.status}: {res.witness}"
-    return CommandResult("equiv", payload, table, 0)
+    return CommandResult(payload, table, 0)
 
 
 def _cmd_render(args) -> CommandResult:
@@ -324,9 +324,7 @@ def _cmd_render(args) -> CommandResult:
             fh.write(svg)
     except OSError as exc:
         raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
-    return CommandResult(
-        "render", {"output": args.output, "bytes": len(svg)}, f"wrote {args.output}", 0
-    )
+    return CommandResult({"output": args.output, "bytes": len(svg)}, f"wrote {args.output}", 0)
 
 
 def _cmd_verify(args) -> CommandResult:
@@ -347,7 +345,7 @@ def _cmd_verify(args) -> CommandResult:
         "checks": [{"name": n, "ok": ok, "detail": det} for n, ok, det in checks],
         "failures": failures,
     }
-    return CommandResult("verify-paper", payload, "\n".join(lines), 0 if failures == 0 else 1)
+    return CommandResult(payload, "\n".join(lines), 0 if failures == 0 else 1)
 
 
 def _nonnegative(text: str) -> int:
@@ -430,7 +428,7 @@ def _execute(args: argparse.Namespace) -> CommandResult:
     try:
         return args.func(args)
     except (ValueError, EnumerationCapExceeded) as exc:
-        return CommandResult(args.command, {"error": str(exc)}, f"error: {exc}", 2)
+        return CommandResult({"error": str(exc)}, f"error: {exc}", 2)
 
 
 def run(argv) -> CommandResult:
@@ -438,7 +436,7 @@ def run(argv) -> CommandResult:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed its message
-        return CommandResult("usage", {}, "", 2 if exc.code not in (0, None) else 0)
+        return CommandResult({}, "", 2 if exc.code not in (0, None) else 0)
     return _execute(args)
 
 

@@ -45,9 +45,9 @@ polytope's are, so its LP runs once per class.  A string polytope at a
 regular weight keys on the normal form and the weight
 (`class_polytope_rows`): its entry keeps the polytope's row sequence in
 heap coordinates, the merged cone rows and then the weight rows in heap
-order (`heap_order`, see `polytopes`), and the indices of its facet rows
-alike.  A hit is one relabelling of those rows, with no cone entry read.
-All relabelling happens here.
+order (by `heap_coordinates`, see `polytopes`), and the indices of its
+facet rows alike.  A hit is one relabelling of those rows, with no cone
+entry read.  All relabelling happens here.
 """
 
 from __future__ import annotations
@@ -319,13 +319,6 @@ def class_entry(t: LieType, w: ReducedWord, lam: Weight | None = None) -> dict:
     return _class_entry(t, key if lam is None else (key, lam))
 
 
-def heap_order(w: ReducedWord, per_position) -> tuple:
-    """One item per position of ``w``, listed in the order of the positions'
-    `heap_coordinates`: the words of a class list their letter occurrences
-    alike."""
-    return tuple([per_position[k] for k in _inverse(heap_coordinates(w))])
-
-
 def class_polytope_rows(w: ReducedWord, lam: Weight, weight_rows) -> tuple[dict, tuple]:
     """The polytope entry of the class of ``w`` at ``lam`` and the rows of
     the string polytope of ``w`` read from it.
@@ -342,7 +335,8 @@ def class_polytope_rows(w: ReducedWord, lam: Weight, weight_rows) -> tuple[dict,
         at = _inverse(heap_coordinates(w))
         merged = _cone_entry(w.lie_type, w)["merged"]
         cone = tuple([(tuple([-c for c in form]), 0) for form in merged])
-        weight = tuple([(tuple([c[j] for j in at]), b) for c, b in heap_order(w, weight_rows())])
+        rows = weight_rows()
+        weight = tuple([(tuple([c[j] for j in at]), b) for c, b in (rows[k] for k in at)])
         entry["rows"] = cone + weight
     relabel = _relabelling(w)
     return entry, tuple([(relabel(c), b) for c, b in entry["rows"]])

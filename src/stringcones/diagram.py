@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ._linalg import Value, det_int
+from ._linalg import Value
 from .weyl import ReducedWord, lift
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "WiringDiagram",
     "SympWiringDiagram",
     "OrientedDiagram",
-    "ChamberStructure",
     "build_diagram",
     "build_symp_diagram",
     "orient",
@@ -136,7 +135,8 @@ class WiringDiagram:
         return (2 * nd.column, 2 * (self.length - j) + 1)
 
     @cached_property
-    def _wire_polylines(self) -> dict[int, tuple[tuple[int, int], ...]]:
+    def wire_polylines(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Drawn course of each wire, top to bottom, including crossing centres."""
         top = 2 * self.length + 1
         out: dict[int, tuple[tuple[int, int], ...]] = {}
         for w in range(1, self.m + 1):
@@ -159,13 +159,9 @@ class WiringDiagram:
             out[w] = tuple(deduped)
         return out
 
-    def wire_polyline(self, wire: int) -> tuple[tuple[int, int], ...]:
-        """Drawn course of a wire, top to bottom, including crossing centres."""
-        return self._wire_polylines[wire]
-
     def wire_slice(self, wire: int, frm, to) -> tuple[tuple[int, int], ...]:
         """Polyline along ``wire`` between node indices or 'bottom'."""
-        pts = self._wire_polylines[wire]
+        pts = self.wire_polylines[wire]
         a, b = (len(pts) - 1 if s == "bottom" else pts.index(self.node_center(s))
                 for s in (frm, to))
         if a <= b:
@@ -176,28 +172,16 @@ class WiringDiagram:
         return f"WiringDiagram({self.word})"
 
 
-class ChamberStructure(Value):
-    """Chambers of a wiring diagram and the chamber-variable change of basis.
+def chamber_structure(d: WiringDiagram) -> tuple[tuple[int, ...], ...]:
+    """Chambers of a wiring diagram: the chamber-variable change of basis.
 
     Chamber ``j`` is the region directly below node ``a_j``.  Its boundary
     nodes in the same column as ``a_j`` are ``a_j`` itself plus the next
     crossing straight below, when there is one; the others lie one column
-    off, above that crossing.  Row ``j`` of ``phi_rows`` expresses the
-    chamber variable ``u_j`` in the crossing coordinates: +1 on the
-    same-column boundary nodes, -1 on the others.
+    off, above that crossing.  Row ``j - 1`` expresses the chamber variable
+    ``u_j`` in the crossing coordinates: +1 on the same-column boundary
+    nodes, -1 on the others.
     """
-
-    _fields = ("phi_rows",)
-
-    @cached_property
-    def det(self) -> int:
-        return det_int([list(r) for r in self.phi_rows])
-
-    def u_form(self, j: int) -> tuple[int, ...]:
-        return self.phi_rows[j - 1]
-
-
-def chamber_structure(d: WiringDiagram) -> ChamberStructure:
     length = d.length
     columns = [nd.column for nd in d.nodes]
     rows: list[tuple[int, ...]] = []
@@ -212,7 +196,7 @@ def chamber_structure(d: WiringDiagram) -> ChamberStructure:
             if abs(columns[k - 1] - c) == 1:
                 row[k - 1] = -1
         rows.append(tuple(row))
-    return ChamberStructure(tuple(rows))
+    return tuple(rows)
 
 
 class SympWiringDiagram(WiringDiagram):
@@ -281,10 +265,6 @@ class OrientedDiagram(Value):
 
     def is_up(self, wire: int) -> bool:
         return wire <= self.up_count
-
-    @property
-    def k_display(self) -> str:
-        return self.diagram.wire_name(self.up_count)
 
 
 def build_diagram(w: ReducedWord) -> WiringDiagram:

@@ -29,8 +29,10 @@ from its definition: of the paths of that orientation whose enclosed
 regions lie inside region(p) | region(mirror(p)), the one whose region
 contains all the others.  The canonical paths are extensions of the
 single-peaked staircase paths of the lifted diagram, found in one pass
-over its orientations, and a path has the maximality property (its folded
-string inequality is irredundant) exactly when it is its own extension.
+over its orientations.  A path that is its own extension has an
+irredundant folded string inequality (checked on every C2 and C3 word); the
+converse fails: 15 of the 42 C3 words have a facet that only paths which
+are not their own extensions cut.
 """
 
 from __future__ import annotations
@@ -297,8 +299,9 @@ def extension(p: RigorousPath) -> RigorousPath:
     union = own | enclosed_region(mirror(p))
     if own == union:
         return p
-    inside = [q for q in enumerate_paths(p.oriented) if enclosed_region(q) <= union]
-    best = [q for q in inside if all(enclosed_region(r) <= enclosed_region(q) for r in inside)]
+    inside = [(q, r) for q in enumerate_paths(p.oriented) if (r := enclosed_region(q)) <= union]
+    covered = frozenset().union(*[r for _, r in inside])  # a maximal path's region
+    best = [q for q, r in inside if r == covered]
     if len(best) != 1:
         raise ValueError(f"expected one maximal path inside the union, found {len(best)}")
     return best[0]
@@ -373,7 +376,7 @@ def is_new(p: RigorousPath) -> bool:
 def path_json(p: RigorousPath) -> dict:
     sd = p.diagram
     payload = {
-        "k": p.oriented.k_display,
+        "k": sd.wire_name(p.k),
         "wires": list(p.wires_by_name()),
         "nodes": list(p.node_expression),
         "peaks": list(p.peaks),

@@ -21,7 +21,7 @@ by a renaming of coordinates: a commutation move swaps two coordinates of
 the string cone, and two commuting letters pair to zero, so it swaps two
 rows of the weight cone as well.  `string_polytope` lists the merged cone
 rows in the class entry's order and the weight rows in heap-coordinate
-order (`cones.heap_order`), so the words of a class list one sequence of
+order (`weyl.heap_coordinates`), so the words of a class list one sequence of
 rows ``(tuple[int], int)`` up to that renaming, right-hand sides included.
 It reads its rows from the entry of its class and weight
 (`cones.class_polytope_rows`, keyed on the Cartier–Foata normal form and
@@ -97,7 +97,7 @@ def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
     """String cone plus weight cone of ``w`` at ``lam`` (possibly redundant rows).
 
     The merged string-cone rows come first, then the weight-cone rows in
-    heap-coordinate order (`cones.heap_order`).  The polytope reads its
+    heap-coordinate order (`weyl.heap_coordinates`).  The polytope reads its
     rows from the polytope entry of its commutation class and weight, and
     at a regular weight shares its minimal rows through it (see the module
     docstring).

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import polyhedra, polytopes
-from ._linalg import rank_int
+from ._linalg import det_int, rank_int
 from .cones import (
     facet_count,
     fold_maps,
@@ -175,18 +175,12 @@ def _diagram_checks() -> list[Check]:
     d2 = build_diagram(ReducedWord.parse("A3", "1,3,2,1,3,2"))
     out.append(_true("second crossing of the second example",
                      d2.node(2).wires == (3, 4) and d2.node(2).column == 3))
-    ch = chamber_structure(d2)
-    out.append(_eq("chamber variable u3", ch.u_form(3), (0, 0, 1, -1, -1, 1)))
-    out.append(_eq("chamber variable u4", ch.u_form(4), (0, 0, 0, 1, 0, -1)))
-    det_ok = all(
-        chamber_structure(build_diagram(w)).det in (1, -1)
-        for w in enumerate_reduced_words(LieType("A", 3))
-    )
-    diag_ok = all(
-        chamber_structure(build_diagram(w)).phi_rows[j][j] == 1
-        for w in enumerate_reduced_words(LieType("A", 3))
-        for j in range(6)
-    )
+    u = chamber_structure(d2)  # u[j - 1] is the chamber variable u_j
+    out.append(_eq("chamber variable u3", u[2], (0, 0, 1, -1, -1, 1)))
+    out.append(_eq("chamber variable u4", u[3], (0, 0, 0, 1, 0, -1)))
+    bases = [chamber_structure(build_diagram(w)) for w in enumerate_reduced_words(LieType("A", 3))]
+    det_ok = all(det_int(rows) in (1, -1) for rows in bases)
+    diag_ok = all(rows[j][j] == 1 for rows in bases for j in range(6))
     out.append(_true("chamber change of basis unimodular, +1 on the diagonal",
                      det_ok and diag_ok))
     sd = build_symp_diagram(ReducedWord.parse("C3", "1,2,3,1,2,3,1,2,3"))
@@ -249,12 +243,12 @@ def _path_checks() -> list[Check]:
     # region sum identity: functional equals the sum of enclosed chamber forms
     ident_ok = True
     for dd in (d, d2):
-        ch = chamber_structure(dd)
+        u = chamber_structure(dd)
         paths = [p for k in (1, 2, 3) for p in enumerate_paths(orient(dd, k))]
         for p, form in zip(paths, path_forms("A", paths)):
             total = [0] * 6
             for j in enclosed_region(p):
-                total = [a + b for a, b in zip(total, ch.u_form(j))]
+                total = [a + b for a, b in zip(total, u[j - 1])]
             if tuple(total) != form.coeffs:
                 ident_ok = False
     out.append(_true("path functional is the enclosed chamber sum", ident_ok))

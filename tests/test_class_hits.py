@@ -3,8 +3,8 @@
 A word whose commutation class already has an entry reads its string cone
 and its string polytope by relabelling the integer rows the entry keeps in
 heap coordinates.  The oracles below are the earlier `string_polytope`,
-`string_cone` and `_word_forms`, kept verbatim under their own names: they
-rewrite the cone entry's forms and rebuild the weight cone for every word.
+`string_cone`, `_word_forms` and `cones.heap_order`, kept verbatim under
+their own names: they rewrite the cone entry's forms and rebuild the weight cone for every word.
 The oracle polytope's `class_entry` is a fresh dict per call, so its minimal
 rows come from an LP of its own.  `direct_polytope` is the branch the
 earlier `string_polytope` took for a word alone in its class or a
@@ -15,7 +15,7 @@ warm (a second word of its class, filled by the first).
 import pytest
 
 from stringcones import cones, polyhedra, polytopes, weyl
-from stringcones.cones import HRepCone, LinForm, _cone_entry, heap_order
+from stringcones.cones import HRepCone, LinForm, _cone_entry, _inverse
 from stringcones.polyhedra import HRep, remove_redundant
 from stringcones.polytopes import lambda_cone
 from stringcones.weyl import (
@@ -38,6 +38,13 @@ def _word_forms(heap, forms) -> tuple[LinForm, ...]:
     return tuple(LinForm(tuple([form[k] for k in heap])) for form in forms)
 
 
+def heap_order(w: ReducedWord, per_position) -> tuple:
+    """One item per position of ``w``, listed in the order of the positions'
+    `heap_coordinates`: the words of a class list their letter occurrences
+    alike."""
+    return tuple([per_position[k] for k in _inverse(heap_coordinates(w))])
+
+
 def string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) -> HRepCone:
     """All string inequalities of a reduced word, one per rigorous path.
 
@@ -57,7 +64,7 @@ def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
     """String cone plus weight cone of ``w`` at ``lam`` (possibly redundant rows).
 
     The merged string-cone rows come first, then the weight-cone rows in
-    heap-coordinate order (`cones.heap_order`).  At a regular weight the
+    heap-coordinate order (`heap_order`).  At a regular weight the
     polytope shares its minimal rows with the other words of its
     commutation class (see the module docstring).
     """

@@ -54,7 +54,7 @@ def test_linform_basics():
     assert LinForm((0, 0)).pretty() == "0"
 
 
-def test_functional_C_halves_only_even_forms(monkeypatch):
+def test_type_C_path_forms_halve_only_even_forms(monkeypatch):
     sd = build_symp_diagram(W("C2", "2,1,2,1"))
     wall = next(p for p in enumerate_paths(orient(sd, 2)) if is_symmetric(p))
     assert path_forms("C", [wall])[0].coeffs == (1, 0, 0, 0)
@@ -69,7 +69,7 @@ def test_functional_C_halves_only_even_forms(monkeypatch):
         path_forms("C", [wall])
 
 
-def test_functional_A_worked():
+def test_type_A_path_forms_worked():
     d = build_diagram(W("A3", "1,2,1,3,2,1"))
     paths = [p for k in (1, 2, 3) for p in enumerate_paths(orient(d, k))]
     forms = {f.coeffs for f in path_forms("A", paths)}
@@ -110,7 +110,7 @@ def test_fold_maps_identities():
         assert fm.n_lifted == len(lift(w).letters)
 
 
-def test_functional_B_sampled_point_oracle():
+def test_type_B_path_forms_sampled_point_oracle():
     rng = random.Random(11)
     sd = build_symp_diagram(W("C3", "1,3,2,1,3,2,1,3,2"))
     fm = fold_maps(sd.word)

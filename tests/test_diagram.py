@@ -6,7 +6,6 @@ from stringcones.diagram import (
     OrientedDiagram,
     build_diagram,
     build_symp_diagram,
-    chamber_structure,
     orient,
 )
 from stringcones.weyl import LieType, ReducedWord, enumerate_reduced_words, lift
@@ -23,12 +22,6 @@ def test_worked_diagram():
     assert d.node(1).wires == (1, 2)
     assert d.arrangements[0] == (1, 2, 3, 4)
     assert d.arrangements[-1] == (4, 3, 2, 1)
-
-
-def test_second_worked_diagram():
-    d = build_diagram(w("1,3,2,1,3,2"))
-    assert d.node(2).wires == (3, 4)
-    assert d.node(2).column == 3
 
 
 def test_every_pair_crosses_once():
@@ -52,22 +45,6 @@ def test_rank4_crossing_sample():
     assert sorted(nd.wires for nd in d.nodes) == sorted(
         itertools.combinations(range(1, 9), 2)
     )
-
-
-def test_chamber_structure_worked_example():
-    d = build_diagram(w("1,3,2,1,3,2"))
-    ch = chamber_structure(d)
-    assert ch.u_form(3) == (0, 0, 1, -1, -1, 1)
-    assert ch.u_form(4) == (0, 0, 0, 1, 0, -1)
-    assert ch.det in (1, -1)
-
-
-def test_chamber_matrix_unimodular_everywhere():
-    for word in enumerate_reduced_words(LieType("A", 3)):
-        ch = chamber_structure(build_diagram(word))
-        assert ch.det in (1, -1)
-        for j in range(1, 7):
-            assert ch.u_form(j)[j - 1] == 1
 
 
 def test_symp_diagram_matches_lift():
@@ -121,6 +98,6 @@ def test_orientations():
     od2 = orient(sd, 2)
     assert [od2.is_up(x) for x in (1, 2, 3, 4)] == [True, True, False, False]
     odb = OrientedDiagram(sd, 3)
-    assert odb.up_count == 3 and odb.k_display == "2b"
+    assert odb.up_count == 3 and sd.wire_name(odb.up_count) == "2b"
     with pytest.raises(ValueError):
         orient(sd, 3)

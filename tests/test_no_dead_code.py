@@ -13,13 +13,13 @@ property lives only while it runs: it must be called while the battery
 ``verify.paper_checks(2)`` and the CLI invocations in `CLI_RUNS` run under
 ``sys.setprofile``.  Dunder methods are called by the language and are exempt, and so
 are the public functions in `TEST_ONLY`.  A field (a name in a class's
-``_fields`` tuple, the declaration of the package's value types), and an
-attribute that an ``__init__`` sets on ``self``, lives only while the
-program reads it as an attribute.  A field whose name another package class
-also declares lives only while package code reads it, in that same run, on
-an instance of its own class: a temporary ``__getattribute__`` on `Value`
-and `WiringDiagram` records those reads.  The fields in `UNREAD_FIELDS` are
-exempt.
+``_fields`` tuple, the declaration of the package's value types, or an
+attribute that an ``__init__`` sets on ``self``) lives only while package
+code reads it, in that same run, on an instance of its own class: a
+temporary ``__getattribute__`` on `Value` and `WiringDiagram` records those
+reads.  A read of the name alone is not enough, since ``args.command`` on
+argparse's namespace reads a name that a field may also have.  The fields
+in `UNREAD_FIELDS` are exempt.
 A parameter with a default (a knob) lives only while some call of the
 program passes it, by keyword or by position; the knobs in `ALLOWED_KNOBS`
 are exempt.  The checks run on the standard library's `ast`.
@@ -28,7 +28,6 @@ are exempt.  The checks run on the standard library's `ast`.
 import ast
 import io
 import sys
-from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -59,15 +58,19 @@ UNREAD_FIELDS = {
 ALLOWED_KNOBS: dict[str, str] = {}
 
 # The command lines that, with `verify.paper_checks(2)`, show which members
-# run and which shared fields are read; ``{out}`` is an output file.
+# run and which fields are read; ``{dir}`` is a scratch directory that
+# holds the polytope file `SQUARE`.
 CLI_RUNS = (
-    ["render", "A3", "1,2,1,3,2,1", "-o", "{out}"],
-    ["render", "C2", "2,1,2,1", "--highlight", "2,1,2b", "-o", "{out}"],
+    ["render", "A3", "1,2,1,3,2,1", "-o", "{dir}/diagram.svg"],
+    ["render", "C2", "2,1,2,1", "--highlight", "2,1,2b", "-o", "{dir}/diagram.svg"],
     ["paths", "C2", "2,1,2,1"],
     ["cone", "C2", "2,1,2,1"],
     ["polytope", "C2", "2,1,2,1", "--lambda", "rho", "--full"],
     ["gt", "--n", "2", "--lambda", "rho"],
+    ["equiv", "{dir}/square.json", "{dir}/square.json"],
+    ["words", "C2", "--json"],
 )
+SQUARE = '{"dim": 2, "rows": [[1, 0, 1], [-1, 0, 0], [0, 1, 1], [0, -1, 0]]}'
 
 
 def dead_helpers(paths) -> list[str]:
@@ -148,13 +151,13 @@ def dead_members(sources, readers, ran=None) -> list[str]:
     return dead
 
 
-def ran_members(out: Path, shared) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
+def ran_members(scratch: Path, fields) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
     """``(module, qualified name)`` of each package function called while
-    `verify.paper_checks(2)` and the `CLI_RUNS` run, from an empty class
-    cache, and ``(module, "Class.field")`` for each read of a name in
-    ``shared`` that package code makes in that run on an instance of
-    ``Class`` or of a subclass, a `Value` or a `WiringDiagram`.  The reads
-    of `Value`'s own equality, hash and repr are not counted."""
+    `verify.paper_checks(2)` and the `CLI_RUNS` run in ``scratch``, from an
+    empty class cache, and ``(module, "Class.field")`` for each read of a
+    name in ``fields`` that package code makes in that run on an instance
+    of ``Class`` or of a subclass, a `Value` or a `WiringDiagram`.  The
+    reads of `Value`'s own equality, hash and repr are not counted."""
     package = str(Path(stringcones.__file__).parent)
     ran, read = set(), set()
 
@@ -163,21 +166,25 @@ def ran_members(out: Path, shared) -> tuple[set[tuple[str, str]], set[tuple[str,
         if event == "call" and code.co_filename.startswith(package):
             ran.add((Path(code.co_filename).stem, code.co_qualname))
 
+    done = set()  # the (class, name) reads already recorded: a repeat skips the frame lookup
+
     def recorded(self, name):
-        if name in shared:
+        if name in fields and (type(self), name) not in done:
             code = sys._getframe(1).f_code
             if code.co_filename.startswith(package) and not code.co_qualname.startswith("Value."):
+                done.add((type(self), name))
                 for cls in type(self).__mro__[:-1]:  # not object
                     read.add((cls.__module__.rpartition(".")[2], f"{cls.__qualname__}.{name}"))
         return object.__getattribute__(self, name)
 
+    (scratch / "square.json").write_text(SQUARE)
     cones._class_entry.cache_clear()
     for root in (Value, WiringDiagram):
         root.__getattribute__ = recorded
     sys.setprofile(profile)
     try:
         verify.paper_checks(2)
-        statuses = [exit_status([arg.format(out=out) for arg in argv]) for argv in CLI_RUNS]
+        statuses = [exit_status([arg.format(dir=scratch) for arg in argv]) for argv in CLI_RUNS]
     finally:
         sys.setprofile(None)
         for root in (Value, WiringDiagram):
@@ -199,8 +206,8 @@ def exit_status(argv) -> int:
 
 @pytest.fixture(scope="module")
 def program_run(tmp_path_factory):
-    """`ran_members` of the package, recording the reads of its shared field names."""
-    return ran_members(tmp_path_factory.mktemp("run") / "diagram.svg", shared_fields(SOURCES))
+    """`ran_members` of the package, recording the reads of its field names."""
+    return ran_members(tmp_path_factory.mktemp("run"), field_names(SOURCES))
 
 
 def _fields(cls: ast.ClassDef) -> set[str]:
@@ -236,10 +243,9 @@ def _classes(sources):
     ]
 
 
-def shared_fields(sources) -> set[str]:
-    """The field names that more than one class of ``sources`` declares."""
-    declared = Counter(name for _, cls in _classes(sources) for name in _fields(cls))
-    return {name for name, count in declared.items() if count > 1}
+def field_names(sources) -> set[str]:
+    """The field names that the classes of ``sources`` declare."""
+    return {name for _, cls in _classes(sources) for name in _fields(cls)}
 
 
 def dead_fields(sources, readers, ran_reads=None) -> list[str]:
@@ -247,20 +253,18 @@ def dead_fields(sources, readers, ran_reads=None) -> list[str]:
     by an ``__init__``, of a class in ``sources`` that no file of
     ``readers`` reads as an attribute.  Given ``ran_reads``, the
     ``(module, "Class.field")`` pairs read while the program ran, a field
-    whose name another class of ``sources`` also declares counts as read
-    only if it is among them."""
+    counts as read only if it is among them."""
     read = {
         node.attr
         for path in readers
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    shared = shared_fields(sources) if ran_reads is not None else set()
     return [
         f"{path.stem}.{cls.name}.{name}"
         for path, cls in _classes(sources)
         for name in sorted(_fields(cls))
-        if ((path.stem, f"{cls.name}.{name}") not in ran_reads if name in shared else name not in read)
+        if (name not in read if ran_reads is None else (path.stem, f"{cls.name}.{name}") not in ran_reads)
     ]
 
 
@@ -409,11 +413,13 @@ def test_the_check_sees_a_shared_field_that_is_never_read(tmp_path):
         "class B(Value):\n    _fields = ('dim', 'unread')\n\n"
         "def total(a):\n    return a.dim + a.size\n"
     )
-    assert shared_fields([source]) == {"dim"}
+    assert field_names([source]) == {"dim", "size", "unread"}
     assert dead_fields([source], [source]) == ["a.B.unread"]
-    # only A's dim is read while the program runs; B's is read by name alone
-    assert dead_fields([source], [source], {("a", "A.dim")}) == ["a.B.dim", "a.B.unread"]
-    assert dead_fields([source], [source], set()) == ["a.A.dim", "a.B.dim", "a.B.unread"]
+    # only A's dim and size are read while the program runs; B's dim is read by name alone
+    assert dead_fields([source], [source], {("a", "A.dim"), ("a", "A.size")}) == ["a.B.dim", "a.B.unread"]
+    # a field that no other class declares counts as read only if it is read as the program runs
+    assert dead_fields([source], [source], {("a", "A.dim")}) == ["a.A.size", "a.B.dim", "a.B.unread"]
+    assert dead_fields([source], [source], set()) == ["a.A.dim", "a.A.size", "a.B.dim", "a.B.unread"]
 
 
 def test_every_private_function_is_used():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from stringcones.cones import rigorous_paths
+from stringcones._linalg import primitive
+from stringcones.cones import irredundant_facets, path_forms, rigorous_paths
 from stringcones.diagram import (
     OrientedDiagram,
     WiringDiagram,
@@ -189,12 +190,12 @@ def test_functional_is_chamber_sum():
 
     for w in (*enumerate_reduced_words(LieType("A", 3)), *enumerate_reduced_words(LieType("A", 4))):
         d = build_diagram(w)
-        ch = chamber_structure(d)
+        u = chamber_structure(d)
         paths = [p for k in range(1, d.m) for p in enumerate_paths(orient(d, k))]
         for p, form in zip(paths, path_forms("A", paths)):
             total = [0] * d.length
             for j in enclosed_region(p):
-                total = [a + b for a, b in zip(total, ch.u_form(j))]
+                total = [a + b for a, b in zip(total, u[j - 1])]
             assert tuple(total) == form.coeffs
 
 
@@ -244,6 +245,43 @@ def test_extension_of_rank4_wall_paths(monkeypatch):
         assert extension(e) == e
         assert enclosed_region(e) == enclosed_region(p) | enclosed_region(mirror(p))
     assert len(searches) == 1  # the wall orientation, searched once for all extensions
+
+
+# The C3 words with a string-cone facet that no path which is its own
+# extension cuts (17 facets in all); C2 has none.
+C3_CONVERSE_FAILS = {
+    "1,2,3,2,1,2,3,2,3", "1,2,3,2,1,3,2,3,2", "1,2,3,2,3,1,2,3,2", "1,3,2,3,2,1,2,3,2",
+    "2,1,3,2,1,3,2,1,3", "2,1,3,2,1,3,2,3,1", "2,1,3,2,3,1,2,1,3", "2,1,3,2,3,1,2,3,1",
+    "2,1,3,2,3,2,1,2,3", "2,3,1,2,1,3,2,1,3", "2,3,1,2,1,3,2,3,1", "2,3,1,2,3,1,2,1,3",
+    "2,3,1,2,3,1,2,3,1", "2,3,1,2,3,2,1,2,3", "3,1,2,3,2,1,2,3,2",
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_path_that_is_its_own_extension_cuts_a_facet(n):
+    """Maximality implies irredundance: the folded inequality of every path
+    that is its own extension is a facet of the string cone.  The converse
+    fails on exactly the pinned C3 words."""
+    t = LieType("C", n)
+    converse_fails = set()
+    for w in enumerate_reduced_words(t):
+        paths = rigorous_paths(t, w)
+        facets = {primitive(f.coeffs) for f in irredundant_facets(t, w)[0].forms}
+        own = {primitive(f.coeffs) for p, f in zip(paths, path_forms("C", paths)) if extension(p) == p}
+        assert own <= facets, str(w)
+        if facets - own:
+            converse_fails.add(str(w))
+    assert converse_fails == (C3_CONVERSE_FAILS if n == 3 else set())
+
+
+def test_a_facet_may_come_only_from_a_path_that_is_not_its_own_extension():
+    w = W("C3", "1,2,3,2,1,2,3,2,3")
+    paths = rigorous_paths(w.lie_type, w)
+    facet = (0, 1, 0, 0, 0, -1, 0, 0, 0)
+    assert facet in {f.coeffs for f in irredundant_facets(w.lie_type, w)[0].forms}
+    cutting = [p for p, f in zip(paths, path_forms("C", paths)) if primitive(f.coeffs) == facet]
+    assert [p.wires_by_name() for p in cutting] == [("1", "3", "2")]
+    assert extension(cutting[0]).wires_by_name() == ("1", "3", "1b", "2")
 
 
 def test_canonical_paths_table():

@@ -1450,7 +1450,7 @@ def test_chamber_change_is_unimodular_on_a_cone_section():
     from stringcones.weyl import LieType, ReducedWord
 
     w = ReducedWord.parse("A3", "1,3,2,1,3,2")
-    ch = chamber_structure(build_diagram(w))
+    mat = chamber_structure(build_diagram(w))
     cone = string_cone(LieType("A", 3), w)
     h = cone.to_hrep()
     # intersect with a box to get a polytope section, then push through Phi
@@ -1459,7 +1459,6 @@ def test_chamber_change_is_unimodular_on_a_cone_section():
     for c, b in sect.rows:
         mapped_rows.append((c, b))
     assert verify_unimodular_map(sect, sect, tuple(tuple(int(i == j) for j in range(6)) for i in range(6)), (0,) * 6)
-    mat = ch.phi_rows
     vr = to_vrep(sect)
     assert vr.rays == ()
     image = VRep(

@@ -41,7 +41,6 @@ VALUES = [
     (weyl.ReducedWord(C2, [1, 2, 1, 2]), ("lie_type", "letters")),
     (weyl.Weight(C2, [1, 2]), ("lie_type", "coeffs")),
     (diagram.Node(1, 2, 3, 4), ("index", "column", "left_above", "right_above")),
-    (diagram.ChamberStructure(((1, 0), (0, 1))), ("phi_rows",)),
     (ORIENTED, ("diagram", "up_count")),
     (paths.RigorousPath(ORIENTED, ((1, True),)), ("oriented", "events")),
     (cones.LinForm([1, -1]), ("coeffs",)),
@@ -55,7 +54,7 @@ VALUES = [
         ("status", "matrix", "shift", "witness", "decided_by"),
     ),
     (polytopes.GTReport(2, (), SQUARE), ("n", "comparisons", "gt")),
-    (cli.CommandResult("words", {"count": 0}, "", 0), ("command", "payload", "table", "status")),
+    (cli.CommandResult({"count": 0}, "", 0), ("payload", "table", "status")),
 ]
 IDS = [type(v).__name__ for v, _ in VALUES]
 
