@@ -22,12 +22,15 @@ The pieces:
   negative (string cones, and string polytopes at a regular weight), and
   otherwise by one LP, as the certificate that ``0 <= -1`` is no
   combination of the strict rows; an exact ray from it meets a facet
-  first, so ray shooting certifies most facets with no LP.  A ray reads
-  the rows through a coordinate index, only those sharing a coordinate
-  with its direction, since string forms are sparse.  A row that two
-  certified facets imply is dropped with no LP, before any ray is shot
-  from it.  Each row the rays leave undecided is dropped by that test or
-  by one LP against the other live rows, or else kept; a system with no
+  first, so ray shooting certifies most facets with no LP.  The
+  written-down point clears each ``b = 0`` row by the margin ``dim ** 2``,
+  which leaves a cone's rays as they were and moves a polytope's point
+  toward its ``b > 0`` rows, so the rays along those rows mostly meet them.
+  A ray reads the rows through a coordinate index, only those sharing a
+  coordinate with its direction, since string forms are sparse.  A row
+  that two certified facets imply is dropped with no LP, before any ray is
+  shot from it.  Each row the rays leave undecided is dropped by that test
+  or by one LP against the other live rows, or else kept; a system with no
   interior point takes this last pass alone.  A system with an interior
   point and every ``b >= 0`` decides its ``b = 0`` rows first, among
   themselves, as its tangent cone at 0 (near 0 a string polytope at a
@@ -338,10 +341,19 @@ def _interior_point(rows, dim):
     ``U / S`` is then strictly inside every row.  When no row has ``b < 0``
     and every row with ``b = 0`` has a negative first nonzero entry, as the
     rows ``-form . x <= 0`` of string cones and of string polytopes at a
-    regular weight do, it is written down with no LP: ``U`` from the last
-    coordinate back, each ``U_k`` large enough that every ``b = 0`` row
-    whose first nonzero entry is at ``k`` reads ``c . U < 0``, and ``S``
-    large enough for the rows with ``b > 0``.  Otherwise it exists exactly
+    regular weight do, it is written down with no LP: a point from the last
+    coordinate back, each entry ``k`` the least positive one that makes
+    every ``b = 0`` row whose first nonzero entry is at ``k`` read
+    ``c . x <= -1``; ``U`` that point times the margin ``dim ** 2``, so
+    each such row reads ``c . U <= -dim ** 2``; and ``S`` the least
+    integer with ``c . U < b * S`` on the rows with ``b > 0``.  A cone has
+    ``S = 1``, so its point is the margin-1 point scaled: every slack
+    scales alike, and every ray meets the row it met from that point.  A
+    polytope's ``U / S`` lies on the ray from 0 through ``U``; the larger
+    the margin, the nearer it lies to where that ray leaves through a
+    ``b > 0`` row, against its slacks on the ``b = 0`` rows, so a ray along
+    a ``b > 0`` row's normal meets that row first far more often (see
+    `_irredundant_indices`).  Otherwise it exists exactly
     when the strict system ``{c . x - b * s <= -1, -s <= -1}`` in ``(x, s)``
     is non-empty, that is when ``0 <= -1`` is no combination of its rows
     (the LP of `feasible`).  `_farkas` then certifies it with ``y``,
@@ -362,6 +374,7 @@ def _interior_point(rows, dim):
         u = [0] * dim  # while u[k] is set, u[j] = 0 for j <= k: c . u sums over j > k
         for k in reversed(range(dim)):
             u[k] = max([1] + [sum(map(mul, c, u)) // -c[k] + 1 for c in lead.get(k, ())])
+        u = [dim * dim * x for x in u]
         return u, max([1] + [sum(map(mul, c, u)) // b + 1 for c, b in rows if b > 0])
     strict = [((*c, -b), -1) for c, b in rows] + [((0,) * dim + (-1,), -1)]
     y = _farkas(*_combination_lp(((0,) * (dim + 1), -1), strict, dim + 1), True)
@@ -514,10 +527,12 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
     cut out: the other live rows imply a ``b = 0`` row exactly when the
     other live ``b = 0`` rows do.  So the ``b = 0`` rows are decided first,
     as their own group with the same point (which is inside the cone), and
-    then the rows left, the cone's facets certified among them.  Copies of
-    one half-space all have ``b = 0`` or all ``b > 0``, so each row is still
-    kept or dropped as in the reference.  Otherwise the live rows are one
-    group.
+    then the rows left, the cone's facets certified among them.  The
+    written-down point clears the ``b = 0`` rows by its margin (see
+    `_interior_point`), so the rays along the ``b > 0`` rows mostly meet
+    those rows rather than a cone facet.  Copies of one half-space all have
+    ``b = 0`` or all ``b > 0``, so each row is still kept or dropped as in
+    the reference.  Otherwise the live rows are one group.
     """
     if any(b < 0 and not any(c) for c, b in rows):
         return None

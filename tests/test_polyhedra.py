@@ -593,12 +593,14 @@ def test_ray_shooting_keeps_the_parent_rows_on_rank3_cones(type_text):
     assert shot > 0
 
 
-def test_ray_shooting_keeps_the_parent_rows_on_c3_string_polytopes():
-    from stringcones.polytopes import string_polytope
-
-    rho = Weight.rho(LieType("C", 3))
-    for w in enumerate_reduced_words(rho.lie_type):
-        h = string_polytope(w, rho)
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (2, 1, 3)], ids=["rho", "2-1-3"])
+@pytest.mark.parametrize("type_text", ["C3", "B3"])
+def test_ray_shooting_keeps_the_parent_rows_on_rank3_string_polytopes(type_text, coeffs):
+    """At rho the rays certify every weight facet; at (2, 1, 3) they leave
+    some weight rows to an LP."""
+    lam = Weight(LieType.parse(type_text), coeffs)
+    for w in enumerate_reduced_words(lam.lie_type):
+        h = string_polytope(w, lam)
         assert assert_shooting_matches_parent(h.rows, h.dim)
 
 
@@ -680,6 +682,37 @@ def test_tangent_cone_work_bound_on_c3_polytopes(lp_counts):
     finally:
         cones._class_entry.cache_clear()
     assert lp_counts["_farkas"] <= 21
+
+
+@pytest.mark.parametrize("type_text", ["C3", "B3"])
+def test_margin_point_certifies_every_weight_facet_at_rho(type_text, lp_counts):
+    """The 14 class-word polytopes at rho take no tableau: from the point
+    that clears each cone row by ``dim ** 2`` (see `_interior_point`), the
+    rays along the weight rows meet those rows.  From the margin-1 point
+    they ran into cone facets first, and the classes took 21 tableaux (C3)
+    and 17 (B3)."""
+    t = LieType.parse(type_text)
+    cones._class_entry.cache_clear()
+    try:
+        for w in class_words(t):
+            remove_redundant(string_polytope(w, Weight.rho(t)))
+    finally:
+        cones._class_entry.cache_clear()
+    assert lp_counts["_farkas"] == 0
+
+
+def test_c4_class_polytopes_at_rho_take_only_their_cones_tableaux(lp_counts):
+    """The polytopes of the 14 C4 class words at rho take the 2 tableaux of
+    their cones (`test_redundancy_work_bound_on_c4_classes`): every weight
+    facet is met by a ray.  From the margin-1 point they took 26."""
+    rho = Weight.rho(LieType("C", 4))
+    cones._class_entry.cache_clear()
+    try:
+        for text in C4_CLASS_WORDS:
+            remove_redundant(string_polytope(ReducedWord.parse("C4", text), rho))
+    finally:
+        cones._class_entry.cache_clear()
+    assert lp_counts["_farkas"] <= 2
 
 
 def assert_first_hit_matches_parent(rows, dim, monkeypatch) -> int:
@@ -1839,8 +1872,11 @@ if _HAVE_HYPOTHESIS:
     @settings(max_examples=300, deadline=None)
     def test_written_down_interior_point(system):
         """When every ``b >= 0`` and every ``b = 0`` row leads negative, the
-        point takes no LP and is strictly inside every row; otherwise it is
-        the LP's, as before.  Either way the kept rows are the reference's."""
+        point takes no LP and is strictly inside every row: each ``b = 0``
+        row reads ``c . U <= -margin`` with the margin ``d ** 2``, and ``S``
+        is the least positive integer with ``c . U < b * S`` on the ``b > 0``
+        rows.  Otherwise it is the LP's, as before.  Either way the kept
+        rows are the reference's."""
         d, rows = system
         tableaux, farkas = [], polyhedra._farkas
         with pytest.MonkeyPatch.context() as mp:
@@ -1849,6 +1885,9 @@ if _HAVE_HYPOTHESIS:
         if leads_negative(rows):
             assert not tableaux
             assert_strictly_inside(point, rows)
+            u, s = point
+            assert all(sum(map(mul, c, u)) <= -d * d for c, b in rows if b == 0)
+            assert s == 1 or any(sum(map(mul, c, u)) >= b * (s - 1) for c, b in rows if b > 0)
         else:
             assert point == parent_interior_point(rows, d)
         assert_shooting_matches_parent(rows, d)
