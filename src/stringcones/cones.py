@@ -39,15 +39,17 @@ then reads its cone by relabelling coordinates (`_relabelling`, one
 `operator.itemgetter` step per form), with no diagram, no path enumeration
 and no sort.  A cone is its forms alone; `rigorous_paths` lists a word's
 paths, one per raw form and in the same order, for the callers that show
-them.  `irredundant_facets` keeps the indices of the facets among the
-merged forms in the entry, written by `polyhedra.remove_redundant` as a
-polytope's are, so its LP runs once per class.  A string polytope at a
-regular weight keys on the normal form and the weight
-(`class_polytope_rows`): its entry keeps the polytope's row sequence in
-heap coordinates, the merged cone rows and then the weight rows in heap
-order (by `heap_coordinates`, see `polytopes`), and the indices of its
-facet rows alike.  A hit is one relabelling of those rows, with no cone
-entry read.  All relabelling happens here.
+them.  `cone_facets` keeps the indices of the facets among the merged
+forms in the entry, written by `polyhedra.remove_redundant` as a
+polytope's are, so its LP runs once per class; `irredundant_facets` reads
+them.  A string polytope at a regular weight keys on the normal form and
+the weight (`class_polytope_rows`): its entry keeps the polytope's row
+sequence in heap coordinates, the merged cone rows and then the weight
+rows in heap order (by `heap_coordinates`, see `polytopes`), and the
+indices of its facet rows alike, which `polytopes.string_polytope` writes
+from the cone's when the class passes the lowest-weight certificate that
+its cone entry keeps.  A hit is one relabelling of those rows, with no
+cone entry read.  All relabelling happens here.
 """
 
 from __future__ import annotations
@@ -342,28 +344,35 @@ def class_polytope_rows(w: ReducedWord, lam: Weight, weight_rows) -> tuple[dict,
     return entry, tuple([(relabel(c), b) for c, b in entry["rows"]])
 
 
-def irredundant_facets(t: LieType, w: ReducedWord) -> tuple[HRepCone, int]:
-    """Minimal facet system of the string cone and the facet count.
+def cone_facets(t: LieType, w: ReducedWord) -> tuple[dict, tuple[int, ...]]:
+    """The cone entry of the class of ``w`` and the indices of the facets
+    among its merged forms, found by exact LP once per class.
 
     Forms equal up to positive scaling merge first (mirror pairs and the
-    like), then each surviving inequality is tested for redundancy by exact
-    LP, once per commutation class: the class entry keeps the indices of
-    the facets among the merged forms, which every word of the class lists
-    in one order; the word that fills the entry writes them through
-    `remove_redundant` (see `HRep.share`), and a hit builds no `HRep`.  A
-    string cone is full-dimensional, so its minimal system is its facet set
-    and the first copy of each facet is kept.
+    like), then each surviving inequality is tested for redundancy: the
+    word that fills the entry writes the indices through `remove_redundant`
+    (see `HRep.share`), and a hit builds no `HRep`.  A string cone is
+    full-dimensional, so its minimal system is its facet set, and the
+    first copy of each facet is kept.
     """
     entry = _cone_entry(t, w)
-    relabel = _relabelling(w)
-    merged, dim = entry["merged"], len(w.letters)
     if "minimal" not in entry:
-        rows = tuple([(tuple([-c for c in relabel(form)]), 0) for form in merged])
-        h = polyhedra.HRep._canonical(dim, rows)
+        relabel = _relabelling(w)
+        rows = tuple([(tuple([-c for c in relabel(form)]), 0) for form in entry["merged"]])
+        h = polyhedra.HRep._canonical(len(w.letters), rows)
         h.share(entry)
         polyhedra.remove_redundant(h)
-    forms = tuple([LinForm(relabel(merged[i])) for i in entry["minimal"]])
-    return HRepCone(dim, forms), len(forms)
+    return entry, entry["minimal"]
+
+
+def irredundant_facets(t: LieType, w: ReducedWord) -> tuple[HRepCone, int]:
+    """Minimal facet system of the string cone and the facet count: the
+    merged forms at the indices `cone_facets` keeps, in the coordinates of
+    ``w``."""
+    entry, kept = cone_facets(t, w)
+    relabel, merged = _relabelling(w), entry["merged"]
+    forms = tuple([LinForm(relabel(merged[i])) for i in kept])
+    return HRepCone(len(w.letters), forms), len(forms)
 
 
 def facet_count(t: LieType, w: ReducedWord) -> int:

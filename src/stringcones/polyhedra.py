@@ -25,7 +25,10 @@ The pieces:
   first, so ray shooting certifies most facets with no LP.  The
   written-down point clears each ``b = 0`` row by the margin ``dim ** 2``,
   which leaves a cone's rays as they were and moves a polytope's point
-  toward its ``b > 0`` rows, so the rays along those rows mostly meet them.
+  toward its ``b > 0`` rows, so the rays along those rows mostly meet them
+  (a string polytope at a regular weight takes its rows from its class's
+  lowest-weight certificate instead, see `polytopes`, and comes here only
+  when the certificate fails or a caller passes its rows directly).
   A ray reads the rows through a coordinate index, only those sharing a
   coordinate with its direction, since string forms are sparse.  A row
   that two certified facets imply is dropped with no LP, before any ray is
@@ -532,7 +535,12 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
     `_interior_point`), so the rays along the ``b > 0`` rows mostly meet
     those rows rather than a cone facet.  Copies of one half-space all have
     ``b = 0`` or all ``b > 0``, so each row is still kept or dropped as in
-    the reference.  Otherwise the live rows are one group.
+    the reference.  Otherwise the live rows are one group.  A string
+    polytope at a regular weight whose class passes the lowest-weight
+    certificate never reaches this routine (`polytopes.string_polytope`
+    keeps its rows), so this phase, like the margin of the written-down
+    point, serves only a caller that hands such rows here directly and a
+    class whose certificate fails.
     """
     if any(b < 0 and not any(c) for c, b in rows):
         return None

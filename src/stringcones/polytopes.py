@@ -32,13 +32,30 @@ a hit builds no string cone and no weight cone, and normalizes no row:
 the entry's rows are primitive, so they and the kept rows go into their
 `HRep` as they are (`HRep._canonical`).  The polytope shares its
 minimal rows through the same entry (`HRep.share`): the entry keeps the
-indices of the kept rows, as a cone entry does, so the redundancy LP runs
-once per class.  A polytope shares only at a regular weight, where it is
-full-dimensional, so its minimal system is its facet set, the same rows in
-every sequence: ``k P_lambda`` holds ``dim V(k lambda)`` lattice points, a
-polynomial of degree N in k.  Every word and weight read their rows this
-way, a word alone in its class included; a non-regular weight takes an
-entry in the same bounded class cache but shares no minimal rows.
+indices of the kept rows, as a cone entry does.  A polytope shares only at
+a regular weight, where it is full-dimensional, so its minimal system is
+its facet set, the same rows in every sequence: ``k P_lambda`` holds
+``dim V(k lambda)`` lattice points, a polynomial of degree N in k.  Every
+word and weight read their rows this way, a word alone in its class
+included; a non-regular weight takes an entry in the same bounded class
+cache but shares no minimal rows.
+
+At a regular weight the kept rows need no redundancy LP of the polytope's
+own.  Back-substituting the weight rows gives the point v(lambda) where
+all N of them are tight (`lowest_weight_vertex`), linear in lambda.  When
+every merged cone row is ``<= 0`` at each v(omega_i) and ``< 0`` at v(rho)
+(`lowest_weight_certificate`, checked once per class), v(lambda) is strictly
+inside every cone row, so it is a simple vertex whose tangent cone the
+weight rows cut out, and each weight row is a facet; every weight row is
+strict at 0, whose tangent cone is the string cone, so the cone's facets
+are the polytope's other facets.  The entry then keeps the cone's facet
+indices (`cones.cone_facets`, one redundancy LP per class) followed by all
+N weight rows: facets = cone facets + N, the paper's count, at every
+regular weight.  A class without the certificate (none is known: every
+class tested, up to rank 4, has it) runs `remove_redundant` once per
+weight.  Only these
+indices are shared across weights, never a V-rep or a face count: the
+combinatorial type changes inside the regular chamber.
 
 `verify_gt_theorem` reproduces the paper's classification: at rho, exactly
 the nested word's string polytope is unimodularly equivalent to the
@@ -49,8 +66,10 @@ polytope has the wrong facet count, one decided by "facet count".
 
 from __future__ import annotations
 
+from operator import mul
+
 from ._linalg import Value
-from .cones import class_polytope_rows
+from .cones import class_entry, class_polytope_rows, cone_facets, string_cone
 from .polyhedra import EquivalenceResult, HRep, remove_redundant, search_unimodular_equivalence
 from .weyl import (
     LieType,
@@ -63,6 +82,8 @@ from .weyl import (
 
 __all__ = [
     "lambda_cone",
+    "lowest_weight_vertex",
+    "lowest_weight_certificate",
     "string_polytope",
     "gt_coordinate_names",
     "gt_polytope_C",
@@ -93,6 +114,51 @@ def lambda_cone(w: ReducedWord, lam: Weight) -> HRep:
     return HRep(L, tuple(rows))
 
 
+def lowest_weight_vertex(w: ReducedWord, lam: Weight) -> tuple[int, ...]:
+    """The point where every weight row of ``w`` at ``lam`` is tight.
+
+    Row k of `lambda_cone` reads ``v_k = <mu_k, coroot_{i_k}>`` with
+    ``mu_k = lam - sum_{l>k} v_l alpha_{i_l}``: it has a 1 at coordinate k
+    and zeros before it, so the point is read off by back-substitution from
+    the last row, carrying ``mu_k`` in fundamental weights (``alpha_i``
+    has coefficient ``cartan_pairing(t, i, j)`` at ``omega_j``, nonzero
+    only for ``|i - j| <= 1``).  Then ``mu_k = s_{i_k} mu_{k+1}``, so
+    ``mu_1 = w0 lam``: the point is the string parametrization of the
+    lowest-weight element of V(lam) (Kashiwara, *Duke Math. J.* 71, 1993;
+    Littelmann, *Transform. Groups* 3, 1998), and
+    ``sum_k v_k alpha_{i_k} = lam - w0 lam``.
+    """
+    _check_weight(w, lam)
+    t = w.lie_type
+    mu = list(lam.coeffs)
+    v = []
+    for i in reversed(w.letters):
+        x = mu[i - 1]
+        v.append(x)
+        for j in range(max(1, i - 1), min(t.rank, i + 1) + 1):
+            mu[j - 1] -= x * cartan_pairing(t, i, j)
+    return tuple(reversed(v))
+
+
+def lowest_weight_certificate(w: ReducedWord) -> bool:
+    """Whether every merged string-cone row of the class of ``w`` is ``<= 0``
+    at each `lowest_weight_vertex` v(omega_i) and ``< 0`` at v(rho), so that
+    at every regular weight the string polytope's facets are the cone's and
+    all N weight rows (see the module docstring).  Computed once per class
+    and kept in its cone entry.
+    """
+    t = w.lie_type
+    entry = class_entry(t, w)
+    if "lowest_weight" not in entry:
+        forms = string_cone(t, w, deduplicate=True).forms
+        units = [Weight(t, [int(i == j) for j in range(t.rank)]) for i in range(t.rank)]
+        vertices = [lowest_weight_vertex(w, omega) for omega in units]
+        # the cone row -form . x <= 0 reads -form . v; at v(rho) it sums over the v(omega_i)
+        values = [[sum(map(mul, f.coeffs, v)) for v in vertices] for f in forms]
+        entry["lowest_weight"] = all(min(r) >= 0 and sum(r) > 0 for r in values)
+    return entry["lowest_weight"]
+
+
 def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
     """String cone plus weight cone of ``w`` at ``lam`` (possibly redundant rows).
 
@@ -100,12 +166,17 @@ def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
     heap-coordinate order (`weyl.heap_coordinates`).  The polytope reads its
     rows from the polytope entry of its commutation class and weight, and
     at a regular weight shares its minimal rows through it (see the module
-    docstring).
+    docstring).  When the class passes `lowest_weight_certificate`, the
+    entry's minimal rows are the cone's facets (`cones.cone_facets`) and
+    every weight row, with no redundancy LP of the polytope's own.
     """
     _check_weight(w, lam)
     entry, rows = class_polytope_rows(w, lam, lambda: lambda_cone(w, lam).rows)
     h = HRep._canonical(len(w.letters), rows)
     if lam.is_regular:
+        if "minimal" not in entry and lowest_weight_certificate(w):
+            weight = range(len(rows) - len(w.letters), len(rows))
+            entry["minimal"] = cone_facets(w.lie_type, w)[1] + tuple(weight)
         h.share(entry)
     return h
 

@@ -420,18 +420,25 @@ def simplicial_classification_up_to_diagram(n: int) -> list[Check]:
 
 def polytope_facet_identity(n: int) -> list[Check]:
     """Criterion 5, at ranks 2 to ``n``: at rho a string polytope has N = n^2
-    more facets than its cone, so the two simplicial words' polytopes have 2N."""
+    more facets than its cone, so the two simplicial words' polytopes have 2N;
+    and every commutation class passes `polytopes.lowest_weight_certificate`,
+    which proves the count at every regular weight.  The count at rho comes
+    from the general redundancy routine on rows in a new `HRep`, which
+    shares no class entry, so it checks the certificate's kept rows rather
+    than reading them."""
     out = []
     for m in range(2, n + 1):
         t, N = LieType("C", m), m * m
         rho = Weight.rho(t)
-        facets = {w: len(polyhedra.remove_redundant(polytopes.string_polytope(w, rho)).rows)
+        facets = {w: len(polyhedra.remove_redundant(polyhedra.HRep(N, polytopes.string_polytope(w, rho).rows)).rows)
                   for w in enumerate_reduced_words(t)}
         bad = [str(w) for w, count in facets.items() if count != facet_count(t, w) + N]
         out.append(_eq(f"facets of every rank-{m} polytope = cone facets + {N}", bad, []))
         out.append(_eq(f"named rank-{m} polytopes have 2N facets",
                        [facets[w] for w in (gt_adapted_word(m), braid_variant_word(m))],
                        [2 * N, 2 * N]))
+        bad = [str(w) for w in class_words(t) if not polytopes.lowest_weight_certificate(w)]
+        out.append(_eq(f"rank-{m} classes: cone rows <= 0 at v(omega_i), < 0 at v(rho)", bad, []))
     return out
 
 

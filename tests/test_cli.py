@@ -333,14 +333,14 @@ def test_the_printed_format_follows_the_parsed_json_flag():
     "n, rows, table_digest, payload_digest",
     [
         (
-            "2", 73,
-            "2eeea8321d793401070f8913effa5c05e6c78985ba5b694b82f5e93336455eed",
-            "de707fda07289a3ec8127f1e3cbaa7ced9f114e7b5048679e87ababbaffa72c5",
+            "2", 74,
+            "cdecaf8862dfe8c56a4993e529e4b32c085b6ec9af28d90df8c3a17e473b87f6",
+            "fed4458e4b77ab762ea7cdb652dfcc7915c9d0ef9ea4ecd6dc6c0f411ba8d800",
         ),
         (
-            "3", 90,
-            "60fee7b11040738ccdd3bc12adfd8ac5aff7b37802d1bbf409239a749b45e543",
-            "b58c0a6c9a647b461e79d5ed1a80ed78e86701b044e450ef93dba252e50bbee2",
+            "3", 92,
+            "2ef080fa94f26523572461fcd75ccdea315de8de41030705378385ae04d96fd0",
+            "4ed7c184ca2c7331abc85194583f660d6f7ea9e3924cd62cab6848c34682bed0",
         ),
     ],
 )
