@@ -53,9 +53,8 @@ indices (`cones.cone_facets`, one redundancy LP per class) followed by all
 N weight rows: facets = cone facets + N, the paper's count, at every
 regular weight.  A class without the certificate (none is known: every
 class tested, up to rank 4, has it) runs `remove_redundant` once per
-weight.  Only these
-indices are shared across weights, never a V-rep or a face count: the
-combinatorial type changes inside the regular chamber.
+weight.  Only these indices are shared across weights, never a V-rep or a
+face count: the combinatorial type changes inside the regular chamber.
 
 `verify_gt_theorem` reproduces the paper's classification: at rho, exactly
 the nested word's string polytope is unimodularly equivalent to the
