@@ -22,22 +22,16 @@ The pieces:
   negative (string cones, and string polytopes at a regular weight), and
   otherwise by one LP, as the certificate that ``0 <= -1`` is no
   combination of the strict rows; an exact ray from it meets a facet
-  first, so ray shooting certifies most facets with no LP.  The
-  written-down point clears each ``b = 0`` row by the margin ``dim ** 2``,
-  which leaves a cone's rays as they were and moves a polytope's point
-  toward its ``b > 0`` rows, so the rays along those rows mostly meet them
-  (a string polytope at a regular weight takes its rows from its class's
-  lowest-weight certificate instead, see `polytopes`, and comes here only
-  when the certificate fails or a caller passes its rows directly).
-  A ray reads the rows through a coordinate index, only those sharing a
-  coordinate with its direction, since string forms are sparse.  A row
-  that two certified facets imply is dropped with no LP, before any ray is
-  shot from it.  Each row the rays leave undecided is dropped by that test
-  or by one LP against the other live rows, or else kept; a system with no
-  interior point takes this last pass alone.  A system with an interior
-  point and every ``b >= 0`` decides its ``b = 0`` rows first, among
-  themselves, as its tangent cone at 0 (near 0 a string polytope at a
-  regular weight is its string cone);
+  first, so ray shooting certifies most facets with no LP.  A ray reads
+  the rows through a coordinate index, only those sharing a coordinate
+  with its direction, since string forms are sparse.  A row that two
+  certified facets imply is dropped with no LP, before any ray is shot
+  from it.  Each row the rays leave undecided is dropped by that test or
+  by one LP against the other live rows, or else kept; a system with no
+  interior point takes this last pass alone.  A string polytope at a
+  regular weight takes its rows from its class's lowest-weight
+  certificate instead (see `polytopes`), and comes here only when the
+  certificate fails or a caller passes its rows directly;
 * emptiness by Farkas' lemma: a system is empty exactly when ``0 <= -1`` is
   such a combination of its rows, so `feasible` is the same test;
 * double description with lexicographic insertion for vertex/ray
@@ -344,23 +338,16 @@ def _interior_point(rows, dim):
     ``U / S`` is then strictly inside every row.  When no row has ``b < 0``
     and every row with ``b = 0`` has a negative first nonzero entry, as the
     rows ``-form . x <= 0`` of string cones and of string polytopes at a
-    regular weight do, it is written down with no LP: a point from the last
-    coordinate back, each entry ``k`` the least positive one that makes
-    every ``b = 0`` row whose first nonzero entry is at ``k`` read
-    ``c . x <= -1``; ``U`` that point times the margin ``dim ** 2``, so
-    each such row reads ``c . U <= -dim ** 2``; and ``S`` the least
-    integer with ``c . U < b * S`` on the rows with ``b > 0``.  A cone has
-    ``S = 1``, so its point is the margin-1 point scaled: every slack
-    scales alike, and every ray meets the row it met from that point.  A
-    polytope's ``U / S`` lies on the ray from 0 through ``U``; the larger
-    the margin, the nearer it lies to where that ray leaves through a
-    ``b > 0`` row, against its slacks on the ``b = 0`` rows, so a ray along
-    a ``b > 0`` row's normal meets that row first far more often (see
-    `_irredundant_indices`).  Otherwise it exists exactly
-    when the strict system ``{c . x - b * s <= -1, -s <= -1}`` in ``(x, s)``
-    is non-empty, that is when ``0 <= -1`` is no combination of its rows
-    (the LP of `feasible`).  `_farkas` then certifies it with ``y``,
-    ``y . A <= 0`` and ``y . b > 0``: on the column of a row that reads
+    regular weight do, it is written down with no LP: ``U`` is a point
+    from the last coordinate back, each entry ``k`` the least positive one
+    that makes every ``b = 0`` row whose first nonzero entry is at ``k``
+    read ``c . U <= -1``, and ``S`` the least integer with
+    ``c . U < b * S`` on the rows with ``b > 0`` (``S = 1`` for a cone).
+    Otherwise it exists exactly when the strict system
+    ``{c . x - b * s <= -1, -s <= -1}`` in ``(x, s)`` is non-empty, that is
+    when ``0 <= -1`` is no combination of its rows (the LP of `feasible`).
+    `_farkas` then certifies it with ``y``, ``y . A <= 0`` and
+    ``y . b > 0``: on the column of a row that reads
     ``c . U - b * S <= y[-1] < 0`` with ``(U, S) = y[:-1]``, and on the
     column of ``-s <= -1`` it reads ``S > 0``.
     """
@@ -377,7 +364,6 @@ def _interior_point(rows, dim):
         u = [0] * dim  # while u[k] is set, u[j] = 0 for j <= k: c . u sums over j > k
         for k in reversed(range(dim)):
             u[k] = max([1] + [sum(map(mul, c, u)) // -c[k] + 1 for c in lead.get(k, ())])
-        u = [dim * dim * x for x in u]
         return u, max([1] + [sum(map(mul, c, u)) // b + 1 for c, b in rows if b > 0])
     strict = [((*c, -b), -1) for c, b in rows] + [((0,) * dim + (-1,), -1)]
     y = _farkas(*_combination_lp(((0,) * (dim + 1), -1), strict, dim + 1), True)
@@ -510,37 +496,18 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
     string systems), and only without either does `feasible` decide.  Zero
     rows and later copies of a row are dropped first.  The reference is the
     one-LP-per-row loop: in order, a row goes when the other live rows
-    imply it (`_implied`).  A group of rows is decided so: with an interior
-    point, a first pass takes each row not yet certified, in order: it is
-    dropped if two facets certified so far imply it (`_two_term`), and
-    otherwise rays from the point along its normal certify, as they meet
-    them, facets with no LP (`_shoot`, reading the coordinate index
-    `_column_index` of the group, which a dropped row leaves).  Then each
-    row still undecided, in order, is dropped if two certified rows or one
-    LP against the other live rows of the group imply it, and is otherwise
-    certified.  A row a ray meets first is a facet, and the live rows always
-    include every certified row, so each row is kept or dropped as in the
-    reference.  A point away from the vertices, as the written-down one is,
-    lets more first rays meet their own row.
-
-    The tangent-cone phase runs first when the system has an interior point,
-    every live ``b >= 0``, and both ``b = 0`` and ``b > 0`` rows are live, as
-    in a string polytope at a regular weight.  Every ``b > 0`` row holds
-    strictly at 0, so near 0 the system is the cone that the ``b = 0`` rows
-    cut out: the other live rows imply a ``b = 0`` row exactly when the
-    other live ``b = 0`` rows do.  So the ``b = 0`` rows are decided first,
-    as their own group with the same point (which is inside the cone), and
-    then the rows left, the cone's facets certified among them.  The
-    written-down point clears the ``b = 0`` rows by its margin (see
-    `_interior_point`), so the rays along the ``b > 0`` rows mostly meet
-    those rows rather than a cone facet.  Copies of one half-space all have
-    ``b = 0`` or all ``b > 0``, so each row is still kept or dropped as in
-    the reference.  Otherwise the live rows are one group.  A string
-    polytope at a regular weight whose class passes the lowest-weight
-    certificate never reaches this routine (`polytopes.string_polytope`
-    keeps its rows), so this phase, like the margin of the written-down
-    point, serves only a caller that hands such rows here directly and a
-    class whose certificate fails.
+    imply it (`_implied`).  With an interior point, a first pass takes each
+    row not yet certified, in order: it is dropped if two facets certified
+    so far imply it (`_two_term`), and otherwise rays from the point along
+    its normal certify, as they meet them, facets with no LP (`_shoot`,
+    reading the coordinate index `_column_index` of the live rows, which a
+    dropped row leaves).  Then each row still undecided, in order, is
+    dropped if two certified rows or one LP against the other live rows
+    imply it, and is otherwise certified.  A row a ray meets first is a
+    facet, and the live rows always include every certified row, so each
+    row is kept or dropped as in the reference.  A string polytope at a
+    regular weight whose class passes the lowest-weight certificate never
+    reaches this routine (`polytopes.string_polytope` keeps its rows).
     """
     if any(b < 0 and not any(c) for c, b in rows):
         return None
@@ -565,38 +532,28 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
             k = content(c)
             normals[tuple(x // k for x in c)] = (k, b, c)
 
-    def decide(group):
-        # drop from ``group`` each row the others imply, certify the rest
-        if slack is not None:
-            cols = _column_index(rows, group)
-            for i in list(group):
-                if i in facets:
-                    continue
-                if _two_term(rows[i], normals):
-                    group.remove(i)
-                    for col in cols:
-                        col.pop(i, None)
-                else:
-                    _shoot(rows, cols, slack, i, dim, certify)
-        for i in list(group):
-            if i in facets:
-                continue
-            if _two_term(rows[i], normals) or _implied(rows[i], [rows[j] for j in group if j != i], dim):
-                group.remove(i)
-            else:
-                certify(i)
-
-    slack = None
     if point is not None:
         u, s = point
         slack = {i: rows[i][1] * s - sum(map(mul, rows[i][0], u)) for i in live}
         if min(slack.values()) <= 0:
             raise PolyhedralError("interior point certificate is not strictly inside")
-        cone = [i for i in live if rows[i][1] == 0]
-        if 0 < len(cone) < len(live) and all(rows[i][1] >= 0 for i in live):
-            decide(cone)
-            live = [i for i in live if rows[i][1] or i in facets]
-    decide(live)
+        cols = _column_index(rows, live)
+        for i in list(live):
+            if i in facets:
+                continue
+            if _two_term(rows[i], normals):
+                live.remove(i)
+                for col in cols:
+                    col.pop(i, None)
+            else:
+                _shoot(rows, cols, slack, i, dim, certify)
+    for i in list(live):
+        if i in facets:
+            continue
+        if _two_term(rows[i], normals) or _implied(rows[i], [rows[j] for j in live if j != i], dim):
+            live.remove(i)
+        else:
+            certify(i)
     return live
 
 

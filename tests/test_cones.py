@@ -124,20 +124,6 @@ def test_type_B_path_forms_sampled_point_oracle():
             )
 
 
-def test_string_cone_A_worked_sets():
-    a3 = LieType("A", 3)
-    got = {f.coeffs for f in string_cone(a3, W("A3", "1,2,1,3,2,1")).forms}
-    assert got == {
-        vec(6, a1=1), vec(6, a2=1, a3=-1), vec(6, a4=1, a5=-1),
-        vec(6, a3=1), vec(6, a5=1, a6=-1), vec(6, a6=1),
-    }
-    got2 = {f.coeffs for f in string_cone(a3, W("A3", "1,3,2,1,3,2")).forms}
-    assert got2 == {
-        vec(6, a1=1), vec(6, a3=1, a4=-1), vec(6, a5=1, a6=-1), vec(6, a6=1),
-        vec(6, a2=1), vec(6, a3=1, a5=-1), vec(6, a4=1, a6=-1),
-    }
-
-
 def test_string_cone_C_worked_multiset():
     c2 = LieType("C", 2)
     cone = string_cone(c2, W("C2", "2,1,2,1"))
@@ -174,16 +160,6 @@ def test_irredundant_facets_worked():
     assert facet_count(c2, W("C2", "1,2,1,2")) == 4
     a3 = LieType("A", 3)
     assert facet_count(a3, W("A3", "1,3,2,1,3,2")) == 7
-
-
-def test_braid_variant_block_facets():
-    mini, count = irredundant_facets(LieType("C", 3), braid_variant_word(3))
-    assert count == 9
-    assert {f.coeffs for f in mini.forms} == {
-        vec(9, a1=1), vec(9, a2=2, a3=-1), vec(9, a3=1, a4=-2), vec(9, a4=1),
-        vec(9, a5=1, a6=-1), vec(9, a6=1, a7=-1), vec(9, a7=1, a8=-1),
-        vec(9, a8=1, a9=-1), vec(9, a9=1),
-    }
 
 
 def test_simpliciality():

@@ -8,14 +8,15 @@ v(omega_i) and ``< 0`` at v(rho).  When it holds, `string_polytope` keeps
 the cone's facets and every weight row with no redundancy LP of its own.
 These tests hold those rows against the general routine and its one-LP-per-
 row reference, force the certificate to fail, check the vertex against the
-lowest weight with no redundancy code, and bound the LP work.
+lowest weight with no redundancy code, and bound the LP work, also of
+criterion 5, which hands the rows to the general routine directly.
 """
 
 from collections import Counter
 
 import pytest
 
-from stringcones import cones, polyhedra, polytopes
+from stringcones import cones, polyhedra, polytopes, verify
 from stringcones.polyhedra import remove_redundant
 from stringcones.polytopes import lowest_weight_certificate, lowest_weight_vertex, string_polytope
 from stringcones.weyl import LieType, Weight, cartan_pairing, class_words, enumerate_reduced_words
@@ -154,3 +155,12 @@ def test_c2_benchmark_polytopes_take_no_tableau(empty_entries, work):
             remove_redundant(string_polytope(w, Weight(c2, coeffs)))
     assert work["_farkas"] == 0
     assert work["_irredundant_indices"] == 2
+
+
+def test_criterion_5_count_at_rho_work_bound(empty_entries, work):
+    """Criterion 5 counts the facets of every rank-2 and rank-3 polytope at
+    rho on its rows in a new `HRep`, which shares no class entry, so the
+    general routine decides them with no certificate.  From an empty class
+    cache the battery takes at most 119 tableaux, its cones' included."""
+    assert all(ok for _, ok, _ in verify.polytope_facet_identity(3))
+    assert work["_farkas"] <= 119

@@ -37,13 +37,6 @@ from stringcones.weyl import (
 W = ReducedWord.parse
 
 
-def test_path_counts_worked_examples():
-    d = build_diagram(W("A3", "1,2,1,3,2,1"))
-    assert [len(enumerate_paths(orient(d, k))) for k in (1, 2, 3)] == [3, 2, 1]
-    d2 = build_diagram(W("A3", "1,3,2,1,3,2"))
-    assert [len(enumerate_paths(orient(d2, k))) for k in (1, 2, 3)] == [3, 1, 3]
-
-
 def test_five_symplectic_paths():
     sd = build_symp_diagram(W("C2", "2,1,2,1"))
     got = sorted(p.wires_by_name() for p in enumerate_paths(orient(sd, 2)))
@@ -89,16 +82,6 @@ def test_peaks_and_expressions():
         assert p.node_expression == tuple(j for j, s in p.events if s)
 
 
-def test_mirror_examples_and_properties():
-    sd = build_symp_diagram(W("C2", "2,1,2,1"))
-    p4 = next(p for p in enumerate_paths(orient(sd, 2)) if p.wires_by_name() == ("2", "1", "2b"))
-    assert mirror(p4).wires_by_name() == ("2", "1b", "2b")
-    assert mirror(mirror(p4)) == p4
-    sd3 = build_symp_diagram(W("C3", "1,3,2,1,3,2,1,3,2"))
-    P = next(p for p in enumerate_paths(orient(sd3, 3)) if p.wires_by_name() == ("3", "1b", "2", "3b"))
-    assert mirror(P).wires_by_name() == ("3", "2b", "1", "3b")
-
-
 def test_mirror_is_a_bijection_between_orientations():
     sd = build_symp_diagram(W("C3", "1,2,3,1,2,3,1,2,3"))
     for k in (1, 2, 3):
@@ -117,15 +100,6 @@ def test_symmetry_detection():
     assert not flags[("2", "1", "2b")] and not flags[("2", "1b", "2b")]
     with pytest.raises(ValueError):
         is_symmetric(enumerate_paths(orient(sd, 1))[0])
-
-
-def test_enclosed_region_examples():
-    d2 = build_diagram(W("A3", "1,3,2,1,3,2"))
-    p = next(q for q in enumerate_paths(orient(d2, 3)) if q.wire_seq == (3, 1, 4))
-    assert sorted(enclosed_region(p)) == [3, 4]
-    d = build_diagram(W("A3", "1,2,1,3,2,1"))
-    low = enumerate_paths(orient(d, 3))[0]
-    assert sorted(enclosed_region(low)) == [6]
 
 
 def polygon_region(p):
@@ -197,17 +171,6 @@ def test_functional_is_chamber_sum():
             for j in enclosed_region(p):
                 total = [a + b for a, b in zip(total, u[j - 1])]
             assert tuple(total) == form.coeffs
-
-
-def test_extension_worked_examples():
-    sd4 = build_symp_diagram(W("C3", "2,1,3,2,1,3,2,1,3"))
-    P2 = next(p for p in enumerate_paths(orient(sd4, 2)) if p.wires_by_name() == ("2", "1b", "3"))
-    assert extension(P2).wires_by_name() == ("2", "1b", "1", "2b", "3")
-    sd3 = build_symp_diagram(W("C3", "1,3,2,1,3,2,1,3,2"))
-    P = next(p for p in enumerate_paths(orient(sd3, 3)) if p.wires_by_name() == ("3", "1b", "2", "3b"))
-    pex = extension(P)
-    assert is_symmetric(pex)
-    assert enclosed_region(pex) == enclosed_region(P) | enclosed_region(mirror(P))
 
 
 def test_extension_invariants_all_rank3_words():
@@ -282,14 +245,6 @@ def test_a_facet_may_come_only_from_a_path_that_is_not_its_own_extension():
     cutting = [p for p, f in zip(paths, path_forms("C", paths)) if primitive(f.coeffs) == facet]
     assert [p.wires_by_name() for p in cutting] == [("1", "3", "2")]
     assert extension(cutting[0]).wires_by_name() == ("1", "3", "1b", "2")
-
-
-def test_canonical_paths_table():
-    sd = build_symp_diagram(W("C3", "3,2,1,3,2,3,2,1,2"))
-    names = [p.wires_by_name() for p in canonical_paths(sd)]
-    assert ("3", "2", "1b", "1", "2b", "3b") in names
-    assert ("1", "3", "2") in names
-    assert len(names) == 5
 
 
 def test_canonical_paths_all_words():

@@ -225,18 +225,16 @@ def assert_shooting_matches_parent(rows, dim) -> set[int]:
     returns None on an empty system; the reference keeps every row that a
     ray meets and drops every row that the two-term test drops.  With an
     interior point the tableaux number at most one, plus one per row the
-    rays leave undecided.  Returns the rows the rays certify before an LP
-    decides them (a row the tangent-cone phase decides by an LP may be met
-    again by a later ray)."""
-    shot, met, dropped, points, asked = set(), set(), set(), [], set()
+    rays leave undecided.  Returns the rows the rays certify; every ray is
+    shot before any LP decides a row."""
+    shot, met, dropped, points = set(), set(), set(), []
     tableaux = 0
     shoot, first_hit, two_term = polyhedra._shoot, polyhedra._first_hit, polyhedra._two_term
-    farkas, interior, implied = polyhedra._farkas, polyhedra._interior_point, polyhedra._implied
+    farkas, interior = polyhedra._farkas, polyhedra._interior_point
 
     def recording(rows, cols, slack, i, dim, certify):
         def recording_certify(j):
-            if rows[j] not in asked:
-                shot.add(j)
+            shot.add(j)
             certify(j)
 
         shoot(rows, cols, slack, i, dim, recording_certify)
@@ -261,17 +259,12 @@ def assert_shooting_matches_parent(rows, dim) -> set[int]:
         points.append(interior(rows, dim))
         return points[-1]
 
-    def recording_implied(target, others, dim):
-        asked.add(target)
-        return implied(target, others, dim)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polyhedra, "_shoot", recording)
         mp.setattr(polyhedra, "_first_hit", recording_hit)
         mp.setattr(polyhedra, "_two_term", recording_two_term)
         mp.setattr(polyhedra, "_farkas", counted_farkas)
         mp.setattr(polyhedra, "_interior_point", recording_interior)
-        mp.setattr(polyhedra, "_implied", recording_implied)
         kept = polyhedra._irredundant_indices(rows, dim)
     if kept is None:
         assert not feasible(rows, dim)
@@ -610,22 +603,6 @@ def test_ray_shooting_keeps_the_parent_rows_on_c4_classes():
         assert assert_shooting_matches_parent(*cone_rows(c4, ReducedWord.parse("C4", text)))
 
 
-def assert_tangent_cone_matches_parent(rows, dim) -> bool:
-    """`assert_shooting_matches_parent`; returns whether the tangent-cone
-    phase ran, that is whether a column index held only ``b = 0`` rows of a
-    system that has nonzero ``b > 0`` rows too."""
-    sides, index = [], polyhedra._column_index
-
-    def recording(rows, live):
-        sides.append({rows[j][1] > 0 for j in live})
-        return index(rows, live)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyhedra, "_column_index", recording)
-        assert_shooting_matches_parent(rows, dim)
-    return {False} in sides and any(b > 0 and any(c) for c, b in rows)
-
-
 @pytest.mark.parametrize(
     "type_text,weights,texts",
     [
@@ -637,11 +614,11 @@ def assert_tangent_cone_matches_parent(rows, dim) -> bool:
     ],
 )
 def test_tangent_cone_keeps_the_parent_rows_on_string_polytopes(type_text, weights, texts):
-    """At a regular weight every word takes the tangent-cone phase: every
-    ``b >= 0``, the cone rows have ``b = 0``, the weight rows ``b > 0``, and
-    the interior point is written down.  A non-regular weight leaves no
-    interior point, so the phase does not run.  Either way the kept rows
-    are the reference's."""
+    """String-polytope rows passed to `_irredundant_indices` directly, as a
+    class whose lowest-weight certificate fails passes them, keep the
+    reference's rows: at a regular weight from the written-down interior
+    point, and at a singular weight, which leaves no interior point, by
+    the LP pass alone."""
     t = LieType.parse(type_text)
     if texts:
         words = [ReducedWord.parse(type_text, text) for text in texts]
@@ -651,7 +628,7 @@ def test_tangent_cone_keeps_the_parent_rows_on_string_polytopes(type_text, weigh
         lam = Weight(t, coeffs)
         for w in words:
             h = string_polytope(w, lam)
-            assert assert_tangent_cone_matches_parent(h.rows, h.dim) == lam.is_regular
+            assert_shooting_matches_parent(h.rows, h.dim)
 
 
 def test_polytope_keeps_exactly_the_cone_facets_at_rho():
@@ -670,10 +647,11 @@ def test_polytope_keeps_exactly_the_cone_facets_at_rho():
         ]
 
 
-def test_tangent_cone_work_bound_on_c3_polytopes(lp_counts):
-    """The 42 C3 string polytopes at rho, from an empty class cache (one
-    redundancy removal per class), take at most 21 tableaux; they took 44
-    when the cone rows met the weight rows in the rays and in the LPs."""
+def test_c3_polytopes_at_rho_work_bound(lp_counts):
+    """The 42 C3 string polytopes at rho, from an empty class cache, take
+    at most 21 tableaux: each class passes the lowest-weight certificate,
+    so only its cone's redundancy runs (see
+    `test_class_polytopes_at_rho_take_no_tableau`, which finds none)."""
     rho = Weight.rho(LieType("C", 3))
     cones._class_entry.cache_clear()
     try:
@@ -685,12 +663,10 @@ def test_tangent_cone_work_bound_on_c3_polytopes(lp_counts):
 
 
 @pytest.mark.parametrize("type_text", ["C3", "B3"])
-def test_margin_point_certifies_every_weight_facet_at_rho(type_text, lp_counts):
-    """The 14 class-word polytopes at rho take no tableau: from the point
-    that clears each cone row by ``dim ** 2`` (see `_interior_point`), the
-    rays along the weight rows meet those rows.  From the margin-1 point
-    they ran into cone facets first, and the classes took 21 tableaux (C3)
-    and 17 (B3)."""
+def test_class_polytopes_at_rho_take_no_tableau(type_text, lp_counts):
+    """The 14 class-word polytopes at rho take no tableau: each class passes
+    the lowest-weight certificate, which keeps its cone's facets and every
+    weight row, and the rays certify every facet of each cone."""
     t = LieType.parse(type_text)
     cones._class_entry.cache_clear()
     try:
@@ -703,8 +679,9 @@ def test_margin_point_certifies_every_weight_facet_at_rho(type_text, lp_counts):
 
 def test_c4_class_polytopes_at_rho_take_only_their_cones_tableaux(lp_counts):
     """The polytopes of the 14 C4 class words at rho take the 2 tableaux of
-    their cones (`test_redundancy_work_bound_on_c4_classes`): every weight
-    facet is met by a ray.  From the margin-1 point they took 26."""
+    their cones (`test_redundancy_work_bound_on_c4_classes`): each class
+    passes the lowest-weight certificate, which keeps every weight row with
+    no LP."""
     rho = Weight.rho(LieType("C", 4))
     cones._class_entry.cache_clear()
     try:
@@ -1873,9 +1850,8 @@ if _HAVE_HYPOTHESIS:
     def test_written_down_interior_point(system):
         """When every ``b >= 0`` and every ``b = 0`` row leads negative, the
         point takes no LP and is strictly inside every row: each ``b = 0``
-        row reads ``c . U <= -margin`` with the margin ``d ** 2``, and ``S``
-        is the least positive integer with ``c . U < b * S`` on the ``b > 0``
-        rows.  Otherwise it is the LP's, as before.  Either way the kept
+        row reads ``c . U <= -1``, and ``S`` is the least positive integer
+        with ``c . U < b * S`` on the ``b > 0`` rows.  Otherwise it is the LP's, as before.  Either way the kept
         rows are the reference's."""
         d, rows = system
         tableaux, farkas = [], polyhedra._farkas
@@ -1886,14 +1862,14 @@ if _HAVE_HYPOTHESIS:
             assert not tableaux
             assert_strictly_inside(point, rows)
             u, s = point
-            assert all(sum(map(mul, c, u)) <= -d * d for c, b in rows if b == 0)
+            assert all(sum(map(mul, c, u)) <= -1 for c, b in rows if b == 0)
             assert s == 1 or any(sum(map(mul, c, u)) >= b * (s - 1) for c, b in rows if b > 0)
         else:
             assert point == parent_interior_point(rows, d)
         assert_shooting_matches_parent(rows, d)
 
     @st.composite
-    def tangent_cone_systems(draw):
+    def mixed_systems(draw):
         """Integer rows with ``b >= 0`` in dimension 1-4: ``b = 0`` rows, with
         copies and positive multiples among them, and ``b > 0`` rows.  Unless
         the draw leaves them as they are, the ``b = 0`` rows are made to lead
@@ -1913,15 +1889,15 @@ if _HAVE_HYPOTHESIS:
         rows += draw(st.lists(st.tuples(vec, st.integers(1, 4)), min_size=1, max_size=6))
         return d, tuple(draw(st.permutations(rows)))
 
-    @given(tangent_cone_systems())
+    @given(mixed_systems())
     @settings(max_examples=300, deadline=None)
-    def test_tangent_cone_keeps_the_parent_rows(system):
+    def test_mixed_cone_and_affine_rows_keep_the_parent_rows(system):
         """The kept rows are the reference's, and the ``b = 0`` rows among
         them are those the reference keeps of the ``b = 0`` rows alone: near
         0, which every ``b > 0`` row holds strictly, the system is the cone
         they cut out."""
         d, rows = system
-        assert_tangent_cone_matches_parent(rows, d)
+        assert_shooting_matches_parent(rows, d)
         zero = [i for i, (_, b) in enumerate(rows) if b == 0]
         alone = parent_irredundant_indices([rows[i] for i in zero], d)
         kept = parent_irredundant_indices(rows, d)

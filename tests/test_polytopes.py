@@ -96,13 +96,6 @@ def test_gt_index_positions_match_the_coordinate_names(n):
     assert all(names[pos] == f"{kind}{i}_{k}" for (kind, i, k), pos in index.items())
 
 
-def test_gt_polytope_facets():
-    for n, want in ((2, 8), (3, 18)):
-        t = LieType("C", n)
-        gt = gt_polytope_C(Weight.rho(t), n)
-        assert len(remove_redundant(gt).rows) == want
-
-
 def test_gt_polytope_zero_weight():
     gt = gt_polytope_C(Weight.zero(LieType("C", 2)), 2)
     assert to_vrep(gt) == VRep(((F(0),) * 4,), ())

@@ -136,27 +136,9 @@ def test_count_reduced_words_refuses_without_enumerating():
     assert count_reduced_words(LieType("C", 9), cap=want) == want
 
 
-@pytest.mark.parametrize(
-    "word,want",
-    [
-        ("1,3,2,1,3,2,1,3,2", "1,5,3,2,4,1,5,3,2,4,1,5,3,2,4"),
-        ("2,1,2,1", "2,1,3,2,1,3"),
-    ],
-)
-def test_lift_examples(word, want):
-    rank = max(int(x) for x in word.split(","))
-    assert str(lift(ReducedWord.parse(f"C{rank}", word))) == want
-
-
 def test_lift_letter_n_stays_single():
     lifted = lift(ReducedWord.parse("C2", "2,1,2,1"))
     assert lifted.letters[0] == 2  # the wall letter expands to itself
-
-
-def test_all_rank3_lifts_are_reduced():
-    a5 = LieType("A", 5)
-    for w in enumerate_reduced_words(LieType("C", 3)):
-        assert is_reduced(a5, lift(w).letters)
 
 
 def test_contract_examples():
@@ -205,12 +187,6 @@ def test_contract_matches_the_lifted_diagram(family):
 def test_contract_refuses_low_rank_and_type_a(type_text, word, message):
     with pytest.raises(ValueError, match=message):
         contract(ReducedWord.parse(type_text, word))
-
-
-def test_contract_preserves_reducedness():
-    c2 = LieType("C", 2)
-    for w in enumerate_reduced_words(LieType("C", 3)):
-        assert is_reduced(c2, contract(w).letters)
 
 
 def test_contract_lift_consistency():
