@@ -42,10 +42,18 @@ paths, one per raw form and in the same order, for the callers that show
 them.  `cone_facets` keeps the indices of the facets among the merged
 forms in the entry, written by `polyhedra.remove_redundant` as a
 polytope's are, so its LP runs once per class; `irredundant_facets` reads
-them.  A string polytope at a regular weight keys on the normal form and
-the weight (`class_polytope_rows`): its entry keeps the polytope's row
-sequence in heap coordinates, the merged cone rows and then the weight
-rows in heap order (by `heap_coordinates`, see `polytopes`), and the
+them.  In type A it runs once per pair of classes that the diagram
+automorphism ``sigma(i) = n + 1 - i`` swaps: ``sigma`` is a crystal
+automorphism of B(infinity) carrying ``epsilon_i`` to ``epsilon_sigma(i)``
+(Kashiwara, *Duke Math. J.* 71, 1993), so the string of an element along
+``w`` is the string of its image along the mirror word ``sigma(w)``, a
+reduced word too (``sigma(w0) = w0``), and the two words cut out one
+string cone in position coordinates.  A class whose mirror class keeps
+its facets reads them from there (`_mirror_facets`), with no LP.  A string
+polytope at a regular weight keys on the normal form and the weight
+(`class_polytope_rows`): its entry keeps the polytope's row sequence in
+heap coordinates, the merged cone rows and then the weight rows in heap
+order (by `heap_coordinates`, see `polytopes`), and the
 indices of its facet rows alike, which `polytopes.string_polytope` writes
 from the cone's when the class passes the lowest-weight certificate that
 its cone entry keeps.  A hit is one relabelling of those rows, with no
@@ -354,15 +362,44 @@ def cone_facets(t: LieType, w: ReducedWord) -> tuple[dict, tuple[int, ...]]:
     (see `HRep.share`), and a hit builds no `HRep`.  A string cone is
     full-dimensional, so its minimal system is its facet set, and the
     first copy of each facet is kept.
+
+    In type A the LP runs once per Dynkin-mirror pair of classes: when the
+    class of the mirror word ``sigma(w)`` (each letter ``i`` read as
+    ``n + 1 - i``) already keeps its facets, they are ``w``'s, since the
+    two words cut out one cone in position coordinates (see the module
+    docstring).  The kept indices are those of ``w``'s merged forms that
+    lie among them, and a count that differs from the mirror's raises
+    `PolyhedralError`.
     """
     entry = _cone_entry(t, w)
     if "minimal" not in entry:
-        relabel = _relabelling(w)
-        rows = tuple([(tuple([-c for c in relabel(form)]), 0) for form in entry["merged"]])
-        h = polyhedra.HRep._canonical(len(w.letters), rows)
-        h.share(entry)
-        polyhedra.remove_redundant(h)
+        forms = list(map(_relabelling(w), entry["merged"]))
+        mirror = _mirror_facets(w) if t.family == "A" else None
+        if mirror is None:
+            rows = tuple([(tuple([-c for c in form]), 0) for form in forms])
+            h = polyhedra.HRep._canonical(len(w.letters), rows)
+            h.share(entry)
+            polyhedra.remove_redundant(h)
+        else:
+            kept = tuple([i for i, form in enumerate(forms) if form in mirror])
+            if len(kept) != len(mirror):
+                raise polyhedra.PolyhedralError(
+                    f"{w} keeps {len(kept)} of the {len(mirror)} facets of its mirror word"
+                )
+            entry["minimal"] = kept
     return entry, entry["minimal"]
+
+
+def _mirror_facets(w: ReducedWord) -> set[tuple[int, ...]] | None:
+    """The facets of the type-A cone of the mirror word of ``w``, in its
+    coordinates (``w``'s, position by position), when its class keeps
+    them, else None (also when the class is ``w``'s own)."""
+    mirror = ReducedWord._reduced(w.lie_type, tuple([w.rank + 1 - i for i in w.letters]))
+    entry = class_entry(w.lie_type, mirror)
+    if "minimal" not in entry:
+        return None
+    relabel, merged = _relabelling(mirror), entry["merged"]
+    return {relabel(merged[i]) for i in entry["minimal"]}
 
 
 def irredundant_facets(t: LieType, w: ReducedWord) -> tuple[HRepCone, int]:

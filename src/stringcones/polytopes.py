@@ -49,7 +49,8 @@ inside every cone row, so it is a simple vertex whose tangent cone the
 weight rows cut out, and each weight row is a facet; every weight row is
 strict at 0, whose tangent cone is the string cone, so the cone's facets
 are the polytope's other facets.  The entry then keeps the cone's facet
-indices (`cones.cone_facets`, one redundancy LP per class) followed by all
+indices (`cones.cone_facets`, one redundancy LP per class, per mirror pair
+of classes in type A) followed by all
 N weight rows: facets = cone facets + N, the paper's count, at every
 regular weight.  A class without the certificate (none is known: every
 class tested, up to rank 4, has it) runs `remove_redundant` once per

@@ -356,30 +356,42 @@ def test_cached_facets_match_uncached_lp_on_c4_walks():
     assert cones._class_entry.cache_info().misses == len(starts)
 
 
-@pytest.fixture
-def lp_calls(monkeypatch):
-    """Counts redundancy LP sets, starting from an empty class cache."""
-    calls = []
-    lp = polyhedra._irredundant_indices
+def mirror_word(w):
+    """The word of ``w`` under the diagram automorphism ``i -> n + 1 - i``."""
+    return ReducedWord(w.lie_type, [w.rank + 1 - i for i in w.letters])
 
-    def counting(rows, dim):
-        calls.append(dim)
-        return lp(rows, dim)
 
-    monkeypatch.setattr(polyhedra, "_irredundant_indices", counting)
-    cones._class_entry.cache_clear()
-    yield calls
-    cones._class_entry.cache_clear()
+def lp_groups(t):
+    """The commutation classes of ``t`` that share one LP set: in type A a
+    class and its Dynkin-mirror class (once), in types B and C each class
+    alone."""
+    groups, seen = [], set()
+    for cls in commutation_classes(t):
+        if cls <= seen:
+            continue
+        group = [cls]
+        if t.family == "A":
+            mirrored = commutation_class(mirror_word(min(cls, key=str)))
+            if mirrored != cls:
+                group.append(mirrored)
+        groups.append(group)
+        seen |= set().union(*group)
+    return groups
 
 
 @pytest.mark.parametrize("type_text", ["A4", "B3", "C3"])
 def test_one_lp_set_per_commutation_class(lp_calls, type_text):
+    """One LP set per class in types B and C, and per mirror pair of classes
+    in type A: A4's 62 classes form 31 pairs, none mirror-fixed."""
     t = LieType.parse(type_text)
-    for cls in commutation_classes(t):
+    groups = lp_groups(t)
+    for group in groups:
         before = len(lp_calls)
-        for w in sorted(cls, key=str):
-            irredundant_facets(t, w)
-        assert len(lp_calls) == before + 1, cls
+        for cls in group:
+            for w in sorted(cls, key=str):
+                irredundant_facets(t, w)
+        assert len(lp_calls) == before + 1, group
+    assert len(lp_calls) == len(groups) == {"A4": 31, "B3": 14, "C3": 14}[type_text]
 
 
 def test_facet_cache_keeps_types_apart(lp_calls):
@@ -422,7 +434,9 @@ def test_a_cone_entry_holds_integer_forms_only(lp_calls):
     assert len(lp_calls) == 14  # one per class
 
 
-def test_irredundant_facets_takes_its_class_entry_once(monkeypatch):
+def test_irredundant_facets_takes_its_class_entry_once(monkeypatch, empty_entries):
+    """Each word keys its class once, and a class with no facet indices yet
+    keys its mirror class once more: 768 words and 62 class misses on A4."""
     keyed = []
     normal_form = cones.foata_normal_form
 
@@ -435,7 +449,13 @@ def test_irredundant_facets_takes_its_class_entry_once(monkeypatch):
     words = list(enumerate_reduced_words(t))
     for w in words:
         irredundant_facets(t, w)
-    assert keyed == words and len(keyed) == 768
+    expected, missed = [], set()
+    for w in words:
+        expected.append(w)
+        if normal_form(w) not in missed:
+            missed.add(normal_form(w))
+            expected.append(mirror_word(w))
+    assert keyed == expected and len(keyed) == 768 + 62 and len(missed) == 62
 
 
 @pytest.mark.slow

@@ -613,7 +613,7 @@ def test_ray_shooting_keeps_the_parent_rows_on_c4_classes():
         ("C4", [(1, 1, 1, 1)], C4_CLASS_WORDS),
     ],
 )
-def test_tangent_cone_keeps_the_parent_rows_on_string_polytopes(type_text, weights, texts):
+def test_polytope_rows_passed_directly_keep_the_parent_rows(type_text, weights, texts):
     """String-polytope rows passed to `_irredundant_indices` directly, as a
     class whose lowest-weight certificate fails passes them, keep the
     reference's rows: at a regular weight from the written-down interior
@@ -649,9 +649,10 @@ def test_polytope_keeps_exactly_the_cone_facets_at_rho():
 
 def test_c3_polytopes_at_rho_work_bound(lp_counts):
     """The 42 C3 string polytopes at rho, from an empty class cache, take
-    at most 21 tableaux: each class passes the lowest-weight certificate,
-    so only its cone's redundancy runs (see
-    `test_class_polytopes_at_rho_take_no_tableau`, which finds none)."""
+    no tableau: each class passes the lowest-weight certificate, so only
+    its cone's redundancy runs, and the rays certify every facet of each
+    cone (as `test_class_polytopes_at_rho_take_no_tableau` finds on the
+    class words)."""
     rho = Weight.rho(LieType("C", 3))
     cones._class_entry.cache_clear()
     try:
@@ -659,7 +660,7 @@ def test_c3_polytopes_at_rho_work_bound(lp_counts):
             remove_redundant(string_polytope(w, rho))
     finally:
         cones._class_entry.cache_clear()
-    assert lp_counts["_farkas"] <= 21
+    assert lp_counts["_farkas"] == 0
 
 
 @pytest.mark.parametrize("type_text", ["C3", "B3"])
