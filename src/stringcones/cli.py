@@ -78,7 +78,8 @@ def _is_int(x) -> bool:
 def _load_polytope(source: str) -> polyhedra.HRep:
     """The `HRep` of a JSON object ``{"dim": d, "rows": [[c_1, ..., c_d, b], ...]}``
     read from a file or ``-`` (stdin): each ``c_k`` an integer, each ``b`` an
-    integer or a ``[num, den]`` pair of integers with ``den != 0``."""
+    integer or a ``[num, den]`` pair of integers with ``den != 0``.  No rows
+    in a dimension d > 0 are all of R^d, refused before any `HRep` is built."""
     try:
         if source == "-":
             text = sys.stdin.read()
@@ -95,6 +96,8 @@ def _load_polytope(source: str) -> polyhedra.HRep:
         and isinstance(data.get("rows"), list)
     ):
         raise ValueError(f"{source}: expected an object with a 'dim' >= 0 and a list 'rows'")
+    if data["dim"] and not data["rows"]:
+        raise ValueError(f"{source}: no rows in dimension {data['dim']}: the set is all of R^{data['dim']}")
     rows = []
     for row in data["rows"]:
         if not (isinstance(row, list) and row):  # a string would unpack character by character

@@ -32,32 +32,31 @@ The crossings along one wire form a chain of the heap (two consecutive ones
 have letters at most 1 apart), so a commutation move never reorders them.
 
 `class_entry` keys one bounded cache on `weyl.foata_normal_form`, which the
-words of a class share and no other word has.  The first word of a class
-fills its cone entry (`_cone_entry`): integer forms in heap coordinates,
-one per rigorous path in path order, and the merged forms.  Every word
-then reads its cone by relabelling coordinates (`_relabelling`, one
-`operator.itemgetter` step per form), with no diagram, no path enumeration
-and no sort.  A cone is its forms alone; `rigorous_paths` lists a word's
-paths, one per raw form and in the same order, for the callers that show
-them.  `cone_facets` keeps the indices of the facets among the merged
-forms in the entry, written by `polyhedra.remove_redundant` as a
-polytope's are, so its LP runs once per class; `irredundant_facets` reads
-them.  In type A it runs once per pair of classes that the diagram
-automorphism ``sigma(i) = n + 1 - i`` swaps: ``sigma`` is a crystal
-automorphism of B(infinity) carrying ``epsilon_i`` to ``epsilon_sigma(i)``
-(Kashiwara, *Duke Math. J.* 71, 1993), so the string of an element along
-``w`` is the string of its image along the mirror word ``sigma(w)``, a
-reduced word too (``sigma(w0) = w0``), and the two words cut out one
-string cone in position coordinates.  A class whose mirror class keeps
-its facets reads them from there (`_mirror_facets`), with no LP.  A string
-polytope at a regular weight keys on the normal form and the weight
-(`class_polytope_rows`): its entry keeps the polytope's row sequence in
-heap coordinates, the merged cone rows and then the weight rows in heap
-order (by `heap_coordinates`, see `polytopes`), and the
-indices of its facet rows alike, which `polytopes.string_polytope` writes
-from the cone's when the class passes the lowest-weight certificate that
-its cone entry keeps.  A hit is one relabelling of those rows, with no
-cone entry read.  All relabelling happens here.
+words of a class share and no other word has: one entry per class, written
+here and in `polytopes`.  The first word of a class fills the cone
+(`_cone_entry`): integer forms in heap coordinates, one per rigorous path
+in path order, and the merged forms.  Every word then reads its cone by
+relabelling coordinates (`_relabelling`, one `operator.itemgetter` step
+per form), with no diagram, no path enumeration and no sort.  A cone is
+its forms alone; `rigorous_paths` lists a word's paths, one per raw form
+and in the same order, for the callers that show them.  `cone_facets`
+keeps the indices of the facets among the merged forms, the rows
+`polyhedra.remove_redundant` keeps, so its LP runs once per class;
+`irredundant_facets` reads them.  In type A it runs once per pair of
+classes that the diagram automorphism ``sigma(i) = n + 1 - i`` swaps:
+``sigma`` is a crystal automorphism of B(infinity) carrying ``epsilon_i``
+to ``epsilon_sigma(i)`` (Kashiwara, *Duke Math. J.* 71, 1993), so the
+string of an element along ``w`` is the string of its image along the
+mirror word ``sigma(w)``, a reduced word too (``sigma(w0) = w0``), and the
+two words cut out one string cone in position coordinates.  A class whose
+mirror class keeps its facets reads them from there (`_mirror_facets`),
+with no LP.
+
+Only the right-hand sides of a string polytope's rows depend on the
+weight (Littelmann, *Transform. Groups* 3, 1998), so the entry keeps its
+rows once (`class_polytope_rows`), each with an index for its right-hand
+side; every word reads them at every weight by one relabelling.  All
+relabelling happens here.
 """
 
 from __future__ import annotations
@@ -307,8 +306,7 @@ def string_cone(t: LieType, w: ReducedWord, deduplicate: bool = False) -> HRepCo
     return HRepCone(len(w.letters), tuple([LinForm(relabel(f)) for f in forms]))
 
 
-# C4 and B4 have 330 commutation classes each; a class may hold a cone entry
-# and polytope entries at several weights.
+# C4 and B4 have 330 commutation classes each, one entry per class.
 CLASS_CACHE_SIZE = 1024
 
 
@@ -318,38 +316,35 @@ def _class_entry(t: LieType, key) -> dict:
     return {}
 
 
-def class_entry(t: LieType, w: ReducedWord, lam: Weight | None = None) -> dict:
-    """The entry of the commutation class of ``w``: for its string cone of
-    type ``t``, or, given ``lam``, for its string polytope at ``lam``.
+def class_entry(t: LieType, w: ReducedWord) -> dict:
+    """The entry of the commutation class of ``w`` for its string cone of
+    type ``t`` and, in its own type, its string polytopes.
 
     It is keyed on `foata_normal_form`, which every word of the class shares
     and no word outside it has.
     """
-    key = foata_normal_form(w)
-    return _class_entry(t, key if lam is None else (key, lam))
+    return _class_entry(t, foata_normal_form(w))
 
 
 def class_polytope_rows(w: ReducedWord, lam: Weight, weight_rows) -> tuple[dict, tuple]:
-    """The polytope entry of the class of ``w`` at ``lam`` and the rows of
-    the string polytope of ``w`` read from it.
+    """The entry of the class of ``w`` and the rows of the string polytope
+    of ``w`` at ``lam`` read from it.
 
-    The entry keeps the row sequence in heap coordinates: the merged cone
-    rows ``-form . x <= 0``, then the weight rows in heap order.
-    ``weight_rows()`` gives the weight rows of ``w`` in its own coordinates
-    and is called only by the word that fills the entry; every word, that
-    one included, reads its rows by relabelling the sequence, so a hit reads
-    no cone entry.
+    The entry keeps the row pattern in heap coordinates: the merged cone
+    rows ``-form . x <= 0``, then the weight rows in heap order, each with
+    the index of its right-hand side in ``(0, *lam.coeffs)``: 0 for a cone
+    row, the letter ``i_k`` for weight row ``k``.  ``weight_rows()`` gives
+    the weight rows of ``w`` in its own coordinates, at any weight, and is
+    called only by the word that fills the pattern.
     """
-    entry = class_entry(w.lie_type, w, lam)
+    entry = _cone_entry(w.lie_type, w)
     if "rows" not in entry:
         at = _inverse(heap_coordinates(w))
-        merged = _cone_entry(w.lie_type, w)["merged"]
-        cone = tuple([(tuple([-c for c in form]), 0) for form in merged])
+        cone = tuple([(tuple([-c for c in form]), 0) for form in entry["merged"]])
         rows = weight_rows()
-        weight = tuple([(tuple([c[j] for j in at]), b) for c, b in (rows[k] for k in at)])
-        entry["rows"] = cone + weight
-    relabel = _relabelling(w)
-    return entry, tuple([(relabel(c), b) for c, b in entry["rows"]])
+        entry["rows"] = cone + tuple([(tuple([rows[k][0][j] for j in at]), w.letters[k]) for k in at])
+    relabel, rhs = _relabelling(w), (0, *lam.coeffs)
+    return entry, tuple([(relabel(c), rhs[i]) for c, i in entry["rows"]])
 
 
 def cone_facets(t: LieType, w: ReducedWord) -> tuple[dict, tuple[int, ...]]:
@@ -358,8 +353,8 @@ def cone_facets(t: LieType, w: ReducedWord) -> tuple[dict, tuple[int, ...]]:
 
     Forms equal up to positive scaling merge first (mirror pairs and the
     like), then each surviving inequality is tested for redundancy: the
-    word that fills the entry writes the indices through `remove_redundant`
-    (see `HRep.share`), and a hit builds no `HRep`.  A string cone is
+    word that fills the entry keeps the indices of the rows
+    `remove_redundant` keeps, and a hit builds no `HRep`.  A string cone is
     full-dimensional, so its minimal system is its facet set, and the
     first copy of each facet is kept.
 
@@ -377,16 +372,16 @@ def cone_facets(t: LieType, w: ReducedWord) -> tuple[dict, tuple[int, ...]]:
         mirror = _mirror_facets(w) if t.family == "A" else None
         if mirror is None:
             rows = tuple([(tuple([-c for c in form]), 0) for form in forms])
-            h = polyhedra.HRep._canonical(len(w.letters), rows)
-            h.share(entry)
-            polyhedra.remove_redundant(h)
+            index = {row: i for i, row in enumerate(rows)}
+            minimal = polyhedra.remove_redundant(polyhedra.HRep._canonical(len(w.letters), rows, None))
+            kept = tuple([index[row] for row in minimal.rows])
         else:
             kept = tuple([i for i, form in enumerate(forms) if form in mirror])
             if len(kept) != len(mirror):
                 raise polyhedra.PolyhedralError(
                     f"{w} keeps {len(kept)} of the {len(mirror)} facets of its mirror word"
                 )
-            entry["minimal"] = kept
+        entry["minimal"] = kept
     return entry, entry["minimal"]
 
 

@@ -54,10 +54,9 @@ The pieces:
 incidence table and `f_vector` compute their result once per instance and
 keep it in the instance's private memo, which `==`, `hash` and `repr`
 ignore.  Errors are not kept.  A V-rep, incidence table or f-vector is
-held by its `HRep` alone and freed with it.  The minimal rows may also be
-shared (see `HRep.share`): systems that list one sequence of rows up to a
-renaming of coordinates read them from one entry, which keeps the indices
-of the facet rows and outlives the instances.
+held by its `HRep` alone and freed with it.  An instance made by
+`HRep._canonical` may come with the indices of its minimal rows, which
+`remove_redundant` then reads with no LP.
 """
 
 from __future__ import annotations
@@ -150,12 +149,16 @@ class HRep(Value):
         object.__setattr__(self, "_memo", {})
 
     @classmethod
-    def _canonical(cls, dim: int, rows) -> HRep:
+    def _canonical(cls, dim: int, rows, kept) -> HRep:
         """An instance holding ``rows`` as given, with no row normalized:
         each row must already be stored as an instance stores it, as a row
-        read from an instance is, with its coordinates renamed or not."""
+        read from an instance is, with its coordinates renamed or not.
+        ``kept``, unless None, are the indices `_irredundant_indices` finds
+        for ``rows``, which `remove_redundant` reads instead."""
         h = object.__new__(cls)
         h._hold(dim, rows)
+        if kept is not None:
+            h._memo["kept"] = kept
         return h
 
     @property
@@ -171,17 +174,6 @@ class HRep(Value):
             for i, (row, b) in enumerate(self.rows)
             if sum(c * x for c, x in zip(row, point)) == b
         )
-
-    def share(self, entry: dict) -> None:
-        """Read the indices of the minimal rows from ``entry``, and keep them
-        there.
-
-        Every system given ``entry`` must list one sequence of rows up to a
-        renaming of coordinates and be full-dimensional: then the minimal
-        system is the facet set, whose first copies sit at the same indices
-        in each.
-        """
-        self._memo["share"] = entry
 
 
 class VRep(Value):
@@ -567,16 +559,14 @@ def remove_redundant(h: HRep) -> HRep:
 
 
 def _minimal(h: HRep) -> HRep:
-    """The rows `_irredundant_indices` keeps, their indices read from the
-    entry ``h`` shares (see `HRep.share`), or computed and kept there."""
-    entry = h._memo.get("share", {})
-    if "minimal" not in entry:
+    """The rows `_irredundant_indices` keeps, at the indices ``h`` was made
+    with (`HRep._canonical`) or computed."""
+    kept = h._memo.get("kept")
+    if kept is None:
         kept = _irredundant_indices(h.rows, h.dim)
-        entry["minimal"] = None if kept is None else tuple(kept)
-    kept = entry["minimal"]
     if kept is None:
         return HRep(h.dim, (((0,) * h.dim, -1),))
-    return HRep._canonical(h.dim, tuple([h.rows[i] for i in kept]))
+    return HRep._canonical(h.dim, tuple([h.rows[i] for i in kept]), None)
 
 
 # ---------------------------------------------------------------------------

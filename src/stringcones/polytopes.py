@@ -23,39 +23,33 @@ rows of the weight cone as well.  `string_polytope` lists the merged cone
 rows in the class entry's order and the weight rows in heap-coordinate
 order (`weyl.heap_coordinates`), so the words of a class list one sequence of
 rows ``(tuple[int], int)`` up to that renaming, right-hand sides included.
-It reads its rows from the entry of its class and weight
-(`cones.class_polytope_rows`, keyed on the Cartier–Foata normal form and
-the weight), which keeps that sequence in heap coordinates: the first word
-of the class builds it from the string cone's entry and the weight cone,
-and every word, that one included, relabels it to its own coordinates, so
-a hit builds no string cone and no weight cone, and normalizes no row:
-the entry's rows are primitive, so they and the kept rows go into their
-`HRep` as they are (`HRep._canonical`).  The polytope shares its
-minimal rows through the same entry (`HRep.share`): the entry keeps the
-indices of the kept rows, as a cone entry does.  A polytope shares only at
-a regular weight, where it is full-dimensional, so its minimal system is
-its facet set, the same rows in every sequence: ``k P_lambda`` holds
-``dim V(k lambda)`` lattice points, a polynomial of degree N in k.  Every
-word and weight read their rows this way, a word alone in its class
-included; a non-regular weight takes an entry in the same bounded class
-cache but shares no minimal rows.
+Only the right-hand sides depend on the weight, so the class's one entry
+keeps that sequence once, with an index for each right-hand side
+(`cones.class_polytope_rows`): the first polytope of the class builds it
+from the cone's merged forms and one weight cone, and every word and
+weight relabels it and fills in the weight, with no string cone, no
+weight cone and no row normalized (`HRep._canonical`).
 
 At a regular weight the kept rows need no redundancy LP of the polytope's
 own.  Back-substituting the weight rows gives the point v(lambda) where
 all N of them are tight (`lowest_weight_vertex`), linear in lambda.  When
 every merged cone row is ``<= 0`` at each v(omega_i) and ``< 0`` at v(rho)
-(`lowest_weight_certificate`, checked once per class), v(lambda) is strictly
-inside every cone row, so it is a simple vertex whose tangent cone the
-weight rows cut out, and each weight row is a facet; every weight row is
-strict at 0, whose tangent cone is the string cone, so the cone's facets
-are the polytope's other facets.  The entry then keeps the cone's facet
-indices (`cones.cone_facets`, one redundancy LP per class, per mirror pair
-of classes in type A) followed by all
-N weight rows: facets = cone facets + N, the paper's count, at every
-regular weight.  A class without the certificate (none is known: every
-class tested, up to rank 4, has it) runs `remove_redundant` once per
-weight.  Only these indices are shared across weights, never a V-rep or a
-face count: the combinatorial type changes inside the regular chamber.
+(`lowest_weight_certificate`), v(lambda) is strictly inside every cone
+row, so it is a simple vertex whose tangent cone the weight rows cut out,
+and each weight row is a facet; every weight row is strict at 0, whose
+tangent cone is the string cone, so the cone's facets are the polytope's
+other facets: facets = cone facets + N, the paper's count, at every
+regular weight.  `string_polytope` checks the certificate once per class
+and keeps the indices of those rows in the entry, ``"polytope_facets"``:
+the cone's facet indices (`cones.cone_facets`, one redundancy LP per
+class, per mirror pair of classes in type A) followed by all N weight
+rows; each polytope at a regular weight starts with them, and
+`remove_redundant` reads them with no LP.  A class without the
+certificate (none is known: every class tested, up to rank 4, has it)
+keeps None, and runs `remove_redundant` once per polytope, as a
+non-regular weight does.  Only these indices hold across weights, never
+a V-rep or a face count: the combinatorial type changes inside the
+regular chamber.
 
 `verify_gt_theorem` reproduces the paper's classification: at rho, exactly
 the nested word's string polytope is unimodularly equivalent to the
@@ -69,7 +63,7 @@ from __future__ import annotations
 from operator import mul
 
 from ._linalg import Value
-from .cones import class_entry, class_polytope_rows, cone_facets, string_cone
+from .cones import class_polytope_rows, cone_facets, string_cone
 from .polyhedra import EquivalenceResult, HRep, remove_redundant, search_unimodular_equivalence
 from .weyl import (
     LieType,
@@ -144,41 +138,34 @@ def lowest_weight_certificate(w: ReducedWord) -> bool:
     """Whether every merged string-cone row of the class of ``w`` is ``<= 0``
     at each `lowest_weight_vertex` v(omega_i) and ``< 0`` at v(rho), so that
     at every regular weight the string polytope's facets are the cone's and
-    all N weight rows (see the module docstring).  Computed once per class
-    and kept in its cone entry.
+    all N weight rows (see the module docstring).
     """
     t = w.lie_type
-    entry = class_entry(t, w)
-    if "lowest_weight" not in entry:
-        forms = string_cone(t, w, deduplicate=True).forms
-        units = [Weight(t, [int(i == j) for j in range(t.rank)]) for i in range(t.rank)]
-        vertices = [lowest_weight_vertex(w, omega) for omega in units]
-        # the cone row -form . x <= 0 reads -form . v; at v(rho) it sums over the v(omega_i)
-        values = [[sum(map(mul, f.coeffs, v)) for v in vertices] for f in forms]
-        entry["lowest_weight"] = all(min(r) >= 0 and sum(r) > 0 for r in values)
-    return entry["lowest_weight"]
+    forms = string_cone(t, w, deduplicate=True).forms
+    units = [Weight(t, [int(i == j) for j in range(t.rank)]) for i in range(t.rank)]
+    vertices = [lowest_weight_vertex(w, omega) for omega in units]
+    # the cone row -form . x <= 0 reads -form . v; at v(rho) it sums over the v(omega_i)
+    values = [[sum(map(mul, f.coeffs, v)) for v in vertices] for f in forms]
+    return all(min(r) >= 0 and sum(r) > 0 for r in values)
 
 
 def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
     """String cone plus weight cone of ``w`` at ``lam`` (possibly redundant rows).
 
     The merged string-cone rows come first, then the weight-cone rows in
-    heap-coordinate order (`weyl.heap_coordinates`).  The polytope reads its
-    rows from the polytope entry of its commutation class and weight, and
-    at a regular weight shares its minimal rows through it (see the module
-    docstring).  When the class passes `lowest_weight_certificate`, the
-    entry's minimal rows are the cone's facets (`cones.cone_facets`) and
-    every weight row, with no redundancy LP of the polytope's own.
+    heap-coordinate order (`weyl.heap_coordinates`), read from the entry of
+    the commutation class (see the module docstring).  At a regular weight,
+    when the class passes `lowest_weight_certificate`, the polytope comes
+    with the indices of its minimal rows: the cone's facets
+    (`cones.cone_facets`) and every weight row.
     """
     _check_weight(w, lam)
     entry, rows = class_polytope_rows(w, lam, lambda: lambda_cone(w, lam).rows)
-    h = HRep._canonical(len(w.letters), rows)
-    if lam.is_regular:
-        if "minimal" not in entry and lowest_weight_certificate(w):
-            weight = range(len(rows) - len(w.letters), len(rows))
-            entry["minimal"] = cone_facets(w.lie_type, w)[1] + tuple(weight)
-        h.share(entry)
-    return h
+    if lam.is_regular and "polytope_facets" not in entry:
+        weight = tuple(range(len(rows) - len(w.letters), len(rows)))
+        certified = lowest_weight_certificate(w)
+        entry["polytope_facets"] = cone_facets(w.lie_type, w)[1] + weight if certified else None
+    return HRep._canonical(len(w.letters), rows, entry["polytope_facets"] if lam.is_regular else None)
 
 
 def _gt_coordinates(n: int):

@@ -123,8 +123,9 @@ F_VECTOR_GT3 = (1, 176, 936, 2244, 3126, 2760, 1590, 594, 138, 18, 1)
 F_VECTOR_BRAID3 = (1, 175, 933, 2241, 3125, 2760, 1590, 594, 138, 18, 1)
 
 # Crystal counts: the weights, per rank, at which lattice points are counted.
-# (1, 0, 2) is not regular: its string polytopes are lower-dimensional, so
-# their redundancy removal runs without an interior point.
+# (1, 0, 2) is not regular: its string polytopes are lower-dimensional.  The
+# count runs no redundancy removal of the polytopes; `lattice_points` reads
+# the V-rep.
 CRYSTAL_WEIGHTS = {2: ((1, 1), (2, 1), (1, 2), (3, 2)), 3: ((1, 1, 1), (2, 1, 1), (1, 0, 2))}
 
 
@@ -423,9 +424,9 @@ def polytope_facet_identity(n: int) -> list[Check]:
     more facets than its cone, so the two simplicial words' polytopes have 2N;
     and every commutation class passes `polytopes.lowest_weight_certificate`,
     which proves the count at every regular weight.  The count at rho comes
-    from the general redundancy routine on rows in a new `HRep`, which
-    shares no class entry, so it checks the certificate's kept rows rather
-    than reading them."""
+    from the general redundancy routine on rows in a new `HRep`, made with
+    no kept indices, so it checks the certificate's kept rows rather than
+    reading them."""
     out = []
     for m in range(2, n + 1):
         t, N = LieType("C", m), m * m

@@ -5,8 +5,9 @@ and its string polytope by relabelling the integer rows the entry keeps in
 heap coordinates.  The oracles below are the earlier `string_polytope`,
 `string_cone`, `_word_forms` and `cones.heap_order`, kept verbatim under
 their own names: they rewrite the cone entry's forms and rebuild the weight cone for every word.
-The oracle polytope's `class_entry` is a fresh dict per call, so its minimal
-rows come from an LP of its own.  `direct_polytope` is the branch the
+The oracle polytope shares no entry, so its minimal rows come from an LP of
+its own (its call of the deleted `HRep.share` on a fresh dict, which
+shared nothing, is dropped).  `direct_polytope` is the branch the
 earlier `string_polytope` took for a word alone in its class or a
 non-regular weight.  Each word is built cold (class cache cleared) and then
 warm (a second word of its class, filled by the first).
@@ -22,15 +23,11 @@ from stringcones.weyl import (
     LieType,
     ReducedWord,
     Weight,
+    class_words,
     commutation_class,
     enumerate_reduced_words,
     heap_coordinates,
 )
-
-
-def class_entry(t, w, lam=None) -> dict:
-    """The oracle's entry: a fresh dict, which shares nothing."""
-    return {}
 
 
 def _word_forms(heap, forms) -> tuple[LinForm, ...]:
@@ -64,16 +61,11 @@ def string_polytope(w: ReducedWord, lam: Weight) -> HRep:
     """String cone plus weight cone of ``w`` at ``lam`` (possibly redundant rows).
 
     The merged string-cone rows come first, then the weight-cone rows in
-    heap-coordinate order (`heap_order`).  At a regular weight the
-    polytope shares its minimal rows with the other words of its
-    commutation class (see the module docstring).
+    heap-coordinate order (`heap_order`).
     """
     cone = string_cone(w.lie_type, w, deduplicate=True)
     cone_rows = tuple((tuple(-c for c in f.coeffs), 0) for f in cone.forms)
-    h = HRep(cone.dim, cone_rows + heap_order(w, lambda_cone(w, lam).rows))
-    if lam.is_regular and any(abs(a - b) >= 2 for a, b in zip(w.letters, w.letters[1:])):
-        h.share(class_entry(w.lie_type, w, lam))
-    return h
+    return HRep(cone.dim, cone_rows + heap_order(w, lambda_cone(w, lam).rows))
 
 
 def cold_then_warm(words, check):
@@ -168,7 +160,7 @@ def test_a_class_hit_runs_no_paths_and_no_weight_cone(empty_entries, counted):
     for lam in (Weight.rho(LieType("B", 3)), Weight.rho(LieType("C", 2))):
         with pytest.raises(ValueError, match="weight and word have different Lie types"):
             polytopes.string_polytope(moved, lam)
-    assert empty_entries.cache_info().currsize == 2  # one cone and one polytope entry
+    assert empty_entries.cache_info().currsize == 1  # one entry for the cone and the polytope
 
 
 @pytest.mark.parametrize("coeffs", [(1, 1, 1), (1, 0, 1)])
@@ -196,7 +188,9 @@ def test_a_warm_cone_class_hit_builds_no_hrep(empty_entries, monkeypatch):
     init, canonical = HRep.__init__, HRep._canonical
     monkeypatch.setattr(HRep, "__init__", lambda h, dim, rows: built.append("__init__") or init(h, dim, rows))
     monkeypatch.setattr(
-        HRep, "_canonical", classmethod(lambda cls, dim, rows: built.append("_canonical") or canonical(dim, rows))
+        HRep,
+        "_canonical",
+        classmethod(lambda cls, dim, rows, kept: built.append("_canonical") or canonical(dim, rows, kept)),
     )
     cones.irredundant_facets(c3, first)
     assert "_canonical" in built
@@ -246,3 +240,29 @@ def test_singleton_words_and_non_regular_weights_match_the_direct_branch(
         assert remove_redundant(got).rows == remove_redundant(want).rows
 
     cold_then_warm(words, check)
+
+
+@pytest.mark.parametrize("type_text", ["B3", "C3"])
+def test_one_class_entry_serves_every_weight(empty_entries, counted, type_text):
+    """Each class filled at rho reads its polytopes at other weights, regular
+    or not, through a second word of the class: rows and minimal rows equal
+    `direct_polytope`'s, each class holds one entry, and the weight cone is
+    built once per class, not once per class and weight."""
+    t = LieType.parse(type_text)
+    words = class_words(t)
+    for w in words:
+        cones.irredundant_facets(t, w)
+        remove_redundant(polytopes.string_polytope(w, Weight.rho(t)))
+    got = {}
+    for w in words:
+        other = min(commutation_class(w) - {w}, key=str, default=w)
+        for coeffs in ((2, 1, 3), (1, 0, 2), (0, 1, 0)):
+            lam = Weight(t, coeffs)
+            h = polytopes.string_polytope(other, lam)
+            got[other, lam] = h, remove_redundant(h).rows
+    assert counted.count("lambda_cone") == len(words)
+    assert empty_entries.cache_info().currsize == empty_entries.cache_info().misses == len(words)
+    for (w, lam), (h, minimal) in got.items():
+        want = direct_polytope(w, lam)
+        assert (h.dim, h.rows) == (want.dim, want.rows), (w, lam)
+        assert minimal == remove_redundant(want).rows, (w, lam)

@@ -523,6 +523,25 @@ def test_fvector_of_an_empty_system_says_it_is_empty(tmp_path, dim):
     assert res.payload["error"] == "empty polytope has no face lattice"
 
 
+def test_no_rows_in_a_positive_dimension_exit_2_before_the_kernel(tmp_path, monkeypatch):
+    # R^dim is no polytope; its dim-sized tuples once took 285 MB at dim 10^6
+    def refuse(*args):
+        raise AssertionError("a system with no rows reached the polyhedral kernel")
+
+    point = tmp_path / "point.json"
+    point.write_text('{"dim": 0, "rows": []}')
+    assert run(["fvector", str(point)]).payload["fvector"] == [1, 1]
+    monkeypatch.setattr(polyhedra, "feasible", refuse)
+    monkeypatch.setattr(polyhedra, "_vrep", refuse)
+    source = tmp_path / "p.json"
+    for dim in (1, 10**6):
+        source.write_text(json.dumps({"dim": dim, "rows": []}))
+        for argv in (["fvector", source], ["equiv", source, source], ["equiv", point, source]):
+            res = run([str(a) for a in argv])
+            assert res.status == 2
+            assert res.payload["error"] == f"{source}: no rows in dimension {dim}: the set is all of R^{dim}"
+
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st

@@ -39,7 +39,7 @@ WEIGHTS = {
 def kept_rows(w, lam):
     """The polytope of ``w`` at ``lam`` and the indices its class entry keeps."""
     h = string_polytope(w, lam)
-    return h, cones.class_entry(w.lie_type, w, lam).get("minimal")
+    return h, cones.class_entry(w.lie_type, w).get("polytope_facets")
 
 
 @pytest.mark.parametrize("type_text", sorted(WEIGHTS))

@@ -1,15 +1,16 @@
 """The commutation-class quotient is taken in one place.
 
-String cones and string polytopes share their cone and minimal rows
-across a commutation class through `cones.class_entry`, which keys one
-bounded cache on `weyl.foata_normal_form` and relabels coordinates by
+String cones and string polytopes read their rows and kept row indices
+from one entry per commutation class, `cones.class_entry`, which keys one
+bounded cache on `weyl.foata_normal_form`; `cones` relabels coordinates by
 `weyl.heap_coordinates`.  Outside ``weyl.py`` (which defines both) only
 ``cones.py`` may name ``heap_coordinates`` or ``foata_normal_form``, and it
 keeps exactly one ``lru_cache``.  A module holding class entries (it names
-``class_entry``) keeps no cache of its own, so the quotient cannot fork
-again into a second copy of the key and cache.  ``polyhedra.py`` imports
-only ``_linalg`` and the standard library: an `HRep` shares an entry's
-row indices without knowing how the entry is keyed.
+one of `ENTRY_SOURCES`, the functions that return one) keeps no cache of
+its own, so the quotient cannot fork again into a second copy of the key
+and cache.  ``polyhedra.py`` imports
+only ``_linalg`` and the standard library: an `HRep` is given its kept
+row indices (`HRep._canonical`) and holds no class entry.
 """
 
 import ast
@@ -22,6 +23,7 @@ import stringcones
 
 SOURCES = sorted(Path(stringcones.__file__).parent.glob("*.py"))
 CLASS_KEYS = {"heap_coordinates", "foata_normal_form"}
+ENTRY_SOURCES = {"class_entry", "class_polytope_rows", "cone_facets"}
 
 
 def _names(node) -> set[str]:
@@ -56,7 +58,7 @@ def quotient_forks(source: str, filename: str) -> list[int]:
     if filename == "cones.py":
         return caches[1:] if caches else [0]
     found = [node.lineno for node in ast.walk(tree) if _names(node) & CLASS_KEYS]
-    if mentioned & (CLASS_KEYS | {"class_entry"}):
+    if mentioned & (CLASS_KEYS | ENTRY_SOURCES):
         found += caches
     return sorted(set(found))
 
@@ -85,6 +87,7 @@ def test_the_class_quotient_has_one_home():
         ("polytopes.py", "heap = heap_coordinates(w)", True),
         ("verify.py", "heap = weyl.heap_coordinates(w)", True),
         ("polytopes.py", "@lru_cache(maxsize=8)\ndef f(rows): pass\nclass_entry(t, w, rows)", True),
+        ("polytopes.py", "@lru_cache(maxsize=8)\ndef f(rows): pass\nclass_polytope_rows(w, lam, f)", True),
         ("cones.py", "@lru_cache(maxsize=8)\ndef f(r): pass\n@functools.lru_cache(4)\ndef g(r): pass", True),
     ],
 )

@@ -1315,9 +1315,9 @@ def test_memo_is_invisible_and_freed_with_its_hrep():
 
 def test_shared_minimal_rows_and_f_vector(monkeypatch):
     # SQUARE with a redundant row and a doubled one, and the same rows with
-    # the coordinates swapped: one row sequence up to a renaming
+    # the coordinates swapped: one row sequence up to a renaming, so the
+    # indices p keeps are q's, given to q when it is made
     p = HRep(2, SQUARE.rows + (((1, 1), 2), ((0, 1), 1)))
-    q = HRep(2, tuple((c[::-1], b) for c, b in p.rows))
     calls = Counter()
     for name in ("_irredundant_indices", "_faces"):
         def counted(*args, _worker=getattr(polyhedra, name), _name=name):
@@ -1325,20 +1325,20 @@ def test_shared_minimal_rows_and_f_vector(monkeypatch):
             return _worker(*args)
 
         monkeypatch.setattr(polyhedra, name, counted)
-    entry = {}
-    for h in (p, q):
-        h.share(entry)
+    kept = tuple(polyhedra._irredundant_indices(p.rows, p.dim))
+    q = HRep._canonical(2, tuple((c[::-1], b) for c, b in p.rows), kept)
+    # the indices are all q holds: no f-vector, no face lattice, and no field
+    assert q._memo == {"kept": (0, 1, 2, 3)}
+    assert q == HRep(2, q.rows) and hash(q) == hash(HRep(2, q.rows))
     table = weakref.ref(polyhedra._incidence_table(p))
     assert f_vector(p) == f_vector(q) == (1, 4, 4, 1)
     # q's own rows in q's order, the first copy of its doubled row kept
     assert remove_redundant(q).rows == (((0, 1), 1), ((1, 0), 1), ((0, -1), 0), ((-1, 0), 0))
     assert remove_redundant(q).rows == remove_redundant(HRep(2, q.rows)).rows
-    # the entry keeps the indices of the kept rows only: no f-vector, no face lattice
-    assert entry == {"minimal": (0, 1, 2, 3)}
     assert remove_redundant(p).rows == SQUARE.rows
-    # one LP for the entry, the second for the oracle; each instance counts
-    # its own faces
-    assert calls == {"_irredundant_indices": 2, "_faces": 2}
+    # one LP for the indices, one for the oracle and one for p, made with
+    # none; q runs none, and each instance counts its own faces
+    assert calls == {"_irredundant_indices": 3, "_faces": 2}
     del p
     gc.collect()
     assert table() is None

@@ -304,8 +304,8 @@ def test_shared_f_vector_matches_a_fresh_face_lattice(empty_entries, word):
     for w in sorted(commutation_class(W("C3", word)), key=str):
         h = string_polytope(w, rho)
         assert f_vector(h) == f_vector(fresh(h))
-    # one polytope entry, next to the cone entry the class's string cones read
-    assert empty_entries.cache_info().currsize == 2
+    # one entry, for the class's string cone and its polytopes
+    assert empty_entries.cache_info().currsize == 1
 
 
 def test_one_redundancy_lp_per_commutation_class(empty_entries, monkeypatch):
@@ -357,23 +357,21 @@ def test_cones_and_polytopes_share_one_class_cache(empty_entries, monkeypatch):
             remove_redundant(string_polytope(w, rho))
         # one cone LP; the polytope's kept rows come from the lowest-weight certificate
         assert len(lps) == before + 1, cls
-    # 14 cone entries and 14 polytope entries, words alone in their class too
-    assert empty_entries.cache_info().currsize == empty_entries.cache_info().misses == 28
+    # 14 entries, one per class, words alone in their class too
+    assert empty_entries.cache_info().currsize == empty_entries.cache_info().misses == 14
     for cls in classes:
         w = min(cls, key=str)
-        cone_entry = cones.class_entry(c3, w)
-        assert len(cone_entry["minimal"]) == len(irredundant_facets(c3, w)[0].forms)
-        polytope_entry = cones.class_entry(c3, w, rho)
-        assert polytope_entry is not cone_entry
+        entry = cones.class_entry(c3, w)
+        assert len(entry["minimal"]) == len(irredundant_facets(c3, w)[0].forms)
         h = string_polytope(w, rho)
-        kept = tuple(h.rows[i] for i in polytope_entry["minimal"])
+        kept = tuple(h.rows[i] for i in entry["polytope_facets"])
         assert remove_redundant(h).rows == kept
         assert any(b > 0 for _, b in kept)
-        for entry in (cone_entry, polytope_entry):  # both kinds keep the kept rows' indices, in order
-            indices = entry["minimal"]
+        for key in ("minimal", "polytope_facets"):  # cone and polytope keep the kept rows' indices, in order
+            indices = entry[key]
             assert type(indices) is tuple and all(type(i) is int for i in indices)
             assert list(indices) == sorted(set(indices))
-    assert empty_entries.cache_info().currsize == 28  # every lookup above was a hit
+    assert empty_entries.cache_info().currsize == 14  # every lookup above was a hit
 
 
 def test_braid_class_is_refuted_without_a_face_lattice(empty_entries, monkeypatch):
@@ -408,8 +406,7 @@ def test_no_share_off_the_gate(empty_entries):
         if w.rank == 2:
             assert f_vector(h) == f_vector(fresh(h))
         if not lam.is_regular:
-            assert "minimal" not in cones.class_entry(w.lie_type, w, lam)
-    # one cone entry per commutation class, 14 in C3 and 2 in C2, and one
-    # polytope entry per class and weight
-    assert empty_entries.cache_info().currsize == (14 + 2) + (14 * 2 + 2 * 2)
+            assert "kept" not in h._memo  # no indices given: its own redundancy ran
+    # one entry per commutation class, 14 in C3 and 2 in C2, at every weight
+    assert empty_entries.cache_info().currsize == 14 + 2
     assert empty_entries.cache_info().maxsize == cones.CLASS_CACHE_SIZE
