@@ -78,8 +78,10 @@ def _is_int(x) -> bool:
 def _load_polytope(source: str) -> polyhedra.HRep:
     """The `HRep` of a JSON object ``{"dim": d, "rows": [[c_1, ..., c_d, b], ...]}``
     read from a file or ``-`` (stdin): each ``c_k`` an integer, each ``b`` an
-    integer or a ``[num, den]`` pair of integers with ``den != 0``.  No rows
-    in a dimension d > 0 are all of R^d, refused before any `HRep` is built."""
+    integer or a ``[num, den]`` pair of integers with ``den != 0``, whose row
+    is scaled by the positive denominator of ``num / den`` to an integer row.
+    No rows in a dimension d > 0 are all of R^d, refused before any `HRep`
+    is built."""
     try:
         if source == "-":
             text = sys.stdin.read()
@@ -103,11 +105,12 @@ def _load_polytope(source: str) -> polyhedra.HRep:
         if not (isinstance(row, list) and row):  # a string would unpack character by character
             raise ValueError(f"{source}: row {row!r} is not a non-empty list")
         *coeffs, rhs = row
-        bad = next((x for x in coeffs if not _is_int(x)), None)
-        if bad is not None:
-            raise ValueError(f"{source}: coefficient {bad!r} of row {row!r} is not an integer")
+        for x in coeffs:  # a loop, not next(..., None): a JSON null coefficient is None
+            if not _is_int(x):
+                raise ValueError(f"{source}: coefficient {x!r} of row {row!r} is not an integer")
         if isinstance(rhs, list) and len(rhs) == 2 and all(map(_is_int, rhs)) and rhs[1]:
-            rhs = Fraction(*rhs)
+            q = Fraction(*rhs)
+            coeffs, rhs = [c * q.denominator for c in coeffs], q.numerator
         elif not _is_int(rhs):
             raise ValueError(
                 f"{source}: right-hand side {rhs!r} of row {row!r} is not an integer"

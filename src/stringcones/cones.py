@@ -408,5 +408,5 @@ def irredundant_facets(t: LieType, w: ReducedWord) -> tuple[HRepCone, int]:
 
 
 def facet_count(t: LieType, w: ReducedWord) -> int:
-    return irredundant_facets(t, w)[1]
+    return len(cone_facets(t, w)[1])
 

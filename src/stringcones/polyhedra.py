@@ -3,8 +3,10 @@
 Half-space representations store rows ``c . x <= b`` as
 ``(tuple[int], int)`` pairs of content 1; cones are the special case
 ``b = 0``.  Everything runs over Python integers, vertices as integer
-points over one common denominator (`Fraction` vertices exist only in the
-public V-rep): no floating point enters any decision.
+points over one common denominator: rows come in as integers (a caller
+scales rational data where it reads it), `Fraction`s go out only through
+`to_vrep`, `integrality` and `normalized_volume`, and no floating point
+enters any decision.
 
 The pieces:
 
@@ -112,14 +114,18 @@ class ResourceLimit(RuntimeError):
 
 
 def _normalize_row(coeffs, rhs) -> tuple[tuple[int, ...], int]:
-    """Scale a row to integer coefficients and right-hand side with content 1.
+    """A row of integer coefficients and right-hand side, divided by its gcd.
 
-    A row of ints only is divided by its gcd as it is; any other row (a
-    bool, a `Fraction` or no number in it) is scaled by `_integral` first.
+    A bool entry counts as its int; any other entry that is not an int, a
+    `Fraction` included, raises `PolyhedralError`: rational rows are scaled
+    to integer ones where they are read (see `cli._load_polytope`).
     """
     coeffs = tuple(coeffs)
     if type(rhs) is not int or countOf(map(type, coeffs), int) < len(coeffs):
-        *coeffs, rhs = _integral((*coeffs, rhs))
+        for x in (*coeffs, rhs):
+            if not isinstance(x, int):
+                raise PolyhedralError(f"entry {x!r} is not an int")
+        coeffs, rhs = tuple(map(int, coeffs)), int(rhs)
     g = gcd(*coeffs, rhs)
     if g > 1:
         coeffs, rhs = [x // g for x in coeffs], rhs // g
@@ -129,8 +135,8 @@ def _normalize_row(coeffs, rhs) -> tuple[tuple[int, ...], int]:
 class HRep(Value):
     """Intersection of half-spaces ``c . x <= b`` in dimension ``dim``.
 
-    Rows may be given with int or Fraction entries; each is stored as
-    ``(tuple[int], int)``, scaled by a positive rational to content 1.
+    Rows are given with int entries (see `_normalize_row`); each is stored
+    as ``(tuple[int], int)``, divided by its content.
     The memo of derived representations (``_memo``) is no field.
     """
 
@@ -197,42 +203,24 @@ def _memoized(h: HRep, key: str, compute):
 # ---------------------------------------------------------------------------
 
 
-def _integral(row) -> list[int]:
-    """``row`` (rationals) times the least positive integer making it integral.
-
-    An entry that is not an int or a `Fraction` raises `PolyhedralError`.
-    """
-    scale = 1
-    try:
-        for x in row:
-            if x.denominator != 1:
-                scale = lcm(scale, x.denominator)
-    except AttributeError:
-        raise PolyhedralError(f"entry {x!r} is not an int or a Fraction") from None
-    if scale == 1:
-        return [x.numerator for x in row]
-    return [x.numerator * (scale // x.denominator) for x in row]
-
-
 def _nonneg_feasible(eq_rows, rhs) -> bool:
-    """Whether ``A x = b`` (rational entries) has a solution with ``x >= 0``."""
+    """Whether ``A x = b`` (integer entries) has a solution with ``x >= 0``."""
     return _farkas(eq_rows, rhs, False) is None
 
 
 def _farkas(eq_rows, rhs, certify: bool):
     """None when ``A x = b`` has a solution ``x >= 0``; otherwise a certificate.
 
-    A phase-1 tableau kept in integers (Edmonds–Bareiss): each row is scaled
-    once to integers, and a pivot updates every other row, the objective row
-    included, as ``(piv * x - f * y) // den`` with ``den`` the previous pivot.
+    A phase-1 tableau kept in integers (Edmonds–Bareiss): the rows are
+    integer rows as given (each negated when its ``b`` is negative), and a
+    pivot updates every other row, the objective row included, as
+    ``(piv * x - f * y) // den`` with ``den`` the previous pivot.
     Every entry is then ``det(B)`` times the entry of the rational tableau
     with basis ``B``, so each division is exact; pivots are positive, so
     ``det(B)`` is too and no sign changes.  The pivot rule is Bland's: the
     first column with a positive reduced cost enters, and the row of least
     ``(ratio, basic variable)`` leaves, the artificial of row ``i`` counting
-    as variable ``n + i``.  On integer rows the pivots are those of the
-    rational tableau; on rational rows the scaling reweights the phase-1
-    objective, which may change the pivots but not the verdict.
+    as variable ``n + i``, so the pivots are those of the rational tableau.
 
     The objective row is always ``y`` times the rows as given (each pivot
     combines rows).  With ``certify`` row ``i`` carries the unit vector
@@ -249,8 +237,8 @@ def _farkas(eq_rows, rhs, certify: bool):
     tab = []
     for i, (row, b) in enumerate(zip(eq_rows, rhs)):
         unit = [int(k == i) for k in range(m)] if certify else []
-        ints = _integral([*row, b, *unit])
-        tab.append(ints if ints[n] >= 0 else [-x for x in ints])
+        r = [*row, b, *unit]
+        tab.append(r if b >= 0 else [-x for x in r])
     obj = [sum(col) for col in zip(*tab)]
     basis = list(range(n, n + m))  # n + i is the artificial variable of row i
     den = 1  # the previous pivot
@@ -310,17 +298,15 @@ def _combination_lp(target, others, dim):
 
 
 def feasible(rows_le, dim) -> bool:
-    """Whether ``{x : c . x <= b}`` (rational rows) is non-empty.
+    """Whether ``{x : c . x <= b}`` (integer rows) is non-empty.
 
     By Farkas' lemma the system is empty exactly when ``0 . x <= -1`` is a
-    nonnegative combination of its rows.  Each row is first scaled by a
-    positive integer to an integral one, as `_implied` expects; that scales
-    a column of the LP, which changes none of its pivots.
+    nonnegative combination of its rows.  Each row is read by
+    `_normalize_row`, as `HRep` reads it, so an entry that is not an int
+    raises `PolyhedralError`; dividing a row by its content scales a column
+    of the LP, which changes none of its pivots.
     """
-    rows = []
-    for c, b in rows_le:
-        ints = _integral([*c, b])
-        rows.append((ints[:dim], ints[dim]))
+    rows = [_normalize_row(c, b) for c, b in rows_le]
     return not _implied(((0,) * dim, -1), rows, dim)
 
 
@@ -688,13 +674,15 @@ def _vrep(h: HRep):
 
 
 def vrep_to_hrep(v: VRep) -> HRep:
-    """Facet system of the convex hull of a full-dimensional V-representation."""
+    """Facet system of the convex hull of a full-dimensional V-representation,
+    each vertex (int or `Fraction` entries) scaled by its common denominator."""
     if not v.vertices:
         raise PolyhedralError("empty vertex set")
     dim = len(v.vertices[0])
-    gens = [tuple([-x for x in vert] + [-1]) for vert in v.vertices]
-    gens += [tuple([-x for x in ray] + [0]) for ray in v.rays]
-    gens = [_normalize_row(g, 0)[0] for g in gens]
+    gens = []
+    for g in [(*vert, 1) for vert in v.vertices] + [(*ray, 0) for ray in v.rays]:
+        den = lcm(*(x.denominator for x in g))  # scales g to an integer vector
+        gens.append(primitive([(-x * den).numerator for x in g]))
     facets = _dd_rays(gens, dim + 1)
     # a dual ray (y, y0) certifies y.x + y0 >= 0 on the hull
     rows = [(tuple(-c for c in f[:dim]), f[dim]) for f, _ in facets]

@@ -609,8 +609,8 @@ def folding_suite(n: int) -> list[Check]:
                 om = [0] * dimA
                 for tj in fm.groups[k]:
                     om[tj] = 1
-                rows.append((tuple(om), Fraction(r[k])))
-                rows.append((tuple(-x for x in om), -Fraction(r[k])))
+                rows.append((tuple(om), r[k]))
+                rows.append((tuple(-x for x in om), -r[k]))
             if not polyhedra.feasible(rows, dimA):
                 quot_ok = False
         for p in rigorous_paths(tC, w):

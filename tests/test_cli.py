@@ -495,6 +495,7 @@ def test_fvector_non_finite_numbers_exit_2(tmp_path, literal, place):
         ("[true, 1]", "True"),  # a boolean coefficient
         ('[1, "1/2"]', "'1/2'"),  # a string right-hand side
         ("[1, [1, 2, 3]]", "[1, 2, 3]"),  # a right-hand side of three integers
+        ("[null, 0]", "coefficient None of row [None, 0] is not an integer"),  # the loader's message
     ],
 )
 def test_fvector_refuses_entries_that_are_not_integers(tmp_path, row, entry):
@@ -510,6 +511,25 @@ def test_fvector_reads_a_fraction_pair(tmp_path):
     source.write_text('{"dim": 1, "rows": [[-1, 0], [2, [3, 2]]]}')
     assert cli._load_polytope(str(source)).rows == (((-1,), 0), ((4,), 3))
     assert run(["fvector", str(source)]).payload["fvector"] == [1, 2, 1]
+
+
+def test_fraction_pairs_give_the_payloads_of_the_integer_scaled_rows(tmp_path):
+    """`fvector` and `equiv` read a file with ``[num, den]`` right-hand sides
+    as its copy with each such row scaled by ``den``."""
+    files = {
+        "rational": [[2, 0, [3, 2]], [0, 3, 1], [-1, 0, 0], [0, -1, 0], [1, 1, [5, 4]]],
+        "integral": [[4, 0, 3], [0, 3, 1], [-1, 0, 0], [0, -1, 0], [4, 4, 5]],
+        "shifted": [[4, 0, 7], [0, 3, 4], [-1, 0, -1], [0, -1, -1], [4, 4, 13]],  # by (1, 1)
+    }
+    for name, rows in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"dim": 2, "rows": rows}))
+    rational, integral, shifted = (str(tmp_path / f"{name}.json") for name in files)
+    fv = run(["fvector", rational])
+    assert fv.payload == run(["fvector", integral]).payload == {"fvector": [1, 4, 4, 1]}
+    eq = run(["equiv", rational, shifted])
+    assert eq.payload == run(["equiv", integral, shifted]).payload
+    assert (eq.payload["status"], eq.payload["shift"]) == ("equivalent", [1, 1])
+    assert run(["equiv", shifted, rational]).payload == run(["equiv", shifted, integral]).payload
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -66,6 +66,13 @@ def random_polytope(rng, d, extra):
     return HRep(d, tuple(rows + box(d, 4)))
 
 
+def integer_row(c, b):
+    """The row ``c . x <= b`` (int or `Fraction` entries) times the least
+    common denominator of its entries: the same half-space in integers."""
+    den = lcm(*(F(x).denominator for x in (*c, b)))
+    return tuple(int(x * den) for x in c), int(b * den)
+
+
 def fraction_nonneg_feasible(eq_rows, rhs) -> bool:
     """Reference for `polyhedra._nonneg_feasible`: the same phase-1 tableau
     and pivot rule, in `Fraction` arithmetic."""
@@ -405,9 +412,9 @@ def test_simplex_against_float_solver():
 def test_feasible_point():
     assert feasible(SQUARE.rows, 2) is True
     assert feasible((((1,), 0), ((-1,), -1)), 1) is False
-    # rational rows are scaled to integral ones: 3/5 <= x <= 2/3, then 7/10 <= x
-    assert feasible((((F(1, 2),), F(1, 3)), ((F(-1, 3),), F(-1, 5))), 1) is True
-    assert feasible((((F(1, 2),), F(1, 3)), ((F(-1, 3),), F(-7, 30))), 1) is False
+    # x / 2 <= 1 / 3 and -x / 3 <= -1 / 5 in integers: 3/5 <= x <= 2/3, then 7/10 <= x
+    assert feasible((((3,), 2), ((-5,), -3)), 1) is True
+    assert feasible((((3,), 2), ((-10,), -7)), 1) is False
     assert feasible((((0, 0), -1),), 2) is False  # an all-zero row with b < 0
     assert feasible((), 0) is True
     assert feasible((((), -1),), 0) is False
@@ -419,12 +426,19 @@ def test_feasible_point():
         (lambda: HRep(1, (((0.5,), 1),)), "0.5"),
         (lambda: HRep(1, ((("1",), 1),)), "'1'"),
         (lambda: feasible((((1,), 0), ((0.5,), 1)), 1), "0.5"),
+        (lambda: HRep(1, (((F(1, 2),), 1),)), "Fraction(1, 2)"),
+        (lambda: feasible((((F(1, 2),), 1),), 1), "Fraction(1, 2)"),
+        (lambda: HRep(1, (((None,), 1),)), "None"),
     ],
-    ids=["float-in-hrep", "str-in-hrep", "float-in-feasible"],
+    ids=["float-in-hrep", "str-in-hrep", "float-in-feasible", "fraction-in-hrep",
+         "fraction-in-feasible", "none-in-hrep"],
 )
 def test_an_entry_that_is_not_rational_is_a_polyhedral_error(build, entry):
-    with pytest.raises(PolyhedralError, match=f"entry {entry} is not an int or a Fraction"):
+    """The kernel reads integer rows only: a `Fraction` is refused as a
+    float is, naming the entry."""
+    with pytest.raises(PolyhedralError) as raised:
         build()
+    assert str(raised.value) == f"entry {entry} is not an int"
 
 
 def test_remove_redundant_worked():
@@ -1082,8 +1096,8 @@ def test_f_vector_lower_dimensional():
     tri = HRep(
         3,
         (
-            ((1, 1, 1), F(3, 2)),
-            ((-1, -1, -1), F(-3, 2)),
+            ((2, 2, 2), 3),
+            ((-2, -2, -2), -3),
             ((-1, 0, 0), 0),
             ((0, -1, 0), 0),
             ((0, 0, -1), 0),
@@ -1098,7 +1112,7 @@ def test_face_lattice_dims():
 
 
 def test_face_lattice_matches_rank_oracle_on_small_and_lower_dimensional_input():
-    tri = ((1, 1, 1), F(3, 2)), ((-1, -1, -1), F(-3, 2))
+    tri = ((2, 2, 2), 3), ((-2, -2, -2), -3)  # x + y + z = 3/2
     inputs = [
         SQUARE,
         HRep(1, (((2,), 3), ((-1,), 0))),
@@ -1113,7 +1127,8 @@ def test_face_lattice_matches_rank_oracle_on_small_and_lower_dimensional_input()
         c = tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (1,)
         b = F(rng.randint(-2, 2), rng.choice((1, 2)))
         extra = [(tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(1, 5)) for _ in range(3)]
-        inputs.append(HRep(d, tuple(box(d, 3) + extra + [(c, b), (tuple(-x for x in c), -b)])))
+        eq = [integer_row(c, b), integer_row(tuple(-x for x in c), -b)]
+        inputs.append(HRep(d, tuple(box(d, 3) + extra + eq)))
     dims = {assert_lattice_matches_rank_oracle(h).dim for h in inputs}
     assert dims == {0, 1, 2, 3}
 
@@ -1425,8 +1440,8 @@ def test_verify_unimodular_map():
 def test_verify_unimodular_map_rejects_a_bad_shift():
     # x -> x + 1/3 maps [0, 1/3] onto [1/3, 2/3], but the two segments hold
     # one lattice point and none: the shift must be an integer vector
-    third = HRep(1, (((1,), F(1, 3)), ((-1,), 0)))
-    moved = HRep(1, (((1,), F(2, 3)), ((-1,), F(-1, 3))))
+    third = HRep(1, (((3,), 1), ((-1,), 0)))
+    moved = HRep(1, (((3,), 2), ((-3,), -1)))
     with pytest.raises(PolyhedralError):
         verify_unimodular_map(third, moved, ((1,),), (F(1, 3),))
     unit = HRep(1, (((1,), 1), ((-1,), 0)))
@@ -1439,8 +1454,10 @@ def test_every_right_hand_side_is_an_int(tmp_path):
     source = tmp_path / "p.json"
     source.write_text('{"dim": 2, "rows": [[1, 0, [3, 2]], [0, 2, 1], [-1, -1, 0]]}')
     gt = gt_polytope_C(Weight.rho(LieType("C", 2)), 2)
+    # the kernel refuses rational rows; the JSON reader scales them to integers
+    with pytest.raises(PolyhedralError, match="entry Fraction"):
+        HRep(2, (((F(1, 2), 1), F(3, 4)), ((-1, 0), F(0)), ((0, -1), F(-0))))
     systems = [
-        HRep(2, (((F(1, 2), 1), F(3, 4)), ((-1, 0), F(0)), ((0, -1), F(-0)))),
         _load_polytope(str(source)),
         gt,
         dilate(gt, 3),
@@ -1451,7 +1468,7 @@ def test_every_right_hand_side_is_an_int(tmp_path):
     for h in systems:
         for c, b in h.rows:
             assert all(type(x) is int for x in c) and type(b) is int, (c, b)
-    assert systems[0].rows[0] == ((2, 4), 3)
+    assert systems[0].rows[0] == ((2, 0), 3)
 
 
 def test_chamber_change_is_unimodular_on_a_cone_section():
@@ -1729,7 +1746,7 @@ if _HAVE_HYPOTHESIS:
     def test_lattice_points_against_brute_force(d, side, extra):
         """Inside the box ``|x_k| <= side`` plus up to four random rows,
         feasible or not, full-dimensional or not."""
-        h = HRep(d, tuple(box(d, side)) + tuple((tuple(c[:d]), b) for c, b in extra))
+        h = HRep(d, tuple(box(d, side)) + tuple(integer_row(c[:d], b) for c, b in extra))
         grid = itertools.product(range(-side, side + 1), repeat=d)
         assert lattice_points(h) == sum(h.contains(x) for x in grid)
 
@@ -1744,7 +1761,7 @@ if _HAVE_HYPOTHESIS:
         """Inside the box ``|x_k| <= side`` plus up to four random rows, the
         system is non-empty exactly when double description, which runs no
         LP, finds a vertex."""
-        h = HRep(d, tuple(box(d, side)) + tuple((tuple(c[:d]), b) for c, b in extra))
+        h = HRep(d, tuple(box(d, side)) + tuple(integer_row(c[:d], b) for c, b in extra))
         vr = to_vrep(h)
         assert vr.rays == ()
         assert feasible(h.rows, d) == bool(vr.vertices)
@@ -1753,7 +1770,8 @@ if _HAVE_HYPOTHESIS:
     def nonneg_systems(draw):
         """``A x = b`` with 1-5 rows and 1-5 random columns, integer or
         rational entries, right-hand sides of any sign, some all-zero rows,
-        and up to three repeated columns to force ties in the ratio test."""
+        and up to three repeated columns to force ties in the ratio test;
+        each row, with its right-hand side, is then scaled to integers."""
         m = draw(st.integers(1, 5))
         entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
         cols = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=5))
@@ -1761,7 +1779,9 @@ if _HAVE_HYPOTHESIS:
         cols = draw(st.permutations(cols))
         zero = draw(st.sets(st.integers(0, m - 1), max_size=2))
         rows = [[0 if i in zero else col[i] for col in cols] for i in range(m)]
-        return rows, draw(st.lists(entry, min_size=m, max_size=m))
+        rhs = draw(st.lists(entry, min_size=m, max_size=m))
+        scaled = [integer_row(row, b) for row, b in zip(rows, rhs)]
+        return [list(row) for row, _ in scaled], [b for _, b in scaled]
 
     @given(nonneg_systems())
     @settings(max_examples=300, deadline=None)
@@ -1961,7 +1981,7 @@ if _HAVE_HYPOTHESIS:
     @settings(max_examples=80, deadline=None)
     def test_double_description_against_parent_on_hulls(v):
         """The dual cone of a V-rep, whose rows `vrep_to_hrep` builds so."""
-        gens = [polyhedra._normalize_row((*(-x for x in p), -1), 0)[0] for p in v.vertices]
+        gens = [primitive(integer_row((*(-x for x in p), -1), 0)[0]) for p in v.vertices]
         assert_dd_matches_parent(gens, len(v.vertices[0]) + 1)
 
     @given(
@@ -2000,7 +2020,7 @@ if _HAVE_HYPOTHESIS:
         meets it), given as the pair ``c . x <= b`` and ``-c . x <= -b``, plus
         up to three rows: a (d - 1)-polytope, a smaller one, or empty."""
         c = tuple(c[:d])
-        rows = box(d, 2) + [(c, b), (tuple(-x for x in c), -b)]
+        rows = box(d, 2) + [integer_row(c, b), integer_row(tuple(-x for x in c), -b)]
         rows += [(tuple(a[:d]), r) for a, r in extra]
         assert_lattice_matches_rank_oracle(HRep(d, tuple(rows)))
 
@@ -2020,8 +2040,12 @@ if _HAVE_HYPOTHESIS:
                 assert h.contains((x, y)) == mini.contains((x, y))
 
     def parent_normalize_row(coeffs, rhs) -> tuple[tuple[int, ...], int]:
-        """Scale a row to integer coefficients and right-hand side with content 1."""
-        ints = polyhedra._integral((*coeffs, rhs))
+        """A row of ints (a bool read as its int) divided by its content; any
+        other entry, a `Fraction` included, is refused."""
+        for x in (*coeffs, rhs):
+            if type(x) not in (int, bool):
+                raise PolyhedralError(f"entry {x!r} is not an int")
+        ints = [int(x) for x in (*coeffs, rhs)]
         g = content(ints)
         if g > 1:
             ints = [x // g for x in ints]
@@ -2038,8 +2062,9 @@ if _HAVE_HYPOTHESIS:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_normalize_row_matches_the_integral_path(data):
-        """The all-int fast path of `_normalize_row` against the earlier
-        `_integral` path: equal rows of ints, or the same `PolyhedralError`."""
+        """The all-int fast path of `_normalize_row` against a reference that
+        checks every entry: equal rows of ints, or the same `PolyhedralError`
+        (rows with a `Fraction` or a float included)."""
         kind = data.draw(ROW_KINDS)
         coeffs = data.draw(st.lists(kind, max_size=6))
         rhs = data.draw(kind)
