@@ -90,7 +90,10 @@ def _load_polytope(source: str) -> polyhedra.HRep:
                 text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {source}: {exc.strerror or exc}") from exc
-    data = json.loads(text, parse_float=_not_an_integer, parse_constant=_not_an_integer)
+    try:
+        data = json.loads(text, parse_float=_not_an_integer, parse_constant=_not_an_integer)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source}: not JSON: {exc}") from exc
     if not (
         isinstance(data, dict)
         and _is_int(data.get("dim"))

@@ -37,7 +37,8 @@ The pieces:
 * emptiness by Farkas' lemma: a system is empty exactly when ``0 <= -1`` is
   such a combination of its rows, so `feasible` is the same test;
 * double description with lexicographic insertion for vertex/ray
-  enumeration, both directions; each ray's zero set is kept by
+  enumeration, both directions; every system is homogenized, a cone
+  included (its apex is the vertex 0), and each ray's zero set is kept by
   construction, so the integer V-rep carries the rows tight at each vertex;
 * one integer vertex-facet incidence table per polytope, read off those
   tight rows with no LP (each facet is the tight set of one row of any
@@ -47,7 +48,8 @@ The pieces:
   f-vectors count the faces closed down from the polytope by this covering
   relation, with no linear algebra; exact volumes by recursive
   triangulation of the same covering relation;
-* lattice-point counting by bounded coordinate recursion;
+* lattice-point counting by recursion over the coordinates, each row read
+  once, at its lowest nonzero coordinate, where its bound is exact;
 * unimodular equivalence from the table alone: dimension, vertex count,
   facet sizes, integrality, then a complete anchored search for an integer
   map over its edges, whose exhaustion certifies inequivalence.
@@ -619,10 +621,10 @@ def _adjacent(common, i, j, zsets) -> bool:
 def to_vrep(h: HRep) -> VRep:
     """Exact vertex/ray representation.
 
-    Cones (all right-hand sides zero) yield their apex and extreme rays;
-    other inputs are homogenized.  An empty system has no vertex and no
-    ray.  A non-empty system containing a line raises `Unbounded` carrying
-    the line's direction.  A caller that needs a bounded polytope asks
+    Every input is homogenized (see `_vrep`), so a cone (all right-hand
+    sides zero) yields its apex 0 and its extreme rays.  An empty system has
+    no vertex and no ray.  A non-empty system containing a line raises
+    `Unbounded` carrying the line's direction.  A caller that needs a bounded polytope asks
     `integrality` (or any other bounded-only function), which raises
     `Unbounded` on a recession ray and carries it as a witness.
     """
@@ -648,22 +650,20 @@ def _vrep(h: HRep):
     over ``den``, their least common denominator (``r[-1]`` for the vertex of
     a primitive homogeneous ray ``r``; one positive scale keeps their order),
     each with the bitset of the rows of ``h`` tight there (bit ``i`` for row
-    ``i``), and the sorted recession rays."""
-    cone = h.is_cone
-    if cone:
-        rows = [c for c, _ in h.rows]
-    else:  # the homogenized system, with homogenizing coordinate >= 0
-        rows = [(*c, -b) for c, b in h.rows] + [(0,) * h.dim + (-1,)]
+    ``i``), and the sorted recession rays.
+
+    Every system is homogenized: ``c . x <= b`` becomes ``c . x - b t <= 0``
+    with ``t >= 0``, and the rays with ``t > 0`` are the vertices.  A cone's
+    one vertex is its apex 0, tight on every row."""
+    rows = [(*c, -b) for c, b in h.rows] + [(0,) * h.dim + (-1,)]
     try:
-        rays = _dd_rays(rows, h.dim if cone else h.dim + 1)
+        rays = _dd_rays(rows, h.dim + 1)
     except PolyhedralError:  # the rows do not span: a line, unless the system is empty
         if not feasible(h.rows, h.dim):
             return 1, (), (), ()
-        line = nullspace_vector(rows or [(0,) * h.dim])[: h.dim]
+        line = nullspace_vector(rows)[: h.dim]
         message = "system has a lineality direction; not a bounded polytope"
         raise Unbounded(message, ray=line) from None
-    if cone:  # the apex is tight on every row
-        return 1, ((0,) * h.dim,), ((1 << len(rows)) - 1,), tuple(r for r, _ in rays)
     # a vertex has r[-1] > 0, so its zero set misses the homogenizing row
     den = lcm(*(r[-1] for r, _ in rays if r[-1] > 0))
     vertices = sorted((tuple(x * (den // r[-1]) for x in r[:-1]), z) for r, z in rays if r[-1] > 0)
@@ -809,12 +809,11 @@ def lattice_points(h: HRep) -> int:
     """Exact number of integer points, by recursion over the coordinates.
 
     Coordinates are fixed from the last to the first, inside the vertices'
-    integer box, with interval pruning against the outstanding rows.  Rows
-    and box are integral, so each bound is one integer division.  At its
-    lowest nonzero coordinate a row's bound is exact, so every leaf reached
-    satisfies every row (an all-zero row with ``b < 0`` leaves no vertex).
-    Visiting more than `LATTICE_POINT_CAP` partial assignments raises
-    `ResourceLimit`.
+    integer box.  Each row is read once, at its lowest nonzero coordinate
+    ``k``: with every later coordinate fixed, its bound on ``x[k]`` is exact
+    and one integer division, so every leaf reached satisfies every row (an
+    all-zero row with ``b < 0`` leaves no vertex).  Visiting more than
+    `LATTICE_POINT_CAP` partial assignments raises `ResourceLimit`.
     An empty system has no vertex and counts 0, even one with a lineality
     direction.
     """
@@ -826,44 +825,39 @@ def lattice_points(h: HRep) -> int:
         return 1
     box_lo = [-(-min(col) // den) for col in zip(*points)]
     box_hi = [max(col) // den for col in zip(*points)]
+    bucket = [[] for _ in range(d)]  # per coordinate k, (c[k], c[k + 1:], b) of its rows
+    for c, b in h.rows:
+        k = next((j for j, v in enumerate(c) if v), None)
+        if k is not None:
+            bucket[k].append((c[k], c[k + 1 :], b))
+    x = [0] * d
     visits = 0
 
-    def count(k: int, partial) -> int:
-        # partial maps coordinate index -> fixed value, for indices > k
+    def count(k: int) -> int:
+        # x[j] is fixed for j > k
         nonlocal visits
         visits += 1
         if visits > LATTICE_POINT_CAP:
             raise ResourceLimit(f"lattice point enumeration exceeded {LATTICE_POINT_CAP} nodes")
-        lo_k, hi_k = box_lo[k], box_hi[k]
-        for c, b in h.rows:
-            ck = c[k]
-            if ck == 0:
-                continue
-            slack = b
-            for idx in range(k + 1, d):
-                slack -= c[idx] * partial[idx]
-            for idx in range(k):
-                contrib = c[idx]
-                if contrib > 0:
-                    slack -= contrib * box_lo[idx]
-                elif contrib < 0:
-                    slack -= contrib * box_hi[idx]
+        lo, hi = box_lo[k], box_hi[k]
+        fixed = x[k + 1 :]
+        for ck, tail, b in bucket[k]:
+            slack = b - sum(map(mul, tail, fixed))
             if ck > 0:
-                hi_k = min(hi_k, slack // ck)
+                hi = min(hi, slack // ck)
             else:
-                lo_k = max(lo_k, -(-slack // ck))
-        if lo_k > hi_k:
+                lo = max(lo, -(-slack // ck))
+        if lo > hi:
             return 0
         if k == 0:
-            return hi_k - lo_k + 1
+            return hi - lo + 1
         total = 0
-        for val in range(lo_k, hi_k + 1):
-            partial[k] = val
-            total += count(k - 1, partial)
-        partial[k] = None
+        for val in range(lo, hi + 1):
+            x[k] = val
+            total += count(k - 1)
         return total
 
-    return count(d - 1, [None] * d)
+    return count(d - 1)
 
 
 def _triangulate(table: _IncidenceTable):

@@ -124,8 +124,9 @@ F_VECTOR_BRAID3 = (1, 175, 933, 2241, 3125, 2760, 1590, 594, 138, 18, 1)
 
 # Crystal counts: the weights, per rank, at which lattice points are counted.
 # (1, 0, 2) is not regular: its string polytopes are lower-dimensional.  The
-# count runs no redundancy removal of the polytopes; `lattice_points` reads
-# the V-rep.
+# count runs one redundancy removal per class, of its cone (a polytope entry
+# at a regular weight reads the cone's facets); `lattice_points` reads the
+# V-rep.
 CRYSTAL_WEIGHTS = {2: ((1, 1), (2, 1), (1, 2), (3, 2)), 3: ((1, 1, 1), (2, 1, 1), (1, 0, 2))}
 
 

@@ -506,6 +506,23 @@ def test_fvector_refuses_entries_that_are_not_integers(tmp_path, row, entry):
     assert entry in res.payload["error"]
 
 
+@pytest.mark.parametrize("text", ["not json", ""], ids=["garbage", "empty"])
+def test_a_file_that_is_not_json_exits_2_naming_it(tmp_path, text):
+    source = tmp_path / "p.json"
+    source.write_text(text)
+    res = run(["fvector", str(source)])
+    assert res.status == 2
+    assert res.payload["error"].startswith(f"{source}: not JSON: ")
+
+
+def test_equiv_reading_stdin_twice_exits_2_naming_it():
+    text = json.dumps({"dim": 1, "rows": [[1, 1], [-1, 0]]})
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        res = run(["equiv", "-", "-"])
+    assert res.status == 2
+    assert res.payload["error"] == "-: not JSON: Expecting value: line 1 column 1 (char 0)"
+
+
 def test_fvector_reads_a_fraction_pair(tmp_path):
     source = tmp_path / "p.json"
     source.write_text('{"dim": 1, "rows": [[-1, 0], [2, [3, 2]]]}')

@@ -39,7 +39,7 @@ from stringcones.polyhedra import (
     vrep_to_hrep,
 )
 from stringcones.polytopes import gt_polytope_C, string_polytope
-from stringcones.weyl import LieType, ReducedWord, Weight, class_words, enumerate_reduced_words
+from stringcones.weyl import LieType, ReducedWord, Weight, class_words, enumerate_reduced_words, lift
 
 SQUARE = HRep(2, (((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)))
 
@@ -1032,6 +1032,30 @@ def test_to_vrep_square_and_cone():
     assert set(vc.rays) == {(1, 0), (0, 1)}
 
 
+def parent_cone_vrep(h):
+    """Reference for `polyhedra._vrep` on a cone: the cone-only branch that
+    the homogenized double description replaced.  It takes the rows as
+    given, with no homogenizing row, and writes the apex 0 down, tight on
+    every row."""
+    rows = [c for c, _ in h.rows]
+    rays = polyhedra._dd_rays(rows, h.dim)
+    return 1, ((0,) * h.dim,), ((1 << len(rows)) - 1,), tuple(r for r, _ in rays)
+
+
+@pytest.mark.parametrize("type_text", ["A2", "A3", "A4", "B2", "B3", "C2", "C3"])
+def test_homogenized_vrep_of_a_cone_matches_the_cone_only_one(type_text):
+    """Every class cone, and in types B and C the cone of each class word's
+    lift: the same ``den`` 1, apex tight on every row and sorted rays."""
+    t = LieType.parse(type_text)
+    words = class_words(t)
+    if t.is_doubled:
+        words += [lift(w) for w in words]
+    for w in words:
+        rows, dim = cone_rows(w.lie_type, w)
+        h = HRep(dim, rows)
+        assert polyhedra._vrep(h) == parent_cone_vrep(h), w
+
+
 def test_to_vrep_unbounded_witness():
     half_strip = HRep(2, (((-1, 0), 0), ((0, -1), 0), ((0, 1), 1)))
     quadrant = HRep(2, (((-1, 0), 0), ((0, -1), 0)))  # a cone, not its apex
@@ -1385,6 +1409,44 @@ def test_lattice_points_runs_no_lp(monkeypatch):
     monkeypatch.setattr(polyhedra, "_farkas", counted)
     assert lattice_points(SQUARE) == lattice_points(HRep(2, SQUARE.rows)) == 4
     assert calls == []
+
+
+def walk_visits(h, monkeypatch) -> int:
+    """The nodes `lattice_points` visits on ``h``: the least
+    `LATTICE_POINT_CAP` under which it runs, found by bisection (the cap
+    counts one visit per node, so it is exact)."""
+    lo, hi = -1, polyhedra.LATTICE_POINT_CAP  # lo raises, hi runs
+    with monkeypatch.context() as mp:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            mp.setattr(polyhedra, "LATTICE_POINT_CAP", mid)
+            try:
+                lattice_points(h)
+            except ResourceLimit:
+                lo = mid
+            else:
+                hi = mid
+    return hi
+
+
+def test_lattice_walk_visits_on_gt3(monkeypatch):
+    gt3 = gt_polytope_C(Weight.rho(LieType("C", 3)), 3)
+    monkeypatch.setattr(polyhedra, "LATTICE_POINT_CAP", 1001)
+    assert lattice_points(gt3) == 512
+    monkeypatch.setattr(polyhedra, "LATTICE_POINT_CAP", 1000)
+    with pytest.raises(ResourceLimit):
+        lattice_points(gt3)
+
+
+@pytest.mark.parametrize("type_text,coeffs,visits", [("C3", (1, 1, 1), 5626), ("B3", (1, 0, 2), 2762)])
+def test_lattice_walk_visits_on_rank3_class_polytopes(type_text, coeffs, visits, monkeypatch):
+    """The walk's nodes over the 14 class polytopes, at rho and at a weight
+    whose polytopes are lower-dimensional.  The earlier walk, which also
+    read each row at its other nonzero coordinates with its lower ones
+    relaxed to the box, made the same counts."""
+    t = LieType.parse(type_text)
+    lam = Weight(t, coeffs)
+    assert sum(walk_visits(string_polytope(w, lam), monkeypatch) for w in class_words(t)) == visits
 
 
 def test_normalized_volume():
