@@ -19,6 +19,8 @@ success (all checks green for verify-paper), 1 on a failed check, 2 on
 usage errors, on unreadable or malformed input files, on a word list
 over its ``--cap`` (refused before any word is built), and on a ``gt``
 rank over `GT_MAX_RANK` (refused before any weight or row is built).
+
+The module owns the presentation: the JSON payloads and the SVG geometry.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from functools import partial
 
 from . import polyhedra, polytopes
 from ._linalg import Value
-from .cones import irredundant_facets, path_forms, rigorous_paths
+from .cones import irredundant_facets, rigorous_paths, string_cone
 from .diagram import SympWiringDiagram, WiringDiagram, build_diagram, build_symp_diagram
-from .paths import RigorousPath, path_json
+from .paths import RigorousPath, is_symmetric
 from .verify import paper_checks
 from .weyl import (
     DEFAULT_WORD_CAP,
@@ -94,6 +96,8 @@ def _load_polytope(source: str) -> polyhedra.HRep:
         data = json.loads(text, parse_float=_not_an_integer, parse_constant=_not_an_integer)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{source}: not JSON: {exc}") from exc
+    except ValueError as exc:  # a number `_not_an_integer` refuses
+        raise ValueError(f"{source}: {exc}") from exc
     if not (
         isinstance(data, dict)
         and _is_int(data.get("dim"))
@@ -123,12 +127,59 @@ def _load_polytope(source: str) -> polyhedra.HRep:
     return polyhedra.HRep(data["dim"], tuple(rows))
 
 
+def _path_json(p: RigorousPath) -> dict:
+    sd = p.diagram
+    payload = {
+        "k": sd.wire_name(p.k),
+        "wires": list(p.wires_by_name()),
+        "nodes": list(p.node_expression),
+        "peaks": list(p.peaks),
+    }
+    if isinstance(sd, SympWiringDiagram):
+        payload["node_labels"] = [sd.label_str(j) for j in p.node_expression]
+        if p.k == sd.n:
+            payload["symmetric"] = is_symmetric(p)
+    return payload
+
+
 # ---------------------------------------------------------------------------
-# SVG rendering
+# SVG rendering: position ``p`` sits at ``x = 2p - 1``, and the crossing of
+# letter ``j`` fills ``y in [2(l-j), 2(l-j) + 2]``, centred at ``(2 c_j, 2(l-j) + 1)``.
 # ---------------------------------------------------------------------------
 
 _SCALE = 22
 _HIGHLIGHT_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd")
+
+
+def _courses(d: WiringDiagram) -> dict[int, tuple[list, dict]]:
+    """Each wire's drawn course, top to bottom through its crossing centres,
+    with the index in it of each centre, by crossing."""
+    out = {}
+    for w in range(1, d.m + 1):
+        x = 2 * w - 1
+        pts, at = [(x, 2 * d.length + 1)], {}
+        for j in d.wire_nodes[w]:
+            c, y = d.node(j).column, 2 * (d.length - j) + 1
+            if pts[-1] != (x, y + 1):  # adjacent crossings share a corner
+                pts.append((x, y + 1))
+            at[j] = len(pts)
+            pts.append((2 * c, y))
+            x = 4 * c - x  # the wire leaves on the other side of the centre
+            pts.append((x, y - 1))
+        pts.append((x, -1))
+        out[w] = (pts, at)
+    return out
+
+
+def _path_course(p: RigorousPath, courses) -> list:
+    """A path's drawn course: its legs (`RigorousPath.stops`) along the wires."""
+    out: list = []
+    for wire, frm, to in p.stops():
+        pts, at = courses[wire]
+        a, b = (len(pts) - 1 if s == "bottom" else at[s] for s in (frm, to))
+        leg = pts[a : b + 1] if a <= b else pts[b : a + 1][::-1]
+        out.extend(leg[1:] if out else leg)
+    return out
 
 
 def render_svg(d: WiringDiagram, highlights=()) -> str:
@@ -153,8 +204,9 @@ def render_svg(d: WiringDiagram, highlights=()) -> str:
             f'x2="{(x_wall + 1) * _SCALE}" y2="{height - _SCALE // 2}" '
             'stroke="#2aa37a" stroke-dasharray="6,5" stroke-width="1"/>'
         )
+    courses = _courses(d)
     for w in range(1, d.m + 1):
-        line = d.wire_polylines[w]
+        line = courses[w][0]
         pts = " ".join(pt(x, y) for x, y in line)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.3"/>'
@@ -170,13 +222,13 @@ def render_svg(d: WiringDiagram, highlights=()) -> str:
             f'text-anchor="middle">L{name}</text>'
         )
     for color, p in zip(_HIGHLIGHT_COLORS, highlights):
-        pts = " ".join(pt(x, y) for x, y in p.polyline())
+        pts = " ".join(pt(x, y) for x, y in _path_course(p, courses))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             'stroke-width="4" stroke-opacity="0.55" stroke-linecap="round"/>'
         )
     for nd in d.nodes:
-        x, y = d.node_center(nd.index)
+        x, y = 2 * nd.column, 2 * (d.length - nd.index) + 1  # the crossing's centre
         label = d.label_str(nd.index)
         sx, sy = (x + 1) * _SCALE, (top + 1 - y) * _SCALE
         parts.append(f'<circle cx="{sx}" cy="{sy}" r="2.2" fill="black"/>')
@@ -215,7 +267,7 @@ def _cmd_paths(args) -> CommandResult:
         if args.k not in labels:
             raise ValueError(f"orientation index {args.k} out of range 1..{max(labels.values())}")
         paths = [p for p in paths if p.k == labels[args.k]]
-    payload = {"type": str(w.lie_type), "word": str(w), "paths": [path_json(p) for p in paths]}
+    payload = {"type": str(w.lie_type), "word": str(w), "paths": [_path_json(p) for p in paths]}
     lines = [
         f"k={p.diagram.wire_name(p.k)}:  {str(p)}   nodes {list(p.node_expression)}"
         for p in paths
@@ -226,8 +278,8 @@ def _cmd_paths(args) -> CommandResult:
 def _cmd_cone(args) -> CommandResult:
     w = ReducedWord.parse(args.type, args.word)
     t = w.lie_type
-    paths = [] if args.irredundant else rigorous_paths(t, w)  # the raw cone: one form per path
-    forms = irredundant_facets(t, w)[0].forms if args.irredundant else path_forms(t.family, paths)
+    paths = [] if args.irredundant else rigorous_paths(t, w)  # first: it fills an empty entry
+    forms = irredundant_facets(t, w)[0].forms if args.irredundant else string_cone(t, w).forms
     pretty = [f.pretty() for f in forms]
     payload = {"type": str(t), "word": str(w), "constraints": [list(f.coeffs) for f in forms]}
     if args.irredundant:

@@ -39,7 +39,8 @@ in path order, and the merged forms.  Every word then reads its cone by
 relabelling coordinates (`_relabelling`, one `operator.itemgetter` step
 per form), with no diagram, no path enumeration and no sort.  A cone is
 its forms alone; `rigorous_paths` lists a word's paths, one per raw form
-and in the same order, for the callers that show them.  `cone_facets`
+and in the same order, and fills an empty entry from its own search
+(`_fill`), so a caller that reads both searches once.  `cone_facets`
 keeps the indices of the facets among the merged forms, the rows
 `polyhedra.remove_redundant` keeps, so its LP runs once per class;
 `irredundant_facets` reads them.  In type A it runs once per pair of
@@ -261,28 +262,37 @@ def _oriented(t: LieType, w: ReducedWord) -> list[OrientedDiagram]:
 def rigorous_paths(t: LieType, w: ReducedWord) -> list[RigorousPath]:
     """The rigorous paths of ``w`` that cut the string cone of type ``t``,
     in path order (see `_oriented`): the one listing of a word's paths.
-    The raw `string_cone` lists the form of each, in the same order."""
+    The raw `string_cone` lists the form of each, in the same order; an
+    empty class entry is filled from this search."""
     _check_types(t, w)
-    return [p for od in _oriented(t, w) for p in enumerate_paths(od)]
+    oriented = _oriented(t, w)
+    entry = class_entry(t, w)
+    if "raw" not in entry:
+        _fill(entry, t, w, oriented)
+    return [p for od in oriented for p in enumerate_paths(od)]
 
 
 def _cone_entry(t: LieType, w: ReducedWord) -> dict:
-    """The cone entry of the class of ``w``, filled by ``w`` on a miss.
-
-    ``entry["raw"]`` holds one form per rigorous path, in path order, and
-    ``entry["merged"]`` the first copies of the forms up to positive
-    scaling, with content 1; both in heap coordinates.  A miss runs the
-    form kernel over each orientation's event tuples: it builds no path.
-    """
+    """The cone entry of the class of ``w``, filled by ``w`` on a miss."""
     _check_types(t, w)
     entry = class_entry(t, w)
     if "raw" not in entry:
-        oriented = _oriented(t, w)
-        table = _form_table(t.family, oriented[0].diagram, heap_coordinates(w))
-        raw = tuple([f for od in oriented for f in _forms(table, od.up_count, path_events(od))])
-        entry["raw"] = raw
-        entry["merged"] = tuple(dict.fromkeys(map(polyhedra_primitive, raw)))
+        _fill(entry, t, w, _oriented(t, w))
     return entry
+
+
+def _fill(entry: dict, t: LieType, w: ReducedWord, oriented: list[OrientedDiagram]) -> None:
+    """Fill an empty cone entry from the orientations of ``w``'s diagram.
+
+    ``entry["raw"]`` holds one form per rigorous path, in path order, and
+    ``entry["merged"]`` the first copies of the forms up to positive
+    scaling, with content 1; both in heap coordinates.  The form kernel
+    reads each orientation's event tuples: it builds no path.
+    """
+    table = _form_table(t.family, oriented[0].diagram, heap_coordinates(w))
+    raw = tuple([f for od in oriented for f in _forms(table, od.up_count, path_events(od))])
+    entry["raw"] = raw
+    entry["merged"] = tuple(dict.fromkeys(map(polyhedra_primitive, raw)))
 
 
 def _relabelling(w: ReducedWord):

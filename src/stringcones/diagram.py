@@ -8,10 +8,7 @@ endpoints are labelled ``U_k`` (top) and ``L_k`` (bottom).
 
 ``arrangements[j]`` lists the wires by position just below crossing ``j``
 (``arrangements[0]`` is the top); `paths.enclosed_region` reads the
-chambers a path encloses off them.  Integer drawing coordinates serve
-only the SVG output: position ``p`` sits at ``x = 2p - 1``; the crossing of
-letter ``j`` occupies the slab ``y in [2(l-j), 2(l-j) + 2]`` with its
-centre at ``(2 c_j, 2(l-j) + 1)``.
+chambers a path encloses off them.
 
 A type-B/C word of rank ``n`` folds out to its lifted type-A word on ``2n``
 wires, and its symplectic wiring diagram is that word's wiring diagram
@@ -29,8 +26,6 @@ so the path and drawing code reads one type.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from ._linalg import Value
 from .weyl import ReducedWord, lift
@@ -127,46 +122,6 @@ class WiringDiagram:
 
     def label_str(self, j: int) -> str:
         return f"a{j}"
-
-    # -- drawing coordinates ----------------------------------------------
-
-    def node_center(self, j: int) -> tuple[int, int]:
-        nd = self.node(j)
-        return (2 * nd.column, 2 * (self.length - j) + 1)
-
-    @cached_property
-    def wire_polylines(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Drawn course of each wire, top to bottom, including crossing centres."""
-        top = 2 * self.length + 1
-        out: dict[int, tuple[tuple[int, int], ...]] = {}
-        for w in range(1, self.m + 1):
-            x = 2 * w - 1
-            pts: list[tuple[int, int]] = [(x, top)]
-            pos = w
-            for j in self.wire_nodes[w]:
-                nd = self.node(j)
-                y_top = 2 * (self.length - j) + 2
-                pts.append((x, y_top))
-                pts.append(self.node_center(j))
-                pos = nd.column + 1 if pos == nd.column else nd.column
-                x = 2 * pos - 1
-                pts.append((x, y_top - 2))
-            pts.append((x, -1))
-            deduped = [pts[0]]
-            for p in pts[1:]:  # adjacent crossings make zero-length corners
-                if p != deduped[-1]:
-                    deduped.append(p)
-            out[w] = tuple(deduped)
-        return out
-
-    def wire_slice(self, wire: int, frm, to) -> tuple[tuple[int, int], ...]:
-        """Polyline along ``wire`` between node indices or 'bottom'."""
-        pts = self.wire_polylines[wire]
-        a, b = (len(pts) - 1 if s == "bottom" else pts.index(self.node_center(s))
-                for s in (frm, to))
-        if a <= b:
-            return pts[a : b + 1]
-        return tuple(reversed(pts[b : a + 1]))
 
     def __repr__(self) -> str:
         return f"WiringDiagram({self.word})"

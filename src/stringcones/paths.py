@@ -21,8 +21,8 @@ wires through its diagram (`wire_name`).  On
 symplectic diagrams the mirror of a path is its reflection in the wall,
 traversed backwards; a path with orientation ``n`` equal to its own mirror
 is symmetric.  The region a path encloses is a parity count over the
-diagram's wire arrangements, with no drawing coordinates; those serve only
-the SVG (`RigorousPath.polyline`).
+diagram's wire arrangements; a path's legs (`RigorousPath.stops`) serve
+it and the SVG renderer in `cli`, which owns the drawing coordinates.
 
 The extension of a path with orientation at most ``n`` is read straight
 from its definition: of the paths of that orientation whose enclosed
@@ -51,7 +51,6 @@ __all__ = [
     "extension",
     "canonical_paths",
     "is_new",
-    "path_json",
 ]
 
 
@@ -110,13 +109,6 @@ class RigorousPath(Value):
             prev = j
         legs.append((wire, prev, "bottom"))
         return tuple(legs)
-
-    def polyline(self) -> tuple[tuple[int, int], ...]:
-        pts: list[tuple[int, int]] = []
-        for wire, frm, to in self.stops():
-            seg = self.diagram.wire_slice(wire, frm, to)
-            pts.extend(seg if not pts else seg[1:])
-        return tuple(pts)
 
     def __str__(self) -> str:
         return " -> ".join(self.wires_by_name())
@@ -372,17 +364,3 @@ def is_new(p: RigorousPath) -> bool:
         raise ValueError("newness is relative to a contraction, which needs rank >= 3")
     return 1 in p.wire_seq or 2 * sd.n in p.wire_seq
 
-
-def path_json(p: RigorousPath) -> dict:
-    sd = p.diagram
-    payload = {
-        "k": sd.wire_name(p.k),
-        "wires": list(p.wires_by_name()),
-        "nodes": list(p.node_expression),
-        "peaks": list(p.peaks),
-    }
-    if isinstance(sd, SympWiringDiagram):
-        payload["node_labels"] = [sd.label_str(j) for j in p.node_expression]
-        if p.k == sd.n:
-            payload["symmetric"] = is_symmetric(p)
-    return payload

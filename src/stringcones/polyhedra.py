@@ -641,7 +641,7 @@ def _bounded(h: HRep):
     den, points, tight, rays = _memoized(h, "vrep", _vrep)
     if rays:
         message = "input is an unbounded cone" if h.is_cone else "input is unbounded"
-        raise Unbounded(message, ray=rays[0])
+        raise Unbounded(f"{message}: recession ray {rays[0]}", ray=rays[0])
     return den, points, tight
 
 
@@ -662,7 +662,7 @@ def _vrep(h: HRep):
         if not feasible(h.rows, h.dim):
             return 1, (), (), ()
         line = nullspace_vector(rows)[: h.dim]
-        message = "system has a lineality direction; not a bounded polytope"
+        message = f"system has a lineality direction; not a bounded polytope: line {line}"
         raise Unbounded(message, ray=line) from None
     # a vertex has r[-1] > 0, so its zero set misses the homogenizing row
     den = lcm(*(r[-1] for r, _ in rays if r[-1] > 0))

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -269,6 +270,29 @@ def test_cone_searches_each_orientation_once(monkeypatch):
     cones._class_entry.cache_clear()
 
 
+@pytest.mark.parametrize("type_text", ["A3", "B2", "B3", "C2", "C3"])
+def test_cone_prints_the_forms_of_the_class_entry(type_text):
+    """The `constraints` of `cone` are `path_forms` of the word's paths: from
+    an empty class cache for one word of each commutation class, which fills
+    its entry, and again for a second word of the class (the same word when
+    the class has one), which reads it."""
+    t = LieType.parse(type_text)
+    by_class = {}
+    for w in enumerate_reduced_words(t):
+        by_class.setdefault(weyl.foata_normal_form(w), []).append(w)
+    cones._class_entry.cache_clear()
+    try:
+        for order in (0, 1):
+            for words in by_class.values():
+                w = words[order % len(words)]
+                res = run(["cone", type_text, str(w), "--json"])
+                want = cones.path_forms(t.family, cones.rigorous_paths(t, w))
+                assert res.payload["constraints"] == [list(f.coeffs) for f in want], w
+            assert cones._class_entry.cache_info().misses == len(by_class)  # one fill per class
+    finally:
+        cones._class_entry.cache_clear()
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -277,6 +301,10 @@ def test_cone_searches_each_orientation_once(monkeypatch):
         (
             ["C3", "1,3,2,1,3,2,1,3,2"],
             "d65583ec979542d64ff7406bf34ea5c76342e61fa64eecce765a13fc26610ff5",
+        ),
+        (
+            ["B3", "1,2,3,1,2,3,1,2,3", "--k", "4"],
+            "1fd7c9e32d8827a2e6c6861219d30fe86e5e94674dfbdfbd5faec2352c130fee",
         ),
     ],
 )
@@ -485,6 +513,7 @@ def test_fvector_non_finite_numbers_exit_2(tmp_path, literal, place):
     source.write_text(f'{{"dim": 1, "rows": [[-1, 0], {row}]}}')
     res = run(["fvector", str(source)])
     assert res.status == 2
+    assert res.payload["error"].startswith(f"{source}: ")
     assert literal in res.payload["error"]
 
 
@@ -503,7 +532,44 @@ def test_fvector_refuses_entries_that_are_not_integers(tmp_path, row, entry):
     source.write_text(f'{{"dim": 1, "rows": [[-1, 0], {row}]}}')
     res = run(["fvector", str(source)])
     assert res.status == 2
+    assert res.payload["error"].startswith(f"{source}: ")
     assert entry in res.payload["error"]
+
+
+def test_equiv_names_the_file_that_holds_a_number_that_is_not_an_integer(tmp_path):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"dim": 1, "rows": [[1, 1], [-1, 0]]}')
+    bad.write_text('{"dim": 1, "rows": [[1, NaN], [-1, 0]]}')
+    res = run(["equiv", str(good), str(bad)])
+    assert res.status == 2
+    assert res.payload["error"] == f"{bad}: number NaN in polytope JSON is not an integer"
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        ([[-1, 0, 0], [0, -1, 0]], False),  # the quadrant, a cone
+        ([[-1, 0, 0], [0, -1, 0], [0, 1, 1]], False),  # a half-strip
+        ([[1, 0, 1], [-1, 0, 0]], True),  # the strip 0 <= x <= 1
+    ],
+    ids=["cone", "half-strip", "strip"],
+)
+def test_an_unbounded_input_prints_its_direction(tmp_path, rows, line):
+    """`fvector` on an unbounded system exits 2 and prints the direction the
+    error carries: a nonzero ``r`` with ``c . r <= 0`` on every row, and
+    ``== 0`` on every row for a line."""
+    source = tmp_path / "p.json"
+    source.write_text(json.dumps({"dim": 2, "rows": rows}))
+    res = run(["fvector", str(source)])
+    assert res.status == 2
+    with pytest.raises(polyhedra.Unbounded) as err:
+        polyhedra.f_vector(cli._load_polytope(str(source)))
+    ray = err.value.ray
+    printed = res.payload["error"].rpartition(" ray " if not line else " line ")[2]
+    assert ast.literal_eval(printed) == ray
+    assert any(ray)
+    dots = [sum(c * r for c, r in zip(row[:-1], ray)) for row in rows]
+    assert all(x == 0 for x in dots) if line else all(x <= 0 for x in dots)
 
 
 @pytest.mark.parametrize("text", ["not json", ""], ids=["garbage", "empty"])

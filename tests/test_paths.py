@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from stringcones import cli
 from stringcones._linalg import primitive
 from stringcones.cones import irredundant_facets, path_forms, rigorous_paths
 from stringcones.diagram import (
@@ -107,7 +108,7 @@ def polygon_region(p):
     along the bottom and run the even-odd test with a horizontal ray from a
     point just below each crossing centre."""
     base = p.diagram
-    poly = list(p.polyline())
+    poly = cli._path_course(p, cli._courses(base))
     poly.extend([(poly[-1][0], -2), (poly[0][0], -2)])
 
     def inside(px, py):
@@ -121,7 +122,7 @@ def polygon_region(p):
 
     region = set()
     for j in range(1, base.length + 1):
-        x, y = base.node_center(j)
+        x, y = 2 * base.node(j).column, 2 * (base.length - j) + 1  # the crossing's centre
         if inside(Fraction(x), Fraction(2 * y - 1, 2)):
             region.add(j)
     return frozenset(region)
