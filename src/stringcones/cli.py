@@ -34,9 +34,9 @@ from functools import partial
 
 from . import polyhedra, polytopes
 from ._linalg import Value
-from .cones import irredundant_facets, rigorous_paths, string_cone
-from .diagram import SympWiringDiagram, WiringDiagram, build_diagram, build_symp_diagram
-from .paths import RigorousPath, is_symmetric
+from .cones import _oriented, irredundant_facets, rigorous_paths, string_cone
+from .diagram import SympWiringDiagram, WiringDiagram
+from .paths import RigorousPath, enumerate_paths, is_symmetric
 from .verify import paper_checks
 from .weyl import (
     DEFAULT_WORD_CAP,
@@ -239,14 +239,6 @@ def render_svg(d: WiringDiagram, highlights=()) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _find_path(w: ReducedWord, names: list[str]) -> RigorousPath:
-    wanted = tuple(names)
-    for p in rigorous_paths(w.lie_type, w):
-        if p.wires_by_name() == wanted:
-            return p
-    raise ValueError(f"no rigorous path with wire expression {' -> '.join(names)}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -374,12 +366,15 @@ def _cmd_equiv(args) -> CommandResult:
 
 def _cmd_render(args) -> CommandResult:
     w = ReducedWord.parse(args.type, args.word)
-    d = build_symp_diagram(w) if w.lie_type.is_doubled else build_diagram(w)
+    oriented = _oriented(w.lie_type, w)  # one diagram: drawn, and searched for a highlight
     highlights = []
     if args.highlight:
-        names = [x.strip() for x in args.highlight.split(",")]
-        highlights.append(_find_path(w, names))
-    svg = render_svg(d, highlights)
+        names = tuple(x.strip() for x in args.highlight.split(","))
+        found = [p for od in oriented for p in enumerate_paths(od) if p.wires_by_name() == names]
+        if not found:
+            raise ValueError(f"no rigorous path with wire expression {' -> '.join(names)}")
+        highlights.append(found[0])
+    svg = render_svg(oriented[0].diagram, highlights)
     try:
         with open(args.output, "w") as fh:
             fh.write(svg)

@@ -253,7 +253,9 @@ def _check_types(t: LieType, w: ReducedWord) -> None:
 def _oriented(t: LieType, w: ReducedWord) -> list[OrientedDiagram]:
     """The orientations cutting the string cone of type ``t``, on one new diagram
     (symplectic in types B and C): 1..n in type C (the mirrors give the same
-    forms), all 1..m-1 otherwise."""
+    forms), all 1..m-1 otherwise.  The one listing of a type's orientations:
+    `cli`'s ``render`` draws their diagram and searches them for its
+    highlight."""
     d = build_diagram(w) if t.family == "A" else build_symp_diagram(w)
     top = d.n if t.family == "C" else d.m - 1
     return [OrientedDiagram(d, u) for u in range(1, top + 1)]

@@ -11,7 +11,9 @@ of two downward wires or upward on the lower of two upward wires.
 Paths are stored as their full event list: every crossing transited, in
 travel order, tagged with whether the path switched wires there.  The node
 expression (switch crossings only) derives from the events; the wire
-expression and the peaks from the switches (`RigorousPath.switch_pairs`).
+expression and the peaks from the switches (`RigorousPath.switch_pairs`),
+which read the wire changes between the path's legs (`RigorousPath.stops`,
+the one walk of the events that follows the wires).
 The search runs once per orientation of a diagram: the diagram keeps the
 sorted event tuples (`path_events`), never the paths, so a diagram and its
 paths form no reference cycle, and a reader of forms builds no path.  A
@@ -21,8 +23,8 @@ wires through its diagram (`wire_name`).  On
 symplectic diagrams the mirror of a path is its reflection in the wall,
 traversed backwards; a path with orientation ``n`` equal to its own mirror
 is symmetric.  The region a path encloses is a parity count over the
-diagram's wire arrangements; a path's legs (`RigorousPath.stops`) serve
-it and the SVG renderer in `cli`, which owns the drawing coordinates.
+diagram's wire arrangements; a path's legs serve it and the SVG renderer
+in `cli`, which owns the drawing coordinates.
 
 The extension of a path with orientation at most ``n`` is read straight
 from its definition: of the paths of that orientation whose enclosed
@@ -78,15 +80,12 @@ class RigorousPath(Value):
 
     @property
     def switch_pairs(self) -> tuple[tuple[int, int, int], ...]:
-        """Triples (node, from_wire, to_wire), one per switch event."""
-        out = []
-        wire = self.k
-        for j, switched in self.events:
-            if switched:
-                nxt = self.diagram.node(j).other_wire(wire)
-                out.append((j, wire, nxt))
-                wire = nxt
-        return tuple(out)
+        """Triples (node, from_wire, to_wire), one per switch event: the
+        crossings where two consecutive legs of `stops` change wire."""
+        legs = self.stops()
+        return tuple(
+            (j, frm, to) for (frm, _, j), (to, _, _) in zip(legs, legs[1:]) if frm != to
+        )
 
     @property
     def peaks(self) -> tuple[int, ...]:

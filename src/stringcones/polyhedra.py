@@ -120,18 +120,18 @@ def _normalize_row(coeffs, rhs) -> tuple[tuple[int, ...], int]:
 
     A bool entry counts as its int; any other entry that is not an int, a
     `Fraction` included, raises `PolyhedralError`: rational rows are scaled
-    to integer ones where they are read (see `cli._load_polytope`).
+    to integer ones where they are read (see `cli._load_polytope`).  Every
+    entry is checked, with no fast path for an all-int row: a class hit
+    builds its `HRep` through `HRep._canonical`, which normalizes nothing,
+    so few rows come here.
     """
-    coeffs = tuple(coeffs)
-    if type(rhs) is not int or countOf(map(type, coeffs), int) < len(coeffs):
-        for x in (*coeffs, rhs):
-            if not isinstance(x, int):
-                raise PolyhedralError(f"entry {x!r} is not an int")
-        coeffs, rhs = tuple(map(int, coeffs)), int(rhs)
-    g = gcd(*coeffs, rhs)
-    if g > 1:
-        coeffs, rhs = [x // g for x in coeffs], rhs // g
-    return tuple(coeffs), rhs
+    row = (*coeffs, rhs)
+    for x in row:
+        if not isinstance(x, int):
+            raise PolyhedralError(f"entry {x!r} is not an int")
+    g = gcd(*row)
+    row = [x // g for x in row] if g > 1 else list(map(int, row))
+    return tuple(row[:-1]), row[-1]
 
 
 class HRep(Value):
@@ -223,6 +223,8 @@ def _farkas(eq_rows, rhs, certify: bool):
     first column with a positive reduced cost enters, and the row of least
     ``(ratio, basic variable)`` leaves, the artificial of row ``i`` counting
     as variable ``n + i``, so the pivots are those of the rational tableau.
+    The phase-1 objective is bounded, so an entering column always has a
+    positive entry and some row leaves.
 
     The objective row is always ``y`` times the rows as given (each pivot
     combines rows).  With ``certify`` row ``i`` carries the unit vector
@@ -259,8 +261,6 @@ def _farkas(eq_rows, rhs, certify: bool):
                 here, best = row[n] * a_best, b_best * a
                 if here < best or (here == best and basis[i] < basis[leave]):
                     leave, a_best, b_best = i, a, row[n]
-        if leave is None:
-            break  # unbounded cannot happen for phase 1
         prow = tab[leave]
         piv = prow[enter]
         for i, row in enumerate(tab):
@@ -440,7 +440,9 @@ def _two_term(row, normals) -> bool:
     The row follows when ``q c = p c_f + s g`` for a facet ``f``, integers
     ``p, q > 0`` and ``s >= 0``, and ``k q b >= k p b_f + s b_g``.  Only the
     ratios ``p / q = c[j] / c_f[j]`` on coordinates where both are nonzero
-    and of one sign are tried, so ``g`` vanishes on one of them.
+    and of one sign are tried, so ``g`` vanishes on one of them.  A row
+    parallel to ``c_f`` (``s = 0``) takes the same test, with ``(k, b_g)``
+    read as ``(1, 0)``.
     """
     c, b = row
     support = [(k, x) for k, x in enumerate(c) if x]
@@ -457,11 +459,7 @@ def _two_term(row, normals) -> bool:
             tried.add((p, q))
             r = [q * v - p * w for v, w in zip(c, c_f)]
             s = content(r)
-            if s == 0:
-                if q * b >= p * b_f:
-                    return True
-                continue
-            hit = normals.get(tuple(v // s for v in r))
+            hit = normals.get(tuple(v // s for v in r)) if s else (1, 0)
             if hit is not None and hit[0] * (q * b - p * b_f) >= s * hit[1]:
                 return True
     return False
@@ -474,7 +472,8 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
     with no LP when every ``b >= 0`` (it contains 0) or when it has an
     interior point (`_interior_point`, which writes one down with no LP for
     string systems), and only without either does `feasible` decide.  Zero
-    rows and later copies of a row are dropped first.  The reference is the
+    rows and later copies of a row are dropped first, in one pass that keeps
+    the first index of each nonzero row, in row order.  The reference is the
     one-LP-per-row loop: in order, a row goes when the other live rows
     imply it (`_implied`).  With an interior point, a first pass takes each
     row not yet certified, in order: it is dropped if two facets certified
@@ -491,14 +490,11 @@ def _irredundant_indices(rows, dim) -> list[int] | None:
     """
     if any(b < 0 and not any(c) for c, b in rows):
         return None
-    live = list(range(len(rows)))
-    seen: dict[tuple, int] = {}
-    for i, (c, b) in enumerate(rows):
-        key = (c, b)
-        if key in seen or all(x == 0 for x in c):
-            live.remove(i)
-        else:
-            seen[key] = i
+    first: dict[tuple, int] = {}  # each nonzero row's first index, in row order
+    for i, row in enumerate(rows):
+        if any(row[0]):
+            first.setdefault(row, i)
+    live = list(first.values())
     point = _interior_point([rows[i] for i in live], dim) if live else None
     if point is None and any(b < 0 for _, b in rows) and not feasible(rows, dim):
         return None

@@ -273,7 +273,8 @@ def commutation_class(w: ReducedWord) -> frozenset[ReducedWord]:
     A commutation move swaps two adjacent letters i, j with |i - j| >= 2;
     the Dynkin diagrams of types A, B and C are paths, so these are exactly
     the pairs of commuting simple reflections.  The class is found from the
-    letters alone; commutation moves keep a word reduced.
+    letters alone; commutation moves keep a word reduced, so each word is
+    built unchecked (`ReducedWord._reduced`).
     """
     seen = {w.letters}
     todo = [w.letters]
@@ -285,7 +286,7 @@ def commutation_class(w: ReducedWord) -> frozenset[ReducedWord]:
                 if moved not in seen:
                     seen.add(moved)
                     todo.append(moved)
-    return frozenset(ReducedWord(w.lie_type, letters) for letters in seen)
+    return frozenset(ReducedWord._reduced(w.lie_type, letters) for letters in seen)
 
 
 def heap_coordinates(w: ReducedWord) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ import pytest
 
 from stringcones import cli, cones, paths, polyhedra, weyl
 from stringcones.cli import render_svg, run
-from stringcones.diagram import build_symp_diagram, orient
+from stringcones.diagram import WiringDiagram, build_symp_diagram, orient
 from stringcones.weyl import LieType, ReducedWord, enumerate_reduced_words
 
 
@@ -268,6 +268,46 @@ def test_cone_searches_each_orientation_once(monkeypatch):
     assert run(["cone", "C3", "1,3,2,1,3,2,1,3,2"]).status == 0
     assert searches == [1, 2, 3]
     cones._class_entry.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "A3", "1,2,1,3,2,1"],
+        ["render", "C3", "1,2,3,1,2,3,1,2,3"],
+        ["render", "C2", "2,1,2,1", "--highlight", "2,1b,1,2b"],
+        ["render", "B2", "1,2,1,2", "--highlight", "2b,1b"],
+        ["paths", "C3", "1,3,2,1,3,2,1,3,2"],
+        ["paths", "B3", "1,2,3,1,2,3,1,2,3", "--k", "4"],
+        ["cone", "A3", "1,2,1,3,2,1"],
+        ["cone", "C3", "1,3,2,1,3,2,1,3,2"],
+        ["cone", "B2", "2,1,2,1", "--irredundant"],
+        ["polytope", "C2", "2,1,2,1", "--lambda", "rho", "--full"],
+    ],
+)
+def test_a_word_command_builds_one_diagram(tmp_path, monkeypatch, argv):
+    """From an empty class cache, a command on one word constructs at most
+    one wiring diagram; `render` draws the diagram it searches for its
+    highlight and leaves the class cache empty."""
+    built = []
+    init = WiringDiagram.__init__
+
+    def counted(self, word):
+        built.append(word)
+        init(self, word)
+
+    monkeypatch.setattr(WiringDiagram, "__init__", counted)
+    if argv[0] == "render":
+        argv = [*argv, "-o", str(tmp_path / "d.svg")]
+    cones._class_entry.cache_clear()
+    try:
+        assert run(argv).status == 0
+        assert len(built) <= 1
+        if argv[0] == "render":
+            assert len(built) == 1
+            assert cones._class_entry.cache_info().currsize == 0
+    finally:
+        cones._class_entry.cache_clear()
 
 
 @pytest.mark.parametrize("type_text", ["A3", "B2", "B3", "C2", "C3"])

@@ -367,3 +367,34 @@ def test_path_count_monotone_under_contraction():
         big = len(rigorous_paths(w.lie_type, w))
         small = len(rigorous_paths(LieType("C", 2), contract(w)))
         assert big >= small + 5
+
+
+def switch_pairs_by_event_walk(p):
+    """The earlier reading of a path's switches, kept as the oracle: walk the
+    events, crossing to the node's other wire at each switch."""
+    out = []
+    wire = p.k
+    for j, switched in p.events:
+        if switched:
+            nxt = p.diagram.node(j).other_wire(wire)
+            out.append((j, wire, nxt))
+            wire = nxt
+    return tuple(out)
+
+
+@pytest.mark.parametrize("type_text", ["A3", "B2", "C2", "B3", "C3"])
+def test_switches_read_off_the_legs_match_the_event_walk(type_text):
+    """`switch_pairs`, read off consecutive legs of `stops`, and the wire
+    expression and peaks built on it, equal the event walk's on every path of
+    every orientation that `rigorous_paths` lists for the type."""
+    t = LieType.parse(type_text)
+    count = 0
+    for w in enumerate_reduced_words(t):
+        for p in rigorous_paths(t, w):
+            want = switch_pairs_by_event_walk(p)
+            assert p.switch_pairs == want, (w, p.events)
+            assert p.wire_seq == (p.k, *(to for _, _, to in want)), (w, p.events)
+            up = p.oriented.is_up
+            assert p.peaks == tuple(j for j, a, b in want if up(a) and not up(b)), (w, p.events)
+            count += 1
+    assert count > 0
